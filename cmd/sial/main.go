@@ -333,7 +333,7 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		rf.cfg.CkptName = *ckptName
 		rf.cfg.Resume = *resume
 		if *ckptInterval > 0 {
-			// Snapshots ride the recovery sync protocol.
+			// Snapshots read the recovery chunk ledger.
 			rf.cfg.Recover = true
 		}
 	}

@@ -93,7 +93,7 @@ func (w *World) deliver(src, dst, tag int, data any) {
 	if w.handleClock(src, dst, data) {
 		return
 	}
-	if p, ok := data.(groupPoison); ok {
+	if p, ok := data.(poisonMsg); ok {
 		if !w.closed.Load() {
 			if p.Rank >= 0 {
 				w.recordFailure(p.Rank, p.Reason)
@@ -137,7 +137,7 @@ func (w *World) peerDown(peer int, err error) {
 // Liveness (heartbeat-based failure detection)
 
 // heartbeatTag is the reserved tag for liveness frames.  Like
-// collectiveTag it is negative so application tags can never collide;
+// controlTag it is negative so application tags can never collide;
 // heartbeat frames are intercepted before reaching any mailbox, so the
 // tag never surfaces.
 const heartbeatTag = -3
@@ -292,6 +292,16 @@ func (w *World) monitor(l *liveness) {
 	}
 }
 
+// poisonMsg aborts the receiving process's world (World.Poison,
+// World.Fail).  It is intercepted in deliver before reaching any
+// mailbox.  A frame with Rank >= 0 also carries the sender's failure
+// diagnosis, which the receiver records (first diagnosis wins) before
+// aborting.
+type poisonMsg struct {
+	Rank   int // failed rank, or -1 when the abort has no attributed cause
+	Reason string
+}
+
 // evictNotice tells the receiving world that Rank has been evicted
 // (World.Evict), so every survivor converges on the same degraded
 // membership.  Like poison and heartbeat frames it is intercepted in
@@ -316,15 +326,16 @@ type joinNotice struct {
 	Rank int
 }
 
-// Wire ids for the collective and liveness messages (block 16..31, see
-// internal/wire).
+// Wire ids for the world's control and liveness messages (block 16..31,
+// see internal/wire).  16 and 17 carried the group-collective
+// contribution/result frames until sync became master-mediated; they
+// stay reserved so a mixed-build peer fails to decode instead of
+// misreading.
 const (
-	wireIDGroupContrib = 16
-	wireIDGroupResult  = 17
-	wireIDGroupPoison  = 18
-	wireIDHeartbeat    = 19
-	wireIDEvictNotice  = 20
-	wireIDByeNotice    = 21
+	wireIDPoison      = 18
+	wireIDHeartbeat   = 19
+	wireIDEvictNotice = 20
+	wireIDByeNotice   = 21
 	// 22, 23 carry the clock-sync ping/pong (clock.go).
 	wireIDJoinNotice = 24
 )
@@ -349,32 +360,13 @@ func decodeRanks(d *wire.Decoder) []int {
 }
 
 func init() {
-	wire.Register(wireIDGroupContrib,
-		func(e *wire.Encoder, m groupContrib) {
-			e.String(m.Key)
-			e.Int(m.Gen)
-			e.Float64(m.V)
-		},
-		func(d *wire.Decoder) groupContrib {
-			return groupContrib{Key: d.String(), Gen: d.Int(), V: d.Float64()}
-		})
-	wire.Register(wireIDGroupResult,
-		func(e *wire.Encoder, m groupResult) {
-			e.String(m.Key)
-			e.Int(m.Gen)
-			e.Float64(m.V)
-		},
-		func(d *wire.Decoder) groupResult {
-			return groupResult{Key: d.String(), Gen: d.Int(), V: d.Float64()}
-		})
-	wire.Register(wireIDGroupPoison,
-		func(e *wire.Encoder, m groupPoison) {
-			e.String(m.Key)
+	wire.Register(wireIDPoison,
+		func(e *wire.Encoder, m poisonMsg) {
 			e.Int(m.Rank)
 			e.String(m.Reason)
 		},
-		func(d *wire.Decoder) groupPoison {
-			return groupPoison{Key: d.String(), Rank: d.Int(), Reason: d.String()}
+		func(d *wire.Decoder) poisonMsg {
+			return poisonMsg{Rank: d.Int(), Reason: d.String()}
 		})
 	wire.Register(wireIDEvictNotice,
 		func(e *wire.Encoder, m evictNotice) {
@@ -413,9 +405,8 @@ func init() {
 		})
 
 	// Fuzz seed corpus: one encoded example per type registered above.
-	wire.Sample(groupContrib{Key: "b:0:7", Gen: 2, V: 1.25})
-	wire.Sample(groupResult{Key: "b:0:7", Gen: 2, V: -3})
-	wire.Sample(groupPoison{Key: "b:0:7", Rank: 1, Reason: "test"})
+	wire.Sample(poisonMsg{Rank: 1, Reason: "test"})
+	wire.Sample(poisonMsg{Rank: -1}) // World.Poison: no attributed cause
 	wire.Sample(evictNotice{Rank: 3, Reason: "liveness"})
 	wire.Sample(byeNotice{Ranks: []int{4, 5}})
 	wire.Sample(joinNotice{Rank: 6})

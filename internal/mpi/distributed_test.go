@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -90,33 +89,10 @@ func TestDistributedSendRecv(t *testing.T) {
 	})
 }
 
-func TestDistributedAllreduce(t *testing.T) {
-	transportCases(t, 3, func(t *testing.T, worlds []*World) {
-		sums := make([]float64, 3)
-		var wg sync.WaitGroup
-		for i := range worlds {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				g := worlds[i].Comm(i).GroupOf(0, 1, 2)
-				// Two rounds, to exercise generation handling.
-				g.AllreduceSum(float64(i))
-				sums[i] = g.AllreduceSum(float64(10 * (i + 1)))
-			}(i)
-		}
-		wg.Wait()
-		for i, s := range sums {
-			if s != 60 {
-				t.Errorf("rank %d: allreduce = %g, want 60", i, s)
-			}
-		}
-	})
-}
-
-// TestPoisonWakesBlockedRecv pins the abort contract of the tentpole:
-// Group.Poison must wake a member blocked in Recv (or Request.Wait)
-// promptly on every transport, instead of leaving it deadlocked on a
-// message that will never arrive.
+// TestPoisonWakesBlockedRecv pins the abort contract: World.Poison must
+// wake a remote rank blocked in Recv (or Request.Wait) promptly on every
+// transport, instead of leaving it deadlocked on a message that will
+// never arrive — and, unlike Fail, without blaming any rank.
 func TestPoisonWakesBlockedRecv(t *testing.T) {
 	transportCases(t, 2, func(t *testing.T, worlds []*World) {
 		recvDone := make(chan error, 1)
@@ -140,7 +116,7 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 		})
 		time.Sleep(10 * time.Millisecond) // let both receivers block
 
-		worlds[0].Comm(0).GroupOf(0, 1).Poison()
+		worlds[0].Poison()
 
 		for name, ch := range map[string]chan error{"Recv": recvDone, "Wait": waitDone} {
 			select {
@@ -150,6 +126,11 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatalf("%s still blocked after Poison", name)
+			}
+		}
+		for rank, w := range worlds {
+			if f := w.Failure(); f != nil {
+				t.Errorf("rank %d: unattributed poison recorded failure %v", rank, f)
 			}
 		}
 	})
@@ -170,14 +151,14 @@ func TestPoisonWakesBlockedRecvLocalWorld(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 
-	w.Comm(1).GroupOf(1, 2).Poison()
+	w.Abort()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("Recv returned %v, want ErrAborted panic", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Recv still blocked after Poison")
+		t.Fatal("Recv still blocked after Abort")
 	}
 }
 
@@ -186,7 +167,7 @@ func TestPoisonWakesBlockedRecvLocalWorld(t *testing.T) {
 func TestPoisonDrainsQueuedMessages(t *testing.T) {
 	w := NewWorld(2)
 	w.Comm(0).Send(1, 5, "before")
-	w.Comm(0).GroupOf(0, 1).Poison()
+	w.Abort()
 	m := w.Comm(1).Recv(0, 5)
 	if m.Data != "before" {
 		t.Fatalf("queued message lost: %+v", m)

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -75,97 +74,6 @@ func TestEvictWakesRecvUntil(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("RecvUntil still blocked after eviction")
-	}
-}
-
-// TestEvictCompletesCollective: a collective round blocked on a member
-// that dies mid-round must complete over the survivors with the
-// survivors' sum.
-func TestEvictCompletesCollective(t *testing.T) {
-	worlds := recoverWorlds(t, 4)
-	var wg sync.WaitGroup
-	sums := make([]float64, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := worlds[i].Comm(i).GroupOf(0, 1, 2, 3)
-			sums[i] = g.AllreduceSum(float64(i + 1)) // rank 3 never joins
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the round block on rank 3
-	worlds[0].Evict(3, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("collective still blocked after evicting the missing member")
-	}
-	for i, s := range sums {
-		if s != 6 { // 1+2+3, rank 3's contribution never existed
-			t.Errorf("rank %d: degraded allreduce = %g, want 6", i, s)
-		}
-	}
-}
-
-// TestEvictRootReelection: when the group root dies mid-round, the
-// surviving members must re-elect the next live member and finish.
-func TestEvictRootReelection(t *testing.T) {
-	worlds := recoverWorlds(t, 4)
-	var wg sync.WaitGroup
-	sums := make([]float64, 4)
-	for _, i := range []int{2, 3} {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := worlds[i].Comm(i).GroupOf(1, 2, 3)
-			sums[i] = g.AllreduceSum(float64(10 * i)) // root rank 1 never joins
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // members block on the dead root
-	worlds[2].Evict(1, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("collective still blocked after evicting the root")
-	}
-	for _, i := range []int{2, 3} {
-		if sums[i] != 50 {
-			t.Errorf("rank %d: re-elected allreduce = %g, want 50", i, sums[i])
-		}
-	}
-}
-
-// TestEvictCompletesSharedGroup covers the in-process (shared-memory)
-// group implementation: evicting the straggler completes the round.
-func TestEvictCompletesSharedGroup(t *testing.T) {
-	w := NewWorld(3)
-	w.SetRecover(0)
-	var wg sync.WaitGroup
-	sums := make([]float64, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sums[i] = w.Comm(i).GroupOf(0, 1, 2).AllreduceSum(float64(i + 1))
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	w.Evict(2, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("shared group still blocked after eviction")
-	}
-	for i, s := range sums {
-		if s != 3 {
-			t.Errorf("rank %d: shared degraded allreduce = %g, want 3", i, s)
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package mpi provides an in-process message-passing layer with MPI-like
-// semantics: ranks, tagged asynchronous point-to-point messages with
-// source/tag matching and wildcards, barriers, and reductions.
+// semantics: ranks and tagged asynchronous point-to-point messages with
+// source/tag matching and wildcards.
 //
 // The SIP runtime (paper §V) is written against MPI; this package is the
 // substitution that lets the whole runtime — block protocol, prefetching,
@@ -14,8 +14,9 @@
 //   - Receives match on (source, tag), either exact or the AnySource /
 //     AnyTag wildcards, and preserve per-sender FIFO order among
 //     matching messages.
-//   - Barriers and reductions operate over explicit rank groups, like
-//     MPI communicators.
+//
+// There are no collectives: every SIP barrier and reduction is a sync
+// round mediated by the master over point-to-point messages.
 package mpi
 
 import (
@@ -62,7 +63,6 @@ type World struct {
 	boxes   []*mailbox // nil entries are remote ranks
 	local   []int      // locally hosted ranks, in rank order
 	obs     Observer
-	groups  sync.Map // map[string]Group, keyed by rank-set signature
 	tr      transport.Transport
 	closed  atomic.Bool
 	aborted atomic.Bool
@@ -551,24 +551,39 @@ func (mb *mailbox) probe(src, tag int) bool {
 	return false
 }
 
-// ErrAborted is the panic value delivered to collective operations on a
-// poisoned group and to receives on an aborted world.  Callers that
-// poison a group should recover it.
-var ErrAborted = fmt.Errorf("mpi: group aborted")
+// ErrAborted is the panic value delivered to receives on an aborted
+// world.  Code that aborts a world should recover it.
+var ErrAborted = fmt.Errorf("mpi: world aborted")
 
-// Abort poisons the world: every locally hosted mailbox wakes its
-// blocked receivers with ErrAborted (after draining already-delivered
-// matches), and every group created through GroupOf is poisoned.  It is
-// idempotent and safe to call from any goroutine; transports call it
-// when a peer connection dies.
+// controlTag is the reserved point-to-point tag carrying the world's
+// own control frames (poison, evict, join and bye notices).  Negative so
+// it can never collide with application tags (reply tags grow upward
+// without bound); the frames are intercepted in deliver and never reach
+// a mailbox.
+const controlTag = -2
+
+// broadcast sends one control frame to every remote rank.  Best-effort:
+// a connection may itself be the casualty being announced.
+func (w *World) broadcast(msg any) {
+	if w.tr == nil {
+		return
+	}
+	for r, box := range w.boxes {
+		if box == nil {
+			w.tr.Send(w.local[0], r, controlTag, msg)
+		}
+	}
+}
+
+// Abort aborts this endpoint of the world: every locally hosted mailbox
+// wakes its blocked receivers with ErrAborted (after draining
+// already-delivered matches).  Remote endpoints are not told — use
+// Poison or Fail for that.  It is idempotent and safe to call from any
+// goroutine; transports call it when a peer connection dies.
 func (w *World) Abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	w.groups.Range(func(_, v any) bool {
-		v.(Group).Poison()
-		return true
-	})
 	for _, box := range w.boxes {
 		if box != nil {
 			box.abort()
@@ -593,23 +608,25 @@ func (f *RankFailure) Error() string {
 	return fmt.Sprintf("mpi: rank %d failed: %s", f.Rank, f.Reason)
 }
 
-// Fail records rank as failed (the first recorded failure wins),
-// propagates a reason-carrying poison frame to every remote rank so
-// their worlds learn the diagnosis, and aborts this world.  Safe from
-// any goroutine and idempotent.
+// Poison aborts every endpoint of the world without attributing a
+// cause: remote ranks get a poison frame that aborts their worlds, then
+// this world aborts.  It is how a rank that failed for a reason of its
+// own (not a peer's death) stops ranks blocked on messages it will
+// never send.  Safe from any goroutine and idempotent.
+func (w *World) Poison() {
+	if !w.aborted.Load() && !w.closed.Load() {
+		w.broadcast(poisonMsg{Rank: -1})
+	}
+	w.Abort()
+}
+
+// Fail is Poison with a diagnosis: it records rank as failed (the first
+// recorded failure wins) and the poison frame carries the reason, so
+// every remote world learns it before aborting.  Safe from any
+// goroutine and idempotent.
 func (w *World) Fail(rank int, reason string) {
-	first := w.recordFailure(rank, reason)
-	if first && w.tr != nil && !w.closed.Load() {
-		src := 0
-		if len(w.local) > 0 {
-			src = w.local[0]
-		}
-		for r, box := range w.boxes {
-			if box == nil {
-				// Best-effort: the connection may itself be the casualty.
-				w.tr.Send(src, r, collectiveTag, groupPoison{Rank: rank, Reason: reason})
-			}
-		}
+	if w.recordFailure(rank, reason) && !w.closed.Load() {
+		w.broadcast(poisonMsg{Rank: rank, Reason: reason})
 	}
 	w.Abort()
 }
@@ -654,10 +671,6 @@ func (w *World) SetRecover(critical ...int) {
 	w.recovering.Store(true)
 }
 
-// Recovering reports whether SetRecover switched this world to
-// degraded-membership recovery.
-func (w *World) Recovering() bool { return w.recovering.Load() }
-
 // Evictable reports whether rank's death can be survived: recovery is
 // on and the rank is not critical.
 func (w *World) Evictable(rank int) bool {
@@ -671,12 +684,12 @@ func (w *World) Evictable(rank int) bool {
 
 // Evict marks rank as permanently dead without poisoning the
 // survivors: sends to it become no-ops, inbound frames from it are
-// dropped, groups re-form over the live members, and every blocked
-// receiver wakes so eviction-aware waits (RecvUntil) can recheck their
-// cancel condition.  Eviction is final — a falsely evicted rank that
-// later wakes up is firewalled, never re-admitted.  The first eviction
-// of a rank wins; evicting a critical rank (or a rank of a
-// non-recovering world) falls back to Fail.  Safe from any goroutine.
+// dropped, and every blocked receiver wakes so eviction-aware waits
+// (RecvUntil) can recheck their cancel condition.  Eviction is final —
+// a falsely evicted rank that later wakes up is firewalled, never
+// re-admitted.  The first eviction of a rank wins; evicting a critical
+// rank (or a rank of a non-recovering world) falls back to Fail.  Safe
+// from any goroutine.
 func (w *World) Evict(rank int, reason string) {
 	if !w.Evictable(rank) {
 		w.Fail(rank, reason)
@@ -694,24 +707,9 @@ func (w *World) Evict(rank int, reason string) {
 	// may be the casualty) so every survivor converges on one view.
 	// The evicted rank gets the notice too: if it is actually alive it
 	// fails itself fast instead of wedging behind the firewall.
-	if w.tr != nil && !w.closed.Load() {
-		src := 0
-		if len(w.local) > 0 {
-			src = w.local[0]
-		}
-		for r, box := range w.boxes {
-			if box == nil {
-				w.tr.Send(src, r, collectiveTag, evictNotice{Rank: rank, Reason: reason})
-			}
-		}
+	if !w.closed.Load() {
+		w.broadcast(evictNotice{Rank: rank, Reason: reason})
 	}
-	// Re-form groups over the survivors.
-	w.groups.Range(func(_, v any) bool {
-		if g, ok := v.(interface{ evict(rank int) }); ok {
-			g.evict(rank)
-		}
-		return true
-	})
 	// Wake blocked receivers: messages from the dead rank will never
 	// arrive, and RecvUntil waiters must observe the new membership.
 	// The evicted rank's own mailbox — when it lives in this world, as in
@@ -809,16 +807,8 @@ func (w *World) Join(rank int) bool {
 	// Tell the remote worlds (best-effort, mirroring Evict's fan-out)
 	// so every endpoint admits the newcomer's traffic and sends reach
 	// it instead of being dropped as latent.
-	if w.tr != nil && !w.closed.Load() {
-		src := 0
-		if len(w.local) > 0 {
-			src = w.local[0]
-		}
-		for r, box := range w.boxes {
-			if box == nil {
-				w.tr.Send(src, r, collectiveTag, joinNotice{Rank: rank})
-			}
-		}
+	if !w.closed.Load() {
+		w.broadcast(joinNotice{Rank: rank})
 	}
 	return true
 }
@@ -884,20 +874,11 @@ func (w *World) Close() error {
 	if l := w.live.Load(); l != nil {
 		l.stopOnce.Do(func() { close(l.stop) })
 	}
-	if w.tr != nil {
-		if !w.aborted.Load() {
-			src := 0
-			if len(w.local) > 0 {
-				src = w.local[0]
-			}
-			bye := byeNotice{Ranks: w.local}
-			for r, box := range w.boxes {
-				if box == nil {
-					w.tr.Send(src, r, collectiveTag, bye)
-				}
-			}
-		}
-		return w.tr.Close()
+	if w.tr == nil {
+		return nil
 	}
-	return nil
+	if !w.aborted.Load() {
+		w.broadcast(byeNotice{Ranks: w.local})
+	}
+	return w.tr.Close()
 }

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -118,69 +117,6 @@ func TestIrecvWaitBlocks(t *testing.T) {
 	}
 }
 
-func TestGroupBarrier(t *testing.T) {
-	w := NewWorld(4)
-	g := w.NewGroup(4)
-	var mu sync.Mutex
-	arrived := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			arrived++
-			mu.Unlock()
-			g.Barrier()
-			mu.Lock()
-			if arrived != 4 {
-				t.Errorf("passed barrier with %d arrivals", arrived)
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-}
-
-func TestGroupBarrierReusable(t *testing.T) {
-	w := NewWorld(2)
-	g := w.NewGroup(2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				g.Barrier()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestAllreduceSum(t *testing.T) {
-	w := NewWorld(3)
-	g := w.NewGroup(3)
-	results := make(chan float64, 3)
-	for i := 0; i < 3; i++ {
-		go func(v float64) { results <- g.AllreduceSum(v) }(float64(i + 1))
-	}
-	for i := 0; i < 3; i++ {
-		if r := <-results; r != 6 {
-			t.Fatalf("allreduce = %v, want 6", r)
-		}
-	}
-	// Second round starts clean.
-	for i := 0; i < 3; i++ {
-		go func() { results <- g.AllreduceSum(10) }()
-	}
-	for i := 0; i < 3; i++ {
-		if r := <-results; r != 30 {
-			t.Fatalf("round 2 allreduce = %v, want 30", r)
-		}
-	}
-}
-
 func TestManySendersOneReceiver(t *testing.T) {
 	const senders = 8
 	const msgs = 200
@@ -204,39 +140,40 @@ func TestManySendersOneReceiver(t *testing.T) {
 	}
 }
 
+// TestPoisonReleasesBlockedMembers: on an in-process world Poison is
+// the whole abort — every rank blocked in a receive panics ErrAborted,
+// no failure is recorded, and later receives abort immediately.
 func TestPoisonReleasesBlockedMembers(t *testing.T) {
 	w := NewWorld(3)
-	g := w.NewGroup(3)
 	aborted := make(chan bool, 2)
-	for i := 0; i < 2; i++ {
+	for rank := 1; rank <= 2; rank++ {
 		go func() {
-			defer func() {
-				aborted <- recover() == ErrAborted
-			}()
-			g.Barrier() // the third member never arrives
+			defer func() { aborted <- recover() == ErrAborted }()
+			w.Comm(rank).Recv(0, 7) // rank 0 never sends
 		}()
 	}
 	time.Sleep(10 * time.Millisecond)
-	g.Poison()
+	w.Poison()
+	w.Poison() // idempotent
 	for i := 0; i < 2; i++ {
 		select {
 		case ok := <-aborted:
 			if !ok {
-				t.Fatal("blocked member did not panic with ErrAborted")
+				t.Fatal("blocked rank did not panic with ErrAborted")
 			}
 		case <-time.After(time.Second):
-			t.Fatal("poison did not release a blocked member")
+			t.Fatal("poison did not release a blocked rank")
 		}
 	}
-	// Later collective calls abort immediately.
-	func() {
-		defer func() {
-			if recover() != ErrAborted {
-				t.Error("post-poison collective did not abort")
-			}
-		}()
-		g.AllreduceSum(1)
+	if f := w.Failure(); f != nil {
+		t.Errorf("unattributed poison recorded failure %v", f)
+	}
+	defer func() {
+		if recover() != ErrAborted {
+			t.Error("post-poison receive did not abort")
+		}
 	}()
+	w.Comm(1).TryRecv(0, 7)
 }
 
 func TestPanics(t *testing.T) {
@@ -246,7 +183,6 @@ func TestPanics(t *testing.T) {
 		func() { w.Comm(5) },
 		func() { w.Comm(-1) },
 		func() { w.Comm(0).Send(9, 0, nil) },
-		func() { w.NewGroup(0) },
 	} {
 		func() {
 			defer func() {

@@ -113,21 +113,31 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return t
 }
 
-// Track registers a new event track for one goroutine of one rank.
-// rank becomes the Chrome pid, tid distinguishes goroutines within the
-// rank, proc names the rank ("worker 2"), and name the track
-// ("interp", "service").  Returns nil — a valid no-op track — when the
-// tracer is nil or the rank is filtered out.
+// Track returns the event track of one goroutine of one rank,
+// registering it on first use.  rank becomes the Chrome pid, tid
+// distinguishes goroutines within the rank, proc names the rank
+// ("worker 2"), and name the track ("interp", "service").  Returns nil —
+// a valid no-op track — when the tracer is nil or the rank is filtered
+// out.
 //
-// A Track's recording methods must be used by a single goroutine.
+// Asking again for the same (rank, tid, proc, name) returns the same
+// track, so a long-lived tracer shared by many short runs (a pool-wide
+// tracer under sial serve) holds one ring per rank-goroutine, not one
+// per run.  Recording is serialized per track, so successive — or
+// concurrent — runs may share it.
 func (t *Tracer) Track(rank, tid int, proc, name string) *Track {
 	if t == nil || (t.ranks != nil && !t.ranks[rank]) {
 		return nil
 	}
-	trk := &Track{tr: t, pid: rank, tid: tid, proc: proc, name: name, ring: make([]Event, t.cap)}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, trk := range t.tracks {
+		if trk.pid == rank && trk.tid == tid && trk.proc == proc && trk.name == name {
+			return trk
+		}
+	}
+	trk := &Track{tr: t, pid: rank, tid: tid, proc: proc, name: name, ring: make([]Event, t.cap)}
 	t.tracks = append(t.tracks, trk)
-	t.mu.Unlock()
 	return trk
 }
 
@@ -153,8 +163,8 @@ type Track struct {
 	pid, tid   int
 	proc, name string
 
-	// mu guards ring/n/drained: recording stays single-goroutine, but
-	// the observability shipper drains segments concurrently.
+	// mu guards ring/n/drained: runs sharing the track record
+	// concurrently, and the observability shipper drains segments.
 	mu      sync.Mutex
 	ring    []Event
 	n       int // total events recorded; ring index is n % len(ring)

@@ -154,3 +154,25 @@ func TestTextMode(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackReused: asking for the same rank-goroutine's track twice
+// returns one track (a pool-wide tracer must not grow per job), and a
+// different tid, proc or name is a different track.
+func TestTrackReused(t *testing.T) {
+	tr := NewTracer(TracerConfig{Capacity: 4})
+	a := tr.Track(1, 0, "worker 1", "interp")
+	if b := tr.Track(1, 0, "worker 1", "interp"); b != a {
+		t.Error("same (rank, tid, proc, name) produced a second track")
+	}
+	if b := tr.Track(1, 1, "worker 1", "service"); b == a {
+		t.Error("a different tid shares the interp track")
+	}
+	a.Instant(CatInterp, "x")
+	tr.Track(1, 0, "worker 1", "interp").Instant(CatInterp, "y")
+	if n := len(a.Events()); n != 2 {
+		t.Errorf("shared track holds %d events, want 2", n)
+	}
+	if n := len(tr.Segments(false)); n != 2 {
+		t.Errorf("tracer holds %d tracks, want 2", n)
+	}
+}

@@ -2,8 +2,6 @@ package sip
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/bytecode"
@@ -23,53 +21,18 @@ import (
 // server Results are empty.  A failure anywhere surfaces as an error on
 // at least the failing rank and the master.
 func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (res *Result, err error) {
-	started := time.Now()
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
-	if err != nil {
-		return nil, err
-	}
-	nRanks := 1 + cfg.Workers + cfg.Servers
-	if len(cfg.WorkerRanks) == 0 && world.Size() != nRanks {
-		// Pool worlds (explicit rank lists) may be larger than one job's
-		// slice of them; the classic batch layout must match exactly.
+	if nRanks := 1 + cfg.Workers + cfg.Servers; world.Size() != nRanks {
 		return nil, fmt.Errorf("sip: world has %d ranks, config needs %d (1 master + %d workers + %d servers)",
 			world.Size(), nRanks, cfg.Workers, cfg.Servers)
 	}
 	if rank < 0 || rank >= world.Size() {
 		return nil, fmt.Errorf("sip: rank %d out of range [0,%d)", rank, world.Size())
 	}
-	scratch := cfg.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "sip-scratch-")
-		if err != nil {
-			return nil, fmt.Errorf("sip: scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
+	rt, err := newRuntime(prog, cfg, world, placement{})
+	if err != nil {
+		return nil, err
 	}
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    prog,
-		layout:  layout,
-		world:   world,
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		scratch: scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-	}
-	rt.initRanks()
-	if cfg.Metrics != nil {
-		world.SetObserver(newMPIStats(cfg.Metrics, nRanks))
-	}
-	if cfg.Recover {
-		// Worker ranks become evictable; the master and the I/O servers
-		// stay critical (their death still fails the run).
-		world.SetRecover(rt.criticalRanks()...)
-	}
+	defer rt.close()
 
 	// A dead peer aborts the world; surface that as an error rather
 	// than a panic so the process exits cleanly with a diagnosis.
@@ -83,81 +46,30 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (re
 			observeEvictions(cfg.Metrics, cfg.Tracer, world)
 		}
 		if r := recover(); r != nil {
-			if r == mpi.ErrAborted {
-				err = rankAbortError(cfg, world, rank)
-				observeFailure(cfg.Metrics, cfg.Tracer, world)
-				if rank == 0 {
-					if f := world.Failure(); f != nil {
-						rt.flightRecord("failed", f.Rank, f.Reason)
-					}
-				}
-				return
+			if r != mpi.ErrAborted {
+				panic(r)
 			}
-			panic(r)
+			err = rankAbortError(cfg, world, rank)
 		}
 		if err != nil {
 			observeFailure(cfg.Metrics, cfg.Tracer, world)
-			if rank == 0 {
-				if f := world.Failure(); f != nil {
-					rt.flightRecord("failed", f.Rank, f.Reason)
-				}
+			if f := world.Failure(); f != nil && rank == 0 {
+				rt.flightRecord("failed", f.Rank, f.Reason)
 			}
 		}
 	}()
 
-	switch {
-	case rank == 0:
-		if cfg.ObsShip {
-			// Refine the handshake clock-offset estimates with a few
-			// ping-pong rounds while the run warms up; the aggregator
-			// reads the final estimates as reports arrive.
-			go world.SyncClocks(4, 25*time.Millisecond)
-		}
-		m := newMaster(rt)
-		res, err = m.run()
-		if res != nil {
-			res.Elapsed = time.Since(started)
-			if cfg.Metrics != nil {
-				res.Profile = &Profile{Metrics: cfg.Metrics.Snapshot()}
-			}
-		}
-		return res, err
-	case rt.workerIndexOf(rank) >= 0:
-		// The shipper's deferred finish runs after this branch folded the
-		// end-of-run metrics, so the final report carries them.
-		defer startObsShipper(rt, rank).finish()
-		rt.workerGroup = world.Comm(rank).GroupOf(rt.workerRanks()...)
-		w := newWorker(rt, rank)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.serviceLoop()
-		}()
-		err = w.run()
-		wg.Wait()
-		res = &Result{Scalars: map[string]float64{}, Elapsed: time.Since(started)}
-		for i, s := range prog.Scalars {
-			res.Scalars[s.Name] = w.scalars[i]
-		}
-		res.Profile = mergeProfiles([]*worker{w}, nil)
-		if cfg.Metrics != nil {
-			foldRunMetrics(cfg.Metrics, []*worker{w}, nil)
-			res.Profile.Metrics = cfg.Metrics.Snapshot()
-		}
-		return res, err
-	default:
-		defer startObsShipper(rt, rank).finish()
-		s := newIOServer(rt, rank)
-		err = s.run()
-		res = &Result{Elapsed: time.Since(started)}
-		res.Profile = mergeProfiles(nil, []*ioServer{s})
-		if cfg.Metrics != nil {
-			foldRunMetrics(cfg.Metrics, nil, []*ioServer{s})
-			res.Profile.Metrics = cfg.Metrics.Snapshot()
-		}
-		return res, err
+	if rank == 0 && cfg.ObsShip {
+		// Refine the handshake clock-offset estimates with a few
+		// ping-pong rounds while the run warms up; the aggregator
+		// reads the final estimates as reports arrive.
+		go world.SyncClocks(4, 25*time.Millisecond)
 	}
+	// The shipper's deferred finish runs after launch folded the
+	// end-of-run metrics, so the final report carries them (a no-op on
+	// the master and with the plane off).
+	defer startObsShipper(rt, rank).finish()
+	return rt.launch([]int{rank})
 }
 
 // rankAbortError names the cause of an aborted rank: the recorded

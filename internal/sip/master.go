@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/bytecode"
@@ -23,10 +24,13 @@ type master struct {
 	ckptSaves map[int]*ckptCollect
 	ckptLoads map[int][]int // array id -> requesting worker ranks
 
-	// Recovery state (Config.Recover).
 	syncs     map[int]*syncState // sync round -> progress
 	evictSeen map[int]bool       // evictions already folded into the ledger
 	doneRanks map[int]bool       // workers that reported done
+
+	// workerErr is the running diagnosis relayed over the done path (see
+	// recordRelay); it is the run's error unless a cancel outranks it.
+	workerErr error
 
 	// cancelled records that Config.Cancel fired: pardo dispatch is
 	// starved from here on and the run ends in ErrJobCanceled.
@@ -104,9 +108,8 @@ type pardoRun struct {
 	started bool
 	done    bool
 
-	totalEst   int64 // product of ranges (upper bound; where clauses shrink it)
-	issued     int64
-	emptyPolls int // workers that have received a final empty chunk
+	totalEst int64 // product of ranges (upper bound; where clauses shrink it)
+	issued   int64
 
 	// Recovery ledger (Config.Recover): iterations handed to each worker
 	// and not yet acknowledged by that worker's next sync report, plus
@@ -264,15 +267,16 @@ func (r *pardoRun) chunkSize(workers int) int {
 	return int(size)
 }
 
-// recvAny is the master's main-loop receive.  With Config.RecvTimeout
-// set it bounds the wait: when every retry expires without traffic the
-// master diagnoses the stall (blaming a rank from suspects, the ranks
-// it is still waiting on), fails the world, and returns the failure
-// instead of hanging forever on a crashed rank.  Under Config.Recover
-// it instead returns ok == false whenever the membership changed (so
-// the caller can fold evictions into the ledger and re-check what it
-// is waiting for), and a stall blamed on an evictable rank evicts that
-// rank rather than failing the world.
+// recvAny is the master's main-loop receive.  It returns ok == false
+// whenever something the caller must fold in happened instead of a
+// message: the membership changed (evictions go into the ledger and
+// change who is being waited for) or Config.Cancel / Config.Stop fired.
+// With Config.RecvTimeout set it also bounds the wait: when every retry
+// expires without traffic the master diagnoses the stall, blaming a rank
+// from suspects (the ranks it is still waiting on) — an evictable
+// suspect is evicted and the run goes on without it; otherwise the
+// world is failed and the failure returned, instead of hanging forever
+// on a crashed rank.
 func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.Message, ok bool, err error) {
 	d := m.rt.cfg.RecvTimeout
 	w := m.rt.world
@@ -284,58 +288,43 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 	if tag == mpi.AnyTag {
 		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
 	}
-	if m.rt.cfg.Recover {
-		stamp := w.EvictStamp()
-		// A freshly fired Config.Cancel also interrupts the wait (once:
-		// after noteCancel records it, the predicate goes quiet again so
-		// the master can keep receiving the fast-forwarding workers).
-		cancel := func() bool {
-			return w.EvictStamp() != stamp || (!m.cancelled && m.rt.cancelRequested()) ||
-				(!m.stopNoted && m.stopSignaled())
-		}
-		attempts := 1 + m.rt.cfg.RecvRetries
-		for i := 0; i < attempts; i++ {
-			if msg, ok = m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, cancel); ok {
-				return msg, true, nil
-			}
-			if cancel() || d <= 0 {
-				return mpi.Message{}, false, nil
-			}
-		}
-		total := time.Duration(attempts) * d
-		if m.rt.pooled {
-			// Pool ranks never die silently: real deaths arrive as explicit
-			// evictions, which fire the cancel predicate above.  Silence here
-			// means a suspect is merely slow — wedged on a dead rank's block
-			// (bounded by its own receive deadline, after which it reports
-			// done), or parked by the fairness gate — and evicting it would
-			// amputate a live rank from every tenant in the pool.  Keep
-			// waiting.
-			return mpi.Message{}, false, nil
-		}
-		for _, r := range suspects() {
-			if w.Evictable(r) {
-				w.Evict(r, fmt.Sprintf("master heard no %s from it within %v", what, total))
-				return mpi.Message{}, false, nil
-			}
-		}
-		// Fall through to the fail-fast diagnosis below: the stall is on
-		// a critical rank (or nobody), so degraded completion is off the
-		// table.
-	}
-	if d <= 0 {
-		return m.comm.RecvRange(mpi.AnySource, lo, hi), true, nil
+	stamp := w.EvictStamp()
+	// A freshly fired Config.Cancel also interrupts the wait (once:
+	// after noteCancel records it, the predicate goes quiet again so
+	// the master can keep receiving the fast-forwarding workers).
+	cancel := func() bool {
+		return w.EvictStamp() != stamp || (!m.cancelled && m.rt.cancelRequested()) ||
+			(!m.stopNoted && m.stopSignaled())
 	}
 	attempts := 1 + m.rt.cfg.RecvRetries
-	if !m.rt.cfg.Recover { // recover already spent its attempts above
-		for i := 0; i < attempts; i++ {
-			if msg, ok := m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, nil); ok {
-				return msg, true, nil
-			}
+	for i := 0; i < attempts; i++ {
+		if msg, ok = m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, cancel); ok {
+			return msg, true, nil
+		}
+		if cancel() || d <= 0 {
+			return mpi.Message{}, false, nil
 		}
 	}
 	total := time.Duration(attempts) * d
+	if m.rt.pooled {
+		// Pool ranks never die silently: real deaths arrive as explicit
+		// evictions, which fire the cancel predicate above.  Silence here
+		// means a suspect is merely slow — wedged on a dead rank's block
+		// (bounded by its own receive deadline, after which it reports
+		// done), or parked by the fairness gate — and evicting it would
+		// amputate a live rank from every tenant in the pool.  Keep
+		// waiting.
+		return mpi.Message{}, false, nil
+	}
 	waiting := suspects()
+	for _, r := range waiting {
+		if w.Evictable(r) {
+			w.Evict(r, fmt.Sprintf("master heard no %s from it within %v", what, total))
+			return mpi.Message{}, false, nil
+		}
+	}
+	// The stall is on a critical rank (or nobody): degraded completion
+	// is off the table.
 	if len(waiting) == 0 {
 		return mpi.Message{}, false, fmt.Errorf("sip: master: no %s within %v", what, total)
 	}
@@ -343,44 +332,65 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 		Rank:   waiting[0],
 		Reason: fmt.Sprintf("master heard no %s within %v (still waiting on ranks %v)", what, total, waiting),
 	}
-	m.rt.world.Fail(rf.Rank, rf.Reason)
+	w.Fail(rf.Rank, rf.Reason)
 	return mpi.Message{}, false, rf
 }
 
 // relayErr rebuilds a failure reported over the done path.  When the
 // reporter attributed it to a specific rank, the returned error wraps a
 // reconstructed RankFailure so errors.As works on the master's result
-// even if the relay beat the master's own detection.
+// even if the relay beat the master's own detection; a bystander's echo
+// of an abort it did not cause gets its ErrAborted back (worker.run
+// always wraps it last), so errors.Is classifies it as one.
 func (m *master) relayErr(done doneMsg) error {
-	if done.failRank < 0 {
-		return fmt.Errorf("%s", done.err)
+	if done.failRank >= 0 {
+		rf := &mpi.RankFailure{Rank: done.failRank, Reason: done.failReason}
+		return fmt.Errorf("sip: master: %w (%s; reported by rank %d)",
+			rf, NewRanks(m.rt.cfg).Role(rf.Rank), done.origin)
 	}
-	rf := &mpi.RankFailure{Rank: done.failRank, Reason: done.failReason}
-	return fmt.Errorf("sip: master: %w (%s; reported by rank %d)",
-		rf, NewRanks(m.rt.cfg).Role(rf.Rank), done.origin)
+	if text, echo := strings.CutSuffix(done.err, mpi.ErrAborted.Error()); echo {
+		return fmt.Errorf("%s%w", text, mpi.ErrAborted)
+	}
+	return errors.New(done.err)
 }
 
-// recordRelay folds one relayed failure into the running diagnosis.
-// The first error wins, except that an attributed relay (one carrying a
-// RankFailure) replaces an earlier unattributed one: with several ranks
-// racing to report, a bystander's generic "group aborted" can reach the
-// master before the detecting rank's diagnosis.
-func (m *master) recordRelay(cur error, done doneMsg) error {
-	if done.err == "" {
-		return cur
-	}
-	relay := m.relayErr(done)
+// relayWeight orders relayed failures by how much they explain: a
+// diagnosis naming a failed rank, then a rank's own error, then a
+// bystander's echo of an abort.
+func relayWeight(err error) int {
 	var rf *mpi.RankFailure
-	if cur == nil || (!errors.As(cur, &rf) && errors.As(relay, &rf)) {
-		return relay
+	switch {
+	case errors.As(err, &rf):
+		return 2
+	case errors.Is(err, mpi.ErrAborted):
+		return 0
 	}
-	return cur
+	return 1
 }
 
-// abortDiagnosis converts an ErrAborted panic into an error carrying
-// the world's failure diagnosis, when one was recorded.
+// recordRelay folds one relayed failure into the running diagnosis.  The
+// weightier error wins and the first among equals: with several ranks
+// racing to report, a bystander's generic "aborted after peer failure"
+// can reach the master before the failed rank's own report.
+func (m *master) recordRelay(done doneMsg) {
+	if done.err == "" {
+		return
+	}
+	if relay := m.relayErr(done); m.workerErr == nil || relayWeight(relay) > relayWeight(m.workerErr) {
+		m.workerErr = relay
+	}
+}
+
+// abortDiagnosis converts an ErrAborted panic into the run's error: what
+// a rank relayed before the abort when that explains it (a worker's done
+// report travels ahead of the poison frame it sends), else the world's
+// failure diagnosis when one was recorded, else a generic abort.
 func (m *master) abortDiagnosis() error {
-	if f := m.rt.world.Failure(); f != nil {
+	f := m.rt.world.Failure()
+	switch {
+	case m.workerErr != nil && (f == nil || relayWeight(m.workerErr) > 0):
+		return m.workerErr
+	case f != nil:
 		return fmt.Errorf("sip: master: aborted: %w (%s): %w",
 			f, NewRanks(m.rt.cfg).Role(f.Rank), mpi.ErrAborted)
 	}
@@ -432,18 +442,15 @@ func (m *master) run() (res *Result, err error) {
 	}
 	var scalarVals []float64
 	scalarOrigin := -1
-	var workerErr error
 	for m.pendingWorkers() > 0 {
 		m.noteCancel(trk)
 		m.noteStop(trk)
-		if rt.cfg.Recover {
-			m.noteEvictions(trk)
-			if err := m.completeSyncRounds(redispCtr, trk); err != nil {
-				return res, err
-			}
-			if m.pendingWorkers() == 0 {
-				break
-			}
+		m.noteEvictions(trk)
+		if err := m.completeSyncRounds(redispCtr, trk); err != nil {
+			return res, err
+		}
+		if m.pendingWorkers() == 0 {
+			break
 		}
 		msg, ok, err := m.recvAny(mpi.AnyTag, "worker traffic", func() []int {
 			var waiting []int
@@ -467,7 +474,7 @@ func (m *master) run() (res *Result, err error) {
 				start = time.Now()
 			}
 			req := msg.Data.(chunkMsg)
-			if rt.cfg.Recover && rt.world.IsEvicted(req.origin) {
+			if rt.world.IsEvicted(req.origin) {
 				// A zombie's request racing its own eviction (the frame was
 				// mailed before the rank died).  Serving it would assign
 				// fresh iterations to the dead rank AFTER noteEvictions
@@ -486,8 +493,8 @@ func (m *master) run() (res *Result, err error) {
 			// Fairness between concurrent jobs (sial serve): the gate may
 			// park this job's dispatch while other active jobs are behind
 			// on their share of the pool.
-			if rt.cfg.Gate != nil {
-				rt.cfg.Gate.Acquire(rt.job)
+			if rt.gate != nil {
+				rt.gate.Acquire(rt.job)
 			}
 			key := [2]int{req.pardo, req.gen}
 			r, ok := m.runs[key]
@@ -508,16 +515,10 @@ func (m *master) run() (res *Result, err error) {
 				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
 				break
 			}
+			// A drained run stays in m.runs until the next sync round seals
+			// the phase: a worker may still die holding iterations that need
+			// re-queuing here.
 			iters := r.take(r.chunkSize(rt.workers), req.origin, rt.cfg.Recover, redispCtr)
-			if len(iters) == 0 {
-				r.emptyPolls++
-				// Under recovery the run must survive until the next sync
-				// round seals the phase: a worker may still die holding
-				// iterations that need re-queuing here.
-				if r.emptyPolls >= rt.workers && !rt.cfg.Recover {
-					delete(m.runs, key) // every worker has drained this run
-				}
-			}
 			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{iters: iters})
 			chunkCtr.Inc()
 			iterCtr.Add(int64(len(iters)))
@@ -556,7 +557,7 @@ func (m *master) run() (res *Result, err error) {
 					rt.world.Evict(done.origin, done.err)
 					break
 				}
-				workerErr = m.recordRelay(workerErr, done)
+				m.recordRelay(done)
 				break
 			}
 			if rt.world.IsEvicted(done.origin) {
@@ -570,7 +571,7 @@ func (m *master) run() (res *Result, err error) {
 				scalarVals = done.scalars
 				scalarOrigin = done.origin
 			}
-			workerErr = m.recordRelay(workerErr, done)
+			m.recordRelay(done)
 			if trk != nil {
 				trk.Instant(obs.CatChunk, "worker_done", obs.AInt("rank", msg.Source))
 			}
@@ -632,10 +633,10 @@ func (m *master) run() (res *Result, err error) {
 		// The cancel outranks any secondary worker diagnosis: a worker
 		// that timed out mid-fast-forward failed *because* the job was
 		// abandoned, not the other way around.
-		workerErr = fmt.Errorf("sip: job %d: %w", rt.job, ErrJobCanceled)
+		m.workerErr = fmt.Errorf("sip: job %d: %w", rt.job, ErrJobCanceled)
 	}
-	m.cleanupSnapshots(workerErr)
-	return res, workerErr
+	m.cleanupSnapshots(m.workerErr)
+	return res, m.workerErr
 }
 
 func (m *master) recordGather(dst map[string][]ArrayBlock, g gatherMsg) {
@@ -677,8 +678,7 @@ func (m *master) evictedServers() int {
 }
 
 // pendingWorkers counts workers the master still owes a completion:
-// alive and not yet done.  Without recovery no rank is ever evicted, so
-// this is exactly the old "all workers reported done" condition.
+// alive and not yet done.
 func (m *master) pendingWorkers() int {
 	n := 0
 	for _, wr := range m.rt.workerList {
@@ -1072,11 +1072,10 @@ func (m *master) ckptPath(arr int) string {
 }
 
 // handleCkpt advances the blocks_to_list / list_to_blocks protocols.
-// Collections complete once every live worker has contributed; under
-// recovery noteEvictions re-checks pending collections when the live
-// count drops.
+// Collections complete once every live worker has contributed;
+// noteEvictions re-checks pending collections when the live count drops.
 func (m *master) handleCkpt(req ckptMsg) error {
-	if m.rt.cfg.Recover && m.rt.world.IsEvicted(req.origin) {
+	if m.rt.world.IsEvicted(req.origin) {
 		// A zombie's checkpoint traffic racing its own eviction: its
 		// contribution must not stand in for a live worker's.
 		return nil

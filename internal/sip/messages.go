@@ -118,9 +118,8 @@ type gatherMsg struct {
 	arrays map[int][]ArrayBlock // array id -> blocks
 }
 
-// Sync-point kinds carried by syncMsg under recovery.  Each kind maps
-// to one program construct whose global coordination the master
-// mediates when Config.Recover is on.
+// Sync-point kinds carried by syncMsg.  Each kind maps to one program
+// construct whose global coordination the master mediates.
 const (
 	syncBarrier       = iota // sip_barrier / initial startup barrier
 	syncServerBarrier        // server_barrier (master flushes the servers)

@@ -89,10 +89,14 @@ var tagNames = [...]string{
 
 const replyTagSlot = len(tagNames) // index for the shared block-reply label
 
-// tagIndex maps a tag to its slot in the mpiStats counter tables.
+// tagIndex maps a tag to its slot in the mpiStats counter tables.  A
+// pool job's tags are strided into its own window (jobTag); they count
+// under the same labels as job 0's.
 func tagIndex(tag int) int {
-	if tag > 0 && tag < len(tagNames) && tagNames[tag] != "" {
-		return tag
+	if tag > 0 {
+		if t := tag % jobTagStride; t < len(tagNames) && tagNames[t] != "" {
+			return t
+		}
 	}
 	return replyTagSlot
 }

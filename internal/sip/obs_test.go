@@ -107,6 +107,21 @@ func TestRunChromeTrace(t *testing.T) {
 			t.Errorf("no %q events (cats %v)", cat, cats)
 		}
 	}
+
+	// A batch run registers every rank-goroutine's track exactly once:
+	// master dispatch, 4 x (worker interp + service), server cache.
+	type lane struct{ pid, tid int }
+	lanes := map[lane]string{}
+	for _, seg := range tracer.Segments(false) {
+		l := lane{seg.Rank, seg.Tid}
+		if prev, dup := lanes[l]; dup {
+			t.Errorf("rank %d tid %d registered twice (%s, %s)", seg.Rank, seg.Tid, prev, seg.Name)
+		}
+		lanes[l] = seg.Name
+	}
+	if len(lanes) != 1+2*4+1 {
+		t.Errorf("batch run registered %d tracks, want 10: %v", len(lanes), lanes)
+	}
 }
 
 func TestRunMetrics(t *testing.T) {

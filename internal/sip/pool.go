@@ -28,28 +28,27 @@ import (
 // server rank serves every job's served arrays, keyed by job, for the
 // pool's whole lifetime.
 //
-// Pool jobs always run with Config.Recover forced on.  Master-mediated
-// sync rounds are what make multi-tenancy safe: collective groups would
-// be cached per member-set in the world and shared between jobs with
-// identical membership, interleaving their barrier rounds.  Recovery
-// mode routes every sync through the job's own master on strided tags,
-// and also gives the pool its elasticity — worker kills are evictions
-// the job replays around, and rank joins only require that later jobs'
-// membership snapshots include the newcomer.
+// Every sync point of a job is a round mediated by the job's own master
+// on the job's strided tags, so concurrent jobs — even ones with
+// identical membership — never see each other's barriers.  Pool jobs
+// additionally run with Config.Recover forced on, which gives the pool
+// its elasticity: worker kills are evictions the job replays around, and
+// rank joins only require that later jobs' membership snapshots include
+// the newcomer.
 type Pool struct {
-	cfg        PoolConfig
-	world      *mpi.World
-	scratch    string
-	ownScratch bool
+	cfg   PoolConfig
+	world *mpi.World
+
+	// base is the shared servers' runtime: it has no program of its own
+	// (every block the servers touch carries a tenant's job id, whose
+	// registration supplies the layout) and owns the scratch directory.
+	base *runtime
 
 	serverList []int
 	spareList  []int
 
-	servers []*ioServer
-	srvErrs []error
-	srvWG   sync.WaitGroup
-
-	supWG sync.WaitGroup
+	bg     sync.WaitGroup // the shared servers' launch and the supervisor
+	srvErr error          // the shared servers' triaged error, set when bg is done
 
 	mu      sync.Mutex
 	nextJob int
@@ -145,89 +144,44 @@ var ErrJobCanceled = errors.New("sip: job canceled")
 // NewPool builds the world, starts the shared I/O servers and the
 // rank-0 supervisor, and returns a pool ready to accept jobs.
 func NewPool(cfg PoolConfig) (*Pool, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("sip: pool needs Workers >= 1, got %d", cfg.Workers)
-	}
-	if cfg.Servers < 0 || cfg.Spares < 0 {
-		return nil, fmt.Errorf("sip: pool Servers/Spares must be >= 0")
-	}
-	if cfg.Replicas > 1 && cfg.Replicas > cfg.Servers {
-		return nil, fmt.Errorf("sip: pool Replicas = %d exceeds Servers = %d", cfg.Replicas, cfg.Servers)
+	if cfg.Workers < 1 || cfg.Servers < 0 || cfg.Spares < 0 {
+		return nil, fmt.Errorf("sip: pool needs Workers >= 1 and Servers, Spares >= 0, got %d/%d/%d",
+			cfg.Workers, cfg.Servers, cfg.Spares)
 	}
 	if cfg.Output == nil {
 		cfg.Output = os.Stdout
 	}
-	scratch, own := cfg.ScratchDir, false
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "sip-pool-")
-		if err != nil {
-			return nil, fmt.Errorf("sip: pool scratch dir: %w", err)
-		}
-		scratch, own = dir, true
-	}
-
 	n := 1 + cfg.Workers + cfg.Servers + cfg.Spares
 	p := &Pool{
 		cfg:        cfg,
 		world:      mpi.NewWorld(n),
-		scratch:    scratch,
-		ownScratch: own,
 		nextJob:    1,
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		p.workers = append(p.workers, 1+i)
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		p.serverList = append(p.serverList, 1+cfg.Workers+i)
-	}
-	for i := 0; i < cfg.Spares; i++ {
-		p.spareList = append(p.spareList, 1+cfg.Workers+cfg.Servers+i)
+		workers:    contiguousRanks(1, cfg.Workers),
+		serverList: contiguousRanks(1+cfg.Workers, cfg.Servers),
+		spareList:  contiguousRanks(1+cfg.Workers+cfg.Servers, cfg.Spares),
 	}
 	if len(p.spareList) > 0 {
 		p.world.SetLatent(p.spareList...)
 	}
-	if cfg.Recover {
-		critical := []int{0}
-		if cfg.Replicas <= 1 {
-			critical = append(critical, p.serverList...)
-		}
-		p.world.SetRecover(critical...)
-	}
-
-	// The shared servers run against a base runtime with no program of
-	// its own: every block they touch carries a tenant's job id, whose
-	// registration supplies the layout.
-	baseCfg := Config{
-		Workers:  cfg.Workers,
-		Servers:  cfg.Servers,
-		Replicas: max(cfg.Replicas, 1),
-		Recover:  cfg.Recover,
-	}
-	if err := baseCfg.fill(); err != nil {
+	base, err := newRuntime(nil, Config{
+		Workers:    cfg.Workers,
+		Servers:    cfg.Servers,
+		Replicas:   cfg.Replicas,
+		Recover:    cfg.Recover,
+		ScratchDir: cfg.ScratchDir,
+		Output:     cfg.Output,
+		Tracer:     cfg.Tracer,
+		Metrics:    cfg.Metrics,
+	}, p.world, placement{})
+	if err != nil {
 		return nil, err
 	}
-	baseRT := &runtime{
-		cfg:     baseCfg,
-		world:   p.world,
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		scratch: scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-	}
-	baseRT.initRanks()
-	for i, rank := range p.serverList {
-		s := newIOServer(baseRT, rank)
-		p.servers = append(p.servers, s)
-		p.srvErrs = append(p.srvErrs, nil)
-		p.srvWG.Add(1)
-		go func(i int, s *ioServer) {
-			defer p.srvWG.Done()
-			p.srvErrs[i] = s.run()
-		}(i, s)
-	}
-
-	p.supWG.Add(1)
+	p.base = base
+	p.bg.Add(2)
+	go func() {
+		defer p.bg.Done()
+		_, p.srvErr = base.launch(p.serverList)
+	}()
 	go p.supervise()
 	return p, nil
 }
@@ -237,23 +191,15 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // error reports from dying shared servers (and any stray job-0
 // telemetry); each is logged so a degraded pool is visible.
 func (p *Pool) supervise() {
-	defer p.supWG.Done()
+	defer p.bg.Done()
 	defer func() {
 		if r := recover(); r != nil && r != mpi.ErrAborted {
 			panic(r)
 		}
 	}()
 	comm := p.world.Comm(0)
-	closed := func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.closed
-	}
-	for !closed() {
-		m, ok := comm.RecvRangeUntil(mpi.AnySource, 0, jobTagStride-1, 200*time.Millisecond, closed)
-		if !ok {
-			continue
-		}
+	for {
+		m := comm.RecvRange(mpi.AnySource, 0, jobTagStride-1)
 		switch msg := m.Data.(type) {
 		case doneMsg:
 			if msg.err != "" {
@@ -262,6 +208,8 @@ func (p *Pool) supervise() {
 		case obsReportMsg:
 			// In-process pools share registries; stray reports are folded
 			// nowhere but must not clog the window.
+		case shutdownMsg:
+			return // Close
 		}
 	}
 }
@@ -384,7 +332,11 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		return nil, fmt.Errorf("sip: pool has no live workers")
 	}
 
-	cfg := Config{
+	output := spec.Output
+	if output == nil {
+		output = p.cfg.Output
+	}
+	rt, err := newRuntime(spec.Prog, Config{
 		Workers:      len(snapshot),
 		Servers:      p.cfg.Servers,
 		Params:       spec.Params,
@@ -393,18 +345,14 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		Super:        spec.Super,
 		Integrals:    spec.Integrals,
 		GatherArrays: spec.GatherArrays,
-		ScratchDir:   p.scratch,
-		Output:       spec.Output,
+		ScratchDir:   p.base.scratch,
+		Output:       output,
 		Metrics:      spec.Metrics,
 		Tracer:       p.cfg.Tracer,
 		RecvTimeout:  p.cfg.RecvTimeout,
 		RecvRetries:  p.cfg.RecvRetries,
-		Replicas:     max(p.cfg.Replicas, 1),
-		Recover:      true, // pool jobs always sync through their master
-		Job:          job,
-		WorkerRanks:  snapshot,
-		ServerRanks:  append([]int(nil), p.serverList...),
-		Gate:         p.cfg.Gate,
+		Replicas:     p.cfg.Replicas,
+		Recover:      true, // every pool job is replayable around a Kill
 		Cancel:       spec.Cancel,
 		CkptInterval: spec.CkptInterval,
 		CkptKeep:     spec.CkptKeep,
@@ -413,31 +361,10 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		Stop:         spec.Stop,
 		OnSnapshot:   spec.OnSnapshot,
 		OnResume:     spec.OnResume,
-	}
-	if cfg.Output == nil {
-		cfg.Output = p.cfg.Output
-	}
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	layout, err := spec.Prog.Resolve(cfg.Params, cfg.Seg)
+	}, p.world, placement{job: job, workers: snapshot, servers: p.serverList, gate: p.cfg.Gate})
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    spec.Prog,
-		layout:  layout,
-		world:   p.world,
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		pooled:  true,
-		scratch: p.scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-	}
-	rt.initRanks()
-
 	if err := p.registerJob(rt, spec); err != nil {
 		return nil, err
 	}
@@ -451,42 +378,7 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		lc.Start(job)
 		defer lc.Finish(job)
 	}
-
-	m := newMaster(rt)
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(rt, rt.workerList[i])
-	}
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(2)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			errs[i] = w.run()
-		}(i, w)
-		go func(w *worker) {
-			defer wg.Done()
-			w.serviceLoop()
-		}(w)
-	}
-	res, masterErr := m.run()
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil && !p.world.IsEvicted(rt.workerList[i]) && !errors.Is(err, mpi.ErrAborted) {
-			return nil, err
-		}
-	}
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	res.Profile = mergeProfiles(workers, nil)
-	if cfg.Metrics != nil {
-		foldRunMetrics(cfg.Metrics, workers, nil)
-		res.Profile.Metrics = cfg.Metrics.Snapshot()
-	}
-	return res, nil
+	return rt.launch(append([]int{0}, snapshot...))
 }
 
 // registerJob announces the job's layout to every live shared server and
@@ -555,16 +447,11 @@ func (p *Pool) Close() error {
 			comm.Send(srv, tagServer, shutdownMsg{})
 		}
 	}
-	p.srvWG.Wait()
-	p.supWG.Wait()
-	var errs []error
-	for i, err := range p.srvErrs {
-		if err != nil && !p.world.IsEvicted(p.serverList[i]) && !errors.Is(err, mpi.ErrAborted) {
-			errs = append(errs, err)
-		}
+	comm.Send(0, tagJob, shutdownMsg{}) // wakes the supervisor out of its receive
+	p.bg.Wait()
+	p.base.close()
+	if errors.Is(p.srvErr, mpi.ErrAborted) {
+		return nil // the pool died with its world; the jobs reported why
 	}
-	if p.ownScratch {
-		os.RemoveAll(p.scratch)
-	}
-	return errors.Join(errs...)
+	return p.srvErr
 }

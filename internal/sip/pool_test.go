@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
+	"repro/internal/obs"
 )
 
 // serialE runs recoverDrill serially (fresh world, no pool) and returns
@@ -222,6 +223,53 @@ func TestPoolRejectsAfterClose(t *testing.T) {
 	}
 	if _, err := p.Join(); err == nil {
 		t.Error("Join on closed pool succeeded")
+	}
+}
+
+// TestPoolCloseIdleIsPrompt: closing an idle pool wakes the rank-0
+// supervisor out of its receive instead of waiting for a poll period to
+// lapse (Close used to stall up to 200ms).
+func TestPoolCloseIdleIsPrompt(t *testing.T) {
+	p, err := NewPool(PoolConfig{Workers: 2, Servers: 1, Output: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // let the supervisor and servers block
+	start := time.Now()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("closing an idle pool took %v, want < 50ms", d)
+	}
+}
+
+// TestPoolTracerBounded: a pool-wide tracer holds one ring per
+// rank-goroutine however many jobs run, not a fresh set per job.
+func TestPoolTracerBounded(t *testing.T) {
+	prog, err := compiler.CompileSource("sial tick\nscalar x\nx = 1.0\ncollective x\nendsial\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, servers = 2, 1
+	tracer := obs.NewTracer(obs.TracerConfig{Capacity: 64})
+	p, err := NewPool(PoolConfig{Workers: workers, Servers: servers, Tracer: tracer, Output: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 1000; i++ {
+		res, err := p.RunJob(JobSpec{Prog: prog})
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if res.Scalars["x"] != workers {
+			t.Fatalf("job %d: x = %g, want %d", i, res.Scalars["x"], workers)
+		}
+	}
+	// master dispatch + worker interp and service + server cache.
+	if got, want := len(tracer.Segments(false)), 1+2*workers+servers; got != want {
+		t.Errorf("tracer holds %d tracks after 1000 jobs, want %d", got, want)
 	}
 }
 

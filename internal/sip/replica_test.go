@@ -1,29 +1,16 @@
 package sip
 
-import (
-	"testing"
-
-	"repro/internal/mpi"
-)
+import "testing"
 
 // replicaRuntime builds a bare runtime for placement tests: replica
 // selection depends only on the rank layout and the world's eviction
 // state, not on any program.
 func replicaRuntime(t *testing.T, workers, servers, replicas int, recover bool) *runtime {
 	t.Helper()
-	cfg := Config{Workers: workers, Servers: servers, Replicas: replicas, Recover: recover}
-	if err := cfg.fill(); err != nil {
+	rt, err := newRuntime(nil, Config{Workers: workers, Servers: servers, Replicas: replicas,
+		Recover: recover, ScratchDir: t.TempDir()}, nil, placement{})
+	if err != nil {
 		t.Fatal(err)
-	}
-	rt := &runtime{
-		cfg:     cfg,
-		world:   mpi.NewWorld(1 + workers + servers),
-		workers: workers,
-		servers: servers,
-	}
-	rt.initRanks()
-	if recover {
-		rt.world.SetRecover(rt.criticalRanks()...)
 	}
 	return rt
 }

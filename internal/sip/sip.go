@@ -51,7 +51,7 @@ const (
 	tagDone      = 8  // worker -> master: reached halt
 	tagCkpt      = 9  // worker <-> master: checkpoint traffic
 	tagGather    = 10 // worker/server -> master: final array gather
-	tagSync      = 11 // worker -> master: recovery sync-point report
+	tagSync      = 11 // worker -> master: sync-point report
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
 	tagRepl      = 13 // server -> master: re-replication control traffic
 	tagObs       = 14 // worker/server -> master: telemetry reports
@@ -179,18 +179,19 @@ type Config struct {
 	// first before a receive is declared failed (default 2, so a receive
 	// waits 3*RecvTimeout in total).  Negative means no retries.
 	RecvRetries int
-	// Recover turns a diagnosed worker-rank death into a degraded
-	// completion instead of an abort: the dead worker is evicted from
-	// the world, the master re-dispatches its unacknowledged pardo
-	// iterations to the survivors, replayed side effects are
-	// deduplicated at their destinations, and sync points (barriers,
-	// collectives, checkpoints) are mediated by the master over the
-	// live workers.  Blocks of *distributed* (worker-homed) arrays on
-	// the dead worker are lost — recovery is exact for programs that
-	// stage mutable state through served arrays and scalars (see
-	// docs/FAULTS.md, "Recovery").  Master death remains fatal, and so
-	// does I/O-server death unless Replicas > 1.  Off by default: PR 3's
-	// fail-fast diagnosis.
+	// Recover decides what a rank's death does.  Off (the default), any
+	// diagnosed death fails the whole run fast.  On, a dead worker is
+	// evicted from the world instead: the master keeps a ledger of the
+	// pardo iterations it handed out and re-dispatches the dead worker's
+	// unacknowledged ones to the survivors, and put/prepare carry effect
+	// sequence numbers so replayed side effects are dropped at their
+	// destinations.  How workers synchronise does not depend on it — every
+	// barrier and collective is a master-mediated sync round either way.
+	// Blocks of *distributed* (worker-homed) arrays on the dead worker are
+	// lost — recovery is exact for programs that stage mutable state
+	// through served arrays and scalars (see docs/FAULTS.md, "Recovery").
+	// Master death remains fatal, and so does I/O-server death unless
+	// Replicas > 1.
 	Recover bool
 	// Replicas is the number of I/O servers holding each served-array
 	// block (default 1: today's single-home placement, byte-identical
@@ -222,28 +223,6 @@ type Config struct {
 	// post-mortem JSON bundle (every reachable rank's last metrics and
 	// trace spans, plus the diagnosis) is written there.
 	FlightDir string
-	// Job is this run's identifier inside a shared pool world
-	// (sial serve).  0 — the default — is the batch path with the
-	// historical un-strided message tags and un-prefixed block keys.
-	// A positive Job strides every tag the job's master and workers use
-	// by Job*jobTagStride and prefixes every block key (worker stores,
-	// served arrays, effect sequences, replica placement) with the job
-	// id, isolating concurrent jobs end to end.
-	Job int
-	// WorkerRanks lists the world ranks acting as this job's workers, in
-	// worker-index order.  Empty means the contiguous batch layout
-	// 1..Workers.  A pool snapshots its live membership here at
-	// admission, so jobs admitted after a rank join can include the
-	// newcomer while running jobs keep their original group.
-	WorkerRanks []int
-	// ServerRanks lists the world ranks acting as I/O servers for this
-	// job.  Empty means the contiguous batch layout
-	// Workers+1..Workers+Servers.
-	ServerRanks []int
-	// Gate, when non-nil, arbitrates chunk dispatch between concurrent
-	// jobs (see ChunkGate).  Nil means unconstrained guided
-	// self-scheduling, the batch behavior.
-	Gate ChunkGate
 	// Cancel, when non-nil, cancels the run cooperatively once it is
 	// closed: the master stops dispatching pardo iterations (every chunk
 	// request is answered empty and iterations reclaimed from dead
@@ -335,21 +314,12 @@ func (c *Config) fill() error {
 	if c.Integrals == nil {
 		c.Integrals = DefaultIntegrals
 	}
-	if c.Job < 0 {
-		return fmt.Errorf("sip: Job = %d, need >= 0", c.Job)
-	}
-	if len(c.WorkerRanks) != 0 && len(c.WorkerRanks) != c.Workers {
-		return fmt.Errorf("sip: WorkerRanks lists %d ranks for %d workers", len(c.WorkerRanks), c.Workers)
-	}
-	if len(c.ServerRanks) != 0 && len(c.ServerRanks) != c.Servers {
-		return fmt.Errorf("sip: ServerRanks lists %d ranks for %d servers", len(c.ServerRanks), c.Servers)
-	}
 	if c.CkptInterval < 0 {
 		return fmt.Errorf("sip: CkptInterval = %d, need >= 0", c.CkptInterval)
 	}
 	if c.CkptInterval > 0 {
 		if !c.Recover {
-			return fmt.Errorf("sip: CkptInterval requires Recover (snapshots ride the recovery sync protocol)")
+			return fmt.Errorf("sip: CkptInterval requires Recover (snapshots read the recovery chunk ledger)")
 		}
 		if c.CkptKeep <= 0 {
 			c.CkptKeep = 2
@@ -385,6 +355,22 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// placement locates one run inside a world.  The zero value is the batch
+// layout: job 0 with un-strided tags and un-prefixed block keys, workers
+// on ranks 1..W, I/O servers on W+1..W+S, unconstrained dispatch.  A
+// pool hands the launcher a positive job id — striding every tag the
+// job's master and workers use by job*jobTagStride and prefixing every
+// block key, isolating concurrent jobs end to end — together with the
+// live membership it snapshotted at admission (so jobs admitted after a
+// rank join include the newcomer while running jobs keep their group)
+// and its fairness gate.
+type placement struct {
+	job     int
+	workers []int // world ranks in worker-index order; nil = 1..W
+	servers []int // world ranks of the I/O servers; nil = W+1..W+S
+	gate    ChunkGate
+}
+
 // runtime is the state shared (read-only after construction) by all
 // ranks of one SIP run.
 type runtime struct {
@@ -400,8 +386,8 @@ type runtime struct {
 	job     int
 	tagBase int
 
-	// pooled marks a run multiplexed over a shared pool world.  Pool
-	// ranks are in-process goroutines that never die silently — real
+	// pooled marks a run multiplexed over a shared pool world (job > 0).
+	// Pool ranks are in-process goroutines that never die silently — real
 	// deaths arrive as explicit World.Evict calls (Pool.Kill, liveness)
 	// — so silence-based failure diagnosis is disabled: a rank that is
 	// merely slow (wedged on another job's lost block, parked by the
@@ -410,14 +396,14 @@ type runtime struct {
 	pooled bool
 
 	// workerList and serverList map worker/server indexes to world
-	// ranks.  On the batch path they are the contiguous 1..W and
-	// W+1..W+S layouts; a pool snapshots its (possibly grown) live
-	// membership here per job.
+	// ranks (see placement).
 	workerList []int
 	serverList []int
 
-	workerGroup mpi.Group // workers only: barriers, collectives
-	scratch     string
+	gate ChunkGate // nil = unconstrained guided self-scheduling
+
+	scratch    string
+	ownScratch bool // scratch is a temp dir this runtime removes on close
 
 	tracer  *obs.Tracer   // nil when span tracing is disabled
 	metrics *obs.Registry // nil when metrics are disabled
@@ -442,26 +428,176 @@ func (rt *runtime) cancelRequested() bool {
 	}
 }
 
-// initRanks fills job/tagBase/workerList/serverList from the config.
-func (rt *runtime) initRanks() {
-	rt.job = rt.cfg.Job
-	rt.tagBase = rt.job * jobTagStride
-	if len(rt.cfg.WorkerRanks) == rt.workers && rt.workers > 0 {
-		rt.workerList = append([]int(nil), rt.cfg.WorkerRanks...)
-	} else {
-		rt.workerList = make([]int, rt.workers)
-		for i := range rt.workerList {
-			rt.workerList[i] = 1 + i
+// newRuntime is the one bootstrap behind Run, RunRank, NewPool and
+// Pool.RunJob: it fills and validates the config, resolves the layout
+// (a pool's shared-server runtime has no program of its own), settles
+// the scratch directory and the rank lists, and — for the run that owns
+// the world, job 0 — marks the evictable ranks and installs the message
+// observer.  A nil world means a fresh in-process one sized for cfg.
+func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placement) (*runtime, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	rt := &runtime{
+		cfg:        cfg,
+		prog:       prog,
+		world:      world,
+		workers:    cfg.Workers,
+		servers:    cfg.Servers,
+		job:        at.job,
+		tagBase:    at.job * jobTagStride,
+		pooled:     at.job != 0,
+		workerList: at.workers,
+		serverList: at.servers,
+		gate:       at.gate,
+		scratch:    cfg.ScratchDir,
+		tracer:     cfg.Tracer,
+		metrics:    cfg.Metrics,
+	}
+	if prog != nil {
+		layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+		if err != nil {
+			return nil, err
+		}
+		rt.layout = layout
+	}
+	if rt.workerList == nil {
+		rt.workerList = contiguousRanks(1, rt.workers)
+	}
+	if rt.serverList == nil {
+		rt.serverList = contiguousRanks(1+rt.workers, rt.servers)
+	}
+	if rt.scratch == "" {
+		dir, err := os.MkdirTemp("", "sip-scratch-")
+		if err != nil {
+			return nil, fmt.Errorf("sip: scratch dir: %w", err)
+		}
+		rt.scratch, rt.ownScratch = dir, true
+	}
+	if rt.world == nil {
+		rt.world = mpi.NewWorld(1 + rt.workers + rt.servers)
+	}
+	if !rt.pooled {
+		if cfg.Recover {
+			rt.world.SetRecover(rt.criticalRanks()...)
+		}
+		if cfg.Metrics != nil {
+			rt.world.SetObserver(newMPIStats(cfg.Metrics, rt.world.Size()))
 		}
 	}
-	if len(rt.cfg.ServerRanks) == rt.servers && rt.servers > 0 {
-		rt.serverList = append([]int(nil), rt.cfg.ServerRanks...)
-	} else {
-		rt.serverList = make([]int, rt.servers)
-		for i := range rt.serverList {
-			rt.serverList[i] = 1 + rt.workers + i
+	return rt, nil
+}
+
+// close releases what newRuntime acquired.
+func (rt *runtime) close() {
+	if rt.ownScratch {
+		os.RemoveAll(rt.scratch)
+	}
+}
+
+func contiguousRanks(first, n int) []int {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = first + i
+	}
+	return ranks
+}
+
+// launch plays the given world ranks of this run in the calling process
+// and blocks until they finish: one goroutine per worker interpreter,
+// worker service loop and I/O server, with the master (when hosted) on
+// the caller's goroutine.  Run hosts every rank, RunRank one, a pool job
+// its master and workers, a pool itself its shared servers.
+//
+// One rule triages the ranks' errors: a rank's own failure wins; errors
+// of evicted ranks are not failures of the run (the world deliberately
+// completed degraded without them, and the eviction is already part of
+// the master's diagnosis); the secondary "aborted after peer failure"
+// errors an abort fans out to bystanders are only the fallback.
+func (rt *runtime) launch(hosted []int) (*Result, error) {
+	started := time.Now()
+	var m *master
+	var workers []*worker
+	var servers []*ioServer
+	errs := make([]error, len(hosted))
+	var wg sync.WaitGroup
+	for i, rank := range hosted {
+		switch {
+		case rank == 0:
+			m = newMaster(rt)
+		case rt.workerIndexOf(rank) >= 0:
+			w := newWorker(rt, rank)
+			workers = append(workers, w)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				errs[i] = w.run()
+			}()
+			go func() {
+				defer wg.Done()
+				w.serviceLoop()
+			}()
+		default:
+			s := newIOServer(rt, rank)
+			servers = append(servers, s)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.run()
+			}()
 		}
 	}
+	res := &Result{}
+	var masterErr error
+	if m != nil {
+		res, masterErr = m.run()
+	}
+	wg.Wait()
+
+	var aborted error
+	judge := func(rank int, err error) error {
+		switch {
+		case err == nil, rt.world.IsEvicted(rank):
+		case errors.Is(err, mpi.ErrAborted):
+			if aborted == nil {
+				aborted = err
+			}
+		default:
+			return err
+		}
+		return nil
+	}
+	for i, rank := range hosted {
+		if err := judge(rank, errs[i]); err != nil {
+			return nil, err
+		}
+	}
+	// The master is judged last: its error is at best a relay of a
+	// worker's or server's own.
+	if err := judge(0, masterErr); err != nil {
+		return nil, err
+	}
+	if aborted != nil {
+		return nil, aborted
+	}
+
+	if m == nil && len(workers) > 0 {
+		// A worker-only host reports its local view of the scalars; the
+		// authoritative ones are the master's.
+		res.Scalars = map[string]float64{}
+		for i, sc := range rt.prog.Scalars {
+			res.Scalars[sc.Name] = workers[0].scalars[i]
+		}
+	}
+	if len(workers)+len(servers) > 0 || rt.metrics != nil {
+		res.Profile = mergeProfiles(workers, servers)
+		if rt.metrics != nil {
+			foldRunMetrics(rt.metrics, workers, servers)
+			res.Profile.Metrics = rt.metrics.Snapshot()
+		}
+	}
+	res.Elapsed = time.Since(started)
+	return res, nil
 }
 
 // firstWorker returns the lowest-indexed worker's world rank (the rank
@@ -556,13 +692,6 @@ func NewBlockedPlacement(blocksOf func(arr int) int) PlacementFunc {
 	}
 }
 
-// workerRanks returns the world ranks of all workers (the batch layout
-// 1..W, or the job's membership snapshot in a pool), the member list of
-// the worker collective group.
-func (rt *runtime) workerRanks() []int {
-	return append([]int(nil), rt.workerList...)
-}
-
 // criticalRanks returns the ranks whose death recovery cannot survive:
 // the master (sole scheduler) and — with Replicas == 1 — the I/O
 // servers (then the sole holders of served-array state).  With
@@ -608,126 +737,15 @@ func (rt *runtime) homeServer(arr, ord int) int {
 }
 
 // Run compiles nothing: it executes an already compiled program under the
-// given configuration and returns the result.
+// given configuration, every rank hosted in-process on a fresh world, and
+// returns the result.
 func Run(prog *bytecode.Program, cfg Config) (*Result, error) {
-	started := time.Now()
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+	rt, err := newRuntime(prog, cfg, nil, placement{})
 	if err != nil {
 		return nil, err
 	}
-	scratch := cfg.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "sip-scratch-")
-		if err != nil {
-			return nil, fmt.Errorf("sip: scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
-
-	nRanks := 1 + cfg.Workers + cfg.Servers
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    prog,
-		layout:  layout,
-		world:   mpi.NewWorld(nRanks),
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		scratch: scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-	}
-	rt.initRanks()
-	if cfg.Recover {
-		rt.world.SetRecover(rt.criticalRanks()...)
-	}
-	rt.workerGroup = rt.world.Comm(rt.firstWorker()).GroupOf(rt.workerRanks()...)
-	if cfg.Metrics != nil {
-		rt.world.SetObserver(newMPIStats(cfg.Metrics, nRanks))
-	}
-
-	m := newMaster(rt)
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(rt, rt.workerList[i])
-	}
-	servers := make([]*ioServer, cfg.Servers)
-	for i := range servers {
-		servers[i] = newIOServer(rt, rt.serverList[i])
-	}
-
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(2)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			errs[i] = w.run()
-		}(i, w)
-		go func(w *worker) {
-			defer wg.Done()
-			w.serviceLoop()
-		}(w)
-	}
-	srvErrs := make([]error, cfg.Servers)
-	for i, s := range servers {
-		wg.Add(1)
-		go func(i int, s *ioServer) {
-			defer wg.Done()
-			srvErrs[i] = s.run()
-		}(i, s)
-	}
-	res, masterErr := m.run()
-	wg.Wait()
-
-	// Prefer a rank's own failure over the secondary "aborted after
-	// peer failure" errors the poison fans out to the other ranks.
-	// Errors from evicted ranks are not failures of the run: the world
-	// deliberately completed degraded without them, and the eviction is
-	// already part of the master's diagnosis.
-	var abortErr error
-	scan := func(rank int, err error) error {
-		switch {
-		case err == nil:
-		case rt.world.IsEvicted(rank):
-		case errors.Is(err, mpi.ErrAborted):
-			if abortErr == nil {
-				abortErr = err
-			}
-		default:
-			return err
-		}
-		return nil
-	}
-	for i, err := range errs {
-		if err := scan(rt.workerList[i], err); err != nil {
-			return nil, err
-		}
-	}
-	for i, err := range srvErrs {
-		if err := scan(rt.serverList[i], err); err != nil {
-			return nil, err
-		}
-	}
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	if abortErr != nil {
-		return nil, abortErr
-	}
-
-	// Scalars were collected by the master from worker 1's doneMsg;
-	// attach the merged profiles.
-	res.Profile = mergeProfiles(workers, servers)
-	if cfg.Metrics != nil {
-		foldRunMetrics(cfg.Metrics, workers, servers)
-		res.Profile.Metrics = cfg.Metrics.Snapshot()
-	}
-	res.Elapsed = time.Since(started)
-	return res, nil
+	defer rt.close()
+	return rt.launch(contiguousRanks(0, rt.world.Size()))
 }
 
 // RunSource is a convenience wrapper: parse, check, compile, run.

@@ -72,19 +72,17 @@ type worker struct {
 	cache   *blockCache
 	pool    *blockPool
 
-	pendingPutAcks  int
-	pendingPrepAcks int
-	nextReply       int
+	nextReply int
 
-	// Recovery state (Config.Recover).  syncRound numbers this worker's
+	// Sync and recovery state.  syncRound numbers this worker's
 	// master-mediated sync points (all workers pass the same ones in the
 	// same order).  pardoPCs records each pardo's start pc so replayed
-	// iterations can re-enter the body.  owedPutAcks tracks outstanding
-	// put acks per destination so acks owed by a dead home can be
-	// forgotten; owedPrepAcks does the same for prepare acks when the
-	// servers are evictable (Replicas > 1).  seenPuts/seenPrevPuts are
-	// the two live epochs of the put-dedup ledger, shared with the
-	// service loop (seenMu) and rotated at each sync release.
+	// iterations can re-enter the body.  owedPutAcks and owedPrepAcks
+	// count outstanding put/prepare acks per destination, so acks owed by
+	// an evicted home or server can be forgotten and a silent one named.
+	// seenPuts/seenPrevPuts are the two live epochs of the put-dedup
+	// ledger (effect seqs exist only under Config.Recover), shared with
+	// the service loop (seenMu) and rotated at each sync release.
 	syncRound    int
 	pardoPCs     []int
 	owedPutAcks  map[int]int
@@ -130,14 +128,11 @@ func newWorker(rt *runtime, rank int) *worker {
 		pardoGen: make([]int, len(rt.prog.Pardos)),
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
 		prof:     newProfile(rt.prog),
-	}
-	if rt.cfg.Recover {
-		w.owedPutAcks = map[int]int{}
-		w.seenPuts = map[uint64]bool{}
-		w.seenPrevPuts = map[uint64]bool{}
-	}
-	if rt.serversEvictable() {
-		w.owedPrepAcks = map[int]int{}
+
+		owedPutAcks:  map[int]int{},
+		owedPrepAcks: map[int]int{},
+		seenPuts:     map[uint64]bool{},
+		seenPrevPuts: map[uint64]bool{},
 	}
 	w.dropCtr = rt.metrics.Counter(metricDedupDroppedEffects)
 	w.retireCtr = rt.metrics.Counter(metricDedupRetired)
@@ -202,10 +197,10 @@ func dimsEqual(a, b []int) bool {
 	return true
 }
 
-// run executes the program to completion.  On any failure it poisons the
-// worker group (so peers blocked in collectives abort instead of
-// hanging) and still reports done to the master, which keeps the
-// shutdown protocol deadlock-free.
+// run executes the program to completion.  On any failure it still
+// reports done to the master — which keeps the shutdown protocol
+// deadlock-free — and then lets failRun decide how the rest of the run
+// unwinds.
 func (w *worker) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -218,43 +213,27 @@ func (w *worker) run() (err error) {
 				err = fmt.Errorf("sip: worker %d: panic: %v", w.rank, r)
 			}
 		}
-		if err != nil && w.rt.world.IsEvicted(w.rank) {
-			// This rank was deliberately evicted (pool Kill, liveness
-			// diagnosis); its unwinding is part of the recovery, not a
-			// failure to report.  The master already tracks the eviction,
-			// and a done report would wrongly mark the rank finished —
-			// suppressing the re-queue of its in-flight iterations.
+		if err == nil || w.rt.world.IsEvicted(w.rank) {
+			// An evicted rank (pool Kill, liveness diagnosis) unwinding is
+			// part of the recovery, not a failure to report.  The master
+			// already tracks the eviction, and a done report would wrongly
+			// mark the rank finished — suppressing the re-queue of its
+			// in-flight iterations.
 			return
 		}
-		if err != nil {
-			// A diagnosed rank failure (receive deadline naming a silent
-			// peer) fails the whole world so every rank learns the cause;
-			// ordinary errors only poison the worker group.  The done
-			// report carries the diagnosis structurally (failRank) so the
-			// master can rebuild the RankFailure even when the relay wins
-			// the race against its own detection.
-			d := doneMsg{origin: w.rank, err: err.Error(), failRank: -1}
-			var rf *mpi.RankFailure
-			if errors.As(err, &rf) {
-				// In a pool the diagnosis stays in the done report: failing
-				// the shared world would abort every tenant, and the blamed
-				// rank — typically one already evicted by Pool.Kill, whose
-				// distributed blocks died with it — is the pool's business,
-				// not this job's.
-				if !errors.Is(err, mpi.ErrAborted) && !w.rt.pooled {
-					w.rt.world.Fail(rf.Rank, rf.Reason)
-				}
-				d.failRank, d.failReason = rf.Rank, rf.Reason
-			}
-			// Pool jobs (job > 0) share the world with other tenants: a
-			// failed job must not poison the pool's worker group.  Its
-			// own syncs are master-mediated (pool jobs always run with
-			// Recover), so the done report is enough to unwind it.
-			if w.rt.job == 0 {
-				w.rt.workerGroup.Poison()
-			}
-			w.comm.Send(0, w.rt.tag(tagDone), d)
+		// The done report carries a diagnosed rank failure structurally
+		// (failRank) so the master can rebuild the RankFailure even when
+		// the relay wins the race against its own detection.  It is sent
+		// before failRun aborts anything: on every connection the report
+		// then travels ahead of the poison frame, so the master learns
+		// *this* error rather than a bare abort.
+		d := doneMsg{origin: w.rank, err: err.Error(), failRank: -1}
+		var rf *mpi.RankFailure
+		if errors.As(err, &rf) {
+			d.failRank, d.failReason = rf.Rank, rf.Reason
 		}
+		w.comm.Send(0, w.rt.tag(tagDone), d)
+		w.rt.failRun(err)
 	}()
 	if err := w.initPresets(); err != nil {
 		return err
@@ -263,12 +242,8 @@ func (w *worker) run() (err error) {
 	// release may carry a resume base (Config.Resume): installState then
 	// jumps this worker to the snapshot's program point before the
 	// interpreter loop starts.
-	if w.rt.cfg.Recover {
-		if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
-			return err
-		}
-	} else {
-		w.rt.workerGroup.Barrier()
+	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+		return err
 	}
 
 	code := w.rt.prog.Code
@@ -289,24 +264,36 @@ func (w *worker) run() (err error) {
 	}
 }
 
+// failRun is the one place a worker's failure decides how the run
+// unwinds.  Peers may be parked in a sync round this worker will never
+// reach.  A pool job leaves them to the done report: the master writes
+// the failed worker off, the survivors drain the program, and the world
+// every tenant shares stays up — a blamed rank (typically one already
+// evicted by Pool.Kill, whose distributed blocks died with it) is the
+// pool's business, not this job's.  A batch run owns its world and
+// aborts it, so every rank unwinds now: with the diagnosis when the
+// failure names a silent peer (a receive deadline), without one when
+// the worker failed for a reason of its own.
+func (rt *runtime) failRun(err error) {
+	if rt.pooled || errors.Is(err, mpi.ErrAborted) {
+		return // the pool drains the job; an aborted world needs no second abort
+	}
+	var rf *mpi.RankFailure
+	if errors.As(err, &rf) {
+		rt.world.Fail(rf.Rank, rf.Reason)
+	} else {
+		rt.world.Poison()
+	}
+}
+
 // shutdown runs the end-of-program protocol.  Service loops stay alive
 // until the master has heard from every worker, so late get/put requests
 // from stragglers are still answered; the master shuts them down.
 func (w *worker) shutdown() error {
-	if w.rt.cfg.Recover {
-		// The final sync round: any iterations a freshly dead worker
-		// still held are replayed here before anyone reports done.
-		if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
-			return err
-		}
-	} else {
-		if err := w.drainPutAcks(); err != nil {
-			return err
-		}
-		if err := w.drainPrepAcks(); err != nil {
-			return err
-		}
-		w.rt.workerGroup.Barrier()
+	// The final sync round: any iterations a freshly dead worker still
+	// held are replayed here before anyone reports done.
+	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+		return err
 	}
 	if w.rt.cfg.GatherArrays {
 		arrays := map[int][]ArrayBlock{}
@@ -315,15 +302,12 @@ func (w *worker) shutdown() error {
 		})
 		w.comm.Send(0, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
 	}
-	done := doneMsg{origin: w.rank, failRank: -1}
-	if w.rank == w.rt.firstWorker() || w.rt.cfg.Recover {
-		// Collectives make scalars identical across workers; rank 1
-		// reports them so the master never shares memory with a worker.
-		// Under recovery every worker reports (rank 1 may be the dead
-		// one) and the master keeps the lowest-ranked survivor's values.
-		done.scalars = append([]float64(nil), w.scalars...)
-	}
-	w.comm.Send(0, w.rt.tag(tagDone), done)
+	// Collectives make scalars identical across workers.  Every worker
+	// reports them (the first one may be dead) and the master keeps the
+	// lowest-ranked survivor's values, so it never shares memory with a
+	// worker.
+	w.comm.Send(0, w.rt.tag(tagDone), doneMsg{origin: w.rank, failRank: -1,
+		scalars: append([]float64(nil), w.scalars...)})
 	return nil
 }
 
@@ -635,22 +619,15 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 	case bytecode.OpCollective:
-		if w.rt.cfg.Recover {
-			vals, err := w.masterSync(syncCollective, in.A, true, func() []float64 {
-				return []float64{w.scalars[in.A]}
-			})
-			if err != nil {
-				return err
-			}
-			if len(vals) > 0 {
-				w.scalars[in.A] = vals[0]
-			}
-			break
-		}
-		if err := w.drainPutAcks(); err != nil {
+		vals, err := w.masterSync(syncCollective, in.A, true, func() []float64 {
+			return []float64{w.scalars[in.A]}
+		})
+		if err != nil {
 			return err
 		}
-		w.scalars[in.A] = w.rt.workerGroup.AllreduceSum(w.scalars[in.A])
+		if len(vals) > 0 {
+			w.scalars[in.A] = vals[0]
+		}
 	case bytecode.OpPrint:
 		if w.rank == w.rt.firstWorker() {
 			w.rt.outMu.Lock()
@@ -1276,15 +1253,12 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 			}
 			w.comm.Multicast(replicas, tagServer, msg, cloned)
 			for _, srv := range replicas {
-				w.pendingPrepAcks++
-				if w.owedPrepAcks != nil {
-					w.owedPrepAcks[srv]++
-				}
+				w.owedPrepAcks[srv]++
 			}
 		} else {
 			home := w.rt.homeServer(dst.Arr, loc.key.ord)
 			w.comm.Multicast([]int{home}, tagServer, msg, cloned)
-			w.pendingPrepAcks++
+			w.owedPrepAcks[home]++
 		}
 	} else {
 		home := w.rt.homeWorker(dst.Arr, loc.key.ord)
@@ -1297,10 +1271,7 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 			// recovery) — drop the put rather than wait on a dead rank.
 		default:
 			w.comm.Multicast([]int{home}, w.rt.tag(tagService), msg, cloned)
-			w.pendingPutAcks++
-			if w.owedPutAcks != nil {
-				w.owedPutAcks[home]++
-			}
+			w.owedPutAcks[home]++
 		}
 	}
 	// Drop any stale cached copy of the block we just overwrote.
@@ -1368,219 +1339,75 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 	return fn(ctx, blocks, scalars)
 }
 
-// drainPutAcks consumes acknowledgements for all outstanding distributed
-// puts.  Under recovery it additionally writes off acks owed by evicted
-// homes (they will never arrive; the blocks died with the rank) and
-// wakes on membership changes to re-check the ledger.
-func (w *worker) drainPutAcks() error {
-	if !w.rt.cfg.Recover {
-		for w.pendingPutAcks > 0 {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagPutAck),
-				fmt.Sprintf("put ack (%d outstanding)", w.pendingPutAcks)); err != nil {
-				return err
-			}
-			w.pendingPutAcks--
-		}
-		return nil
-	}
+// drainAcks waits until every put (tagPutAck) or prepare (tagPrepAck)
+// ack in owed, the per-destination count of outstanding ones, has
+// arrived.  Acks owed by evicted ranks are written off (they will never
+// arrive — a dead home's blocks died with it, a dead server's live on
+// its surviving replicas), and membership changes wake the wait to
+// re-check.  A live destination that stays silent past the receive
+// deadline is evicted when its death is survivable and diagnosed as
+// failed otherwise.
+func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
 	world := w.rt.world
-	for w.pendingPutAcks > 0 {
-		for home, n := range w.owedPutAcks {
-			if world.IsEvicted(home) {
-				w.pendingPutAcks -= n
-				delete(w.owedPutAcks, home)
+	d := w.rt.cfg.RecvTimeout
+	attempts := 1 + w.rt.cfg.RecvRetries
+drain:
+	for {
+		for dst := range owed {
+			if world.IsEvicted(dst) {
+				delete(owed, dst)
 			}
 		}
-		if w.pendingPutAcks <= 0 {
-			break
+		if len(owed) == 0 {
+			return nil
 		}
 		stamp := world.EvictStamp()
 		cancel := func() bool { return world.EvictStamp() != stamp }
-		d := w.rt.cfg.RecvTimeout
-		if d <= 0 {
-			if m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tagPutAck), 0, cancel); ok {
-				w.notePutAck(m.Source)
-			}
-			continue
-		}
-		attempts := 1 + w.rt.cfg.RecvRetries
-		timedOut := true
 		for i := 0; i < attempts; i++ {
-			m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tagPutAck), d, cancel)
-			if ok {
-				w.notePutAck(m.Source)
-				timedOut = false
-				break
-			}
-			if cancel() {
-				timedOut = false // membership changed: re-check owed acks
-				break
-			}
-		}
-		if timedOut {
-			total := time.Duration(attempts) * d
-			for home, n := range w.owedPutAcks {
-				if n > 0 {
-					return &mpi.RankFailure{
-						Rank:   home,
-						Reason: fmt.Sprintf("worker %d heard no put ack within %v", w.rank, total),
-					}
+			m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tag), d, cancel)
+			// A stale ack from a destination whose debt was already written
+			// off (delivered before the firewall went up) is ignored.
+			if ok && owed[m.Source] > 0 {
+				if owed[m.Source]--; owed[m.Source] == 0 {
+					delete(owed, m.Source)
 				}
 			}
-			return fmt.Errorf("sip: worker %d: no put ack within %v", w.rank, total)
-		}
-	}
-	w.pendingPutAcks = 0
-	return nil
-}
-
-// notePutAck folds one received put ack into the per-destination ledger,
-// ignoring stale acks from homes whose debt was already written off on
-// eviction (the ack was delivered before the firewall went up).
-func (w *worker) notePutAck(src int) {
-	if w.owedPutAcks[src] <= 0 {
-		return
-	}
-	w.owedPutAcks[src]--
-	if w.owedPutAcks[src] == 0 {
-		delete(w.owedPutAcks, src)
-	}
-	w.pendingPutAcks--
-}
-
-// drainPrepAcks consumes acknowledgements for all outstanding prepares.
-// With evictable servers (Replicas > 1 under recovery) the quorum is
-// every live replica: acks owed by evicted servers are written off (the
-// surviving replicas hold the data), membership changes wake the wait,
-// and a live server that stays silent past the receive deadline is
-// evicted rather than fatal.
-func (w *worker) drainPrepAcks() error {
-	if w.owedPrepAcks == nil {
-		for w.pendingPrepAcks > 0 {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagPrepAck),
-				fmt.Sprintf("prepare ack (%d outstanding)", w.pendingPrepAcks)); err != nil {
-				return err
-			}
-			w.pendingPrepAcks--
-		}
-		return nil
-	}
-	world := w.rt.world
-	for w.pendingPrepAcks > 0 {
-		for srv, n := range w.owedPrepAcks {
-			if world.IsEvicted(srv) {
-				w.pendingPrepAcks -= n
-				delete(w.owedPrepAcks, srv)
+			if ok || cancel() || d <= 0 {
+				continue drain // progress, or membership changed: re-check
 			}
 		}
-		if w.pendingPrepAcks <= 0 {
-			break
-		}
-		stamp := world.EvictStamp()
-		cancel := func() bool { return world.EvictStamp() != stamp }
-		d := w.rt.cfg.RecvTimeout
-		if d <= 0 {
-			if m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tagPrepAck), 0, cancel); ok {
-				w.notePrepAck(m.Source)
+		// Every destination still in owed is live and silent: blame one.
+		for dst := range owed {
+			reason := fmt.Sprintf("worker %d heard no %s ack within %v",
+				w.rank, what, time.Duration(attempts)*d)
+			if w.rt.isServerRank(dst) && world.Evictable(dst) {
+				world.Evict(dst, reason)
+				continue drain
 			}
-			continue
-		}
-		attempts := 1 + w.rt.cfg.RecvRetries
-		timedOut := true
-		for i := 0; i < attempts; i++ {
-			m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tagPrepAck), d, cancel)
-			if ok {
-				w.notePrepAck(m.Source)
-				timedOut = false
-				break
-			}
-			if cancel() {
-				timedOut = false // membership changed: re-check owed acks
-				break
-			}
-		}
-		if timedOut {
-			total := time.Duration(attempts) * d
-			evicted := false
-			for srv, n := range w.owedPrepAcks {
-				if n > 0 && !world.IsEvicted(srv) {
-					world.Evict(srv, fmt.Sprintf("worker %d heard no prepare ack within %v", w.rank, total))
-					evicted = true
-					break
-				}
-			}
-			if !evicted {
-				return fmt.Errorf("sip: worker %d: no prepare ack within %v", w.rank, total)
-			}
+			return &mpi.RankFailure{Rank: dst, Reason: reason}
 		}
 	}
-	w.pendingPrepAcks = 0
-	clear(w.owedPrepAcks)
-	return nil
-}
-
-// notePrepAck folds one received prepare ack into the per-server
-// ledger, ignoring stale acks from servers whose debt was already
-// written off on eviction.
-func (w *worker) notePrepAck(src int) {
-	if w.owedPrepAcks[src] <= 0 {
-		return
-	}
-	w.owedPrepAcks[src]--
-	if w.owedPrepAcks[src] == 0 {
-		delete(w.owedPrepAcks, src)
-	}
-	w.pendingPrepAcks--
 }
 
 // sipBarrier separates conflicting accesses to distributed arrays: all
 // outstanding puts are applied, all workers rendezvous, and cached remote
 // blocks are invalidated so later gets see the new values.
 func (w *worker) sipBarrier() error {
-	if w.rt.cfg.Recover {
-		if _, err := w.masterSync(syncBarrier, -1, true, nil); err != nil {
-			return err
-		}
-		w.cache.invalidateAll()
-		return nil
-	}
-	if err := w.drainPutAcks(); err != nil {
+	if _, err := w.masterSync(syncBarrier, -1, true, nil); err != nil {
 		return err
 	}
-	w.rt.workerGroup.Barrier()
 	w.cache.invalidateAll()
 	return nil
 }
 
 // serverBarrier separates conflicting accesses to served arrays: all
 // prepares applied, dirty server caches flushed, caches invalidated.
+// The master performs the flush itself once every live worker has
+// reached (and, if needed, replayed past) this round.
 func (w *worker) serverBarrier() error {
-	if w.rt.cfg.Recover {
-		// The master performs the flush itself once every live worker
-		// has reached (and, if needed, replayed past) this round.
-		if _, err := w.masterSync(syncServerBarrier, -1, true, nil); err != nil {
-			return err
-		}
-		w.cache.invalidateAll()
-		return nil
-	}
-	if err := w.drainPrepAcks(); err != nil {
+	if _, err := w.masterSync(syncServerBarrier, -1, true, nil); err != nil {
 		return err
 	}
-	w.rt.workerGroup.Barrier()
-	// One worker triggers the flush on every server; all wait for it.
-	if w.rank == w.rt.firstWorker() {
-		for _, srv := range w.rt.serverList {
-			w.comm.Send(srv, tagServer, flushMsg{origin: w.rank, job: w.rt.job})
-		}
-		for s := 0; s < w.rt.servers; s++ {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagFlushAck),
-				fmt.Sprintf("server flush ack (%d outstanding)", w.rt.servers-s)); err != nil {
-				return err
-			}
-		}
-	}
-	w.rt.workerGroup.Barrier()
 	w.cache.invalidateAll()
 	return nil
 }
@@ -1641,9 +1468,6 @@ func (w *worker) serviceLoop() {
 // (paper §IV-C: used to pass data between SIAL programs and for
 // rudimentary checkpointing).
 func (w *worker) checkpointSave(arrID int) error {
-	if err := w.drainPutAcks(); err != nil {
-		return err
-	}
 	if err := w.ckptBarrier(); err != nil {
 		return err
 	}
@@ -1661,16 +1485,11 @@ func (w *worker) checkpointSave(arrID int) error {
 	return w.ckptBarrier()
 }
 
-// ckptBarrier is the rendezvous around checkpoint operations: a plain
-// worker-group barrier, or a master-mediated sync round under recovery
-// (so a worker death during the checkpoint still resolves).
+// ckptBarrier is the rendezvous around checkpoint operations: a sync
+// round of its own kind, which the snapshot subsystem never captures.
 func (w *worker) ckptBarrier() error {
-	if w.rt.cfg.Recover {
-		_, err := w.masterSync(syncCkpt, -1, false, nil)
-		return err
-	}
-	w.rt.workerGroup.Barrier()
-	return nil
+	_, err := w.masterSync(syncCkpt, -1, false, nil)
+	return err
 }
 
 // checkpointLoad implements list_to_blocks: every worker asks the
@@ -1678,9 +1497,6 @@ func (w *worker) ckptBarrier() error {
 // with the blocks that worker homes; the worker installs them directly
 // into its own store.
 func (w *worker) checkpointLoad(arrID int) error {
-	if err := w.drainPutAcks(); err != nil {
-		return err
-	}
 	if err := w.ckptBarrier(); err != nil {
 		return err
 	}
@@ -1722,10 +1538,10 @@ func (w *worker) masterSync(kind, scalar int, capture bool, vals func() []float6
 	round := w.syncRound
 	w.syncRound++
 	for {
-		if err := w.drainPutAcks(); err != nil {
+		if err := w.drainAcks(tagPutAck, "put", w.owedPutAcks); err != nil {
 			return nil, err
 		}
-		if err := w.drainPrepAcks(); err != nil {
+		if err := w.drainAcks(tagPrepAck, "prepare", w.owedPrepAcks); err != nil {
 			return nil, err
 		}
 		var v []float64
@@ -1918,9 +1734,6 @@ func (w *worker) markSeen(seq uint64) bool {
 // at most the last two phases' effects instead of growing for the
 // lifetime of the run.
 func (w *worker) retireSeenPuts() {
-	if w.seenPuts == nil {
-		return
-	}
 	w.seenMu.Lock()
 	retired := len(w.seenPrevPuts)
 	w.seenPrevPuts = w.seenPuts

@@ -59,6 +59,12 @@ func FuzzDecode(f *testing.F) {
 		e.Uvarint(n)
 		f.Add(e.Bytes())
 	}
+	// And a rank list (mpi bye notice, id 21) claiming far more entries
+	// than the frame holds.
+	e := wire.NewEncoder(16)
+	e.Byte(21)
+	e.Int(1 << 40)
+	f.Add(e.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.Decode(data)
 		if err != nil {

@@ -1,0 +1,13 @@
+#!/usr/bin/env bash
+# Prints the design-size numbers ROADMAP item 3 tracks, one per line, so
+# every CI log carries them and a PR can quote its before/after row:
+# non-test lines of internal/sip and internal/mpi (wc -l, comments and
+# blanks included) and the number of lines in non-test internal/sip that
+# branch on a mode (cfg.Recover, .pooled).
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
+echo "internal/sip non-test lines:  $(nontest internal/sip | wc -l)"
+echo "internal/mpi non-test lines:  $(nontest internal/mpi | wc -l)"
+echo "cfg.Recover guard sites:      $(nontest internal/sip | grep -c 'cfg\.Recover' || true)"
+echo ".pooled guard sites:          $(nontest internal/sip | grep -c '\.pooled' || true)"
