@@ -2,8 +2,10 @@ package repro
 
 // The benchmark harness: one benchmark per evaluation figure of the
 // paper (regenerating its series through the performance model and
-// reporting the modelled seconds as custom metrics), plus benchmarks of
-// the real runtime and its kernels.
+// reporting the modelled seconds as custom metrics), plus the paper's
+// example program on the real runtime and the Global-Arrays baseline.
+// The runtime's layers are measured by the repository benchmark in
+// bench/ (see bench/README.md).
 //
 //	go test -bench=. -benchmem
 //
@@ -14,7 +16,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"net"
 	"testing"
 
 	"repro/internal/block"
@@ -22,14 +23,9 @@ import (
 	"repro/internal/chem"
 	"repro/internal/core"
 	"repro/internal/ga"
-	"repro/internal/linalg"
 	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/mpi/transport"
 	"repro/internal/perfmodel"
 	"repro/internal/segment"
-	"repro/internal/serve"
-	"repro/internal/sip"
 )
 
 // benchSweep runs one modelled configuration per sub-benchmark and
@@ -209,7 +205,7 @@ func BenchmarkAblationScheduling(b *testing.B) {
 	})
 }
 
-// --- Real runtime and kernel benchmarks ---
+// --- Real runtime ---
 
 // BenchmarkSIPPaperExample executes the paper's §IV-D program for real
 // on an in-process SIP.
@@ -248,93 +244,6 @@ func BenchmarkSIPPaperExample(b *testing.B) {
 	}
 }
 
-// BenchmarkMP2EndToEnd runs the complete MP2 example on the in-process
-// SIP — compile, master dispatch, contractions, the mp2_denom user
-// super instruction, and the collective — at growing orbital counts.
-// scripts/bench.sh records this series in BENCH_mp2.json.
-func BenchmarkMP2EndToEnd(b *testing.B) {
-	for _, sz := range []struct{ no, nv, seg int }{
-		{2, 4, 2}, {4, 8, 4}, {6, 12, 4},
-	} {
-		b.Run(fmt.Sprintf("no=%d/nv=%d", sz.no, sz.nv), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chem.MP2SIP(sz.no, sz.nv, 4, sz.seg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkContraction measures the block contraction super instruction
-// at the paper's representative segment sizes (§III: "2 x 100^3 to
-// 2 x 2,500^3 floating point operations" per 4-index block pair).
-func BenchmarkContraction(b *testing.B) {
-	spec := block.Spec{A: []int{0, 1, 2, 3}, B: []int{2, 3, 4, 5}, C: []int{0, 1, 4, 5}}
-	for _, seg := range []int{6, 10, 14} {
-		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {
-			x := block.New(seg, seg, seg, seg)
-			y := block.New(seg, seg, seg, seg)
-			x.Fill(1.1)
-			y.Fill(0.9)
-			fl, _ := block.ContractFlops(spec, x.Dims(), y.Dims())
-			b.SetBytes(int64(x.Size() * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := block.Contract(spec, x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(fl)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-		})
-	}
-}
-
-// BenchmarkGemm measures the pure-Go DGEMM substitute.
-func BenchmarkGemm(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x := make([]float64, n*n)
-			y := make([]float64, n*n)
-			z := make([]float64, n*n)
-			for i := range x {
-				x[i] = float64(i % 7)
-				y[i] = float64(i % 5)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				linalg.Gemm(n, n, n, 1, x, y, 0, z)
-			}
-			flops := 2 * float64(n) * float64(n) * float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-		})
-	}
-}
-
-// BenchmarkMPIRoundTrip measures the in-process message-passing layer.
-func BenchmarkMPIRoundTrip(b *testing.B) {
-	w := mpi.NewWorld(2)
-	payload := make([]float64, 4096)
-	go func() {
-		c := w.Comm(1)
-		for {
-			m := c.Recv(0, 1)
-			if m.Data == nil {
-				return
-			}
-			c.Send(0, 2, m.Data)
-		}
-	}()
-	c := w.Comm(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Send(1, 1, payload)
-		c.Recv(1, 2)
-	}
-	b.StopTimer()
-	c.Send(1, 1, nil)
-}
-
 // BenchmarkGAPatch measures the Global-Arrays baseline patch access.
 func BenchmarkGAPatch(b *testing.B) {
 	c := ga.NewCluster(4, 0)
@@ -355,204 +264,4 @@ func BenchmarkGAPatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServedArrays measures a prepare/request round trip through
-// the I/O servers with a cache small enough to force disk traffic.
-func BenchmarkServedArrays(b *testing.B) {
-	src := `
-sial bench_served
-param n = 16
-aoindex I = 1, n
-aoindex J = 1, n
-served S(I,J)
-temp t(I,J)
-pardo I, J
-  t(I,J) = 1.0
-  prepare S(I,J) = t(I,J)
-endpardo
-server_barrier
-pardo I, J
-  request S(I,J)
-  t(I,J) = 2.0 * S(I,J)
-endpardo
-endsial
-`
-	prog, err := core.Compile(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scratch := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		cfg := core.Config{
-			Workers: 4, Servers: 2, ServerCacheBlocks: 2,
-			Seg: bytecode.DefaultSegConfig(4), ScratchDir: scratch,
-			Output: io.Discard,
-		}
-		if _, err := core.Run(prog, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterp measures the interpreter's instruction dispatch on a
-// do-loop-heavy program with trivial block math, so the fixed per-
-// instruction cost dominates.  The sub-benchmarks compare the
-// observability layer disabled (the nil-check fast path) against fully
-// enabled tracing and metrics; "off" must not regress against a build
-// without the layer.
-func BenchmarkInterp(b *testing.B) {
-	prog, err := core.Compile(`
-sial interp_bench
-param n = 64
-aoindex I = 1, n
-temp a(I,I)
-scalar s
-do I
-  a(I,I) = 1.5
-  s += dot(a(I,I), a(I,I))
-enddo I
-endsial
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scratch := b.TempDir()
-	base := core.Config{
-		Workers:    1,
-		Seg:        bytecode.DefaultSegConfig(2),
-		ScratchDir: scratch,
-		Output:     io.Discard,
-	}
-	b.Run("off", func(b *testing.B) {
-		cfg := base
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(prog, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := base
-			cfg.Tracer = core.NewTracer(core.TracerConfig{})
-			cfg.Metrics = core.NewMetricsRegistry()
-			if _, err := core.Run(prog, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTransportLoopback compares a block echo (send + reply) over
-// the in-process Router against the TCP transport on loopback — the
-// per-message cost of the wire codec, framing, and kernel round trip.
-func BenchmarkTransportLoopback(b *testing.B) {
-	const side = 32 // 32x32 block = 8 KiB payload
-	echo := func(w *mpi.World) {
-		c := w.Comm(1)
-		for {
-			m := c.Recv(0, 1)
-			if s, ok := m.Data.(string); ok && s == "done" {
-				return
-			}
-			c.Send(0, 2, m.Data)
-		}
-	}
-	drive := func(b *testing.B, worlds []*mpi.World) {
-		go echo(worlds[1])
-		c := worlds[0].Comm(0)
-		payload := block.New(side, side)
-		payload.Fill(1.25)
-		b.SetBytes(2 * int64(payload.Size()) * 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Send(1, 1, payload)
-			c.Recv(1, 2)
-		}
-		b.StopTimer()
-		c.Send(1, 1, "done")
-	}
-	b.Run("router", func(b *testing.B) {
-		r := transport.NewRouter()
-		eps := []*transport.Local{r.Endpoint(0), r.Endpoint(1)}
-		worlds := make([]*mpi.World, 2)
-		for i := range worlds {
-			w, err := mpi.NewDistributedWorld(2, []int{i}, eps[i])
-			if err != nil {
-				b.Fatal(err)
-			}
-			worlds[i] = w
-		}
-		defer worlds[0].Close()
-		defer worlds[1].Close()
-		drive(b, worlds)
-	})
-	b.Run("tcp", func(b *testing.B) {
-		lns := make([]net.Listener, 2)
-		addrs := make([]string, 2)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			lns[i] = ln
-			addrs[i] = ln.Addr().String()
-		}
-		worlds := make([]*mpi.World, 2)
-		for i := range worlds {
-			tr, err := transport.NewTCP(transport.TCPConfig{Rank: i, Addrs: addrs, Listener: lns[i]})
-			if err != nil {
-				b.Fatal(err)
-			}
-			w, err := mpi.NewDistributedWorld(2, []int{i}, tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			worlds[i] = w
-		}
-		defer worlds[0].Close()
-		defer worlds[1].Close()
-		drive(b, worlds)
-	})
-}
-
-// BenchmarkServeThroughput measures the multi-tenant job service: a
-// persistent pool absorbing overlapping MP2 submissions through the
-// serve queue (admission, fairness gate, per-job tag windows), reported
-// as jobs/sec.  scripts/bench.sh records this in BENCH_serve.json.
-func BenchmarkServeThroughput(b *testing.B) {
-	svc, err := serve.New(serve.Config{
-		Pool:          sip.PoolConfig{Workers: 4, Servers: 1, Output: io.Discard},
-		MaxConcurrent: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	svc.RegisterPack("mp2", serve.Pack{
-		Source: chem.MP2EnergyProgram(),
-		Env: func(params map[string]int) serve.Env {
-			return serve.Env{Super: chem.MP2Super(), Integrals: chem.MOIntegrals(2)}
-		},
-	})
-	const overlap = 8 // jobs in flight per round
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ids := make([]int, 0, overlap)
-		for j := 0; j < overlap; j++ {
-			st, err := svc.Submit(serve.SubmitRequest{Pack: "mp2"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids = append(ids, st.ID)
-		}
-		for _, id := range ids {
-			if st, _ := svc.Wait(id); st.State != serve.StateDone {
-				b.Fatalf("job %d: %s (%s)", id, st.State, st.Error)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*overlap)/b.Elapsed().Seconds(), "jobs_per_s")
 }

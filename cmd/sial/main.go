@@ -277,7 +277,7 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		traceLocal = fs.Bool("trace-local", false, "with -launch -trace-json: one trace file per rank instead of one merged trace")
 		flightDir = fs.String("flight-dir", "", "write flight-recorder bundles (post-mortem metrics and spans) to this directory when a rank dies")
 		scratch = fs.String("scratch", "", "served-array scratch and checkpoint directory (default: a private temp dir; checkpointing needs a durable one)")
-		ckptInterval = fs.Int("ckpt-interval", 0, "snapshot the run every N completed pardo chunks and at every sync point; implies -recover (0 disables, see docs/FAULTS.md)")
+		ckptInterval = fs.Int("ckpt-interval", 0, "snapshot the run every N completed pardo chunks and at every sync point (0 disables, see docs/FAULTS.md)")
 		ckptKeep = fs.Int("ckpt-keep", 2, "snapshot epochs kept; older ones are garbage-collected")
 		ckptName = fs.String("ckpt-name", "job", "snapshot directory name under <scratch>/ckpt/")
 		resume = fs.Bool("resume", false, "resume from the newest valid snapshot under -ckpt-name instead of starting fresh")
@@ -332,10 +332,6 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		rf.cfg.CkptKeep = *ckptKeep
 		rf.cfg.CkptName = *ckptName
 		rf.cfg.Resume = *resume
-		if *ckptInterval > 0 {
-			// Snapshots read the recovery chunk ledger.
-			rf.cfg.Recover = true
-		}
 	}
 	ranks, err := parseRanks(*traceRanks)
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/mpi"
 )
 
-// blockKey identifies one block of one array.  job namespaces the key
-// inside a shared pool world (sial serve): two jobs' arrays with the
-// same ids never collide in worker stores, server caches, disk files,
-// or dedup ledgers.  The batch path runs with job 0.
+// blockKey identifies one block of one array of one job.  job namespaces
+// the key inside a world: two jobs' arrays with the same ids never
+// collide in worker stores, server caches, disk files, or dedup ledgers.
+// A batch run is job 0; a pool numbers its tenants from 1.
 type blockKey struct {
 	job int
 	arr int
@@ -20,10 +20,7 @@ type blockKey struct {
 }
 
 func (k blockKey) String() string {
-	if k.job != 0 {
-		return fmt.Sprintf("j%d/a%d/b%d", k.job, k.arr, k.ord)
-	}
-	return fmt.Sprintf("a%d/b%d", k.arr, k.ord)
+	return fmt.Sprintf("j%d/a%d/b%d", k.job, k.arr, k.ord)
 }
 
 // store is the thread-safe home storage for the blocks of distributed

@@ -3,9 +3,14 @@ package sip
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bytecode"
+	"repro/internal/compiler"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
 	"repro/internal/obs"
@@ -237,6 +242,104 @@ func TestChaosRecoverWorkerDeath(t *testing.T) {
 	}
 	if snap.Counters[metricFaultRankEvicted] < 1 {
 		t.Errorf("%s = %d, want >= 1", metricFaultRankEvicted, snap.Counters[metricFaultRankEvicted])
+	}
+}
+
+// ledgerTap observes an in-process world's sends: it counts how often
+// each iteration is handed out — by chunk reply or by replay order —
+// and keeps every worker's unacknowledged hand-outs (a sync release
+// seals the phase and acknowledges them).  The first worker the master
+// mails a second chunk within one phase becomes the victim and is
+// evicted on the spot, so the kill lands mid-pardo on a worker holding
+// two chunks however the scheduler interleaves the ranks.
+type ledgerTap struct {
+	mu      sync.Mutex
+	world   *mpi.World
+	handed  map[string]int         // iteration -> times handed out
+	unacked map[int]map[string]int // worker -> iteration -> unacknowledged hand-outs
+	chunks  map[int]int            // worker -> unacknowledged chunks
+	victim  int                    // 0 until chosen
+}
+
+func (o *ledgerTap) OnSend(src, dst, tag int, data any, depth int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var iters [][]int
+	switch m := data.(type) {
+	case chunkReply:
+		iters = m.iters
+	case syncReply:
+		if !m.resume && dst != o.victim {
+			delete(o.unacked, dst) // released: everything it held is acknowledged
+			delete(o.chunks, dst)
+		}
+		iters = m.iters // replay orders only; releases carry none
+	}
+	if len(iters) == 0 {
+		return
+	}
+	if o.unacked[dst] == nil {
+		o.unacked[dst] = map[string]int{}
+	}
+	for _, it := range iters {
+		key := fmt.Sprint(it)
+		o.handed[key]++
+		o.unacked[dst][key]++
+	}
+	if o.chunks[dst]++; o.chunks[dst] == 2 && o.victim == 0 {
+		o.victim = dst
+		o.world.Evict(dst, "ledger test kill")
+	}
+}
+
+// TestLedgerRedispatchesUnacknowledgedChunks: the chunk ledger is what
+// recovery replays from.  A worker dies mid-pardo holding two
+// unacknowledged chunks — one it executed (its prepares applied, so the
+// replay's are deduplicated by effect seq) and one just mailed.  The
+// iterations handed out again must be exactly those chunks flattened,
+// and the energy the serial reference.
+func TestLedgerRedispatchesUnacknowledgedChunks(t *testing.T) {
+	prog, err := compiler.CompileSource(recoverDrill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 3, Servers: 1, Seg: bytecode.DefaultSegConfig(3), Output: &bytes.Buffer{}}
+	ref, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recover = true
+	rt, err := newRuntime(prog, cfg, nil, placement{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.close()
+	tap := &ledgerTap{world: rt.world, handed: map[string]int{},
+		unacked: map[int]map[string]int{}, chunks: map[int]int{}}
+	rt.world.SetObserver(tap)
+	res, err := rt.launch(contiguousRanks(0, rt.world.Size()))
+	if err != nil {
+		t.Fatalf("run with a worker killed: %v", err)
+	}
+	if got, want := res.Scalars["e"], ref.Scalars["e"]; math.Abs(got-want) > 1e-10 || want == 0 {
+		t.Errorf("recovered e = %.15g, serial reference %.15g", got, want)
+	}
+	lost := tap.unacked[tap.victim]
+	if !rt.world.IsEvicted(tap.victim) || len(lost) == 0 {
+		t.Fatalf("victim %d evicted = %v holding %d iterations; the drill is vacuous",
+			tap.victim, rt.world.IsEvicted(tap.victim), len(lost))
+	}
+	// Both pardos run over the same 8x8 block grid, so every iteration
+	// is handed out twice, plus once more for each hand-out that died
+	// unacknowledged with the victim.
+	if len(tap.handed) != 8*8 {
+		t.Errorf("%d distinct iterations handed out, want %d", len(tap.handed), 8*8)
+	}
+	for key, n := range tap.handed {
+		if want := 2 + lost[key]; n != want {
+			t.Errorf("iteration %s handed out %d times, want %d (%d died with worker %d)",
+				key, n, want, lost[key], tap.victim)
+		}
 	}
 }
 

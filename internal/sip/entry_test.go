@@ -4,8 +4,11 @@ package sip_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -69,14 +72,14 @@ var entries = []entry{
 	{"Pool.RunJob", func(t *testing.T, prog *bytecode.Program, cfg sip.Config) (*sip.Result, []*sip.Profile, *obs.Registry, error) {
 		reg := obs.NewRegistry()
 		p, err := sip.NewPool(sip.PoolConfig{Workers: cfg.Workers, Servers: cfg.Servers,
-			Recover: cfg.Recover, Metrics: reg, Output: cfg.Output})
+			Recover: cfg.Recover, Replicas: cfg.Replicas, Metrics: reg, Output: cfg.Output})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
 		res, err := p.RunJob(sip.JobSpec{Prog: prog, Params: cfg.Params, Seg: cfg.Seg,
 			Preset: cfg.Preset, Super: cfg.Super, Integrals: cfg.Integrals,
-			GatherArrays: cfg.GatherArrays})
+			GatherArrays: cfg.GatherArrays, CkptInterval: cfg.CkptInterval})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -131,7 +134,11 @@ func mustCompile(t *testing.T, src string) *bytecode.Program {
 // chemistry program through every entry point, with the fault policy off
 // and on, must reproduce its serial reference at 1e-10 — and must reach
 // its sync points the same way, as master-mediated rounds: one report
-// per worker per round, whatever Config.Recover says.
+// per worker per round, whatever Config.Recover says.  The served
+// programs run again with every block on two servers (one placement for
+// every Replicas), and the in-process entries once more checkpointing
+// with the fault policy off (the chunk ledger snapshots read does not
+// wait for Recover).
 func TestEntryPointsAgree(t *testing.T) {
 	const workers = 3
 	const no, nv = 3, 5
@@ -164,16 +171,35 @@ func TestEntryPointsAgree(t *testing.T) {
 		{"MP2Served", chem.MP2ServedProgram(), mp2Served, scalar("emp2", chem.MP2Reference(no, nv))},
 		{"CCSDEnergy", chem.CCSDEnergyProgram(), ccsdEnergy, scalar("e", chem.CCSDEnergyReference(norb, nocc, iters, tInit))},
 	}
+	type variant struct {
+		name    string
+		recover bool
+		served  bool // only programs that bring I/O servers
+		inproc  bool // not RunRank: its per-rank worlds share no scratch
+		set     func(*sip.Config)
+	}
+	variants := []variant{
+		{name: "recover=off"},
+		{name: "recover=on", recover: true},
+		{name: "recover=off/replicas=2", served: true, set: func(c *sip.Config) { c.Replicas = 2 }},
+		{name: "recover=on/replicas=2", recover: true, served: true, set: func(c *sip.Config) { c.Replicas = 2 }},
+		{name: "recover=off/ckpt", inproc: true, set: func(c *sip.Config) { c.CkptInterval = 2 }},
+	}
 	for _, pc := range programs {
 		prog := mustCompile(t, pc.src)
 		for _, e := range entries {
-			for _, recover := range []bool{false, true} {
-				name := pc.name + "/" + e.name + "/recover=" + map[bool]string{false: "off", true: "on"}[recover]
-				t.Run(name, func(t *testing.T) {
+			for _, v := range variants {
+				if v.served && pc.cfg.Servers == 0 || v.inproc && e.name == "RunRank" {
+					continue
+				}
+				t.Run(pc.name+"/"+e.name+"/"+v.name, func(t *testing.T) {
 					cfg := pc.cfg
 					cfg.Workers = workers
 					cfg.Seg = bytecode.DefaultSegConfig(2)
-					cfg.Recover = recover
+					cfg.Recover = v.recover
+					if v.set != nil {
+						v.set(&cfg)
+					}
 					cfg.Output = &bytes.Buffer{}
 					res, profiles, reg, err := e.run(t, prog, cfg)
 					if err != nil {
@@ -183,7 +209,8 @@ func TestEntryPointsAgree(t *testing.T) {
 
 					// Every worker passes the start-up and shutdown rounds plus
 					// one round per barrier and collective it executed; none of
-					// these programs checkpoints.
+					// these programs runs blocks_to_list, and snapshots ride on the
+					// rounds that are there.
 					want := int64(2 * workers)
 					for _, p := range profiles {
 						for _, op := range []bytecode.Op{bytecode.OpBarrier, bytecode.OpCollective} {
@@ -235,6 +262,56 @@ func checkCCSDTerm(want []float64) func(*testing.T, *bytecode.Program, sip.Confi
 		if seen != len(want) {
 			t.Errorf("gathered %d elements of R, want %d", seen, len(want))
 		}
+	}
+}
+
+// TestRestartAdoptsOwnJobFiles: a batch run is job 0 and names its
+// served blocks' spill files accordingly.  A second incarnation of each
+// server over the same scratch directory adopts exactly those files —
+// not another job's, and not the un-prefixed names earlier builds wrote.
+func TestRestartAdoptsOwnJobFiles(t *testing.T) {
+	const no, nv = 3, 5
+	prog := mustCompile(t, chem.MP2ServedProgram())
+	cfg := sip.Config{Workers: 2, Servers: 2, Seg: bytecode.DefaultSegConfig(2),
+		Params: map[string]int{"no": no, "nv": nv}, Integrals: chem.MOIntegrals(no),
+		Super: chem.MP2Super(), ScratchDir: t.TempDir(), Output: &bytes.Buffer{}}
+	res, err := sip.Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Scalars["emp2"], chem.MP2Reference(no, nv); math.Abs(got-want) > 1e-10 {
+		t.Fatalf("emp2 = %.15g, serial reference %.15g", got, want)
+	}
+	total := 0
+	for rank := 1 + cfg.Workers; rank <= cfg.Workers+cfg.Servers; rank++ {
+		dir := filepath.Join(cfg.ScratchDir, fmt.Sprintf("srv%d", rank))
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own []string
+		for _, de := range des {
+			if !strings.HasPrefix(de.Name(), "j0_a") || !strings.HasSuffix(de.Name(), ".blk") {
+				t.Errorf("rank %d spilled %q, want only j0_a*_b*.blk files", rank, de.Name())
+			}
+			own = append(own, de.Name()) // ReadDir sorts by name
+		}
+		total += len(own)
+		for _, decoy := range []string{"j3_a0_b0.blk", "a0_b0.blk", "j0_a99_b0.blk"} {
+			if err := os.WriteFile(filepath.Join(dir, decoy), make([]byte, 8), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adopted, err := sip.RestartedServerIndex(prog, cfg, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(adopted, " ") != strings.Join(own, " ") {
+			t.Errorf("rank %d restarted: adopted %v, want exactly the first incarnation's %v", rank, adopted, own)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no server spilled a block; the adoption check is vacuous")
 	}
 }
 

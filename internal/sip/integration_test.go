@@ -109,7 +109,7 @@ endsial
 	}
 	// Tear the checkpoint: truncate it mid-file.  The integrity framing
 	// (magic + payload + CRC32) makes any truncation point detectable.
-	path := filepath.Join(scratch, "ckpt_D.ckpt")
+	path := filepath.Join(scratch, "ckpt_j0_D.ckpt")
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

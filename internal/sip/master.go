@@ -56,7 +56,7 @@ type master struct {
 	// path is (or has been) taken.
 	stopNoted bool
 
-	// Replication state (Config.Replicas > 1).
+	// Replication state: anti-entropy passes after server evictions.
 	replRound  int // anti-entropy pass number (stale-ack filter)
 	replHealed int // evicted-server count as of the last completed pass
 }
@@ -111,21 +111,22 @@ type pardoRun struct {
 	totalEst int64 // product of ranges (upper bound; where clauses shrink it)
 	issued   int64
 
-	// Recovery ledger (Config.Recover): iterations handed to each worker
-	// and not yet acknowledged by that worker's next sync report, plus
-	// iterations reclaimed from dead workers awaiting re-dispatch.
-	assigned map[int][][]int
+	// Chunk ledger: the chunks handed to each worker and not yet
+	// acknowledged by its next sync report — one slice header per
+	// hand-out, flattened only when an eviction or a snapshot needs the
+	// iterations — plus iterations reclaimed from dead workers.
+	assigned map[int][][][]int
 	requeue  [][]int
 
 	// Checkpoint watermarks (Config.CkptInterval > 0).  completed[wr]
-	// holds the iterations wr has certainly finished — a worker requests
+	// holds the chunks wr has certainly finished — a worker requests
 	// chunk N+1 only after executing all of chunk N, so the assignment
 	// ledger at request time is the completed set.  completedDelta[wr] is
 	// the in-pardo scalar contribution covering exactly those iterations.
 	// skip marks iterations a resumed run must not re-dispatch (already
 	// completed before the snapshot); skipIters is the same list in
 	// manifest form, carried forward into further snapshots.
-	completed      map[int][][]int
+	completed      map[int][][][]int
 	completedDelta map[int][]float64
 	skip           map[string]bool
 	skipIters      [][]int
@@ -223,10 +224,9 @@ func (r *pardoRun) next(n int) [][]int {
 }
 
 // take returns up to n iterations for worker wr, serving iterations
-// reclaimed from dead workers before fresh ones.  Under recovery every
-// handout is recorded in the ledger until wr acknowledges it at its
-// next sync point; without recovery it is exactly next().
-func (r *pardoRun) take(n, wr int, rec bool, redispatched *obs.Counter) [][]int {
+// reclaimed from dead workers before fresh ones.  Every hand-out stays
+// in the ledger until wr acknowledges it at its next sync point.
+func (r *pardoRun) take(n, wr int, redispatched *obs.Counter) [][]int {
 	var out [][]int
 	if len(r.requeue) > 0 {
 		if len(r.requeue) <= n {
@@ -239,13 +239,19 @@ func (r *pardoRun) take(n, wr int, rec bool, redispatched *obs.Counter) [][]int 
 	} else {
 		out = r.next(n)
 	}
-	if rec && len(out) > 0 {
-		if r.assigned == nil {
-			r.assigned = map[int][][]int{}
-		}
-		r.assigned[wr] = append(r.assigned[wr], out...)
-	}
+	r.assign(wr, out)
 	return out
+}
+
+// assign records one chunk in the ledger against worker wr.
+func (r *pardoRun) assign(wr int, chunk [][]int) {
+	if len(chunk) == 0 {
+		return
+	}
+	if r.assigned == nil {
+		r.assigned = map[int][][][]int{}
+	}
+	r.assigned[wr] = append(r.assigned[wr], chunk)
 }
 
 // chunkSize implements guided self-scheduling: chunks shrink as the
@@ -518,7 +524,7 @@ func (m *master) run() (res *Result, err error) {
 			// A drained run stays in m.runs until the next sync round seals
 			// the phase: a worker may still die holding iterations that need
 			// re-queuing here.
-			iters := r.take(r.chunkSize(rt.workers), req.origin, rt.cfg.Recover, redispCtr)
+			iters := r.take(r.chunkSize(rt.workers), req.origin, redispCtr)
 			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{iters: iters})
 			chunkCtr.Inc()
 			iterCtr.Add(int64(len(iters)))
@@ -577,9 +583,9 @@ func (m *master) run() (res *Result, err error) {
 			}
 		}
 	}
-	// All workers finished: stop service loops, then servers.  A job
-	// inside a shared pool (job > 0) narrows the server shutdown to its
-	// own blocks — the servers keep running for the other jobs.
+	// All workers finished: stop service loops, then servers.  Servers
+	// this run brought stop for good; a pool's shared servers retire the
+	// job's blocks and keep running for the other tenants.
 	for _, wr := range rt.workerList {
 		m.comm.Send(wr, rt.tag(tagService), shutdownMsg{job: rt.job})
 	}
@@ -646,20 +652,17 @@ func (m *master) recordGather(dst map[string][]ArrayBlock, g gatherMsg) {
 	}
 }
 
-// recordServedGather folds one I/O server's shutdown gather.  With
-// Replicas > 1 every live replica reports a copy of each block, so only
-// the current primary's copy is kept: after an eviction the promoted
-// backups may not have been healed yet, but the primary is always a
-// prior holder with the authoritative copy.
+// recordServedGather folds one I/O server's shutdown gather.  Every
+// live replica reports a copy of each block, so only the current
+// primary's copy is kept: after an eviction the promoted backups may not
+// have been healed yet, but the primary is always a prior holder with the
+// authoritative copy.
 func (m *master) recordServedGather(dst map[string][]ArrayBlock, g gatherMsg) {
-	if m.rt.cfg.Replicas <= 1 {
-		m.recordGather(dst, g)
-		return
-	}
+	var reps []int
 	for arr, blocks := range g.arrays {
 		name := m.rt.prog.Arrays[arr].Name
 		for _, ab := range blocks {
-			if reps := m.rt.replicaServers(arr, ab.Ord); len(reps) > 0 && reps[0] == g.origin {
+			if reps = m.rt.replicaServers(reps, arr, ab.Ord); len(reps) > 0 && reps[0] == g.origin {
 				dst[name] = append(dst[name], ab)
 			}
 		}
@@ -704,8 +707,8 @@ func (m *master) liveWorkers() int {
 // For workers: their unacknowledged iterations go back on the
 // re-dispatch queue, sync rounds stop waiting for them, and checkpoint
 // collections that were only missing their contribution are completed
-// against the reduced worker count.  Evicted I/O servers (Replicas > 1)
-// only need recording — their blocks heal at the next server barrier's
+// against the reduced worker count.  Evicted I/O servers only need
+// recording — their blocks heal at the next server barrier's
 // anti-entropy pass, and reads fail over to the surviving replicas in
 // the meantime.
 func (m *master) noteEvictions(trk *obs.Track) {
@@ -737,10 +740,10 @@ func (m *master) noteEvictions(trk *obs.Track) {
 		// a later snapshot's overlay would double-execute nothing but
 		// skip their (now re-queued) scalar contributions.
 		for _, r := range m.runs {
-			if iters := r.assigned[rank]; len(iters) > 0 {
-				r.requeue = append(r.requeue, iters...)
-				delete(r.assigned, rank)
+			for _, chunk := range r.assigned[rank] {
+				r.requeue = append(r.requeue, chunk...)
 			}
+			delete(r.assigned, rank)
 			delete(r.completed, rank)
 			delete(r.completedDelta, rank)
 		}
@@ -892,10 +895,7 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 			}
 			iters := r.requeue[i:hi:hi]
 			i = hi
-			if r.assigned == nil {
-				r.assigned = map[int][][]int{}
-			}
-			r.assigned[wr] = append(r.assigned[wr], iters...)
+			r.assign(wr, iters)
 			s.reported[wr] = false
 			delete(s.vals, wr)
 			delete(s.states, wr)
@@ -924,17 +924,13 @@ func (m *master) flushServers() error {
 		if rt.world.IsEvicted(sr) {
 			continue
 		}
-		m.comm.Send(sr, tagServer, flushMsg{origin: 0, job: rt.job})
+		m.comm.Send(sr, tagServer, flushMsg{job: rt.job})
 		pending = append(pending, sr)
 	}
 	d := rt.cfg.RecvTimeout
 	attempts := 1 + rt.cfg.RecvRetries
 	for _, sr := range pending {
 		for got := false; !got && !rt.world.IsEvicted(sr); {
-			if d <= 0 && !m.rt.serversEvictable() {
-				m.comm.Recv(sr, rt.tag(tagFlushAck))
-				break
-			}
 			stamp := rt.world.EvictStamp()
 			cancel := func() bool { return rt.world.EvictStamp() != stamp }
 			if d <= 0 {
@@ -973,9 +969,10 @@ func (m *master) flushServers() error {
 	return nil
 }
 
-// rereplicateServers runs the anti-entropy pass (Config.Replicas > 1)
-// at a server barrier after a server eviction, while every live worker
-// is parked: each live server scans the blocks it holds, and pushes the
+// rereplicateServers runs the anti-entropy pass at a server barrier
+// after a server eviction, while every live worker is parked (without
+// replication servers are critical and never evicted, so the pass never
+// runs): each live server scans the blocks it holds, and pushes the
 // ones it is primary for to replicas promoted into the set by the
 // eviction.  The master coordinates the pass so it completes before the
 // barrier releases — it waits for every server's scan ack plus one ack
@@ -984,7 +981,7 @@ func (m *master) flushServers() error {
 // abandoned round are discarded by their round stamp.
 func (m *master) rereplicateServers() error {
 	rt := m.rt
-	if rt.cfg.Replicas <= 1 || m.evictedServers() == m.replHealed {
+	if m.evictedServers() == m.replHealed {
 		return nil
 	}
 	roundCtr := rt.metrics.Counter(metricReplRounds)
@@ -1060,15 +1057,11 @@ restart:
 	}
 }
 
-// ckptPath returns the checkpoint file for an array.  Pool jobs prefix
-// the file with their job id so two jobs checkpointing same-named
-// arrays into the shared scratch never collide.
+// ckptPath returns the checkpoint file for an array.  The job id in the
+// name keeps two jobs checkpointing same-named arrays into a shared
+// scratch from colliding.
 func (m *master) ckptPath(arr int) string {
-	name := fmt.Sprintf("ckpt_%s.ckpt", m.rt.prog.Arrays[arr].Name)
-	if m.rt.job != 0 {
-		name = fmt.Sprintf("ckpt_j%d_%s.ckpt", m.rt.job, m.rt.prog.Arrays[arr].Name)
-	}
-	return filepath.Join(m.rt.scratch, name)
+	return filepath.Join(m.rt.scratch, fmt.Sprintf("ckpt_j%d_%s.ckpt", m.rt.job, m.rt.prog.Arrays[arr].Name))
 }
 
 // handleCkpt advances the blocks_to_list / list_to_blocks protocols.

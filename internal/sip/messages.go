@@ -17,10 +17,10 @@ type getMsg struct {
 // (served arrays).  acc selects atomic accumulate.  needAck requests a
 // tagPutAck / tagPrepAck so the origin can drain outstanding writes at
 // barriers.  seq, when non-zero, is a deterministic effect id (hash of
-// pardo, generation, iteration, and per-iteration effect ordinal) the
-// destination uses to deduplicate replayed iterations under recovery:
-// a second put with a seen seq is acknowledged but not applied, so
-// accumulates land at-most-once.  The id is origin-independent — a
+// job, pardo, generation, iteration, and per-iteration effect ordinal)
+// the destination uses to deduplicate replayed iterations: a second put
+// with a seen seq is acknowledged but not applied, so accumulates land
+// at-most-once.  The id is origin-independent — a
 // survivor replaying a dead worker's iteration regenerates the same
 // seq the dead worker may already have delivered.
 type putMsg struct {
@@ -32,20 +32,18 @@ type putMsg struct {
 	seq     uint64
 }
 
-// flushMsg asks an I/O server to write all dirty cached blocks to disk
-// (server_barrier).  job scopes the flush — and the ack tag — to one
-// job's blocks inside a shared pool server; 0 (the batch path) flushes
-// everything and acks on the un-strided tagFlushAck.
+// flushMsg asks an I/O server to write one job's dirty cached blocks to
+// disk (server_barrier; master -> server).  The server acks rank 0 on
+// the job's tagFlushAck.
 type flushMsg struct {
-	origin int
-	job    int
+	job int
 }
 
 // shutdownMsg terminates a service loop or I/O server.  gather asks the
-// recipient to send its array contents to the master first.  For a
-// shared pool server, job > 0 narrows the shutdown to one job: flush
-// (and optionally gather) that job's blocks, drop its registration, and
-// keep serving the other jobs; job == 0 is the batch path's full stop.
+// recipient to send its array contents to the master first.  job names
+// the job that is ending: a server stops for good when that is the run
+// it belongs to; a pool's shared server flushes (and optionally gathers)
+// the tenant's blocks, drops its registration, and keeps serving.
 type shutdownMsg struct {
 	gather bool
 	job    int
@@ -148,17 +146,17 @@ type syncMsg struct {
 	state *workerState
 }
 
-// rereplicateMsg starts one anti-entropy pass on a server
-// (Config.Replicas > 1; master -> server on tagServer, sent at a server
-// barrier after a server eviction).  The server pushes every block it
+// rereplicateMsg starts one anti-entropy pass on a server (master ->
+// server on tagServer, sent at a server barrier after a server
+// eviction).  The server pushes every block it
 // holds and is the current primary for to the block's other live
 // replicas, then acks the master with rereplicateAck.  round numbers
 // the pass so the master can discard stragglers from a pass it
 // restarted after a further eviction.
 type rereplicateMsg struct {
 	round int
-	// job scopes the scan to one job's blocks on a shared pool server
-	// (acks return on the job's strided tagRepl); 0 is the batch path.
+	// job scopes the scan to one job's blocks (acks return on the job's
+	// strided tagRepl).
 	job int
 }
 

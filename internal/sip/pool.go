@@ -30,11 +30,11 @@ import (
 //
 // Every sync point of a job is a round mediated by the job's own master
 // on the job's strided tags, so concurrent jobs — even ones with
-// identical membership — never see each other's barriers.  Pool jobs
-// additionally run with Config.Recover forced on, which gives the pool
-// its elasticity: worker kills are evictions the job replays around, and
-// rank joins only require that later jobs' membership snapshots include
-// the newcomer.
+// identical membership — never see each other's barriers.  Every job
+// keeps the chunk ledger and effect seqs a replay needs, which gives a
+// recovering pool (PoolConfig.Recover) its elasticity: worker kills are
+// evictions the job replays around, and rank joins only require that
+// later jobs' membership snapshots include the newcomer.
 type Pool struct {
 	cfg   PoolConfig
 	world *mpi.World
@@ -68,8 +68,8 @@ type PoolConfig struct {
 	// Replicas is the served-array replication factor applied to every
 	// job (see Config.Replicas).
 	Replicas int
-	// Recover makes worker ranks (and, with Replicas > 1, server ranks)
-	// evictable, so Kill degrades jobs instead of failing them.
+	// Recover makes worker ranks (and, from two Replicas up, server
+	// ranks) evictable, so Kill degrades jobs instead of failing them.
 	Recover bool
 	// ScratchDir holds every job's served blocks and checkpoints
 	// (job-prefixed).  Empty means a temporary directory owned by the
@@ -352,7 +352,7 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		RecvTimeout:  p.cfg.RecvTimeout,
 		RecvRetries:  p.cfg.RecvRetries,
 		Replicas:     p.cfg.Replicas,
-		Recover:      true, // every pool job is replayable around a Kill
+		Recover:      p.cfg.Recover,
 		Cancel:       spec.Cancel,
 		CkptInterval: spec.CkptInterval,
 		CkptKeep:     spec.CkptKeep,
@@ -428,10 +428,10 @@ func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 	return nil
 }
 
-// Close shuts the shared servers down (flushing every tenant's dirty
-// blocks), stops the supervisor, and releases the scratch directory if
-// the pool owns it.  Jobs must have completed; Close does not wait for
-// them.
+// Close shuts the shared servers down, stops the supervisor, and
+// releases the scratch directory if the pool owns it.  Jobs must have
+// completed (each retired its blocks from the servers as it ended);
+// Close does not wait for them.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {

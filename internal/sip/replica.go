@@ -1,116 +1,88 @@
 package sip
 
-// Replica placement for served arrays (Config.Replicas > 1).
+import "fmt"
+
+// Placement of served arrays on the I/O servers, for every replication
+// factor including 1.
 //
 // Every served block gets a deterministic preference order over the
 // server ranks via rendezvous (highest-random-weight) hashing: each
 // (block, server) pair is scored independently, and the block's replica
 // set is the k live servers with the highest scores.  Rendezvous gives
-// the two properties recovery needs with no shared state:
+// the properties the runtime needs with no shared state:
 //
 //   - Every rank computes the same placement from the same membership
-//     view (the score is a pure function of array id, block ordinal,
-//     and server rank).
+//     view (the score is a pure function of job id, array id, block
+//     ordinal, and server rank).
+//   - The sets nest: the replica set under k is the head of the set
+//     under k+1, so a block's single home under Replicas == 1 is its
+//     primary under any larger factor.
 //   - Eviction rebalances minimally: removing a server only changes
 //     the replica sets of blocks that had it — for each such block the
 //     next-preferred live server joins the set, and since the old set
 //     was the top k of the same order, the new primary after <= k-1
 //     deaths is always a rank that already holds the block.
 //
-// With Replicas == 1 none of this runs: placement stays the legacy
-// modulo hash of homeServer, byte-identical to a build without
-// replication.
+// Under Replicas == 1 server ranks are critical (criticalRanks), so the
+// dead filter never removes one and a read can never fail over to a
+// server that did not hold the block.
 
-// rendezvousScore ranks server for block (job, arr, ord): FNV-1a over
-// the coordinates.  The job id is mixed in only when non-zero, so the
-// batch path's scores — and therefore its placement — are byte-identical
-// to a build without job namespaces.
-func rendezvousScore(job, arr, ord, server int) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (v>>s)&0xff) * prime
-		}
-	}
-	if job != 0 {
-		mix(uint64(job))
-	}
-	mix(uint64(arr))
-	mix(uint64(ord))
-	mix(uint64(server))
-	return h
+// mix64 folds v into the running hash h through the splitmix64
+// finalizer, whose avalanche spreads the small consecutive integers that
+// ids, ordinals and iteration values are over the whole word.
+func mix64(h, v uint64) uint64 {
+	h += v + 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
-// rendezvousReplicas returns up to k ranks from servers ordered by
+// rendezvousScore ranks server (the hash's seed) for block (job, arr, ord).
+func rendezvousScore(job, arr, ord, server int) uint64 {
+	return mix64(mix64(mix64(uint64(server), uint64(job)), uint64(arr)), uint64(ord))
+}
+
+// rendezvousReplicas appends to out[:0] up to k ranks from servers in
 // descending rendezvous score for block (job, arr, ord), skipping ranks
 // for which dead reports true.  Ties break toward the lower rank so the
-// order is total.
-func rendezvousReplicas(job, arr, ord, k int, servers []int, dead func(rank int) bool) []int {
-	type scored struct {
-		rank  int
-		score uint64
-	}
-	order := make([]scored, 0, len(servers))
-	for _, sr := range servers {
-		order = append(order, scored{rank: sr, score: rendezvousScore(job, arr, ord, sr)})
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if a.score > b.score || (a.score == b.score && a.rank < b.rank) {
-				break
+// order is total.  Each pick is one scan for the best score below the
+// previous pick, so nothing is built or sorted: with cap(out) >= k the
+// selection does not allocate.
+func rendezvousReplicas(out []int, job, arr, ord, k int, servers []int, dead func(rank int) bool) []int {
+	out = out[:0]
+	var prevScore uint64
+	prevRank := -1
+	for len(out) < k {
+		best := -1
+		var bestScore uint64
+		for _, sr := range servers {
+			if dead != nil && dead(sr) {
+				continue
 			}
-			order[j-1], order[j] = b, a
+			s := rendezvousScore(job, arr, ord, sr)
+			if prevRank >= 0 && (s > prevScore || (s == prevScore && sr <= prevRank)) {
+				continue // already picked, or ahead of the previous pick
+			}
+			if best < 0 || s > bestScore || (s == bestScore && sr < best) {
+				best, bestScore = sr, s
+			}
 		}
-	}
-	out := make([]int, 0, k)
-	for _, s := range order {
-		if len(out) == k {
-			break
+		if best < 0 {
+			break // fewer than k live servers
 		}
-		if dead != nil && dead(s.rank) {
-			continue
-		}
-		out = append(out, s.rank)
+		out = append(out, best)
+		prevScore, prevRank = bestScore, best
 	}
 	return out
 }
 
-// serverRanks returns the world ranks of all I/O servers.
-func (rt *runtime) serverRanks() []int {
-	return append([]int(nil), rt.serverList...)
-}
-
-// replicaSetOf is the placement function shared by per-job runtimes and
-// the pool's shared servers (which compute other jobs' replica sets
-// from their registrations): the live ranks from servers holding block
-// (job, arr, ord), primary first, under replication factor k.  With
-// k <= 1 it is the legacy single home chosen by homeServerOf.
-func replicaSetOf(job, arr, ord, k int, servers []int, dead func(rank int) bool) []int {
-	if k <= 1 {
-		return []int{homeServerOf(job, arr, ord, servers)}
-	}
-	return rendezvousReplicas(job, arr, ord, k, servers, dead)
-}
-
-// homeServerOf is the single-home placement hash over an explicit
-// server list; job 0 reproduces the historical batch placement exactly.
-func homeServerOf(job, arr, ord int, servers []int) int {
-	return servers[((job*31+arr)*2654435761+ord)%len(servers)]
-}
-
-// replicaServers returns the live server ranks holding block (arr, ord)
-// of a served array, primary first.  With Replicas == 1 it is exactly
-// the legacy single home (evicted or not — without backups there is
-// nowhere else to go).  The result can be shorter than Replicas when
-// fewer servers remain live; empty means every replica died.
-func (rt *runtime) replicaServers(arr, ord int) []int {
-	if rt.cfg.Replicas <= 1 {
-		return []int{rt.homeServer(arr, ord)}
-	}
+// replicaServers appends to out[:0] the live server ranks holding block
+// (arr, ord) of a served array, primary first.  The result can be
+// shorter than Replicas when fewer servers remain live; empty means
+// every replica died.
+func (rt *runtime) replicaServers(out []int, arr, ord int) []int {
 	if rt.servers == 0 {
-		rt.homeServer(arr, ord) // panics with the served-but-no-servers message
+		panic(fmt.Sprintf("sip: array %s is served but no I/O servers configured", rt.prog.Arrays[arr].Name))
 	}
-	return rendezvousReplicas(rt.job, arr, ord, rt.cfg.Replicas, rt.serverRanks(), rt.world.IsEvicted)
+	return rendezvousReplicas(out, rt.job, arr, ord, rt.cfg.Replicas, rt.serverList, rt.world.IsEvicted)
 }

@@ -22,8 +22,8 @@ func TestReplicaPlacementDeterministic(t *testing.T) {
 	servers := []int{3, 4, 5, 6}
 	for arr := 0; arr < 4; arr++ {
 		for ord := 0; ord < 64; ord++ {
-			a := rendezvousReplicas(0, arr, ord, 2, servers, nil)
-			b := rendezvousReplicas(0, arr, ord, 2, servers, nil)
+			a := rendezvousReplicas(nil, 0, arr, ord, 2, servers, nil)
+			b := rendezvousReplicas(nil, 0, arr, ord, 2, servers, nil)
 			if len(a) != 2 || len(b) != 2 || a[0] != b[0] || a[1] != b[1] {
 				t.Fatalf("placement of (%d,%d) not deterministic: %v vs %v", arr, ord, a, b)
 			}
@@ -42,7 +42,7 @@ func TestReplicaPlacementNoDuplicates(t *testing.T) {
 		}
 		for arr := 0; arr < 3; arr++ {
 			for ord := 0; ord < 64; ord++ {
-				set := rendezvousReplicas(0, arr, ord, k, servers, nil)
+				set := rendezvousReplicas(nil, 0, arr, ord, k, servers, nil)
 				if len(set) != want {
 					t.Fatalf("replicas(%d,%d,k=%d) = %v, want %d ranks", arr, ord, k, set, want)
 				}
@@ -72,8 +72,8 @@ func TestReplicaPlacementMinimalRebalance(t *testing.T) {
 		rebalanced := 0
 		for arr := 0; arr < 3; arr++ {
 			for ord := 0; ord < 64; ord++ {
-				before := rendezvousReplicas(0, arr, ord, k, servers, nil)
-				after := rendezvousReplicas(0, arr, ord, k, servers, dead)
+				before := rendezvousReplicas(nil, 0, arr, ord, k, servers, nil)
+				after := rendezvousReplicas(nil, 0, arr, ord, k, servers, dead)
 				held := false
 				for _, r := range before {
 					if r == victim {
@@ -126,18 +126,105 @@ func TestReplicaPlacementMinimalRebalance(t *testing.T) {
 	}
 }
 
-// TestReplicaServersSingleIsHomeServer: Replicas == 1 must reproduce the
-// legacy placement exactly — same server for every block, no rendezvous
-// involved.
-func TestReplicaServersSingleIsHomeServer(t *testing.T) {
-	rt := replicaRuntime(t, 2, 3, 1, false)
-	for arr := 0; arr < 4; arr++ {
-		for ord := 0; ord < 64; ord++ {
-			got := rt.replicaServers(arr, ord)
-			if len(got) != 1 || got[0] != rt.homeServer(arr, ord) {
-				t.Fatalf("replicaServers(%d,%d) = %v, want [%d]", arr, ord, got, rt.homeServer(arr, ord))
+// TestPlacementProperties: one placement function serves every
+// replication factor, so for every K <= S <= 5 the properties the
+// runtime leans on must hold — the K=1 home is the K=2 primary (sets
+// nest), removing a server moves only the blocks it held, the load is
+// balanced, and selecting into caller scratch does not allocate.
+func TestPlacementProperties(t *testing.T) {
+	const job, arr, blocks = 0, 1, 4096
+	for S := 1; S <= 5; S++ {
+		servers := contiguousRanks(3, S)
+		for K := 1; K <= S; K++ {
+			load := map[int]int{}
+			for ord := 0; ord < blocks; ord++ {
+				set := rendezvousReplicas(nil, job, arr, ord, K, servers, nil)
+				if len(set) != K {
+					t.Fatalf("S=%d K=%d ord=%d: set %v, want %d ranks", S, K, ord, set, K)
+				}
+				for _, r := range set {
+					load[r]++
+				}
+				if K < S {
+					next := rendezvousReplicas(nil, job, arr, ord, K+1, servers, nil)
+					for i, r := range set {
+						if next[i] != r {
+							t.Fatalf("S=%d ord=%d: K=%d set %v is not the head of K=%d set %v", S, ord, K, set, K+1, next)
+						}
+					}
+				}
+				// Removing any one server moves only the blocks it held.
+				for _, victim := range servers {
+					after := rendezvousReplicas(nil, job, arr, ord, K, servers, func(r int) bool { return r == victim })
+					held := false
+					for _, r := range set {
+						held = held || r == victim
+					}
+					if !held && !dimsEqual(after, set) {
+						t.Fatalf("S=%d K=%d ord=%d: set %v became %v though it never held dead rank %d", S, K, ord, set, after, victim)
+					}
+					for _, r := range after {
+						if r == victim {
+							t.Fatalf("S=%d K=%d ord=%d: set %v still names dead rank %d", S, K, ord, after, victim)
+						}
+					}
+				}
+			}
+			mean := float64(blocks*K) / float64(S)
+			for r, n := range load {
+				if float64(n) > 1.25*mean {
+					t.Errorf("S=%d K=%d: rank %d holds %d of %d block copies, max/mean %.2f > 1.25", S, K, r, n, blocks*K, float64(n)/mean)
+				}
+			}
+			scratch := make([]int, 0, K)
+			ord := 0
+			if allocs := testing.AllocsPerRun(100, func() {
+				scratch = rendezvousReplicas(scratch, job, arr, ord, K, servers, nil)
+				ord++
+			}); allocs != 0 {
+				t.Errorf("S=%d K=%d: selection into caller scratch allocates %.0f times per call", S, K, allocs)
 			}
 		}
+	}
+}
+
+// TestSingleReplicaServersNeverFailOver: with Replicas == 1 every server
+// rank is critical, so under Recover the world never lets one be evicted
+// and the placement's dead filter can never move a read to a server that
+// never held the block.
+func TestSingleReplicaServersNeverFailOver(t *testing.T) {
+	rt := replicaRuntime(t, 2, 3, 1, true)
+	critical := map[int]bool{}
+	for _, r := range rt.criticalRanks() {
+		critical[r] = true
+	}
+	for _, sr := range rt.serverList {
+		if !critical[sr] {
+			t.Errorf("server rank %d is not in criticalRanks with Replicas == 1", sr)
+		}
+		if rt.world.Evictable(sr) {
+			t.Errorf("world reports server rank %d evictable with Replicas == 1", sr)
+		}
+	}
+	if rt.serversEvictable() {
+		t.Error("serversEvictable with Replicas == 1")
+	}
+	if !rt.world.Evictable(rt.workerList[0]) {
+		t.Fatal("workers are not evictable under Recover; the checks above are vacuous")
+	}
+	victim := rt.serverList[1]
+	func() {
+		defer func() { recover() }() // evicting a critical rank fails the world
+		rt.world.Evict(victim, "test eviction")
+	}()
+	if rt.world.IsEvicted(victim) {
+		t.Fatalf("critical server rank %d was evicted", victim)
+	}
+	var scratch []int
+	if allocs := testing.AllocsPerRun(100, func() {
+		scratch = rt.replicaServers(scratch, 1, 7)
+	}); allocs != 0 {
+		t.Errorf("runtime.replicaServers into caller scratch allocates %.0f times per call", allocs)
 	}
 }
 
@@ -152,7 +239,7 @@ func TestReplicaServersSkipEvicted(t *testing.T) {
 	}
 	for arr := 0; arr < 4; arr++ {
 		for ord := 0; ord < 64; ord++ {
-			set := rt.replicaServers(arr, ord)
+			set := rt.replicaServers(nil, arr, ord)
 			if len(set) != 2 {
 				t.Fatalf("replicaServers(%d,%d) = %v, want 2 live ranks", arr, ord, set)
 			}

@@ -31,13 +31,13 @@ func TestServerFlushAllAggregatesErrors(t *testing.T) {
 	if err := os.RemoveAll(s.dir); err != nil { // every disk write now fails
 		t.Fatal(err)
 	}
-	err := s.flushAll()
+	err := s.flush(0)
 	if err == nil {
-		t.Fatal("flushAll succeeded with its directory removed")
+		t.Fatal("flush succeeded with its directory removed")
 	}
 	for _, k := range []blockKey{k0, k1} {
 		if !strings.Contains(err.Error(), k.String()) {
-			t.Errorf("flushAll error does not attribute block %v: %v", k, err)
+			t.Errorf("flush error does not attribute block %v: %v", k, err)
 		}
 	}
 }
@@ -165,8 +165,8 @@ func TestDedupLedgerRetiredMetric(t *testing.T) {
 }
 
 // TestReplicatedRunMatchesSingle: with every server alive, replication
-// must be invisible — the same answer as the legacy single-home
-// placement, whether or not recovery is on.
+// must be invisible — the same answer as with one copy per block,
+// whether or not recovery is on.
 func TestReplicatedRunMatchesSingle(t *testing.T) {
 	run := func(replicas int, recov bool) float64 {
 		t.Helper()

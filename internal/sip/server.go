@@ -37,33 +37,34 @@ type ioServer struct {
 
 	hits, misses, diskReads, diskWrites int64
 
-	// ledgers holds each job's two-epoch prepare-dedup ledger
-	// (Config.Recover): a put whose seq was already applied is
-	// acknowledged but not re-applied, so accumulates land at-most-once
-	// across chunk re-execution.  A job's ledger rotates at its own
-	// flushes (server_barrier) — by then every phase older than the
-	// previous flush is sealed and can no longer be replayed — so it
-	// holds two barrier phases of effects instead of growing for the
-	// whole run.  Ledgers are per job: one tenant's barrier cadence must
-	// never retire another tenant's still-replayable effects.
+	// ledgers holds each job's two-epoch prepare-dedup ledger: a put
+	// whose seq was already applied is acknowledged but not re-applied,
+	// so accumulates land at-most-once across chunk re-execution.  A
+	// job's ledger rotates at its own flushes (server_barrier) — by then
+	// every phase older than the previous flush is sealed and can no
+	// longer be replayed — so it holds two barrier phases of effects
+	// instead of growing for the whole run.  Ledgers are per job: one
+	// tenant's barrier cadence must never retire another tenant's
+	// still-replayable effects.
 	ledgers   map[int]*srvLedger
 	dropCtr   *obs.Counter
 	retireCtr *obs.Counter
 
-	// jobs holds the registrations of pool tenants (block keys with
-	// job != rt.job) multiplexed onto this shared server.  jobMu guards
-	// the map against the serve agent reading it while the loop mutates;
-	// all other server state stays single-goroutine.
+	// jobs holds the registration of every job whose blocks this server
+	// can size and place: its own run's (a batch server, at construction)
+	// and a pool's tenants.  jobMu guards the map against the serve agent
+	// reading it while the loop mutates; all other server state stays
+	// single-goroutine.
 	jobMu sync.RWMutex
 	jobs  map[int]*srvJob
 
 	trk *obs.Track // cache/disk span track; nil when tracing is off
 }
 
-// srvJob is one pool tenant's registration on a shared I/O server: the
-// resolved program and layout that size its blocks, its presets, and
-// its replication config for placement.  Tenants register before their
-// master starts, so every request carrying the job's id can be served.
+// srvJob is one job's registration on an I/O server: the resolved
+// program and layout that size its blocks, its presets, and its
+// replication config for placement.  Jobs register before their master
+// starts, so every request carrying the job's id can be served.
 type srvJob struct {
 	job      int
 	prog     *bytecode.Program
@@ -91,7 +92,7 @@ type srvEntry struct {
 }
 
 func newIOServer(rt *runtime, rank int) *ioServer {
-	return &ioServer{
+	s := &ioServer{
 		rt:        rt,
 		comm:      rt.world.Comm(rank),
 		rank:      rank,
@@ -106,22 +107,24 @@ func newIOServer(rt *runtime, rank int) *ioServer {
 		retireCtr: rt.metrics.Counter(metricDedupRetired),
 		trk:       rt.tracer.Track(rank, 0, fmt.Sprintf("server %d", rank), "cache"),
 	}
+	if rt.prog != nil {
+		// A run that brings its own servers registers itself with them.
+		s.jobs[rt.job] = &srvJob{job: rt.job, prog: rt.prog, layout: rt.layout,
+			preset: rt.cfg.Preset, replicas: rt.cfg.Replicas, servers: rt.serverList}
+	}
+	return s
 }
+
+// blockFileFormat names a served block's spill file; scanDisk and the
+// snapshot code (eachSpillFile) parse names with it.
+const blockFileFormat = "j%d_a%d_b%d.blk"
 
 func (s *ioServer) blockPath(k blockKey) string {
-	if k.job != 0 {
-		return filepath.Join(s.dir, fmt.Sprintf("j%d_a%d_b%d.blk", k.job, k.arr, k.ord))
-	}
-	return filepath.Join(s.dir, fmt.Sprintf("a%d_b%d.blk", k.arr, k.ord))
+	return filepath.Join(s.dir, fmt.Sprintf(blockFileFormat, k.job, k.arr, k.ord))
 }
 
-// jobOf returns the registration of a pool tenant, or nil for the
-// server's own base job (whose program and layout live on rt) and for
-// unknown jobs.
+// jobOf returns a job's registration, or nil for unknown jobs.
 func (s *ioServer) jobOf(job int) *srvJob {
-	if job == s.rt.job {
-		return nil
-	}
 	s.jobMu.RLock()
 	defer s.jobMu.RUnlock()
 	return s.jobs[job]
@@ -138,23 +141,32 @@ func (s *ioServer) ledger(job int) *srvLedger {
 }
 
 func (s *ioServer) blockDims(k blockKey) ([]int, error) {
-	layout := s.rt.layout
-	if j := s.jobOf(k.job); j != nil {
-		layout = j.layout
-	} else if k.job != s.rt.job {
+	j := s.jobOf(k.job)
+	if j == nil {
 		return nil, fmt.Errorf("sip: server %d: block %v belongs to an unregistered job", s.rank, k)
 	}
-	shape := layout.Shapes[k.arr]
+	shape := j.layout.Shapes[k.arr]
 	return shape.BlockDims(shape.CoordOf(k.ord)), nil
 }
 
-// replicasOf returns the live replica set of a block, using the owning
-// tenant's registration for pool jobs and rt for the base job.
+// replicasOf returns the live replica set of a block, placed by its
+// job's registration; empty for unknown jobs.
 func (s *ioServer) replicasOf(k blockKey) []int {
-	if j := s.jobOf(k.job); j != nil {
-		return replicaSetOf(k.job, k.arr, k.ord, j.replicas, j.servers, s.rt.world.IsEvicted)
+	j := s.jobOf(k.job)
+	if j == nil {
+		return nil
 	}
-	return s.rt.replicaServers(k.arr, k.ord)
+	return rendezvousReplicas(nil, k.job, k.arr, k.ord, j.replicas, j.servers, s.rt.world.IsEvicted)
+}
+
+// holdsBlock reports whether this server is in the block's replica set.
+func (s *ioServer) holdsBlock(k blockKey) bool {
+	for _, sr := range s.replicasOf(k) {
+		if sr == s.rank {
+			return true
+		}
+	}
+	return false
 }
 
 // run is the server main loop.  All operations are handled from one
@@ -192,8 +204,10 @@ func (s *ioServer) run() (err error) {
 	if err := s.scanDisk(); err != nil {
 		return err
 	}
-	if err := s.installPresets(); err != nil {
-		return err
+	if j := s.jobOf(s.rt.job); j != nil {
+		if err := s.installPresets(j); err != nil {
+			return err
+		}
 	}
 	for {
 		m := s.comm.Recv(mpi.AnySource, tagServer)
@@ -239,11 +253,11 @@ func (s *ioServer) run() (err error) {
 			if s.trk != nil {
 				start = time.Now()
 			}
-			if err := s.flushJob(msg.job); err != nil {
+			if err := s.flush(msg.job); err != nil {
 				return err
 			}
 			s.retireSeen(msg.job)
-			s.comm.Send(msg.origin, jobTag(msg.job, tagFlushAck), ackMsg{})
+			s.comm.Send(0, jobTag(msg.job, tagFlushAck), ackMsg{})
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "flush", obs.AInt("job", msg.job))
 			}
@@ -273,19 +287,8 @@ func (s *ioServer) run() (err error) {
 			if s.trk != nil {
 				start = time.Now()
 			}
-			if msg.job != s.rt.job {
-				// One tenant leaving the shared pool server: flush and
-				// gather its namespace, drop its state, keep serving the
-				// other jobs.
-				if err := s.retireJob(msg); err != nil {
-					return err
-				}
-				if s.trk != nil {
-					s.trk.End(start, obs.CatServerCache, "job_retired", obs.AInt("job", msg.job))
-				}
-				continue
-			}
-			if err := s.flushAll(); err != nil {
+			// A job is over: make its blocks durable, report them if asked.
+			if err := s.flush(msg.job); err != nil {
 				return err
 			}
 			if msg.gather {
@@ -295,10 +298,19 @@ func (s *ioServer) run() (err error) {
 				}
 				s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
 			}
-			if s.trk != nil {
-				s.trk.End(start, obs.CatServerCache, "shutdown")
+			if msg.job == s.rt.job {
+				// The run this server belongs to: stop, leaving the block
+				// files for a restarted run to adopt.
+				if s.trk != nil {
+					s.trk.End(start, obs.CatServerCache, "shutdown")
+				}
+				return nil
 			}
-			return nil
+			// A pool tenant left; keep serving the others.
+			s.dropJob(msg.job)
+			if s.trk != nil {
+				s.trk.End(start, obs.CatServerCache, "job_retired", obs.AInt("job", msg.job))
+			}
 		case srvRegMsg:
 			// A pool tenant registering (sent by this rank's serve
 			// agent).  Presets install before the readiness ack, so the
@@ -307,7 +319,7 @@ func (s *ioServer) run() (err error) {
 			s.jobMu.Lock()
 			s.jobs[msg.j.job] = msg.j
 			s.jobMu.Unlock()
-			if err := s.installJobPresets(msg.j); err != nil {
+			if err := s.installPresets(msg.j); err != nil {
 				return err
 			}
 			s.comm.Send(0, jobTag(msg.j.job, tagJob), ackMsg{})
@@ -315,73 +327,32 @@ func (s *ioServer) run() (err error) {
 	}
 }
 
-// retireJob is one tenant's end-of-job teardown on the shared server:
-// durable flush, optional gather of its namespace, then every trace of
-// the job — cache entries, disk blocks, dedup ledger, registration —
-// is dropped so the pool's footprint tracks its live tenants.
-func (s *ioServer) retireJob(msg shutdownMsg) error {
-	if err := s.flushJob(msg.job); err != nil {
-		return err
-	}
-	if msg.gather {
-		arrays, err := s.gatherJob(msg.job)
-		if err != nil {
-			return err
-		}
-		s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
-	}
+// dropJob forgets a retired tenant — cache entries, disk blocks, dedup
+// ledger, registration — so the pool's footprint tracks its live
+// tenants.
+func (s *ioServer) dropJob(job int) {
 	for k, e := range s.entries {
-		if k.job == msg.job {
+		if k.job == job {
 			s.lru.Remove(e.elem)
 			delete(s.entries, k)
 		}
 	}
 	for k := range s.onDisk {
-		if k.job == msg.job {
+		if k.job == job {
 			os.Remove(s.blockPath(k))
 			delete(s.onDisk, k)
 		}
 	}
-	delete(s.ledgers, msg.job)
+	delete(s.ledgers, job)
 	s.jobMu.Lock()
-	delete(s.jobs, msg.job)
+	delete(s.jobs, job)
 	s.jobMu.Unlock()
-	return nil
 }
 
-// installPresets loads Config.Preset blocks for served arrays this
-// server holds: the home under Replicas == 1, every replica otherwise,
-// so backups start with the same contents as the primary.
-func (s *ioServer) installPresets() error {
-	for name, fn := range s.rt.cfg.Preset {
-		arr := s.rt.prog.ArrayID(name)
-		if arr < 0 || s.rt.prog.Arrays[arr].Kind != bytecode.ArrayServed {
-			continue
-		}
-		shape := s.rt.layout.Shapes[arr]
-		var err error
-		shape.EachCoord(func(c segment.Coord) {
-			ord := shape.Ordinal(c)
-			if err != nil || !s.holdsBlock(arr, ord) {
-				return
-			}
-			lo, hi := shape.BlockBounds(c)
-			b := fn(c.Clone(), lo, hi)
-			if b == nil {
-				return
-			}
-			err = s.apply(blockKey{job: s.rt.job, arr: arr, ord: ord}, b, false)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// installJobPresets mirrors installPresets for a newly registered pool
-// tenant: its served presets land on every replica this rank backs.
-func (s *ioServer) installJobPresets(j *srvJob) error {
+// installPresets loads a newly registered job's served-array presets
+// onto this server when it is in the block's replica set, so backups
+// start with the same contents as the primary.
+func (s *ioServer) installPresets(j *srvJob) error {
 	for name, fn := range j.preset {
 		arr := j.prog.ArrayID(name)
 		if arr < 0 || j.prog.Arrays[arr].Kind != bytecode.ArrayServed {
@@ -390,17 +361,8 @@ func (s *ioServer) installJobPresets(j *srvJob) error {
 		shape := j.layout.Shapes[arr]
 		var err error
 		shape.EachCoord(func(c segment.Coord) {
-			if err != nil {
-				return
-			}
 			k := blockKey{job: j.job, arr: arr, ord: shape.Ordinal(c)}
-			holds := false
-			for _, sr := range s.replicasOf(k) {
-				if sr == s.rank {
-					holds = true
-				}
-			}
-			if !holds {
+			if err != nil || !s.holdsBlock(k) {
 				return
 			}
 			lo, hi := shape.BlockBounds(c)
@@ -415,17 +377,6 @@ func (s *ioServer) installJobPresets(j *srvJob) error {
 		}
 	}
 	return nil
-}
-
-// holdsBlock reports whether this server is in block (arr, ord)'s
-// replica set.
-func (s *ioServer) holdsBlock(arr, ord int) bool {
-	for _, sr := range s.rt.replicaServers(arr, ord) {
-		if sr == s.rank {
-			return true
-		}
-	}
-	return false
 }
 
 // fetch returns the cached block, reading from disk on a miss; absent
@@ -587,30 +538,14 @@ func (s *ioServer) rereplicate(round, job int) (int, error) {
 	return pushed, nil
 }
 
-// flushJob writes one job's dirty cached blocks to disk
-// (server_barrier and per-job shutdown).  It keeps flushing past
-// individual failures and returns the joined errors, each attributed to
-// its block key, so one bad block does not hide the fate of the rest.
-func (s *ioServer) flushJob(job int) error {
+// flush writes one job's dirty cached blocks to disk (server_barrier
+// and the job's shutdown).  It keeps flushing past individual failures
+// and returns the joined errors, each attributed to its block key, so
+// one bad block does not hide the fate of the rest.
+func (s *ioServer) flush(job int) error {
 	var errs []error
 	for _, e := range s.entries {
 		if e.dirty && e.key.job == job {
-			if err := s.writeDisk(e.key, e.b); err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			e.dirty = false
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// flushAll writes every dirty cached block of every job to disk (final
-// shutdown of the server itself).
-func (s *ioServer) flushAll() error {
-	var errs []error
-	for _, e := range s.entries {
-		if e.dirty {
 			if err := s.writeDisk(e.key, e.b); err != nil {
 				errs = append(errs, err)
 				continue
@@ -648,8 +583,11 @@ func (s *ioServer) gatherJob(job int) (map[int][]ArrayBlock, error) {
 
 // scanDisk rebuilds the on-disk index from block files left by a
 // previous incarnation of this server in the same scratch dir, so a
-// restarted run can serve durable blocks it did not write itself.
-// Leftover temp files from interrupted atomic writes are removed.
+// restarted run can serve durable blocks it did not write itself.  Only
+// files of a job registered here — the registration sizes them — are
+// adopted: a batch server's own job's, and none on a pool's shared
+// servers, whose tenants restart from their snapshots.  Leftover temp
+// files from interrupted atomic writes are removed.
 func (s *ioServer) scanDisk() error {
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -661,19 +599,9 @@ func (s *ioServer) scanDisk() error {
 		}
 		name := de.Name()
 		var job, arr, ord int
-		if n, _ := fmt.Sscanf(name, "j%d_a%d_b%d.blk", &job, &arr, &ord); n == 3 && filepath.Ext(name) == ".blk" {
-			// A pool tenant's block from a previous incarnation; its
-			// registration (if the job resubmits) restores the layout.
-			if job > 0 && arr >= 0 {
+		if n, _ := fmt.Sscanf(name, blockFileFormat, &job, &arr, &ord); n == 3 && filepath.Ext(name) == ".blk" {
+			if j := s.jobOf(job); j != nil && arr >= 0 && arr < len(j.prog.Arrays) && ord >= 0 {
 				s.onDisk[blockKey{job: job, arr: arr, ord: ord}] = true
-			}
-			continue
-		}
-		if n, _ := fmt.Sscanf(name, "a%d_b%d.blk", &arr, &ord); n == 2 && filepath.Ext(name) == ".blk" {
-			// A pool's base runtime has no program of its own; legacy
-			// un-prefixed blocks belong to the batch path only.
-			if s.rt.prog != nil && arr >= 0 && arr < len(s.rt.prog.Arrays) {
-				s.onDisk[blockKey{arr: arr, ord: ord}] = true
 			}
 			continue
 		}

@@ -62,10 +62,10 @@ const (
 // jobTagStride is the tag-space stride between concurrent jobs sharing
 // one world (sial serve).  Every tag a job's master and workers use is
 // offset by job*jobTagStride, so two jobs' chunk replies, acks, and
-// reply tags can never collide in a shared mailbox.  Job 0 (the batch
-// path) keeps the historical un-strided tags.  The stride leaves room
-// for tagReplyBase plus hundreds of thousands of outstanding replies
-// per job.
+// reply tags can never collide in a shared mailbox.  A batch run is job
+// 0, whose window starts at tag 0.  The stride leaves room for
+// tagReplyBase plus hundreds of thousands of outstanding replies per
+// job.
 const jobTagStride = 1 << 20
 
 // jobTag offsets a base tag into job's tag space.  I/O servers are
@@ -179,30 +179,28 @@ type Config struct {
 	// first before a receive is declared failed (default 2, so a receive
 	// waits 3*RecvTimeout in total).  Negative means no retries.
 	RecvRetries int
-	// Recover decides what a rank's death does.  Off (the default), any
-	// diagnosed death fails the whole run fast.  On, a dead worker is
-	// evicted from the world instead: the master keeps a ledger of the
-	// pardo iterations it handed out and re-dispatches the dead worker's
-	// unacknowledged ones to the survivors, and put/prepare carry effect
-	// sequence numbers so replayed side effects are dropped at their
-	// destinations.  How workers synchronise does not depend on it — every
-	// barrier and collective is a master-mediated sync round either way.
-	// Blocks of *distributed* (worker-homed) arrays on the dead worker are
-	// lost — recovery is exact for programs that stage mutable state
-	// through served arrays and scalars (see docs/FAULTS.md, "Recovery").
-	// Master death remains fatal, and so does I/O-server death unless
-	// Replicas > 1.
+	// Recover decides what a diagnosed rank death does, and nothing else:
+	// off (the default) it fails the whole run fast; on, a dead worker is
+	// evicted and the run completes without it.  What makes the eviction
+	// exact is always kept — the master's ledger of handed-out pardo
+	// chunks, whose unacknowledged iterations go back to the survivors,
+	// and the effect seqs that drop replayed put/prepare at their
+	// destinations.  Blocks of *distributed* (worker-homed) arrays on the
+	// dead worker are lost — recovery is exact for programs that stage
+	// mutable state through served arrays and scalars (docs/FAULTS.md,
+	// "Recovery").  Master death stays fatal, and so does I/O-server
+	// death at Replicas == 1.
 	Recover bool
 	// Replicas is the number of I/O servers holding each served-array
-	// block (default 1: today's single-home placement, byte-identical
-	// protocol).  With Replicas > 1 every served block gets a
-	// deterministic replica set chosen by rendezvous hashing over the
-	// live servers: put/prepare fans out to all replicas (the effect-seq
-	// dedup keeps retries idempotent), request reads from the primary
-	// with failover to backups, and — combined with Recover — a dead
-	// server rank is evicted instead of fatal, with an anti-entropy pass
-	// at the next server barrier re-replicating under-replicated blocks.
-	// Must not exceed Servers.
+	// block (default 1).  Every served block gets a deterministic replica
+	// set — the Replicas live servers that rendezvous hashing ranks
+	// highest for it (replica.go): put/prepare goes to every member (the
+	// effect-seq dedup keeps retries idempotent) and request reads from
+	// the primary.  From 2 up a block survives its server: reads fail
+	// over to the backups and — combined with Recover — a dead server
+	// rank is evicted instead of fatal, with an anti-entropy pass at the
+	// next server barrier re-replicating under-replicated blocks.  Must
+	// not exceed Servers.
 	Replicas int
 	// ObsShip enables the observability plane for distributed runs
 	// (RunRank): every non-master rank periodically — and once more
@@ -236,9 +234,9 @@ type Config struct {
 	// CkptInterval enables automatic consistent job snapshots
 	// (snapshot.go): the master captures a restartable checkpoint at
 	// every sealed sync round and every CkptInterval completed pardo
-	// chunks (when the open pardos are pure).  Requires Recover — the
-	// snapshot consistency points are the recovery protocol's
-	// master-mediated sync rounds.  0 disables checkpointing.
+	// chunks (when the open pardos are pure).  Independent of Recover: a
+	// snapshot survives the whole run dying, an eviction one rank.  0
+	// disables checkpointing.
 	CkptInterval int
 	// CkptKeep is the snapshot retention depth (default 2): older epochs
 	// are garbage-collected after each successful snapshot, and a
@@ -296,7 +294,7 @@ func (c *Config) fill() error {
 	if c.Replicas < 1 {
 		return fmt.Errorf("sip: Replicas = %d, need >= 1", c.Replicas)
 	}
-	if c.Replicas > 1 && c.Replicas > c.Servers {
+	if c.Replicas > max(c.Servers, 1) { // a run without served arrays needs no server
 		return fmt.Errorf("sip: Replicas = %d exceeds Servers = %d", c.Replicas, c.Servers)
 	}
 	if c.ObsInterval <= 0 {
@@ -318,9 +316,6 @@ func (c *Config) fill() error {
 		return fmt.Errorf("sip: CkptInterval = %d, need >= 0", c.CkptInterval)
 	}
 	if c.CkptInterval > 0 {
-		if !c.Recover {
-			return fmt.Errorf("sip: CkptInterval requires Recover (snapshots read the recovery chunk ledger)")
-		}
 		if c.CkptKeep <= 0 {
 			c.CkptKeep = 2
 		}
@@ -355,15 +350,15 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// placement locates one run inside a world.  The zero value is the batch
-// layout: job 0 with un-strided tags and un-prefixed block keys, workers
-// on ranks 1..W, I/O servers on W+1..W+S, unconstrained dispatch.  A
-// pool hands the launcher a positive job id — striding every tag the
-// job's master and workers use by job*jobTagStride and prefixing every
-// block key, isolating concurrent jobs end to end — together with the
-// live membership it snapshotted at admission (so jobs admitted after a
-// rank join include the newcomer while running jobs keep their group)
-// and its fairness gate.
+// placement locates one run inside a world.  The job id strides every
+// tag the run's master and workers use by job*jobTagStride and namespaces
+// every block key, file name and effect id, isolating concurrent jobs end
+// to end.  The zero value is the batch layout: job 0 owning the world,
+// workers on ranks 1..W, I/O servers on W+1..W+S, unconstrained dispatch.
+// A pool hands the launcher a positive job id together with the live
+// membership it snapshotted at admission (so jobs admitted after a rank
+// join include the newcomer while running jobs keep their group) and its
+// fairness gate.
 type placement struct {
 	job     int
 	workers []int // world ranks in worker-index order; nil = 1..W
@@ -381,8 +376,8 @@ type runtime struct {
 	workers int
 	servers int
 
-	// job and tagBase stride this run's message tags inside a shared
-	// pool world; both are zero on the batch path (see jobTagStride).
+	// job namespaces this run's block keys, and tagBase (job*jobTagStride)
+	// its message tags, inside the world.
 	job     int
 	tagBase int
 
@@ -694,21 +689,22 @@ func NewBlockedPlacement(blocksOf func(arr int) int) PlacementFunc {
 
 // criticalRanks returns the ranks whose death recovery cannot survive:
 // the master (sole scheduler) and — with Replicas == 1 — the I/O
-// servers (then the sole holders of served-array state).  With
-// Replicas > 1 every served block lives on several servers, so server
+// servers (then the sole holders of served-array state).  From two
+// replicas up every served block lives on several servers, so server
 // ranks become evictable like workers.
 func (rt *runtime) criticalRanks() []int {
 	ranks := []int{0}
-	if rt.cfg.Replicas <= 1 {
+	if rt.cfg.Replicas == 1 {
 		ranks = append(ranks, rt.serverList...)
 	}
 	return ranks
 }
 
 // serversEvictable reports whether I/O-server deaths are survivable in
-// this run: recovery is on and every served block has backup replicas.
+// this run.  Server ranks are critical or evictable together (see
+// criticalRanks), so the world's verdict on the first one stands for all.
 func (rt *runtime) serversEvictable() bool {
-	return rt.cfg.Recover && rt.cfg.Replicas > 1
+	return len(rt.serverList) > 0 && rt.world.Evictable(rt.serverList[0])
 }
 
 // homeWorker returns the world rank of the worker that owns block ord of
@@ -723,17 +719,6 @@ func (rt *runtime) homeWorker(arr, ord int) int {
 		panic(fmt.Sprintf("sip: placement returned worker %d out of range [0,%d)", w, rt.workers))
 	}
 	return rt.workerList[w]
-}
-
-// homeServer returns the world rank of the I/O server that owns block
-// ord of served array arr.  The job id is folded into the hash so
-// concurrent jobs spread their load differently; job 0 reproduces the
-// historical placement exactly.
-func (rt *runtime) homeServer(arr, ord int) int {
-	if rt.servers == 0 {
-		panic(fmt.Sprintf("sip: array %s is served but no I/O servers configured", rt.prog.Arrays[arr].Name))
-	}
-	return homeServerOf(rt.job, arr, ord, rt.serverList)
 }
 
 // Run compiles nothing: it executes an already compiled program under the

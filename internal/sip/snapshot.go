@@ -348,6 +348,33 @@ func (m *master) pardoPure(pid int) bool {
 	return pure
 }
 
+// eachSpillFile calls fn with the path and block coordinates of every
+// served-block spill file this job has in the scratch directories of
+// the given servers.
+func (rt *runtime) eachSpillFile(servers []int, fn func(path string, arr, ord int) error) error {
+	for _, sr := range servers {
+		srvDir := filepath.Join(rt.scratch, fmt.Sprintf("srv%d", sr))
+		names, err := os.ReadDir(srvDir)
+		if err != nil {
+			if os.IsNotExist(err) {
+				continue // server never spilled anything
+			}
+			return err
+		}
+		for _, de := range names {
+			var job, arr, ord int
+			if n, _ := fmt.Sscanf(de.Name(), blockFileFormat, &job, &arr, &ord); n != 3 ||
+				job != rt.job || de.IsDir() || filepath.Ext(de.Name()) != ".blk" {
+				continue
+			}
+			if err := fn(filepath.Join(srvDir, de.Name()), arr, ord); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // captureBlocks hard-links every served-array block file of this job
 // from the live servers' scratch directories into the epoch directory,
 // first-found per block, and returns the manifest entries with their
@@ -358,55 +385,32 @@ func (m *master) captureBlocks(dir string) ([]ckptBlockEntry, int64, error) {
 	var out []ckptBlockEntry
 	var total int64
 	seen := map[[2]int]bool{}
+	var live []int
 	for _, sr := range rt.serverList {
-		if rt.world.IsEvicted(sr) {
-			continue
-		}
-		srvDir := filepath.Join(rt.scratch, fmt.Sprintf("srv%d", sr))
-		names, err := os.ReadDir(srvDir)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // server never spilled anything
-			}
-			return nil, 0, err
-		}
-		for _, de := range names {
-			if de.IsDir() || filepath.Ext(de.Name()) != ".blk" {
-				continue
-			}
-			name := de.Name()
-			var job, arr, ord int
-			if rt.job != 0 {
-				if n, _ := fmt.Sscanf(name, "j%d_a%d_b%d.blk", &job, &arr, &ord); n != 3 || job != rt.job {
-					continue
-				}
-			} else {
-				if n, _ := fmt.Sscanf(name, "a%d_b%d.blk", &arr, &ord); n != 2 {
-					continue
-				}
-			}
-			if arr < 0 || arr >= len(rt.prog.Arrays) || ord < 0 {
-				continue
-			}
-			k := [2]int{arr, ord}
-			if seen[k] {
-				continue // a replica already supplied this block
-			}
-			seen[k] = true
-			rel := fmt.Sprintf("a%d_b%d.blk", arr, ord)
-			dst := filepath.Join(dir, rel)
-			if err := linkOrCopy(filepath.Join(srvDir, name), dst); err != nil {
-				return nil, 0, err
-			}
-			crc, sz, err := fileCRC(dst)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, ckptBlockEntry{arr: arr, ord: ord, rel: rel, crc: crc, bytes: sz})
-			total += sz
+		if !rt.world.IsEvicted(sr) {
+			live = append(live, sr)
 		}
 	}
-	return out, total, nil
+	err := rt.eachSpillFile(live, func(path string, arr, ord int) error {
+		k := [2]int{arr, ord}
+		if arr < 0 || arr >= len(rt.prog.Arrays) || ord < 0 || seen[k] {
+			return nil // not a block of this program, or a replica already supplied it
+		}
+		seen[k] = true
+		rel := fmt.Sprintf("a%d_b%d.blk", arr, ord)
+		dst := filepath.Join(dir, rel)
+		if err := linkOrCopy(path, dst); err != nil {
+			return err
+		}
+		crc, sz, err := fileCRC(dst)
+		if err != nil {
+			return err
+		}
+		out = append(out, ckptBlockEntry{arr: arr, ord: ord, rel: rel, crc: crc, bytes: sz})
+		total += sz
+		return nil
+	})
+	return out, total, err
 }
 
 // writeSnapshot captures one epoch: block files into a fresh epoch
@@ -582,17 +586,8 @@ func (m *master) rehydrate(man *ckptManifest) error {
 		for i := range data {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		var dsts []int
-		if rt.cfg.Replicas > 1 {
-			dsts = rt.replicaServers(be.arr, be.ord)
-		} else {
-			dsts = []int{rt.homeServer(be.arr, be.ord)}
-		}
 		key := blockKey{job: rt.job, arr: be.arr, ord: be.ord}
-		for _, sr := range dsts {
-			if rt.world.IsEvicted(sr) {
-				continue
-			}
+		for _, sr := range rt.replicaServers(nil, be.arr, be.ord) {
 			b := block.FromData(append([]float64(nil), data...), dims...)
 			m.comm.Send(sr, tagServer, putMsg{key: key, b: b, origin: 0, needAck: true})
 			owed[sr]++
@@ -633,35 +628,18 @@ func (m *master) rehydrate(man *ckptManifest) error {
 
 // cleanStaleBlocks removes this job's served-block spill files left in
 // the servers' scratch directories by a previous incarnation (same job
-// id over a shared scratch — a restarted `sial serve` reassigns pool
-// job ids from 1).  After a restart the snapshot is the only durable
-// served state: a stale file would otherwise shadow the re-execution of
-// the lost phase, and replayed accumulates would double-apply — the
-// effect-dedup ledger died with the old run.
+// id over the same scratch — every batch run is job 0, and a restarted
+// `sial serve` reassigns pool job ids from 1).  After a restart the
+// snapshot is the only durable served state: a stale file would
+// otherwise shadow the re-execution of the lost phase, and replayed
+// accumulates would double-apply — the effect-dedup ledger died with
+// the old run.
 func (m *master) cleanStaleBlocks() {
-	rt := m.rt
-	for _, sr := range rt.serverList {
-		srvDir := filepath.Join(rt.scratch, fmt.Sprintf("srv%d", sr))
-		entries, err := os.ReadDir(srvDir)
-		if err != nil {
-			continue
-		}
-		for _, de := range entries {
-			name := de.Name()
-			if de.IsDir() || filepath.Ext(name) != ".blk" {
-				continue
-			}
-			var job, arr, ord int
-			if rt.job != 0 {
-				if n, _ := fmt.Sscanf(name, "j%d_a%d_b%d.blk", &job, &arr, &ord); n != 3 || job != rt.job {
-					continue
-				}
-			} else if n, _ := fmt.Sscanf(name, "a%d_b%d.blk", &arr, &ord); n != 2 {
-				continue
-			}
-			os.Remove(filepath.Join(srvDir, name))
-		}
-	}
+	// Best effort: an unreadable directory is its server's to report.
+	_ = m.rt.eachSpillFile(m.rt.serverList, func(path string, _, _ int) error {
+		os.Remove(path)
+		return nil
+	})
 }
 
 // resumeSetup runs once before the master's main loop.  Without Resume
@@ -812,10 +790,10 @@ func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
 	}
 	if len(r.assigned[req.origin]) > 0 {
 		if r.completed == nil {
-			r.completed = map[int][][]int{}
+			r.completed = map[int][][][]int{}
 			r.completedDelta = map[int][]float64{}
 		}
-		r.completed[req.origin] = append([][]int(nil), r.assigned[req.origin]...)
+		r.completed[req.origin] = append([][][]int(nil), r.assigned[req.origin]...)
 		if req.delta != nil {
 			r.completedDelta[req.origin] = append([]float64(nil), req.delta...)
 		}
@@ -845,8 +823,10 @@ func (m *master) maybeChunkSnapshot(trk *obs.Track) {
 	for key, r := range m.runs {
 		ov := ckptOverlay{pardo: key[0], gen: key[1]}
 		ov.iters = append(ov.iters, r.skipIters...)
-		for _, its := range r.completed {
-			ov.iters = append(ov.iters, its...)
+		for _, chunks := range r.completed {
+			for _, chunk := range chunks {
+				ov.iters = append(ov.iters, chunk...)
+			}
 		}
 		if len(ov.iters) == 0 {
 			continue

@@ -235,19 +235,17 @@ func TestIntegrityFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCkptIntervalValidation: the config cross-checks.
+// TestCkptIntervalValidation: the config cross-checks.  Checkpointing
+// does not depend on Recover — the chunk ledger snapshots read is always
+// kept.
 func TestCkptIntervalValidation(t *testing.T) {
-	cfg := Config{Workers: 1, CkptInterval: 4}
-	if err := cfg.fill(); err == nil {
-		t.Error("CkptInterval without Recover accepted")
-	}
-	cfg = Config{Workers: 1, Resume: true}
+	cfg := Config{Workers: 1, Resume: true}
 	if err := cfg.fill(); err == nil {
 		t.Error("Resume without CkptInterval accepted")
 	}
-	cfg = Config{Workers: 1, Recover: true, CkptInterval: 4}
+	cfg = Config{Workers: 1, CkptInterval: 4}
 	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("CkptInterval without Recover: %v", err)
 	}
 	if cfg.CkptKeep != 2 || cfg.CkptName != "job" {
 		t.Errorf("defaults: keep=%d name=%q, want 2/job", cfg.CkptKeep, cfg.CkptName)

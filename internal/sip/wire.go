@@ -346,11 +346,8 @@ func init() {
 			return m
 		})
 	wire.Register(wireIDFlushMsg,
-		func(e *wire.Encoder, m flushMsg) {
-			e.Int(m.origin)
-			e.Int(m.job)
-		},
-		func(d *wire.Decoder) flushMsg { return flushMsg{origin: d.Int(), job: d.Int()} })
+		func(e *wire.Encoder, m flushMsg) { e.Int(m.job) },
+		func(d *wire.Decoder) flushMsg { return flushMsg{job: d.Int()} })
 	wire.Register(wireIDShutdownMsg,
 		func(e *wire.Encoder, m shutdownMsg) {
 			e.Bool(m.gather)
@@ -587,7 +584,7 @@ func init() {
 	abs := []ArrayBlock{{Ord: 1, Data: []float64{0.5, -0.5}}}
 	wire.Sample(getMsg{key: k, replyTag: 70, origin: 4})
 	wire.Sample(putMsg{key: k, acc: true, origin: 2, needAck: true, seq: 9, b: b})
-	wire.Sample(flushMsg{origin: 1, job: 2})
+	wire.Sample(flushMsg{job: 2})
 	wire.Sample(shutdownMsg{gather: true, job: 2})
 	wire.Sample(chunkMsg{pardo: 1, gen: 2, origin: 3, delta: []float64{0.25}})
 	wire.Sample(chunkReply{iters: [][]int{{1, 2}, {3}}})
@@ -602,7 +599,7 @@ func init() {
 	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, vals: []float64{1.5}, scalar: 0, state: st})
 	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, iters: [][]int{{0}}, vals: []float64{2}, state: st})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,
-		sums: []float64{2, 4},
+		sums:     []float64{2, 4},
 		overlays: []ckptOverlay{{pardo: 0, gen: 1, iters: [][]int{{0, 1}, {0, 2}}}},
 		blocks:   []ckptBlockEntry{{arr: 1, ord: 2, rel: "a1_b2.blk", crc: 0xcafe, bytes: 32}}})
 	wire.Sample(rereplicateMsg{round: 1, job: 2})

@@ -26,7 +26,7 @@ func TestMessageWireRoundTrips(t *testing.T) {
 	}
 	msgs := []any{
 		getMsg{key: blockKey{arr: 3, ord: 17}, replyTag: 1 << 16, origin: 2},
-		flushMsg{origin: 4},
+		flushMsg{job: 4},
 		shutdownMsg{gather: true},
 		shutdownMsg{},
 		chunkMsg{pardo: 2, gen: 5, origin: 1},

@@ -34,7 +34,7 @@ type frame struct {
 	chunk   [][]int
 	pos     int
 	exitPC  int
-	replay  bool // re-executing a dead worker's iterations (Config.Recover)
+	replay  bool // re-executing a dead worker's iterations
 	effectN int  // per-iteration put/prepare ordinal for dedup seqs
 	// entryScalars is the scalar table at pardo entry (checkpointing
 	// only): each chunk request reports scalars-minus-entry, the
@@ -81,8 +81,9 @@ type worker struct {
 	// count outstanding put/prepare acks per destination, so acks owed by
 	// an evicted home or server can be forgotten and a silent one named.
 	// seenPuts/seenPrevPuts are the two live epochs of the put-dedup
-	// ledger (effect seqs exist only under Config.Recover), shared with
-	// the service loop (seenMu) and rotated at each sync release.
+	// ledger, shared with the service loop (seenMu) and rotated at each
+	// sync release.  replicas is the interpreter's scratch for replica
+	// sets, so placing a served block allocates nothing.
 	syncRound    int
 	pardoPCs     []int
 	owedPutAcks  map[int]int
@@ -90,6 +91,7 @@ type worker struct {
 	seenMu       sync.Mutex
 	seenPuts     map[uint64]bool
 	seenPrevPuts map[uint64]bool
+	replicas     []int
 	dropCtr      *obs.Counter
 	retireCtr    *obs.Counter
 	failoverCtr  *obs.Counter
@@ -978,7 +980,7 @@ func (w *worker) waitBlock(e *cacheEntry) (*block.Block, error) {
 }
 
 // waitServedBlock completes a served-block fetch when the servers are
-// evictable (Recover with Replicas > 1): it waits on the pending
+// evictable (Recover with two or more Replicas): it waits on the pending
 // request, waking on membership changes, and when the server it was
 // reading from is dead — evicted by another detector, or evicted here
 // after a silent receive deadline — re-issues the fetch to the block's
@@ -1028,7 +1030,7 @@ func (w *worker) waitServedBlock(e *cacheEntry) error {
 		if !world.IsEvicted(src) {
 			continue // an unrelated rank was evicted; keep waiting on src
 		}
-		replicas := w.rt.replicaServers(e.key.arr, e.key.ord)
+		replicas := w.replicaServers(e.key.arr, e.key.ord)
 		if len(replicas) == 0 {
 			return fmt.Errorf("sip: worker %d: block %s: every replica server is dead", w.rank, e.key)
 		}
@@ -1134,15 +1136,11 @@ func (w *worker) startFetch(arrID int, loc refLoc) (*cacheEntry, error) {
 	arr := w.rt.prog.Arrays[arrID]
 	var home int
 	if arr.Kind == bytecode.ArrayServed {
-		if w.rt.cfg.Replicas > 1 {
-			replicas := w.rt.replicaServers(arrID, loc.key.ord)
-			if len(replicas) == 0 {
-				return nil, fmt.Errorf("request %s%v: every replica server is dead", arr.Name, loc.coord)
-			}
-			home = replicas[0]
-		} else {
-			home = w.rt.homeServer(arrID, loc.key.ord)
+		replicas := w.replicaServers(arrID, loc.key.ord)
+		if len(replicas) == 0 {
+			return nil, fmt.Errorf("request %s%v: every replica server is dead", arr.Name, loc.coord)
 		}
+		home = replicas[0]
 	} else {
 		home = w.rt.homeWorker(arrID, loc.key.ord)
 	}
@@ -1168,6 +1166,13 @@ func (w *worker) startFetch(arrID int, loc refLoc) (*cacheEntry, error) {
 			obs.A("block", loc.key.String()), obs.AInt("home", home))
 	}
 	return w.cache.insertPending(loc.key, req), nil
+}
+
+// replicaServers is rt.replicaServers into this worker's scratch: the
+// result is valid until the interpreter's next call.
+func (w *worker) replicaServers(arr, ord int) []int {
+	w.replicas = w.rt.replicaServers(w.replicas, arr, ord)
+	return w.replicas
 }
 
 // prefetchAhead requests the blocks this get will need in the next
@@ -1243,22 +1248,16 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 		return m
 	}
 	if arr.Kind == bytecode.ArrayServed {
-		if w.rt.cfg.Replicas > 1 {
-			// Fan out to every live replica; the quorum is all of them
-			// (dead replicas' acks are written off on eviction, and the
-			// anti-entropy pass restores the factor later).
-			replicas := w.rt.replicaServers(dst.Arr, loc.key.ord)
-			if len(replicas) == 0 {
-				return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.coord)
-			}
-			w.comm.Multicast(replicas, tagServer, msg, cloned)
-			for _, srv := range replicas {
-				w.owedPrepAcks[srv]++
-			}
-		} else {
-			home := w.rt.homeServer(dst.Arr, loc.key.ord)
-			w.comm.Multicast([]int{home}, tagServer, msg, cloned)
-			w.owedPrepAcks[home]++
+		// Fan out to every live replica; the quorum is all of them (dead
+		// replicas' acks are written off on eviction, and the anti-entropy
+		// pass restores the factor later).
+		replicas := w.replicaServers(dst.Arr, loc.key.ord)
+		if len(replicas) == 0 {
+			return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.coord)
+		}
+		w.comm.Multicast(replicas, tagServer, msg, cloned)
+		for _, srv := range replicas {
+			w.owedPrepAcks[srv]++
 		}
 	} else {
 		home := w.rt.homeWorker(dst.Arr, loc.key.ord)
@@ -1657,38 +1656,22 @@ func (w *worker) replayChunk(pid, gen int, iters [][]int) error {
 }
 
 // effectSeq returns the deterministic id of the next put/prepare effect
-// of the current pardo iteration, or 0 outside recovery or outside a
-// pardo.  The id hashes (pardo, generation, iteration values, effect
-// ordinal) — and deliberately not the origin rank, so a survivor
+// of the current pardo iteration, or 0 outside a pardo.  The id hashes
+// (job, pardo, generation, iteration values, effect ordinal) — the job
+// so a server deduping across tenants never drops one job's put for
+// another's, and deliberately not the origin rank, so a survivor
 // replaying a dead worker's iteration regenerates the same id.
 func (w *worker) effectSeq() uint64 {
-	if !w.rt.cfg.Recover {
-		return 0
-	}
 	for i := len(w.frames) - 1; i >= 0; i-- {
 		f := &w.frames[i]
 		if f.kind != framePardo {
 			continue
 		}
-		const prime = 1099511628211
-		h := uint64(14695981039346656037) // FNV-1a 64
-		mix := func(v uint64) {
-			for s := 0; s < 64; s += 8 {
-				h = (h ^ (v>>s)&0xff) * prime
-			}
-		}
-		if w.rt.job != 0 {
-			// Separate jobs' effect ids: a server deduping across tenants
-			// must never drop one job's put for another's.  Job 0 mixes
-			// nothing, keeping batch seqs byte-identical.
-			mix(uint64(w.rt.job))
-		}
-		mix(uint64(f.pid))
-		mix(uint64(f.cur))
+		h := mix64(mix64(mix64(0, uint64(w.rt.job)), uint64(f.pid)), uint64(f.cur))
 		for _, x := range f.chunk[f.pos] {
-			mix(uint64(x))
+			h = mix64(h, uint64(x))
 		}
-		mix(uint64(f.effectN))
+		h = mix64(h, uint64(f.effectN))
 		f.effectN++
 		if h == 0 {
 			h = 1 // 0 means "no dedup"

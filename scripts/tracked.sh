@@ -3,7 +3,8 @@
 # every CI log carries them and a PR can quote its before/after row:
 # non-test lines of internal/sip and internal/mpi (wc -l, comments and
 # blanks included) and the number of lines in non-test internal/sip that
-# branch on a mode (cfg.Recover, .pooled).
+# branch on a mode (cfg.Recover, .pooled, a job-0 special case, a
+# Replicas fork — the last two over lines that are not comment-only).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -11,3 +12,6 @@ echo "internal/sip non-test lines:  $(nontest internal/sip | wc -l)"
 echo "internal/mpi non-test lines:  $(nontest internal/mpi | wc -l)"
 echo "cfg.Recover guard sites:      $(nontest internal/sip | grep -c 'cfg\.Recover' || true)"
 echo ".pooled guard sites:          $(nontest internal/sip | grep -c '\.pooled' || true)"
+code() { nontest "$1" | grep -v '^\s*//'; }
+echo "job-0 special-case sites:     $(code internal/sip | grep -cE 'job != 0|job == 0|job > 0' || true)"
+echo "Replicas fork sites:          $(code internal/sip | grep -cE 'Replicas > 1|Replicas <= 1' || true)"
