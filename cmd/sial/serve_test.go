@@ -199,13 +199,13 @@ func TestCLIServeRestartJournal(t *testing.T) {
 
 	submit := func(addr string, i int) (serve.JobStatus, int) {
 		t.Helper()
-		// no=16/nv=64 sizes each job to a couple hundred milliseconds:
+		// no=16/nv=96 sizes each job to over a hundred milliseconds:
 		// heavy enough that the kill lands with most of the queue
 		// outstanding, light enough for a CI drill.
 		body, _ := json.Marshal(serve.SubmitRequest{
 			Name:           fmt.Sprintf("mp2-%d", i),
 			Pack:           "mp2",
-			Params:         map[string]int{"no": 16, "nv": 64},
+			Params:         map[string]int{"no": 16, "nv": 96},
 			IdempotencyKey: fmt.Sprintf("restart-drill-%d", i),
 		})
 		resp, err := http.Post("http://"+addr+"/submit", "application/json", bytes.NewReader(body))
@@ -266,7 +266,7 @@ func TestCLIServeRestartJournal(t *testing.T) {
 	}
 
 	// Every job reaches a terminal state exactly once.
-	want := chem.MP2Reference(16, 64)
+	want := chem.MP2Reference(16, 96)
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		resp, err := http.Get("http://" + addr2 + "/jobs")

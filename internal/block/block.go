@@ -28,7 +28,9 @@ func New(dims ...int) *Block {
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {
-			panic(fmt.Sprintf("block: non-positive dimension in %v", dims))
+			// Format a copy: passing dims itself to Sprintf would make
+			// every caller's dims escape to the heap.
+			panic(fmt.Sprintf("block: non-positive dimension in %v", append([]int(nil), dims...)))
 		}
 		n *= d
 	}
@@ -153,23 +155,29 @@ func (b *Block) MaxAbs() float64 { return linalg.MaxAbs(b.data) }
 // variable names.
 func (b *Block) Permute(perm []int) *Block {
 	if len(perm) != len(b.dims) {
-		panic(fmt.Sprintf("block: permutation %v rank != block rank %d", perm, len(b.dims)))
+		panic(fmt.Sprintf("block: permutation %v rank != block rank %d", append([]int(nil), perm...), len(b.dims)))
 	}
 	seen := make([]bool, len(perm))
 	dims := make([]int, len(perm))
 	for d, p := range perm {
 		if p < 0 || p >= len(perm) || seen[p] {
-			panic(fmt.Sprintf("block: invalid permutation %v", perm))
+			panic(fmt.Sprintf("block: invalid permutation %v", append([]int(nil), perm...)))
 		}
 		seen[p] = true
 		dims[d] = b.dims[p]
 	}
 	out := New(dims...)
-	if b.Size() == 0 {
-		return out
-	}
+	b.permuteInto(out, perm)
+	return out
+}
+
+// permuteInto is Permute into an existing block whose dims are already
+// b's dims permuted by perm (a valid permutation) and whose storage is
+// not b's.
+func (b *Block) permuteInto(out *Block, perm []int) {
 	// Walk the output in row-major order, computing the matching source
 	// offset incrementally via per-dimension strides.
+	dims := out.dims
 	srcStride := strides(b.dims)
 	outIdx := make([]int, len(dims))
 	srcOff := 0
@@ -186,7 +194,6 @@ func (b *Block) Permute(perm []int) *Block {
 			srcOff -= dims[d] * srcStride[perm[d]]
 		}
 	}
-	return out
 }
 
 // strides returns row-major strides for dims.

@@ -2,6 +2,8 @@ package block
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/linalg"
 )
@@ -19,153 +21,215 @@ type Spec struct {
 	A, B, C []int
 }
 
-// plan is the analyzed form of a Spec: positions of free and contracted
-// labels in each operand, plus the permutation taking the raw GEMM output
-// [freeA..., freeB...] to the requested C order.
+// maxRank bounds the rank of a contraction's operands and result, so a
+// plan is a value on fixed-size arrays and analysis allocates nothing.
+const maxRank = 8
+
+// plan is the analyzed form of a Spec: the permutations that bring the
+// operands into GEMM order and the raw GEMM output [freeA..., freeB...]
+// into the requested C order.
 type plan struct {
-	freeA       []int // positions in A of labels free in A
-	freeB       []int // positions in B of labels free in B
-	contractedA []int // positions in A of contracted labels
-	contractedB []int // positions in B of the same labels, same order
-	outPerm     []int // outPerm[d] = position in [freeA...,freeB...] of C dim d
+	nFreeA, nFreeB, nCon int
+
+	aperm   [maxRank]int // positions in A: free labels, then contracted ones
+	bperm   [maxRank]int // positions in B: contracted labels in A's order, then free ones
+	outPerm [maxRank]int // outPerm[d] = position in [freeA..., freeB...] of C dim d
+}
+
+func hasDuplicate(labels []int) bool {
+	for i, l := range labels {
+		if slices.Contains(labels[:i], l) {
+			return true
+		}
+	}
+	return false
 }
 
 // analyze validates the spec and produces an execution plan.
 func (s Spec) analyze() (plan, error) {
 	var p plan
-	posA := labelPositions(s.A)
-	posB := labelPositions(s.B)
-	if posA == nil {
+	if len(s.A) > maxRank || len(s.B) > maxRank || len(s.C) > maxRank {
+		return p, fmt.Errorf("block: contraction %v * %v -> %v has a rank above %d", s.A, s.B, s.C, maxRank)
+	}
+	if hasDuplicate(s.A) {
 		return p, fmt.Errorf("block: duplicate label in A %v", s.A)
 	}
-	if posB == nil {
+	if hasDuplicate(s.B) {
 		return p, fmt.Errorf("block: duplicate label in B %v", s.B)
 	}
-	inC := map[int]bool{}
-	for _, l := range s.C {
-		if inC[l] {
-			return p, fmt.Errorf("block: duplicate label in C %v", s.C)
-		}
-		inC[l] = true
+	if hasDuplicate(s.C) {
+		return p, fmt.Errorf("block: duplicate label in C %v", s.C)
 	}
+	var conA, conB [maxRank]int
 	for i, l := range s.A {
-		if j, ok := posB[l]; ok {
-			if inC[l] {
+		inC := slices.Contains(s.C, l)
+		if j := slices.Index(s.B, l); j >= 0 {
+			if inC {
 				return p, fmt.Errorf("block: label %d appears in A, B, and C", l)
 			}
-			p.contractedA = append(p.contractedA, i)
-			p.contractedB = append(p.contractedB, j)
+			conA[p.nCon], conB[p.nCon] = i, j
+			p.nCon++
 		} else {
-			if !inC[l] {
+			if !inC {
 				return p, fmt.Errorf("block: label %d of A appears nowhere else", l)
 			}
-			p.freeA = append(p.freeA, i)
+			p.aperm[p.nFreeA] = i
+			p.nFreeA++
 		}
 	}
+	copy(p.aperm[p.nFreeA:], conA[:p.nCon])
+	copy(p.bperm[:], conB[:p.nCon])
 	for j, l := range s.B {
-		if _, ok := posA[l]; !ok {
-			if !inC[l] {
+		if !slices.Contains(s.A, l) {
+			if !slices.Contains(s.C, l) {
 				return p, fmt.Errorf("block: label %d of B appears nowhere else", l)
 			}
-			p.freeB = append(p.freeB, j)
+			p.bperm[p.nCon+p.nFreeB] = j
+			p.nFreeB++
 		}
 	}
-	if len(s.C) != len(p.freeA)+len(p.freeB) {
+	if len(s.C) != p.nFreeA+p.nFreeB {
 		return p, fmt.Errorf("block: C labels %v do not match free labels of A %v and B %v", s.C, s.A, s.B)
 	}
-	// rawLabel[d] is the label of dimension d of the raw GEMM result.
-	rawLabel := make([]int, 0, len(s.C))
-	for _, i := range p.freeA {
-		rawLabel = append(rawLabel, s.A[i])
-	}
-	for _, j := range p.freeB {
-		rawLabel = append(rawLabel, s.B[j])
-	}
-	rawPos := labelPositions(rawLabel)
-	p.outPerm = make([]int, len(s.C))
+	// No duplicates and equal counts: every C label is one free label.
 	for d, l := range s.C {
-		i, ok := rawPos[l]
-		if !ok {
-			return p, fmt.Errorf("block: C label %d not free in A or B", l)
+		if i := slices.Index(s.A, l); i >= 0 {
+			p.outPerm[d] = slices.Index(p.aperm[:p.nFreeA], i)
+		} else {
+			p.outPerm[d] = p.nFreeA + slices.Index(p.bperm[p.nCon:p.nCon+p.nFreeB], slices.Index(s.B, l))
 		}
-		p.outPerm[d] = i
 	}
 	return p, nil
 }
 
-func labelPositions(labels []int) map[int]int {
-	m := make(map[int]int, len(labels))
-	for i, l := range labels {
-		if _, dup := m[l]; dup {
-			return nil
-		}
-		m[l] = i
-	}
-	return m
+// sizes returns the GEMM dimensions of the plan for operands with the
+// given dims: C is m×n, summed over k.
+func (p *plan) sizes(adims, bdims []int) (m, n, k int) {
+	return prodDims(adims, p.aperm[:p.nFreeA]),
+		prodDims(bdims, p.bperm[p.nCon:p.nCon+p.nFreeB]),
+		prodDims(adims, p.aperm[p.nFreeA:p.nFreeA+p.nCon])
 }
 
-// Contract computes the contraction of a and b described by spec and
-// returns the result.  The ranks of a, b and the label lists must match.
-//
-// Implementation follows the paper (§III footnote 3): permute the
-// operands so the contraction becomes a single matrix multiply, call
-// GEMM, and permute the product into the requested output order.
-func Contract(spec Spec, a, b *Block) (*Block, error) {
-	if len(spec.A) != a.Rank() {
-		return nil, fmt.Errorf("block: spec A rank %d != block rank %d", len(spec.A), a.Rank())
+// flops counts one multiply-add as two operations.
+func (p *plan) flops(adims, bdims []int) int64 {
+	m, n, k := p.sizes(adims, bdims)
+	return 2 * int64(m) * int64(n) * int64(k)
+}
+
+// rawDims appends the dims of the raw GEMM output, [freeA..., freeB...].
+func (p *plan) rawDims(dst []int, adims, bdims []int) []int {
+	for _, i := range p.aperm[:p.nFreeA] {
+		dst = append(dst, adims[i])
 	}
-	if len(spec.B) != b.Rank() {
-		return nil, fmt.Errorf("block: spec B rank %d != block rank %d", len(spec.B), b.Rank())
+	for _, j := range p.bperm[p.nCon : p.nCon+p.nFreeB] {
+		dst = append(dst, bdims[j])
 	}
-	p, err := spec.analyze()
+	return dst
+}
+
+// resultDims appends the dims of the contraction result, in C's order.
+func (p *plan) resultDims(dst []int, adims, bdims []int) []int {
+	var buf [maxRank]int
+	raw := p.rawDims(buf[:0], adims, bdims)
+	for d := range raw {
+		dst = append(dst, raw[p.outPerm[d]])
+	}
+	return dst
+}
+
+// planFor analyzes spec against the operands it is about to contract.
+func (s Spec) planFor(a, b *Block) (plan, error) {
+	if len(s.A) != a.Rank() {
+		return plan{}, fmt.Errorf("block: spec A rank %d != block rank %d", len(s.A), a.Rank())
+	}
+	if len(s.B) != b.Rank() {
+		return plan{}, fmt.Errorf("block: spec B rank %d != block rank %d", len(s.B), b.Rank())
+	}
+	p, err := s.analyze()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	// Check contracted extents agree.
-	for x, i := range p.contractedA {
-		j := p.contractedB[x]
+	for x := 0; x < p.nCon; x++ {
+		i, j := p.aperm[p.nFreeA+x], p.bperm[x]
 		if a.dims[i] != b.dims[j] {
-			return nil, fmt.Errorf("block: contracted extent mismatch: A dim %d (%d) vs B dim %d (%d)",
+			return p, fmt.Errorf("block: contracted extent mismatch: A dim %d (%d) vs B dim %d (%d)",
 				i, a.dims[i], j, b.dims[j])
 		}
 	}
-	// Permute A to [freeA..., contracted...] and B to [contracted..., freeB...].
-	// Operands already in GEMM order (e.g. plain matrix multiply, or the
-	// common case of leading free / trailing contracted labels) are used
-	// in place: an identity permutation would copy the whole block for
-	// nothing.
-	aperm := append(append([]int{}, p.freeA...), p.contractedA...)
-	bperm := append(append([]int{}, p.contractedB...), p.freeB...)
+	return p, nil
+}
+
+// Contract computes the contraction of a and b described by spec and
+// returns the result in a new block.  The ranks of a, b and the label
+// lists must match.
+func Contract(spec Spec, a, b *Block) (*Block, error) {
+	p, err := spec.planFor(a, b)
+	if err != nil {
+		return nil, err
+	}
+	var buf [maxRank]int
+	dst := New(p.resultDims(buf[:0], a.dims, b.dims)...)
+	p.run(dst, a, b)
+	return dst, nil
+}
+
+// ContractInto is Contract writing into dst, whose previous contents are
+// ignored, and returns the flops performed (as ContractFlops counts
+// them).  dst must have the shape of the result and share no storage
+// with a or b.
+func ContractInto(dst *Block, spec Spec, a, b *Block) (flops int64, err error) {
+	p, err := spec.planFor(a, b)
+	if err != nil {
+		return 0, err
+	}
+	var buf [maxRank]int
+	if want := p.resultDims(buf[:0], a.dims, b.dims); !slices.Equal(dst.dims, want) {
+		// Format a copy, or buf would escape to the heap on every call.
+		return 0, fmt.Errorf("block: contraction result has dims %v, destination %v", slices.Clone(want), dst.dims)
+	}
+	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) {
+		return 0, fmt.Errorf("block: contraction destination aliases an operand")
+	}
+	p.run(dst, a, b)
+	return p.flops(a.dims, b.dims), nil
+}
+
+// run executes a validated plan into a correctly shaped dst.  It follows
+// the paper (§III footnote 3): permute the operands so the contraction
+// becomes a single matrix multiply, call GEMM, and permute the product
+// into the requested output order.  Operands already in GEMM order
+// (plain matrix multiply, or the common case of leading free / trailing
+// contracted labels) are used in place, and when the output order is the
+// GEMM's the product lands in dst directly.  GEMM runs on the calling
+// goroutine: a SIP has a worker per core already.
+func (p *plan) run(dst, a, b *Block) {
 	ap, bp := a, b
-	if !IdentityPerm(aperm) {
-		ap = a.Permute(aperm)
+	if perm := p.aperm[:a.Rank()]; !IdentityPerm(perm) {
+		ap = a.Permute(perm)
 	}
-	if !IdentityPerm(bperm) {
-		bp = b.Permute(bperm)
+	if perm := p.bperm[:b.Rank()]; !IdentityPerm(perm) {
+		bp = b.Permute(perm)
 	}
+	m, n, k := p.sizes(a.dims, b.dims)
+	outPerm := p.outPerm[:dst.Rank()]
+	if IdentityPerm(outPerm) {
+		linalg.Gemm(m, n, k, 1, ap.data, bp.data, 0, dst.data)
+		return
+	}
+	var buf [maxRank]int
+	raw := New(p.rawDims(buf[:0], a.dims, b.dims)...)
+	linalg.Gemm(m, n, k, 1, ap.data, bp.data, 0, raw.data)
+	raw.permuteInto(dst, outPerm)
+}
 
-	m := prodDims(a.dims, p.freeA)
-	k := prodDims(a.dims, p.contractedA)
-	n := prodDims(b.dims, p.freeB)
-
-	raw := make([]float64, m*n)
-	// GemmAuto exploits thread-level parallelism for large blocks, one
-	// of the kernel-tuning options the paper reserves for super
-	// instructions (§V-A).
-	linalg.GemmAuto(m, n, k, 1, ap.data, bp.data, 0, raw)
-
-	rawDims := make([]int, 0, len(p.freeA)+len(p.freeB))
-	for _, i := range p.freeA {
-		rawDims = append(rawDims, a.dims[i])
+// overlaps reports whether two slices share any element.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
 	}
-	for _, j := range p.freeB {
-		rawDims = append(rawDims, b.dims[j])
-	}
-	rawBlock := FromData(raw, rawDims...)
-	if IdentityPerm(p.outPerm) {
-		return rawBlock, nil
-	}
-	return rawBlock.Permute(p.outPerm), nil
+	x0, y0 := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	size := unsafe.Sizeof(x[0])
+	return x0 < y0+uintptr(len(y))*size && y0 < x0+uintptr(len(x))*size
 }
 
 // IdentityPerm reports whether perm maps every position to itself, i.e.
@@ -198,35 +262,26 @@ func ContractFlops(spec Spec, adims, bdims []int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := int64(prodDims(adims, p.freeA))
-	k := int64(prodDims(adims, p.contractedA))
-	n := int64(prodDims(bdims, p.freeB))
-	return 2 * m * n * k, nil
+	if len(adims) != len(spec.A) || len(bdims) != len(spec.B) {
+		return 0, fmt.Errorf("block: spec ranks %d, %d != dims ranks %d, %d", len(spec.A), len(spec.B), len(adims), len(bdims))
+	}
+	return p.flops(adims, bdims), nil
 }
 
 // ContractNaive is a reference implementation of Contract using direct
 // index loops; it exists to validate the GEMM-based path in tests.
 func ContractNaive(spec Spec, a, b *Block) (*Block, error) {
-	if len(spec.A) != a.Rank() || len(spec.B) != b.Rank() {
-		return nil, fmt.Errorf("block: spec rank mismatch")
-	}
-	p, err := spec.analyze()
+	p, err := spec.planFor(a, b)
 	if err != nil {
 		return nil, err
 	}
-	for x, i := range p.contractedA {
-		if a.dims[i] != b.dims[p.contractedB[x]] {
-			return nil, fmt.Errorf("block: contracted extent mismatch")
-		}
-	}
+	contractedA, contractedB := p.aperm[p.nFreeA:p.nFreeA+p.nCon], p.bperm[:p.nCon]
 	cdims := make([]int, len(spec.C))
-	posA := labelPositions(spec.A)
-	posB := labelPositions(spec.B)
 	for d, l := range spec.C {
-		if i, ok := posA[l]; ok {
+		if i := slices.Index(spec.A, l); i >= 0 {
 			cdims[d] = a.dims[i]
 		} else {
-			cdims[d] = b.dims[posB[l]]
+			cdims[d] = b.dims[slices.Index(spec.B, l)]
 		}
 	}
 	out := New(cdims...)
@@ -236,8 +291,8 @@ func ContractNaive(spec Spec, a, b *Block) (*Block, error) {
 	aIdx := make([]int, a.Rank())
 	bIdx := make([]int, b.Rank())
 	cIdx := make([]int, len(cdims))
-	kDims := make([]int, len(p.contractedA))
-	for x, i := range p.contractedA {
+	kDims := make([]int, len(contractedA))
+	for x, i := range contractedA {
 		kDims[x] = a.dims[i]
 	}
 	var walkC func(d int)
@@ -245,18 +300,18 @@ func ContractNaive(spec Spec, a, b *Block) (*Block, error) {
 		if d == len(cdims) {
 			// Set free positions of aIdx/bIdx from cIdx.
 			for dd, l := range spec.C {
-				if i, ok := posA[l]; ok {
+				if i := slices.Index(spec.A, l); i >= 0 {
 					aIdx[i] = cIdx[dd]
 				} else {
-					bIdx[posB[l]] = cIdx[dd]
+					bIdx[slices.Index(spec.B, l)] = cIdx[dd]
 				}
 			}
 			var sum float64
 			kIdx := make([]int, len(kDims))
 			for {
-				for x, i := range p.contractedA {
+				for x, i := range contractedA {
 					aIdx[i] = kIdx[x]
-					bIdx[p.contractedB[x]] = kIdx[x]
+					bIdx[contractedB[x]] = kIdx[x]
 				}
 				sum += a.At(aIdx...) * b.At(bIdx...)
 				x := len(kIdx) - 1

@@ -4,7 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	_ "unsafe" // for go:linkname
 )
+
+// eachKernel is linalg's unexported test hook: it calls f once per GEMM
+// micro-kernel the host can run, with that kernel installed.  Pulled in
+// by name so that no exported API can select a kernel.
+//
+//go:linkname eachKernel repro/internal/linalg.eachKernel
+var eachKernel func(f func(name string))
 
 func TestContractMatrixMultiply(t *testing.T) {
 	// C(i,j) = A(i,k)*B(k,j) with labels i=0, k=1, j=2.
@@ -153,9 +161,13 @@ func TestContractVsNaiveProperty(t *testing.T) {
 		}
 		return blocksAlmostEqual(got, want, 1e-10)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+	eachKernel(func(name string) {
+		t.Run(name, func(t *testing.T) {
+			if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }
 
 func TestContractErrors(t *testing.T) {
@@ -182,6 +194,99 @@ func TestContractErrors(t *testing.T) {
 	c := New(3, 2)
 	if _, err := Contract(Spec{A: []int{0, 1}, B: []int{0, 2}, C: []int{1, 2}}, a, c); err == nil {
 		t.Error("extent mismatch: expected error")
+	}
+}
+
+// TestContractInto: the result lands in the caller's block, stale
+// contents and all, equals Contract's under ==, and the flops are those
+// ContractFlops reports — for an output in GEMM order and a permuted one.
+func TestContractInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := randBlock(rng, 3, 4, 2)
+	b := randBlock(rng, 2, 4, 5)
+	for _, c := range [][]int{{0, 3}, {3, 0}} {
+		spec := Spec{A: []int{0, 1, 2}, B: []int{2, 1, 3}, C: c}
+		want, err := Contract(spec, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := randBlock(rng, want.Dims()...)
+		flops, err := ContractInto(dst, spec, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.data {
+			if dst.data[i] != v {
+				t.Fatalf("C=%v: element %d = %v, want %v", c, i, dst.data[i], v)
+			}
+		}
+		if wantFlops, _ := ContractFlops(spec, a.Dims(), b.Dims()); flops != wantFlops || flops != 2*3*5*8 {
+			t.Fatalf("C=%v: flops = %d, want %d", c, flops, wantFlops)
+		}
+	}
+}
+
+func TestContractIntoErrors(t *testing.T) {
+	a, b := New(2, 3), New(3, 2)
+	spec := Spec{A: []int{0, 1}, B: []int{1, 2}, C: []int{0, 2}}
+	sq := New(3, 3)
+	for name, tc := range map[string]struct {
+		dst  *Block
+		a, b *Block
+	}{
+		"wrong rank":          {New(4), a, b},
+		"wrong dims":          {New(2, 3), a, b},
+		"dst is a":            {sq, sq, New(3, 3)},
+		"dst is b":            {sq, New(3, 3), sq},
+		"dst overlaps a":      {FromData(sq.data[5:9], 2, 2), FromData(sq.data[:6], 2, 3), b},
+		"bad spec":            {New(2, 2), New(2), b},
+		"contracted mismatch": {New(2, 2), a, New(2, 2)},
+	} {
+		if _, err := ContractInto(tc.dst, spec, tc.a, tc.b); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
+	}
+	if _, err := ContractInto(New(2, 2), spec, a, b); err != nil {
+		t.Errorf("well-formed call: %v", err)
+	}
+}
+
+// TestContractRankLimit: plans live on fixed arrays of maxRank entries.
+func TestContractRankLimit(t *testing.T) {
+	labels := make([]int, maxRank+1)
+	dims := make([]int, maxRank+1)
+	for i := range labels {
+		labels[i], dims[i] = i, 1
+	}
+	if _, err := Contract(Spec{A: labels, B: []int{0}, C: labels[1:]}, New(dims...), New(1)); err == nil {
+		t.Fatal("expected error for a rank above maxRank")
+	}
+	if _, err := Contract(Spec{A: labels[:maxRank], B: []int{0}, C: labels[1:maxRank]}, New(dims[:maxRank]...), New(1)); err != nil {
+		t.Fatalf("rank %d: %v", maxRank, err)
+	}
+}
+
+// TestContractAllocations pins the hot path at the three allocations of
+// the result block itself (header, dims, data): analysis, packing and
+// the GEMM add none.  The race detector makes sync.Pool drop items, so
+// the pin holds only without it.
+func TestContractAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	spec := Spec{A: []int{0, 1, 2, 3}, B: []int{2, 3, 4, 5}, C: []int{0, 1, 4, 5}}
+	for _, seg := range []int{4, 14} {
+		a, b := New(seg, seg, seg, seg), New(seg, seg, seg, seg)
+		a.Fill(1.1)
+		b.Fill(0.9)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Contract(spec, a, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("seg=%d: %v allocations per Contract, want <= 3", seg, allocs)
+		}
 	}
 }
 

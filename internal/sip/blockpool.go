@@ -5,9 +5,9 @@ import "repro/internal/block"
 // blockPool recycles worker block storage, mirroring the SIP's memory
 // manager: "The memory in each SIP worker is managed by dividing it into
 // several stacks of preallocated blocks of memory of various sizes"
-// (paper §V-B).  Blocks cleared at the end of a pardo iteration are
-// pushed onto a per-size free stack and popped (and zeroed) for the next
-// iteration's temps, so steady-state execution allocates nothing.
+// (paper §V-B).  Instruction results are popped (and zeroed) from a
+// per-size free stack; temps are pushed back when overwritten or at the
+// end of their pardo iteration, so steady-state execution allocates nothing.
 type blockPool struct {
 	free map[int][]*block.Block // keyed by element count
 

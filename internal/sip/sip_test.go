@@ -743,6 +743,41 @@ endsial
 	}
 }
 
+// TestBlockOpsOnTheirOwnDestination: an assignment recycles the temp
+// block it replaces and an accumulation reads its source in place, so
+// every block op must stay right when source and destination are the
+// same block.
+func TestBlockOpsOnTheirOwnDestination(t *testing.T) {
+	src := `
+sial alias
+param n = 4
+aoindex I = 1, n
+aoindex J = 1, n
+temp a(I,J)
+scalar total
+do I
+  do J
+    a(I,J) = 2.0
+    a(I,J) = a(I,J)
+    a(I,J) += a(I,J)
+    a(I,J) = 0.5 * a(I,J)
+    a(I,J) = a(I,J) + a(I,J)
+    a(I,J) -= 0.25 * a(I,J)
+    total += dot(a(I,J), a(I,J))
+  enddo J
+enddo I
+endsial
+`
+	res, err := RunSource(src, Config{Workers: 1, Seg: bytecode.DefaultSegConfig(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a = 2, 2, 4, 2, 4, 3; dot per block = 4 els * 9; 4 blocks.
+	if res.Scalars["total"] != 144 {
+		t.Fatalf("total = %g, want 144", res.Scalars["total"])
+	}
+}
+
 func TestProfileReport(t *testing.T) {
 	res := runPaperProgram(t, Config{Workers: 2})
 	p := res.Profile

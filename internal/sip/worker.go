@@ -494,15 +494,9 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		var dims []int
-		if loc.region {
-			dims = loc.rext
-		} else {
-			dims = loc.dims
-		}
-		b := w.newBlock(w.rt.prog.Arrays[in.R[0].Arr].Kind, dims)
+		b := w.pool.get(loc.extent())
 		b.Fill(v)
-		if err := w.storeDst(in.R[0], loc, b, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, b, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockCopy:
@@ -514,13 +508,18 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		var val *block.Block
-		if in.A == bytecode.CopyPermute && !block.IdentityPerm(in.Aux) {
-			val = src.Permute(in.Aux)
-		} else {
-			val = src.Clone()
+		// Only a whole-block assignment keeps its value and so needs a copy.
+		switch {
+		case in.A == bytecode.CopyPermute && !block.IdentityPerm(in.Aux):
+			err = w.storeDst(in.R[0], loc, src.Permute(in.Aux), in.B)
+		case loc.region || in.B != bytecode.AssignSet:
+			err = w.storeDst(in.R[0], loc, src, in.B)
+		default:
+			val := w.pool.get(src.Dims())
+			val.CopyFrom(src)
+			err = w.storePooled(in.R[0], loc, val, in.B)
 		}
-		if err := w.storeDst(in.R[0], loc, val, in.B); err != nil {
+		if err != nil {
 			return err
 		}
 	case bytecode.OpBlockScale:
@@ -529,13 +528,14 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		val := src.Clone()
+		val := w.pool.get(src.Dims())
+		val.CopyFrom(src)
 		val.Scale(v)
 		loc, err := w.locate(in.R[0])
 		if err != nil {
 			return err
 		}
-		if err := w.storeDst(in.R[0], loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockSum:
@@ -547,7 +547,8 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		val := a.Clone()
+		val := w.pool.get(a.Dims())
+		val.CopyFrom(a)
 		if in.A == 0 {
 			val.AddScaled(1, b)
 		} else {
@@ -557,7 +558,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		if err := w.storeDst(in.R[0], loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpContract:
@@ -569,28 +570,22 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		spec := block.Spec{A: in.R[1].Idx, B: in.R[2].Idx, C: in.R[0].Idx}
-		val, err := block.Contract(spec, a, b)
-		if err != nil {
-			return err
-		}
-		if fl, err := block.ContractFlops(spec, a.Dims(), b.Dims()); err == nil {
-			w.prof.addFlops(fl)
-		}
 		loc, err := w.locate(in.R[0])
 		if err != nil {
 			return err
 		}
-		if err := w.storeDst(in.R[0], loc, val, in.B); err != nil {
+		val := w.pool.get(loc.extent())
+		flops, err := block.ContractInto(val, block.Spec{A: in.R[1].Idx, B: in.R[2].Idx, C: in.R[0].Idx}, a, b)
+		if err != nil {
+			return err
+		}
+		w.prof.addFlops(flops)
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 
 	// --- communication super instructions ---
-	case bytecode.OpGet:
-		if err := w.doGet(in.R[0], true); err != nil {
-			return err
-		}
-	case bytecode.OpRequest:
+	case bytecode.OpGet, bytecode.OpRequest:
 		if err := w.doGet(in.R[0], true); err != nil {
 			return err
 		}
@@ -808,6 +803,14 @@ type refLoc struct {
 	rext   []int // region extent
 }
 
+// extent returns the dims of the block or subblock the reference names.
+func (l refLoc) extent() []int {
+	if l.region {
+		return l.rext
+	}
+	return l.dims
+}
+
 // locate resolves a reference against the current index values.
 // overrides, if non-nil, substitutes values for specific index ids
 // (used by the prefetcher to address future iterations).
@@ -894,15 +897,6 @@ func (w *worker) localMap(kind bytecode.ArrayKind) map[blockKey]*block.Block {
 		return w.statics
 	}
 	return nil
-}
-
-// newBlock allocates a zeroed block for a worker-local array, drawing
-// temp blocks from the recycling pool.
-func (w *worker) newBlock(kind bytecode.ArrayKind, dims []int) *block.Block {
-	if kind == bytecode.ArrayTemp {
-		return w.pool.get(dims)
-	}
-	return block.New(dims...)
 }
 
 // readBlock resolves a reference to a block value: local blocks from the
@@ -1056,56 +1050,59 @@ func (w *worker) currentPardo() int {
 	return -1
 }
 
+// storePooled is storeDst for a value drawn from the block pool, which
+// gets it back unless the destination kept it (a whole-block assignment).
+func (w *worker) storePooled(ref bytecode.Ref, loc refLoc, val *block.Block, mode int) error {
+	err := w.storeDst(ref, loc, val, mode)
+	if err != nil || loc.region || mode != bytecode.AssignSet {
+		w.pool.put(val)
+	}
+	return err
+}
+
 // storeDst writes a computed value into a destination reference with the
-// given assign mode.  Region destinations read-modify-write the base
-// block.
+// given assign mode.  A whole-block assignment keeps val itself and
+// recycles the temp block it replaces (sends clone, so nothing else holds
+// it); every other store only reads val, and a region destination
+// read-modify-writes the base block.
 func (w *worker) storeDst(ref bytecode.Ref, loc refLoc, val *block.Block, mode int) error {
 	arr := w.rt.prog.Arrays[ref.Arr]
 	m := w.localMap(arr.Kind)
 	if m == nil {
 		return fmt.Errorf("direct write to %s array %s", arr.Kind, arr.Name)
 	}
-	if loc.region {
-		base := m[loc.key]
-		if base == nil {
-			base = w.newBlock(arr.Kind, loc.dims)
-			m[loc.key] = base
-		}
-		switch mode {
-		case bytecode.AssignSet:
-			base.Insert(loc.rlo, val)
-		case bytecode.AssignAdd, bytecode.AssignSub:
-			cur := base.Extract(loc.rlo, loc.rext)
-			if mode == bytecode.AssignAdd {
-				cur.AddScaled(1, val)
-			} else {
-				cur.AddScaled(-1, val)
-			}
-			base.Insert(loc.rlo, cur)
-		default:
-			return fmt.Errorf("unsupported assign mode for subblock destination")
-		}
-		return nil
+	if mode != bytecode.AssignSet && mode != bytecode.AssignAdd && mode != bytecode.AssignSub {
+		return fmt.Errorf("unsupported assign mode %d for block destination", mode)
 	}
-	switch mode {
-	case bytecode.AssignSet:
+	cur := m[loc.key]
+	if mode == bytecode.AssignSet && !loc.region {
 		if !dimsEqual(val.Dims(), loc.dims) {
 			return fmt.Errorf("assignment to %s%v: got dims %v, want %v", arr.Name, loc.coord, val.Dims(), loc.dims)
 		}
+		if cur != nil && cur != val && arr.Kind == bytecode.ArrayTemp {
+			w.pool.put(cur)
+		}
 		m[loc.key] = val
-	case bytecode.AssignAdd, bytecode.AssignSub:
-		cur := m[loc.key]
-		if cur == nil {
-			cur = w.newBlock(arr.Kind, loc.dims)
-			m[loc.key] = cur
-		}
-		if mode == bytecode.AssignAdd {
-			cur.AddScaled(1, val)
-		} else {
-			cur.AddScaled(-1, val)
-		}
-	default:
-		return fmt.Errorf("unsupported assign mode %d for block destination", mode)
+		return nil
+	}
+	if cur == nil {
+		cur = w.pool.get(loc.dims)
+		m[loc.key] = cur
+	}
+	if mode == bytecode.AssignSet {
+		cur.Insert(loc.rlo, val)
+		return nil
+	}
+	sign := 1.0
+	if mode == bytecode.AssignSub {
+		sign = -1
+	}
+	if loc.region {
+		sub := cur.Extract(loc.rlo, loc.rext)
+		sub.AddScaled(sign, val)
+		cur.Insert(loc.rlo, sub)
+	} else {
+		cur.AddScaled(sign, val)
 	}
 	return nil
 }
