@@ -239,7 +239,7 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	workers := fs.Int("workers", 4, "number of SIP workers")
 	servers := fs.Int("servers", 1, "number of I/O servers")
 	seg := fs.Int("seg", 4, "segment size")
-	prefetch := fs.Int("prefetch", 2, "prefetch window (do-loop iterations)")
+	prefetch := fs.Int("prefetch", sip.DefaultPrefetchWindow, "look-ahead window: how many do-loop iterations ahead get/request fetch their blocks, bounded by half the block cache (0 = off)")
 	mem := fs.Int64("mem", 0, "per-worker memory budget in bytes for dry run (0 = unlimited)")
 	prof := fs.Bool("profile", false, "print the SIP profile after the run")
 	trace := fs.Bool("trace", false, "text-trace every instruction executed by traced workers")
@@ -309,6 +309,9 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	super := chem.MP2Super()
 	for name, fn := range chem.TriplesSuper() {
 		super[name] = fn
+	}
+	if *prefetch <= 0 {
+		*prefetch = -1 // Config's zero value means the default window
 	}
 	rf.cfg = core.Config{
 		Workers:        *workers,

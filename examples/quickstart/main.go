@@ -70,11 +70,10 @@ func main() {
 		prog.Name, len(prog.Code), len(prog.Arrays), len(prog.Pardos))
 
 	cfg := core.Config{
-		Workers:        4,
-		Seg:            core.DefaultSegConfig(4),
-		PrefetchWindow: 2,
-		Integrals:      chem.AOIntegrals(),
-		GatherArrays:   true,
+		Workers:      4,
+		Seg:          core.DefaultSegConfig(4),
+		Integrals:    chem.AOIntegrals(),
+		GatherArrays: true,
 		Preset: map[string]core.PresetFunc{
 			"T": func(coord segment.Coord, lo, hi []int) *block.Block {
 				dims := make([]int, len(lo))

@@ -162,9 +162,11 @@ func (ix Index) SubSegments(sub Index, s int) (lo, hi int) {
 }
 
 // Shape is an ordered list of index descriptors declaring the dimensions
-// of a SIAL array.
+// of a SIAL array.  Build one with NewShape: it records the segment count
+// of every dimension, which Locate reads instead of dividing per call.
 type Shape struct {
 	Dims []Index
+	nseg []int
 }
 
 // NewShape validates the dimensions and builds a Shape.
@@ -174,7 +176,11 @@ func NewShape(dims ...Index) (Shape, error) {
 			return Shape{}, err
 		}
 	}
-	return Shape{Dims: dims}, nil
+	nseg := make([]int, len(dims))
+	for i, d := range dims {
+		nseg[i] = d.NumSegments()
+	}
+	return Shape{Dims: dims, nseg: nseg}, nil
 }
 
 // MustShape is NewShape that panics on error, for tests and literals.
@@ -274,6 +280,31 @@ func (s Shape) Ordinal(c Coord) int {
 		ord = ord*s.Dims[i].NumSegments() + (v - 1)
 	}
 	return ord
+}
+
+// Locate is Ordinal and BlockDims in one pass that allocates nothing — the
+// path every SIP block instruction takes.  It range-checks c once, writes
+// the element dimensions of the block into dims[:len(c)] and returns its
+// ordinal; a bad coordinate gets CheckCoord's error.
+func (s Shape) Locate(c Coord, dims []int) (ord int, err error) {
+	if len(c) != len(s.Dims) {
+		return 0, s.CheckCoord(c.Clone())
+	}
+	for i, v := range c {
+		n := s.nseg[i]
+		if v < 1 || v > n {
+			// A copy: formatting c itself would move every caller's
+			// coordinate to the heap.
+			return 0, s.CheckCoord(c.Clone())
+		}
+		d := &s.Dims[i]
+		dims[i] = d.Seg
+		if v == n {
+			dims[i] = d.N() - (n-1)*d.Seg
+		}
+		ord = ord*n + v - 1
+	}
+	return ord, nil
 }
 
 // CoordOf is the inverse of Ordinal.

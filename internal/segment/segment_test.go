@@ -190,6 +190,38 @@ func TestShapeBlockDims(t *testing.T) {
 	}
 }
 
+// TestShapeLocate: the non-allocating path agrees with Ordinal and
+// BlockDims on every block of a shape with ragged tails, rejects what
+// CheckCoord rejects, and allocates nothing.
+func TestShapeLocate(t *testing.T) {
+	s := MustShape(
+		ix("a", AO, 1, 10, 4), // segs of len 4,4,2
+		ix("b", MO, 3, 9, 3),  // 3,3,1 from a non-unit Lo
+		ix("c", Simple, 1, 2, 1),
+	)
+	dims := make([]int, s.Rank())
+	s.EachCoord(func(c Coord) {
+		ord, err := s.Locate(c, dims)
+		if err != nil || ord != s.Ordinal(c) || !Coord(dims).Equal(s.BlockDims(c)) {
+			t.Fatalf("Locate(%v) = %d %v %v, want %d %v", c, ord, dims, err, s.Ordinal(c), s.BlockDims(c))
+		}
+	})
+	for _, bad := range []Coord{{1, 1}, {0, 1, 1}, {4, 1, 1}, {1, 4, 1}, {1, 1, 3}} {
+		if _, err := s.Locate(bad, dims); err == nil {
+			t.Errorf("Locate(%v) accepted a coordinate CheckCoord rejects (%v)", bad, s.CheckCoord(bad))
+		}
+	}
+	var c [3]int // on the stack: Locate must not make it escape
+	if n := testing.AllocsPerRun(100, func() {
+		c = [3]int{3, 2, 1}
+		if _, err := s.Locate(c[:], dims); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Locate allocates %v times per call, want 0", n)
+	}
+}
+
 func TestShapeCheckCoord(t *testing.T) {
 	s := MustShape(ix("a", AO, 1, 10, 4))
 	if err := s.CheckCoord(Coord{1, 2}); err == nil {

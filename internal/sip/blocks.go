@@ -1,7 +1,6 @@
 package sip
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -47,6 +46,16 @@ func (s *store) getCopy(k blockKey, dims []int) *block.Block {
 	return block.New(dims...)
 }
 
+// copyInto overwrites dst, a zeroed block of the right dims, with the
+// block; an absent block leaves the zeros.
+func (s *store) copyInto(k blockKey, dst *block.Block) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.blocks[k]; ok {
+		dst.CopyFrom(b)
+	}
+}
+
 // put replaces or accumulates a block.  The store takes ownership of b.
 func (s *store) put(k blockKey, b *block.Block, acc bool) {
 	s.mu.Lock()
@@ -69,13 +78,6 @@ func (s *store) each(fn func(k blockKey, b *block.Block)) {
 	}
 }
 
-// len returns the number of allocated blocks.
-func (s *store) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blocks)
-}
-
 // delete removes all blocks of the given array (used by checkpoint
 // restore).
 func (s *store) deleteArray(arr int) {
@@ -88,59 +90,65 @@ func (s *store) deleteArray(arr int) {
 	}
 }
 
-// cacheEntry is one slot of a worker's remote-block cache.  A nil block
-// with a non-nil request means the fetch is still in flight; the
-// interpreter completes the receive when it touches the entry.
+// cacheEntry is one slot of a worker's remote-block cache: a block, or
+// the request of a fetch still in flight, which the interpreter completes
+// when it touches the entry.  ahead marks a block look-ahead requested
+// that the program has not asked for yet.
 type cacheEntry struct {
-	key  blockKey
-	b    *block.Block
-	req  *mpi.Request
-	elem *list.Element
+	key        blockKey
+	b          *block.Block
+	req        *mpi.Request
+	ahead      bool
+	prev, next *cacheEntry // LRU ring; next alone chains the free list
 }
 
-// poll attempts to complete an in-flight fetch without blocking.
-func (e *cacheEntry) poll() {
-	if e.b != nil || e.req == nil {
-		return
-	}
-	if m, done := e.req.Test(); done {
-		e.b = m.Data.(*block.Block)
-		e.req = nil
-	}
+// complete installs the reply of the entry's fetch.
+func (e *cacheEntry) complete(m mpi.Message) {
+	e.b = m.Data.(*block.Block)
+	e.req = nil
 }
 
-// pending reports whether the fetch is still in flight.
+// pending reports whether the fetch is still in flight, after receiving
+// the reply if it has arrived.
 func (e *cacheEntry) pending() bool {
-	e.poll()
-	return e.b == nil && e.req != nil
+	if e.req != nil {
+		if m, done := e.req.Test(); done {
+			e.complete(m)
+		}
+	}
+	return e.req != nil
 }
 
 // blockCache is the worker-side cache of fetched distributed and served
 // blocks with LRU replacement (paper §V-A: a block "may be available ...
 // because it is still available in the block cache from a recent use").
-// It is used only by the worker's interpreter goroutine.
+// It is used only by the worker's interpreter goroutine and owns its
+// blocks: no instruction keeps a cached block by pointer, so a dropped
+// entry's block goes back to the worker's pool.
 type blockCache struct {
 	capacity int
 	entries  map[blockKey]*cacheEntry
-	lru      *list.List // front = most recent
+	lru      cacheEntry  // ring sentinel: lru.next is the most recent entry
+	free     *cacheEntry // recycled entries
+	pool     *blockPool
+	// stale holds entries dropped while in flight.  Their replies are
+	// still received (the posted receive and its tag are consumed) and
+	// recycled unread: data requested before a barrier is never served
+	// after it.
+	stale  []*cacheEntry
+	nAhead int // entries with ahead set: the look-ahead budget in use
 
-	hits      int64
-	misses    int64
-	evictions int64
+	hits, misses, evictions int64
 }
 
-func newBlockCache(capacity int) *blockCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &blockCache{
-		capacity: capacity,
-		entries:  map[blockKey]*cacheEntry{},
-		lru:      list.New(),
-	}
+func newBlockCache(capacity int, pool *blockPool) *blockCache {
+	c := &blockCache{capacity: max(capacity, 1), entries: map[blockKey]*cacheEntry{}, pool: pool}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
-// lookup returns the entry for k, if cached, and marks it recently used.
+// lookup returns the entry for k, if cached, and marks it recently used
+// and asked for by the program.
 func (c *blockCache) lookup(k blockKey) *cacheEntry {
 	e, ok := c.entries[k]
 	if !ok {
@@ -148,70 +156,112 @@ func (c *blockCache) lookup(k blockKey) *cacheEntry {
 		return nil
 	}
 	c.hits++
-	c.lru.MoveToFront(e.elem)
+	if e.ahead {
+		e.ahead = false
+		c.nAhead--
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	c.pushFront(e)
 	return e
 }
 
-// insertPending registers an in-flight fetch and returns its entry.
-func (c *blockCache) insertPending(k blockKey, req *mpi.Request) *cacheEntry {
-	e := &cacheEntry{key: k, req: req}
-	e.elem = c.lru.PushFront(e)
+func (c *blockCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// insert caches a block that is ready (b) or in flight (req).  When room
+// finds nothing to evict the cache overflows; look-ahead asks room first
+// and never causes that.
+func (c *blockCache) insert(k blockKey, b *block.Block, req *mpi.Request, ahead bool) {
+	c.room()
+	e := c.free
+	if e == nil {
+		e = &cacheEntry{}
+	} else {
+		c.free = e.next
+	}
+	*e = cacheEntry{key: k, b: b, req: req, ahead: ahead}
+	if ahead {
+		c.nAhead++
+	}
+	c.pushFront(e)
 	c.entries[k] = e
-	c.evictIfNeeded()
-	return e
 }
 
-// insertReady inserts an already-available block.
-func (c *blockCache) insertReady(k blockKey, b *block.Block) *cacheEntry {
-	e := &cacheEntry{key: k, b: b}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.evictIfNeeded()
-	return e
+// room receives what has arrived for the stale entries, then makes space
+// for one more entry and reports whether it could.  It evicts the least
+// recently used entry that is neither in flight (the reply would be lost)
+// nor awaited by look-ahead (a farther prefetch must not push out a
+// nearer one).
+func (c *blockCache) room() bool {
+	live := c.stale[:0]
+	for _, e := range c.stale {
+		if e.pending() {
+			live = append(live, e)
+		} else {
+			c.recycle(e)
+		}
+	}
+	c.stale = live
+	for e := c.lru.prev; len(c.entries) >= c.capacity && e != &c.lru; {
+		victim := e
+		e = e.prev
+		if !victim.ahead && !victim.pending() {
+			c.drop(victim)
+			c.evictions++
+		}
+	}
+	return len(c.entries) < c.capacity
 }
 
-// invalidate drops a cached block (used at barriers: conflicting writes
-// may have changed remote blocks).
+// drop removes an entry from the cache.
+func (c *blockCache) drop(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	delete(c.entries, e.key)
+	if e.ahead {
+		c.nAhead--
+	}
+	if e.pending() {
+		c.stale = append(c.stale, e)
+	} else {
+		c.recycle(e)
+	}
+}
+
+// recycle returns a dropped entry's block to the pool and the entry to
+// the free list.
+func (c *blockCache) recycle(e *cacheEntry) {
+	if e.b != nil {
+		c.pool.put(e.b)
+	}
+	*e = cacheEntry{next: c.free}
+	c.free = e
+}
+
+// invalidate drops a cached block the worker has just overwritten.
 func (c *blockCache) invalidate(k blockKey) {
 	if e, ok := c.entries[k]; ok {
-		c.lru.Remove(e.elem)
-		delete(c.entries, k)
+		c.drop(e)
 	}
 }
 
-// invalidateAll empties the cache, keeping pending entries (their data is
-// still owed to the requester).
+// invalidateAll empties the cache (barriers, snapshot install:
+// conflicting writes may have changed remote blocks).
 func (c *blockCache) invalidateAll() {
-	for k, e := range c.entries {
-		if e.pending() {
-			continue
-		}
-		c.lru.Remove(e.elem)
-		delete(c.entries, k)
+	for _, e := range c.entries {
+		c.drop(e)
 	}
 }
 
-// evictIfNeeded enforces the capacity bound, never evicting pending
-// entries (a pending eviction would lose an in-flight reply).
-func (c *blockCache) evictIfNeeded() {
-	for len(c.entries) > c.capacity {
-		// Walk from the back (least recently used).
-		el := c.lru.Back()
-		evicted := false
-		for el != nil {
-			e := el.Value.(*cacheEntry)
-			prev := el.Prev()
-			if !e.pending() {
-				c.lru.Remove(el)
-				delete(c.entries, e.key)
-				c.evictions++
-				evicted = true
-				break
-			}
-			el = prev
-		}
-		if !evicted {
-			return // everything pending; let the cache overflow
+// settle forgets which entries look-ahead is waiting for: the loop they
+// were requested for has ended without asking for them, so they are
+// ordinary entries that LRU may evict.
+func (c *blockCache) settle() {
+	for e := c.lru.next; e != &c.lru && c.nAhead > 0; e = e.next {
+		if e.ahead {
+			e.ahead = false
+			c.nAhead--
 		}
 	}
 }

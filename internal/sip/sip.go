@@ -118,8 +118,11 @@ type Config struct {
 	Params map[string]int
 	// Seg selects segment sizes (the key runtime tuning parameter).
 	Seg bytecode.SegConfig
-	// PrefetchWindow is the number of future do-loop iterations whose
-	// get blocks are requested ahead of use.  0 disables prefetching.
+	// PrefetchWindow is how many iterations of the enclosing do loops get
+	// and request look ahead, fetching the blocks they will name (paper
+	// §V-A).  0 means DefaultPrefetchWindow, a negative value is off.  At
+	// most min(PrefetchWindow, CacheBlocks/2) blocks are ever requested
+	// ahead and not yet used, so a cache of one block turns it off too.
 	PrefetchWindow int
 	// CacheBlocks bounds each worker's remote-block cache (0 = 1024).
 	CacheBlocks int
@@ -267,6 +270,12 @@ type Config struct {
 	OnResume func(ResumeInfo)
 }
 
+// DefaultPrefetchWindow is the look-ahead depth of a Config that sets
+// none and of the CLI's -prefetch flag, from the sweep in EXPERIMENTS.md
+// "Overlap": a message-bound run likes 8 better than 4 better than 2, a
+// compute-bound one does not care.
+const DefaultPrefetchWindow = 8
+
 func (c *Config) fill() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("sip: Workers = %d, need >= 1", c.Workers)
@@ -276,6 +285,9 @@ func (c *Config) fill() error {
 	}
 	if c.Seg.Default == 0 {
 		c.Seg = bytecode.DefaultSegConfig(4)
+	}
+	if c.PrefetchWindow == 0 {
+		c.PrefetchWindow = DefaultPrefetchWindow
 	}
 	if c.CacheBlocks == 0 {
 		c.CacheBlocks = 1024

@@ -28,6 +28,7 @@ type frame struct {
 	idx     int // loop index id (do/doIn)
 	cur, hi int
 	startPC int // pc of the loop-start instruction
+	seq     int // do/doIn: which entry of a loop this is (look-ahead cursors belong to one)
 
 	// pardo state
 	pid     int
@@ -73,6 +74,14 @@ type worker struct {
 	pool    *blockPool
 
 	nextReply int
+
+	// Look-ahead: one cursor per get/request instruction (by pc, made at
+	// the first look-ahead), the loop-entry counter behind frame.seq, and
+	// min(PrefetchWindow, CacheBlocks/2), the bound on blocks requested
+	// ahead and not yet asked for (<= 0 when look-ahead is off).
+	sites    []aheadSite
+	frameSeq int
+	aheadCap int
 
 	// Sync and recovery state.  syncRound numbers this worker's
 	// master-mediated sync points (all workers pass the same ones in the
@@ -125,8 +134,8 @@ func newWorker(rt *runtime, rank int) *worker {
 		locals:   map[blockKey]*block.Block{},
 		statics:  map[blockKey]*block.Block{},
 		dist:     newStore(),
-		cache:    newBlockCache(rt.cfg.CacheBlocks),
 		pool:     newBlockPool(),
+		aheadCap: min(rt.cfg.PrefetchWindow, rt.cfg.CacheBlocks/2),
 		pardoGen: make([]int, len(rt.prog.Pardos)),
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
 		prof:     newProfile(rt.prog),
@@ -136,6 +145,7 @@ func newWorker(rt *runtime, rank int) *worker {
 		seenPuts:     map[uint64]bool{},
 		seenPrevPuts: map[uint64]bool{},
 	}
+	w.cache = newBlockCache(rt.cfg.CacheBlocks, w.pool)
 	w.dropCtr = rt.metrics.Counter(metricDedupDroppedEffects)
 	w.retireCtr = rt.metrics.Counter(metricDedupRetired)
 	w.failoverCtr = rt.metrics.Counter(metricReplFailovers)
@@ -390,18 +400,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			next = in.C
 			break
 		}
-		w.frames = append(w.frames, frame{kind: frameDo, idx: in.A, cur: lo, hi: hi, startPC: w.pc})
-		w.bind(in.A, lo)
-	case bytecode.OpDoEnd:
-		f := &w.frames[len(w.frames)-1]
-		f.cur++
-		if f.cur <= f.hi {
-			w.bind(f.idx, f.cur)
-			next = f.startPC + 1
-		} else {
-			w.unbind(f.idx)
-			w.frames = w.frames[:len(w.frames)-1]
-		}
+		w.pushLoop(frameDo, in.A, lo, hi)
 	case bytecode.OpDoInStart:
 		sub := w.rt.layout.Indices[in.A]
 		super := w.rt.layout.Indices[in.B]
@@ -413,9 +412,8 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			next = in.C
 			break
 		}
-		w.frames = append(w.frames, frame{kind: frameDoIn, idx: in.A, cur: lo, hi: hi, startPC: w.pc})
-		w.bind(in.A, lo)
-	case bytecode.OpDoInEnd:
+		w.pushLoop(frameDoIn, in.A, lo, hi)
+	case bytecode.OpDoEnd, bytecode.OpDoInEnd:
 		f := &w.frames[len(w.frames)-1]
 		f.cur++
 		if f.cur <= f.hi {
@@ -496,7 +494,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		}
 		b := w.pool.get(loc.extent())
 		b.Fill(v)
-		if err := w.storePooled(in.R[0], loc, b, in.B); err != nil {
+		if err := w.storePooled(in.R[0], &loc, b, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockCopy:
@@ -511,13 +509,13 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		// Only a whole-block assignment keeps its value and so needs a copy.
 		switch {
 		case in.A == bytecode.CopyPermute && !block.IdentityPerm(in.Aux):
-			err = w.storeDst(in.R[0], loc, src.Permute(in.Aux), in.B)
+			err = w.storeDst(in.R[0], &loc, src.Permute(in.Aux), in.B)
 		case loc.region || in.B != bytecode.AssignSet:
-			err = w.storeDst(in.R[0], loc, src, in.B)
+			err = w.storeDst(in.R[0], &loc, src, in.B)
 		default:
 			val := w.pool.get(src.Dims())
 			val.CopyFrom(src)
-			err = w.storePooled(in.R[0], loc, val, in.B)
+			err = w.storePooled(in.R[0], &loc, val, in.B)
 		}
 		if err != nil {
 			return err
@@ -535,7 +533,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockSum:
@@ -558,7 +556,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpContract:
@@ -580,20 +578,16 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 		w.prof.addFlops(flops)
-		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
 			return err
 		}
 
 	// --- communication super instructions ---
 	case bytecode.OpGet, bytecode.OpRequest:
-		if err := w.doGet(in.R[0], true); err != nil {
+		if err := w.doGet(in.R[0]); err != nil {
 			return err
 		}
-	case bytecode.OpPut:
-		if err := w.doPut(in.R[0], in.R[1], in.A == 1); err != nil {
-			return err
-		}
-	case bytecode.OpPrepare:
+	case bytecode.OpPut, bytecode.OpPrepare:
 		if err := w.doPut(in.R[0], in.R[1], in.A == 1); err != nil {
 			return err
 		}
@@ -606,13 +600,11 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 	case bytecode.OpBarrier:
-		var err error
+		kind := syncBarrier
 		if in.A == 1 {
-			err = w.serverBarrier()
-		} else {
-			err = w.sipBarrier()
+			kind = syncServerBarrier
 		}
-		if err != nil {
+		if err := w.barrier(kind); err != nil {
 			return err
 		}
 	case bytecode.OpCollective:
@@ -695,6 +687,13 @@ func (w *worker) bind(id, v int) {
 
 func (w *worker) unbind(id int) { w.idxBound[id] = false }
 
+// pushLoop enters a do or do-in loop at its first value.
+func (w *worker) pushLoop(kind, idx, lo, hi int) {
+	w.frameSeq++
+	w.frames = append(w.frames, frame{kind: kind, idx: idx, cur: lo, hi: hi, startPC: w.pc, seq: w.frameSeq})
+	w.bind(idx, lo)
+}
+
 // setIteration binds the pardo indices to one iteration's values.
 func (w *worker) setIteration(pid int, vals []int) {
 	for i, id := range w.rt.prog.Pardos[pid].Indices {
@@ -712,34 +711,16 @@ func (w *worker) clearTemps() {
 	clear(w.temps)
 }
 
-// recvTimed is Recv with the configured deadline: with RecvTimeout off
-// it blocks like Recv; with it on, a receive whose every retry expires
-// is diagnosed as a failure of the rank owing the message (src >= 0) —
-// an *mpi.RankFailure the run() defer uses to fail the world — or as a
-// generic timeout for wildcard receives.
+// recvTimed is Recv under the configured deadline (see awaitRequest).
 func (w *worker) recvTimed(src, tag int, what string) (mpi.Message, error) {
-	d := w.rt.cfg.RecvTimeout
-	if d <= 0 {
-		return w.comm.Recv(src, tag), nil
-	}
-	attempts := 1 + w.rt.cfg.RecvRetries
-	for i := 0; i < attempts; i++ {
-		if m, ok := w.comm.RecvTimeout(src, tag, d); ok {
-			return m, nil
-		}
-	}
-	total := time.Duration(attempts) * d
-	if src >= 0 {
-		return mpi.Message{}, &mpi.RankFailure{
-			Rank:   src,
-			Reason: fmt.Sprintf("worker %d heard no %s within %v", w.rank, what, total),
-		}
-	}
-	return mpi.Message{}, fmt.Errorf("sip: worker %d: no %s within %v", w.rank, what, total)
+	return w.awaitRequest(w.comm.Irecv(src, tag), what)
 }
 
-// awaitRequest completes a posted Irecv under the configured deadline,
-// with the same diagnosis semantics as recvTimed.
+// awaitRequest completes a posted Irecv.  With RecvTimeout off it blocks;
+// with it on, a receive whose every retry expires is diagnosed as a
+// failure of the rank owing the message — an *mpi.RankFailure the run()
+// defer uses to fail the world — or, for a wildcard source, as a generic
+// timeout.
 func (w *worker) awaitRequest(req *mpi.Request, what string) (mpi.Message, error) {
 	d := w.rt.cfg.RecvTimeout
 	if d <= 0 {
@@ -792,97 +773,86 @@ func (w *worker) fetchChunk(pid, gen int, entry []float64) ([][]int, error) {
 	return rep.iters, nil
 }
 
+// maxRank bounds the rank of a block reference, as in block.Contract, so
+// a resolved location lives on fixed arrays and locate allocates nothing.
+const maxRank = 8
+
 // refLoc is the resolved location of a block reference: the block
 // coordinate plus, for subindex references, the region within the block.
+// Only the first rank entries of each array mean anything.
 type refLoc struct {
 	key    blockKey
-	coord  segment.Coord
-	dims   []int
+	rank   int
 	region bool
-	rlo    []int // region offset within the block (0-based)
-	rext   []int // region extent
+	coord  [maxRank]int
+	dims   [maxRank]int
+	rlo    [maxRank]int // region offset within the block (0-based)
+	rext   [maxRank]int // region extent
 }
 
+func (l *refLoc) blockDims() []int { return l.dims[:l.rank] }
+
 // extent returns the dims of the block or subblock the reference names.
-func (l refLoc) extent() []int {
+func (l *refLoc) extent() []int {
 	if l.region {
-		return l.rext
+		return l.rext[:l.rank]
 	}
-	return l.dims
+	return l.dims[:l.rank]
+}
+
+// at returns a copy of the block coordinate for error messages:
+// formatting the array itself would move every refLoc to the heap.
+func (l *refLoc) at() segment.Coord { return segment.Coord(l.coord[:l.rank]).Clone() }
+
+// sub returns copies of the region's offset and extent, for the same
+// reason: block.Extract and Insert format theirs when they panic.
+func (l *refLoc) sub() (lo, ext []int) {
+	return append([]int(nil), l.rlo[:l.rank]...), append([]int(nil), l.rext[:l.rank]...)
 }
 
 // locate resolves a reference against the current index values.
-// overrides, if non-nil, substitutes values for specific index ids
-// (used by the prefetcher to address future iterations).
-func (w *worker) locateWith(ref bytecode.Ref, overrides map[int]int) (refLoc, error) {
+func (w *worker) locate(ref bytecode.Ref) (loc refLoc, err error) {
 	prog := w.rt.prog
 	layout := w.rt.layout
-	arr := prog.Arrays[ref.Arr]
-	shape := layout.Shapes[ref.Arr]
-	loc := refLoc{coord: make(segment.Coord, len(ref.Idx))}
-	val := func(id int) (int, error) {
-		if v, ok := overrides[id]; ok {
-			return v, nil
-		}
-		if !w.idxBound[id] {
-			return 0, fmt.Errorf("index %s has no value", prog.Indices[id].Name)
-		}
-		return w.idxVal[id], nil
+	arr := &prog.Arrays[ref.Arr]
+	if len(ref.Idx) > maxRank {
+		return loc, fmt.Errorf("array %s has rank %d, the SIP handles at most %d", arr.Name, len(ref.Idx), maxRank)
 	}
+	loc.rank = len(ref.Idx)
 	for i, id := range ref.Idx {
-		sym := prog.Indices[id]
-		dimID := arr.Dims[i]
-		dimSym := prog.Indices[dimID]
-		if sym.Parent >= 0 && dimSym.Parent < 0 {
-			// Subindex against a super dimension: the block coordinate
-			// comes from the parent; the region from the subindex.
-			pv, err := val(sym.Parent)
-			if err != nil {
-				return loc, err
-			}
-			sv, err := val(id)
-			if err != nil {
-				return loc, err
-			}
-			loc.coord[i] = pv
-			if !loc.region {
-				loc.region = true
-				loc.rlo = make([]int, len(ref.Idx))
-				loc.rext = make([]int, len(ref.Idx))
-			}
-			parent := layout.Indices[sym.Parent]
-			sub := layout.Indices[id]
-			blockLo, _ := parent.SegBounds(pv)
-			subLo, subHi := sub.SegBounds(sv)
+		parent := prog.Indices[id].Parent
+		if parent < 0 || prog.Indices[arr.Dims[i]].Parent >= 0 {
+			parent = id // not a subindex against a super dimension
+		}
+		if !w.idxBound[id] || !w.idxBound[parent] {
+			return loc, fmt.Errorf("index %s has no value", prog.Indices[id].Name)
+		}
+		loc.coord[i] = w.idxVal[id]
+		if parent != id {
+			// The block coordinate comes from the parent; the region
+			// from the subindex.
+			loc.region = true
+			loc.coord[i] = w.idxVal[parent]
+			blockLo, _ := layout.Indices[parent].SegBounds(loc.coord[i])
+			subLo, subHi := layout.Indices[id].SegBounds(w.idxVal[id])
 			loc.rlo[i] = subLo - blockLo
 			loc.rext[i] = subHi - subLo + 1
-			continue
 		}
-		v, err := val(id)
-		if err != nil {
-			return loc, err
-		}
-		loc.coord[i] = v
 	}
-	if err := shape.CheckCoord(loc.coord); err != nil {
+	ord, err := layout.Shapes[ref.Arr].Locate(loc.coord[:loc.rank], loc.dims[:loc.rank])
+	if err != nil {
 		return loc, err
 	}
-	loc.key = blockKey{job: w.rt.job, arr: ref.Arr, ord: shape.Ordinal(loc.coord)}
-	loc.dims = shape.BlockDims(loc.coord)
+	loc.key = blockKey{job: w.rt.job, arr: ref.Arr, ord: ord}
 	if loc.region {
 		// Fill region defaults for non-sub dimensions: whole extent.
 		for i := range ref.Idx {
 			if loc.rext[i] == 0 {
-				loc.rlo[i] = 0
 				loc.rext[i] = loc.dims[i]
 			}
 		}
 	}
 	return loc, nil
-}
-
-func (w *worker) locate(ref bytecode.Ref) (refLoc, error) {
-	return w.locateWith(ref, nil)
 }
 
 // localMap returns the worker-local map holding blocks of the given
@@ -913,12 +883,12 @@ func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
 	if m := w.localMap(arr.Kind); m != nil {
 		b = m[loc.key]
 		if b == nil {
-			return nil, fmt.Errorf("read of uninitialized %s block %s%v", arr.Kind, arr.Name, loc.coord)
+			return nil, fmt.Errorf("read of uninitialized %s block %s%v", arr.Kind, arr.Name, loc.at())
 		}
 	} else {
 		e := w.cache.lookup(loc.key)
 		if e == nil {
-			return nil, fmt.Errorf("block %s%v used without get/request", arr.Name, loc.coord)
+			return nil, fmt.Errorf("block %s%v used without get/request", arr.Name, loc.at())
 		}
 		b, err = w.waitBlock(e)
 		if err != nil {
@@ -926,7 +896,7 @@ func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
 		}
 	}
 	if loc.region {
-		return b.Extract(loc.rlo, loc.rext), nil
+		return b.Extract(loc.sub()), nil
 	}
 	return b, nil
 }
@@ -956,8 +926,7 @@ func (w *worker) waitBlock(e *cacheEntry) (*block.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.b = m.Data.(*block.Block)
-		e.req = nil
+		e.complete(m)
 	}
 	d := time.Since(start)
 	w.prof.addWait(w.currentPardo(), d)
@@ -989,36 +958,29 @@ func (w *worker) waitServedBlock(e *cacheEntry) error {
 		if !world.IsEvicted(src) {
 			stamp := world.EvictStamp()
 			cancel := func() bool { return world.EvictStamp() != stamp }
-			if d <= 0 {
-				if m, ok := e.req.WaitUntil(0, cancel); ok {
-					e.b = m.Data.(*block.Block)
-					e.req = nil
+			// Without a deadline (d <= 0) a wait ends only with the reply
+			// or a membership change.
+			attempts := 1 + w.rt.cfg.RecvRetries
+			silent := true
+			for i := 0; i < attempts; i++ {
+				if m, ok := e.req.WaitUntil(d, cancel); ok {
+					e.complete(m)
 					return nil
 				}
-			} else {
-				attempts := 1 + w.rt.cfg.RecvRetries
-				silent := true
-				for i := 0; i < attempts; i++ {
-					if m, ok := e.req.WaitUntil(d, cancel); ok {
-						e.b = m.Data.(*block.Block)
-						e.req = nil
-						return nil
-					}
-					if cancel() {
-						silent = false // membership changed: re-check src
-						break
-					}
+				if cancel() {
+					silent = false // membership changed: re-check src
+					break
 				}
-				if silent && !w.rt.pooled {
-					// Outside a pool, silence is the only death signal, so
-					// the reader evicts and fails over.  Pool servers die by
-					// explicit eviction only (see master.recvAny): a slow
-					// reply under multi-tenant load must not amputate a live
-					// server, so keep waiting — a real eviction cancels the
-					// wait and the failover below takes over.
-					world.Evict(src, fmt.Sprintf("worker %d heard no reply for block %s within %v",
-						w.rank, e.key, time.Duration(attempts)*d))
-				}
+			}
+			if silent && !w.rt.pooled {
+				// Outside a pool, silence is the only death signal, so
+				// the reader evicts and fails over.  Pool servers die by
+				// explicit eviction only (see master.recvAny): a slow
+				// reply under multi-tenant load must not amputate a live
+				// server, so keep waiting — a real eviction cancels the
+				// wait and the failover below takes over.
+				world.Evict(src, fmt.Sprintf("worker %d heard no reply for block %s within %v",
+					w.rank, e.key, time.Duration(attempts)*d))
 			}
 		}
 		if !world.IsEvicted(src) {
@@ -1033,8 +995,7 @@ func (w *worker) waitServedBlock(e *cacheEntry) error {
 			w.trk.Instant(obs.CatGet, "read_failover",
 				obs.A("block", e.key.String()), obs.AInt("from", src), obs.AInt("to", replicas[0]))
 		}
-		replyTag := w.rt.tag(tagReplyBase) + w.nextReply
-		w.nextReply++
+		replyTag := w.replyTag()
 		e.req = w.comm.Irecv(replicas[0], replyTag)
 		w.comm.Send(replicas[0], tagServer, getMsg{key: e.key, replyTag: replyTag, origin: w.rank})
 	}
@@ -1052,7 +1013,7 @@ func (w *worker) currentPardo() int {
 
 // storePooled is storeDst for a value drawn from the block pool, which
 // gets it back unless the destination kept it (a whole-block assignment).
-func (w *worker) storePooled(ref bytecode.Ref, loc refLoc, val *block.Block, mode int) error {
+func (w *worker) storePooled(ref bytecode.Ref, loc *refLoc, val *block.Block, mode int) error {
 	err := w.storeDst(ref, loc, val, mode)
 	if err != nil || loc.region || mode != bytecode.AssignSet {
 		w.pool.put(val)
@@ -1065,7 +1026,7 @@ func (w *worker) storePooled(ref bytecode.Ref, loc refLoc, val *block.Block, mod
 // recycles the temp block it replaces (sends clone, so nothing else holds
 // it); every other store only reads val, and a region destination
 // read-modify-writes the base block.
-func (w *worker) storeDst(ref bytecode.Ref, loc refLoc, val *block.Block, mode int) error {
+func (w *worker) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode int) error {
 	arr := w.rt.prog.Arrays[ref.Arr]
 	m := w.localMap(arr.Kind)
 	if m == nil {
@@ -1076,8 +1037,8 @@ func (w *worker) storeDst(ref bytecode.Ref, loc refLoc, val *block.Block, mode i
 	}
 	cur := m[loc.key]
 	if mode == bytecode.AssignSet && !loc.region {
-		if !dimsEqual(val.Dims(), loc.dims) {
-			return fmt.Errorf("assignment to %s%v: got dims %v, want %v", arr.Name, loc.coord, val.Dims(), loc.dims)
+		if !dimsEqual(val.Dims(), loc.blockDims()) {
+			return fmt.Errorf("assignment to %s%v: got dims %v", arr.Name, loc.at(), val.Dims())
 		}
 		if cur != nil && cur != val && arr.Kind == bytecode.ArrayTemp {
 			w.pool.put(cur)
@@ -1086,68 +1047,74 @@ func (w *worker) storeDst(ref bytecode.Ref, loc refLoc, val *block.Block, mode i
 		return nil
 	}
 	if cur == nil {
-		cur = w.pool.get(loc.dims)
+		cur = w.pool.get(loc.blockDims())
 		m[loc.key] = cur
-	}
-	if mode == bytecode.AssignSet {
-		cur.Insert(loc.rlo, val)
-		return nil
 	}
 	sign := 1.0
 	if mode == bytecode.AssignSub {
 		sign = -1
 	}
-	if loc.region {
-		sub := cur.Extract(loc.rlo, loc.rext)
-		sub.AddScaled(sign, val)
-		cur.Insert(loc.rlo, sub)
-	} else {
+	if !loc.region {
 		cur.AddScaled(sign, val)
+		return nil
 	}
+	rlo, rext := loc.sub()
+	if mode == bytecode.AssignSet {
+		cur.Insert(rlo, val)
+		return nil
+	}
+	sub := cur.Extract(rlo, rext)
+	sub.AddScaled(sign, val)
+	cur.Insert(rlo, sub)
 	return nil
 }
 
 // doGet implements get (distributed) and request (served): resolve the
 // block's location and start an asynchronous fetch unless it is already
-// cached.  Prefetches ahead in the innermost sequential loop.
-func (w *worker) doGet(ref bytecode.Ref, prefetch bool) error {
+// cached, then let look-ahead request what the enclosing loops name next.
+func (w *worker) doGet(ref bytecode.Ref) error {
 	loc, err := w.locate(ref)
 	if err != nil {
 		return err
 	}
 	if e := w.cache.lookup(loc.key); e != nil {
-		e.poll()
-	} else if _, err := w.startFetch(ref.Arr, loc); err != nil {
+		e.pending() // receives the reply if it is there
+	} else if err := w.startFetch(ref.Arr, &loc, false); err != nil {
 		return err
 	}
-	if prefetch && w.rt.cfg.PrefetchWindow > 0 {
-		w.prefetchAhead(ref)
+	if w.aheadCap > 0 {
+		w.lookAhead(ref)
 	}
 	return nil
 }
 
-// startFetch begins an asynchronous fetch of one block into the cache.
-// Served blocks are requested from their primary replica; the error is
-// non-nil only when every replica of the block has been evicted.
-func (w *worker) startFetch(arrID int, loc refLoc) (*cacheEntry, error) {
-	arr := w.rt.prog.Arrays[arrID]
+// startFetch begins an asynchronous fetch of one block into the cache,
+// for the program or for look-ahead (ahead), which skips locally homed
+// blocks: copying one is as cheap when the program asks.  Served blocks
+// are requested from their primary replica; the error is non-nil only
+// when every replica of the block has been evicted.
+func (w *worker) startFetch(arrID int, loc *refLoc, ahead bool) error {
+	arr := &w.rt.prog.Arrays[arrID]
 	var home int
 	if arr.Kind == bytecode.ArrayServed {
 		replicas := w.replicaServers(arrID, loc.key.ord)
 		if len(replicas) == 0 {
-			return nil, fmt.Errorf("request %s%v: every replica server is dead", arr.Name, loc.coord)
+			return fmt.Errorf("request %s%v: every replica server is dead", arr.Name, loc.at())
 		}
 		home = replicas[0]
 	} else {
 		home = w.rt.homeWorker(arrID, loc.key.ord)
 	}
 	if home == w.rank {
-		// Locally homed: copy out of the store under its lock.
-		b := w.dist.getCopy(loc.key, loc.dims)
-		return w.cache.insertReady(loc.key, b), nil
+		if !ahead {
+			// Locally homed: copy out of the store under its lock.
+			b := w.pool.get(loc.blockDims())
+			w.dist.copyInto(loc.key, b)
+			w.cache.insert(loc.key, b, nil, false)
+		}
+		return nil
 	}
-	replyTag := w.rt.tag(tagReplyBase) + w.nextReply
-	w.nextReply++
+	replyTag := w.replyTag()
 	req := w.comm.Irecv(home, replyTag)
 	// Worker homes listen on this job's strided service tag; I/O servers
 	// are shared across jobs and listen on the global tagServer (the
@@ -1158,11 +1125,24 @@ func (w *worker) startFetch(arrID int, loc refLoc) (*cacheEntry, error) {
 	}
 	w.comm.Send(home, msgTag, getMsg{key: loc.key, replyTag: replyTag, origin: w.rank})
 	w.prof.fetches++
+	if ahead {
+		w.prof.prefetches++
+	}
 	if w.trk != nil {
 		w.trk.Instant(obs.CatGet, "fetch_issued",
 			obs.A("block", loc.key.String()), obs.AInt("home", home))
 	}
-	return w.cache.insertPending(loc.key, req), nil
+	w.cache.insert(loc.key, nil, req, ahead)
+	return nil
+}
+
+// replyTag returns the tag of this worker's next block reply, wrapping
+// inside the job's reply window: a long run never walks into the next
+// pool tenant's tags.
+func (w *worker) replyTag() int {
+	t := w.rt.tag(tagReplyBase) + w.nextReply
+	w.nextReply = (w.nextReply + 1) % (jobTagStride - tagReplyBase)
+	return t
 }
 
 // replicaServers is rt.replicaServers into this worker's scratch: the
@@ -1172,45 +1152,74 @@ func (w *worker) replicaServers(arr, ord int) []int {
 	return w.replicas
 }
 
-// prefetchAhead requests the blocks this get will need in the next
-// iterations of the innermost enclosing sequential loop (paper §V-A:
-// "The SIP looks ahead and requests several blocks that it expects will
-// be needed soon").
-func (w *worker) prefetchAhead(ref bytecode.Ref) {
-	// Find the innermost do/doIn frame whose index appears in the ref
-	// (directly or as the parent of a subindex used by the ref).
-	var fr *frame
-	for i := len(w.frames) - 1; i >= 0 && fr == nil; i-- {
-		f := &w.frames[i]
-		if f.kind != frameDo && f.kind != frameDoIn {
-			continue
-		}
-		for _, id := range ref.Idx {
-			if id == f.idx || w.rt.prog.Indices[id].Parent == f.idx {
-				fr = f
-				break
-			}
-		}
+// aheadSite is the look-ahead cursor of one get/request instruction: the
+// farthest position requested (pos) in entry seq of its outermost loop.
+type aheadSite struct{ seq, pos int }
+
+// lookAhead requests the blocks the get at w.pc will name next (paper
+// §V-A: "The SIP looks ahead and requests several blocks that it expects
+// will be needed soon").  The loops around the get form an odometer: the
+// plain do frames from the innermost outwards, ending with a do-in frame
+// (its range follows its parent, so it cannot be a digit that wraps) or
+// below a call or the pardo iteration (the next one is the master's to
+// name, and a barrier may come first).  The site's cursor slides over the
+// odometer's positions, at most PrefetchWindow ahead of the loops: an
+// execution requests only the new far edge, across inner-loop boundaries.
+// Blocks requested ahead and not yet asked for stay within aheadCap and
+// within the room the cache has: a window the cache cannot hold thrashes
+// (the BlueGene/P port, §VI-A).
+func (w *worker) lookAhead(ref bytecode.Ref) {
+	bot := len(w.frames)
+	for bot > 0 && w.frames[bot-1].kind == frameDo {
+		bot--
 	}
-	if fr == nil {
+	if bot > 0 && w.frames[bot-1].kind == frameDoIn {
+		bot--
+	}
+	digits := w.frames[bot:]
+	if len(digits) == 0 {
 		return
 	}
-	for ahead := 1; ahead <= w.rt.cfg.PrefetchWindow; ahead++ {
-		v := fr.cur + ahead
-		if v > fr.hi {
-			return
+	cur, last := 0, 0
+	for i := range digits {
+		lo, n := w.span(&digits[i])
+		cur = cur*n + digits[i].cur - lo
+		last = last*n + digits[i].hi - lo
+	}
+	if w.sites == nil {
+		w.sites = make([]aheadSite, len(w.rt.prog.Code))
+	}
+	s := &w.sites[w.pc]
+	if s.seq != digits[0].seq {
+		// A new entry of the outermost loop: what look-ahead still waits
+		// for, the program did not ask for.
+		*s = aheadSite{seq: digits[0].seq}
+		w.cache.settle()
+	}
+	s.pos = max(s.pos, cur)
+	for s.pos < last && s.pos-cur < w.rt.cfg.PrefetchWindow && w.cache.nAhead < w.aheadCap && w.cache.room() {
+		s.pos++
+		p := s.pos
+		for i := len(digits) - 1; i >= 0; i-- {
+			lo, n := w.span(&digits[i])
+			w.idxVal[digits[i].idx] = lo + p%n
+			p /= n
 		}
-		loc, err := w.locateWith(ref, map[int]int{fr.idx: v})
-		if err != nil {
-			return
-		}
-		if w.cache.lookup(loc.key) == nil {
-			if _, err := w.startFetch(ref.Arr, loc); err != nil {
-				return // prefetch is best-effort; the demand fetch reports
-			}
-			w.prof.prefetches++
+		if loc, err := w.locate(ref); err == nil && w.cache.entries[loc.key] == nil {
+			_ = w.startFetch(ref.Arr, &loc, true) // best-effort: the demand fetch reports
 		}
 	}
+	for i := range digits {
+		w.idxVal[digits[i].idx] = digits[i].cur
+	}
+}
+
+// span returns the low bound and trip count of a loop frame's index; for
+// a do-in frame those of the whole subindex range, which serve a digit
+// that does not wrap as well.
+func (w *worker) span(f *frame) (lo, n int) {
+	lo, _ = w.rt.layout.IndexRange(f.idx)
+	return lo, f.hi - lo + 1
 }
 
 // doPut implements put (distributed) and prepare (served).
@@ -1223,9 +1232,8 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 	if err != nil {
 		return err
 	}
-	if !dimsEqual(val.Dims(), loc.dims) {
-		return fmt.Errorf("put %s%v: got dims %v, want %v",
-			w.rt.prog.Arrays[dst.Arr].Name, loc.coord, val.Dims(), loc.dims)
+	if !dimsEqual(val.Dims(), loc.blockDims()) {
+		return fmt.Errorf("put %s%v: got dims %v", w.rt.prog.Arrays[dst.Arr].Name, loc.at(), val.Dims())
 	}
 	arr := w.rt.prog.Arrays[dst.Arr]
 	if w.trk != nil {
@@ -1250,7 +1258,7 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 		// pass restores the factor later).
 		replicas := w.replicaServers(dst.Arr, loc.key.ord)
 		if len(replicas) == 0 {
-			return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.coord)
+			return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.at())
 		}
 		w.comm.Multicast(replicas, tagServer, msg, cloned)
 		for _, srv := range replicas {
@@ -1282,10 +1290,10 @@ func (w *worker) doComputeIntegrals(ref bytecode.Ref) error {
 	}
 	arr := w.rt.prog.Arrays[ref.Arr]
 	shape := w.rt.layout.Shapes[ref.Arr]
-	lo, hi := shape.BlockBounds(loc.coord)
+	lo, hi := shape.BlockBounds(loc.at())
 	b := w.rt.cfg.Integrals(arr.Name, lo, hi)
-	if b == nil || !dimsEqual(b.Dims(), loc.dims) {
-		return fmt.Errorf("compute_integrals %s%v: generator returned wrong dims", arr.Name, loc.coord)
+	if b == nil || !dimsEqual(b.Dims(), loc.blockDims()) {
+		return fmt.Errorf("compute_integrals %s%v: generator returned wrong dims", arr.Name, loc.at())
 	}
 	m := w.localMap(arr.Kind)
 	m[loc.key] = b
@@ -1315,7 +1323,7 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 		if m := w.localMap(arr.Kind); m != nil {
 			b := m[loc.key]
 			if b == nil {
-				b = block.New(loc.dims...)
+				b = block.New(loc.blockDims()...)
 				m[loc.key] = b
 			}
 			blocks[i] = b
@@ -1385,23 +1393,13 @@ drain:
 	}
 }
 
-// sipBarrier separates conflicting accesses to distributed arrays: all
-// outstanding puts are applied, all workers rendezvous, and cached remote
-// blocks are invalidated so later gets see the new values.
-func (w *worker) sipBarrier() error {
-	if _, err := w.masterSync(syncBarrier, -1, true, nil); err != nil {
-		return err
-	}
-	w.cache.invalidateAll()
-	return nil
-}
-
-// serverBarrier separates conflicting accesses to served arrays: all
-// prepares applied, dirty server caches flushed, caches invalidated.
-// The master performs the flush itself once every live worker has
-// reached (and, if needed, replayed past) this round.
-func (w *worker) serverBarrier() error {
-	if _, err := w.masterSync(syncServerBarrier, -1, true, nil); err != nil {
+// barrier separates conflicting accesses to distributed arrays
+// (sip_barrier) or served arrays (server_barrier): all outstanding puts or
+// prepares are applied, all workers rendezvous — at a server barrier the
+// master then has the servers flush their dirty caches — and cached
+// remote blocks are invalidated so later gets see the new values.
+func (w *worker) barrier(kind int) error {
+	if _, err := w.masterSync(kind, -1, true, nil); err != nil {
 		return err
 	}
 	w.cache.invalidateAll()
