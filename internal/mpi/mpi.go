@@ -22,6 +22,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,8 @@ func (c *Comm) box() *mailbox {
 // already-delivered matching messages, then panics with ErrAborted
 // instead of blocking forever.
 func (c *Comm) Recv(src, tag int) Message {
-	return c.box().get(src, tag, true)
+	lo, hi := tagRange(tag)
+	return c.RecvRange(src, lo, hi)
 }
 
 // RecvTimeout blocks up to d for a message matching (src, tag).  It
@@ -260,11 +262,7 @@ func (c *Comm) Recv(src, tag int) Message {
 // Recv).  Abort semantics match Recv: delivered matches are drained,
 // then an aborted world panics with ErrAborted.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool) {
-	if d <= 0 {
-		return c.Recv(src, tag), true
-	}
-	m := c.box().getCancel(src, tag, d, nil)
-	return m, m.valid
+	return c.RecvUntil(src, tag, d, nil)
 }
 
 // RecvUntil blocks for a message matching (src, tag), bounded by an
@@ -274,8 +272,8 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool) {
 // mailboxes), must be cheap, and must not block — it is called with the
 // mailbox lock held.  Abort semantics match Recv.
 func (c *Comm) RecvUntil(src, tag int, d time.Duration, cancel func() bool) (Message, bool) {
-	m := c.box().getCancel(src, tag, d, cancel)
-	return m, m.valid
+	lo, hi := tagRange(tag)
+	return c.RecvRangeUntil(src, lo, hi, d, cancel)
 }
 
 // RecvRange blocks until a message from src whose tag lies in
@@ -285,14 +283,14 @@ func (c *Comm) RecvUntil(src, tag int, d time.Duration, cancel func() bool) (Mes
 // way a wildcard AnyTag receive cannot (it would steal the others'
 // messages).  Abort semantics match Recv.
 func (c *Comm) RecvRange(src, tagLo, tagHi int) Message {
-	return c.box().getRange(src, tagLo, tagHi, 0, nil)
+	return c.box().take(src, tagLo, tagHi, true, 0, nil)
 }
 
 // RecvRangeUntil is RecvRange bounded by an optional deadline d (<= 0
 // means none) and a cancel predicate with RecvUntil semantics.  It
 // returns ok == false when the deadline passes or cancel reports true.
 func (c *Comm) RecvRangeUntil(src, tagLo, tagHi int, d time.Duration, cancel func() bool) (Message, bool) {
-	m := c.box().getRange(src, tagLo, tagHi, d, cancel)
+	m := c.box().take(src, tagLo, tagHi, true, d, cancel)
 	return m, m.valid
 }
 
@@ -300,7 +298,8 @@ func (c *Comm) RecvRangeUntil(src, tagLo, tagHi int, d time.Duration, cancel fun
 // aborted world with no queued match it panics with ErrAborted, so
 // Test/TryRecv polling loops terminate like blocked receives do.
 func (c *Comm) TryRecv(src, tag int) (Message, bool) {
-	m := c.box().get(src, tag, false)
+	lo, hi := tagRange(tag)
+	m := c.box().take(src, lo, hi, false, 0, nil)
 	return m, m.valid
 }
 
@@ -326,40 +325,23 @@ type Request struct {
 
 // Test attempts to complete the receive without blocking.
 func (r *Request) Test() (Message, bool) {
-	if r.done {
-		return r.msg, true
-	}
-	m, ok := r.comm.TryRecv(r.src, r.tag)
-	if ok {
-		r.msg = m
-		r.done = true
+	if !r.done {
+		r.msg, r.done = r.comm.TryRecv(r.src, r.tag)
 	}
 	return r.msg, r.done
 }
 
 // Wait blocks until the receive completes and returns the message.
 func (r *Request) Wait() Message {
-	if r.done {
-		return r.msg
-	}
-	r.msg = r.comm.Recv(r.src, r.tag)
-	r.done = true
-	return r.msg
+	m, _ := r.WaitUntil(0, nil)
+	return m
 }
 
 // WaitTimeout blocks up to d for the receive to complete.  It returns
 // ok == false on timeout; the request stays pending and may be waited
 // on again.  d <= 0 waits without a deadline.
 func (r *Request) WaitTimeout(d time.Duration) (Message, bool) {
-	if r.done {
-		return r.msg, true
-	}
-	m, ok := r.comm.RecvTimeout(r.src, r.tag, d)
-	if ok {
-		r.msg = m
-		r.done = true
-	}
-	return r.msg, r.done
+	return r.WaitUntil(d, nil)
 }
 
 // WaitUntil blocks for the receive to complete, bounded by an optional
@@ -369,13 +351,8 @@ func (r *Request) WaitTimeout(d time.Duration) (Message, bool) {
 // cancel reports true; the request stays pending and may be waited on
 // again — against the same source or re-posted against another.
 func (r *Request) WaitUntil(d time.Duration, cancel func() bool) (Message, bool) {
-	if r.done {
-		return r.msg, true
-	}
-	m, ok := r.comm.RecvUntil(r.src, r.tag, d, cancel)
-	if ok {
-		r.msg = m
-		r.done = true
+	if !r.done {
+		r.msg, r.done = r.comm.RecvUntil(r.src, r.tag, d, cancel)
 	}
 	return r.msg, r.done
 }
@@ -412,55 +389,40 @@ func (mb *mailbox) put(m Message) int {
 	return depth
 }
 
-func matches(m Message, src, tag int) bool {
-	return (src == AnySource || m.Source == src) && (tag == AnyTag || m.Tag == tag)
+// tagRange is the inclusive tag window an exact tag or the AnyTag
+// wildcard matches.
+func tagRange(tag int) (lo, hi int) {
+	if tag == AnyTag {
+		return math.MinInt, math.MaxInt
+	}
+	return tag, tag
 }
 
-func matchesRange(m Message, src, tagLo, tagHi int) bool {
+func matches(m Message, src, tagLo, tagHi int) bool {
 	return (src == AnySource || m.Source == src) && m.Tag >= tagLo && m.Tag <= tagHi
 }
 
-// getRange is getCancel with inclusive tag-range matching.  d <= 0 and
-// a nil cancel make it a plain blocking receive.
-func (mb *mailbox) getRange(src, tagLo, tagHi int, d time.Duration, cancel func() bool) Message {
+// take is the mailbox's one receive: it removes and returns the oldest
+// queued message from src (or AnySource) with a tag in [tagLo, tagHi],
+// or the zero Message (valid == false) when there is none and it may not
+// wait any longer — block is false, the deadline d (<= 0 means none) has
+// passed, or cancel (nil means never) reports true.  cancel runs under
+// mb.mu and is rechecked on every wakeup.
+func (mb *mailbox) take(src, tagLo, tagHi int, block bool, d time.Duration, cancel func() bool) Message {
 	var deadline time.Time
-	if d > 0 {
+	if block && d > 0 {
 		deadline = time.Now().Add(d)
-		timer := time.AfterFunc(d, func() {
-			mb.mu.Lock()
-			mb.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-			mb.cond.Broadcast()
-		})
+		// sync.Cond has no timed wait; a timer that takes the lock before
+		// broadcasting cannot fire between the waiter's deadline check and
+		// its cond.Wait, so the wakeup is never lost.
+		timer := time.AfterFunc(d, mb.wake)
 		defer timer.Stop()
 	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		for i, m := range mb.queue {
-			if matchesRange(m, src, tagLo, tagHi) {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m
-			}
-		}
-		if mb.aborted {
-			panic(ErrAborted)
-		}
-		if cancel != nil && cancel() {
-			return Message{}
-		}
-		if d > 0 && !time.Now().Before(deadline) {
-			return Message{}
-		}
-		mb.cond.Wait()
-	}
-}
-
-func (mb *mailbox) get(src, tag int, blocking bool) Message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		for i, m := range mb.queue {
-			if matches(m, src, tag) {
+			if matches(m, src, tagLo, tagHi) {
 				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
 				return m
 			}
@@ -472,49 +434,7 @@ func (mb *mailbox) get(src, tag int, blocking bool) Message {
 		if mb.aborted {
 			panic(ErrAborted)
 		}
-		if !blocking {
-			return Message{}
-		}
-		mb.cond.Wait()
-	}
-}
-
-// getCancel is get with an optional deadline (d <= 0 means none) and an
-// optional cancel predicate: it returns the zero Message (valid ==
-// false) if no match arrives before the deadline passes or cancel
-// reports true.  cancel runs under mb.mu and is rechecked on every
-// wakeup.  Abort still panics with ErrAborted, after draining delivered
-// matches.
-func (mb *mailbox) getCancel(src, tag int, d time.Duration, cancel func() bool) Message {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-		// sync.Cond has no timed wait; a timer that takes the lock before
-		// broadcasting cannot fire between the waiter's deadline check and
-		// its cond.Wait, so the wakeup is never lost.
-		timer := time.AfterFunc(d, func() {
-			mb.mu.Lock()
-			mb.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-			mb.cond.Broadcast()
-		})
-		defer timer.Stop()
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		for i, m := range mb.queue {
-			if matches(m, src, tag) {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m
-			}
-		}
-		if mb.aborted {
-			panic(ErrAborted)
-		}
-		if cancel != nil && cancel() {
-			return Message{}
-		}
-		if d > 0 && !time.Now().Before(deadline) {
+		if !block || (cancel != nil && cancel()) || (d > 0 && !time.Now().Before(deadline)) {
 			return Message{}
 		}
 		mb.cond.Wait()
@@ -531,7 +451,7 @@ func (mb *mailbox) abort() {
 }
 
 // wake rouses blocked receivers without changing mailbox state, so
-// getCancel waiters re-evaluate their cancel predicate.  Taking the
+// waiters re-evaluate their cancel predicate and deadline.  Taking the
 // lock first means a waiter between its cancel check and cond.Wait
 // cannot miss the broadcast.
 func (mb *mailbox) wake() {
@@ -543,8 +463,9 @@ func (mb *mailbox) wake() {
 func (mb *mailbox) probe(src, tag int) bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	lo, hi := tagRange(tag)
 	for _, m := range mb.queue {
-		if matches(m, src, tag) {
+		if matches(m, src, lo, hi) {
 			return true
 		}
 	}

@@ -12,8 +12,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -80,9 +78,6 @@ type TracerConfig struct {
 	// Ranks restricts recording to these world ranks.  Empty means all
 	// ranks record.
 	Ranks []int
-	// Text, when non-nil, additionally streams every event as one text
-	// line (the plain-text mode of the trace layer).
-	Text io.Writer
 }
 
 // Tracer records spans and instants across the tracks (rank ×
@@ -91,16 +86,14 @@ type Tracer struct {
 	start time.Time
 	cap   int
 	ranks map[int]bool // nil = all
-	text  io.Writer
 
 	mu     sync.Mutex
 	tracks []*Track
-	textMu sync.Mutex
 }
 
 // NewTracer creates a tracer.  The zero config is usable.
 func NewTracer(cfg TracerConfig) *Tracer {
-	t := &Tracer{start: time.Now(), cap: cfg.Capacity, text: cfg.Text}
+	t := &Tracer{start: time.Now(), cap: cfg.Capacity}
 	if t.cap <= 0 {
 		t.cap = 32768
 	}
@@ -176,9 +169,6 @@ func (t *Track) record(ev Event) {
 	t.ring[t.n%len(t.ring)] = ev
 	t.n++
 	t.mu.Unlock()
-	if t.tr.text != nil {
-		t.tr.writeText(t, ev)
-	}
 }
 
 // Complete records a span with an explicit start time and duration
@@ -340,18 +330,4 @@ func (t *Tracer) DroppedTotal() int {
 		total += trk.Dropped()
 	}
 	return total
-}
-
-// writeText renders one event as a text line: the plain-text trace mode.
-func (t *Tracer) writeText(trk *Track, ev Event) {
-	t.textMu.Lock()
-	defer t.textMu.Unlock()
-	fmt.Fprintf(t.text, "%10.3fms r%d/%s %s %s", float64(ev.TS)/1e3, trk.pid, trk.name, ev.Cat, ev.Name)
-	if ev.Dur >= 0 {
-		fmt.Fprintf(t.text, " dur=%s", time.Duration(ev.Dur)*time.Microsecond)
-	}
-	for i := 0; i < ev.NArg; i++ {
-		fmt.Fprintf(t.text, " %s=%s", ev.Args[i].Key, ev.Args[i].Val)
-	}
-	fmt.Fprintln(t.text)
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -139,19 +138,6 @@ func TestNilTracerSafe(t *testing.T) {
 	trk.Instant(CatPut, "z")
 	if trk.Dropped() != 0 || trk.Events() != nil {
 		t.Error("nil track reported state")
-	}
-}
-
-func TestTextMode(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(TracerConfig{Text: &buf})
-	trk := tr.Track(2, 0, "worker 2", "interp")
-	trk.Complete(time.Now(), 3*time.Millisecond, CatInterp, "contract", AInt("line", 7))
-	out := buf.String()
-	for _, want := range []string{"r2/interp", "interp contract", "dur=3ms", "line=7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text trace missing %q:\n%s", want, out)
-		}
 	}
 }
 

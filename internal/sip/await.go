@@ -1,0 +1,102 @@
+package sip
+
+import (
+	"fmt"
+
+	"repro/internal/mpi"
+)
+
+// awaitAttempts is how many RecvTimeout-long receives pass in silence
+// before await rules on it.
+const awaitAttempts = 3
+
+// waitFor says what a wait is for.  It is read only by a verdict, so a
+// block wait names its key instead of formatting it on every fetch.
+type waitFor struct {
+	what string
+	key  *blockKey // when set, what is about this block
+}
+
+func (f waitFor) String() string {
+	if f.key != nil {
+		return f.what + " " + f.key.String()
+	}
+	return f.what
+}
+
+// await is the one bounded receive of a SIP run (docs/FAULTS.md, "Who
+// waits, and what silence means"): every wait of a master or a worker for
+// a message it is owed goes through it, so that how long to wait, what
+// ends a wait early and what silence means are decided here alone.
+//
+// It returns the next message on c from src with a tag in [tagLo, tagHi]
+// (ok), or ok == false with a nil error when the caller must look again at
+// whom it is waiting for ("woke"): the membership changed, src itself is
+// evicted (now or before the wait began — a message it delivered first is
+// still returned), or wake, the caller's own cheap predicate evaluated
+// under the mailbox lock, reports true.
+//
+// Silence is awaitAttempts receives of Config.RecvTimeout each without a
+// message (0 never times out), and the verdict on it is one rule:
+//
+//   - A run that owns its world has no other death signal for a rank that
+//     stopped answering.  It evicts the first evictable rank of suspects
+//     (the ranks owing the message; nil means src) and returns "woke";
+//     failing that it returns an *mpi.RankFailure naming the first
+//     suspect, or a plain timeout when nobody is suspected.
+//   - A tenant of a shared world (a pool job) never rules on silence.
+//     Pool ranks die by explicit eviction (Pool.Kill, liveness), which
+//     wakes this wait; one that is quiet is slow — serving another
+//     tenant, parked by the fairness gate — and evicting or blaming it
+//     would take a live rank from every job in the pool.
+//
+// With no deadline and nothing to wake it the wait is a plain blocking
+// receive; none of the closures escape, so a wait allocates nothing.
+func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspects func() []int, wake func() bool) (mpi.Message, bool, error) {
+	world := rt.world
+	d := rt.cfg.RecvTimeout
+	if rt.pooled {
+		d = 0
+	}
+	// An eviction after the stamp is read moves it; one before is seen by
+	// the check of src.
+	stamp := world.EvictStamp()
+	gone := src != mpi.AnySource && world.IsEvicted(src)
+	cancel := func() bool {
+		return gone || world.EvictStamp() != stamp || (wake != nil && wake())
+	}
+	for i := 0; i < awaitAttempts; i++ {
+		if msg, ok := c.RecvRangeUntil(src, tagLo, tagHi, d, cancel); ok {
+			return msg, true, nil
+		}
+		if d <= 0 || cancel() {
+			return mpi.Message{}, false, nil
+		}
+	}
+
+	who := "master"
+	if c.Rank() != 0 {
+		who = fmt.Sprintf("worker %d", c.Rank())
+	}
+	total := awaitAttempts * d
+	var waiting []int
+	if suspects != nil {
+		waiting = suspects()
+	} else if src != mpi.AnySource {
+		waiting = []int{src}
+	}
+	for _, r := range waiting {
+		if world.Evictable(r) {
+			world.Evict(r, fmt.Sprintf("%s heard no %s from it within %v", who, what, total))
+			return mpi.Message{}, false, nil
+		}
+	}
+	if len(waiting) == 0 {
+		return mpi.Message{}, false, fmt.Errorf("sip: %s: no %s within %v", who, what, total)
+	}
+	reason := fmt.Sprintf("%s heard no %s within %v", who, what, total)
+	if len(waiting) > 1 {
+		reason += fmt.Sprintf(" (still waiting on ranks %v)", waiting)
+	}
+	return mpi.Message{}, false, &mpi.RankFailure{Rank: waiting[0], Reason: reason}
+}

@@ -245,7 +245,8 @@ func TestStaleEntryIsReceivedAndRecycled(t *testing.T) {
 
 // stepper drives one worker's interpreter by hand over a program without
 // pardos or sync points, so a test can look at the worker between
-// instructions.  With serve set a second worker answers its gets.
+// instructions.  Every distributed block is homed on a second worker, so
+// each of its gets is remote; with serve set that worker answers them.
 type stepper struct {
 	w    *worker
 	stop func()
@@ -262,6 +263,7 @@ func newStepper(t *testing.T, src string, cfg Config, serve bool) *stepper {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.workerList = []int{2, 2}
 	st := &stepper{w: newWorker(rt, 1), stop: rt.close}
 	if serve {
 		home := newWorker(rt, 2)
@@ -308,9 +310,6 @@ enddo L
 endsial
 `
 
-// allRemote homes every block on the second worker.
-func allRemote(arr, ord, workers int) int { return 1 }
-
 // TestLookAheadCap: whatever the window, blocks requested ahead and not
 // yet asked for never exceed min(window, CacheBlocks/2), look-ahead alone
 // never overflows the cache, and it fetches no block a run without it
@@ -321,7 +320,7 @@ func TestLookAheadCap(t *testing.T) {
 		for _, window := range []int{-1, 1, 4, 64} {
 			t.Run(fmt.Sprintf("cache=%d/window=%d", cache, window), func(t *testing.T) {
 				st := newStepper(t, scanProgram, Config{Seg: bytecode.DefaultSegConfig(1),
-					CacheBlocks: cache, PrefetchWindow: window, Placement: allRemote}, true)
+					CacheBlocks: cache, PrefetchWindow: window}, true)
 				defer st.stop()
 				limit := max(min(window, cache/2), 0)
 				peak := 0
@@ -362,7 +361,7 @@ func TestLookAheadCap(t *testing.T) {
 // the scan waits for a block that was not requested ahead.
 func TestLookAheadCrossesInnerLoops(t *testing.T) {
 	st := newStepper(t, scanProgram, Config{Seg: bytecode.DefaultSegConfig(1),
-		CacheBlocks: 16, PrefetchWindow: 4, Placement: allRemote}, true)
+		CacheBlocks: 16, PrefetchWindow: 4}, true)
 	defer st.stop()
 	st.run(t, func(w *worker, in *bytecode.Instr) {})
 	if got := st.w.prof.prefetches; got != 35 {
@@ -387,7 +386,7 @@ endsial
 `
 	perGet := map[int]float64{}
 	for _, window := range []int{-1, 4} {
-		st := newStepper(t, src, Config{Seg: bytecode.DefaultSegConfig(1), PrefetchWindow: window, Placement: allRemote}, false)
+		st := newStepper(t, src, Config{Seg: bytecode.DefaultSegConfig(1), PrefetchWindow: window}, false)
 		w := st.w
 		for w.rt.prog.Code[w.pc].Op != bytecode.OpGet {
 			if err := w.exec(&w.rt.prog.Code[w.pc]); err != nil {

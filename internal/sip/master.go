@@ -273,73 +273,33 @@ func (r *pardoRun) chunkSize(workers int) int {
 	return int(size)
 }
 
-// recvAny is the master's main-loop receive.  It returns ok == false
-// whenever something the caller must fold in happened instead of a
-// message: the membership changed (evictions go into the ledger and
-// change who is being waited for) or Config.Cancel / Config.Stop fired.
-// With Config.RecvTimeout set it also bounds the wait: when every retry
-// expires without traffic the master diagnoses the stall, blaming a rank
-// from suspects (the ranks it is still waiting on) — an evictable
-// suspect is evicted and the run goes on without it; otherwise the
-// world is failed and the failure returned, instead of hanging forever
-// on a crashed rank.
-func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.Message, ok bool, err error) {
-	d := m.rt.cfg.RecvTimeout
-	w := m.rt.world
-	// Callers pass base tags; receives listen on this job's strided tag
-	// space.  The wildcard covers the whole job window — several jobs'
-	// masters can share rank 0's mailbox because each window is disjoint
-	// (a plain AnyTag receive would steal the other jobs' traffic).
+// recvAny is the master's receive on one of this job's tags, or with
+// mpi.AnyTag on its whole window: several jobs' masters share rank 0's
+// mailbox because each window is disjoint (a plain AnyTag receive would
+// steal the other jobs' traffic).  ok == false with a nil error means the
+// caller must look again at whom it is waiting for (see await).  A
+// verdict naming a rank fails the world before it is returned.
+func (m *master) recvAny(tag int, what string, suspects func() []int, wake func() bool) (mpi.Message, bool, error) {
 	lo, hi := m.rt.tag(tag), m.rt.tag(tag)
 	if tag == mpi.AnyTag {
 		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
 	}
-	stamp := w.EvictStamp()
-	// A freshly fired Config.Cancel also interrupts the wait (once:
-	// after noteCancel records it, the predicate goes quiet again so
-	// the master can keep receiving the fast-forwarding workers).
-	cancel := func() bool {
-		return w.EvictStamp() != stamp || (!m.cancelled && m.rt.cancelRequested()) ||
-			(!m.stopNoted && m.stopSignaled())
-	}
-	attempts := 1 + m.rt.cfg.RecvRetries
-	for i := 0; i < attempts; i++ {
-		if msg, ok = m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, cancel); ok {
-			return msg, true, nil
-		}
-		if cancel() || d <= 0 {
-			return mpi.Message{}, false, nil
+	msg, ok, err := m.rt.await(m.comm, mpi.AnySource, lo, hi, waitFor{what: what}, suspects, wake)
+	if err != nil {
+		var rf *mpi.RankFailure // declared here: errors.As moves it to the heap
+		if errors.As(err, &rf) {
+			m.rt.world.Fail(rf.Rank, rf.Reason)
 		}
 	}
-	total := time.Duration(attempts) * d
-	if m.rt.pooled {
-		// Pool ranks never die silently: real deaths arrive as explicit
-		// evictions, which fire the cancel predicate above.  Silence here
-		// means a suspect is merely slow — wedged on a dead rank's block
-		// (bounded by its own receive deadline, after which it reports
-		// done), or parked by the fairness gate — and evicting it would
-		// amputate a live rank from every tenant in the pool.  Keep
-		// waiting.
-		return mpi.Message{}, false, nil
-	}
-	waiting := suspects()
-	for _, r := range waiting {
-		if w.Evictable(r) {
-			w.Evict(r, fmt.Sprintf("master heard no %s from it within %v", what, total))
-			return mpi.Message{}, false, nil
-		}
-	}
-	// The stall is on a critical rank (or nobody): degraded completion
-	// is off the table.
-	if len(waiting) == 0 {
-		return mpi.Message{}, false, fmt.Errorf("sip: master: no %s within %v", what, total)
-	}
-	rf := &mpi.RankFailure{
-		Rank:   waiting[0],
-		Reason: fmt.Sprintf("master heard no %s within %v (still waiting on ranks %v)", what, total, waiting),
-	}
-	w.Fail(rf.Rank, rf.Reason)
-	return mpi.Message{}, false, rf
+	return msg, ok, err
+}
+
+// interrupted reports a Config.Cancel or Config.Stop that fired and is
+// not folded in yet: it wakes the main loop's receive once, and goes
+// quiet when noteCancel / noteStop have recorded it, so the master can
+// keep receiving the fast-forwarding workers.
+func (m *master) interrupted() bool {
+	return (!m.cancelled && fired(m.rt.cfg.Cancel)) || (!m.stopNoted && fired(m.rt.cfg.Stop))
 }
 
 // relayErr rebuilds a failure reported over the done path.  When the
@@ -412,7 +372,7 @@ func (m *master) abortDiagnosis() error {
 // normal completion; only the answers are garbage, and the run reports
 // ErrJobCanceled instead of a result.
 func (m *master) noteCancel(trk *obs.Track) {
-	if m.cancelled || !m.rt.cancelRequested() {
+	if m.cancelled || !fired(m.rt.cfg.Cancel) {
 		return
 	}
 	m.cancelled = true
@@ -466,12 +426,12 @@ func (m *master) run() (res *Result, err error) {
 				}
 			}
 			return waiting
-		})
+		}, m.interrupted)
 		if err != nil {
 			return res, err
 		}
 		if !ok {
-			continue // membership changed; re-check the ledger
+			continue // membership changed or the job was interrupted: fold it in
 		}
 		switch msg.Tag - rt.tagBase {
 		case tagChunkReq:
@@ -596,29 +556,14 @@ func (m *master) run() (res *Result, err error) {
 	}
 	if rt.cfg.GatherArrays {
 		gathered := map[int]bool{}
-		// Wait for live servers only, re-evaluated each iteration: a
-		// server evicted mid-gather stops being owed (its blocks arrive
-		// from the surviving replicas).
-		awaiting := func() []int {
-			var waiting []int
-			for _, sr := range rt.serverList {
-				if !gathered[sr] && !rt.world.IsEvicted(sr) {
-					waiting = append(waiting, sr)
-				}
-			}
-			return waiting
-		}
-		for len(awaiting()) > 0 {
-			msg, ok, err := m.recvAny(tagGather, "server gather", awaiting)
-			if err != nil {
-				return res, err
-			}
-			if !ok {
-				continue // membership changed; re-check who is owed
-			}
-			g := msg.Data.(gatherMsg)
-			gathered[g.origin] = true
-			m.recordServedGather(res.Served, g)
+		err := m.collectFromServers(tagGather, "server gather", func(sr int) bool { return !gathered[sr] },
+			func(msg mpi.Message) {
+				g := msg.Data.(gatherMsg)
+				gathered[g.origin] = true
+				m.recordServedGather(res.Served, g)
+			})
+		if err != nil {
+			return res, err
 		}
 	}
 	res.Scalars = map[string]float64{}
@@ -629,12 +574,8 @@ func (m *master) run() (res *Result, err error) {
 	}
 	// Drain the final telemetry reports each live rank ships after its
 	// run (and end-of-run metric fold) completed, so the merged trace and
-	// metrics cover the whole run.  Pool jobs skip this: telemetry is
-	// shipped per rank for the pool's lifetime, not per job, and is
-	// drained by the pool's own obs loop on the global tagObs.
-	if rt.job == 0 {
-		m.collectFinalObs()
-	}
+	// metrics cover the whole run.
+	m.collectFinalObs()
 	if m.cancelled {
 		// The cancel outranks any secondary worker diagnosis: a worker
 		// that timed out mid-fast-forward failed *because* the job was
@@ -910,63 +851,43 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 	return false
 }
 
-// flushServers performs the server_barrier flush on the workers'
-// behalf: with every live worker parked at the sync round there is no
-// competing traffic, so the master simply asks each live server to
-// flush and waits for the acks.  Under Replicas == 1 servers are
-// critical ranks — a missing ack is a fatal failure, never an eviction.
-// With replication a silent evictable server is evicted instead and its
-// ack written off: the surviving replicas hold its blocks.
-func (m *master) flushServers() error {
-	rt := m.rt
-	var pending []int
-	for _, sr := range rt.serverList {
-		if rt.world.IsEvicted(sr) {
-			continue
+// collectFromServers receives on tag until no live server of this job
+// owes the master anything more; got folds each message in.  Who is owed
+// is asked again after every message and every wake: a server evicted
+// meanwhile stops being owed — its blocks live on the surviving replicas.
+func (m *master) collectFromServers(tag int, what string, owes func(sr int) bool, got func(mpi.Message)) error {
+	awaiting := func() []int {
+		var waiting []int
+		for _, sr := range m.rt.serverList {
+			if owes(sr) && !m.rt.world.IsEvicted(sr) {
+				waiting = append(waiting, sr)
+			}
 		}
-		m.comm.Send(sr, tagServer, flushMsg{job: rt.job})
-		pending = append(pending, sr)
+		return waiting
 	}
-	d := rt.cfg.RecvTimeout
-	attempts := 1 + rt.cfg.RecvRetries
-	for _, sr := range pending {
-		for got := false; !got && !rt.world.IsEvicted(sr); {
-			stamp := rt.world.EvictStamp()
-			cancel := func() bool { return rt.world.EvictStamp() != stamp }
-			if d <= 0 {
-				_, got = m.comm.RecvUntil(sr, rt.tag(tagFlushAck), 0, cancel)
-				continue
-			}
-			for i := 0; i < attempts && !got; i++ {
-				_, got = m.comm.RecvUntil(sr, rt.tag(tagFlushAck), d, cancel)
-				if !got && cancel() {
-					break
-				}
-			}
-			if got || cancel() {
-				continue
-			}
-			// True silence from a live server.
-			if rt.pooled {
-				// Pool servers never die silently (see recvAny); a slow
-				// flush under multi-tenant load is not a death.  Keep
-				// waiting — an explicit eviction still cancels the wait.
-				continue
-			}
-			total := time.Duration(attempts) * d
-			if rt.world.Evictable(sr) {
-				rt.world.Evict(sr, fmt.Sprintf("master heard no flush ack from it within %v", total))
-				break
-			}
-			rf := &mpi.RankFailure{
-				Rank:   sr,
-				Reason: fmt.Sprintf("no flush ack within %v", total),
-			}
-			rt.world.Fail(rf.Rank, rf.Reason)
-			return rf
+	for len(awaiting()) > 0 {
+		msg, ok, err := m.recvAny(tag, what, awaiting, nil)
+		if err != nil {
+			return err
+		}
+		if ok {
+			got(msg)
 		}
 	}
 	return nil
+}
+
+// flushServers performs the server_barrier flush on the workers'
+// behalf: with every live worker parked at the sync round there is no
+// competing traffic, so the master simply asks each live server to
+// flush and waits for the acks.
+func (m *master) flushServers() error {
+	for _, sr := range m.rt.serverList {
+		m.comm.Send(sr, tagServer, flushMsg{job: m.rt.job}) // dropped when sr is evicted, and its ack not awaited
+	}
+	acked := map[int]bool{}
+	return m.collectFromServers(tagFlushAck, "flush ack", func(sr int) bool { return !acked[sr] },
+		func(msg mpi.Message) { acked[msg.Source] = true })
 }
 
 // rereplicateServers runs the anti-entropy pass at a server barrier
@@ -1012,23 +933,19 @@ restart:
 			if m.evictedServers() != healedTo {
 				continue restart // a pass participant died: rescan
 			}
+			// Any eviction restarts the pass, so within one wait live is live.
 			msg, ok, err := m.recvAny(tagRepl, "re-replication ack", func() []int {
-				var waiting []int
+				var unscanned []int
 				for _, sr := range live {
-					if !scanned[sr] && !rt.world.IsEvicted(sr) {
-						waiting = append(waiting, sr)
+					if !scanned[sr] {
+						unscanned = append(unscanned, sr)
 					}
 				}
-				if len(waiting) == 0 {
-					// Scans are in; a push destination owes the ack.
-					for _, sr := range live {
-						if !rt.world.IsEvicted(sr) {
-							waiting = append(waiting, sr)
-						}
-					}
+				if len(unscanned) == 0 {
+					return live // scans are in; a push destination owes the ack
 				}
-				return waiting
-			})
+				return unscanned
+			}, nil)
 			if err != nil {
 				return err
 			}

@@ -203,24 +203,6 @@ type obsReportMsg struct {
 	tracks []obs.TrackSegment
 }
 
-// jobStartMsg launches one job on a pool rank (pool -> rank agents on
-// the global tagJob control plane, sial serve).  It carries everything
-// a remote rank needs to reconstruct the job's runtime over the shared
-// world: the compiled program bytes, parameter bindings, the segment
-// default, the job's membership snapshot, and the name of a registered
-// preset/integral/super pack (Go functions cannot travel the wire; see
-// serve.RegisterPack).
-type jobStartMsg struct {
-	job     int
-	prog    []byte // compiled .siox image
-	params  map[string]int
-	seg     int
-	workers []int // world ranks acting as the job's workers, index order
-	servers []int // world ranks acting as the job's I/O servers
-	pack    string
-	gather  bool
-}
-
 // syncReply releases a worker from a sync point (resume == false; for
 // collectives vals carries the reduced results) or orders it to replay
 // re-dispatched iterations of a dead worker first (resume == true:

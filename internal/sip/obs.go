@@ -225,24 +225,27 @@ func workerStateBytes(st *workerState) int64 {
 		int64(len(st.idxBound)) + 32*int64(len(st.frames))
 }
 
-// foldRunMetrics folds the per-rank aggregate statistics collected by
-// workers and servers during the run into the metrics registry, so the
-// snapshot is one coherent report.
-func foldRunMetrics(reg *obs.Registry, workers []*worker, servers []*ioServer) {
-	for _, w := range workers {
-		reg.Counter(metricWorkerFetches).Add(w.prof.fetches)
-		reg.Counter(metricWorkerPrefetches).Add(w.prof.prefetches)
-		reg.Counter(metricWorkerCacheHits).Add(w.cache.hits)
-		reg.Counter(metricWorkerCacheMiss).Add(w.cache.misses)
-		reg.Counter(metricWorkerCacheEvict).Add(w.cache.evictions)
-		reg.Counter(metricPoolAllocs).Add(w.pool.allocs)
-		reg.Counter(metricPoolReuses).Add(w.pool.reuses)
+// foldRunMetrics publishes the plain per-rank counters mergeProfiles
+// summed into p — the hot paths count in ints, not atomics — under their
+// metric names, so the snapshot is one coherent report.  A launch that
+// hosted no worker (no server) publishes no worker (server) counter.
+func foldRunMetrics(reg *obs.Registry, p *Profile, workers bool) {
+	add := func(name string, v int64) { reg.Counter(name).Add(v) }
+	if workers {
+		add(metricWorkerFetches, p.fetches)
+		add(metricWorkerPrefetches, p.prefetches)
+		add(metricWorkerCacheHits, p.CacheHits)
+		add(metricWorkerCacheMiss, p.CacheMisses)
+		add(metricWorkerCacheEvict, p.CacheEvictions)
+		add(metricPoolAllocs, p.PoolAllocs)
+		add(metricPoolReuses, p.PoolReuses)
 	}
-	for _, s := range servers {
-		reg.Counter(metricServerCacheHits).Add(s.hits)
-		reg.Counter(metricServerCacheMiss).Add(s.misses)
-		reg.Counter(metricServerDiskReads).Add(s.diskReads)
-		reg.Counter(metricServerDiskWrites).Add(s.diskWrites)
+	if len(p.Servers) > 0 {
+		tot := p.serverTotals()
+		add(metricServerCacheHits, tot.CacheHits)
+		add(metricServerCacheMiss, tot.CacheMisses)
+		add(metricServerDiskReads, tot.DiskReads)
+		add(metricServerDiskWrites, tot.DiskWrites)
 	}
 }
 

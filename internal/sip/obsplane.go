@@ -50,6 +50,9 @@ type obsShipper struct {
 	done     chan struct{}
 }
 
+// obsShipInterval is the period between telemetry shipments.
+const obsShipInterval = 500 * time.Millisecond
+
 // startObsShipper starts the shipping loop for a non-master rank.
 // Returns nil (a valid no-op shipper) when the plane is off or the
 // rank is the master.
@@ -65,7 +68,7 @@ func startObsShipper(rt *runtime, rank int) *obsShipper {
 
 func (s *obsShipper) loop() {
 	defer close(s.done)
-	ticker := time.NewTicker(s.rt.cfg.ObsInterval)
+	ticker := time.NewTicker(obsShipInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -87,9 +87,10 @@ type PoolConfig struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records pool-lifetime spans.
 	Tracer *obs.Tracer
-	// RecvTimeout/RecvRetries bound job receives (see Config).
+	// RecvTimeout is every job's Config.RecvTimeout.  A pool job is a tenant
+	// of the pool's world and never rules on silence (runtime.await), so
+	// today it bounds nothing.
 	RecvTimeout time.Duration
-	RecvRetries int
 }
 
 // JobSpec is one program submitted to the pool.
@@ -350,7 +351,6 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		Metrics:      spec.Metrics,
 		Tracer:       p.cfg.Tracer,
 		RecvTimeout:  p.cfg.RecvTimeout,
-		RecvRetries:  p.cfg.RecvRetries,
 		Replicas:     p.cfg.Replicas,
 		Recover:      p.cfg.Recover,
 		Cancel:       spec.Cancel,
@@ -386,11 +386,8 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 // can be sized and placed.
 func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 	comm := p.world.Comm(0)
-	want := 0
+	pending := map[int]bool{}
 	for _, srv := range rt.serverList {
-		if p.world.IsEvicted(srv) {
-			continue
-		}
 		reg := &srvJob{
 			job:      rt.job,
 			prog:     rt.prog,
@@ -399,31 +396,29 @@ func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 			replicas: rt.cfg.Replicas,
 			servers:  append([]int(nil), rt.serverList...),
 		}
-		comm.Send(srv, tagServer, srvRegMsg{j: reg})
-		want++
+		comm.Send(srv, tagServer, srvRegMsg{j: reg}) // dropped when srv is evicted
+		pending[srv] = true
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for got := 0; got < want; {
-		_, ok := comm.RecvRangeUntil(mpi.AnySource, rt.tag(tagJob), rt.tag(tagJob),
-			200*time.Millisecond, func() bool { return time.Now().After(deadline) })
-		if ok {
-			got++
-			continue
-		}
-		// A server evicted mid-registration never acks; recount the
-		// live set and keep waiting for the rest.
-		live := 0
-		for _, srv := range rt.serverList {
-			if !p.world.IsEvicted(srv) {
-				live++
+	for {
+		stamp := p.world.EvictStamp()
+		for srv := range pending {
+			if p.world.IsEvicted(srv) {
+				delete(pending, srv) // an evicted server never acks
 			}
 		}
-		if live < want {
-			want = live
+		left := time.Until(deadline)
+		if len(pending) == 0 || left <= 0 {
+			break
 		}
-		if time.Now().After(deadline) && got < want {
-			return fmt.Errorf("sip: job %d: servers did not acknowledge registration", rt.job)
+		m, ok := comm.RecvRangeUntil(mpi.AnySource, rt.tag(tagJob), rt.tag(tagJob), left,
+			func() bool { return p.world.EvictStamp() != stamp })
+		if ok {
+			delete(pending, m.Source)
 		}
+	}
+	if len(pending) > 0 {
+		return fmt.Errorf("sip: job %d: servers did not acknowledge registration", rt.job)
 	}
 	return nil
 }

@@ -199,6 +199,17 @@ func mergeProfiles(workers []*worker, servers []*ioServer) *Profile {
 	return out
 }
 
+// serverTotals sums the I/O servers' cache and disk activity.
+func (p *Profile) serverTotals() (tot ServerStat) {
+	for _, s := range p.Servers {
+		tot.CacheHits += s.CacheHits
+		tot.CacheMisses += s.CacheMisses
+		tot.DiskReads += s.DiskReads
+		tot.DiskWrites += s.DiskWrites
+	}
+	return tot
+}
+
 // String renders the profile as the per-run report SIAL programmers tune
 // from.
 func (p *Profile) String() string {
@@ -250,15 +261,11 @@ func (p *Profile) String() string {
 		p.CacheHits, p.CacheHits+p.CacheMisses, p.CacheEvictions)
 	fmt.Fprintf(&b, "  block pool: %d allocated, %d reused\n", p.PoolAllocs, p.PoolReuses)
 	if len(p.Servers) > 0 {
-		var tot ServerStat
 		for _, s := range p.Servers {
 			fmt.Fprintf(&b, "  server r%d: cache %d/%d hits, %d disk reads, %d disk writes\n",
 				s.Rank, s.CacheHits, s.CacheHits+s.CacheMisses, s.DiskReads, s.DiskWrites)
-			tot.CacheHits += s.CacheHits
-			tot.CacheMisses += s.CacheMisses
-			tot.DiskReads += s.DiskReads
-			tot.DiskWrites += s.DiskWrites
 		}
+		tot := p.serverTotals()
 		fmt.Fprintf(&b, "  servers total: cache %d/%d hits, %d disk reads, %d disk writes\n",
 			tot.CacheHits, tot.CacheHits+tot.CacheMisses, tot.DiskReads, tot.DiskWrites)
 	}

@@ -206,9 +206,6 @@ func TestSingleReplicaServersNeverFailOver(t *testing.T) {
 			t.Errorf("world reports server rank %d evictable with Replicas == 1", sr)
 		}
 	}
-	if rt.serversEvictable() {
-		t.Error("serversEvictable with Replicas == 1")
-	}
 	if !rt.world.Evictable(rt.workerList[0]) {
 		t.Fatal("workers are not evictable under Recover; the checks above are vacuous")
 	}

@@ -55,7 +55,7 @@ const (
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
 	tagRepl      = 13 // server -> master: re-replication control traffic
 	tagObs       = 14 // worker/server -> master: telemetry reports
-	tagJob       = 15 // pool -> rank agents: job start/stop control plane
+	tagJob       = 15 // server -> pool: job registered; pool -> its supervisor: stop
 	tagReplyBase = 1 << 16
 )
 
@@ -131,13 +131,6 @@ type Config struct {
 	// ScratchDir is where served arrays and checkpoints are written.
 	// Empty means a fresh temporary directory.
 	ScratchDir string
-	// Placement chooses the home worker (0-based index) for each block
-	// of a distributed array.  Nil selects the default static hash.
-	// The paper emphasizes that "the approach to data distribution
-	// could be modified and improved at any time without requiring any
-	// change in the SIAL programs" (§V-B) — SIAL semantics never depend
-	// on placement.
-	Placement PlacementFunc
 	// Preset initializes distributed and served arrays by name before
 	// execution begins.
 	Preset map[string]PresetFunc
@@ -169,19 +162,16 @@ type Config struct {
 	// GatherArrays collects all distributed and served array contents
 	// into the Result after the run (for tests and small problems).
 	GatherArrays bool
-	// RecvTimeout bounds each blocking receive a worker or the master
-	// performs (chunk replies, block replies, acks, checkpoint traffic,
-	// gather).  0 disables deadlines (the default, right for in-process
-	// runs where no rank can silently vanish).  When a receive times out
-	// after all retries, the waiting rank diagnoses the silent peer with
-	// an mpi.RankFailure and fails the whole world instead of hanging.
-	// It must exceed the longest legitimate quiet stretch (e.g. a server
-	// flushing a large cache to disk).
+	// RecvTimeout bounds each wait of a worker or the master for a message it
+	// is owed (chunk and block replies, acks, checkpoint traffic, gather).
+	// After three RecvTimeout-long receives in silence the waiting rank rules
+	// on it (runtime.await, docs/FAULTS.md): a run that can survive losing
+	// the silent peer evicts it, any other fails the world naming it instead
+	// of hanging; a pool job, a tenant of a world it does not own, keeps
+	// waiting.  0 (the default) never times out, right for in-process runs
+	// where no rank can silently vanish; a set value must exceed the longest
+	// legitimate quiet stretch (e.g. a server flushing a large cache to disk).
 	RecvTimeout time.Duration
-	// RecvRetries is the number of extra RecvTimeout-long waits after the
-	// first before a receive is declared failed (default 2, so a receive
-	// waits 3*RecvTimeout in total).  Negative means no retries.
-	RecvRetries int
 	// Recover decides what a diagnosed rank death does, and nothing else:
 	// off (the default) it fails the whole run fast; on, a dead worker is
 	// evicted and the run completes without it.  What makes the eviction
@@ -213,9 +203,6 @@ type Config struct {
 	// for the in-process Run, whose ranks already share one registry
 	// and tracer.
 	ObsShip bool
-	// ObsInterval is the period between telemetry shipments (default
-	// 500ms).
-	ObsInterval time.Duration
 	// ObsAgg is the master-side sink of shipped telemetry (rank 0
 	// only).  Required when ObsShip is set on the master.
 	ObsAgg *obs.Aggregator
@@ -309,15 +296,6 @@ func (c *Config) fill() error {
 	if c.Replicas > max(c.Servers, 1) { // a run without served arrays needs no server
 		return fmt.Errorf("sip: Replicas = %d exceeds Servers = %d", c.Replicas, c.Servers)
 	}
-	if c.ObsInterval <= 0 {
-		c.ObsInterval = 500 * time.Millisecond
-	}
-	if c.RecvRetries == 0 {
-		c.RecvRetries = 2
-	}
-	if c.RecvRetries < 0 {
-		c.RecvRetries = 0
-	}
 	if c.Output == nil {
 		c.Output = os.Stdout
 	}
@@ -393,13 +371,10 @@ type runtime struct {
 	job     int
 	tagBase int
 
-	// pooled marks a run multiplexed over a shared pool world (job > 0).
-	// Pool ranks are in-process goroutines that never die silently — real
-	// deaths arrive as explicit World.Evict calls (Pool.Kill, liveness)
-	// — so silence-based failure diagnosis is disabled: a rank that is
-	// merely slow (wedged on another job's lost block, parked by the
-	// fairness gate) must not be evicted from, or fail, the world every
-	// tenant shares.
+	// pooled marks a run that is a tenant of a shared pool world (job > 0)
+	// rather than the owner of its own: it neither sets the world up
+	// (newRuntime) nor brings it down (failRun), and it never takes silence
+	// for a death (await).
 	pooled bool
 
 	// workerList and serverList map worker/server indexes to world
@@ -421,14 +396,11 @@ type runtime struct {
 // tag offsets a base message tag into this run's job tag space.
 func (rt *runtime) tag(t int) int { return rt.tagBase + t }
 
-// cancelRequested reports whether the run's cancel channel has fired.
-// It never blocks; a run without a cancel channel is never canceled.
-func (rt *runtime) cancelRequested() bool {
-	if rt.cfg.Cancel == nil {
-		return false
-	}
+// fired reports, without blocking, whether ch (Config.Cancel, Config.Stop)
+// is closed; a nil channel never is.
+func fired(ch <-chan struct{}) bool {
 	select {
-	case <-rt.cfg.Cancel:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -599,7 +571,7 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 	if len(workers)+len(servers) > 0 || rt.metrics != nil {
 		res.Profile = mergeProfiles(workers, servers)
 		if rt.metrics != nil {
-			foldRunMetrics(rt.metrics, workers, servers)
+			foldRunMetrics(rt.metrics, res.Profile, len(workers) > 0)
 			res.Profile.Metrics = rt.metrics.Snapshot()
 		}
 	}
@@ -665,38 +637,12 @@ func DefaultIntegrals(arr string, lo, hi []int) *block.Block {
 	return b
 }
 
-// PlacementFunc maps (array id, block ordinal, worker count) to the
-// 0-based index of the worker that homes the block.
-type PlacementFunc func(arr, ord, workers int) int
-
-// HashPlacement is the default static strategy: a multiplicative hash
-// spreading blocks without regard to locality, which "works well in
-// practice" because access patterns are irregular and communication is
-// overlapped anyway (paper §V-B).
+// HashPlacement is the static home of a distributed block, as a 0-based
+// worker index: a multiplicative hash spreading blocks without regard to
+// locality, which "works well in practice" because access patterns are
+// irregular and communication is overlapped anyway (paper §V-B).
 func HashPlacement(arr, ord, workers int) int {
 	return (arr*2654435761 + ord) % workers
-}
-
-// RoundRobinPlacement deals the blocks of each array out cyclically.
-func RoundRobinPlacement(arr, ord, workers int) int {
-	return ord % workers
-}
-
-// BlockedPlacement gives each worker a contiguous range of ordinals per
-// array (requires knowing the block count, so it closes over the
-// layout; see NewBlockedPlacement).
-func NewBlockedPlacement(blocksOf func(arr int) int) PlacementFunc {
-	return func(arr, ord, workers int) int {
-		n := blocksOf(arr)
-		if n <= 0 {
-			return 0
-		}
-		w := ord * workers / n
-		if w >= workers {
-			w = workers - 1
-		}
-		return w
-	}
 }
 
 // criticalRanks returns the ranks whose death recovery cannot survive:
@@ -712,25 +658,10 @@ func (rt *runtime) criticalRanks() []int {
 	return ranks
 }
 
-// serversEvictable reports whether I/O-server deaths are survivable in
-// this run.  Server ranks are critical or evictable together (see
-// criticalRanks), so the world's verdict on the first one stands for all.
-func (rt *runtime) serversEvictable() bool {
-	return len(rt.serverList) > 0 && rt.world.Evictable(rt.serverList[0])
-}
-
 // homeWorker returns the world rank of the worker that owns block ord of
 // array arr.
 func (rt *runtime) homeWorker(arr, ord int) int {
-	place := rt.cfg.Placement
-	if place == nil {
-		place = HashPlacement
-	}
-	w := place(arr, ord, rt.workers)
-	if w < 0 || w >= rt.workers {
-		panic(fmt.Sprintf("sip: placement returned worker %d out of range [0,%d)", w, rt.workers))
-	}
-	return rt.workerList[w]
+	return rt.workerList[HashPlacement(arr, ord, rt.workers)]
 }
 
 // Run compiles nothing: it executes an already compiled program under the

@@ -593,37 +593,9 @@ func (m *master) rehydrate(man *ckptManifest) error {
 			owed[sr]++
 		}
 	}
-	d := rt.cfg.RecvTimeout
-	attempts := 1 + rt.cfg.RecvRetries
-	misses := 0
-	for {
-		total := 0
-		for sr, n := range owed {
-			if rt.world.IsEvicted(sr) {
-				delete(owed, sr) // its blocks heal at the next anti-entropy pass
-				continue
-			}
-			total += n
-		}
-		if total == 0 {
-			return nil
-		}
-		stamp := rt.world.EvictStamp()
-		cancel := func() bool { return rt.world.EvictStamp() != stamp }
-		msg, ok := m.comm.RecvUntil(mpi.AnySource, rt.tag(tagPrepAck), d, cancel)
-		if ok {
-			owed[msg.Source]--
-			misses = 0
-			continue
-		}
-		if cancel() || d <= 0 {
-			continue
-		}
-		if misses++; misses >= attempts && !rt.pooled {
-			return fmt.Errorf("sip: resume: no rehydration ack within %v (still owed %d)",
-				time.Duration(attempts)*d, total)
-		}
-	}
+	// An evicted server's blocks heal at the next anti-entropy pass.
+	return m.collectFromServers(tagPrepAck, "rehydration ack", func(sr int) bool { return owed[sr] > 0 },
+		func(msg mpi.Message) { owed[msg.Source]-- })
 }
 
 // cleanStaleBlocks removes this job's served-block spill files left in
@@ -849,25 +821,12 @@ func (m *master) maybeChunkSnapshot(trk *obs.Track) {
 	m.finishStop(trk)
 }
 
-// stopSignaled reports whether Config.Stop has fired.
-func (m *master) stopSignaled() bool {
-	if m.rt.cfg.Stop == nil {
-		return false
-	}
-	select {
-	case <-m.rt.cfg.Stop:
-		return true
-	default:
-		return false
-	}
-}
-
 // noteStop folds a fired Config.Stop into the scheduler: with
 // checkpointing on, the master takes one final snapshot at the next
 // consistency point and then self-cancels (sial serve drain-requeue);
 // without it, Stop degenerates to an immediate cooperative cancel.
 func (m *master) noteStop(trk *obs.Track) {
-	if m.stopNoted || !m.stopSignaled() {
+	if m.stopNoted || !fired(m.rt.cfg.Stop) {
 		return
 	}
 	m.stopNoted = true

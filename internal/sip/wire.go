@@ -29,7 +29,7 @@ const (
 	wireIDReplPutMsg
 	wireIDReplAckMsg
 	wireIDObsReport
-	wireIDJobStartMsg
+	_ // retired id: on-disk snapshot manifests embed the next one, so it keeps its number
 	wireIDCkptManifest
 )
 
@@ -541,41 +541,6 @@ func init() {
 			}
 			return m
 		})
-	wire.Register(wireIDJobStartMsg,
-		func(e *wire.Encoder, m jobStartMsg) {
-			e.Int(m.job)
-			e.String(string(m.prog)) // arbitrary bytes; String is length-prefixed
-			e.Uvarint(uint64(len(m.params)))
-			for k, v := range m.params {
-				e.String(k)
-				e.Int(v)
-			}
-			e.Int(m.seg)
-			e.Ints(m.workers)
-			e.Ints(m.servers)
-			e.String(m.pack)
-			e.Bool(m.gather)
-		},
-		func(d *wire.Decoder) jobStartMsg {
-			m := jobStartMsg{job: d.Int(), prog: []byte(d.String())}
-			n := d.Uvarint()
-			if !checkCount(d, n, "job params") {
-				return m
-			}
-			if n > 0 {
-				m.params = make(map[string]int, n)
-				for i := uint64(0); i < n; i++ {
-					k := d.String()
-					m.params[k] = d.Int()
-				}
-			}
-			m.seg = d.Int()
-			m.workers = d.Ints()
-			m.servers = d.Ints()
-			m.pack = d.String()
-			m.gather = d.Bool()
-			return m
-		})
 
 	// Fuzz seed corpus: one encoded example per type registered above,
 	// so every SIP codec's happy path seeds FuzzDecode.
@@ -597,6 +562,7 @@ func init() {
 		idxVal: []int{0, 3}, idxBound: []bool{true, false}, pardoGen: []int{1},
 		frames: []frameState{{kind: 1, idx: 0, cur: 2, hi: 4, startPC: 5, exitPC: 9, retPC: -1, procID: -1}}}
 	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, vals: []float64{1.5}, scalar: 0, state: st})
+	wire.Sample(syncMsg{origin: 2, kind: 1, scalar: -1}) // the stateless form: most reports carry no snapshot base
 	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, iters: [][]int{{0}}, vals: []float64{2}, state: st})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,
 		sums:     []float64{2, 4},
@@ -615,6 +581,4 @@ func init() {
 			Hists:    map[string]obs.HistValue{"get.wait_us": {Count: 2, Sum: 10, P50: 4, P90: 6, P99: 6, Buckets: []int64{1, 1}}},
 		},
 		tracks: []obs.TrackSegment{{Rank: 2, Tid: 1, Proc: "worker 2", Name: "service", Events: []obs.Event{ev}}}})
-	wire.Sample(jobStartMsg{job: 1, prog: []byte{1, 2, 3}, params: map[string]int{"n": 4},
-		seg: 2, workers: []int{1, 2}, servers: []int{3}, pack: "pack", gather: true})
 }

@@ -3,6 +3,7 @@ package sip
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -711,35 +712,18 @@ func (w *worker) clearTemps() {
 	clear(w.temps)
 }
 
-// recvTimed is Recv under the configured deadline (see awaitRequest).
-func (w *worker) recvTimed(src, tag int, what string) (mpi.Message, error) {
-	return w.awaitRequest(w.comm.Irecv(src, tag), what)
-}
-
-// awaitRequest completes a posted Irecv.  With RecvTimeout off it blocks;
-// with it on, a receive whose every retry expires is diagnosed as a
-// failure of the rank owing the message — an *mpi.RankFailure the run()
-// defer uses to fail the world — or, for a wildcard source, as a generic
-// timeout.
-func (w *worker) awaitRequest(req *mpi.Request, what string) (mpi.Message, error) {
-	d := w.rt.cfg.RecvTimeout
-	if d <= 0 {
-		return req.Wait(), nil
-	}
-	attempts := 1 + w.rt.cfg.RecvRetries
-	for i := 0; i < attempts; i++ {
-		if m, ok := req.WaitTimeout(d); ok {
-			return m, nil
+// recvFrom waits for the message src owes this worker on tag.  It cannot
+// do without it: an evicted debtor fails the wait, naming it.
+func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
+	for {
+		m, ok, err := w.rt.await(w.comm, src, tag, tag, what, nil, nil)
+		if ok || err != nil {
+			return m, err
+		}
+		if reason, dead := w.rt.world.Evicted()[src]; dead {
+			return m, &mpi.RankFailure{Rank: src, Reason: fmt.Sprintf("evicted (%s) owing worker %d a %s", reason, w.rank, what)}
 		}
 	}
-	total := time.Duration(attempts) * d
-	if src := req.Source(); src >= 0 {
-		return mpi.Message{}, &mpi.RankFailure{
-			Rank:   src,
-			Reason: fmt.Sprintf("worker %d heard no %s within %v", w.rank, what, total),
-		}
-	}
-	return mpi.Message{}, fmt.Errorf("sip: worker %d: no %s within %v", w.rank, what, total)
 }
 
 // fetchChunk asks the master for the next iterations of a pardo
@@ -759,7 +743,7 @@ func (w *worker) fetchChunk(pid, gen int, entry []float64) ([][]int, error) {
 		}
 	}
 	w.comm.Send(0, w.rt.tag(tagChunkReq), chunkMsg{pardo: pid, gen: gen, origin: w.rank, delta: delta})
-	m, err := w.recvTimed(0, w.rt.tag(tagChunkRep), "chunk reply from the master")
+	m, err := w.recvFrom(0, w.rt.tag(tagChunkRep), waitFor{what: "chunk reply from the master"})
 	if err != nil {
 		return nil, err
 	}
@@ -903,8 +887,7 @@ func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
 
 // waitBlock waits for an in-flight fetch, recording the wait time
 // against the innermost pardo (paper §VI-B: per-pardo wait times are the
-// primary tuning signal).  Under Config.RecvTimeout the wait is bounded:
-// a reply that never comes is diagnosed as a failure of the home rank.
+// primary tuning signal).
 func (w *worker) waitBlock(e *cacheEntry) (*block.Block, error) {
 	if !e.pending() {
 		return e.b, nil
@@ -913,78 +896,36 @@ func (w *worker) waitBlock(e *cacheEntry) (*block.Block, error) {
 	// Capture the responder and reply tag before the wait consumes the
 	// request: they key the flow event pairing this wait with the remote
 	// serve_get span in the merged trace.
-	flowSrc, flowTag := -1, 0
-	if e.req != nil {
-		flowSrc, flowTag = e.req.Source(), e.req.Tag()
-	}
-	if w.rt.serversEvictable() && w.rt.prog.Arrays[e.key.arr].Kind == bytecode.ArrayServed {
-		if err := w.waitServedBlock(e); err != nil {
-			return nil, err
-		}
-	} else {
-		m, err := w.awaitRequest(e.req, fmt.Sprintf("reply for block %s", e.key))
-		if err != nil {
-			return nil, err
-		}
-		e.complete(m)
+	flowSrc, flowTag := e.req.Source(), e.req.Tag()
+	if err := w.awaitBlock(e); err != nil {
+		return nil, err
 	}
 	d := time.Since(start)
 	w.prof.addWait(w.currentPardo(), d)
 	w.waitHist.Observe(int64(d))
 	if w.trk != nil {
-		if flowSrc >= 0 {
-			w.trk.FlowIn(start, msgFlowID(flowSrc, w.rank, flowTag),
-				obs.CatWait, "wait_block", obs.A("block", e.key.String()))
-		} else {
-			w.trk.Complete(start, d, obs.CatWait, "wait_block", obs.A("block", e.key.String()))
-		}
+		w.trk.FlowIn(start, msgFlowID(flowSrc, w.rank, flowTag),
+			obs.CatWait, "wait_block", obs.A("block", e.key.String()))
 	}
 	return e.b, nil
 }
 
-// waitServedBlock completes a served-block fetch when the servers are
-// evictable (Recover with two or more Replicas): it waits on the pending
-// request, waking on membership changes, and when the server it was
-// reading from is dead — evicted by another detector, or evicted here
-// after a silent receive deadline — re-issues the fetch to the block's
-// next live replica.  The retry is bounded by the replica count: each
+// awaitBlock completes e's fetch.  A distributed block died with an
+// evicted home (recvFrom's failure stands); a served block is asked of its
+// next live replica.  That retry is bounded by the replica count: each
 // failover moves down the (finite, shrinking) live-replica order, and
 // when none remain the block is unrecoverable.
-func (w *worker) waitServedBlock(e *cacheEntry) error {
-	world := w.rt.world
-	d := w.rt.cfg.RecvTimeout
+func (w *worker) awaitBlock(e *cacheEntry) error {
+	served := w.rt.prog.Arrays[e.key.arr].Kind == bytecode.ArrayServed
 	for {
 		src := e.req.Source()
-		if !world.IsEvicted(src) {
-			stamp := world.EvictStamp()
-			cancel := func() bool { return world.EvictStamp() != stamp }
-			// Without a deadline (d <= 0) a wait ends only with the reply
-			// or a membership change.
-			attempts := 1 + w.rt.cfg.RecvRetries
-			silent := true
-			for i := 0; i < attempts; i++ {
-				if m, ok := e.req.WaitUntil(d, cancel); ok {
-					e.complete(m)
-					return nil
-				}
-				if cancel() {
-					silent = false // membership changed: re-check src
-					break
-				}
-			}
-			if silent && !w.rt.pooled {
-				// Outside a pool, silence is the only death signal, so
-				// the reader evicts and fails over.  Pool servers die by
-				// explicit eviction only (see master.recvAny): a slow
-				// reply under multi-tenant load must not amputate a live
-				// server, so keep waiting — a real eviction cancels the
-				// wait and the failover below takes over.
-				world.Evict(src, fmt.Sprintf("worker %d heard no reply for block %s within %v",
-					w.rank, e.key, time.Duration(attempts)*d))
-			}
+		m, err := w.recvFrom(src, e.req.Tag(), waitFor{what: "reply for block", key: &e.key})
+		if err == nil {
+			e.complete(m)
+			return nil
 		}
-		if !world.IsEvicted(src) {
-			continue // an unrelated rank was evicted; keep waiting on src
+		if !served || !w.rt.world.IsEvicted(src) {
+			return err
 		}
 		replicas := w.replicaServers(e.key.arr, e.key.ord)
 		if len(replicas) == 0 {
@@ -1345,50 +1286,37 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 
 // drainAcks waits until every put (tagPutAck) or prepare (tagPrepAck)
 // ack in owed, the per-destination count of outstanding ones, has
-// arrived.  Acks owed by evicted ranks are written off (they will never
+// arrived.  Acks owed by evicted ranks are written off: they will never
 // arrive — a dead home's blocks died with it, a dead server's live on
-// its surviving replicas), and membership changes wake the wait to
-// re-check.  A live destination that stays silent past the receive
-// deadline is evicted when its death is survivable and diagnosed as
-// failed otherwise.
+// its surviving replicas.
 func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
-	world := w.rt.world
-	d := w.rt.cfg.RecvTimeout
-	attempts := 1 + w.rt.cfg.RecvRetries
-drain:
 	for {
 		for dst := range owed {
-			if world.IsEvicted(dst) {
+			if w.rt.world.IsEvicted(dst) {
 				delete(owed, dst)
 			}
 		}
 		if len(owed) == 0 {
 			return nil
 		}
-		stamp := world.EvictStamp()
-		cancel := func() bool { return world.EvictStamp() != stamp }
-		for i := 0; i < attempts; i++ {
-			m, ok := w.comm.RecvUntil(mpi.AnySource, w.rt.tag(tag), d, cancel)
-			// A stale ack from a destination whose debt was already written
-			// off (delivered before the firewall went up) is ignored.
-			if ok && owed[m.Source] > 0 {
-				if owed[m.Source]--; owed[m.Source] == 0 {
-					delete(owed, m.Source)
-				}
+		debtors := func() []int {
+			ranks := make([]int, 0, len(owed))
+			for dst := range owed {
+				ranks = append(ranks, dst)
 			}
-			if ok || cancel() || d <= 0 {
-				continue drain // progress, or membership changed: re-check
-			}
+			slices.Sort(ranks) // a verdict blames the lowest
+			return ranks
 		}
-		// Every destination still in owed is live and silent: blame one.
-		for dst := range owed {
-			reason := fmt.Sprintf("worker %d heard no %s ack within %v",
-				w.rank, what, time.Duration(attempts)*d)
-			if w.rt.isServerRank(dst) && world.Evictable(dst) {
-				world.Evict(dst, reason)
-				continue drain
+		m, ok, err := w.rt.await(w.comm, mpi.AnySource, w.rt.tag(tag), w.rt.tag(tag), waitFor{what: what}, debtors, nil)
+		if err != nil {
+			return err
+		}
+		// A stale ack from a destination whose debt was already written
+		// off (delivered before the firewall went up) is ignored.
+		if ok && owed[m.Source] > 0 {
+			if owed[m.Source]--; owed[m.Source] == 0 {
+				delete(owed, m.Source)
 			}
-			return &mpi.RankFailure{Rank: dst, Reason: reason}
 		}
 	}
 }
@@ -1473,7 +1401,7 @@ func (w *worker) checkpointSave(arrID int) error {
 	})
 	w.comm.Send(0, w.rt.tag(tagCkpt), ckptMsg{op: ckptSave, arr: arrID, blocks: blocks, origin: w.rank})
 	// Wait for the master's completion ack.
-	if _, err := w.recvTimed(0, w.rt.tag(tagCkpt), "checkpoint ack from the master"); err != nil {
+	if _, err := w.recvFrom(0, w.rt.tag(tagCkpt), waitFor{what: "checkpoint ack from the master"}); err != nil {
 		return err
 	}
 	return w.ckptBarrier()
@@ -1497,7 +1425,7 @@ func (w *worker) checkpointLoad(arrID int) error {
 	w.dist.deleteArray(arrID)
 	w.cache.invalidateAll()
 	w.comm.Send(0, w.rt.tag(tagCkpt), ckptMsg{op: ckptLoad, arr: arrID, origin: w.rank})
-	m, err := w.recvTimed(0, w.rt.tag(tagCkpt), "checkpoint data from the master")
+	m, err := w.recvFrom(0, w.rt.tag(tagCkpt), waitFor{what: "checkpoint data from the master"})
 	if err != nil {
 		return err
 	}
@@ -1532,10 +1460,10 @@ func (w *worker) masterSync(kind, scalar int, capture bool, vals func() []float6
 	round := w.syncRound
 	w.syncRound++
 	for {
-		if err := w.drainAcks(tagPutAck, "put", w.owedPutAcks); err != nil {
+		if err := w.drainAcks(tagPutAck, "put ack", w.owedPutAcks); err != nil {
 			return nil, err
 		}
-		if err := w.drainAcks(tagPrepAck, "prepare", w.owedPrepAcks); err != nil {
+		if err := w.drainAcks(tagPrepAck, "prepare ack", w.owedPrepAcks); err != nil {
 			return nil, err
 		}
 		var v []float64

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Prints the design-size numbers ROADMAP item 3 tracks, one per line, so
-# every CI log carries them and a PR can quote its before/after row:
-# non-test lines of internal/sip and internal/mpi (wc -l, comments and
-# blanks included) and the number of lines in non-test internal/sip that
-# branch on a mode (cfg.Recover, .pooled, a job-0 special case, a
-# Replicas fork — the last two over lines that are not comment-only).
+# Prints the design-size numbers ROADMAP's quality-of-design aim tracks,
+# one per line, so every CI log carries them and a PR can quote its
+# before/after row: non-test lines of internal/sip and internal/mpi (wc -l,
+# comments and blanks included); the number of lines in non-test
+# internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
+# special case, a Replicas fork — the last two over lines that are not
+# comment-only) or read rt.cfg.RecvTimeout (Pool.runJob handing its own
+# field on is not a read); the fields of sip.Config; and the cond.Wait()
+# sites of the mpi mailbox.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -15,3 +18,6 @@ echo ".pooled guard sites:          $(nontest internal/sip | grep -c '\.pooled' 
 code() { nontest "$1" | grep -v '^\s*//'; }
 echo "job-0 special-case sites:     $(code internal/sip | grep -cE 'job != 0|job == 0|job > 0' || true)"
 echo "Replicas fork sites:          $(code internal/sip | grep -cE 'Replicas > 1|Replicas <= 1' || true)"
+echo "cfg.RecvTimeout read sites:   $(code internal/sip | grep -c 'rt\.cfg\.RecvTimeout' || true)"
+echo "Config fields:                $(sed -n '/^type Config struct {/,/^}/p' internal/sip/sip.go | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true)"
+echo "mailbox wait loops:           $(grep -c 'cond\.Wait()' internal/mpi/mpi.go || true)"
