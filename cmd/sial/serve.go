@@ -44,7 +44,6 @@ func doServe(args []string, stdout io.Writer) error {
 	queueCap := fs.Int("queue-cap", 256, "queued-job limit; further submissions are rejected")
 	burst := fs.Int64("burst", 4, "chunk-dispatch lead one job may hold over the slowest active job")
 	seg := fs.Int("seg", 4, "default segment size for submissions that set none")
-	recvTimeout := fs.Duration("recv-timeout", 3*time.Second, "every job's receive deadline; pool jobs wake on evictions and never take silence for a death (docs/FAULTS.md), so it bounds nothing today")
 	scratch := fs.String("scratch", "", "served-array scratch directory (default: a private temp dir)")
 	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory: submissions survive a crash/restart (empty = in-memory only)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long running jobs may finish before being requeued to the journal")
@@ -60,16 +59,15 @@ func doServe(args []string, stdout io.Writer) error {
 	reg := obs.NewRegistry()
 	svc, err := serve.New(serve.Config{
 		Pool: sip.PoolConfig{
-			Workers:     *workers,
-			Servers:     *servers,
-			Spares:      *spares,
-			Replicas:    *replicas,
-			Recover:     *recoverServe,
-			ScratchDir:  *scratch,
-			Output:      stdout,
-			Metrics:     reg,
-			Tracer:      tracer,
-			RecvTimeout: *recvTimeout,
+			Workers:    *workers,
+			Servers:    *servers,
+			Spares:     *spares,
+			Replicas:   *replicas,
+			Recover:    *recoverServe,
+			ScratchDir: *scratch,
+			Output:     stdout,
+			Metrics:    reg,
+			Tracer:     tracer,
 		},
 		MaxConcurrent: *maxConc,
 		MemBudget:     *mem,

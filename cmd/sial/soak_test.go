@@ -117,10 +117,7 @@ func TestServeSoakChaos(t *testing.T) {
 			Spares:   1,
 			Replicas: 2,
 			Recover:  true,
-			// Recovery is deadline-driven: masters only diagnose the
-			// killed rank when a blocking receive times out.
-			RecvTimeout: 2 * time.Second,
-			Output:      io.Discard,
+			Output:   io.Discard,
 		},
 		MaxConcurrent: 8,
 	})

@@ -275,12 +275,11 @@ func TestServeNamespaceIsolation(t *testing.T) {
 func TestServeHTTPAPI(t *testing.T) {
 	s := newTestService(t, Config{
 		Pool: sip.PoolConfig{
-			Workers:     3,
-			Servers:     2,
-			Spares:      1,
-			Replicas:    2,
-			Recover:     true,
-			RecvTimeout: 2 * time.Second,
+			Workers:  3,
+			Servers:  2,
+			Spares:   1,
+			Replicas: 2,
+			Recover:  true,
 		},
 	})
 	mux := http.NewServeMux()

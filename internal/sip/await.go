@@ -44,20 +44,18 @@ func (f waitFor) String() string {
 //     (the ranks owing the message; nil means src) and returns "woke";
 //     failing that it returns an *mpi.RankFailure naming the first
 //     suspect, or a plain timeout when nobody is suspected.
-//   - A tenant of a shared world (a pool job) never rules on silence.
-//     Pool ranks die by explicit eviction (Pool.Kill, liveness), which
-//     wakes this wait; one that is quiet is slow — serving another
-//     tenant, parked by the fairness gate — and evicting or blaming it
-//     would take a live rank from every job in the pool.
+//   - A tenant of a shared world (a pool job) never rules on silence: its
+//     Config.RecvTimeout is 0, Pool.runJob sets none.  Pool ranks die by
+//     explicit eviction (Pool.Kill, liveness), which wakes this wait; one
+//     that is quiet is slow — serving another tenant, parked by the
+//     fairness gate — and evicting or blaming it would take a live rank
+//     from every job in the pool.
 //
 // With no deadline and nothing to wake it the wait is a plain blocking
 // receive; none of the closures escape, so a wait allocates nothing.
 func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspects func() []int, wake func() bool) (mpi.Message, bool, error) {
 	world := rt.world
 	d := rt.cfg.RecvTimeout
-	if rt.pooled {
-		d = 0
-	}
 	// An eviction after the stamp is read moves it; one before is seen by
 	// the check of src.
 	stamp := world.EvictStamp()

@@ -71,7 +71,10 @@ func TestAwaitVerdict(t *testing.T) {
 				} else {
 					world.SetRecover(waiter)
 				}
-				rt := &runtime{world: world, pooled: row.tenant, cfg: Config{RecvTimeout: timeout}}
+				rt := &runtime{world: world, cfg: Config{RecvTimeout: timeout}}
+				if row.tenant {
+					rt.cfg.RecvTimeout = 0 // Pool.runJob sets none
+				}
 				if row.event == "message" {
 					world.Comm(debtor).Send(waiter, tag, "owed")
 				}

@@ -90,6 +90,40 @@ func (s *store) deleteArray(arr int) {
 	}
 }
 
+// effectLedger is the dedup ledger of put/prepare effect seqs at a
+// destination: a replayed effect whose seq it holds is acknowledged but
+// not applied again.  It keeps two epochs and rotates at the holder's seal
+// (a worker's sync release, a job's server flush).  Clearing it there
+// would race a faster survivor's next-phase effects, which can arrive
+// before the seal and land in the epoch about to rotate; so that epoch
+// stays live for one more phase, and only entries two seals old go —
+// their phase the master's sealed chunk ledger can no longer order
+// replayed.  The ledger holds two phases of effects, not the whole run's.
+// The zero value is ready to use; the holder provides the locking.
+type effectLedger struct {
+	cur, prev map[uint64]bool
+}
+
+// mark records seq, reporting false when either live epoch holds it.
+func (l *effectLedger) mark(seq uint64) bool {
+	if l.cur[seq] || l.prev[seq] {
+		return false
+	}
+	if l.cur == nil {
+		l.cur = map[uint64]bool{}
+	}
+	l.cur[seq] = true
+	return true
+}
+
+// rotate retires the previous epoch, returning how many seqs it held, and
+// makes the current one the previous.
+func (l *effectLedger) rotate() (retired int) {
+	retired = len(l.prev)
+	l.prev, l.cur = l.cur, nil
+	return retired
+}
+
 // cacheEntry is one slot of a worker's remote-block cache: a block, or
 // the request of a fetch still in flight, which the interpreter completes
 // when it touches the entry.  ahead marks a block look-ahead requested

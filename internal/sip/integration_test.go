@@ -154,6 +154,26 @@ endsial
 	}
 }
 
+// TestUnwritableCheckpointFailsAttributed: a checkpoint the master cannot
+// write (here: the scratch directory does not exist) fails blocks_to_list
+// on the workers — the error travels in the round's release — instead of
+// letting the run finish without its file.
+func TestUnwritableCheckpointFailsAttributed(t *testing.T) {
+	src := `
+sial lost_save
+param n = 4
+aoindex I = 1, n
+distributed D(I,I)
+blocks_to_list D
+endsial
+`
+	_, err := RunSource(src, Config{Workers: 2, Seg: bytecode.DefaultSegConfig(2),
+		ScratchDir: filepath.Join(t.TempDir(), "missing")})
+	if err == nil || !strings.Contains(err.Error(), "blocks_to_list") {
+		t.Fatalf("saving into a missing scratch directory: %v, want an error naming blocks_to_list", err)
+	}
+}
+
 // TestPaperProgramRandomConfigs is the integration property test: the
 // paper's program must produce the reference result for arbitrary
 // (workers, segment size, problem size) combinations.

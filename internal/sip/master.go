@@ -20,9 +20,7 @@ type master struct {
 	rt   *runtime
 	comm *mpi.Comm
 
-	runs      map[[2]int]*pardoRun // (pardo id, generation) -> scheduler state
-	ckptSaves map[int]*ckptCollect
-	ckptLoads map[int][]int // array id -> requesting worker ranks
+	runs map[[2]int]*pardoRun // (pardo id, generation) -> scheduler state
 
 	syncs     map[int]*syncState // sync round -> progress
 	evictSeen map[int]bool       // evictions already folded into the ledger
@@ -61,25 +59,18 @@ type master struct {
 	replHealed int // evicted-server count as of the last completed pass
 }
 
-type ckptCollect struct {
-	blocks  []ArrayBlock
-	origins []int
-}
-
-// syncState tracks one master-mediated sync round: which live workers
-// have reported (and are parked awaiting release) and their collective
-// contributions.  A report implies every put/prepare the worker issued
-// this phase is acknowledged, so it doubles as the completion ack for
-// all chunks the ledger holds against that worker.
+// syncState tracks one master-mediated sync round: the report of every
+// worker that has reached it (and is parked awaiting release, or died
+// after reporting), by origin, with what it carried — a collective's
+// contribution, a blocks_to_list partition, the captured interpreter state
+// (nil when checkpointing is off or a pardo frame was active; the snapshot
+// base is taken from the lowest live rank).  A report implies every
+// put/prepare the worker issued this phase is acknowledged, so it doubles
+// as the completion ack for all chunks the ledger holds against that
+// worker.  kind, scalar and arr are the round's, the same in every report.
 type syncState struct {
-	kind     int
-	scalar   int // collective target scalar id (-1 otherwise)
-	reported map[int]bool
-	vals     map[int][]float64
-	// states holds each parked worker's captured interpreter state
-	// (nil entries when checkpointing is off or a pardo frame was
-	// active); the snapshot base is taken from the lowest live rank.
-	states map[int]*workerState
+	kind, scalar, arr int
+	reports           map[int]syncMsg
 }
 
 func newMaster(rt *runtime) *master {
@@ -87,8 +78,6 @@ func newMaster(rt *runtime) *master {
 		rt:        rt,
 		comm:      rt.world.Comm(0),
 		runs:      map[[2]int]*pardoRun{},
-		ckptSaves: map[int]*ckptCollect{},
-		ckptLoads: map[int][]int{},
 		syncs:     map[int]*syncState{},
 		evictSeen: map[int]bool{},
 		doneRanks: map[int]bool{},
@@ -363,25 +352,34 @@ func (m *master) abortDiagnosis() error {
 	return fmt.Errorf("sip: master: aborted after peer failure: %w", mpi.ErrAborted)
 }
 
-// noteCancel folds a fired Config.Cancel into the scheduler state: from
-// here on every chunk request is answered empty, and iterations
-// reclaimed from dead workers are dropped rather than replayed — the
-// job is being abandoned, not completed.  Sync rounds, checkpoints,
-// gathers, and the shutdown protocol all proceed normally, so the job's
-// tag window and server-side namespace are retired exactly as on a
-// normal completion; only the answers are garbage, and the run reports
-// ErrJobCanceled instead of a result.
+// noteCancel folds a fired Config.Cancel into the scheduler state, and
+// keeps an abandoned job's ledger empty: iterations an eviction reclaimed
+// after the job was given up must not be replayed either.
 func (m *master) noteCancel(trk *obs.Track) {
-	if m.cancelled || !fired(m.rt.cfg.Cancel) {
-		return
+	if m.cancelled || fired(m.rt.cfg.Cancel) {
+		m.abandon(trk, "job_canceled")
 	}
-	m.cancelled = true
+}
+
+// abandon gives the job up, on a fired Config.Cancel or after the final
+// snapshot of a Config.Stop: from here on every chunk request is answered
+// empty, and the iterations the ledger holds — handed out, or reclaimed
+// from dead workers — are dropped rather than replayed.  Sync rounds,
+// checkpoints, gathers, and the shutdown protocol all proceed normally, so
+// the job's tag window and server-side namespace are retired exactly as on
+// a normal completion; only the answers are garbage, and the run reports
+// ErrJobCanceled instead of a result.  event names the first call's trace
+// instant.
+func (m *master) abandon(trk *obs.Track, event string) {
+	if !m.cancelled {
+		m.cancelled = true
+		m.snap.stopPending = false
+		if trk != nil {
+			trk.Instant(obs.CatChunk, event, obs.AInt("job", m.rt.job))
+		}
+	}
 	for _, r := range m.runs {
-		r.requeue = nil
-		r.assigned = nil
-	}
-	if trk != nil {
-		trk.Instant(obs.CatChunk, "job_canceled", obs.AInt("job", m.rt.job))
+		r.requeue, r.assigned = nil, nil
 	}
 }
 
@@ -409,9 +407,9 @@ func (m *master) run() (res *Result, err error) {
 	var scalarVals []float64
 	scalarOrigin := -1
 	for m.pendingWorkers() > 0 {
+		m.noteEvictions(trk)
 		m.noteCancel(trk)
 		m.noteStop(trk)
-		m.noteEvictions(trk)
 		if err := m.completeSyncRounds(redispCtr, trk); err != nil {
 			return res, err
 		}
@@ -495,11 +493,6 @@ func (m *master) run() (res *Result, err error) {
 				trk.FlowOut(start, msgFlowID(0, req.origin, rt.tag(tagChunkRep)),
 					obs.CatChunk, "dispatch_chunk",
 					obs.AInt("pardo", req.pardo), obs.AInt("iters", len(iters)))
-			}
-		case tagCkpt:
-			req := msg.Data.(ckptMsg)
-			if err := m.handleCkpt(req); err != nil {
-				return res, err
 			}
 		case tagObs:
 			m.handleObsReport(msg.Data.(obsReportMsg))
@@ -633,22 +626,10 @@ func (m *master) pendingWorkers() int {
 	return n
 }
 
-// liveWorkers counts workers not evicted from the world.
-func (m *master) liveWorkers() int {
-	n := 0
-	for _, wr := range m.rt.workerList {
-		if !m.rt.world.IsEvicted(wr) {
-			n++
-		}
-	}
-	return n
-}
-
 // noteEvictions folds newly evicted ranks into the scheduler state.
 // For workers: their unacknowledged iterations go back on the
-// re-dispatch queue, sync rounds stop waiting for them, and checkpoint
-// collections that were only missing their contribution are completed
-// against the reduced worker count.  Evicted I/O servers only need
+// re-dispatch queue, and sync rounds — which ask every live worker for its
+// report — stop waiting for them.  Evicted I/O servers only need
 // recording — their blocks heal at the next server barrier's
 // anti-entropy pass, and reads fail over to the surviving replicas in
 // the meantime.
@@ -688,13 +669,6 @@ func (m *master) noteEvictions(trk *obs.Track) {
 			delete(r.completed, rank)
 			delete(r.completedDelta, rank)
 		}
-		// Checkpoint collections no longer wait for the dead worker.
-		for arr := range m.ckptSaves {
-			m.maybeFinishCkptSave(arr)
-		}
-		for arr := range m.ckptLoads {
-			m.maybeFinishCkptLoad(arr)
-		}
 	}
 }
 
@@ -708,19 +682,11 @@ func (m *master) handleSync(req syncMsg) {
 	}
 	s := m.syncs[req.round]
 	if s == nil {
-		s = &syncState{
-			scalar:   -1,
-			reported: map[int]bool{},
-			vals:     map[int][]float64{},
-			states:   map[int]*workerState{},
-		}
+		s = &syncState{reports: map[int]syncMsg{}}
 		m.syncs[req.round] = s
 	}
-	s.kind = req.kind
-	s.scalar = req.scalar
-	s.reported[req.origin] = true
-	s.vals[req.origin] = req.vals
-	s.states[req.origin] = req.state
+	s.kind, s.scalar, s.arr = req.kind, req.scalar, req.arr
+	s.reports[req.origin] = req
 	for _, r := range m.runs {
 		delete(r.assigned, req.origin)
 	}
@@ -730,17 +696,11 @@ func (m *master) handleSync(req syncMsg) {
 // reached.  If dead workers left re-queued iterations behind, parked
 // survivors are first ordered to replay them (and re-report); once the
 // queues are dry the master performs the round's coordination — server
-// flush for server_barrier, element-wise sum for collectives — releases
+// flush for server_barrier, element-wise sum for collectives, the file
+// written for blocks_to_list or read for list_to_blocks — releases
 // everyone, and seals the phase's pardo runs.
 func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) error {
 	rt := m.rt
-	if m.cancelled {
-		// Iterations reclaimed by evictions after the cancel landed must
-		// not be replayed — the job is being abandoned.
-		for _, r := range m.runs {
-			r.requeue, r.assigned = nil, nil
-		}
-	}
 	for round, s := range m.syncs {
 		var parked []int
 		complete := true
@@ -748,7 +708,7 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 			if rt.world.IsEvicted(wr) || m.doneRanks[wr] {
 				continue
 			}
-			if !s.reported[wr] {
+			if _, reported := s.reports[wr]; !reported {
 				complete = false
 				break
 			}
@@ -764,20 +724,20 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 		if s.kind == syncCollective {
 			// Sum over every report, including workers that reported and
 			// then died: their report covered work that is not replayed.
-			for _, v := range s.vals {
-				for len(vals) < len(v) {
+			for _, r := range s.reports {
+				for len(vals) < len(r.vals) {
 					vals = append(vals, 0)
 				}
-				for i := range v {
-					vals[i] += v[i]
+				for i, v := range r.vals {
+					vals[i] += v
 				}
 			}
 			// Resume correction: the reports' bases came from the snapshot,
 			// but the phase before it was not re-executed.  Substitute the
 			// manifest's true total for the reported bases, once per scalar.
-			if sc := s.scalar; m.snap.enabled && sc >= 0 && sc < len(m.injArmed) &&
+			if sc := s.scalar; sc >= 0 && sc < len(m.injArmed) &&
 				m.injArmed[sc] && len(vals) > 0 {
-				vals[0] += m.injS[sc] - float64(len(s.vals))*m.injB[sc]
+				vals[0] += m.injS[sc] - float64(len(s.reports))*m.injB[sc]
 				m.injArmed[sc] = false
 			}
 		}
@@ -792,6 +752,22 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 				return err
 			}
 		}
+		// A checkpoint file is written from, or dealt out to, the parked
+		// workers.  A failure is theirs to report: it travels in the release.
+		var homed map[int][]ArrayBlock
+		var ckptErr error
+		switch s.kind {
+		case syncSave:
+			// Every report's partition, as a collective sums every report: a
+			// worker that reported and then died had its blocks at the save.
+			var all []ArrayBlock
+			for _, wr := range rt.workerList {
+				all = append(all, s.reports[wr].blocks...)
+			}
+			ckptErr = writeIntegrityFile(m.ckptPath(s.arr), ckptFileMagic, wire.Encode(ckptData{arr: s.arr, blocks: all}))
+		case syncLoad:
+			homed, ckptErr = m.readCkptFile(s.arr)
+		}
 		// Sync points are the snapshot consistency points: every live
 		// worker is parked, every effect acknowledged, dirty server state
 		// flushable on demand.
@@ -799,7 +775,10 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 			return err
 		}
 		for _, wr := range parked {
-			rep := syncReply{round: round, vals: vals}
+			rep := syncReply{round: round, vals: vals, blocks: homed[wr]}
+			if ckptErr != nil {
+				rep.err = ckptErr.Error()
+			}
 			if round == 0 && m.resumed {
 				rep.state = m.resumeBase
 			}
@@ -837,9 +816,7 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 			iters := r.requeue[i:hi:hi]
 			i = hi
 			r.assign(wr, iters)
-			s.reported[wr] = false
-			delete(s.vals, wr)
-			delete(s.states, wr)
+			delete(s.reports, wr)
 			m.comm.Send(wr, m.rt.tag(tagSyncRep), syncReply{
 				round: round, resume: true, pardo: key[0], gen: key[1], iters: iters,
 			})
@@ -981,92 +958,28 @@ func (m *master) ckptPath(arr int) string {
 	return filepath.Join(m.rt.scratch, fmt.Sprintf("ckpt_j%d_%s.ckpt", m.rt.job, m.rt.prog.Arrays[arr].Name))
 }
 
-// handleCkpt advances the blocks_to_list / list_to_blocks protocols.
-// Collections complete once every live worker has contributed;
-// noteEvictions re-checks pending collections when the live count drops.
-func (m *master) handleCkpt(req ckptMsg) error {
-	if m.rt.world.IsEvicted(req.origin) {
-		// A zombie's checkpoint traffic racing its own eviction: its
-		// contribution must not stand in for a live worker's.
-		return nil
-	}
-	switch req.op {
-	case ckptSave:
-		col := m.ckptSaves[req.arr]
-		if col == nil {
-			col = &ckptCollect{}
-			m.ckptSaves[req.arr] = col
-		}
-		col.blocks = append(col.blocks, req.blocks...)
-		col.origins = append(col.origins, req.origin)
-		m.maybeFinishCkptSave(req.arr)
-		return nil
-	case ckptLoad:
-		m.ckptLoads[req.arr] = append(m.ckptLoads[req.arr], req.origin)
-		m.maybeFinishCkptLoad(req.arr)
-		return nil
-	}
-	return fmt.Errorf("sip: master: unknown checkpoint op %d", req.op)
-}
-
-// writeCkptFile writes a checkpoint atomically and verifiably: the
-// blocks are encoded with the hostile-length-guarded wire codec and
-// framed by writeIntegrityFile (magic header + CRC trailer, temp file +
-// fsync + rename), so a crash mid-write leaves either the old
-// checkpoint or the new one — never a torn file — and bit rot is
-// detected at load instead of decoded into garbage.
-func writeCkptFile(path string, arr int, blocks []ArrayBlock) error {
-	payload := wire.Encode(ckptData{arr: arr, blocks: blocks})
-	return writeIntegrityFile(path, ckptFileMagic, payload)
-}
-
-func (m *master) maybeFinishCkptSave(arr int) {
-	col := m.ckptSaves[arr]
-	if col == nil || len(col.origins) < m.liveWorkers() {
-		return
-	}
-	delete(m.ckptSaves, arr)
-	ack := ""
-	if err := writeCkptFile(m.ckptPath(arr), arr, col.blocks); err != nil {
-		ack = err.Error()
-	}
-	for _, origin := range col.origins {
-		m.comm.Send(origin, m.rt.tag(tagCkpt), ack)
-	}
-}
-
-func (m *master) maybeFinishCkptLoad(arr int) {
-	rt := m.rt
-	origins := m.ckptLoads[arr]
-	if len(origins) < m.liveWorkers() {
-		return
-	}
-	delete(m.ckptLoads, arr)
-	var blocks []ArrayBlock
-	payload, err := readIntegrityFile(m.ckptPath(arr), ckptFileMagic)
-	if err == nil {
-		var v any
-		if v, err = wire.Decode(payload); err == nil {
-			if data, ok := v.(ckptData); ok {
-				blocks = data.blocks
-			} else {
-				err = fmt.Errorf("sip: checkpoint %s holds %T, not blocks", m.ckptPath(arr), v)
-			}
-		}
-	}
+// readCkptFile reads the checkpoint of an array and deals its blocks out
+// by home worker.  The save framed it with writeIntegrityFile, so a crash
+// mid-save left the old checkpoint or the new one, and bit rot fails the
+// checksum here instead of reaching the hostile-length-guarded decoder.
+func (m *master) readCkptFile(arr int) (map[int][]ArrayBlock, error) {
+	path := m.ckptPath(arr)
+	payload, err := readIntegrityFile(path, ckptFileMagic)
 	if err != nil {
-		for _, origin := range origins {
-			m.comm.Send(origin, m.rt.tag(tagCkpt), err.Error())
-		}
-		return
+		return nil, err
 	}
-	// Partition blocks by home worker.
-	perWorker := map[int][]ArrayBlock{}
-	for _, ab := range blocks {
-		home := rt.homeWorker(arr, ab.Ord)
-		perWorker[home] = append(perWorker[home], ab)
+	v, err := wire.Decode(payload)
+	if err != nil {
+		return nil, err
 	}
-	for _, origin := range origins {
-		m.comm.Send(origin, m.rt.tag(tagCkpt), ckptData{arr: arr, blocks: perWorker[origin]})
+	data, ok := v.(ckptData)
+	if !ok {
+		return nil, fmt.Errorf("sip: checkpoint %s holds %T, not blocks", path, v)
 	}
+	homed := map[int][]ArrayBlock{}
+	for _, ab := range data.blocks {
+		home := m.rt.homeWorker(arr, ab.Ord)
+		homed[home] = append(homed[home], ab)
+	}
+	return homed, nil
 }

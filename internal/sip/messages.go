@@ -89,22 +89,8 @@ type doneMsg struct {
 // registered with the wire codec.)
 type ackMsg struct{}
 
-// Checkpoint operations (blocks_to_list / list_to_blocks).
-const (
-	ckptSave = iota
-	ckptLoad
-)
-
-// ckptMsg carries checkpoint traffic between workers and the master.
-type ckptMsg struct {
-	op     int
-	arr    int
-	blocks []ArrayBlock
-	origin int
-}
-
-// ckptData delivers restored blocks to their home worker during
-// list_to_blocks.
+// ckptData is the payload of a blocks_to_list file (ckptFileMagic +
+// wire.Encode(ckptData) + CRC): the whole array, every worker's partition.
 type ckptData struct {
 	arr    int
 	blocks []ArrayBlock
@@ -122,7 +108,10 @@ const (
 	syncBarrier       = iota // sip_barrier / initial startup barrier
 	syncServerBarrier        // server_barrier (master flushes the servers)
 	syncCollective           // collective: vals[0] is the scalar contribution
-	syncCkpt                 // blocks_to_list / list_to_blocks rendezvous
+	// The checkpoint kinds are never snapshot points (maybeSyncSnapshot).
+	syncCkpt // the plain round before a save and after a load: no unsynchronised put or get races either
+	syncSave // blocks_to_list: blocks is the reporter's partition of arr, the master writes the file
+	syncLoad // list_to_blocks: the master reads arr's file and releases each worker with the blocks it homes
 )
 
 // syncMsg reports that a worker reached sync point round (a worker's
@@ -144,6 +133,10 @@ type syncMsg struct {
 	// when checkpointing is on and no pardo frame is active: sync points
 	// are the snapshot consistency points (snapshot.go).
 	state *workerState
+	// arr is the array a syncSave / syncLoad round serialises, blocks the
+	// reporter's partition of it (syncSave only).
+	arr    int
+	blocks []ArrayBlock
 }
 
 // rereplicateMsg starts one anti-entropy pass on a server (master ->
@@ -204,7 +197,9 @@ type obsReportMsg struct {
 }
 
 // syncReply releases a worker from a sync point (resume == false; for
-// collectives vals carries the reduced results) or orders it to replay
+// collectives vals carries the reduced results, for syncLoad blocks the
+// restored blocks this worker homes, and for syncSave / syncLoad err the
+// master's failure to write or read the file) or orders it to replay
 // re-dispatched iterations of a dead worker first (resume == true:
 // iters lists the iterations of pardo/gen to execute, after which the
 // worker re-reports the same round).
@@ -215,6 +210,8 @@ type syncReply struct {
 	gen    int
 	iters  [][]int
 	vals   []float64
+	blocks []ArrayBlock
+	err    string
 	// state, when non-nil on the round-0 release, orders the worker to
 	// install a resume base — jump to the recorded pc with the recorded
 	// scalars and control stack — before continuing (snapshot.go).

@@ -79,7 +79,6 @@ var tagNames = [...]string{
 	tagPrepAck:  "prep_ack",
 	tagFlushAck: "flush_ack",
 	tagDone:     "done",
-	tagCkpt:     "ckpt",
 	tagGather:   "gather",
 	tagSync:     "sync",
 	tagSyncRep:  "sync_rep",
@@ -167,27 +166,13 @@ func msgBytes(data any) int64 {
 	case gatherMsg:
 		n := int64(envelope)
 		for _, blocks := range v.arrays {
-			for _, ab := range blocks {
-				n += 16 + 8*int64(len(ab.Data))
-			}
-		}
-		return n
-	case ckptMsg:
-		n := int64(envelope + 16)
-		for _, ab := range v.blocks {
-			n += 16 + 8*int64(len(ab.Data))
-		}
-		return n
-	case ckptData:
-		n := int64(envelope + 8)
-		for _, ab := range v.blocks {
-			n += 16 + 8*int64(len(ab.Data))
+			n += arrayBlocksBytes(blocks)
 		}
 		return n
 	case doneMsg:
 		return envelope + 16 + 8*int64(len(v.scalars)) + int64(len(v.err))
 	case syncMsg:
-		return envelope + 32 + 8*int64(len(v.vals)) + workerStateBytes(v.state)
+		return envelope + 40 + 8*int64(len(v.vals)) + workerStateBytes(v.state) + arrayBlocksBytes(v.blocks)
 	case replPutMsg:
 		n := int64(envelope + 32) // key, round, origin
 		if v.b != nil {
@@ -206,7 +191,8 @@ func msgBytes(data any) int64 {
 		}
 		return n
 	case syncReply:
-		n := int64(envelope+32) + 8*int64(len(v.vals)) + workerStateBytes(v.state)
+		n := int64(envelope+32) + 8*int64(len(v.vals)) + workerStateBytes(v.state) +
+			arrayBlocksBytes(v.blocks) + int64(len(v.err))
 		for _, it := range v.iters {
 			n += 8 * int64(len(it))
 		}
@@ -214,6 +200,16 @@ func msgBytes(data any) int64 {
 	default:
 		return envelope
 	}
+}
+
+// arrayBlocksBytes estimates the wire size of gathered or checkpointed
+// blocks: an ordinal and a length around each float64 payload.
+func arrayBlocksBytes(blocks []ArrayBlock) int64 {
+	var n int64
+	for _, ab := range blocks {
+		n += 16 + 8*int64(len(ab.Data))
+	}
+	return n
 }
 
 // workerStateBytes estimates the wire size of an attached resume state.

@@ -87,10 +87,6 @@ type PoolConfig struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records pool-lifetime spans.
 	Tracer *obs.Tracer
-	// RecvTimeout is every job's Config.RecvTimeout.  A pool job is a tenant
-	// of the pool's world and never rules on silence (runtime.await), so
-	// today it bounds nothing.
-	RecvTimeout time.Duration
 }
 
 // JobSpec is one program submitted to the pool.
@@ -350,7 +346,6 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		Output:       output,
 		Metrics:      spec.Metrics,
 		Tracer:       p.cfg.Tracer,
-		RecvTimeout:  p.cfg.RecvTimeout,
 		Replicas:     p.cfg.Replicas,
 		Recover:      p.cfg.Recover,
 		Cancel:       spec.Cancel,

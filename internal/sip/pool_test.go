@@ -133,10 +133,6 @@ func TestPoolKillAndJoin(t *testing.T) {
 		Replicas: 2,
 		Recover:  true,
 		Output:   &bytes.Buffer{},
-		// Recovery is driven by receive deadlines: a master only
-		// diagnoses (or notices) a dead worker when a blocking receive
-		// times out.
-		RecvTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

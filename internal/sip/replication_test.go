@@ -94,29 +94,25 @@ func TestServerDedupLedgerRotation(t *testing.T) {
 // two-epoch lifetime as the server's.
 func TestWorkerDedupLedgerRotation(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := &worker{
-		seenPuts:     map[uint64]bool{},
-		seenPrevPuts: map[uint64]bool{},
-		retireCtr:    reg.Counter(metricDedupRetired),
-	}
-	if !w.markSeen(7) {
+	w := &worker{retireCtr: reg.Counter(metricDedupRetired)}
+	if !w.seen.mark(7) {
 		t.Fatal("fresh seq reported as duplicate")
 	}
-	if w.markSeen(7) {
+	if w.seen.mark(7) {
 		t.Fatal("replay in same epoch not deduplicated")
 	}
 	w.retireSeenPuts()
-	if w.markSeen(7) {
+	if w.seen.mark(7) {
 		t.Fatal("replay across one rotation not deduplicated")
 	}
 	w.retireSeenPuts()
 	if got := reg.Snapshot().Counters[metricDedupRetired]; got != 1 {
 		t.Fatalf("%s = %d after retirement, want 1", metricDedupRetired, got)
 	}
-	if !w.markSeen(7) {
+	if !w.seen.mark(7) {
 		t.Fatal("retired seq still deduplicated")
 	}
-	// A worker without recovery has no ledger; rotation must be a no-op.
+	// A worker that never marked a seq has an empty ledger; rotation must be a no-op.
 	(&worker{}).retireSeenPuts()
 }
 

@@ -37,16 +37,12 @@ type ioServer struct {
 
 	hits, misses, diskReads, diskWrites int64
 
-	// ledgers holds each job's two-epoch prepare-dedup ledger: a put
-	// whose seq was already applied is acknowledged but not re-applied,
-	// so accumulates land at-most-once across chunk re-execution.  A
-	// job's ledger rotates at its own flushes (server_barrier) — by then
-	// every phase older than the previous flush is sealed and can no
-	// longer be replayed — so it holds two barrier phases of effects
-	// instead of growing for the whole run.  Ledgers are per job: one
-	// tenant's barrier cadence must never retire another tenant's
-	// still-replayable effects.
-	ledgers   map[int]*srvLedger
+	// ledgers holds each job's prepare-dedup ledger, which rotates at the
+	// job's own flushes (server_barrier): by then every phase older than
+	// the previous flush is sealed and can no longer be replayed.  Ledgers
+	// are per job: one tenant's barrier cadence must never retire another
+	// tenant's still-replayable effects.
+	ledgers   map[int]*effectLedger
 	dropCtr   *obs.Counter
 	retireCtr *obs.Counter
 
@@ -74,11 +70,6 @@ type srvJob struct {
 	servers  []int
 }
 
-// srvLedger is one job's two-epoch prepare-dedup ledger.
-type srvLedger struct {
-	seen, seenPrev map[uint64]bool
-}
-
 // srvRegMsg registers a pool tenant with the shared server loop.  It is
 // sent by the serve agent on the server's own rank — same process, so
 // the pointer payload crosses no codec (serve pools are in-process).
@@ -101,7 +92,7 @@ func newIOServer(rt *runtime, rank int) *ioServer {
 		lru:       list.New(),
 		onDisk:    map[blockKey]bool{},
 		dir:       filepath.Join(rt.scratch, fmt.Sprintf("srv%d", rank)),
-		ledgers:   map[int]*srvLedger{},
+		ledgers:   map[int]*effectLedger{},
 		jobs:      map[int]*srvJob{},
 		dropCtr:   rt.metrics.Counter(metricDedupDroppedEffects),
 		retireCtr: rt.metrics.Counter(metricDedupRetired),
@@ -131,13 +122,18 @@ func (s *ioServer) jobOf(job int) *srvJob {
 }
 
 // ledger returns (allocating on first use) the dedup ledger of a job.
-func (s *ioServer) ledger(job int) *srvLedger {
+func (s *ioServer) ledger(job int) *effectLedger {
 	l := s.ledgers[job]
 	if l == nil {
-		l = &srvLedger{seen: map[uint64]bool{}, seenPrev: map[uint64]bool{}}
+		l = &effectLedger{}
 		s.ledgers[job] = l
 	}
 	return l
+}
+
+// retireSeen rotates a job's ledger at its flush and counts what it retired.
+func (s *ioServer) retireSeen(job int) {
+	s.retireCtr.Add(int64(s.ledger(job).rotate()))
 }
 
 func (s *ioServer) blockDims(k blockKey) ([]int, error) {
@@ -256,6 +252,8 @@ func (s *ioServer) run() (err error) {
 			if err := s.flush(msg.job); err != nil {
 				return err
 			}
+			// The previous flush's sync round has sealed: nothing can replay
+			// the effects that predate it.
 			s.retireSeen(msg.job)
 			s.comm.Send(0, jobTag(msg.job, tagFlushAck), ackMsg{})
 			if s.trk != nil {
@@ -453,33 +451,14 @@ func (s *ioServer) insert(k blockKey, b *block.Block, dirty bool) error {
 	return nil
 }
 
-// applyPut applies one incoming put/prepare, deduplicating replayed
-// effects against both live ledger epochs.
+// applyPut applies one incoming put/prepare, dropping a replayed effect
+// the job's ledger already holds.
 func (s *ioServer) applyPut(msg putMsg) error {
-	l := s.ledger(msg.key.job)
-	if msg.seq != 0 && (l.seen[msg.seq] || l.seenPrev[msg.seq]) {
-		s.dropCtr.Inc() // replayed effect: already applied
+	if msg.seq != 0 && !s.ledger(msg.key.job).mark(msg.seq) {
+		s.dropCtr.Inc()
 		return nil
 	}
-	if err := s.apply(msg.key, msg.b, msg.acc); err != nil {
-		return err
-	}
-	if msg.seq != 0 {
-		l.seen[msg.seq] = true
-	}
-	return nil
-}
-
-// retireSeen rotates one job's prepare-dedup ledger at its flush: the
-// previous epoch's effects predate the job's last server barrier, whose
-// sync round has sealed, so no replay can resend them.  Keeping one
-// prior epoch covers effects that raced into the current epoch just
-// before the barrier released.
-func (s *ioServer) retireSeen(job int) {
-	l := s.ledger(job)
-	s.retireCtr.Add(int64(len(l.seenPrev)))
-	l.seenPrev = l.seen
-	l.seen = map[uint64]bool{}
+	return s.apply(msg.key, msg.b, msg.acc)
 }
 
 // rereplicate runs one anti-entropy scan (Config.Replicas > 1): every
@@ -612,39 +591,40 @@ func (s *ioServer) scanDisk() error {
 	return nil
 }
 
-// writeDisk persists one block as raw little-endian float64s.  The
-// write is atomic — temp file in the same dir, fsync, rename — so a
-// server killed mid-write leaves either the old block or the new one,
-// never a torn file.
-func (s *ioServer) writeDisk(k blockKey, b *block.Block) error {
-	var start time.Time
-	if s.trk != nil {
-		start = time.Now()
-	}
+// encodeBlockFile is the spill-file form of a served block: its elements
+// as raw little-endian float64s.  The dims are the layout's to supply.
+func encodeBlockFile(b *block.Block) []byte {
 	data := b.Data()
 	buf := make([]byte, 8*len(data))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 	}
-	path := s.blockPath(k)
-	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp*")
-	if err == nil {
-		tmp := f.Name()
-		_, err = f.Write(buf)
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp, path)
-		}
-		if err != nil {
-			os.Remove(tmp)
-		}
+	return buf
+}
+
+// decodeBlockFile rebuilds a block of the given dims from its spill file;
+// the error of a file of any other size completes "block <key> ...".
+func decodeBlockFile(buf []byte, dims []int) (*block.Block, error) {
+	b := block.New(dims...)
+	data := b.Data()
+	if len(buf) != 8*len(data) {
+		return nil, fmt.Errorf("has %d bytes, want %d", len(buf), 8*len(data))
 	}
-	if err != nil {
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return b, nil
+}
+
+// writeDisk persists one block atomically, so a server killed mid-write
+// leaves either the old block or the new one, never a torn file.
+func (s *ioServer) writeDisk(k blockKey, b *block.Block) error {
+	var start time.Time
+	if s.trk != nil {
+		start = time.Now()
+	}
+	buf := encodeBlockFile(b)
+	if err := atomicWrite(s.blockPath(k), buf); err != nil {
 		return fmt.Errorf("sip: server %d: write block %v: %w", s.rank, k, err)
 	}
 	s.onDisk[k] = true
@@ -670,13 +650,9 @@ func (s *ioServer) readDisk(k blockKey) (*block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := block.New(dims...)
-	data := b.Data()
-	if len(buf) != 8*len(data) {
-		return nil, fmt.Errorf("sip: server %d: block %v has %d bytes, want %d", s.rank, k, len(buf), 8*len(data))
-	}
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	b, err := decodeBlockFile(buf, dims)
+	if err != nil {
+		return nil, fmt.Errorf("sip: server %d: block %v %w", s.rank, k, err)
 	}
 	s.diskReads++
 	if s.trk != nil {

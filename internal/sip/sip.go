@@ -49,7 +49,6 @@ const (
 	tagPrepAck   = 6  // server -> worker: prepare applied
 	tagFlushAck  = 7  // server -> worker: all dirty blocks written
 	tagDone      = 8  // worker -> master: reached halt
-	tagCkpt      = 9  // worker <-> master: checkpoint traffic
 	tagGather    = 10 // worker/server -> master: final array gather
 	tagSync      = 11 // worker -> master: sync-point report
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
@@ -163,13 +162,13 @@ type Config struct {
 	// into the Result after the run (for tests and small problems).
 	GatherArrays bool
 	// RecvTimeout bounds each wait of a worker or the master for a message it
-	// is owed (chunk and block replies, acks, checkpoint traffic, gather).
-	// After three RecvTimeout-long receives in silence the waiting rank rules
-	// on it (runtime.await, docs/FAULTS.md): a run that can survive losing
-	// the silent peer evicts it, any other fails the world naming it instead
-	// of hanging; a pool job, a tenant of a world it does not own, keeps
-	// waiting.  0 (the default) never times out, right for in-process runs
-	// where no rank can silently vanish; a set value must exceed the longest
+	// is owed (chunk and block replies, acks, gather).  After three
+	// RecvTimeout-long receives in silence the waiting rank rules on it
+	// (runtime.await, docs/FAULTS.md): a run that can survive losing the
+	// silent peer evicts it, any other fails the world naming it instead of
+	// hanging.  A pool job, a tenant of a world it does not own, never has one
+	// set.  0 (the default) never times out, right for in-process runs where
+	// no rank can silently vanish; a set value must exceed the longest
 	// legitimate quiet stretch (e.g. a server flushing a large cache to disk).
 	RecvTimeout time.Duration
 	// Recover decides what a diagnosed rank death does, and nothing else:
@@ -373,8 +372,7 @@ type runtime struct {
 
 	// pooled marks a run that is a tenant of a shared pool world (job > 0)
 	// rather than the owner of its own: it neither sets the world up
-	// (newRuntime) nor brings it down (failRun), and it never takes silence
-	// for a death (await).
+	// (newRuntime) nor brings it down (failRun).
 	pooled bool
 
 	// workerList and serverList map worker/server indexes to world
@@ -578,10 +576,6 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 	res.Elapsed = time.Since(started)
 	return res, nil
 }
-
-// firstWorker returns the lowest-indexed worker's world rank (the rank
-// that executes print statements and reports scalars).
-func (rt *runtime) firstWorker() int { return rt.workerList[0] }
 
 // workerIndexOf returns the 0-based worker index of a world rank, or -1.
 func (rt *runtime) workerIndexOf(rank int) int {

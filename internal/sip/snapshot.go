@@ -38,14 +38,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -149,27 +147,20 @@ const (
 	ckptFileMagic = "SCK1" // blocks_to_list checkpoint file
 )
 
-// writeIntegrityFile writes magic+payload+CRC32(magic+payload)
-// atomically: temp file in the same directory, fsync, rename.  A crash
-// mid-write leaves the old file or the new one, never a torn one — and
-// a torn rename target is caught by the checksum.
-func writeIntegrityFile(path, magic string, payload []byte) error {
-	h := crc32.NewIEEE()
-	h.Write([]byte(magic))
-	h.Write(payload)
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
+// atomicWrite replaces the file at path with the concatenation of parts:
+// a temp file in the same directory, written, fsynced, closed and renamed
+// over path.  A crash mid-write leaves the old file or the new one, never
+// a torn one; a failed write leaves no temp file behind.
+func atomicWrite(path string, parts ...[]byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write([]byte(magic))
-	if err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		_, err = f.Write(trailer[:])
+	for _, p := range parts {
+		if err == nil {
+			_, err = f.Write(p)
+		}
 	}
 	if err == nil {
 		err = f.Sync()
@@ -184,6 +175,17 @@ func writeIntegrityFile(path, magic string, payload []byte) error {
 		os.Remove(tmp)
 	}
 	return err
+}
+
+// writeIntegrityFile writes magic+payload+CRC32(magic+payload)
+// atomically, so a torn rename target is caught by the checksum.
+func writeIntegrityFile(path, magic string, payload []byte) error {
+	h := crc32.NewIEEE()
+	h.Write([]byte(magic))
+	h.Write(payload)
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
+	return atomicWrite(path, []byte(magic), payload, trailer[:])
 }
 
 // readIntegrityFile reads a file written by writeIntegrityFile,
@@ -265,11 +267,7 @@ func ckptFingerprint(rt *runtime) uint32 {
 
 // snapState is the master's checkpoint bookkeeping.
 type snapState struct {
-	enabled     bool
 	dir         string // <scratch>/ckpt/<CkptName>
-	name        string
-	keep        int
-	interval    int
 	fingerprint uint32
 
 	epoch       int  // last epoch written (or highest found on disk)
@@ -303,11 +301,7 @@ func (m *master) initSnap() {
 	if cfg.CkptInterval <= 0 {
 		return
 	}
-	m.snap.enabled = true
-	m.snap.interval = cfg.CkptInterval
-	m.snap.keep = cfg.CkptKeep
-	m.snap.name = cfg.CkptName
-	m.snap.dir = filepath.Join(m.rt.scratch, "ckpt", m.snap.name)
+	m.snap.dir = filepath.Join(m.rt.scratch, "ckpt", cfg.CkptName)
 	m.snap.fingerprint = ckptFingerprint(m.rt)
 	m.snap.baseValid = true
 	m.snap.pure = map[int]bool{}
@@ -432,7 +426,7 @@ func (m *master) writeSnapshot(base *workerState, sums []float64, overlays []ckp
 	}
 	man := ckptManifest{
 		epoch:       epoch,
-		name:        m.snap.name,
+		name:        rt.cfg.CkptName,
 		fingerprint: m.snap.fingerprint,
 		base:        base,
 		sums:        append([]float64(nil), sums...),
@@ -464,7 +458,7 @@ func (m *master) writeSnapshot(base *workerState, sums []float64, overlays []ckp
 // gcSnapshots removes manifests and epoch directories older than the
 // retention window (Config.CkptKeep).
 func (m *master) gcSnapshots() {
-	cut := m.snap.epoch - m.snap.keep
+	cut := m.snap.epoch - m.rt.cfg.CkptKeep
 	entries, err := os.ReadDir(m.snap.dir)
 	if err != nil {
 		return
@@ -574,22 +568,13 @@ func (m *master) rehydrate(man *ckptManifest) error {
 			return err
 		}
 		shape := rt.layout.Shapes[be.arr]
-		dims := shape.BlockDims(shape.CoordOf(be.ord))
-		size := 1
-		for _, d := range dims {
-			size *= d
-		}
-		if len(buf) != 8*size {
-			return fmt.Errorf("sip: resume: block a%d_b%d has %d bytes, want %d", be.arr, be.ord, len(buf), 8*size)
-		}
-		data := make([]float64, size)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		b, err := decodeBlockFile(buf, shape.BlockDims(shape.CoordOf(be.ord)))
+		if err != nil {
+			return fmt.Errorf("sip: resume: block a%d_b%d %w", be.arr, be.ord, err)
 		}
 		key := blockKey{job: rt.job, arr: be.arr, ord: be.ord}
 		for _, sr := range rt.replicaServers(nil, be.arr, be.ord) {
-			b := block.FromData(append([]float64(nil), data...), dims...)
-			m.comm.Send(sr, tagServer, putMsg{key: key, b: b, origin: 0, needAck: true})
+			m.comm.Send(sr, tagServer, putMsg{key: key, b: b.Clone(), origin: 0, needAck: true})
 			owed[sr]++
 		}
 	}
@@ -621,7 +606,7 @@ func (m *master) cleanStaleBlocks() {
 // collectives.
 func (m *master) resumeSetup(trk *obs.Track) error {
 	rt := m.rt
-	if !m.snap.enabled {
+	if rt.cfg.CkptInterval <= 0 {
 		return nil
 	}
 	m.cleanStaleBlocks()
@@ -681,7 +666,7 @@ func (m *master) resumeSetup(trk *obs.Track) error {
 // rounds that are not server barriers the servers are flushed on
 // demand first — the workers are parked, so the flush races nothing.
 func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, trk *obs.Track) error {
-	if !m.snap.enabled {
+	if m.rt.cfg.CkptInterval <= 0 {
 		return nil
 	}
 	if !m.snap.startupDone {
@@ -691,13 +676,13 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 		m.snap.startupDone = true
 		return nil
 	}
-	if m.cancelled || s.kind == syncCkpt {
+	if m.cancelled || s.kind == syncCkpt || s.kind == syncSave || s.kind == syncLoad {
 		m.snap.baseValid = false
 		return nil
 	}
 	n := 0
-	for _, st := range s.states {
-		if st == nil {
+	for _, r := range s.reports {
+		if r.state == nil {
 			// A worker reached this sync point inside a pardo body (or an
 			// old-format peer): no consistent capture exists this round.
 			m.snap.baseValid = false
@@ -705,7 +690,7 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 		}
 		n++
 	}
-	if n == 0 || s.states[parked[0]] == nil {
+	if n == 0 || s.reports[parked[0]].state == nil {
 		m.snap.baseValid = false
 		return nil
 	}
@@ -714,10 +699,10 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 			return err
 		}
 	}
-	base := s.states[parked[0]].clone()
+	base := s.reports[parked[0]].state.clone()
 	sums := make([]float64, len(m.rt.prog.Scalars))
-	for _, st := range s.states {
-		for i, v := range st.scalars {
+	for _, r := range s.reports {
+		for i, v := range r.state.scalars {
 			if i < len(sums) {
 				sums[i] += v
 			}
@@ -757,7 +742,7 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 // CkptInterval completed chunks — or immediately when a drain is
 // pending — a mid-pardo snapshot is attempted.
 func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
-	if !m.snap.enabled {
+	if m.rt.cfg.CkptInterval <= 0 {
 		return
 	}
 	if len(r.assigned[req.origin]) > 0 {
@@ -771,7 +756,7 @@ func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
 		}
 		m.snap.chunksSince++
 	}
-	if m.snap.chunksSince >= m.snap.interval || m.snap.stopPending {
+	if m.snap.chunksSince >= m.rt.cfg.CkptInterval || m.snap.stopPending {
 		m.maybeChunkSnapshot(trk)
 	}
 }
@@ -830,36 +815,19 @@ func (m *master) noteStop(trk *obs.Track) {
 		return
 	}
 	m.stopNoted = true
-	if !m.snap.enabled {
-		m.selfCancel(trk)
+	if m.rt.cfg.CkptInterval <= 0 {
+		m.abandon(trk, "job_stopped")
 		return
 	}
 	m.snap.stopPending = true
 }
 
 // finishStop completes a pending drain-stop after the final snapshot
-// attempt (successful or not — a drain must terminate either way).
+// attempt (successful or not — a drain must terminate either way): the
+// run is abandoned exactly as a fired Config.Cancel would abandon it.
 func (m *master) finishStop(trk *obs.Track) {
 	if m.snap.stopPending {
-		m.selfCancel(trk)
-	}
-}
-
-// selfCancel abandons the run exactly as a fired Config.Cancel would:
-// dispatch starves, reclaimed iterations are dropped, and the run ends
-// in ErrJobCanceled through the normal shutdown protocol.
-func (m *master) selfCancel(trk *obs.Track) {
-	if m.cancelled {
-		return
-	}
-	m.cancelled = true
-	m.snap.stopPending = false
-	for _, r := range m.runs {
-		r.requeue = nil
-		r.assigned = nil
-	}
-	if trk != nil {
-		trk.Instant(obs.CatChunk, "job_stopped", obs.AInt("job", m.rt.job))
+		m.abandon(trk, "job_stopped")
 	}
 }
 
@@ -868,7 +836,7 @@ func (m *master) selfCancel(trk *obs.Track) {
 // are dead weight.  Stopped (drain-requeued) and failed runs keep
 // theirs for the restart.
 func (m *master) cleanupSnapshots(workerErr error) {
-	if m.snap.enabled && workerErr == nil && !m.cancelled && !m.stopNoted {
+	if m.rt.cfg.CkptInterval > 0 && workerErr == nil && !m.cancelled && !m.stopNoted {
 		os.RemoveAll(m.snap.dir)
 	}
 }

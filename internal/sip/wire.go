@@ -18,7 +18,7 @@ const (
 	wireIDChunkMsg
 	wireIDChunkReply
 	wireIDDoneMsg
-	wireIDCkptMsg
+	_ // retired id: blocks_to_list files embed the next one, so it keeps its number
 	wireIDCkptData
 	wireIDGatherMsg
 	wireIDAckMsg
@@ -379,16 +379,6 @@ func init() {
 			return doneMsg{origin: d.Int(), err: d.String(), scalars: d.Float64s(),
 				failRank: d.Int(), failReason: d.String()}
 		})
-	wire.Register(wireIDCkptMsg,
-		func(e *wire.Encoder, m ckptMsg) {
-			e.Int(m.op)
-			e.Int(m.arr)
-			e.Int(m.origin)
-			encodeArrayBlocks(e, m.blocks)
-		},
-		func(d *wire.Decoder) ckptMsg {
-			return ckptMsg{op: d.Int(), arr: d.Int(), origin: d.Int(), blocks: decodeArrayBlocks(d)}
-		})
 	wire.Register(wireIDCkptData,
 		func(e *wire.Encoder, m ckptData) {
 			e.Int(m.arr)
@@ -436,10 +426,13 @@ func init() {
 			e.Float64s(m.vals)
 			e.Int(m.scalar)
 			encodeWorkerState(e, m.state)
+			e.Int(m.arr)
+			encodeArrayBlocks(e, m.blocks)
 		},
 		func(d *wire.Decoder) syncMsg {
 			return syncMsg{origin: d.Int(), round: d.Int(), kind: d.Int(),
-				vals: d.Float64s(), scalar: d.Int(), state: decodeWorkerState(d)}
+				vals: d.Float64s(), scalar: d.Int(), state: decodeWorkerState(d),
+				arr: d.Int(), blocks: decodeArrayBlocks(d)}
 		})
 	wire.Register(wireIDSyncReply,
 		func(e *wire.Encoder, m syncReply) {
@@ -449,11 +442,14 @@ func init() {
 			e.Int(m.gen)
 			e.IntSlices(m.iters)
 			e.Float64s(m.vals)
+			encodeArrayBlocks(e, m.blocks)
+			e.String(m.err)
 			encodeWorkerState(e, m.state)
 		},
 		func(d *wire.Decoder) syncReply {
 			return syncReply{round: d.Int(), resume: d.Bool(), pardo: d.Int(),
 				gen: d.Int(), iters: d.IntSlices(), vals: d.Float64s(),
+				blocks: decodeArrayBlocks(d), err: d.String(),
 				state: decodeWorkerState(d)}
 		})
 	wire.Register(wireIDRereplicateMsg,
@@ -554,7 +550,6 @@ func init() {
 	wire.Sample(chunkMsg{pardo: 1, gen: 2, origin: 3, delta: []float64{0.25}})
 	wire.Sample(chunkReply{iters: [][]int{{1, 2}, {3}}})
 	wire.Sample(doneMsg{origin: 1, err: "boom", scalars: []float64{1, 2}, failRank: -1})
-	wire.Sample(ckptMsg{op: 1, arr: 2, origin: 3, blocks: abs})
 	wire.Sample(ckptData{arr: 2, blocks: abs})
 	wire.Sample(gatherMsg{origin: 1, arrays: map[int][]ArrayBlock{0: abs}})
 	wire.Sample(ackMsg{})
@@ -563,7 +558,9 @@ func init() {
 		frames: []frameState{{kind: 1, idx: 0, cur: 2, hi: 4, startPC: 5, exitPC: 9, retPC: -1, procID: -1}}}
 	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, vals: []float64{1.5}, scalar: 0, state: st})
 	wire.Sample(syncMsg{origin: 2, kind: 1, scalar: -1}) // the stateless form: most reports carry no snapshot base
+	wire.Sample(syncMsg{origin: 3, round: 4, kind: syncSave, scalar: -1, arr: 2, blocks: abs})
 	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, iters: [][]int{{0}}, vals: []float64{2}, state: st})
+	wire.Sample(syncReply{round: 4, blocks: abs, err: "sip: ckpt_j0_D.ckpt: checksum mismatch"})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,
 		sums:     []float64{2, 4},
 		overlays: []ckptOverlay{{pardo: 0, gen: 1, iters: [][]int{{0, 1}, {0, 2}}}},

@@ -90,17 +90,15 @@ type worker struct {
 	// iterations can re-enter the body.  owedPutAcks and owedPrepAcks
 	// count outstanding put/prepare acks per destination, so acks owed by
 	// an evicted home or server can be forgotten and a silent one named.
-	// seenPuts/seenPrevPuts are the two live epochs of the put-dedup
-	// ledger, shared with the service loop (seenMu) and rotated at each
-	// sync release.  replicas is the interpreter's scratch for replica
-	// sets, so placing a served block allocates nothing.
+	// seen is the put-dedup ledger, shared with the service loop (seenMu)
+	// and rotated at each sync release.  replicas is the interpreter's
+	// scratch for replica sets, so placing a served block allocates nothing.
 	syncRound    int
 	pardoPCs     []int
 	owedPutAcks  map[int]int
 	owedPrepAcks map[int]int
 	seenMu       sync.Mutex
-	seenPuts     map[uint64]bool
-	seenPrevPuts map[uint64]bool
+	seen         effectLedger
 	replicas     []int
 	dropCtr      *obs.Counter
 	retireCtr    *obs.Counter
@@ -143,8 +141,6 @@ func newWorker(rt *runtime, rank int) *worker {
 
 		owedPutAcks:  map[int]int{},
 		owedPrepAcks: map[int]int{},
-		seenPuts:     map[uint64]bool{},
-		seenPrevPuts: map[uint64]bool{},
 	}
 	w.cache = newBlockCache(rt.cfg.CacheBlocks, w.pool)
 	w.dropCtr = rt.metrics.Counter(metricDedupDroppedEffects)
@@ -255,7 +251,7 @@ func (w *worker) run() (err error) {
 	// release may carry a resume base (Config.Resume): installState then
 	// jumps this worker to the snapshot's program point before the
 	// interpreter loop starts.
-	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+	if _, err := w.masterSync(syncBarrier, -1, false); err != nil {
 		return err
 	}
 
@@ -305,7 +301,7 @@ func (rt *runtime) failRun(err error) {
 func (w *worker) shutdown() error {
 	// The final sync round: any iterations a freshly dead worker still
 	// held are replayed here before anyone reports done.
-	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+	if _, err := w.masterSync(syncBarrier, -1, false); err != nil {
 		return err
 	}
 	if w.rt.cfg.GatherArrays {
@@ -609,17 +605,15 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 	case bytecode.OpCollective:
-		vals, err := w.masterSync(syncCollective, in.A, true, func() []float64 {
-			return []float64{w.scalars[in.A]}
-		})
+		rep, err := w.masterSync(syncCollective, in.A, true)
 		if err != nil {
 			return err
 		}
-		if len(vals) > 0 {
-			w.scalars[in.A] = vals[0]
+		if len(rep.vals) > 0 {
+			w.scalars[in.A] = rep.vals[0]
 		}
 	case bytecode.OpPrint:
-		if w.rank == w.rt.firstWorker() {
+		if w.rank == w.rt.workerList[0] { // one worker prints: the lowest-indexed
 			w.rt.outMu.Lock()
 			if in.A >= 0 {
 				fmt.Fprint(w.rt.cfg.Output, w.rt.prog.Strings[in.A])
@@ -1327,7 +1321,7 @@ func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
 // master then has the servers flush their dirty caches — and cached
 // remote blocks are invalidated so later gets see the new values.
 func (w *worker) barrier(kind int) error {
-	if _, err := w.masterSync(kind, -1, true, nil); err != nil {
+	if _, err := w.masterSync(kind, -1, true); err != nil {
 		return err
 	}
 	w.cache.invalidateAll()
@@ -1385,61 +1379,47 @@ func (w *worker) serviceLoop() {
 	}
 }
 
-// checkpointSave implements blocks_to_list: every worker ships its
-// partition of the array to the master, which serializes the whole array
-// (paper §IV-C: used to pass data between SIAL programs and for
-// rudimentary checkpointing).
+// checkpointSave implements blocks_to_list (paper §IV-C: used to pass
+// data between SIAL programs and for rudimentary checkpointing): after a
+// plain round — a neighbour that has not reached the instruction may still
+// put into this partition — every worker reports a syncSave round carrying
+// its partition of the array, and the master writes the whole array before
+// it releases anyone.  The plain round is of a kind of its own, syncCkpt,
+// which the snapshot subsystem never captures.
 func (w *worker) checkpointSave(arrID int) error {
-	if err := w.ckptBarrier(); err != nil {
+	if _, err := w.masterSync(syncCkpt, -1, false); err != nil {
 		return err
 	}
-	var blocks []ArrayBlock
-	w.dist.each(func(k blockKey, b *block.Block) {
-		if k.arr == arrID {
-			blocks = append(blocks, ArrayBlock{Ord: k.ord, Data: append([]float64(nil), b.Data()...)})
-		}
-	})
-	w.comm.Send(0, w.rt.tag(tagCkpt), ckptMsg{op: ckptSave, arr: arrID, blocks: blocks, origin: w.rank})
-	// Wait for the master's completion ack.
-	if _, err := w.recvFrom(0, w.rt.tag(tagCkpt), waitFor{what: "checkpoint ack from the master"}); err != nil {
-		return err
+	rep, err := w.masterSync(syncSave, arrID, false)
+	if err == nil && rep.err != "" {
+		err = fmt.Errorf("blocks_to_list: %s", rep.err)
 	}
-	return w.ckptBarrier()
-}
-
-// ckptBarrier is the rendezvous around checkpoint operations: a sync
-// round of its own kind, which the snapshot subsystem never captures.
-func (w *worker) ckptBarrier() error {
-	_, err := w.masterSync(syncCkpt, -1, false, nil)
 	return err
 }
 
-// checkpointLoad implements list_to_blocks: every worker asks the
-// master, which reads the serialized array and replies to each worker
-// with the blocks that worker homes; the worker installs them directly
-// into its own store.
+// checkpointLoad implements list_to_blocks: every worker reports a
+// syncLoad round, the master reads the serialized array once all are
+// parked — so no put or get of the old contents is in flight — and
+// releases each worker with the blocks that worker homes, which it
+// installs directly into its own store.  The plain round after it keeps a
+// neighbour's get from reaching a home that has not installed yet.
 func (w *worker) checkpointLoad(arrID int) error {
-	if err := w.ckptBarrier(); err != nil {
-		return err
-	}
-	w.dist.deleteArray(arrID)
-	w.cache.invalidateAll()
-	w.comm.Send(0, w.rt.tag(tagCkpt), ckptMsg{op: ckptLoad, arr: arrID, origin: w.rank})
-	m, err := w.recvFrom(0, w.rt.tag(tagCkpt), waitFor{what: "checkpoint data from the master"})
+	rep, err := w.masterSync(syncLoad, arrID, false)
 	if err != nil {
 		return err
 	}
-	switch data := m.Data.(type) {
-	case string:
-		return fmt.Errorf("list_to_blocks: %s", data)
-	case ckptData:
-		shape := w.rt.layout.Shapes[arrID]
-		for _, ab := range data.blocks {
-			dims := shape.BlockDims(shape.CoordOf(ab.Ord))
-			w.dist.put(blockKey{job: w.rt.job, arr: arrID, ord: ab.Ord}, block.FromData(ab.Data, dims...), false)
-		}
+	if rep.err != "" {
+		return fmt.Errorf("list_to_blocks: %s", rep.err)
 	}
-	return w.ckptBarrier()
+	w.dist.deleteArray(arrID)
+	w.cache.invalidateAll()
+	shape := w.rt.layout.Shapes[arrID]
+	for _, ab := range rep.blocks {
+		dims := shape.BlockDims(shape.CoordOf(ab.Ord))
+		w.dist.put(blockKey{job: w.rt.job, arr: arrID, ord: ab.Ord}, block.FromData(ab.Data, dims...), false)
+	}
+	_, err = w.masterSync(syncCkpt, -1, false)
+	return err
 }
 
 // masterSync reports this worker's arrival at a sync point and blocks
@@ -1447,42 +1427,53 @@ func (w *worker) checkpointLoad(arrID int) error {
 // outstanding put/prepare is acknowledged, so it doubles as the
 // completion ack for all chunks this worker executed this phase.  When
 // the master instead orders a replay of a dead worker's iterations, the
-// worker executes them and re-reports the same round (recomputing vals
-// and the captured state, which may have changed during the replay).
-// Returns the reduced vals from the release.
+// worker executes them and re-reports the same round (building the report
+// again: its payload and the captured state may have changed during the
+// replay).  Returns the release.
 //
-// scalar is the collective's target scalar (-1 otherwise).  With
+// id is what the kind is about (-1 otherwise): the scalar a collective
+// reduces, whose value is the contribution, or the array a syncSave round
+// reports this worker's partition of and a syncLoad round restores.  With
 // capture set and checkpointing on, the report carries this worker's
 // interpreter state — the master's snapshot consistency points
 // (snapshot.go).  A release carrying a state (the round-0 resume path)
 // installs it before returning.
-func (w *worker) masterSync(kind, scalar int, capture bool, vals func() []float64) ([]float64, error) {
+func (w *worker) masterSync(kind, id int, capture bool) (syncReply, error) {
 	round := w.syncRound
 	w.syncRound++
 	for {
 		if err := w.drainAcks(tagPutAck, "put ack", w.owedPutAcks); err != nil {
-			return nil, err
+			return syncReply{}, err
 		}
 		if err := w.drainAcks(tagPrepAck, "prepare ack", w.owedPrepAcks); err != nil {
-			return nil, err
+			return syncReply{}, err
 		}
-		var v []float64
-		if vals != nil {
-			v = vals()
+		report := syncMsg{origin: w.rank, round: round, kind: kind, scalar: -1}
+		switch kind {
+		case syncCollective:
+			report.scalar, report.vals = id, []float64{w.scalars[id]}
+		case syncLoad:
+			report.arr = id
+		case syncSave:
+			report.arr = id
+			w.dist.each(func(k blockKey, b *block.Block) {
+				if k.arr == id {
+					report.blocks = append(report.blocks, ArrayBlock{Ord: k.ord, Data: append([]float64(nil), b.Data()...)})
+				}
+			})
 		}
-		var st *workerState
 		if capture {
-			st = w.captureState()
+			report.state = w.captureState()
 		}
-		w.comm.Send(0, w.rt.tag(tagSync), syncMsg{origin: w.rank, round: round, kind: kind, vals: v, scalar: scalar, state: st})
+		w.comm.Send(0, w.rt.tag(tagSync), report)
 		// Block without a deadline: the master may legitimately stay
-		// silent for as long as the slowest worker computes.  The master
-		// is a critical rank — its death fails the world and aborts this
-		// receive via the liveness monitor.
+		// silent for as long as the slowest worker computes or a checkpoint
+		// file takes to write.  The master is a critical rank — its death
+		// fails the world and aborts this receive via the liveness monitor.
 		m := w.comm.Recv(0, w.rt.tag(tagSyncRep))
 		rep := m.Data.(syncReply)
 		if rep.round != round {
-			return nil, fmt.Errorf("sip: worker %d: sync reply for round %d at round %d", w.rank, rep.round, round)
+			return rep, fmt.Errorf("sip: worker %d: sync reply for round %d at round %d", w.rank, rep.round, round)
 		}
 		if !rep.resume {
 			// The release seals the phase; effects older than the previous
@@ -1491,10 +1482,10 @@ func (w *worker) masterSync(kind, scalar int, capture bool, vals func() []float6
 			if rep.state != nil {
 				w.installState(rep.state)
 			}
-			return rep.vals, nil
+			return rep, nil
 		}
 		if err := w.replayChunk(rep.pardo, rep.gen, rep.iters); err != nil {
-			return nil, err
+			return rep, err
 		}
 	}
 }
@@ -1605,47 +1596,27 @@ func (w *worker) effectSeq() uint64 {
 }
 
 // applyLocalPut applies a put to this worker's partition, dropping
-// replayed effects whose seq was already seen (so accumulates land
-// at-most-once).  Called from both the interpreter (local home) and the
-// service loop, hence the lock.
+// replayed effects whose seq the ledger already holds (so accumulates
+// land at-most-once).  Called from both the interpreter (local home) and
+// the service loop, hence the lock.
 func (w *worker) applyLocalPut(k blockKey, b *block.Block, acc bool, seq uint64) {
-	if seq != 0 && !w.markSeen(seq) {
-		w.dropCtr.Inc()
-		return
+	if seq != 0 {
+		w.seenMu.Lock()
+		fresh := w.seen.mark(seq)
+		w.seenMu.Unlock()
+		if !fresh {
+			w.dropCtr.Inc()
+			return
+		}
 	}
 	w.dist.put(k, b, acc)
 }
 
-// markSeen records an effect id, reporting false if it was already
-// present in either live epoch of the ledger.  Clearing the whole
-// ledger at a sync release would race with a faster survivor's
-// next-phase effects arriving via the service loop before this worker
-// processes its own release — those land in the pre-rotation epoch, so
-// retireSeenPuts keeps the previous epoch alive for one more phase and
-// only drops entries two releases old, whose phase the master's sealed
-// ledger can no longer order replays for.
-func (w *worker) markSeen(seq uint64) bool {
-	w.seenMu.Lock()
-	defer w.seenMu.Unlock()
-	if w.seenPuts[seq] || w.seenPrevPuts[seq] {
-		return false
-	}
-	w.seenPuts[seq] = true
-	return true
-}
-
-// retireSeenPuts rotates the put-dedup ledger at a sync release: the
-// previous epoch's entries are retired (counted by sip.dedup.retired)
-// and the current epoch becomes the previous one, so the ledger holds
-// at most the last two phases' effects instead of growing for the
-// lifetime of the run.
+// retireSeenPuts rotates the put ledger at a sync release and counts what
+// it retired.
 func (w *worker) retireSeenPuts() {
 	w.seenMu.Lock()
-	retired := len(w.seenPrevPuts)
-	w.seenPrevPuts = w.seenPuts
-	w.seenPuts = map[uint64]bool{}
+	retired := w.seen.rotate()
 	w.seenMu.Unlock()
-	if retired > 0 {
-		w.retireCtr.Add(int64(retired))
-	}
+	w.retireCtr.Add(int64(retired))
 }

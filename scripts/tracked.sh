@@ -5,9 +5,10 @@
 # comments and blanks included); the number of lines in non-test
 # internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
 # special case, a Replicas fork — the last two over lines that are not
-# comment-only) or read rt.cfg.RecvTimeout (Pool.runJob handing its own
-# field on is not a read); the fields of sip.Config; and the cond.Wait()
-# sites of the mpi mailbox.
+# comment-only) or read rt.cfg.RecvTimeout; the lines that name a
+# collection protocol beside the sync round (tagCkpt, ckptMsg) and the
+# os.Rename sites (one atomicWrite is the aim); the fields of sip.Config
+# and sip.PoolConfig; and the cond.Wait() sites of the mpi mailbox.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -19,5 +20,9 @@ code() { nontest "$1" | grep -v '^\s*//'; }
 echo "job-0 special-case sites:     $(code internal/sip | grep -cE 'job != 0|job == 0|job > 0' || true)"
 echo "Replicas fork sites:          $(code internal/sip | grep -cE 'Replicas > 1|Replicas <= 1' || true)"
 echo "cfg.RecvTimeout read sites:   $(code internal/sip | grep -c 'rt\.cfg\.RecvTimeout' || true)"
-echo "Config fields:                $(sed -n '/^type Config struct {/,/^}/p' internal/sip/sip.go | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true)"
+echo "collectives outside sync:     $(nontest internal/sip | grep -c 'tagCkpt\|ckptMsg' || true)"
+echo "atomic-write sites:           $(nontest internal/sip | grep -c 'os\.Rename(' || true)"
+fields() { sed -n "/^type $1 struct {/,/^}/p" "$2" | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true; }
+echo "Config fields:                $(fields Config internal/sip/sip.go)"
+echo "PoolConfig fields:            $(fields PoolConfig internal/sip/pool.go)"
 echo "mailbox wait loops:           $(grep -c 'cond\.Wait()' internal/mpi/mpi.go || true)"
