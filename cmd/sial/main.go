@@ -340,30 +340,28 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *trace {
-		rf.cfg.Trace = os.Stderr
-		rf.cfg.TraceRanks = ranks
-	}
-	if rf.traceJSON != "" {
-		rf.tracer = obs.NewTracer(obs.TracerConfig{Ranks: ranks})
-		rf.cfg.Tracer = rf.tracer
-	}
-	if rf.metrics {
-		rf.reg = obs.NewRegistry()
-		rf.cfg.Metrics = rf.reg
-	}
 	// The observability plane needs both telemetry sources regardless of
 	// -trace-json/-metrics: shipped reports and the live endpoint carry
 	// spans and metrics from every rank.
-	if rf.obsShip || rf.obsAddr != "" || rf.flightDir != "" {
-		if rf.tracer == nil {
-			rf.tracer = obs.NewTracer(obs.TracerConfig{Ranks: ranks})
-			rf.cfg.Tracer = rf.tracer
+	plane := rf.obsShip || rf.obsAddr != "" || rf.flightDir != ""
+	// One tracer, filtered by -trace-ranks, writes the -trace text lines
+	// and records the spans; with -trace alone nothing reads its spans,
+	// so its ring is the smallest.
+	spans := rf.traceJSON != "" || plane
+	if *trace || spans {
+		tc := obs.TracerConfig{Ranks: ranks}
+		if *trace {
+			tc.Text = os.Stderr
 		}
-		if rf.reg == nil {
-			rf.reg = obs.NewRegistry()
-			rf.cfg.Metrics = rf.reg
+		if !spans {
+			tc.Capacity = 1
 		}
+		rf.tracer = obs.NewTracer(tc)
+		rf.cfg.Tracer = rf.tracer
+	}
+	if rf.metrics || plane {
+		rf.reg = obs.NewRegistry()
+		rf.cfg.Metrics = rf.reg
 	}
 	rf.cfg.ObsShip = rf.obsShip
 	return rf, nil
@@ -490,8 +488,8 @@ func doRun(file string, args []string, stdout io.Writer) error {
 	// whole-cluster view — no shipping needed.
 	if rf.obsAddr != "" || rf.flightDir != "" {
 		rf.agg = obs.NewAggregator(0, "master", rf.tracer, rf.reg)
+		rf.agg.SetFlightRecorder(rf.flightDir)
 		rf.cfg.ObsAgg = rf.agg
-		rf.cfg.FlightDir = rf.flightDir
 		if rf.obsAddr != "" {
 			srv, err := startObsServer(rf.obsAddr, rf.agg, 1+rf.cfg.Workers+rf.cfg.Servers, nil)
 			if err != nil {
@@ -613,8 +611,8 @@ func runDistributed(file string, rf *runFlags, stdout io.Writer) error {
 	}
 	if rf.rank == 0 && (rf.obsShip || rf.obsAddr != "" || rf.flightDir != "") {
 		rf.agg = obs.NewAggregator(0, "master", rf.tracer, rf.reg)
+		rf.agg.SetFlightRecorder(rf.flightDir)
 		rf.cfg.ObsAgg = rf.agg
-		rf.cfg.FlightDir = rf.flightDir
 		if rf.obsAddr != "" {
 			srv, err := startObsServer(rf.obsAddr, rf.agg, ranks.N, world.Evicted)
 			if err != nil {

@@ -460,10 +460,14 @@ func TestTCPBatchedFrames(t *testing.T) {
 			t.Fatalf("message %d carried %v", i, m[3])
 		}
 	}
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if obs.framesOut != n {
-		t.Errorf("observer saw %d message sends, want %d (per-message granularity)", obs.framesOut, n)
+	// The writer reports a batch after its write returns, which can be
+	// after the receiver has read it all.
+	framesOut := func() int { obs.mu.Lock(); defer obs.mu.Unlock(); return obs.framesOut }
+	for deadline := time.Now().Add(5 * time.Second); framesOut() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := framesOut(); got != n {
+		t.Errorf("observer saw %d message sends, want %d (per-message granularity)", got, n)
 	}
 }
 

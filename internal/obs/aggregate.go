@@ -56,6 +56,7 @@ type Aggregator struct {
 	tracer   *Tracer   // master's own tracer (may be nil)
 	reg      *Registry // master's own registry (may be nil)
 	ranks    map[int]*rankState
+	flight   string // flight-recorder bundle directory ("" = off)
 }
 
 // NewAggregator creates an aggregator for the given local rank.  tracer
@@ -64,6 +65,14 @@ type Aggregator struct {
 func NewAggregator(selfRank int, selfRole string, tracer *Tracer, reg *Registry) *Aggregator {
 	return &Aggregator{selfRank: selfRank, selfRole: selfRole,
 		tracer: tracer, reg: reg, ranks: map[int]*rankState{}}
+}
+
+// SetFlightRecorder turns the flight recorder on: FlightRecord writes its
+// bundles into dir.  Call it before the run starts.
+func (a *Aggregator) SetFlightRecorder(dir string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.flight = dir
 }
 
 // SetClockOffset records the estimated offset (rank clock − local
@@ -404,16 +413,22 @@ func flightSpanTail(segs []TrackSegment, n int) []flightSpan {
 // flight-recorder bundle.
 const FlightSpanTail = 64
 
-// FlightRecord dumps a post-mortem bundle for deadRank into dir:
-// the reason and failure diagnosis, plus every reported rank's last
-// metrics snapshot and last-N trace spans.  role names the dead rank's
-// cluster role for readers of the bundle (the rank may have died before
-// ever reporting one itself).  Returns the bundle path.
-func (a *Aggregator) FlightRecord(dir, reason string, deadRank int, role, diagnosis string) (string, error) {
+// FlightRecord dumps a post-mortem bundle for deadRank into the flight
+// directory (SetFlightRecorder): the reason and failure diagnosis, plus every
+// reported rank's last metrics snapshot and last-N trace spans.  role
+// names the dead rank's cluster role for readers of the bundle (the rank
+// may have died before ever reporting one itself).  Returns the bundle
+// path, or "" and no error when the recorder is off.
+func (a *Aggregator) FlightRecord(reason string, deadRank int, role, diagnosis string) (string, error) {
 	if a == nil {
-		return "", fmt.Errorf("obs: no aggregator")
+		return "", nil
 	}
 	a.mu.Lock()
+	dir := a.flight
+	if dir == "" {
+		a.mu.Unlock()
+		return "", nil
+	}
 	b := flightBundle{
 		Reason:    reason,
 		Rank:      deadRank,

@@ -255,9 +255,10 @@ func TestMergedChromeClockAlignment(t *testing.T) {
 	}
 }
 
-// TestFlightRecord: the bundle names the dead rank, carries the given
-// role and diagnosis, includes every reported rank's last metrics, and
-// truncates span tails to FlightSpanTail.
+// TestFlightRecord: the recorder writes nothing until SetFlightRecorder; then
+// the bundle names the dead rank, carries the given role and diagnosis,
+// includes every reported rank's last metrics, and truncates span tails
+// to FlightSpanTail.
 func TestFlightRecord(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	trk := tr.Track(0, 0, "master", "run")
@@ -274,8 +275,12 @@ func TestFlightRecord(t *testing.T) {
 		Snap:   &Snapshot{Counters: map[string]int64{"sip.worker.fetches": 9}},
 		Tracks: []TrackSegment{{Rank: 2, Proc: "worker 2", Name: "run", Events: evs}}})
 
-	dir := filepath.Join(t.TempDir(), "flight")
-	path, err := agg.FlightRecord(dir, "evicted", 2, "worker 2", "no traffic for 1.6s")
+	// Off until it has a directory.
+	if path, err := agg.FlightRecord("evicted", 2, "worker 2", "x"); path != "" || err != nil {
+		t.Fatalf("recorder without a directory wrote %q (%v)", path, err)
+	}
+	agg.SetFlightRecorder(filepath.Join(t.TempDir(), "flight"))
+	path, err := agg.FlightRecord("evicted", 2, "worker 2", "no traffic for 1.6s")
 	if err != nil {
 		t.Fatal(err)
 	}

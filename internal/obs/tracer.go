@@ -12,6 +12,7 @@
 package obs
 
 import (
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -75,9 +76,16 @@ type TracerConfig struct {
 	// Capacity is the number of events retained per track (a ring
 	// buffer; older events are dropped).  0 means 32768.
 	Capacity int
-	// Ranks restricts recording to these world ranks.  Empty means all
-	// ranks record.
+	// Ranks restricts recording — spans and Text lines alike — to these
+	// world ranks.  Empty means all ranks record.
 	Ranks []int
+	// Text, when non-nil, receives the plain-text instruction trace: one
+	// line per byte-code instruction a traced worker is about to execute
+	// (rank, pc, source line, opcode, current pardo iteration), written
+	// before the instruction runs, so a hung run's last line says where it
+	// stopped.  The SIP formats each line; the tracer serializes the
+	// writes of every rank and run sharing it.
+	Text io.Writer
 }
 
 // Tracer records spans and instants across the tracks (rank ×
@@ -86,6 +94,7 @@ type Tracer struct {
 	start time.Time
 	cap   int
 	ranks map[int]bool // nil = all
+	text  io.Writer    // nil = no text trace
 
 	mu     sync.Mutex
 	tracks []*Track
@@ -103,7 +112,32 @@ func NewTracer(cfg TracerConfig) *Tracer {
 			t.ranks[r] = true
 		}
 	}
+	if cfg.Text != nil {
+		t.text = &lockedWriter{w: cfg.Text}
+	}
 	return t
+}
+
+// Text returns the writer of rank's text trace lines (TracerConfig.Text),
+// or nil when the tracer is nil, has no Text, or filters the rank out.
+// Writes through it are serialized across every rank and run.
+func (t *Tracer) Text(rank int) io.Writer {
+	if t == nil || (t.ranks != nil && !t.ranks[rank]) {
+		return nil
+	}
+	return t.text
+}
+
+// lockedWriter serializes Writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // Track returns the event track of one goroutine of one rank,

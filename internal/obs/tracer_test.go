@@ -116,13 +116,26 @@ func TestRingBufferDrops(t *testing.T) {
 	}
 }
 
+// TestRankFilter: Ranks filters the text trace exactly as it filters
+// spans, and a tracer without Text hands out no text writer.
 func TestRankFilter(t *testing.T) {
-	tr := NewTracer(TracerConfig{Ranks: []int{1, 3}})
+	var text bytes.Buffer
+	tr := NewTracer(TracerConfig{Ranks: []int{1, 3}, Text: &text})
 	if trk := tr.Track(2, 0, "worker 2", "interp"); trk != nil {
 		t.Error("filtered rank returned a live track")
 	}
 	if trk := tr.Track(1, 0, "worker 1", "interp"); trk == nil {
 		t.Error("selected rank returned nil track")
+	}
+	if tr.Text(2) != nil {
+		t.Error("filtered rank returned a text writer")
+	}
+	tr.Text(1).Write([]byte("w1 x\n"))
+	if text.String() != "w1 x\n" {
+		t.Errorf("text trace = %q", text.String())
+	}
+	if NewTracer(TracerConfig{}).Text(1) != nil || (*Tracer)(nil).Text(1) != nil {
+		t.Error("a tracer without Text returned a text writer")
 	}
 }
 

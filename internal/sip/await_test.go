@@ -206,7 +206,7 @@ endsial
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.RunJob(JobSpec{Prog: prog, Seg: bytecode.DefaultSegConfig(1),
+		_, err := p.RunJob(prog, Config{Seg: bytecode.DefaultSegConfig(1),
 			Super: map[string]SuperFunc{"hold": hold}, Output: &bytes.Buffer{}})
 		done <- err
 	}()

@@ -5,9 +5,9 @@ import "repro/internal/block"
 // blockPool recycles worker block storage, mirroring the SIP's memory
 // manager: "The memory in each SIP worker is managed by dividing it into
 // several stacks of preallocated blocks of memory of various sizes"
-// (paper §V-B).  Instruction results are popped (and zeroed) from a
-// per-size free stack; temps are pushed back when overwritten or at the
-// end of their pardo iteration, so steady-state execution allocates nothing.
+// (paper §V-B).  Instruction results are popped from a per-size free
+// stack; temps are pushed back when overwritten or at the end of their
+// pardo iteration, so steady-state execution allocates nothing.
 type blockPool struct {
 	free map[int][]*block.Block // keyed by element count
 
@@ -19,8 +19,9 @@ func newBlockPool() *blockPool {
 	return &blockPool{free: map[int][]*block.Block{}}
 }
 
-// get returns a zeroed block with the given dims, reusing pooled storage
-// of the same size class when the shape matches.
+// get returns a block with the given dims, reusing pooled storage of the
+// same size class when the shape matches.  A reused block holds whatever
+// it held last: every caller overwrites it, or zeros it first.
 func (p *blockPool) get(dims []int) *block.Block {
 	size := 1
 	for _, d := range dims {
@@ -31,7 +32,6 @@ func (p *blockPool) get(dims []int) *block.Block {
 		b := stack[i]
 		if dimsEqual(b.Dims(), dims) {
 			p.free[size] = append(stack[:i], stack[i+1:]...)
-			b.Fill(0)
 			p.reuses++
 			return b
 		}
@@ -49,9 +49,4 @@ func (p *blockPool) put(b *block.Block) {
 		return
 	}
 	p.free[size] = append(p.free[size], b)
-}
-
-// drain empties the pool (between program phases or at shutdown).
-func (p *blockPool) drain() {
-	clear(p.free)
 }

@@ -46,13 +46,15 @@ func (s *store) getCopy(k blockKey, dims []int) *block.Block {
 	return block.New(dims...)
 }
 
-// copyInto overwrites dst, a zeroed block of the right dims, with the
-// block; an absent block leaves the zeros.
+// copyInto overwrites dst, a block of the right dims, with the block, or
+// with zeros when it is absent (never written).
 func (s *store) copyInto(k blockKey, dst *block.Block) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.blocks[k]; ok {
 		dst.CopyFrom(b)
+	} else {
+		dst.Fill(0)
 	}
 }
 

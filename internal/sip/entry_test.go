@@ -77,9 +77,10 @@ var entries = []entry{
 			t.Fatal(err)
 		}
 		defer p.Close()
-		res, err := p.RunJob(sip.JobSpec{Prog: prog, Params: cfg.Params, Seg: cfg.Seg,
-			Preset: cfg.Preset, Super: cfg.Super, Integrals: cfg.Integrals,
-			GatherArrays: cfg.GatherArrays, CkptInterval: cfg.CkptInterval})
+		// The job is the case's own Config less what the pool owns.
+		job := cfg
+		job.Workers, job.Servers, job.Recover, job.Replicas = 0, 0, false, 0
+		res, err := p.RunJob(prog, job)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -389,12 +390,12 @@ func TestWorkerFailureUnwinds(t *testing.T) {
 		}
 		defer p.Close()
 		bounded(t, func() error {
-			_, err := p.RunJob(sip.JobSpec{Prog: prog, Seg: cfg.Seg})
+			_, err := p.RunJob(prog, sip.Config{Seg: cfg.Seg})
 			return err
 		})
 		// The failed tenant must not have cost the pool anything.
 		const no, nv = 3, 5
-		res, err := p.RunJob(sip.JobSpec{Prog: mustCompile(t, chem.MP2EnergyProgram()),
+		res, err := p.RunJob(mustCompile(t, chem.MP2EnergyProgram()), sip.Config{
 			Params: map[string]int{"no": no, "nv": nv}, Seg: cfg.Seg,
 			Integrals: chem.MOIntegrals(no), Super: chem.MP2Super()})
 		if err != nil {

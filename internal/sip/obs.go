@@ -244,20 +244,3 @@ func foldRunMetrics(reg *obs.Registry, p *Profile, workers bool) {
 		add(metricServerDiskWrites, tot.DiskWrites)
 	}
 }
-
-// traceRank reports whether the text trace is enabled for a world rank
-// (Config.Trace set and the rank selected by Config.TraceRanks).
-func (rt *runtime) traceRank(rank int) bool {
-	if rt.cfg.Trace == nil {
-		return false
-	}
-	if len(rt.cfg.TraceRanks) == 0 {
-		return true
-	}
-	for _, r := range rt.cfg.TraceRanks {
-		if r == rank {
-			return true
-		}
-	}
-	return false
-}

@@ -9,7 +9,6 @@ package sip
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -100,11 +99,7 @@ func (m obsReportMsg) WireSizeHint() int {
 // closing world the send is abandoned silently (the master is gone or
 // going; telemetry must never turn a clean teardown into a crash).
 func (s *obsShipper) ship(final bool) {
-	defer func() {
-		if r := recover(); r != nil && os.Getenv("SIP_OBS_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "[sip] obs ship panic: %v\n", r)
-		}
-	}()
+	defer func() { recover() }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rt := s.rt
@@ -195,15 +190,14 @@ func (m *master) collectFinalObs() {
 	}
 }
 
-// flightRecord writes a flight-recorder bundle for deadRank, when the
-// recorder is configured.  reason is "evicted" or "failed"; diagnosis
-// carries the recorded reason text.
+// flightRecord writes a flight-recorder bundle for deadRank, when ObsAgg
+// records flights.  reason is "evicted" or "failed"; diagnosis carries
+// the recorded reason text.
 func (rt *runtime) flightRecord(reason string, deadRank int, diagnosis string) {
-	if rt.cfg.FlightDir == "" || rt.cfg.ObsAgg == nil {
+	path, err := rt.cfg.ObsAgg.FlightRecord(reason, deadRank, NewRanks(rt.cfg).Role(deadRank), diagnosis)
+	if path == "" && err == nil {
 		return
 	}
-	path, err := rt.cfg.ObsAgg.FlightRecord(rt.cfg.FlightDir, reason, deadRank,
-		NewRanks(rt.cfg).Role(deadRank), diagnosis)
 	rt.outMu.Lock()
 	defer rt.outMu.Unlock()
 	if err != nil {

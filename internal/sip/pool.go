@@ -16,6 +16,8 @@ import (
 // Pool is the runtime substrate of `sial serve`: one persistent world of
 // master-plane, worker, and I/O-server ranks that executes many compiled
 // SIAL programs concurrently instead of being torn down after one run.
+// A job is described by the same Config as a batch run; the pool fills
+// in the fields that describe its world (see Config).
 //
 // Multiplexing works by namespace striding, not by partitioning ranks:
 // every admitted job gets a dense id j >= 1, its message tags are offset
@@ -82,57 +84,16 @@ type PoolConfig struct {
 	// (default os.Stdout).
 	Output io.Writer
 	// Metrics, when non-nil, collects pool-lifetime counters (shared
-	// server cache/disk statistics, MPI traffic).  Per-job registries are
-	// passed per job via JobSpec.Metrics.
+	// server cache/disk statistics, MPI traffic).  A job's own Metrics
+	// receives its worker and master counters, keeping tenants' telemetry
+	// separate.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records pool-lifetime spans.
+	// Tracer, when non-nil, traces the pool and every job it runs.
 	Tracer *obs.Tracer
 }
 
-// JobSpec is one program submitted to the pool.
-type JobSpec struct {
-	// Prog is the compiled program to run.
-	Prog *bytecode.Program
-	// Params supplies values for the program's symbolic constants.
-	Params map[string]int
-	// Seg selects segment sizes.
-	Seg bytecode.SegConfig
-	// Preset, Super, Integrals configure the program's environment
-	// exactly as in Config.
-	Preset    map[string]PresetFunc
-	Super     map[string]SuperFunc
-	Integrals IntegralFunc
-	// GatherArrays collects array contents into the job's Result.
-	GatherArrays bool
-	// Metrics, when non-nil, is the job's private registry: worker and
-	// master counters for this job land here, keeping tenants' telemetry
-	// separate.
-	Metrics *obs.Registry
-	// Output overrides the pool's Output for this job's prints.
-	Output io.Writer
-	// Cancel, when non-nil and closed, cancels the job cooperatively:
-	// the master starves its pardo dispatch, the program fast-forwards
-	// to completion, and RunJob returns ErrJobCanceled with the job's
-	// tag window, block namespaces, and server-side state released
-	// exactly as on a normal completion (see Config.Cancel).  `sial
-	// serve` drives deadlines and POST /jobs/{id}/cancel through this.
-	Cancel <-chan struct{}
-	// Checkpoint/restart (see the matching Config fields and
-	// snapshot.go).  CkptName must be stable across restarts of the
-	// same logical job — pool job ids are not (they are assigned in
-	// admission order), so `sial serve` derives it from its own durable
-	// job ids.
-	CkptInterval int
-	CkptKeep     int
-	CkptName     string
-	Resume       bool
-	Stop         <-chan struct{}
-	OnSnapshot   func(SnapshotInfo)
-	OnResume     func(ResumeInfo)
-}
-
 // ErrJobCanceled is returned by RunJob (wrapped) when the job's
-// JobSpec.Cancel channel fired: the master abandoned the remaining
+// Config.Cancel channel fired: the master abandoned the remaining
 // work, fast-forwarded the program through its normal shutdown, and
 // released every pool resource the job held.  Partial results are
 // discarded.
@@ -215,6 +176,10 @@ func (p *Pool) supervise() {
 func (p *Pool) Workers() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.liveLocked()
+}
+
+func (p *Pool) liveLocked() []int {
 	live := make([]int, 0, len(p.workers))
 	for _, r := range p.workers {
 		if !p.world.IsEvicted(r) {
@@ -287,8 +252,17 @@ func (p *Pool) Join() (int, error) {
 
 // RunJob admits and executes one job, blocking until it completes.  Safe
 // for concurrent use: each call claims a fresh job id and tag window and
-// runs its own master and worker goroutines over the shared world.
-func (p *Pool) RunJob(spec JobSpec) (res *Result, err error) {
+// runs its own master and worker goroutines over the shared world.  cfg
+// describes the job as it would a Run, less the fields the pool owns (see
+// Config).  CkptName must be stable across restarts of the same logical
+// job, which pool job ids (assigned in admission order) are not.
+func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err error) {
+	if prog == nil {
+		return nil, fmt.Errorf("sip: job has no program")
+	}
+	if f := poolOwned(&cfg); f != "" {
+		return nil, fmt.Errorf("sip: job sets Config.%s, which the pool owns", f)
+	}
 	// A poisoned world (a critical rank died and aborted it) unwinds
 	// communication on the caller's goroutine as an ErrAborted panic —
 	// e.g. out of registerJob's readiness wait.  Surface it as an error:
@@ -304,13 +278,6 @@ func (p *Pool) RunJob(spec JobSpec) (res *Result, err error) {
 			}
 		}
 	}()
-	return p.runJob(spec)
-}
-
-func (p *Pool) runJob(spec JobSpec) (*Result, error) {
-	if spec.Prog == nil {
-		return nil, fmt.Errorf("sip: job has no program")
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -318,49 +285,24 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 	}
 	job := p.nextJob
 	p.nextJob++
-	snapshot := make([]int, 0, len(p.workers))
-	for _, r := range p.workers {
-		if !p.world.IsEvicted(r) {
-			snapshot = append(snapshot, r)
-		}
-	}
+	snapshot := p.liveLocked()
 	p.mu.Unlock()
 	if len(snapshot) == 0 {
 		return nil, fmt.Errorf("sip: pool has no live workers")
 	}
 
-	output := spec.Output
-	if output == nil {
-		output = p.cfg.Output
+	cfg.Workers, cfg.Servers = len(snapshot), p.cfg.Servers
+	cfg.ScratchDir, cfg.Tracer = p.base.scratch, p.cfg.Tracer
+	cfg.Recover, cfg.Replicas = p.cfg.Recover, p.cfg.Replicas
+	if cfg.Output == nil {
+		cfg.Output = p.cfg.Output
 	}
-	rt, err := newRuntime(spec.Prog, Config{
-		Workers:      len(snapshot),
-		Servers:      p.cfg.Servers,
-		Params:       spec.Params,
-		Seg:          spec.Seg,
-		Preset:       spec.Preset,
-		Super:        spec.Super,
-		Integrals:    spec.Integrals,
-		GatherArrays: spec.GatherArrays,
-		ScratchDir:   p.base.scratch,
-		Output:       output,
-		Metrics:      spec.Metrics,
-		Tracer:       p.cfg.Tracer,
-		Replicas:     p.cfg.Replicas,
-		Recover:      p.cfg.Recover,
-		Cancel:       spec.Cancel,
-		CkptInterval: spec.CkptInterval,
-		CkptKeep:     spec.CkptKeep,
-		CkptName:     spec.CkptName,
-		Resume:       spec.Resume,
-		Stop:         spec.Stop,
-		OnSnapshot:   spec.OnSnapshot,
-		OnResume:     spec.OnResume,
-	}, p.world, placement{job: job, workers: snapshot, servers: p.serverList, gate: p.cfg.Gate})
+	rt, err := newRuntime(prog, cfg, p.world,
+		placement{job: job, workers: snapshot, servers: p.serverList, gate: p.cfg.Gate})
 	if err != nil {
 		return nil, err
 	}
-	if err := p.registerJob(rt, spec); err != nil {
+	if err := p.registerJob(rt); err != nil {
 		return nil, err
 	}
 
@@ -376,10 +318,35 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 	return rt.launch(append([]int{0}, snapshot...))
 }
 
+// poolOwned names the first field of a job's Config that the pool owns
+// and the job set, or "".
+func poolOwned(c *Config) string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Workers", c.Workers != 0},
+		{"Servers", c.Servers != 0},
+		{"ScratchDir", c.ScratchDir != ""},
+		{"Tracer", c.Tracer != nil},
+		{"Recover", c.Recover},
+		{"Replicas", c.Replicas != 0},
+		{"ServerCacheBlocks", c.ServerCacheBlocks != 0},
+		{"RecvTimeout", c.RecvTimeout != 0},
+		{"ObsShip", c.ObsShip},
+		{"ObsAgg", c.ObsAgg != nil},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // registerJob announces the job's layout to every live shared server and
 // waits for their readiness acks, so the first prepare a worker sends
 // can be sized and placed.
-func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
+func (p *Pool) registerJob(rt *runtime) error {
 	comm := p.world.Comm(0)
 	pending := map[int]bool{}
 	for _, srv := range rt.serverList {
@@ -387,7 +354,7 @@ func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 			job:      rt.job,
 			prog:     rt.prog,
 			layout:   rt.layout,
-			preset:   spec.Preset,
+			preset:   rt.cfg.Preset,
 			replicas: rt.cfg.Replicas,
 			servers:  append([]int(nil), rt.serverList...),
 		}

@@ -3,13 +3,17 @@ package sip
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/obs"
+	"repro/internal/segment"
 )
 
 // serialE runs recoverDrill serially (fresh world, no pool) and returns
@@ -54,8 +58,7 @@ func TestPoolSingleJob(t *testing.T) {
 	}
 	defer p.Close()
 	var out bytes.Buffer
-	res, err := p.RunJob(JobSpec{
-		Prog:   poolProg(t),
+	res, err := p.RunJob(poolProg(t), Config{
 		Params: map[string]int{"n": 12},
 		Seg:    bytecode.DefaultSegConfig(3),
 		Output: &out,
@@ -95,8 +98,7 @@ func TestPoolConcurrentJobsIsolated(t *testing.T) {
 			defer wg.Done()
 			n := sizes[i%len(sizes)]
 			var out bytes.Buffer
-			res, err := p.RunJob(JobSpec{
-				Prog:   prog,
+			res, err := p.RunJob(prog, Config{
 				Params: map[string]int{"n": n},
 				Seg:    bytecode.DefaultSegConfig(3),
 				Output: &out,
@@ -141,8 +143,7 @@ func TestPoolKillAndJoin(t *testing.T) {
 	prog := poolProg(t)
 	run := func() (float64, error) {
 		var out bytes.Buffer
-		res, err := p.RunJob(JobSpec{
-			Prog:   prog,
+		res, err := p.RunJob(prog, Config{
 			Params: map[string]int{"n": 12},
 			Seg:    bytecode.DefaultSegConfig(3),
 			Output: &out,
@@ -198,6 +199,80 @@ func TestPoolKillAndJoin(t *testing.T) {
 	}
 }
 
+// TestRunJobRejectsPoolOwnedFields: a job that sets a Config field the
+// pool owns is refused with an error naming the field; a job that sets
+// every other field runs, and each of them reaches the run.  The walk
+// over Config keeps the table whole: a new field must be classified here.
+func TestRunJobRejectsPoolOwnedFields(t *testing.T) {
+	p, err := NewPool(PoolConfig{Workers: 2, Servers: 1, Output: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	prog := poolProg(t)
+	job := func() Config {
+		return Config{Params: map[string]int{"n": 6}, Seg: bytecode.DefaultSegConfig(3)}
+	}
+	owned := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = 2 }},
+		{"Servers", func(c *Config) { c.Servers = 1 }},
+		{"ScratchDir", func(c *Config) { c.ScratchDir = t.TempDir() }},
+		{"Tracer", func(c *Config) { c.Tracer = obs.NewTracer(obs.TracerConfig{}) }},
+		{"Recover", func(c *Config) { c.Recover = true }},
+		{"Replicas", func(c *Config) { c.Replicas = 1 }},
+		{"ServerCacheBlocks", func(c *Config) { c.ServerCacheBlocks = 8 }},
+		{"RecvTimeout", func(c *Config) { c.RecvTimeout = time.Second }},
+		{"ObsShip", func(c *Config) { c.ObsShip = true }},
+		{"ObsAgg", func(c *Config) { c.ObsAgg = obs.NewAggregator(0, "master", nil, nil) }},
+	}
+	isOwned := map[string]bool{}
+	for _, o := range owned {
+		isOwned[o.name] = true
+		t.Run(o.name, func(t *testing.T) {
+			cfg := job()
+			o.set(&cfg)
+			if _, err := p.RunJob(prog, cfg); err == nil || !strings.Contains(err.Error(), "Config."+o.name+",") {
+				t.Errorf("RunJob with %s set: err = %v, want one naming it", o.name, err)
+			}
+		})
+	}
+	t.Run("tenant", func(t *testing.T) {
+		var out bytes.Buffer
+		reg := obs.NewRegistry()
+		snaps := 0
+		cfg := job()
+		cfg.PrefetchWindow, cfg.CacheBlocks = 4, 64
+		cfg.Preset = map[string]PresetFunc{"S": func(segment.Coord, []int, []int) *block.Block { return nil }}
+		cfg.Super = map[string]SuperFunc{"unused": func(*ExecCtx, []*block.Block, []*float64) error { return nil }}
+		cfg.Integrals, cfg.Output, cfg.Metrics, cfg.GatherArrays = DefaultIntegrals, &out, reg, true
+		cfg.Cancel, cfg.Stop = make(chan struct{}), make(chan struct{})
+		cfg.CkptInterval, cfg.CkptKeep, cfg.CkptName, cfg.Resume = 1, 1, "tenant", true
+		cfg.OnSnapshot = func(SnapshotInfo) { snaps++ }
+		cfg.OnResume = func(ResumeInfo) {}
+		v := reflect.ValueOf(cfg)
+		for i := range v.NumField() {
+			if name := v.Type().Field(i).Name; v.Field(i).IsZero() != isOwned[name] {
+				t.Errorf("Config.%s is neither owned by the pool nor set by this tenant", name)
+			}
+		}
+		res, err := p.RunJob(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Scalars["e"], serialE(t, 6); !closeE(got, want) {
+			t.Errorf("e = %.15g, want %.15g", got, want)
+		}
+		if !strings.Contains(out.String(), "e =") || len(res.Served["S"]) == 0 ||
+			reg.Snapshot().Counters[metricMasterChunks] == 0 || snaps == 0 {
+			t.Errorf("a tenant field did not reach the run: output %q, %d served blocks gathered, %d chunks counted, %d snapshots",
+				out.String(), len(res.Served["S"]), reg.Snapshot().Counters[metricMasterChunks], snaps)
+		}
+	})
+}
+
 // TestPoolRejectsAfterClose: RunJob, Kill, and Join all fail cleanly on
 // a closed pool.
 func TestPoolRejectsAfterClose(t *testing.T) {
@@ -211,7 +286,7 @@ func TestPoolRejectsAfterClose(t *testing.T) {
 	if err := p.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := p.RunJob(JobSpec{Prog: poolProg(t)}); err == nil {
+	if _, err := p.RunJob(poolProg(t), Config{}); err == nil {
 		t.Error("RunJob on closed pool succeeded")
 	}
 	if err := p.Kill(1, "x"); err == nil {
@@ -255,7 +330,7 @@ func TestPoolTracerBounded(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 1000; i++ {
-		res, err := p.RunJob(JobSpec{Prog: prog})
+		res, err := p.RunJob(prog, Config{})
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}

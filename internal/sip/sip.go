@@ -106,7 +106,16 @@ type ExecCtx struct {
 // are passed by pointer.
 type SuperFunc func(ctx *ExecCtx, blocks []*block.Block, scalars []*float64) error
 
-// Config parameterizes a SIP run.
+// Config parameterizes a SIP run; Run, RunRank and Pool.RunJob all take
+// one.
+//
+// A pool job is a tenant of a world the pool owns, so the pool fills in
+// the fields that describe that world: Workers (its live members at
+// admission), Servers, ScratchDir, Tracer, Recover and Replicas, and
+// Output when it is nil.  RunJob rejects a job that sets any of those six,
+// or ServerCacheBlocks, RecvTimeout, ObsShip or ObsAgg, which configure
+// ranks and planes a tenant does not run.  Every other field is the
+// tenant's.
 type Config struct {
 	// Workers is the number of worker tasks (>= 1).
 	Workers int
@@ -141,17 +150,11 @@ type Config struct {
 	// Output receives print statements (default os.Stdout).  Prints are
 	// executed by worker 1 only.
 	Output io.Writer
-	// Trace, when non-nil, receives one line per instruction executed
-	// by each traced worker: the rank, pc, source line, opcode, and
-	// current pardo iteration.  The transparent relationship between
-	// SIAL source and execution is a design goal the paper emphasizes
-	// (§VI-B).  All workers trace unless TraceRanks narrows the set.
-	Trace io.Writer
-	// TraceRanks restricts Trace (and nothing else) to these world
-	// ranks.  Empty means every worker traces.
-	TraceRanks []int
 	// Tracer, when non-nil, records per-rank spans (instruction, get,
-	// put, wait, chunk, server cache, disk) for Chrome-trace export.
+	// put, wait, chunk, server cache, disk) for Chrome-trace export, and
+	// writes the text instruction trace when its TracerConfig.Text is set:
+	// the transparent relationship between SIAL source and execution the
+	// paper emphasizes (§VI-B).
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, collects named counters/gauges/histograms:
 	// per-tag MPI message counts and bytes, mailbox depth high-water
@@ -203,13 +206,11 @@ type Config struct {
 	// and tracer.
 	ObsShip bool
 	// ObsAgg is the master-side sink of shipped telemetry (rank 0
-	// only).  Required when ObsShip is set on the master.
+	// only).  Required when ObsShip is set on the master.  With a flight
+	// directory set (obs.Aggregator.SetFlightRecorder) it is also the flight
+	// recorder: whenever a rank is evicted or diagnosed failed, the
+	// master writes a post-mortem bundle there.
 	ObsAgg *obs.Aggregator
-	// FlightDir, when non-empty, enables the flight recorder on the
-	// master: whenever a rank is evicted or diagnosed failed, a
-	// post-mortem JSON bundle (every reachable rank's last metrics and
-	// trace spans, plus the diagnosis) is written there.
-	FlightDir string
 	// Cancel, when non-nil, cancels the run cooperatively once it is
 	// closed: the master stops dispatching pardo iterations (every chunk
 	// request is answered empty and iterations reclaimed from dead

@@ -6,7 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/obs"
 )
+
+// textTracer is a tracer whose only output is the text trace, as the
+// CLI's -trace builds it.
+func textTracer(w *bytes.Buffer, ranks ...int) *obs.Tracer {
+	return obs.NewTracer(obs.TracerConfig{Capacity: 1, Ranks: ranks, Text: w})
+}
 
 func TestTraceOutput(t *testing.T) {
 	src := `
@@ -23,7 +30,7 @@ sip_barrier
 endsial
 `
 	var buf bytes.Buffer
-	cfg := Config{Workers: 1, Seg: bytecode.DefaultSegConfig(2), Trace: &buf}
+	cfg := Config{Workers: 1, Seg: bytecode.DefaultSegConfig(2), Tracer: textTracer(&buf)}
 	if _, err := RunSource(src, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +48,20 @@ endsial
 	if !strings.Contains(out, "line=") {
 		t.Errorf("trace missing source lines:\n%s", out)
 	}
+	// One whole line, verbatim: the format is an interface people grep.
+	if want := "\nw1 pc=2    line=8   block_fill [I=1]\n"; !strings.Contains(out, want) {
+		t.Errorf("trace missing the line %q:\n%s", want[1:], out)
+	}
 }
 
 // TestTraceRanksFilter is the regression test for the historical
-// single-rank trace: TraceRanks {1} must reproduce the old
+// single-rank trace: a tracer filtered to rank 1 must reproduce the old
 // worker-1-only output shape.
 func TestTraceRanksFilter(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Workers: 3, Seg: bytecode.DefaultSegConfig(2), Trace: &buf,
-		TraceRanks: []int{1},
-		Params:     map[string]int{"norb": 4, "nocc": 2},
-		Preset:     map[string]PresetFunc{"T": presetFrom(tElem)}}
+	cfg := Config{Workers: 3, Seg: bytecode.DefaultSegConfig(2), Tracer: textTracer(&buf, 1),
+		Params: map[string]int{"norb": 4, "nocc": 2},
+		Preset: map[string]PresetFunc{"T": presetFrom(tElem)}}
 	if _, err := RunSource(paperProgram, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestTraceRanksFilter(t *testing.T) {
 // each line carrying its rank prefix.
 func TestTraceAllRanks(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Workers: 3, Seg: bytecode.DefaultSegConfig(2), Trace: &buf,
+	cfg := Config{Workers: 3, Seg: bytecode.DefaultSegConfig(2), Tracer: textTracer(&buf),
 		Params: map[string]int{"norb": 4, "nocc": 2},
 		Preset: map[string]PresetFunc{"T": presetFrom(tElem)}}
 	if _, err := RunSource(paperProgram, cfg); err != nil {

@@ -3,6 +3,7 @@ package sip
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -115,10 +116,10 @@ type worker struct {
 	// Observability: trk is the interpreter's span track (nil when
 	// tracing is off — every instrumented site nil-checks before
 	// building attributes), waitHist the shared wait-time histogram,
-	// and traceOn whether this rank emits text trace lines.
+	// and text the writer of this rank's text trace lines (nil when off).
 	trk      *obs.Track
 	waitHist *obs.Histogram
-	traceOn  bool
+	text     io.Writer
 }
 
 func newWorker(rt *runtime, rank int) *worker {
@@ -151,7 +152,7 @@ func newWorker(rt *runtime, rank int) *worker {
 	}
 	w.trk = rt.tracer.Track(rank, 0, fmt.Sprintf("worker %d", rank), "interp")
 	w.waitHist = rt.metrics.Histogram(metricWorkerWait)
-	w.traceOn = rt.traceRank(rank)
+	w.text = rt.tracer.Text(rank)
 	return w
 }
 
@@ -260,7 +261,7 @@ func (w *worker) run() (err error) {
 		in := &code[w.pc]
 		switch in.Op {
 		case bytecode.OpHalt:
-			if w.traceOn {
+			if w.text != nil {
 				w.trace(in)
 			}
 			return w.shutdown()
@@ -322,7 +323,7 @@ func (w *worker) shutdown() error {
 
 // exec dispatches one instruction.  On return the pc has been advanced.
 func (w *worker) exec(in *bytecode.Instr) error {
-	if w.traceOn {
+	if w.text != nil {
 		w.trace(in)
 	}
 	start := time.Now()
@@ -647,7 +648,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 	return nil
 }
 
-// trace emits one line describing the instruction about to execute,
+// trace writes the text trace line of the instruction about to execute,
 // including the active pardo iteration's index values.
 func (w *worker) trace(in *bytecode.Instr) {
 	iter := ""
@@ -662,9 +663,7 @@ func (w *worker) trace(in *bytecode.Instr) {
 			break
 		}
 	}
-	w.rt.outMu.Lock()
-	fmt.Fprintf(w.rt.cfg.Trace, "w%d pc=%-4d line=%-3d %s%s\n", w.rank, w.pc, in.Line, in.Op, iter)
-	w.rt.outMu.Unlock()
+	fmt.Fprintf(w.text, "w%d pc=%-4d line=%-3d %s%s\n", w.rank, w.pc, in.Line, in.Op, iter)
 }
 
 func (w *worker) push(v float64) { w.stack = append(w.stack, v) }
@@ -983,6 +982,7 @@ func (w *worker) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode 
 	}
 	if cur == nil {
 		cur = w.pool.get(loc.blockDims())
+		cur.Fill(0) // an absent block reads as zeros
 		m[loc.key] = cur
 	}
 	sign := 1.0

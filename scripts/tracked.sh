@@ -8,7 +8,9 @@
 # comment-only) or read rt.cfg.RecvTimeout; the lines that name a
 # collection protocol beside the sync round (tagCkpt, ckptMsg) and the
 # os.Rename sites (one atomicWrite is the aim); the fields of sip.Config
-# and sip.PoolConfig; and the cond.Wait() sites of the mpi mailbox.
+# and sip.PoolConfig, and the settable values that describe one run
+# (sip.Config plus a sip.JobSpec, where one exists); and the cond.Wait()
+# sites of the mpi mailbox.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -25,4 +27,5 @@ echo "atomic-write sites:           $(nontest internal/sip | grep -c 'os\.Rename
 fields() { sed -n "/^type $1 struct {/,/^}/p" "$2" | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true; }
 echo "Config fields:                $(fields Config internal/sip/sip.go)"
 echo "PoolConfig fields:            $(fields PoolConfig internal/sip/pool.go)"
+echo "run-description fields (Config + JobSpec): $(($(fields Config internal/sip/sip.go) + $(fields JobSpec internal/sip/pool.go)))"
 echo "mailbox wait loops:           $(grep -c 'cond\.Wait()' internal/mpi/mpi.go || true)"
