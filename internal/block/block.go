@@ -11,6 +11,7 @@ package block
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -20,6 +21,25 @@ import (
 type Block struct {
 	dims []int
 	data []float64
+	// shape backs dims up to rank len(shape), so such a block is two
+	// allocations (this header and data), not three.
+	shape [4]int
+}
+
+// withDims returns a block header whose dims are a copy of dims, held in
+// the header itself when they fit.
+func withDims(dims []int) *Block {
+	b := &Block{}
+	b.dims = append(b.shape[:0], dims...)
+	return b
+}
+
+// scratch returns n ints of buf, or fresh ones when n exceeds it.
+func scratch(buf *[maxRank]int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
 }
 
 // New allocates a zeroed block with the given dimensions.  It panics on a
@@ -34,7 +54,9 @@ func New(dims ...int) *Block {
 		}
 		n *= d
 	}
-	return &Block{dims: append([]int(nil), dims...), data: make([]float64, n)}
+	b := withDims(dims)
+	b.data = make([]float64, n)
+	return b
 }
 
 // FromData wraps an existing slice as a block.  The slice length must
@@ -50,7 +72,9 @@ func FromData(data []float64, dims ...int) *Block {
 	if len(data) != n {
 		panic(fmt.Sprintf("block: data length %d does not match dims %v (%d)", len(data), dims, n))
 	}
-	return &Block{dims: append([]int(nil), dims...), data: data}
+	b := withDims(dims)
+	b.data = data
+	return b
 }
 
 // Rank returns the number of dimensions.
@@ -90,9 +114,10 @@ func (b *Block) Set(v float64, idx ...int) { b.data[b.offset(idx)] = v }
 
 // Clone returns a deep copy.
 func (b *Block) Clone() *Block {
-	data := make([]float64, len(b.data))
-	copy(data, b.data)
-	return &Block{dims: append([]int(nil), b.dims...), data: data}
+	c := withDims(b.dims)
+	c.data = make([]float64, len(b.data))
+	copy(c.data, b.data)
+	return c
 }
 
 // SameShape reports whether b and o have identical dimensions.
@@ -154,21 +179,47 @@ func (b *Block) MaxAbs() float64 { return linalg.MaxAbs(b.data) }
 // V1(K,J,I) = V2(I,J,K), where the compiler derives perm from the index
 // variable names.
 func (b *Block) Permute(perm []int) *Block {
+	var buf [maxRank]int
+	out := New(b.PermutedDims(buf[:0], perm)...)
+	b.permuteInto(out, perm)
+	return out
+}
+
+// PermutedDims appends to dst the dims of b permuted by perm, the dims
+// Permute's result has, panicking when perm is not a permutation of
+// 0..rank-1.
+func (b *Block) PermutedDims(dst, perm []int) []int {
 	if len(perm) != len(b.dims) {
 		panic(fmt.Sprintf("block: permutation %v rank != block rank %d", append([]int(nil), perm...), len(b.dims)))
 	}
-	seen := make([]bool, len(perm))
-	dims := make([]int, len(perm))
-	for d, p := range perm {
+	var seenBuf [maxRank]bool
+	seen := seenBuf[:]
+	if len(perm) > len(seenBuf) {
+		seen = make([]bool, len(perm))
+	}
+	for _, p := range perm {
 		if p < 0 || p >= len(perm) || seen[p] {
 			panic(fmt.Sprintf("block: invalid permutation %v", append([]int(nil), perm...)))
 		}
 		seen[p] = true
-		dims[d] = b.dims[p]
+		dst = append(dst, b.dims[p])
 	}
-	out := New(dims...)
-	b.permuteInto(out, perm)
-	return out
+	return dst
+}
+
+// PermuteInto is Permute into dst, which must have the permuted dims and
+// must not share b's storage: the form for a caller that recycles its
+// result blocks.  It allocates nothing up to rank 8.
+func (b *Block) PermuteInto(dst *Block, perm []int) {
+	var buf [maxRank]int
+	want := b.PermutedDims(buf[:0], perm)
+	if !slices.Equal(dst.dims, want) {
+		panic(fmt.Sprintf("block: permute into dims %v, want %v", dst.dims, append([]int(nil), want...)))
+	}
+	if overlaps(dst.data, b.data) {
+		panic("block: permute into a block sharing the source's storage")
+	}
+	b.permuteInto(dst, perm)
 }
 
 // permuteInto is Permute into an existing block whose dims are already
@@ -178,8 +229,9 @@ func (b *Block) permuteInto(out *Block, perm []int) {
 	// Walk the output in row-major order, computing the matching source
 	// offset incrementally via per-dimension strides.
 	dims := out.dims
-	srcStride := strides(b.dims)
-	outIdx := make([]int, len(dims))
+	var strideBuf, idxBuf [maxRank]int
+	srcStride := stridesInto(scratch(&strideBuf, len(b.dims)), b.dims)
+	outIdx := scratch(&idxBuf, len(dims))
 	srcOff := 0
 	for o := range out.data {
 		out.data[o] = b.data[srcOff]
@@ -197,8 +249,11 @@ func (b *Block) permuteInto(out *Block, perm []int) {
 }
 
 // strides returns row-major strides for dims.
-func strides(dims []int) []int {
-	s := make([]int, len(dims))
+func strides(dims []int) []int { return stridesInto(make([]int, len(dims)), dims) }
+
+// stridesInto writes the row-major strides of dims into s (len(dims)
+// long) and returns it.
+func stridesInto(s, dims []int) []int {
 	st := 1
 	for i := len(dims) - 1; i >= 0; i-- {
 		s[i] = st

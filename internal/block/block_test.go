@@ -257,3 +257,62 @@ func TestDotAndNorms(t *testing.T) {
 		t.Fatal("maxabs wrong")
 	}
 }
+
+func TestNewAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	// Up to rank 4 the dims live in the header: a block is the header
+	// and its data.  Above, the dims are a third allocation.
+	for _, tc := range []struct {
+		dims []int
+		want float64
+	}{{[]int{3}, 2}, {[]int{2, 2, 2, 2}, 2}, {[]int{2, 1, 2, 1, 2, 1}, 3}} {
+		got := testing.AllocsPerRun(10, func() {
+			b := New(tc.dims...)
+			c := b.Clone()
+			_ = FromData(c.Data(), tc.dims...)
+		})
+		if got != 3*tc.want-1 { // FromData takes its data
+			t.Errorf("New+Clone+FromData of %v: %v allocations, want %v", tc.dims, got, 3*tc.want-1)
+		}
+	}
+	// The header's own dims must not leak between blocks.
+	a, b := New(2, 3), New(4, 5)
+	a.Dims()[0] = 7
+	if b.Dims()[0] != 4 || a.Clone().Dims()[0] != 7 {
+		t.Fatalf("dims shared between headers: %v %v", a.Dims(), b.Dims())
+	}
+}
+
+func TestPermuteInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := randBlock(rng, 2, 3, 4, 5)
+	perm := []int{2, 0, 3, 1}
+	want := b.Permute(perm)
+	dst := New(b.PermutedDims(nil, perm)...)
+	dst.Fill(math.NaN()) // a recycled block: every element is overwritten
+	b.PermuteInto(dst, perm)
+	if !blocksAlmostEqual(dst, want, 0) {
+		t.Fatal("PermuteInto differs from Permute")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(10, func() { b.PermuteInto(dst, perm) }); n != 0 {
+			t.Errorf("PermuteInto allocates %v times, want 0", n)
+		}
+	}
+	for name, bad := range map[string]func(){
+		"wrong dims":     func() { b.PermuteInto(New(2, 3, 4, 5), perm) },
+		"shared storage": func() { b.PermuteInto(FromData(b.Data(), 4, 2, 5, 3), perm) },
+		"bad perm":       func() { b.PermuteInto(dst, []int{0, 0, 1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PermuteInto with %s should panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}

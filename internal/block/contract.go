@@ -23,6 +23,8 @@ type Spec struct {
 
 // maxRank bounds the rank of a contraction's operands and result, so a
 // plan is a value on fixed-size arrays and analysis allocates nothing.
+// Permutation keeps its index scratch on arrays of this size too, and
+// allocates only above it.
 const maxRank = 8
 
 // plan is the analyzed form of a Spec: the permutations that bring the

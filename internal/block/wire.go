@@ -27,27 +27,30 @@ func (b *Block) WireSizeHint() int {
 // DecodeWire reads a block previously written by EncodeWire.  It
 // returns nil (latching an error on d) when the payload is malformed.
 func DecodeWire(d *wire.Decoder) *Block {
-	dims := d.Ints()
-	data := d.Float64s()
+	// The dims are read into the header, so a decoded block costs the
+	// two allocations New's does.
+	b := &Block{}
+	b.dims = d.AppendInts(b.shape[:0])
+	b.data = d.Float64s()
 	if d.Err() != nil {
 		return nil
 	}
 	n := 1
-	for _, v := range dims {
+	for _, v := range b.dims {
 		// Reject non-positive and product-overflowing dims: a wrapped
 		// product could collide with len(data) and admit a block whose
 		// Size() lies about its storage.
 		if v <= 0 || n > math.MaxInt/v {
-			d.Fail("block: bad dimensions %v", dims)
+			d.Fail("block: bad dimensions %v", b.dims)
 			return nil
 		}
 		n *= v
 	}
-	if len(data) != n {
-		d.Fail("block: %d data elements for dims %v (want %d)", len(data), dims, n)
+	if len(b.data) != n {
+		d.Fail("block: %d data elements for dims %v (want %d)", len(b.data), b.dims, n)
 		return nil
 	}
-	return &Block{dims: dims, data: data}
+	return b
 }
 
 func init() {

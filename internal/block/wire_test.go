@@ -81,3 +81,23 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 		t.Error("truncated block decoded without error")
 	}
 }
+
+func TestWireDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	// A decoded block costs what New does: the header, which holds the
+	// dims, and the data.
+	buf := wire.Encode(New(4, 4, 4, 4))
+	var d wire.Decoder
+	n := testing.AllocsPerRun(10, func() {
+		d.Reset(buf)
+		d.Byte() // the wire type id
+		if DecodeWire(&d) == nil {
+			t.Fatal(d.Err())
+		}
+	})
+	if n != 2 {
+		t.Errorf("DecodeWire: %v allocations, want 2", n)
+	}
+}

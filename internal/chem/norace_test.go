@@ -1,0 +1,5 @@
+//go:build !race
+
+package chem
+
+const raceEnabled = false

@@ -1,6 +1,10 @@
 package sip
 
-import "repro/internal/block"
+import (
+	"slices"
+
+	"repro/internal/block"
+)
 
 // blockPool recycles worker block storage, mirroring the SIP's memory
 // manager: "The memory in each SIP worker is managed by dividing it into
@@ -30,7 +34,7 @@ func (p *blockPool) get(dims []int) *block.Block {
 	stack := p.free[size]
 	for i := len(stack) - 1; i >= 0; i-- {
 		b := stack[i]
-		if dimsEqual(b.Dims(), dims) {
+		if slices.Equal(b.Dims(), dims) {
 			p.free[size] = append(stack[:i], stack[i+1:]...)
 			p.reuses++
 			return b

@@ -118,6 +118,9 @@ func aheadWorlds(t *testing.T) map[string]func(rank int) *mpi.World {
 // barrier that ends this one.  Looking ahead through the pardo frame
 // requested it before that barrier; with the reply still in flight at the
 // barrier the next iteration then read the value from before the prepare.
+// The server_barrier between the reading and the preparing pardo is the
+// program's own: without it a worker done with pardo I may prepare A(K)
+// while another still requests it.
 func TestLookAheadStopsAtPardo(t *testing.T) {
 	const src = `
 sial ahead_pardo
@@ -139,6 +142,7 @@ do K
     request A(K)
     s += dot(A(K), A(K))
   endpardo I
+  server_barrier
   kv = K
   pardo K2
     t(K2) = kv

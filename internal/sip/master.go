@@ -189,9 +189,13 @@ func (r *pardoRun) advance() bool {
 	return false
 }
 
-// next returns up to n iterations that satisfy the where clauses.
+// next returns up to n iterations that satisfy the where clauses.  The
+// iterations are carved out of shared backing arrays of up to
+// chunkArena of them, not allocated one by one.
 func (r *pardoRun) next(n int) [][]int {
 	var out [][]int
+	var flat []int
+	k := len(r.vals)
 	for !r.done && len(out) < n {
 		if r.started {
 			if !r.advance() {
@@ -205,12 +209,20 @@ func (r *pardoRun) next(n int) [][]int {
 			if r.skip != nil && r.skip[fmt.Sprint(r.vals)] {
 				continue // completed before the snapshot this run resumed from
 			}
-			out = append(out, append([]int(nil), r.vals...))
+			if len(flat)+k > cap(flat) {
+				flat = make([]int, 0, min(n, chunkArena)*k)
+			}
+			flat = append(flat, r.vals...)
+			out = append(out, flat[len(flat)-k:len(flat):len(flat)])
 		}
 	}
 	r.issued += int64(len(out))
 	return out
 }
+
+// chunkArena bounds the iterations one backing array of next holds: a
+// chunk that where clauses thin out does not reserve room for all n.
+const chunkArena = 256
 
 // take returns up to n iterations for worker wr, serving iterations
 // reclaimed from dead workers before fresh ones.  Every hand-out stays

@@ -62,6 +62,10 @@ type Profile struct {
 	Flops      int64
 	fetches    int64
 	prefetches int64
+	// pcs is a worker's instruction record by pc, one slice index per
+	// instruction instead of two map updates; mergeProfiles folds it
+	// into Ops and Lines.
+	pcs []OpStat
 
 	CacheHits      int64
 	CacheMisses    int64
@@ -81,28 +85,17 @@ type Profile struct {
 
 func newProfile(prog *bytecode.Program) *Profile {
 	return &Profile{
-		Ops:    map[bytecode.Op]*OpStat{},
 		Pardos: make([]PardoStat, len(prog.Pardos)),
 		Procs:  make([]ProcStat, len(prog.Procs)),
-		Lines:  map[int]*LineStat{},
+		pcs:    make([]OpStat, len(prog.Code)),
 	}
 }
 
-func (p *Profile) record(op bytecode.Op, line int, d time.Duration) {
-	st := p.Ops[op]
-	if st == nil {
-		st = &OpStat{}
-		p.Ops[op] = st
-	}
+// record charges one execution of the instruction at pc.
+func (p *Profile) record(pc int, d time.Duration) {
+	st := &p.pcs[pc]
 	st.Count++
 	st.Time += d
-	ls := p.Lines[line]
-	if ls == nil {
-		ls = &LineStat{}
-		p.Lines[line] = ls
-	}
-	ls.Count++
-	ls.Time += d
 }
 
 func (p *Profile) addWait(pardo int, d time.Duration) {
@@ -157,14 +150,25 @@ func mergeProfiles(workers []*worker, servers []*ioServer) *Profile {
 	out.Procs = make([]ProcStat, len(workers[0].prof.Procs))
 	for _, w := range workers {
 		p := w.prof
-		for op, st := range p.Ops {
-			dst := out.Ops[op]
-			if dst == nil {
-				dst = &OpStat{}
-				out.Ops[op] = dst
+		for pc, st := range p.pcs {
+			if st.Count == 0 {
+				continue
 			}
-			dst.Count += st.Count
-			dst.Time += st.Time
+			in := &w.rt.prog.Code[pc]
+			op := out.Ops[in.Op]
+			if op == nil {
+				op = &OpStat{}
+				out.Ops[in.Op] = op
+			}
+			op.Count += st.Count
+			op.Time += st.Time
+			ls := out.Lines[in.Line]
+			if ls == nil {
+				ls = &LineStat{}
+				out.Lines[in.Line] = ls
+			}
+			ls.Count += st.Count
+			ls.Time += st.Time
 		}
 		for i, ps := range p.Pardos {
 			if ps.Elapsed > out.Pardos[i].Elapsed {
@@ -176,15 +180,6 @@ func mergeProfiles(workers []*worker, servers []*ioServer) *Profile {
 		for i, ps := range p.Procs {
 			out.Procs[i].Count += ps.Count
 			out.Procs[i].Time += ps.Time
-		}
-		for line, ls := range p.Lines {
-			dst := out.Lines[line]
-			if dst == nil {
-				dst = &LineStat{}
-				out.Lines[line] = dst
-			}
-			dst.Count += ls.Count
-			dst.Time += ls.Time
 		}
 		out.TotalWait += p.TotalWait
 		out.Flops += p.Flops

@@ -10,31 +10,35 @@ import (
 
 // fakeWorker builds a worker carrying only the state mergeProfiles
 // reads.
-func fakeWorker(p *Profile) *worker {
-	return &worker{prof: p, cache: &blockCache{}, pool: &blockPool{}}
+func fakeWorker(prog *bytecode.Program, p *Profile) *worker {
+	return &worker{rt: &runtime{prog: prog}, prof: p, cache: &blockCache{}, pool: &blockPool{}}
 }
 
 func TestMergeProfiles(t *testing.T) {
+	// Workers record by pc; the merge folds the pcs into per-opcode and
+	// per-line rows.
+	prog := &bytecode.Program{Code: []bytecode.Instr{
+		{Op: bytecode.OpContract, Line: 5},
+		{Op: bytecode.OpDot, Line: 9},
+	}}
 	p1 := &Profile{
-		Ops:    map[bytecode.Op]*OpStat{bytecode.OpContract: {Count: 3, Time: 30 * time.Millisecond}},
 		Pardos: []PardoStat{{Elapsed: 10 * time.Millisecond, Wait: 1 * time.Millisecond, Iterations: 6}},
 		Procs:  []ProcStat{{Count: 1, Time: 2 * time.Millisecond}},
-		Lines:  map[int]*LineStat{5: {Count: 3, Time: 30 * time.Millisecond}},
+		pcs:    []OpStat{{Count: 3, Time: 30 * time.Millisecond}, {}},
 	}
 	p2 := &Profile{
-		Ops:    map[bytecode.Op]*OpStat{bytecode.OpContract: {Count: 2, Time: 20 * time.Millisecond}},
 		Pardos: []PardoStat{{Elapsed: 4 * time.Millisecond, Wait: 2 * time.Millisecond, Iterations: 4}},
 		Procs:  []ProcStat{{Count: 2, Time: 3 * time.Millisecond}},
-		Lines: map[int]*LineStat{
-			5: {Count: 2, Time: 20 * time.Millisecond},
-			9: {Count: 1, Time: 1 * time.Millisecond},
-		},
+		pcs:    []OpStat{{Count: 2, Time: 20 * time.Millisecond}, {Count: 1, Time: 1 * time.Millisecond}},
 	}
 	srv := &ioServer{rank: 6, hits: 10, misses: 2, diskReads: 2, diskWrites: 5}
-	out := mergeProfiles([]*worker{fakeWorker(p1), fakeWorker(p2)}, []*ioServer{srv})
+	out := mergeProfiles([]*worker{fakeWorker(prog, p1), fakeWorker(prog, p2)}, []*ioServer{srv})
 
-	if st := out.Ops[bytecode.OpContract]; st.Count != 5 || st.Time != 50*time.Millisecond {
+	if st := out.Ops[bytecode.OpContract]; st == nil || st.Count != 5 || st.Time != 50*time.Millisecond {
 		t.Errorf("op stat = %+v, want count 5 time 50ms", st)
+	}
+	if st := out.Ops[bytecode.OpDot]; st == nil || st.Count != 1 {
+		t.Errorf("dot stat = %+v, want count 1", st)
 	}
 	// Pardo elapsed takes the per-worker max (slowest worker's wall
 	// time); wait sums across workers.

@@ -1,6 +1,9 @@
 package sip
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // replicaRuntime builds a bare runtime for placement tests: replica
 // selection depends only on the rank layout and the world's eviction
@@ -160,7 +163,7 @@ func TestPlacementProperties(t *testing.T) {
 					for _, r := range set {
 						held = held || r == victim
 					}
-					if !held && !dimsEqual(after, set) {
+					if !held && !slices.Equal(after, set) {
 						t.Fatalf("S=%d K=%d ord=%d: set %v became %v though it never held dead rank %d", S, K, ord, set, after, victim)
 					}
 					for _, r := range after {

@@ -91,11 +91,13 @@ type PresetFunc func(coord segment.Coord, lo, hi []int) *block.Block
 
 // IntegralFunc computes an integral block on demand for
 // compute_integrals.  arr is the SIAL array name; lo and hi are the
-// inclusive element bounds of the block.
+// inclusive element bounds of the block.  lo and hi are the worker's
+// scratch, valid only during the call.
 type IntegralFunc func(arr string, lo, hi []int) *block.Block
 
 // ExecCtx gives user super instructions access to their execution
-// environment.
+// environment.  Like the argument slices of a SuperFunc, it is the
+// worker's scratch, valid only during the call.
 type ExecCtx struct {
 	Worker int // worker index, 0-based
 	Layout *bytecode.Layout
@@ -103,7 +105,10 @@ type ExecCtx struct {
 
 // SuperFunc is a user-registered computational super instruction invoked
 // by the SIAL execute statement.  Blocks are resolved read-write; scalars
-// are passed by pointer.
+// are passed by pointer.  A distributed or served block argument is a
+// copy, so writing it changes no cached or remote block.  The function
+// must not keep ctx, blocks or scalars past the call: the worker lends
+// them, so that an execute allocates nothing.
 type SuperFunc func(ctx *ExecCtx, blocks []*block.Block, scalars []*float64) error
 
 // Config parameterizes a SIP run; Run, RunRank and Pool.RunJob all take

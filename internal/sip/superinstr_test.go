@@ -203,3 +203,52 @@ func TestBuiltinsExported(t *testing.T) {
 		t.Fatal("Builtins() aliased the internal registry")
 	}
 }
+
+// TestExecuteCommunicatedArgIsACopy: execute hands a super instruction a
+// copy of a distributed block, drawn from the block pool and returned to
+// it after the call, so a function that writes its argument changes
+// neither the cached block nor the home's.
+func TestExecuteCommunicatedArgIsACopy(t *testing.T) {
+	src := `
+sial execcopy
+param n = 4
+aoindex I = 1, n
+aoindex J = 1, n
+distributed D(I,J)
+temp a(I,J)
+scalar g
+scalar h
+pardo I, J
+  a(I,J) = 1.0
+  put D(I,J) = a(I,J)
+endpardo I, J
+sip_barrier
+pardo I, J
+  get D(I,J)
+  execute poison D(I,J)
+  g += dot(D(I,J), D(I,J))
+endpardo I, J
+sip_barrier
+pardo I, J
+  get D(I,J)
+  h += dot(D(I,J), D(I,J))
+endpardo I, J
+collective g
+collective h
+endsial
+`
+	poison := func(_ *ExecCtx, blocks []*block.Block, _ []*float64) error {
+		blocks[0].Fill(math.NaN())
+		return nil
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := RunSource(src, Config{Workers: workers, Seg: bytecode.DefaultSegConfig(2),
+			Super: map[string]SuperFunc{"poison": poison}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, h := res.Scalars["g"], res.Scalars["h"]; g != 16 || h != 16 {
+			t.Errorf("workers=%d: g = %g, h = %g, want 16: execute wrote through to a communicated block", workers, g, h)
+		}
+	}
+}

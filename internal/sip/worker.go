@@ -112,6 +112,19 @@ type worker struct {
 	pardoGen []int
 
 	prof *Profile
+	// clock is when the last instruction ended, which is when the next
+	// one starts: reading the clock once per instruction times both.
+	clock time.Time
+
+	// Scratch the interpreter lends to what it calls, so a steady-state
+	// pardo iteration allocates only what the program itself creates:
+	// the element bounds handed to Config.Integrals, and the argument
+	// lists and context handed to a super instruction.  Neither callee
+	// may keep them past the call (IntegralFunc, SuperFunc).
+	bounds      [2][maxRank]int
+	execBlocks  []*block.Block
+	execScalars []*float64
+	execCtx     ExecCtx
 
 	// Observability: trk is the interpreter's span track (nil when
 	// tracing is off — every instrumented site nil-checks before
@@ -182,7 +195,7 @@ func (w *worker) initPresets() error {
 			if b == nil {
 				return
 			}
-			if !dimsEqual(b.Dims(), shape.BlockDims(c)) {
+			if !slices.Equal(b.Dims(), shape.BlockDims(c)) {
 				err = fmt.Errorf("sip: preset %s%v returned dims %v, want %v", name, c, b.Dims(), shape.BlockDims(c))
 				return
 			}
@@ -193,18 +206,6 @@ func (w *worker) initPresets() error {
 		}
 	}
 	return nil
-}
-
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // run executes the program to completion.  On any failure it still
@@ -257,6 +258,7 @@ func (w *worker) run() (err error) {
 	}
 
 	code := w.rt.prog.Code
+	w.clock = time.Now()
 	for {
 		in := &code[w.pc]
 		switch in.Op {
@@ -325,8 +327,9 @@ func (w *worker) shutdown() error {
 func (w *worker) exec(in *bytecode.Instr) error {
 	if w.text != nil {
 		w.trace(in)
+		w.clock = time.Now() // the trace line is not the instruction's time
 	}
-	start := time.Now()
+	start := w.clock
 	next := w.pc + 1
 	switch in.Op {
 	case bytecode.OpNop:
@@ -425,7 +428,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		w.pardoPCs[in.A] = w.pc // all workers pass here; replay re-enters at pc+1
 		gen := w.pardoGen[in.A]
 		w.pardoGen[in.A]++
-		f := frame{kind: framePardo, pid: in.A, cur: gen, startPC: w.pc, exitPC: in.C, started: time.Now()}
+		f := frame{kind: framePardo, pid: in.A, cur: gen, startPC: w.pc, exitPC: in.C, started: start}
 		if w.rt.cfg.CkptInterval > 0 {
 			f.entryScalars = append([]float64(nil), w.scalars...)
 		}
@@ -472,7 +475,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		}
 	case bytecode.OpCall:
 		w.frames = append(w.frames, frame{kind: frameCall, retPC: w.pc + 1,
-			procID: in.A, started: time.Now()})
+			procID: in.A, started: start})
 		next = w.rt.prog.Procs[in.A].Entry
 	case bytecode.OpReturn:
 		f := w.frames[len(w.frames)-1]
@@ -507,7 +510,10 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		// Only a whole-block assignment keeps its value and so needs a copy.
 		switch {
 		case in.A == bytecode.CopyPermute && !block.IdentityPerm(in.Aux):
-			err = w.storeDst(in.R[0], &loc, src.Permute(in.Aux), in.B)
+			var dims [maxRank]int
+			val := w.pool.get(src.PermutedDims(dims[:0], in.Aux))
+			src.PermuteInto(val, in.Aux)
+			err = w.storePooled(in.R[0], &loc, val, in.B)
 		case loc.region || in.B != bytecode.AssignSet:
 			err = w.storeDst(in.R[0], &loc, src, in.B)
 		default:
@@ -639,10 +645,12 @@ func (w *worker) exec(in *bytecode.Instr) error {
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
 	}
-	d := time.Since(start)
-	w.prof.record(in.Op, in.Line, d)
+	w.clock = time.Now()
+	d := w.clock.Sub(start)
+	w.prof.record(w.pc, d)
 	if w.trk != nil {
 		w.trk.Complete(start, d, obs.CatInterp, in.Op.String(), obs.AInt("line", in.Line))
+		w.clock = time.Now() // recording the span is not the next instruction's time
 	}
 	w.pc = next
 	return nil
@@ -724,7 +732,10 @@ func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
 // 'chunks' and doled out to the workers.  When a worker completes its
 // chunk, it requests another chunk from the master", paper §V-B).
 func (w *worker) fetchChunk(pid, gen int, entry []float64) ([][]int, error) {
-	start := time.Now()
+	var start time.Time
+	if w.trk != nil {
+		start = time.Now()
+	}
 	var delta []float64
 	if entry != nil {
 		// Cumulative scalar contribution since pardo entry: requesting
@@ -855,7 +866,7 @@ func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr := w.rt.prog.Arrays[ref.Arr]
+	arr := &w.rt.prog.Arrays[ref.Arr]
 	var b *block.Block
 	if m := w.localMap(arr.Kind); m != nil {
 		b = m[loc.key]
@@ -961,7 +972,7 @@ func (w *worker) storePooled(ref bytecode.Ref, loc *refLoc, val *block.Block, mo
 // it); every other store only reads val, and a region destination
 // read-modify-writes the base block.
 func (w *worker) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode int) error {
-	arr := w.rt.prog.Arrays[ref.Arr]
+	arr := &w.rt.prog.Arrays[ref.Arr]
 	m := w.localMap(arr.Kind)
 	if m == nil {
 		return fmt.Errorf("direct write to %s array %s", arr.Kind, arr.Name)
@@ -971,7 +982,7 @@ func (w *worker) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode 
 	}
 	cur := m[loc.key]
 	if mode == bytecode.AssignSet && !loc.region {
-		if !dimsEqual(val.Dims(), loc.blockDims()) {
+		if !slices.Equal(val.Dims(), loc.blockDims()) {
 			return fmt.Errorf("assignment to %s%v: got dims %v", arr.Name, loc.at(), val.Dims())
 		}
 		if cur != nil && cur != val && arr.Kind == bytecode.ArrayTemp {
@@ -1167,10 +1178,10 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 	if err != nil {
 		return err
 	}
-	if !dimsEqual(val.Dims(), loc.blockDims()) {
+	if !slices.Equal(val.Dims(), loc.blockDims()) {
 		return fmt.Errorf("put %s%v: got dims %v", w.rt.prog.Arrays[dst.Arr].Name, loc.at(), val.Dims())
 	}
-	arr := w.rt.prog.Arrays[dst.Arr]
+	arr := &w.rt.prog.Arrays[dst.Arr]
 	if w.trk != nil {
 		w.trk.Instant(obs.CatPut, "put_issued",
 			obs.A("block", loc.key.String()), obs.AInt("bytes", 8*val.Size()))
@@ -1223,11 +1234,14 @@ func (w *worker) doComputeIntegrals(ref bytecode.Ref) error {
 	if err != nil {
 		return err
 	}
-	arr := w.rt.prog.Arrays[ref.Arr]
-	shape := w.rt.layout.Shapes[ref.Arr]
-	lo, hi := shape.BlockBounds(loc.at())
+	arr := &w.rt.prog.Arrays[ref.Arr]
+	segs := w.rt.layout.Shapes[ref.Arr].Dims
+	lo, hi := w.bounds[0][:loc.rank], w.bounds[1][:loc.rank]
+	for i := range lo {
+		lo[i], hi[i] = segs[i].SegBounds(loc.coord[i])
+	}
 	b := w.rt.cfg.Integrals(arr.Name, lo, hi)
-	if b == nil || !dimsEqual(b.Dims(), loc.blockDims()) {
+	if b == nil || !slices.Equal(b.Dims(), loc.blockDims()) {
 		return fmt.Errorf("compute_integrals %s%v: generator returned wrong dims", arr.Name, loc.at())
 	}
 	m := w.localMap(arr.Kind)
@@ -1244,38 +1258,59 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 	if !ok {
 		return fmt.Errorf("execute: super instruction %q not registered", name)
 	}
-	blocks := make([]*block.Block, in.B)
-	for i := 0; i < in.B; i++ {
-		ref := in.R[i]
-		arr := w.rt.prog.Arrays[ref.Arr]
-		loc, err := w.locate(ref)
-		if err != nil {
-			return err
-		}
-		if loc.region {
-			return fmt.Errorf("execute %s: subblock arguments not supported", name)
-		}
-		if m := w.localMap(arr.Kind); m != nil {
-			b := m[loc.key]
-			if b == nil {
-				b = block.New(loc.blockDims()...)
-				m[loc.key] = b
-			}
-			blocks[i] = b
-		} else {
-			b, err := w.readBlock(ref)
-			if err != nil {
-				return err
-			}
-			blocks[i] = b.Clone() // protect the cache from mutation
+	blocks := w.execBlocks[:0]
+	var err error
+	for i := 0; i < in.B && err == nil; i++ {
+		var b *block.Block
+		if b, err = w.execArg(in.R[i], name); b != nil {
+			blocks = append(blocks, b)
 		}
 	}
-	scalars := make([]*float64, len(in.Aux))
-	for i, id := range in.Aux {
-		scalars[i] = &w.scalars[id]
+	if err == nil {
+		scalars := w.execScalars[:0]
+		for _, id := range in.Aux {
+			scalars = append(scalars, &w.scalars[id])
+		}
+		w.execScalars = scalars
+		w.execCtx = ExecCtx{Worker: w.workerIndex(), Layout: w.rt.layout}
+		err = fn(&w.execCtx, blocks, scalars)
 	}
-	ctx := &ExecCtx{Worker: w.workerIndex(), Layout: w.rt.layout}
-	return fn(ctx, blocks, scalars)
+	for i, b := range blocks {
+		if w.localMap(w.rt.prog.Arrays[in.R[i].Arr].Kind) == nil {
+			w.pool.put(b) // the copy execArg made
+		}
+	}
+	clear(blocks) // the scratch must not keep a dropped block alive
+	w.execBlocks = blocks
+	return err
+}
+
+// execArg resolves one block argument of execute: a local block itself,
+// created as zeros when absent, or a pooled copy of a communicated one,
+// which protects the cache from mutation.
+func (w *worker) execArg(ref bytecode.Ref, name string) (*block.Block, error) {
+	loc, err := w.locate(ref)
+	if err != nil {
+		return nil, err
+	}
+	if loc.region {
+		return nil, fmt.Errorf("execute %s: subblock arguments not supported", name)
+	}
+	if m := w.localMap(w.rt.prog.Arrays[ref.Arr].Kind); m != nil {
+		b := m[loc.key]
+		if b == nil {
+			b = block.New(loc.blockDims()...)
+			m[loc.key] = b
+		}
+		return b, nil
+	}
+	b, err := w.readBlock(ref)
+	if err != nil {
+		return nil, err
+	}
+	c := w.pool.get(b.Dims())
+	c.CopyFrom(b)
+	return c, nil
 }
 
 // drainAcks waits until every put (tagPutAck) or prepare (tagPrepAck)
@@ -1557,6 +1592,7 @@ func (w *worker) replayChunk(pid, gen int, iters [][]int) error {
 	w.setIteration(pid, iters[0])
 	savedPC := w.pc
 	w.pc = startPC + 1
+	w.clock = time.Now() // the replay ran no instruction while its sync round waited
 	for len(w.frames) > base {
 		in := &code[w.pc]
 		if err := w.exec(in); err != nil {

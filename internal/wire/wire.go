@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -223,20 +224,24 @@ func (d *Decoder) String() string {
 }
 
 // Ints reads a length-prefixed []int.  A zero length yields nil.
-func (d *Decoder) Ints() []int {
+func (d *Decoder) Ints() []int { return d.AppendInts(nil) }
+
+// AppendInts reads a length-prefixed []int onto dst, so a caller with
+// room for it reads it without allocating.
+func (d *Decoder) AppendInts(dst []int) []int {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
-		return nil
+		return dst
 	}
 	if n > uint64(d.Remaining()) { // each element is >= 1 byte
 		d.fail("int slice length %d exceeds remaining %d bytes", n, d.Remaining())
-		return nil
+		return dst
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.Int()
+	dst = slices.Grow(dst, int(n))
+	for range n {
+		dst = append(dst, d.Int())
 	}
-	return v
+	return dst
 }
 
 // IntSlices reads a length-prefixed [][]int.

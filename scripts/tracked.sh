@@ -2,7 +2,8 @@
 # Prints the design-size numbers ROADMAP's quality-of-design aim tracks,
 # one per line, so every CI log carries them and a PR can quote its
 # before/after row: non-test lines of internal/sip and internal/mpi (wc -l,
-# comments and blanks included); the number of lines in non-test
+# comments and blanks included) and the lines of the interpreter,
+# internal/sip/worker.go; the number of lines in non-test
 # internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
 # special case, a Replicas fork — the last two over lines that are not
 # comment-only) or read rt.cfg.RecvTimeout; the lines that name a
@@ -16,6 +17,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
 echo "internal/sip non-test lines:  $(nontest internal/sip | wc -l)"
 echo "internal/mpi non-test lines:  $(nontest internal/mpi | wc -l)"
+echo "internal/sip/worker.go lines: $(wc -l < internal/sip/worker.go)"
 echo "cfg.Recover guard sites:      $(nontest internal/sip | grep -c 'cfg\.Recover' || true)"
 echo ".pooled guard sites:          $(nontest internal/sip | grep -c '\.pooled' || true)"
 code() { nontest "$1" | grep -v '^\s*//'; }
