@@ -73,21 +73,24 @@ func (g *FairGate) Finish(job int) {
 // Burst dispatches ahead of the slowest active job, up to MaxPark, then
 // charges one dispatch and returns.
 func (g *FairGate) Acquire(job int) {
-	deadline := time.Now().Add(g.MaxPark)
-	// The cond has no timed wait; a timer broadcast bounds every park so
-	// the deadline is always observed.  The timer takes the lock first so
-	// its broadcast cannot land between a waiter's deadline check and its
-	// Wait and be lost.
-	timer := time.AfterFunc(g.MaxPark, func() {
-		g.mu.Lock()
-		g.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-		g.cond.Broadcast()
-	})
-	defer timer.Stop()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.behind(job) && time.Now().Before(deadline) {
-		g.cond.Wait()
+	if g.behind(job) {
+		// The cond has no timed wait; a timer broadcast bounds the park so
+		// the deadline is always observed.  It is armed only here, not on
+		// every chunk hand-out.  The timer takes the lock first, and is
+		// armed under it, so its broadcast cannot land between a deadline
+		// check and the Wait that follows and be lost.
+		deadline := time.Now().Add(g.MaxPark)
+		timer := time.AfterFunc(g.MaxPark, func() {
+			g.mu.Lock()
+			g.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+			g.cond.Broadcast()
+		})
+		defer timer.Stop()
+		for g.behind(job) && time.Now().Before(deadline) {
+			g.cond.Wait()
+		}
 	}
 	g.counts[job]++
 	g.cond.Broadcast()

@@ -1,6 +1,16 @@
 package serve
 
-import "repro/internal/sip"
+import (
+	"sync"
+
+	"repro/internal/bytecode"
+	"repro/internal/compiler"
+	"repro/internal/sip"
+)
+
+// compileSource compiles SIAL source for a job; a variable so tests can
+// count compiles.
+var compileSource = compiler.CompileSource
 
 // Env is the runtime environment a pack supplies for one job: block
 // presets, super instructions, and the integral source, all possibly
@@ -28,16 +38,36 @@ type Pack struct {
 	Description string
 }
 
+// packEntry is a registered pack plus its compiled Source.  The program
+// depends on nothing a submission varies (parameters, segment size and
+// topology are bound later, by Resolve and the dry run), so it is
+// compiled once, on first use, and shared read-only by every job of the
+// pack.
+type packEntry struct {
+	Pack
+	once sync.Once
+	prog *bytecode.Program
+	err  error
+}
+
+// program returns the pack's compiled Source, compiling it on the first
+// call; a compile error is kept and returned to every caller.
+func (e *packEntry) program() (*bytecode.Program, error) {
+	e.once.Do(func() { e.prog, e.err = compileSource(e.Source) })
+	return e.prog, e.err
+}
+
 // RegisterPack makes a pack available to submissions on this service.
-// Re-registering a name replaces it.
+// Re-registering a name replaces it, and with it the compiled program:
+// the next submission of the name compiles the new source.
 func (s *Service) RegisterPack(name string, p Pack) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.packs[name] = p
+	s.packs[name] = &packEntry{Pack: p}
 }
 
 // pack looks up a registered pack.
-func (s *Service) pack(name string) (Pack, bool) {
+func (s *Service) pack(name string) (*packEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.packs[name]

@@ -187,6 +187,17 @@ func TestServeFairGate(t *testing.T) {
 	}
 }
 
+// TestFairGateAcquireAllocs: an Acquire that does not park allocates
+// nothing — the MaxPark timer is armed only on the parking path.
+func TestFairGateAcquireAllocs(t *testing.T) {
+	g := NewFairGate(2)
+	g.Start(1)
+	g.Start(2)
+	if n := testing.AllocsPerRun(200, func() { g.Acquire(1); g.Acquire(2) }); n != 0 {
+		t.Errorf("two unparked acquires allocate %v times, want 0", n)
+	}
+}
+
 // TestServeQuotaRejection: a job whose dry-run per-worker footprint
 // exceeds the memory budget is rejected at submission, and a job that
 // fits is admitted — quota-based admission control over the same

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bytecode"
-	"repro/internal/compiler"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sip"
@@ -139,7 +138,7 @@ type SubmitRequest struct {
 	// Name labels the job in status output (default "job-<id>").
 	Name string `json:"name"`
 	// Source is SIAL source text, compiled at submission.  Empty selects
-	// the named Pack's canonical source.
+	// the named Pack's canonical source, compiled once per pack.
 	Source string `json:"source"`
 	// Pack names a registered environment pack (presets, integrals,
 	// super instructions) — see RegisterPack.  Empty runs with the
@@ -256,7 +255,7 @@ type Service struct {
 	cfg   Config
 	pool  *sip.Pool
 	gate  *FairGate
-	packs map[string]Pack
+	packs map[string]*packEntry
 
 	journal *Journal
 
@@ -327,7 +326,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:     cfg,
 		pool:    pool,
 		gate:    gate,
-		packs:   map[string]Pack{},
+		packs:   map[string]*packEntry{},
 		jobs:    map[int]*job{},
 		nextID:  1,
 		byKey:   map[string]int{},
@@ -418,24 +417,27 @@ func (s *Service) Pool() *sip.Pool { return s.pool }
 func (s *Service) Gate() *FairGate { return s.gate }
 
 // buildJob compiles and sizes one submission; shared by Submit and the
-// replay path.
+// replay path.  A submission's own source is compiled per request; a
+// pack's is compiled once and shared (packEntry.program).
 func (s *Service) buildJob(req SubmitRequest) (*bytecode.Program, sip.Config, *sip.DryRunReport, error) {
-	src := req.Source
-	var pack Pack
+	var pack *packEntry
 	if req.Pack != "" {
 		var ok bool
 		pack, ok = s.pack(req.Pack)
 		if !ok {
 			return nil, sip.Config{}, nil, fmt.Errorf("serve: unknown pack %q", req.Pack)
 		}
-		if src == "" {
-			src = pack.Source
-		}
 	}
-	if src == "" {
+	var prog *bytecode.Program
+	var err error
+	switch {
+	case req.Source != "":
+		prog, err = compileSource(req.Source)
+	case pack != nil && pack.Source != "":
+		prog, err = pack.program()
+	default:
 		return nil, sip.Config{}, nil, fmt.Errorf("serve: submission has no source and no pack")
 	}
-	prog, err := compiler.CompileSource(src)
 	if err != nil {
 		return nil, sip.Config{}, nil, fmt.Errorf("serve: compile: %w", err)
 	}
@@ -448,7 +450,7 @@ func (s *Service) buildJob(req SubmitRequest) (*bytecode.Program, sip.Config, *s
 		Seg:          bytecode.DefaultSegConfig(seg),
 		GatherArrays: req.Gather,
 	}
-	if pack.Env != nil {
+	if pack != nil && pack.Env != nil {
 		env := pack.Env(req.Params)
 		cfg.Preset, cfg.Super, cfg.Integrals = env.Preset, env.Super, env.Integrals
 	}

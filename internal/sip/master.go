@@ -25,6 +25,9 @@ type master struct {
 	syncs     map[int]*syncState // sync round -> progress
 	evictSeen map[int]bool       // evictions already folded into the ledger
 	doneRanks map[int]bool       // workers that reported done
+	// evictStamp is the world's EvictStamp as of the last noteEvictions
+	// scan (0, a world that never changed membership, needs none).
+	evictStamp uint64
 
 	// workerErr is the running diagnosis relayed over the done path (see
 	// recordRelay); it is the run's error unless a cancel outranks it.
@@ -645,42 +648,60 @@ func (m *master) pendingWorkers() int {
 // recording — their blocks heal at the next server barrier's
 // anti-entropy pass, and reads fail over to the surviving replicas in
 // the meantime.
+//
+// It runs on every turn of the master loop, so a turn with no membership
+// change since the last scan returns at once.  The stamp is read before
+// the evicted set: World.Evict records a rank before bumping the stamp,
+// so an eviction racing the read is either in the set now or rescanned
+// next turn, and evictSeen keeps a rank from being folded in twice.
 func (m *master) noteEvictions(trk *obs.Track) {
+	stamp := m.rt.world.EvictStamp()
+	if stamp == m.evictStamp {
+		return
+	}
+	m.evictStamp = stamp
 	evicted := m.rt.world.Evicted()
-	ranks := append(append([]int(nil), m.rt.workerList...), m.rt.serverList...)
-	for _, rank := range ranks {
-		if _, dead := evicted[rank]; !dead || m.evictSeen[rank] {
-			continue
-		}
-		m.evictSeen[rank] = true
-		m.rt.metrics.Counter(metricFaultRankEvicted).Inc()
-		m.rt.metrics.Counter(fmt.Sprintf("%s.rank%d", metricFaultRankEvicted, rank)).Inc()
-		m.rt.flightRecord("evicted", rank, m.rt.world.Evicted()[rank])
-		if m.rt.isServerRank(rank) {
-			if trk != nil {
-				trk.Instant(obs.CatChunk, "server_evicted", obs.AInt("rank", rank))
+	for _, ranks := range [...][]int{m.rt.workerList, m.rt.serverList} {
+		for _, rank := range ranks {
+			reason, dead := evicted[rank]
+			if !dead || m.evictSeen[rank] {
+				continue
 			}
-			continue
+			m.evictSeen[rank] = true
+			m.noteEviction(trk, rank, reason)
 		}
+	}
+}
+
+// noteEviction folds one newly evicted rank into the scheduler state.
+func (m *master) noteEviction(trk *obs.Track, rank int, reason string) {
+	m.rt.metrics.Counter(metricFaultRankEvicted).Inc()
+	m.rt.metrics.Counter(fmt.Sprintf("%s.rank%d", metricFaultRankEvicted, rank)).Inc()
+	m.rt.flightRecord("evicted", rank, reason)
+	if m.rt.isServerRank(rank) {
 		if trk != nil {
-			trk.Instant(obs.CatChunk, "worker_evicted", obs.AInt("rank", rank))
+			trk.Instant(obs.CatChunk, "server_evicted", obs.AInt("rank", rank))
 		}
-		if m.doneRanks[rank] {
-			continue // finished before dying: nothing in flight
+		return
+	}
+	if trk != nil {
+		trk.Instant(obs.CatChunk, "worker_evicted", obs.AInt("rank", rank))
+	}
+	if m.doneRanks[rank] {
+		return // finished before dying: nothing in flight
+	}
+	// Reclaim every iteration the worker had not acknowledged.  The dead
+	// worker's checkpoint watermark is dropped with it: its completed
+	// iterations go back on the queue, so counting them in a later
+	// snapshot's overlay would double-execute nothing but skip their (now
+	// re-queued) scalar contributions.
+	for _, r := range m.runs {
+		for _, chunk := range r.assigned[rank] {
+			r.requeue = append(r.requeue, chunk...)
 		}
-		// Reclaim every iteration the worker had not acknowledged.  The
-		// dead worker's checkpoint watermark is dropped with it: its
-		// completed iterations go back on the queue, so counting them in
-		// a later snapshot's overlay would double-execute nothing but
-		// skip their (now re-queued) scalar contributions.
-		for _, r := range m.runs {
-			for _, chunk := range r.assigned[rank] {
-				r.requeue = append(r.requeue, chunk...)
-			}
-			delete(r.assigned, rank)
-			delete(r.completed, rank)
-			delete(r.completedDelta, rank)
-		}
+		delete(r.assigned, rank)
+		delete(r.completed, rank)
+		delete(r.completedDelta, rank)
 	}
 }
 
