@@ -192,6 +192,10 @@ func TestCLIServeRestartJournal(t *testing.T) {
 	// still queued or in flight when the kill lands.
 	cmd, addr, sc := startServeChild(t, "-workers", "2", "-servers", "1",
 		"-journal-dir", journalDir, "-max-concurrent", "1")
+	defer func() {
+		cmd.Process.Kill() // a no-op after the drill's own kill
+		cmd.Wait()
+	}()
 	go func() {
 		for sc.Scan() {
 		} // keep the child's stdout drained
@@ -199,9 +203,9 @@ func TestCLIServeRestartJournal(t *testing.T) {
 
 	submit := func(addr string, i int) (serve.JobStatus, int) {
 		t.Helper()
-		// no=16/nv=96 sizes each job to over a hundred milliseconds:
-		// heavy enough that the kill lands with most of the queue
-		// outstanding, light enough for a CI drill.
+		// no=16/nv=96 sizes each job to tens of milliseconds: long
+		// enough for the /jobs poll below to see the queue mid-stream,
+		// light enough for a CI drill.
 		body, _ := json.Marshal(serve.SubmitRequest{
 			Name:           fmt.Sprintf("mp2-%d", i),
 			Pack:           "mp2",
@@ -228,9 +232,30 @@ func TestCLIServeRestartJournal(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
-	// Let a couple of jobs get into flight, then pull the plug — no
-	// drain, no fsync courtesy, exactly the crash the journal exists for.
-	time.Sleep(500 * time.Millisecond)
+	// Pull the plug — no drain, no fsync courtesy, exactly the crash the
+	// journal exists for — as soon as the first life is seen with a job
+	// done and fewer than half terminal, so the kill lands mid-stream
+	// however fast the host runs the jobs.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(15 * time.Millisecond) {
+		done, terminal := 0, 0
+		for _, st := range listJobs(t, addr) {
+			if st.State == serve.StateDone {
+				done++
+			}
+			if st.Terminal() {
+				terminal++
+			}
+		}
+		if terminal >= jobs/2 {
+			t.Fatalf("%d of %d jobs terminal before the kill: never saw a job done with most of the queue outstanding", terminal, jobs)
+		}
+		if done > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no job done at deadline: the first life never got into the queue")
+		}
+	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,18 +294,8 @@ func TestCLIServeRestartJournal(t *testing.T) {
 	want := chem.MP2Reference(16, 96)
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr2 + "/jobs")
-		if err != nil {
-			t.Fatalf("GET /jobs: %v", err)
-		}
-		var all []serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&all)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode /jobs: %v", err)
-		}
 		byID := map[int]serve.JobStatus{}
-		for _, st := range all {
+		for _, st := range listJobs(t, addr2) {
 			if _, dup := byID[st.ID]; dup {
 				t.Fatalf("job id %d appears twice in /jobs — restart duplicated it", st.ID)
 			}
@@ -332,6 +347,21 @@ func TestCLIServeRestartJournal(t *testing.T) {
 	if n := <-resumed; n < jobs/2 {
 		t.Errorf("restart resubmitted only %d of %d jobs — the kill landed after the work was done, drill proved nothing", n, jobs)
 	}
+}
+
+// listJobs returns every job's status from a serve's GET /jobs.
+func listJobs(t *testing.T, addr string) []serve.JobStatus {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var all []serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
+		t.Fatalf("decode /jobs: %v", err)
+	}
+	return all
 }
 
 // TestCLISubmitErrors: client-side validation fails fast, without a

@@ -92,6 +92,20 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
+// Super reports whether o is a super instruction, the unit the SIP's
+// profile times (paper §VI-B).  The ops that are not touch only the
+// scalar stack, the scalar table and the pc; every block, communication,
+// sync, loop, pardo, call and print op is.
+func (o Op) Super() bool {
+	switch o {
+	case OpNop, OpPushLit, OpPushScalar, OpPushIndex, OpPushParam,
+		OpAdd, OpSub, OpMul, OpDiv, OpCmp, OpStoreScalar,
+		OpJump, OpJumpIfFalse:
+		return false
+	}
+	return true
+}
+
 // Comparison codes for OpCmp and where clauses.
 const (
 	CmpLT = iota

@@ -205,3 +205,43 @@ func TestBlockBytes(t *testing.T) {
 		t.Fatalf("BlockBytes = %d, want 128", got)
 	}
 }
+
+// TestSuperClassifiesEveryOp pins Op.Super for every opcode: the profile
+// times super instructions and only counts the rest, so an opcode added
+// without a row here fails instead of being timed by accident.
+func TestSuperClassifiesEveryOp(t *testing.T) {
+	want := map[string]bool{
+		"nop": false, "push_lit": false, "push_scalar": false,
+		"push_index": false, "push_param": false, "add": false, "sub": false,
+		"mul": false, "div": false, "cmp": false, "store_scalar": false,
+		"jump": false, "jump_if_false": false,
+
+		"dot": true, "do_start": true, "do_end": true, "do_in_start": true,
+		"do_in_end": true, "pardo_start": true, "pardo_end": true,
+		"call": true, "return": true, "halt": true, "block_fill": true,
+		"block_copy": true, "block_scale": true, "block_sum": true,
+		"contract": true, "get": true, "put": true, "request": true,
+		"prepare": true, "compute_integrals": true, "execute": true,
+		"barrier": true, "collective": true, "print": true,
+		"blocks_to_list": true, "list_to_blocks": true,
+	}
+	named := 0
+	for o := Op(0); o < 255; o++ {
+		name, ok := opNames[o]
+		if !ok {
+			continue
+		}
+		named++
+		super, listed := want[name]
+		if !listed {
+			t.Errorf("opcode %s is not classified in this test", name)
+			continue
+		}
+		if o.Super() != super {
+			t.Errorf("%s.Super() = %v, want %v", name, o.Super(), super)
+		}
+	}
+	if named != len(want) {
+		t.Errorf("%d named opcodes, %d classified", named, len(want))
+	}
+}

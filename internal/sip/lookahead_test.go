@@ -403,7 +403,7 @@ endsial
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := w.locate(ref); err != nil {
+			if err := w.locate(ref, &w.ops.dst); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

@@ -367,6 +367,7 @@ type runtime struct {
 	cfg     Config
 	prog    *bytecode.Program
 	layout  *bytecode.Layout
+	supers  []SuperFunc // by string id: what an execute naming it runs (superTable)
 	world   *mpi.World
 	workers int
 	servers int
@@ -443,6 +444,7 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 			return nil, err
 		}
 		rt.layout = layout
+		rt.supers = superTable(prog.Strings, cfg.Super)
 	}
 	if rt.workerList == nil {
 		rt.workerList = contiguousRanks(1, rt.workers)

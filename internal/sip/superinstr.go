@@ -29,7 +29,22 @@ func Builtins() map[string]SuperFunc {
 	return out
 }
 
-// builtinSuper is consulted by the worker when a name is not found in
+// superTable resolves, once per run, the super instruction each string of
+// a program names: Config.Super first, then the builtins.  A name neither
+// registers stays nil, so an execute of it fails only when it runs.
+func superTable(strs []string, user map[string]SuperFunc) []SuperFunc {
+	fns := make([]SuperFunc, len(strs))
+	for i, name := range strs {
+		if fn, ok := user[name]; ok {
+			fns[i] = fn
+		} else {
+			fns[i] = builtinSuper[name]
+		}
+	}
+	return fns
+}
+
+// builtinSuper is consulted by superTable when a name is not found in
 // Config.Super.
 var builtinSuper = map[string]SuperFunc{
 	"trace":           siTrace,

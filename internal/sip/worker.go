@@ -50,9 +50,17 @@ type frame struct {
 	procID int
 
 	// profiling
-	started time.Time
+	started time.Duration // clockNow at entry
 	iters   int64
 }
+
+// clockEpoch anchors the interpreter's clock.  Reading it as
+// time.Since(clockEpoch) reads only the monotonic clock, where time.Now
+// reads the wall clock as well.
+var clockEpoch = time.Now()
+
+// clockNow is the interpreter's clock: the time since clockEpoch.
+func clockNow() time.Duration { return time.Since(clockEpoch) }
 
 // worker interprets byte code on one rank (paper §V: "Each worker loops
 // through the instruction table executing bytecode instructions").
@@ -112,9 +120,11 @@ type worker struct {
 	pardoGen []int
 
 	prof *Profile
-	// clock is when the last instruction ended, which is when the next
-	// one starts: reading the clock once per instruction times both.
-	clock time.Time
+	// clock is when the last super instruction ended, which is when the
+	// next instruction starts: reading the clock once per super
+	// instruction times them all, the ops between two of them included
+	// in the second (exec).
+	clock time.Duration
 
 	// Scratch the interpreter lends to what it calls, so a steady-state
 	// pardo iteration allocates only what the program itself creates:
@@ -125,6 +135,8 @@ type worker struct {
 	execBlocks  []*block.Block
 	execScalars []*float64
 	execCtx     ExecCtx
+
+	ops *operands // where locate resolves block references
 
 	// Observability: trk is the interpreter's span track (nil when
 	// tracing is off — every instrumented site nil-checks before
@@ -152,6 +164,7 @@ func newWorker(rt *runtime, rank int) *worker {
 		pardoGen: make([]int, len(rt.prog.Pardos)),
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
 		prof:     newProfile(rt.prog),
+		ops:      operandPool.Get().(*operands),
 
 		owedPutAcks:  map[int]int{},
 		owedPrepAcks: map[int]int{},
@@ -213,6 +226,7 @@ func (w *worker) initPresets() error {
 // deadlock-free — and then lets failRun decide how the rest of the run
 // unwinds.
 func (w *worker) run() (err error) {
+	defer operandPool.Put(w.ops)
 	defer func() {
 		if r := recover(); r != nil {
 			if r == mpi.ErrAborted {
@@ -258,7 +272,7 @@ func (w *worker) run() (err error) {
 	}
 
 	code := w.rt.prog.Code
-	w.clock = time.Now()
+	w.clock = clockNow()
 	for {
 		in := &code[w.pc]
 		switch in.Op {
@@ -324,10 +338,15 @@ func (w *worker) shutdown() error {
 }
 
 // exec dispatches one instruction.  On return the pc has been advanced.
+// Every instruction is counted at its pc, but only a super instruction
+// reads the clock (paper §VI-B: the profile times super instructions):
+// it is charged the time since the previous one ended, which includes the
+// scalar and branch ops between them.
 func (w *worker) exec(in *bytecode.Instr) error {
 	if w.text != nil {
+		t := clockNow()
 		w.trace(in)
-		w.clock = time.Now() // the trace line is not the instruction's time
+		w.clock += clockNow() - t // the trace line is not the instructions' time
 	}
 	start := w.clock
 	next := w.pc + 1
@@ -437,7 +456,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 		if len(chunk) == 0 {
-			w.prof.pardoDone(in.A, time.Since(f.started), 0)
+			w.prof.pardoDone(in.A, clockNow()-f.started, 0)
 			next = in.C
 			break
 		}
@@ -469,7 +488,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			for _, id := range w.rt.prog.Pardos[f.pid].Indices {
 				w.unbind(id)
 			}
-			w.prof.pardoDone(f.pid, time.Since(f.started), f.iters)
+			w.prof.pardoDone(f.pid, clockNow()-f.started, f.iters)
 			next = f.exitPC
 			w.frames = w.frames[:len(w.frames)-1]
 		}
@@ -482,20 +501,20 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if f.kind != frameCall {
 			return fmt.Errorf("return outside procedure")
 		}
-		w.prof.procDone(f.procID, time.Since(f.started))
+		w.prof.procDone(f.procID, clockNow()-f.started)
 		w.frames = w.frames[:len(w.frames)-1]
 		next = f.retPC
 
 	// --- block super instructions ---
 	case bytecode.OpBlockFill:
 		v := w.pop()
-		loc, err := w.locate(in.R[0])
-		if err != nil {
+		loc := &w.ops.dst
+		if err := w.locate(in.R[0], loc); err != nil {
 			return err
 		}
 		b := w.pool.get(loc.extent())
 		b.Fill(v)
-		if err := w.storePooled(in.R[0], &loc, b, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, b, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockCopy:
@@ -503,8 +522,8 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		loc, err := w.locate(in.R[0])
-		if err != nil {
+		loc := &w.ops.dst
+		if err := w.locate(in.R[0], loc); err != nil {
 			return err
 		}
 		// Only a whole-block assignment keeps its value and so needs a copy.
@@ -513,13 +532,13 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			var dims [maxRank]int
 			val := w.pool.get(src.PermutedDims(dims[:0], in.Aux))
 			src.PermuteInto(val, in.Aux)
-			err = w.storePooled(in.R[0], &loc, val, in.B)
+			err = w.storePooled(in.R[0], loc, val, in.B)
 		case loc.region || in.B != bytecode.AssignSet:
-			err = w.storeDst(in.R[0], &loc, src, in.B)
+			err = w.storeDst(in.R[0], loc, src, in.B)
 		default:
 			val := w.pool.get(src.Dims())
 			val.CopyFrom(src)
-			err = w.storePooled(in.R[0], &loc, val, in.B)
+			err = w.storePooled(in.R[0], loc, val, in.B)
 		}
 		if err != nil {
 			return err
@@ -533,11 +552,11 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		val := w.pool.get(src.Dims())
 		val.CopyFrom(src)
 		val.Scale(v)
-		loc, err := w.locate(in.R[0])
-		if err != nil {
+		loc := &w.ops.dst
+		if err := w.locate(in.R[0], loc); err != nil {
 			return err
 		}
-		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpBlockSum:
@@ -556,11 +575,11 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		} else {
 			val.AddScaled(-1, b)
 		}
-		loc, err := w.locate(in.R[0])
-		if err != nil {
+		loc := &w.ops.dst
+		if err := w.locate(in.R[0], loc); err != nil {
 			return err
 		}
-		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 	case bytecode.OpContract:
@@ -572,8 +591,8 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		loc, err := w.locate(in.R[0])
-		if err != nil {
+		loc := &w.ops.dst
+		if err := w.locate(in.R[0], loc); err != nil {
 			return err
 		}
 		val := w.pool.get(loc.extent())
@@ -582,7 +601,7 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 		w.prof.addFlops(flops)
-		if err := w.storePooled(in.R[0], &loc, val, in.B); err != nil {
+		if err := w.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
 
@@ -645,13 +664,16 @@ func (w *worker) exec(in *bytecode.Instr) error {
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
 	}
-	w.clock = time.Now()
-	d := w.clock.Sub(start)
-	w.prof.record(w.pc, d)
-	if w.trk != nil {
-		w.trk.Complete(start, d, obs.CatInterp, in.Op.String(), obs.AInt("line", in.Line))
-		w.clock = time.Now() // recording the span is not the next instruction's time
+	var d time.Duration
+	if in.Op.Super() {
+		w.clock = clockNow()
+		d = w.clock - start
+		if w.trk != nil {
+			w.trk.Complete(clockEpoch.Add(start), d, obs.CatInterp, in.Op.String(), obs.AInt("line", in.Line))
+			w.clock = clockNow() // recording the span is not the next instruction's time
+		}
 	}
+	w.prof.record(w.pc, d)
 	w.pc = next
 	return nil
 }
@@ -798,24 +820,38 @@ func (l *refLoc) sub() (lo, ext []int) {
 	return append([]int(nil), l.rlo[:l.rank]...), append([]int(nil), l.rext[:l.rank]...)
 }
 
-// locate resolves a reference against the current index values.
-func (w *worker) locate(ref bytecode.Ref) (loc refLoc, err error) {
+// operands are the locations a worker resolves block references into:
+// an instruction's destination, the block it reads, and the block
+// look-ahead names next.  locate fills them in place, so each is valid
+// until the next locate into it.  They are recycled across runs: a pool
+// job starts a worker per rank, and would otherwise pay for them anew.
+type operands struct{ dst, src, ahead refLoc }
+
+var operandPool = sync.Pool{New: func() any { return new(operands) }}
+
+// locate resolves a reference against the current index values into loc,
+// a location the caller owns.  It writes only the first rank entries of
+// loc's arrays and resets the region fields: nothing is copied out and
+// nothing else is zeroed.
+func (w *worker) locate(ref bytecode.Ref, loc *refLoc) error {
 	prog := w.rt.prog
 	layout := w.rt.layout
 	arr := &prog.Arrays[ref.Arr]
 	if len(ref.Idx) > maxRank {
-		return loc, fmt.Errorf("array %s has rank %d, the SIP handles at most %d", arr.Name, len(ref.Idx), maxRank)
+		return fmt.Errorf("array %s has rank %d, the SIP handles at most %d", arr.Name, len(ref.Idx), maxRank)
 	}
 	loc.rank = len(ref.Idx)
+	loc.region = false
 	for i, id := range ref.Idx {
 		parent := prog.Indices[id].Parent
 		if parent < 0 || prog.Indices[arr.Dims[i]].Parent >= 0 {
 			parent = id // not a subindex against a super dimension
 		}
 		if !w.idxBound[id] || !w.idxBound[parent] {
-			return loc, fmt.Errorf("index %s has no value", prog.Indices[id].Name)
+			return fmt.Errorf("index %s has no value", prog.Indices[id].Name)
 		}
 		loc.coord[i] = w.idxVal[id]
+		loc.rlo[i], loc.rext[i] = 0, 0
 		if parent != id {
 			// The block coordinate comes from the parent; the region
 			// from the subindex.
@@ -829,7 +865,7 @@ func (w *worker) locate(ref bytecode.Ref) (loc refLoc, err error) {
 	}
 	ord, err := layout.Shapes[ref.Arr].Locate(loc.coord[:loc.rank], loc.dims[:loc.rank])
 	if err != nil {
-		return loc, err
+		return err
 	}
 	loc.key = blockKey{job: w.rt.job, arr: ref.Arr, ord: ord}
 	if loc.region {
@@ -840,7 +876,7 @@ func (w *worker) locate(ref bytecode.Ref) (loc refLoc, err error) {
 			}
 		}
 	}
-	return loc, nil
+	return nil
 }
 
 // localMap returns the worker-local map holding blocks of the given
@@ -862,8 +898,8 @@ func (w *worker) localMap(kind bytecode.ArrayKind) map[blockKey]*block.Block {
 // in-flight fetches and charging the wait to the enclosing pardo).
 // Region references return the extracted subblock.
 func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
-	loc, err := w.locate(ref)
-	if err != nil {
+	loc := &w.ops.src
+	if err := w.locate(ref, loc); err != nil {
 		return nil, err
 	}
 	arr := &w.rt.prog.Arrays[ref.Arr]
@@ -878,6 +914,7 @@ func (w *worker) readBlock(ref bytecode.Ref) (*block.Block, error) {
 		if e == nil {
 			return nil, fmt.Errorf("block %s%v used without get/request", arr.Name, loc.at())
 		}
+		var err error
 		b, err = w.waitBlock(e)
 		if err != nil {
 			return nil, err
@@ -1019,13 +1056,13 @@ func (w *worker) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode 
 // block's location and start an asynchronous fetch unless it is already
 // cached, then let look-ahead request what the enclosing loops name next.
 func (w *worker) doGet(ref bytecode.Ref) error {
-	loc, err := w.locate(ref)
-	if err != nil {
+	loc := &w.ops.dst
+	if err := w.locate(ref, loc); err != nil {
 		return err
 	}
 	if e := w.cache.lookup(loc.key); e != nil {
 		e.pending() // receives the reply if it is there
-	} else if err := w.startFetch(ref.Arr, &loc, false); err != nil {
+	} else if err := w.startFetch(ref.Arr, loc, false); err != nil {
 		return err
 	}
 	if w.aheadCap > 0 {
@@ -1151,8 +1188,8 @@ func (w *worker) lookAhead(ref bytecode.Ref) {
 			w.idxVal[digits[i].idx] = lo + p%n
 			p /= n
 		}
-		if loc, err := w.locate(ref); err == nil && w.cache.entries[loc.key] == nil {
-			_ = w.startFetch(ref.Arr, &loc, true) // best-effort: the demand fetch reports
+		if loc := &w.ops.ahead; w.locate(ref, loc) == nil && w.cache.entries[loc.key] == nil {
+			_ = w.startFetch(ref.Arr, loc, true) // best-effort: the demand fetch reports
 		}
 	}
 	for i := range digits {
@@ -1170,8 +1207,8 @@ func (w *worker) span(f *frame) (lo, n int) {
 
 // doPut implements put (distributed) and prepare (served).
 func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
-	loc, err := w.locate(dst)
-	if err != nil {
+	loc := &w.ops.dst
+	if err := w.locate(dst, loc); err != nil {
 		return err
 	}
 	val, err := w.readBlock(src)
@@ -1229,16 +1266,20 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 	return nil
 }
 
+// doComputeIntegrals fills a block from Config.Integrals.  Its element
+// bounds follow from the coordinate and dims locate has just checked
+// against the shape, with no second range check per dimension.
 func (w *worker) doComputeIntegrals(ref bytecode.Ref) error {
-	loc, err := w.locate(ref)
-	if err != nil {
+	loc := &w.ops.dst
+	if err := w.locate(ref, loc); err != nil {
 		return err
 	}
 	arr := &w.rt.prog.Arrays[ref.Arr]
 	segs := w.rt.layout.Shapes[ref.Arr].Dims
 	lo, hi := w.bounds[0][:loc.rank], w.bounds[1][:loc.rank]
 	for i := range lo {
-		lo[i], hi[i] = segs[i].SegBounds(loc.coord[i])
+		lo[i] = segs[i].Lo + (loc.coord[i]-1)*segs[i].Seg
+		hi[i] = lo[i] + loc.dims[i] - 1
 	}
 	b := w.rt.cfg.Integrals(arr.Name, lo, hi)
 	if b == nil || !slices.Equal(b.Dims(), loc.blockDims()) {
@@ -1251,11 +1292,8 @@ func (w *worker) doComputeIntegrals(ref bytecode.Ref) error {
 
 func (w *worker) doExecute(in *bytecode.Instr) error {
 	name := w.rt.prog.Strings[in.A]
-	fn, ok := w.rt.cfg.Super[name]
-	if !ok {
-		fn, ok = builtinSuper[name]
-	}
-	if !ok {
+	fn := w.rt.supers[in.A]
+	if fn == nil {
 		return fmt.Errorf("execute: super instruction %q not registered", name)
 	}
 	blocks := w.execBlocks[:0]
@@ -1289,8 +1327,8 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 // created as zeros when absent, or a pooled copy of a communicated one,
 // which protects the cache from mutation.
 func (w *worker) execArg(ref bytecode.Ref, name string) (*block.Block, error) {
-	loc, err := w.locate(ref)
-	if err != nil {
+	loc := &w.ops.dst
+	if err := w.locate(ref, loc); err != nil {
 		return nil, err
 	}
 	if loc.region {
@@ -1570,7 +1608,7 @@ func (w *worker) installState(st *workerState) {
 	for _, f := range st.frames {
 		w.frames = append(w.frames, frame{kind: f.kind, idx: f.idx, cur: f.cur,
 			hi: f.hi, startPC: f.startPC, exitPC: f.exitPC, retPC: f.retPC,
-			procID: f.procID, started: time.Now()})
+			procID: f.procID, started: clockNow()})
 	}
 	w.cache.invalidateAll()
 }
@@ -1587,12 +1625,12 @@ func (w *worker) replayChunk(pid, gen int, iters [][]int) error {
 	startPC := w.pardoPCs[pid]
 	base := len(w.frames)
 	f := frame{kind: framePardo, pid: pid, cur: gen, startPC: startPC,
-		exitPC: code[startPC].C, replay: true, chunk: iters, started: time.Now()}
+		exitPC: code[startPC].C, replay: true, chunk: iters, started: clockNow()}
 	w.frames = append(w.frames, f)
 	w.setIteration(pid, iters[0])
 	savedPC := w.pc
 	w.pc = startPC + 1
-	w.clock = time.Now() // the replay ran no instruction while its sync round waited
+	w.clock = clockNow() // the replay ran no instruction while its sync round waited
 	for len(w.frames) > base {
 		in := &code[w.pc]
 		if err := w.exec(in); err != nil {
