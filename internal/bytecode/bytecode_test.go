@@ -9,9 +9,9 @@ import (
 )
 
 // tinyProgram builds a small program by hand for table/serialization
-// tests.
+// tests, lowered as the compiler would leave it.
 func tinyProgram() *Program {
-	return &Program{
+	p := &Program{
 		Name:   "tiny",
 		Params: []Param{{Name: "n", Default: 8, HasDefault: true}},
 		Indices: []IndexInfo{
@@ -41,6 +41,8 @@ func tinyProgram() *Program {
 			{Op: OpReturn},
 		},
 	}
+	p.Lower()
+	return p
 }
 
 func TestResolve(t *testing.T) {

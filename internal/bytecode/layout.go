@@ -49,6 +49,12 @@ type Layout struct {
 // tables into concrete index ranges and array shapes.  Unknown names in
 // params are rejected to catch typos.
 func (p *Program) Resolve(params map[string]int, cfg SegConfig) (*Layout, error) {
+	if !p.lowered {
+		return nil, fmt.Errorf("bytecode: program %s is not lowered (Program.Lower)", p.Name)
+	}
+	if len(p.Arrays) > MaxArrays {
+		return nil, fmt.Errorf("bytecode: program %s declares %d arrays, at most %d are supported", p.Name, len(p.Arrays), MaxArrays)
+	}
 	if cfg.Default < 1 {
 		return nil, fmt.Errorf("bytecode: segment size %d < 1", cfg.Default)
 	}
@@ -110,6 +116,9 @@ func (p *Program) Resolve(params map[string]int, cfg SegConfig) (*Layout, error)
 		sh, err := segment.NewShape(dims...)
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: array %s: %w", a.Name, err)
+		}
+		if !sh.BlocksFit(MaxBlocks) {
+			return nil, fmt.Errorf("bytecode: array %s has more than %d blocks; use larger segments", a.Name, MaxBlocks)
 		}
 		l.Shapes[i] = sh
 	}

@@ -38,6 +38,7 @@ func Read(r io.Reader) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("bytecode: invalid program: %w", err)
 	}
+	p.Lower()
 	return &p, nil
 }
 

@@ -13,29 +13,21 @@ import (
 // MP2Super returns the user super instruction registry for the MP2
 // program: "mp2_denom" divides each element of a T2 block by the MP2
 // orbital-energy denominator.  The scalar arguments carry the current
-// segment numbers of I, A, J, B; element bounds are recovered from the
-// resolved layout.
+// segment numbers of I, A, J, B; the element bounds are those of the
+// block argument, which must lie at those segments.
 func MP2Super() map[string]sip.SuperFunc {
 	return map[string]sip.SuperFunc{
 		"mp2_denom": func(ctx *sip.ExecCtx, blocks []*block.Block, scalars []*float64) error {
 			if len(blocks) != 1 || len(scalars) != 4 {
 				return fmt.Errorf("mp2_denom: want 1 block and 4 scalars, got %d/%d", len(blocks), len(scalars))
 			}
-			layout := ctx.Layout
-			segOf := func(name string, seg int) (lo, hi int) {
-				id := layout.Prog.IndexID(name)
-				return layout.Indices[id].SegBounds(seg)
+			los, his, err := denomBounds("mp2_denom", ctx, blocks[0], scalars)
+			if err != nil {
+				return err
 			}
-			iLo, iHi := segOf("I", int(*scalars[0]))
-			aLo, aHi := segOf("A", int(*scalars[1]))
-			jLo, jHi := segOf("J", int(*scalars[2]))
-			bLo, bHi := segOf("B", int(*scalars[3]))
-			b := blocks[0]
-			data := b.Data()
-			dims := b.Dims()
-			if dims[0] != iHi-iLo+1 || dims[1] != aHi-aLo+1 || dims[2] != jHi-jLo+1 || dims[3] != bHi-bLo+1 {
-				return fmt.Errorf("mp2_denom: block dims %v do not match segments", dims)
-			}
+			iLo, iHi, aLo, aHi := los[0], his[0], los[1], his[1]
+			jLo, jHi, bLo, bHi := los[2], his[2], los[3], his[3]
+			data := blocks[0].Data()
 			off := 0
 			for i := iLo; i <= iHi; i++ {
 				for a := aLo; a <= aHi; a++ {
@@ -50,6 +42,23 @@ func MP2Super() map[string]sip.SuperFunc {
 			return nil
 		},
 	}
+}
+
+// denomBounds returns the element bounds of a denominator's block
+// argument b, whose segment numbers the scalars carry, one per dimension:
+// the block must lie at those segments and have their dims.
+func denomBounds(name string, ctx *sip.ExecCtx, b *block.Block, scalars []*float64) (lo, hi []int, err error) {
+	seg, lo, hi := ctx.Block(0)
+	dims := b.Dims()
+	if len(seg) != len(scalars) || len(dims) != len(scalars) {
+		return nil, nil, fmt.Errorf("%s: block of rank %d, want %d", name, len(dims), len(scalars))
+	}
+	for d := range dims {
+		if seg[d] != int(*scalars[d]) || dims[d] != hi[d]-lo[d]+1 {
+			return nil, nil, fmt.Errorf("%s: block dims %v do not match segments", name, dims)
+		}
+	}
+	return lo, hi, nil
 }
 
 // MP2SIP computes the model MP2 correlation energy for a molecule with

@@ -63,8 +63,8 @@ endsial
 
 // TriplesSuper registers the triples denominator super instruction: it
 // divides each element of the rank-6 block by
-// ei + ej + ek - ea - eb - ec, recovering element indices from the
-// current segment numbers carried in the scalars.
+// ei + ej + ek - ea - eb - ec, for the element indices of the block
+// argument, which must lie at the segment numbers the scalars carry.
 func TriplesSuper() map[string]sip.SuperFunc {
 	return map[string]sip.SuperFunc{
 		"triples_denom": func(ctx *sip.ExecCtx, blocks []*block.Block, scalars []*float64) error {
@@ -72,20 +72,12 @@ func TriplesSuper() map[string]sip.SuperFunc {
 				return fmt.Errorf("triples_denom: want 1 block and 6 scalars, got %d/%d",
 					len(blocks), len(scalars))
 			}
-			names := []string{"I", "J", "K", "A", "B", "C"}
-			los := make([]int, 6)
-			his := make([]int, 6)
-			for d, name := range names {
-				id := ctx.Layout.Prog.IndexID(name)
-				los[d], his[d] = ctx.Layout.Indices[id].SegBounds(int(*scalars[d]))
+			los, _, err := denomBounds("triples_denom", ctx, blocks[0], scalars)
+			if err != nil {
+				return err
 			}
 			b := blocks[0]
 			dims := b.Dims()
-			for d := range dims {
-				if dims[d] != his[d]-los[d]+1 {
-					return fmt.Errorf("triples_denom: block dims %v do not match segments", dims)
-				}
-			}
 			data := b.Data()
 			idx := make([]int, 6)
 			for off := range data {

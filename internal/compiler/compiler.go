@@ -83,6 +83,7 @@ func (cc *compiler) run() (*bytecode.Program, error) {
 		}
 		cc.emit(bytecode.Instr{Op: bytecode.OpReturn})
 	}
+	p.Lower()
 	return p, nil
 }
 

@@ -162,12 +162,16 @@ func (ix Index) SubSegments(sub Index, s int) (lo, hi int) {
 }
 
 // Shape is an ordered list of index descriptors declaring the dimensions
-// of a SIAL array.  Build one with NewShape: it records the segment count
-// of every dimension, which Locate reads instead of dividing per call.
+// of a SIAL array.  Build one with NewShape: it records, per dimension,
+// what Locate and ElemBounds read instead of deriving it per call.
 type Shape struct {
 	Dims []Index
-	nseg []int
+	segs []segDim
 }
+
+// segDim is one dimension as Locate sees it: the segment count, the
+// segment size, the length of the last segment and the first element.
+type segDim struct{ n, seg, last, lo int }
 
 // NewShape validates the dimensions and builds a Shape.
 func NewShape(dims ...Index) (Shape, error) {
@@ -176,11 +180,12 @@ func NewShape(dims ...Index) (Shape, error) {
 			return Shape{}, err
 		}
 	}
-	nseg := make([]int, len(dims))
+	segs := make([]segDim, len(dims))
 	for i, d := range dims {
-		nseg[i] = d.NumSegments()
+		n := d.NumSegments()
+		segs[i] = segDim{n: n, seg: d.Seg, last: d.N() - (n-1)*d.Seg, lo: d.Lo}
 	}
-	return Shape{Dims: dims, nseg: nseg}, nil
+	return Shape{Dims: dims, segs: segs}, nil
 }
 
 // MustShape is NewShape that panics on error, for tests and literals.
@@ -202,6 +207,19 @@ func (s Shape) NumBlocks() int {
 		n *= d.NumSegments()
 	}
 	return n
+}
+
+// BlocksFit reports whether the array has at most limit blocks, without
+// overflowing on the way.
+func (s Shape) BlocksFit(limit int) bool {
+	n := 1
+	for _, d := range s.segs {
+		if n > limit/d.n {
+			return false
+		}
+		n *= d.n
+	}
+	return true
 }
 
 // NumElements returns the total number of elements in the array.
@@ -286,25 +304,35 @@ func (s Shape) Ordinal(c Coord) int {
 // path every SIP block instruction takes.  It range-checks c once, writes
 // the element dimensions of the block into dims[:len(c)] and returns its
 // ordinal; a bad coordinate gets CheckCoord's error.
-func (s Shape) Locate(c Coord, dims []int) (ord int, err error) {
+func (s *Shape) Locate(c Coord, dims []int) (ord int, err error) {
 	if len(c) != len(s.Dims) {
 		return 0, s.CheckCoord(c.Clone())
 	}
 	for i, v := range c {
-		n := s.nseg[i]
-		if v < 1 || v > n {
+		d := &s.segs[i]
+		if v < 1 || v > d.n {
 			// A copy: formatting c itself would move every caller's
 			// coordinate to the heap.
 			return 0, s.CheckCoord(c.Clone())
 		}
-		d := &s.Dims[i]
-		dims[i] = d.Seg
-		if v == n {
-			dims[i] = d.N() - (n-1)*d.Seg
+		dims[i] = d.seg
+		if v == d.n {
+			dims[i] = d.last
 		}
-		ord = ord*n + v - 1
+		ord = ord*d.n + v - 1
 	}
 	return ord, nil
+}
+
+// ElemBounds writes the inclusive element range of each dimension of the
+// block at c into lo and hi.  It is BlockBounds for a coordinate Locate
+// has checked and the dims it returned: nothing is checked again and
+// nothing allocated.
+func (s Shape) ElemBounds(c Coord, dims, lo, hi []int) {
+	for i, v := range c {
+		lo[i] = s.segs[i].lo + (v-1)*s.segs[i].seg
+		hi[i] = lo[i] + dims[i] - 1
+	}
 }
 
 // CoordOf is the inverse of Ordinal.

@@ -172,6 +172,9 @@ endsial
 // program never asked for (the request sits under an if) are in flight
 // when a barrier invalidates the cache.  They must not be served after
 // it: the request after the barrier fetches again and sees the prepare.
+// The second pardo leaves A(1), the one block read before the barrier,
+// alone: no barrier orders one worker's read of it against the other
+// worker's prepares, which begin as soon as that worker leaves its loop.
 func TestStaleInFlightDroppedAtBarrier(t *testing.T) {
 	const src = `
 sial stale_inflight
@@ -192,7 +195,7 @@ do K
     s += dot(A(K), A(K))
   endif
 enddo K
-pardo K2
+pardo K2 where K2 > 1
   t(K2) = 3.0
   prepare A(K2) = t(K2)
 endpardo K2
@@ -205,7 +208,7 @@ collective s
 endsial
 `
 	// Both workers run the top-level loops; the collective adds them up.
-	const want = 2 * (0.5*0.5 + 4*3*3)
+	const want = 2 * (0.5*0.5 + 0.5*0.5 + 3*3*3)
 	for name, mkWorld := range aheadWorlds(t) {
 		t.Run(name, func(t *testing.T) {
 			s, prefetches := runLookAheadDrill(t, src, mkWorld)
