@@ -90,8 +90,8 @@ func TestDistributedSendRecv(t *testing.T) {
 }
 
 // TestPoisonWakesBlockedRecv pins the abort contract: World.Poison must
-// wake a remote rank blocked in Recv (or Request.Wait) promptly on every
-// transport, instead of leaving it deadlocked on a message that will
+// wake a remote rank blocked in Recv (or waiting on a request) promptly
+// on every transport, instead of leaving it deadlocked on a message that will
 // never arrive — and, unlike Fail, without blaming any rank.
 func TestPoisonWakesBlockedRecv(t *testing.T) {
 	transportCases(t, 2, func(t *testing.T, worlds []*World) {
@@ -112,7 +112,8 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 			worlds[1].Comm(1).Recv(0, 99) // never sent
 		})
 		go catch(waitDone, func() {
-			worlds[1].Comm(1).Irecv(0, 98).Wait() // never sent
+			req := worlds[1].Comm(1).Irecv(0, 98) // never sent
+			worlds[1].Comm(1).RecvRangeUntil(req.Source(), req.Tag(), req.Tag(), 0, nil)
 		})
 		time.Sleep(10 * time.Millisecond) // let both receivers block
 

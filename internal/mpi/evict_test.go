@@ -61,7 +61,7 @@ func TestEvictWakesRecvUntil(t *testing.T) {
 	worlds := recoverWorlds(t, 2)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := worlds[0].Comm(0).RecvUntil(1, 9, 0,
+		_, ok := worlds[0].Comm(0).RecvRangeUntil(1, 9, 9, 0,
 			func() bool { return worlds[0].IsEvicted(1) })
 		done <- ok
 	}()
@@ -70,10 +70,10 @@ func TestEvictWakesRecvUntil(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("RecvUntil returned a message from a dead rank")
+			t.Fatal("RecvRangeUntil returned a message from a dead rank")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RecvUntil still blocked after eviction")
+		t.Fatal("RecvRangeUntil still blocked after eviction")
 	}
 }
 
@@ -103,7 +103,7 @@ func TestEvictedSourceFirewalled(t *testing.T) {
 	if worlds[0].Aborted() {
 		t.Fatal("zombie poison aborted a survivor")
 	}
-	if worlds[0].Comm(0).Probe(2, 7) {
+	if _, ok := worlds[0].Comm(0).TryRecv(2, 7); ok {
 		t.Fatal("zombie data frame reached a survivor's mailbox")
 	}
 }

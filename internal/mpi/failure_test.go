@@ -14,8 +14,8 @@ func TestRecvTimeout(t *testing.T) {
 	c := w.Comm(1)
 
 	start := time.Now()
-	if _, ok := c.RecvTimeout(0, 1, 30*time.Millisecond); ok {
-		t.Fatal("RecvTimeout returned a message from an empty mailbox")
+	if _, ok := c.RecvRangeUntil(0, 1, 1, 30*time.Millisecond, nil); ok {
+		t.Fatal("RecvRangeUntil returned a message from an empty mailbox")
 	}
 	if d := time.Since(start); d < 25*time.Millisecond || d > 2*time.Second {
 		t.Errorf("timeout fired after %v, want ~30ms", d)
@@ -23,9 +23,9 @@ func TestRecvTimeout(t *testing.T) {
 
 	// A message that is already queued is returned immediately.
 	w.Comm(0).Send(1, 1, "hi")
-	m, ok := c.RecvTimeout(0, 1, time.Minute)
+	m, ok := c.RecvRangeUntil(0, 1, 1, time.Minute, nil)
 	if !ok || m.Data != "hi" {
-		t.Fatalf("RecvTimeout = %+v, %v", m, ok)
+		t.Fatalf("RecvRangeUntil = %+v, %v", m, ok)
 	}
 
 	// A message arriving mid-wait completes the receive early.
@@ -33,9 +33,9 @@ func TestRecvTimeout(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		w.Comm(0).Send(1, 2, "late")
 	}()
-	m, ok = c.RecvTimeout(0, 2, 5*time.Second)
+	m, ok = c.RecvRangeUntil(0, 2, 2, 5*time.Second, nil)
 	if !ok || m.Data != "late" {
-		t.Fatalf("RecvTimeout = %+v, %v", m, ok)
+		t.Fatalf("RecvRangeUntil = %+v, %v", m, ok)
 	}
 }
 
@@ -51,24 +51,30 @@ func TestRecvTimeoutAbortPanics(t *testing.T) {
 			t.Errorf("recovered %v, want ErrAborted", r)
 		}
 	}()
-	c.RecvTimeout(0, 1, time.Minute)
-	t.Error("RecvTimeout returned on an aborted world")
+	c.RecvRangeUntil(0, 1, 1, time.Minute, nil)
+	t.Error("RecvRangeUntil returned on an aborted world")
 }
 
+// TestRequestWaitTimeout: a bounded wait on a request's source and tag
+// times out with no message, and the request stays pending and completes
+// once the message lands.
 func TestRequestWaitTimeout(t *testing.T) {
 	w := NewWorld(2)
-	req := w.Comm(1).Irecv(0, 7)
-	if req.Source() != 0 {
-		t.Errorf("Source = %d, want 0", req.Source())
+	c := w.Comm(1)
+	req := c.Irecv(0, 7)
+	if req.Source() != 0 || req.Tag() != 7 {
+		t.Errorf("Source, Tag = %d, %d, want 0, 7", req.Source(), req.Tag())
 	}
-	if _, ok := req.WaitTimeout(20 * time.Millisecond); ok {
-		t.Fatal("WaitTimeout completed with no message")
+	if _, ok := c.RecvRangeUntil(req.Source(), req.Tag(), req.Tag(), 20*time.Millisecond, nil); ok {
+		t.Fatal("the bounded wait completed with no message")
 	}
-	// The request stays pending and completes once the message lands.
+	if _, done := req.Test(); done {
+		t.Fatal("the request completed with no message")
+	}
 	w.Comm(0).Send(1, 7, 42)
-	m, ok := req.WaitTimeout(time.Minute)
+	m, ok := req.Test()
 	if !ok || m.Data != 42 {
-		t.Fatalf("WaitTimeout = %+v, %v", m, ok)
+		t.Fatalf("Test = %+v, %v", m, ok)
 	}
 }
 

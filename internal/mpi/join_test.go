@@ -11,7 +11,7 @@ func TestLatentSendsDropped(t *testing.T) {
 	w := NewWorld(3)
 	w.SetLatent(2)
 	w.Comm(0).Send(2, 7, "before join")
-	if w.Comm(2).Probe(0, 7) {
+	if _, ok := w.Comm(2).TryRecv(0, 7); ok {
 		t.Fatal("send to latent rank was delivered")
 	}
 	if w.Aborted() {
@@ -55,7 +55,7 @@ func TestJoinWakesRecvUntil(t *testing.T) {
 	stamp := w.EvictStamp()
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := w.Comm(0).RecvUntil(1, 9, 0,
+		_, ok := w.Comm(0).RecvRangeUntil(1, 9, 9, 0,
 			func() bool { return w.EvictStamp() != stamp })
 		done <- ok
 	}()
@@ -64,10 +64,10 @@ func TestJoinWakesRecvUntil(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("RecvUntil returned a message that was never sent")
+			t.Fatal("RecvRangeUntil returned a message that was never sent")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RecvUntil still blocked after join")
+		t.Fatal("RecvRangeUntil still blocked after join")
 	}
 }
 

@@ -5,8 +5,13 @@ import (
 	"time"
 )
 
-// receiver is one exported receive, reduced to the arguments of
+// receiver is one way to receive, reduced to the arguments of
 // mailbox.take it can express: ranged ones take [lo, hi], the others tag.
+// Besides the exported receives it names the call forms the runtime
+// uses: a deadline alone (RecvTimeout), an exact tag with a deadline and
+// a cancel predicate (RecvUntil), and a posted request completed by a
+// receive on its Source and Tag, as a worker completes a block fetch
+// (Request.Wait, and bounded, Request.WaitTimeout and Request.WaitUntil).
 type receiver struct {
 	name                          string
 	ranged, try, deadline, cancel bool
@@ -18,10 +23,12 @@ var receivers = []receiver{
 		return c.Recv(src, tag), true
 	}},
 	{name: "RecvTimeout", deadline: true, recv: func(c *Comm, src, tag, _, _ int, d time.Duration, _ func() bool) (Message, bool) {
-		return c.RecvTimeout(src, tag, d)
+		lo, hi := tagRange(tag)
+		return c.RecvRangeUntil(src, lo, hi, d, nil)
 	}},
 	{name: "RecvUntil", deadline: true, cancel: true, recv: func(c *Comm, src, tag, _, _ int, d time.Duration, cancel func() bool) (Message, bool) {
-		return c.RecvUntil(src, tag, d, cancel)
+		lo, hi := tagRange(tag)
+		return c.RecvRangeUntil(src, lo, hi, d, cancel)
 	}},
 	{name: "RecvRange", ranged: true, recv: func(c *Comm, src, _, lo, hi int, _ time.Duration, _ func() bool) (Message, bool) {
 		return c.RecvRange(src, lo, hi), true
@@ -36,13 +43,18 @@ var receivers = []receiver{
 		return c.Irecv(src, tag).Test()
 	}},
 	{name: "Request.Wait", recv: func(c *Comm, src, tag, _, _ int, _ time.Duration, _ func() bool) (Message, bool) {
-		return c.Irecv(src, tag).Wait(), true
+		r := c.Irecv(src, tag)
+		return c.Recv(r.Source(), r.Tag()), true
 	}},
 	{name: "Request.WaitTimeout", deadline: true, recv: func(c *Comm, src, tag, _, _ int, d time.Duration, _ func() bool) (Message, bool) {
-		return c.Irecv(src, tag).WaitTimeout(d)
+		r := c.Irecv(src, tag)
+		lo, hi := tagRange(r.Tag())
+		return c.RecvRangeUntil(r.Source(), lo, hi, d, nil)
 	}},
 	{name: "Request.WaitUntil", deadline: true, cancel: true, recv: func(c *Comm, src, tag, _, _ int, d time.Duration, cancel func() bool) (Message, bool) {
-		return c.Irecv(src, tag).WaitUntil(d, cancel)
+		r := c.Irecv(src, tag)
+		lo, hi := tagRange(r.Tag())
+		return c.RecvRangeUntil(r.Source(), lo, hi, d, cancel)
 	}},
 }
 

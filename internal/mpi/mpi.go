@@ -158,7 +158,7 @@ func (c *Comm) Send(dst, tag int, data any) {
 		// its part of the protocol) or not yet active (latent); nothing is
 		// listening.  Dropping the send here keeps every protocol layer
 		// free of per-send liveness checks (the matching receive side
-		// uses RecvUntil).
+		// uses RecvRangeUntil).
 		return
 	}
 	depth := -1 // remote sends have no mailbox-depth view
@@ -257,25 +257,6 @@ func (c *Comm) Recv(src, tag int) Message {
 	return c.RecvRange(src, lo, hi)
 }
 
-// RecvTimeout blocks up to d for a message matching (src, tag).  It
-// returns ok == false on timeout; d <= 0 means no deadline (plain
-// Recv).  Abort semantics match Recv: delivered matches are drained,
-// then an aborted world panics with ErrAborted.
-func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool) {
-	return c.RecvUntil(src, tag, d, nil)
-}
-
-// RecvUntil blocks for a message matching (src, tag), bounded by an
-// optional deadline d (<= 0 means none) and a cancel predicate.  It
-// returns ok == false when the deadline passes or cancel reports true;
-// cancel is re-evaluated on every mailbox wakeup (Evict wakes all local
-// mailboxes), must be cheap, and must not block — it is called with the
-// mailbox lock held.  Abort semantics match Recv.
-func (c *Comm) RecvUntil(src, tag int, d time.Duration, cancel func() bool) (Message, bool) {
-	lo, hi := tagRange(tag)
-	return c.RecvRangeUntil(src, lo, hi, d, cancel)
-}
-
 // RecvRange blocks until a message from src whose tag lies in
 // [tagLo, tagHi] arrives and returns it.  Use AnySource as a source
 // wildcard.  Tag-range matching lets several protocol engines share one
@@ -287,8 +268,11 @@ func (c *Comm) RecvRange(src, tagLo, tagHi int) Message {
 }
 
 // RecvRangeUntil is RecvRange bounded by an optional deadline d (<= 0
-// means none) and a cancel predicate with RecvUntil semantics.  It
-// returns ok == false when the deadline passes or cancel reports true.
+// means none) and a cancel predicate (nil means none).  It returns
+// ok == false when the deadline passes or cancel reports true; cancel is
+// re-evaluated on every mailbox wakeup (Evict and Join wake all local
+// mailboxes), must be cheap, and must not block — it is called with the
+// mailbox lock held.
 func (c *Comm) RecvRangeUntil(src, tagLo, tagHi int, d time.Duration, cancel func() bool) (Message, bool) {
 	m := c.box().take(src, tagLo, tagHi, true, d, cancel)
 	return m, m.valid
@@ -301,12 +285,6 @@ func (c *Comm) TryRecv(src, tag int) (Message, bool) {
 	lo, hi := tagRange(tag)
 	m := c.box().take(src, lo, hi, false, 0, nil)
 	return m, m.valid
-}
-
-// Probe reports whether a message matching (src, tag) is queued, without
-// removing it.
-func (c *Comm) Probe(src, tag int) bool {
-	return c.box().probe(src, tag)
 }
 
 // Irecv posts a non-blocking receive and returns a request handle.
@@ -327,32 +305,6 @@ type Request struct {
 func (r *Request) Test() (Message, bool) {
 	if !r.done {
 		r.msg, r.done = r.comm.TryRecv(r.src, r.tag)
-	}
-	return r.msg, r.done
-}
-
-// Wait blocks until the receive completes and returns the message.
-func (r *Request) Wait() Message {
-	m, _ := r.WaitUntil(0, nil)
-	return m
-}
-
-// WaitTimeout blocks up to d for the receive to complete.  It returns
-// ok == false on timeout; the request stays pending and may be waited
-// on again.  d <= 0 waits without a deadline.
-func (r *Request) WaitTimeout(d time.Duration) (Message, bool) {
-	return r.WaitUntil(d, nil)
-}
-
-// WaitUntil blocks for the receive to complete, bounded by an optional
-// deadline d (<= 0 means none) and a cancel predicate with RecvUntil
-// semantics (re-evaluated on every mailbox wakeup; Evict wakes all
-// local mailboxes).  It returns ok == false when the deadline passes or
-// cancel reports true; the request stays pending and may be waited on
-// again — against the same source or re-posted against another.
-func (r *Request) WaitUntil(d time.Duration, cancel func() bool) (Message, bool) {
-	if !r.done {
-		r.msg, r.done = r.comm.RecvUntil(r.src, r.tag, d, cancel)
 	}
 	return r.msg, r.done
 }
@@ -458,18 +410,6 @@ func (mb *mailbox) wake() {
 	mb.mu.Lock()
 	mb.mu.Unlock() //nolint:staticcheck // empty critical section is the point
 	mb.cond.Broadcast()
-}
-
-func (mb *mailbox) probe(src, tag int) bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	lo, hi := tagRange(tag)
-	for _, m := range mb.queue {
-		if matches(m, src, lo, hi) {
-			return true
-		}
-	}
-	return false
 }
 
 // ErrAborted is the panic value delivered to receives on an aborted
@@ -606,7 +546,7 @@ func (w *World) Evictable(rank int) bool {
 // Evict marks rank as permanently dead without poisoning the
 // survivors: sends to it become no-ops, inbound frames from it are
 // dropped, and every blocked receiver wakes so eviction-aware waits
-// (RecvUntil) can recheck their cancel condition.  Eviction is final —
+// (RecvRangeUntil) can recheck their cancel condition.  Eviction is final —
 // a falsely evicted rank that later wakes up is firewalled, never
 // re-admitted.  The first eviction of a rank wins; evicting a critical
 // rank (or a rank of a non-recovering world) falls back to Fail.  Safe
@@ -632,7 +572,7 @@ func (w *World) Evict(rank int, reason string) {
 		w.broadcast(evictNotice{Rank: rank, Reason: reason})
 	}
 	// Wake blocked receivers: messages from the dead rank will never
-	// arrive, and RecvUntil waiters must observe the new membership.
+	// arrive, and RecvRangeUntil waiters must observe the new membership.
 	// The evicted rank's own mailbox — when it lives in this world, as in
 	// an in-process pool — is aborted instead, so its goroutines panic
 	// with ErrAborted and unwind rather than wait forever behind the
@@ -718,7 +658,7 @@ func (w *World) Latent() []int {
 // Join activates a latent rank — the inverse of Evict, reusing its
 // membership-convergence machinery: the membership stamp bumps, remote
 // worlds get a joinNotice so every endpoint converges on the new
-// membership, and blocked RecvUntil waiters wake to observe it.  It
+// membership, and blocked RecvRangeUntil waiters wake to observe it.  It
 // reports whether the rank was latent (the first join wins; joining an
 // active or unknown rank is a no-op).  Safe from any goroutine.
 func (w *World) Join(rank int) bool {

@@ -58,18 +58,15 @@ func TestTryRecvAndProbe(t *testing.T) {
 	if _, ok := c.TryRecv(AnySource, AnyTag); ok {
 		t.Fatal("TryRecv on empty queue succeeded")
 	}
-	if c.Probe(AnySource, AnyTag) {
-		t.Fatal("Probe on empty queue succeeded")
-	}
 	w.Comm(0).Send(1, 3, 42)
-	if !c.Probe(0, 3) {
-		t.Fatal("Probe missed queued message")
+	if _, ok := c.TryRecv(0, 4); ok {
+		t.Fatal("TryRecv matched a queued message of another tag")
 	}
 	m, ok := c.TryRecv(0, 3)
 	if !ok || m.Data.(int) != 42 {
-		t.Fatalf("TryRecv: %v %v", m, ok)
+		t.Fatalf("TryRecv missed the queued message: %v %v", m, ok)
 	}
-	if c.Probe(0, 3) {
+	if _, ok := c.TryRecv(0, 3); ok {
 		t.Fatal("message not removed by TryRecv")
 	}
 }
@@ -87,12 +84,12 @@ func TestIrecvTestWait(t *testing.T) {
 	if _, done := req.Test(); !done {
 		t.Fatal("request not complete after send")
 	}
-	if m := req.Wait(); m.Data.(string) != "x" {
-		t.Fatalf("Wait: %v", m.Data)
+	if m, _ := req.Test(); m.Data.(string) != "x" {
+		t.Fatalf("Test: %v", m.Data)
 	}
-	// Wait is idempotent.
-	if m := req.Wait(); m.Data.(string) != "x" {
-		t.Fatalf("second Wait: %v", m.Data)
+	// A completed request keeps its message.
+	if m, done := req.Test(); !done || m.Data.(string) != "x" {
+		t.Fatalf("second Test: %v", m.Data)
 	}
 }
 
@@ -100,7 +97,9 @@ func TestIrecvWaitBlocks(t *testing.T) {
 	w := NewWorld(2)
 	req := w.Comm(1).Irecv(0, 1)
 	got := make(chan Message, 1)
-	go func() { got <- req.Wait() }()
+	// The request is completed by a receive on its source and tag, as a
+	// worker completes a block fetch.
+	go func() { got <- w.Comm(1).Recv(req.Source(), req.Tag()) }()
 	select {
 	case <-got:
 		t.Fatal("Wait returned before send")

@@ -18,6 +18,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // Journal file names inside the journal directory.
@@ -255,28 +257,12 @@ func (j *Journal) Compact() error {
 		}
 	}
 
-	// Atomic snapshot write: temp file in the same directory, fsync,
-	// rename over the final name, fsync the directory.
-	tmp, err := os.CreateTemp(j.dir, journalSnapName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: compact temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, err = tmp.Write(buf.Bytes())
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, filepath.Join(j.dir, journalSnapName))
-	}
-	if err != nil {
-		os.Remove(tmpName)
+	// Atomic snapshot write, then fsync the directory so the rename
+	// survives a crash.
+	if err := atomicfile.Write(filepath.Join(j.dir, journalSnapName), buf.Bytes()); err != nil {
 		return fmt.Errorf("serve: compact snapshot: %w", err)
 	}
-	if err := syncDir(j.dir); err != nil {
+	if err := atomicfile.SyncDir(j.dir); err != nil {
 		return fmt.Errorf("serve: compact dir sync: %w", err)
 	}
 	// The snapshot now covers everything: empty the tail.  (A crash
@@ -291,20 +277,6 @@ func (j *Journal) Compact() error {
 	}
 	j.size = 0
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Close closes the tail file.  Pending events are already durable —

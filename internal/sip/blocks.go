@@ -35,17 +35,6 @@ func newStore() *store {
 	return &store{blocks: map[blockKey]*block.Block{}}
 }
 
-// getCopy returns a copy of the block, or a zero block with the given
-// dims when absent.
-func (s *store) getCopy(k blockKey, dims []int) *block.Block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.blocks[k]; ok {
-		return b.Clone()
-	}
-	return block.New(dims...)
-}
-
 // copyInto overwrites dst, a block of the right dims, with the block, or
 // with zeros when it is absent (never written).
 func (s *store) copyInto(k blockKey, dst *block.Block) {

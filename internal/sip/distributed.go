@@ -49,7 +49,7 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (re
 			if r != mpi.ErrAborted {
 				panic(r)
 			}
-			err = rankAbortError(cfg, world, rank)
+			err = rt.abortError(fmt.Sprintf("rank %d", rank))
 		}
 		if err != nil {
 			observeFailure(cfg.Metrics, cfg.Tracer, world)
@@ -70,20 +70,6 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (re
 	// the master and with the plane off).
 	defer startObsShipper(rt, rank).finish()
 	return rt.launch([]int{rank})
-}
-
-// rankAbortError names the cause of an aborted rank: the recorded
-// RankFailure when detection attributed the abort, or a generic message
-// otherwise.
-func rankAbortError(cfg Config, world *mpi.World, rank int) error {
-	if f := world.Failure(); f != nil {
-		// Wraps both the RankFailure (errors.As for programmatic rank
-		// extraction) and ErrAborted (errors.Is for abort
-		// classification).
-		return fmt.Errorf("sip: rank %d: aborted: %w (%s): %w",
-			rank, f, NewRanks(cfg).Role(f.Rank), mpi.ErrAborted)
-	}
-	return fmt.Errorf("sip: rank %d: aborted after peer failure: %w", rank, mpi.ErrAborted)
 }
 
 // observeFailure feeds a rank failure into the metrics registry and

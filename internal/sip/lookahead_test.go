@@ -242,7 +242,7 @@ func TestStaleEntryIsReceivedAndRecycled(t *testing.T) {
 	b := block.New(2, 2)
 	world.Comm(1).Send(0, 77, b)
 	c.room()
-	if len(c.stale) != 0 || world.Comm(0).Probe(1, 77) {
+	if _, queued := world.Comm(0).TryRecv(1, 77); len(c.stale) != 0 || queued {
 		t.Fatal("the reply of a stale entry was not received")
 	}
 	if got := pool.get([]int{2, 2}); got != b {

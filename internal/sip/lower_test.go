@@ -100,23 +100,23 @@ func TestLoweredLocateMatchesSegment(t *testing.T) {
 // and returns how many of them name a region.
 func checkLocateAgainstSegment(t *testing.T, layout *bytecode.Layout) (regions int) {
 	prog := layout.Prog
-	w := &worker{rt: &runtime{prog: prog, layout: layout, job: 3},
+	c := &interp{rt: &runtime{prog: prog, layout: layout, job: 3},
 		idxVal: make([]int, len(prog.Indices)), idxBound: make([]bool, len(prog.Indices))}
 	rng := rand.New(rand.NewSource(1))
 	inRange := func() {
 		for id := range prog.Indices {
 			lo, hi := layout.IndexRange(id)
-			w.idxVal[id], w.idxBound[id] = lo+rng.Intn(hi-lo+1), true
+			c.idxVal[id], c.idxBound[id] = lo+rng.Intn(hi-lo+1), true
 		}
 	}
 	var loc refLoc
 	refs, cases := 0, 0
 	check := func(pc int, ref bytecode.Ref, what string) {
 		cases++
-		want, wantErr := segmentLocate(layout, ref, w.idxVal, w.idxBound)
+		want, wantErr := segmentLocate(layout, ref, c.idxVal, c.idxBound)
 		// A stale region in the location must not survive the locate.
 		loc.region, loc.rext = true, [maxRank]int{7, 7, 7, 7, 7, 7, 7, 7}
-		err := w.locate(ref, &loc)
+		err := c.locate(ref, &loc)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("pc %d %s (%s): error %v, want %v", pc, prog.Arrays[ref.Arr].Name, what, err, wantErr)
 		}
@@ -169,16 +169,16 @@ func checkLocateAgainstSegment(t *testing.T, layout *bytecode.Layout) (regions i
 					_, hi := layout.IndexRange(id)
 					for _, v := range []int{0, hi + 1} {
 						inRange()
-						w.idxVal[id] = v
+						c.idxVal[id] = v
 						check(pc, ref, fmt.Sprintf("%s = %d", prog.Indices[id].Name, v))
 					}
 				}
 				inRange()
-				w.idxBound[id] = false
+				c.idxBound[id] = false
 				check(pc, ref, prog.Indices[id].Name+" unbound")
 				if sub {
 					inRange()
-					w.idxBound[parent] = false
+					c.idxBound[parent] = false
 					check(pc, ref, prog.Indices[parent].Name+" unbound")
 				}
 			}

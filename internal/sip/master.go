@@ -70,10 +70,10 @@ type master struct {
 // base is taken from the lowest live rank).  A report implies every
 // put/prepare the worker issued this phase is acknowledged, so it doubles
 // as the completion ack for all chunks the ledger holds against that
-// worker.  kind, scalar and arr are the round's, the same in every report.
+// worker.  kind and id are the round's, the same in every report.
 type syncState struct {
-	kind, scalar, arr int
-	reports           map[int]syncMsg
+	kind, id int
+	reports  map[int]syncMsg
 }
 
 func newMaster(rt *runtime) *master {
@@ -351,22 +351,6 @@ func (m *master) recordRelay(done doneMsg) {
 	}
 }
 
-// abortDiagnosis converts an ErrAborted panic into the run's error: what
-// a rank relayed before the abort when that explains it (a worker's done
-// report travels ahead of the poison frame it sends), else the world's
-// failure diagnosis when one was recorded, else a generic abort.
-func (m *master) abortDiagnosis() error {
-	f := m.rt.world.Failure()
-	switch {
-	case m.workerErr != nil && (f == nil || relayWeight(m.workerErr) > 0):
-		return m.workerErr
-	case f != nil:
-		return fmt.Errorf("sip: master: aborted: %w (%s): %w",
-			f, NewRanks(m.rt.cfg).Role(f.Rank), mpi.ErrAborted)
-	}
-	return fmt.Errorf("sip: master: aborted after peer failure: %w", mpi.ErrAborted)
-}
-
 // noteCancel folds a fired Config.Cancel into the scheduler state, and
 // keeps an abandoned job's ledger empty: iterations an eviction reclaimed
 // after the job was given up must not be replayed either.
@@ -405,7 +389,13 @@ func (m *master) run() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == mpi.ErrAborted {
-				err = m.abortDiagnosis()
+				// What a rank relayed before the abort, when that explains
+				// it (a worker's done report travels ahead of the poison
+				// frame it sends), else the abort.
+				err = m.workerErr
+				if err == nil || (rt.world.Failure() != nil && relayWeight(err) == 0) {
+					err = rt.abortError("master")
+				}
 				return
 			}
 			panic(r)
@@ -718,7 +708,7 @@ func (m *master) handleSync(req syncMsg) {
 		s = &syncState{reports: map[int]syncMsg{}}
 		m.syncs[req.round] = s
 	}
-	s.kind, s.scalar, s.arr = req.kind, req.scalar, req.arr
+	s.kind, s.id = req.kind, req.id
 	s.reports[req.origin] = req
 	for _, r := range m.runs {
 		delete(r.assigned, req.origin)
@@ -768,7 +758,7 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 			// Resume correction: the reports' bases came from the snapshot,
 			// but the phase before it was not re-executed.  Substitute the
 			// manifest's true total for the reported bases, once per scalar.
-			if sc := s.scalar; sc >= 0 && sc < len(m.injArmed) &&
+			if sc := s.id; sc >= 0 && sc < len(m.injArmed) &&
 				m.injArmed[sc] && len(vals) > 0 {
 				vals[0] += m.injS[sc] - float64(len(s.reports))*m.injB[sc]
 				m.injArmed[sc] = false
@@ -797,9 +787,9 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 			for _, wr := range rt.workerList {
 				all = append(all, s.reports[wr].blocks...)
 			}
-			ckptErr = writeIntegrityFile(m.ckptPath(s.arr), ckptFileMagic, wire.Encode(ckptData{arr: s.arr, blocks: all}))
+			ckptErr = writeIntegrityFile(m.ckptPath(s.id), ckptFileMagic, wire.Encode(ckptData{arr: s.id, blocks: all}))
 		case syncLoad:
-			homed, ckptErr = m.readCkptFile(s.arr)
+			homed, ckptErr = m.readCkptFile(s.id)
 		}
 		// Sync points are the snapshot consistency points: every live
 		// worker is parked, every effect acknowledged, dirty server state

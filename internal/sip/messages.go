@@ -124,18 +124,17 @@ type syncMsg struct {
 	origin int
 	round  int
 	kind   int
-	vals   []float64 // collective contributions (nil otherwise)
-	// scalar is the collective's target scalar id (-1 otherwise); the
-	// checkpointing master uses it to consume resume corrections exactly
-	// once per scalar.
-	scalar int
+	// id is what the round is about: the scalar a collective reduces
+	// (the checkpointing master uses it to consume resume corrections
+	// exactly once per scalar), or the array a syncSave round saves and a
+	// syncLoad round loads; -1 otherwise.
+	id   int
+	vals []float64 // collective contributions (nil otherwise)
 	// state is the worker's interpreter state at the sync point, attached
 	// when checkpointing is on and no pardo frame is active: sync points
 	// are the snapshot consistency points (snapshot.go).
 	state *workerState
-	// arr is the array a syncSave / syncLoad round serialises, blocks the
-	// reporter's partition of it (syncSave only).
-	arr    int
+	// blocks is the reporter's partition of the array (syncSave only).
 	blocks []ArrayBlock
 }
 

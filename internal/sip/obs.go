@@ -172,7 +172,7 @@ func msgBytes(data any) int64 {
 	case doneMsg:
 		return envelope + 16 + 8*int64(len(v.scalars)) + int64(len(v.err))
 	case syncMsg:
-		return envelope + 40 + 8*int64(len(v.vals)) + workerStateBytes(v.state) + arrayBlocksBytes(v.blocks)
+		return envelope + 32 + 8*int64(len(v.vals)) + workerStateBytes(v.state) + arrayBlocksBytes(v.blocks) // origin, round, kind, id
 	case replPutMsg:
 		n := int64(envelope + 32) // key, round, origin
 		if v.b != nil {

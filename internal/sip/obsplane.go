@@ -182,7 +182,7 @@ func (m *master) collectFinalObs() {
 		return finals < live
 	}
 	for owed() && time.Now().Before(deadline) {
-		msg, ok := m.comm.RecvTimeout(mpi.AnySource, tagObs, 100*time.Millisecond)
+		msg, ok := m.comm.RecvRangeUntil(mpi.AnySource, tagObs, tagObs, 100*time.Millisecond, nil)
 		if !ok {
 			continue
 		}

@@ -272,10 +272,7 @@ func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err erro
 			if r != mpi.ErrAborted {
 				panic(r)
 			}
-			err = fmt.Errorf("sip: pool job aborted: %w", mpi.ErrAborted)
-			if f := p.world.Failure(); f != nil {
-				err = fmt.Errorf("sip: pool job aborted: %w: %w", f, mpi.ErrAborted)
-			}
+			err = p.base.abortError("pool job")
 		}
 	}()
 	p.mu.Lock()

@@ -12,11 +12,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/segment"
 )
 
 // ioServer holds blocks of served (disk-backed) arrays (paper §V-B).
@@ -177,7 +177,7 @@ func (s *ioServer) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == mpi.ErrAborted {
-				err = fmt.Errorf("sip: server %d: aborted after peer failure: %w", s.rank, mpi.ErrAborted)
+				err = s.rt.abortError(fmt.Sprintf("server %d", s.rank))
 				return
 			}
 			err = fmt.Errorf("sip: server %d: panic: %v", s.rank, r)
@@ -351,30 +351,8 @@ func (s *ioServer) dropJob(job int) {
 // onto this server when it is in the block's replica set, so backups
 // start with the same contents as the primary.
 func (s *ioServer) installPresets(j *srvJob) error {
-	for name, fn := range j.preset {
-		arr := j.prog.ArrayID(name)
-		if arr < 0 || j.prog.Arrays[arr].Kind != bytecode.ArrayServed {
-			continue
-		}
-		shape := j.layout.Shapes[arr]
-		var err error
-		shape.EachCoord(func(c segment.Coord) {
-			k := blockKey{job: j.job, arr: arr, ord: shape.Ordinal(c)}
-			if err != nil || !s.holdsBlock(k) {
-				return
-			}
-			lo, hi := shape.BlockBounds(c)
-			b := fn(c.Clone(), lo, hi)
-			if b == nil {
-				return
-			}
-			err = s.apply(k, b, false)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return presetBlocks(j.preset, j.prog, j.layout, j.job, bytecode.ArrayServed, s.holdsBlock,
+		func(k blockKey, b *block.Block) error { return s.apply(k, b, false) })
 }
 
 // fetch returns the cached block, reading from disk on a miss; absent
@@ -624,7 +602,7 @@ func (s *ioServer) writeDisk(k blockKey, b *block.Block) error {
 		start = time.Now()
 	}
 	buf := encodeBlockFile(b)
-	if err := atomicWrite(s.blockPath(k), buf); err != nil {
+	if err := atomicfile.Write(s.blockPath(k), buf); err != nil {
 		return fmt.Errorf("sip: server %d: write block %v: %w", s.rank, k, err)
 	}
 	s.onDisk[k] = true

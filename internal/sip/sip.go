@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,6 +89,39 @@ type ChunkGate interface {
 // dimension.  Returning nil leaves the block unallocated (implicitly
 // zero).
 type PresetFunc func(coord segment.Coord, lo, hi []int) *block.Block
+
+// presetBlocks calls put with each block presets give the arrays of kind
+// whose key holds reports true: the distributed blocks a worker homes, or
+// the served blocks a server holds a replica of.
+func presetBlocks(presets map[string]PresetFunc, prog *bytecode.Program, layout *bytecode.Layout, job int,
+	kind bytecode.ArrayKind, holds func(blockKey) bool, put func(blockKey, *block.Block) error) error {
+	for name, fn := range presets {
+		arr := prog.ArrayID(name)
+		if arr < 0 || prog.Arrays[arr].Kind != kind {
+			continue
+		}
+		shape := layout.Shapes[arr]
+		var err error
+		shape.EachCoord(func(c segment.Coord) {
+			k := blockKey{job: job, arr: arr, ord: shape.Ordinal(c)}
+			if err != nil || !holds(k) {
+				return
+			}
+			lo, hi := shape.BlockBounds(c)
+			switch b := fn(c.Clone(), lo, hi); {
+			case b == nil: // left unallocated, implicitly zero
+			case !slices.Equal(b.Dims(), shape.BlockDims(c)):
+				err = fmt.Errorf("sip: preset %s%v returned dims %v, want %v", name, c, b.Dims(), shape.BlockDims(c))
+			default:
+				err = put(k, b)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // IntegralFunc computes an integral block on demand for
 // compute_integrals.  arr is the SIAL array name; lo and hi are the
@@ -428,6 +462,18 @@ func fired(ch <-chan struct{}) bool {
 	}
 }
 
+// abortError is the error of rank who (as in "worker 2") whose receive
+// an abort unwound (an ErrAborted panic): the world's diagnosis with the
+// failed rank's role when detection attributed the abort, else a generic
+// one.  It wraps both the RankFailure (errors.As extracts the rank) and
+// ErrAborted (errors.Is classifies the abort), the latter last.
+func (rt *runtime) abortError(who string) error {
+	if f := rt.world.Failure(); f != nil {
+		return fmt.Errorf("sip: %s: aborted: %w (%s): %w", who, f, NewRanks(rt.cfg).Role(f.Rank), mpi.ErrAborted)
+	}
+	return fmt.Errorf("sip: %s: aborted after peer failure: %w", who, mpi.ErrAborted)
+}
+
 // newRuntime is the one bootstrap behind Run, RunRank, NewPool and
 // Pool.RunJob: it fills and validates the config, resolves the layout
 // (a pool's shared-server runtime has no program of its own), settles
@@ -461,6 +507,11 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 		}
 		rt.layout = layout
 		rt.supers = superTable(prog.Strings, cfg.Super)
+		for name := range cfg.Preset {
+			if prog.ArrayID(name) < 0 {
+				return nil, fmt.Errorf("sip: preset for unknown array %q", name)
+			}
+		}
 	}
 	if rt.workerList == nil {
 		rt.workerList = contiguousRanks(1, rt.workers)

@@ -44,6 +44,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/bytecode"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -147,36 +148,6 @@ const (
 	ckptFileMagic = "SCK1" // blocks_to_list checkpoint file
 )
 
-// atomicWrite replaces the file at path with the concatenation of parts:
-// a temp file in the same directory, written, fsynced, closed and renamed
-// over path.  A crash mid-write leaves the old file or the new one, never
-// a torn one; a failed write leaves no temp file behind.
-func atomicWrite(path string, parts ...[]byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	for _, p := range parts {
-		if err == nil {
-			_, err = f.Write(p)
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
 // writeIntegrityFile writes magic+payload+CRC32(magic+payload)
 // atomically, so a torn rename target is caught by the checksum.
 func writeIntegrityFile(path, magic string, payload []byte) error {
@@ -185,7 +156,7 @@ func writeIntegrityFile(path, magic string, payload []byte) error {
 	h.Write(payload)
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	return atomicWrite(path, []byte(magic), payload, trailer[:])
+	return atomicfile.Write(path, []byte(magic), payload, trailer[:])
 }
 
 // readIntegrityFile reads a file written by writeIntegrityFile,
@@ -714,11 +685,11 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 			sums[i] += m.injS[i] - float64(n)*m.injB[i]
 		}
 	}
-	if s.kind == syncCollective && s.scalar >= 0 && s.scalar < len(sums) && len(vals) > 0 {
+	if s.kind == syncCollective && s.id >= 0 && s.id < len(sums) && len(vals) > 0 {
 		// The workers install the reduced value on release; the base must
 		// resume them past that point with the same view.
-		base.scalars[s.scalar] = vals[0]
-		sums[s.scalar] = float64(n) * vals[0]
+		base.scalars[s.id] = vals[0]
+		sums[s.id] = float64(n) * vals[0]
 	}
 	if err := m.writeSnapshot(base, sums, nil, trk); err != nil {
 		m.rt.metrics.Counter(metricCkptErrors).Inc()

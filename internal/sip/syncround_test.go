@@ -77,7 +77,7 @@ endsial
 			// report and returns the releases it left in the mailboxes.
 			report := func(wr int) map[int]syncReply {
 				t.Helper()
-				msg := syncMsg{origin: wr, round: 4, kind: kind, scalar: -1, arr: arr}
+				msg := syncMsg{origin: wr, round: 4, kind: kind, id: arr}
 				if kind == syncSave {
 					msg.blocks = parts[wr]
 				}

@@ -423,16 +423,14 @@ func init() {
 			e.Int(m.origin)
 			e.Int(m.round)
 			e.Int(m.kind)
+			e.Int(m.id)
 			e.Float64s(m.vals)
-			e.Int(m.scalar)
 			encodeWorkerState(e, m.state)
-			e.Int(m.arr)
 			encodeArrayBlocks(e, m.blocks)
 		},
 		func(d *wire.Decoder) syncMsg {
-			return syncMsg{origin: d.Int(), round: d.Int(), kind: d.Int(),
-				vals: d.Float64s(), scalar: d.Int(), state: decodeWorkerState(d),
-				arr: d.Int(), blocks: decodeArrayBlocks(d)}
+			return syncMsg{origin: d.Int(), round: d.Int(), kind: d.Int(), id: d.Int(),
+				vals: d.Float64s(), state: decodeWorkerState(d), blocks: decodeArrayBlocks(d)}
 		})
 	wire.Register(wireIDSyncReply,
 		func(e *wire.Encoder, m syncReply) {
@@ -556,9 +554,9 @@ func init() {
 	st := &workerState{resumePC: 7, syncRound: 2, scalars: []float64{1, 2},
 		idxVal: []int{0, 3}, idxBound: []bool{true, false}, pardoGen: []int{1},
 		frames: []frameState{{kind: 1, idx: 0, cur: 2, hi: 4, startPC: 5, exitPC: 9, retPC: -1, procID: -1}}}
-	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, vals: []float64{1.5}, scalar: 0, state: st})
-	wire.Sample(syncMsg{origin: 2, kind: 1, scalar: -1}) // the stateless form: most reports carry no snapshot base
-	wire.Sample(syncMsg{origin: 3, round: 4, kind: syncSave, scalar: -1, arr: 2, blocks: abs})
+	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, id: 0, vals: []float64{1.5}, state: st})
+	wire.Sample(syncMsg{origin: 2, kind: 1, id: -1}) // the stateless form: most reports carry no snapshot base
+	wire.Sample(syncMsg{origin: 3, round: 4, kind: syncSave, id: 2, blocks: abs})
 	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, iters: [][]int{{0}}, vals: []float64{2}, state: st})
 	wire.Sample(syncReply{round: 4, blocks: abs, err: "sip: ckpt_j0_D.ckpt: checksum mismatch"})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,

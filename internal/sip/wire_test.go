@@ -36,7 +36,7 @@ func TestMessageWireRoundTrips(t *testing.T) {
 		doneMsg{origin: 2, err: "worker exploded", failRank: -1},
 		doneMsg{origin: 2, err: "aborted", failRank: 0, failReason: "no heartbeat"},
 		doneMsg{origin: 1, err: "aborted", failRank: 3, failReason: "no traffic for 1s"},
-		syncMsg{origin: 3, round: 5, kind: syncSave, scalar: -1, arr: 7,
+		syncMsg{origin: 3, round: 5, kind: syncSave, id: 7,
 			blocks: []ArrayBlock{{Ord: 0, Data: []float64{1, 2}}, {Ord: 9, Data: []float64{3}}}},
 		syncReply{round: 5, blocks: []ArrayBlock{{Ord: 9, Data: []float64{3}}}, err: "disk full"},
 		ckptData{arr: 7, blocks: []ArrayBlock{{Ord: 1, Data: []float64{4}}}},

@@ -2,13 +2,16 @@
 # Prints the design-size numbers ROADMAP's quality-of-design aim tracks,
 # one per line, so every CI log carries them and a PR can quote its
 # before/after row: non-test lines of internal/sip and internal/mpi (wc -l,
-# comments and blanks included) and the lines of the interpreter,
-# internal/sip/worker.go; the number of lines in non-test
+# comments and blanks included), the lines of the worker's data-movement
+# and sync layer, internal/sip/worker.go, and of the interpreter core,
+# internal/sip/core*.go, with the number of its imports of internal/mpi
+# (the core knows no messages: 0 is the aim); the number of lines in non-test
 # internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
 # special case, a Replicas fork — the last two over lines that are not
 # comment-only) or read rt.cfg.RecvTimeout; the lines that name a
 # collection protocol beside the sync round (tagCkpt, ckptMsg) and the
-# os.Rename sites (one atomicWrite is the aim); the fields of sip.Config
+# os.Rename sites anywhere in internal/ (one atomic write is the aim:
+# internal/atomicfile); the fields of sip.Config
 # and sip.PoolConfig, and the settable values that describe one run
 # (sip.Config plus a sip.JobSpec, where one exists); and the cond.Wait()
 # sites of the mpi mailbox.
@@ -18,6 +21,9 @@ nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sor
 echo "internal/sip non-test lines:  $(nontest internal/sip | wc -l)"
 echo "internal/mpi non-test lines:  $(nontest internal/mpi | wc -l)"
 echo "internal/sip/worker.go lines: $(wc -l < internal/sip/worker.go)"
+core=$(find internal/sip -maxdepth 1 -name 'core*.go' ! -name '*_test.go' | sort)
+echo "interpreter core lines:       $(cat $core | wc -l)"
+echo "core imports of internal/mpi: $(cat $core | grep -c '"repro/internal/mpi"' || true)"
 echo "cfg.Recover guard sites:      $(nontest internal/sip | grep -c 'cfg\.Recover' || true)"
 echo ".pooled guard sites:          $(nontest internal/sip | grep -c '\.pooled' || true)"
 code() { nontest "$1" | grep -v '^\s*//'; }
@@ -25,7 +31,7 @@ echo "job-0 special-case sites:     $(code internal/sip | grep -cE 'job != 0|job
 echo "Replicas fork sites:          $(code internal/sip | grep -cE 'Replicas > 1|Replicas <= 1' || true)"
 echo "cfg.RecvTimeout read sites:   $(code internal/sip | grep -c 'rt\.cfg\.RecvTimeout' || true)"
 echo "collectives outside sync:     $(nontest internal/sip | grep -c 'tagCkpt\|ckptMsg' || true)"
-echo "atomic-write sites:           $(nontest internal/sip | grep -c 'os\.Rename(' || true)"
+echo "atomic-write sites:           $(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -c 'os\.Rename(' || true)"
 fields() { sed -n "/^type $1 struct {/,/^}/p" "$2" | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true; }
 echo "Config fields:                $(fields Config internal/sip/sip.go)"
 echo "PoolConfig fields:            $(fields PoolConfig internal/sip/pool.go)"
