@@ -12,7 +12,7 @@
 //	              [-transport inproc|tcp] [-rank N -peers host:port,...] [-launch]
 //	              [-recv-timeout D] [-hb-interval D] [-hb-timeout D] [-fault-spec SPEC]
 //	              [-recover] [-replicas K]
-//	              [-scratch DIR] [-ckpt-interval N] [-ckpt-keep K] [-ckpt-name S] [-resume]
+//	              [-scratch DIR] [-ckpt-interval N] [-ckpt-name S] [-resume]
 //	              [-obs-addr host:port] [-trace-local] [-flight-dir DIR]
 //
 // Compiled byte code uses the .siox suffix (serialized with the SIABC1
@@ -134,13 +134,13 @@ func usage(w io.Writer) {
   sial run     prog.sial [flags]
   sial serve   [-addr host:port] [-workers N -servers N -spares N] [-recover -replicas K]
                [-max-concurrent N -mem BYTES -queue-cap N -burst N]
-               [-journal-dir DIR -scratch DIR -ckpt-interval N -ckpt-keep K] (see docs/SERVE.md)
+               [-journal-dir DIR -scratch DIR -ckpt-interval N] (see docs/SERVE.md)
   sial submit  [prog.sial] [-addr host:port] [-pack name] [-param k=v] [-name s] [-wait]
 run/dryrun flags: -workers N -servers N -seg S -prefetch W -mem BYTES -param k=v -profile
 run flags:        -metrics -trace -trace-json out.json -trace-ranks all|N,M
 run transports:   -transport inproc|tcp -rank N -peers host:port,... -launch
 run faults:       -recv-timeout D -hb-interval D -hb-timeout D -fault-spec SPEC -recover -replicas K
-run checkpoints:  -scratch DIR -ckpt-interval N -ckpt-keep K -ckpt-name S -resume (see docs/FAULTS.md)
+run checkpoints:  -scratch DIR -ckpt-interval N -ckpt-name S -resume (see docs/FAULTS.md)
 run obs plane:    -obs-addr host:port -trace-local -flight-dir DIR (see docs/OBSERVABILITY.md)`)
 }
 
@@ -259,7 +259,7 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	var obsShip, traceLocal *bool
 	var obsAddr, flightDir *string
 	var scratch, ckptName *string
-	var ckptInterval, ckptKeep *int
+	var ckptInterval *int
 	var resume *bool
 	if name == "run" {
 		transportName = fs.String("transport", "inproc", "message transport: inproc (single process) or tcp (one process per rank)")
@@ -278,7 +278,6 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		flightDir = fs.String("flight-dir", "", "write flight-recorder bundles (post-mortem metrics and spans) to this directory when a rank dies")
 		scratch = fs.String("scratch", "", "served-array scratch and checkpoint directory (default: a private temp dir; checkpointing needs a durable one)")
 		ckptInterval = fs.Int("ckpt-interval", 0, "snapshot the run every N completed pardo chunks and at every sync point (0 disables, see docs/FAULTS.md)")
-		ckptKeep = fs.Int("ckpt-keep", 2, "snapshot epochs kept; older ones are garbage-collected")
 		ckptName = fs.String("ckpt-name", "job", "snapshot directory name under <scratch>/ckpt/")
 		resume = fs.Bool("resume", false, "resume from the newest valid snapshot under -ckpt-name instead of starting fresh")
 	}
@@ -332,7 +331,6 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	if scratch != nil {
 		rf.cfg.ScratchDir = *scratch
 		rf.cfg.CkptInterval = *ckptInterval
-		rf.cfg.CkptKeep = *ckptKeep
 		rf.cfg.CkptName = *ckptName
 		rf.cfg.Resume = *resume
 	}
@@ -483,27 +481,44 @@ func doRun(file string, args []string, stdout io.Writer) error {
 		return err
 	}
 	rf.cfg.Output = stdout
-	// Single-process observability: every rank shares this process's
-	// tracer and registry, so an aggregator over the local sources IS the
-	// whole-cluster view — no shipping needed.
-	if rf.obsAddr != "" || rf.flightDir != "" {
-		rf.agg = obs.NewAggregator(0, "master", rf.tracer, rf.reg)
-		rf.agg.SetFlightRecorder(rf.flightDir)
-		rf.cfg.ObsAgg = rf.agg
-		if rf.obsAddr != "" {
-			srv, err := startObsServer(rf.obsAddr, rf.agg, 1+rf.cfg.Workers+rf.cfg.Servers, nil)
-			if err != nil {
-				return fmt.Errorf("-obs-addr: %v", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(stdout, "observability endpoint on http://%s (/metrics /healthz /trace)\n", srv.Addr())
-		}
+	// Every rank shares this process's tracer and registry, so the
+	// aggregator over them is the whole-cluster view, and no world is at
+	// hand to report evictions.
+	stop, err := rf.startObs(sip.NewRanks(rf.cfg), nil, stdout)
+	if err != nil {
+		return err
 	}
+	defer stop()
 	res, err := core.Run(prog, rf.cfg)
 	if err != nil {
 		return err
 	}
 	return printResult(rf, res, stdout)
+}
+
+// startObs sets up rank 0's observability when the plane is on
+// (-obs-ship, -obs-addr or -flight-dir): an aggregator over this process's
+// tracer and registry, which is also the flight recorder, and with
+// -obs-addr the live HTTP endpoint for a world laid out as ranks, whose
+// /healthz reports evicted (nil: no eviction view).  stop closes the
+// endpoint.
+func (rf *runFlags) startObs(ranks sip.Ranks, evicted func() map[int]string, stdout io.Writer) (stop func(), err error) {
+	stop = func() {}
+	if !rf.obsShip && rf.obsAddr == "" && rf.flightDir == "" {
+		return stop, nil
+	}
+	rf.agg = obs.NewAggregator(0, "master", rf.tracer, rf.reg)
+	rf.agg.SetFlightRecorder(rf.flightDir)
+	rf.cfg.ObsAgg = rf.agg
+	if rf.obsAddr == "" {
+		return stop, nil
+	}
+	srv, err := startObsServer(rf.obsAddr, rf.agg, ranks.Size(), evicted)
+	if err != nil {
+		return stop, fmt.Errorf("-obs-addr: %v", err)
+	}
+	fmt.Fprintf(stdout, "observability endpoint on http://%s (/metrics /healthz /trace)\n", srv.Addr())
+	return srv.Close, nil
 }
 
 // printResult renders a run's scalars, profile, metrics, and trace file
@@ -570,12 +585,12 @@ func runDistributed(file string, rf *runFlags, stdout io.Writer) error {
 		return err
 	}
 	ranks := sip.NewRanks(rf.cfg)
-	if len(rf.peers) != ranks.N {
+	if len(rf.peers) != ranks.Size() {
 		return fmt.Errorf("-peers lists %d addresses, config needs %d (1 master + %d workers + %d servers)",
-			len(rf.peers), ranks.N, ranks.Workers, ranks.Servers)
+			len(rf.peers), ranks.Size(), rf.cfg.Workers, rf.cfg.Servers)
 	}
-	if rf.rank < 0 || rf.rank >= ranks.N {
-		return fmt.Errorf("-rank %d out of range [0,%d)", rf.rank, ranks.N)
+	if rf.rank < 0 || rf.rank >= ranks.Size() {
+		return fmt.Errorf("-rank %d out of range [0,%d)", rf.rank, ranks.Size())
 	}
 	tcfg := transport.TCPConfig{Rank: rf.rank, Addrs: rf.peers}
 	if rf.reg != nil {
@@ -590,7 +605,7 @@ func runDistributed(file string, rf *runFlags, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "sial: rank %d: injecting faults: %s\n", rf.rank, rf.faultSpec)
 		tr = transport.NewFault(tr, []int{rf.rank}, rf.faultSpec, sip.FaultEvents(rf.reg))
 	}
-	world, err := mpi.NewDistributedWorld(ranks.N, []int{rf.rank}, tr)
+	world, err := mpi.NewDistributedWorld(ranks.Size(), []int{rf.rank}, tr)
 	if err != nil {
 		tr.Close()
 		return err
@@ -609,18 +624,12 @@ func runDistributed(file string, rf *runFlags, stdout io.Writer) error {
 			return err
 		}
 	}
-	if rf.rank == 0 && (rf.obsShip || rf.obsAddr != "" || rf.flightDir != "") {
-		rf.agg = obs.NewAggregator(0, "master", rf.tracer, rf.reg)
-		rf.agg.SetFlightRecorder(rf.flightDir)
-		rf.cfg.ObsAgg = rf.agg
-		if rf.obsAddr != "" {
-			srv, err := startObsServer(rf.obsAddr, rf.agg, ranks.N, world.Evicted)
-			if err != nil {
-				return fmt.Errorf("-obs-addr: %v", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(stdout, "observability endpoint on http://%s (/metrics /healthz /trace)\n", srv.Addr())
+	if rf.rank == 0 {
+		stop, err := rf.startObs(ranks, world.Evicted, stdout)
+		if err != nil {
+			return err
 		}
+		defer stop()
 	}
 	rf.cfg.Output = stdout
 	res, err := sip.RunRank(prog, rf.cfg, world, rf.rank)
@@ -642,7 +651,7 @@ func runDistributed(file string, rf *runFlags, stdout io.Writer) error {
 // any child exits non-zero.
 func doLaunch(file string, args []string, rf *runFlags, stdout io.Writer) error {
 	ranks := sip.NewRanks(rf.cfg)
-	addrs, err := reservePorts(ranks.N)
+	addrs, err := reservePorts(ranks.Size())
 	if err != nil {
 		return fmt.Errorf("launch: %v", err)
 	}
@@ -671,8 +680,8 @@ func doLaunch(file string, args []string, rf *runFlags, stdout io.Writer) error 
 
 	var mu sync.Mutex // serializes merged output lines
 	var relays sync.WaitGroup
-	cmds := make([]*exec.Cmd, 0, ranks.N)
-	for rank := 0; rank < ranks.N; rank++ {
+	cmds := make([]*exec.Cmd, 0, ranks.Size())
+	for rank := 0; rank < ranks.Size(); rank++ {
 		childArgs := append([]string{"run", file}, base...)
 		childArgs = append(childArgs, "-transport", "tcp", "-rank", strconv.Itoa(rank), "-peers", peers)
 		if obsPlane {

@@ -50,7 +50,6 @@ func doServe(args []string, stdout io.Writer) error {
 	historyLimit := fs.Int("history-limit", 1000, "terminal jobs kept fully in memory; older ones shrink to id/state stubs (journal keeps the full record; <0 = unlimited)")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted POST /submit body in bytes")
 	ckptInterval := fs.Int("ckpt-interval", 0, "snapshot running jobs every N completed pardo chunks; drained jobs resume from their snapshots after a restart (needs -scratch and -journal-dir; 0 disables)")
-	ckptKeep := fs.Int("ckpt-keep", 2, "snapshot epochs kept per job; older ones are garbage-collected")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -79,7 +78,6 @@ func doServe(args []string, stdout io.Writer) error {
 		HistoryLimit:  *historyLimit,
 		MaxBody:       *maxBody,
 		CkptInterval:  *ckptInterval,
-		CkptKeep:      *ckptKeep,
 		Warn: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
 		},
@@ -103,8 +101,7 @@ func doServe(args []string, stdout io.Writer) error {
 	// The pool is in-process: every rank shares the tracer and registry,
 	// so an aggregator over the local sources is the whole-pool view.
 	agg := obs.NewAggregator(0, "master", tracer, reg)
-	ranks := 1 + *workers + *servers + *spares
-	srv, err := startObsServer(*addr, agg, ranks, svc.Pool().Evicted, svc.Register)
+	srv, err := startObsServer(*addr, agg, svc.Pool().Ranks().Size(), svc.Pool().Evicted, svc.Register)
 	if err != nil {
 		svc.Close()
 		return fmt.Errorf("-addr: %v", err)
@@ -114,7 +111,7 @@ func doServe(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "pool: %d workers, %d servers, %d spares, replicas=%d, recover=%v\n",
 		*workers, *servers, *spares, *replicas, *recoverServe)
 	if *ckptInterval > 0 {
-		fmt.Fprintf(stdout, "checkpointing: every %d chunks, keeping %d epochs per job\n", *ckptInterval, *ckptKeep)
+		fmt.Fprintf(stdout, "checkpointing: every %d chunks\n", *ckptInterval)
 	}
 	if resumed > 0 {
 		fmt.Fprintf(stdout, "journal: resubmitted %d interrupted job(s) from %s\n", resumed, *journalDir)

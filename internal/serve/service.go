@@ -129,8 +129,6 @@ type Config struct {
 	// scratch.  Requires Pool.ScratchDir (and JournalDir, for restart) to
 	// point at durable directories.  0 disables checkpointing.
 	CkptInterval int
-	// CkptKeep is the per-job snapshot retention (default 2).
-	CkptKeep int
 }
 
 // SubmitRequest is one job submission.
@@ -312,9 +310,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 1 << 20
-	}
-	if cfg.CkptInterval > 0 && cfg.CkptKeep <= 0 {
-		cfg.CkptKeep = 2
 	}
 	gate := NewFairGate(cfg.Burst)
 	cfg.Pool.Gate = gate
@@ -570,7 +565,6 @@ func (s *Service) enqueueLocked(id int, req SubmitRequest, prog *bytecode.Progra
 		j.stop = make(chan struct{})
 		j.cfg.Stop = j.stop
 		j.cfg.CkptInterval = s.cfg.CkptInterval
-		j.cfg.CkptKeep = s.cfg.CkptKeep
 		j.cfg.CkptName = fmt.Sprintf("job%d", id)
 		j.cfg.Resume = true
 		j.cfg.OnSnapshot = func(info sip.SnapshotInfo) {

@@ -31,10 +31,9 @@ func (f waitFor) String() string {
 //
 // It returns the next message on c from src with a tag in [tagLo, tagHi]
 // (ok), or ok == false with a nil error when the caller must look again at
-// whom it is waiting for ("woke"): the membership changed, src itself is
+// whom it is waiting for ("woke"): the membership changed, or src itself is
 // evicted (now or before the wait began — a message it delivered first is
-// still returned), or wake, the caller's own cheap predicate evaluated
-// under the mailbox lock, reports true.
+// still returned).
 //
 // Silence is awaitAttempts receives of Config.RecvTimeout each without a
 // message (0 never times out), and the verdict on it is one rule:
@@ -51,9 +50,9 @@ func (f waitFor) String() string {
 //     fairness gate — and evicting or blaming it would take a live rank
 //     from every job in the pool.
 //
-// With no deadline and nothing to wake it the wait is a plain blocking
-// receive; none of the closures escape, so a wait allocates nothing.
-func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspects func() []int, wake func() bool) (mpi.Message, bool, error) {
+// With no deadline the wait is a plain blocking receive; none of the
+// closures escape, so a wait allocates nothing.
+func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspects func() []int) (mpi.Message, bool, error) {
 	world := rt.world
 	d := rt.cfg.RecvTimeout
 	// An eviction after the stamp is read moves it; one before is seen by
@@ -61,7 +60,7 @@ func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspe
 	stamp := world.EvictStamp()
 	gone := src != mpi.AnySource && world.IsEvicted(src)
 	cancel := func() bool {
-		return gone || world.EvictStamp() != stamp || (wake != nil && wake())
+		return gone || world.EvictStamp() != stamp
 	}
 	for i := 0; i < awaitAttempts; i++ {
 		if msg, ok := c.RecvRangeUntil(src, tagLo, tagHi, d, cancel); ok {

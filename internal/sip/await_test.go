@@ -16,24 +16,25 @@ import (
 // TestAwaitVerdict is the fault rule of every bounded wait in one table:
 // who runs (the owner of the world or a tenant of a pool's) × whom the
 // wait suspects × what happens while it waits.  Rank 0 waits on rank 1;
-// rank 2 is an evictable bystander whose eviction is the membership wake.
+// ranks 2 and up are evictable bystanders whose eviction is the membership
+// wake.
 // Suspects named through src and through the suspects func (the shape of
 // an ack drain) must get the same verdict.
 func TestAwaitVerdict(t *testing.T) {
 	const (
 		waiter, debtor, bystander = 0, 1, 2
+		ranks                     = 32
 		tag                       = 7
 		timeout                   = 2 * time.Millisecond
 	)
 	rows := []struct {
 		tenant  bool
 		suspect string // evictable, critical, none, evicted (before the wait)
-		event   string // message (already delivered), wake, predicate, silence
+		event   string // message (already delivered), wake, silence
 		want    string // message, woke, evicted (and woke), failure (naming the debtor), timeout, waiting
 	}{
 		{false, "evictable", "message", "message"},
 		{false, "evictable", "wake", "woke"},
-		{false, "evictable", "predicate", "woke"},
 		{false, "evictable", "silence", "evicted"},
 		{false, "critical", "message", "message"},
 		{false, "critical", "wake", "woke"},
@@ -46,7 +47,6 @@ func TestAwaitVerdict(t *testing.T) {
 		{false, "evicted", "silence", "woke"},
 		{true, "evictable", "message", "message"},
 		{true, "evictable", "wake", "woke"},
-		{true, "evictable", "predicate", "woke"},
 		{true, "evictable", "silence", "waiting"}, // a slow shared server stays in the pool for every tenant
 		{true, "critical", "message", "message"},
 		{true, "critical", "wake", "woke"},
@@ -65,7 +65,7 @@ func TestAwaitVerdict(t *testing.T) {
 			}
 			name := fmt.Sprintf("tenant=%v/%s/%s/func=%v", row.tenant, row.suspect, row.event, viaFunc)
 			t.Run(name, func(t *testing.T) {
-				world := mpi.NewWorld(4)
+				world := mpi.NewWorld(ranks)
 				if row.suspect == "critical" {
 					world.SetRecover(waiter, debtor)
 				} else {
@@ -87,28 +87,28 @@ func TestAwaitVerdict(t *testing.T) {
 				} else if viaFunc {
 					src, suspects = mpi.AnySource, func() []int { return []int{debtor} }
 				}
-				// The first evaluation of wake runs inside the wait, under
-				// the mailbox lock, so what it sets off cannot be missed.
-				var wake func() bool
-				evals := 0
-				switch row.event {
-				case "wake":
-					wake = func() bool {
-						if evals++; evals == 1 {
-							go world.Evict(bystander, "bystander killed")
+				if row.event == "wake" {
+					// A bystander dies every half timeout until the wait
+					// returns, so one dies after the wait has begun.
+					stop := make(chan struct{})
+					defer close(stop)
+					go func() {
+						for r := bystander; r < ranks; r++ {
+							select {
+							case <-stop:
+								return
+							case <-time.After(timeout / 2):
+								world.Evict(r, "bystander killed")
+							}
 						}
-						return false
-					}
-				case "predicate":
-					wake = func() bool { evals++; return evals > 1 }
-					time.AfterFunc(timeout/2, func() { world.Comm(bystander).Send(waiter, tag+1, "unrelated") })
+					}()
 				}
 				if row.want == "waiting" {
 					// Far past the owner's verdict, the message comes after all.
 					time.AfterFunc(4*awaitAttempts*timeout, func() { world.Comm(debtor).Send(waiter, tag, "late") })
 				}
 
-				msg, ok, err := rt.await(world.Comm(waiter), src, tag, tag, waitFor{what: "test message"}, suspects, wake)
+				msg, ok, err := rt.await(world.Comm(waiter), src, tag, tag, waitFor{what: "test message"}, suspects)
 
 				var rf *mpi.RankFailure
 				got := "woke"
@@ -142,10 +142,9 @@ func TestAwaitVerdict(t *testing.T) {
 	}
 }
 
-// TestAwaitFastPathAllocatesNothing: without a deadline or a wake
-// predicate a wait is a plain receive, recovering world or not — the
-// closures inside await stay on the stack and the description is not
-// formatted.
+// TestAwaitFastPathAllocatesNothing: without a deadline a wait is a plain
+// receive, recovering world or not — the closures inside await stay on the
+// stack and the description is not formatted.
 func TestAwaitFastPathAllocatesNothing(t *testing.T) {
 	for _, recovering := range []bool{false, true} {
 		world := mpi.NewWorld(2)
@@ -156,7 +155,7 @@ func TestAwaitFastPathAllocatesNothing(t *testing.T) {
 		c, debtor, key := world.Comm(0), world.Comm(1), blockKey{job: 1, arr: 2, ord: 3}
 		if n := testing.AllocsPerRun(100, func() {
 			debtor.Send(0, 7, nil)
-			if _, ok, err := rt.await(c, 1, 7, 7, waitFor{what: "reply for block", key: &key}, nil, nil); !ok || err != nil {
+			if _, ok, err := rt.await(c, 1, 7, 7, waitFor{what: "reply for block", key: &key}, nil); !ok || err != nil {
 				t.Fatal(ok, err)
 			}
 		}); n != 0 {

@@ -309,7 +309,7 @@ func TestLedgerRedispatchesUnacknowledgedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Recover = true
-	rt, err := newRuntime(prog, cfg, nil, placement{})
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -508,7 +508,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 			c.scalars[in.A] = rep.vals[0]
 		}
 	case bytecode.OpPrint:
-		if c.rank == c.rt.workerList[0] { // one worker prints: the lowest-indexed
+		if c.rank == c.rt.ranks.workers[0] { // one worker prints: the lowest-indexed
 			c.rt.outMu.Lock()
 			if in.A >= 0 {
 				fmt.Fprint(c.rt.cfg.Output, c.rt.prog.Strings[in.A])
@@ -1126,7 +1126,7 @@ func (c *interp) doExecute(in *bytecode.Instr) error {
 		}
 		c.execScalars = scalars
 		clear(c.ops.exec.args[in.B:]) // Block(i) of an absent argument is empty
-		c.ops.exec.Worker, c.ops.exec.Layout = c.rt.workerIndexOf(c.rank), c.rt.layout
+		c.ops.exec.Worker, c.ops.exec.Layout = c.rt.ranks.workerIndex(c.rank), c.rt.layout
 		err = fn(&c.ops.exec, blocks, scalars)
 	}
 	for i, b := range blocks {

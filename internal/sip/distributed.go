@@ -21,14 +21,15 @@ import (
 // server Results are empty.  A failure anywhere surfaces as an error on
 // at least the failing rank and the master.
 func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (res *Result, err error) {
-	if nRanks := 1 + cfg.Workers + cfg.Servers; world.Size() != nRanks {
+	at := batch(cfg)
+	if world.Size() != at.ranks.Size() {
 		return nil, fmt.Errorf("sip: world has %d ranks, config needs %d (1 master + %d workers + %d servers)",
-			world.Size(), nRanks, cfg.Workers, cfg.Servers)
+			world.Size(), at.ranks.Size(), cfg.Workers, cfg.Servers)
 	}
 	if rank < 0 || rank >= world.Size() {
 		return nil, fmt.Errorf("sip: rank %d out of range [0,%d)", rank, world.Size())
 	}
-	rt, err := newRuntime(prog, cfg, world, placement{})
+	rt, err := newRuntime(prog, cfg, world, at)
 	if err != nil {
 		return nil, err
 	}
@@ -161,29 +162,4 @@ func (n *netObserver) OnFrameRecv(peer, bytes int) {
 
 func (n *netObserver) OnPeerDown(peer int, err error) {
 	n.peerCounter("peer_down", peer).Inc()
-}
-
-// Ranks describes the world layout of a distributed SIP run, mapping
-// the SIP roles onto world ranks for launchers.
-type Ranks struct {
-	N       int // total ranks: 1 + workers + servers
-	Workers int
-	Servers int
-}
-
-// NewRanks builds the rank layout for a Config.
-func NewRanks(cfg Config) Ranks {
-	return Ranks{N: 1 + cfg.Workers + cfg.Servers, Workers: cfg.Workers, Servers: cfg.Servers}
-}
-
-// Role names rank r: "master", "worker<i>", or "server<i>".
-func (r Ranks) Role(rank int) string {
-	switch {
-	case rank == 0:
-		return "master"
-	case rank <= r.Workers:
-		return fmt.Sprintf("worker%d", rank)
-	default:
-		return fmt.Sprintf("server%d", rank-r.Workers)
-	}
 }

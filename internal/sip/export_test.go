@@ -14,7 +14,7 @@ import (
 // the names of the block files it adopted, sorted — for the external
 // test package, which can drive the chemistry programs.
 func RestartedServerIndex(prog *bytecode.Program, cfg Config, rank int) ([]string, error) {
-	rt, err := newRuntime(prog, cfg, nil, placement{})
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ type CoreRuntime struct{ rt *runtime }
 // NewCoreRuntime resolves prog under cfg, at one worker, for Run.
 func NewCoreRuntime(prog *bytecode.Program, cfg Config) (*CoreRuntime, error) {
 	cfg.Workers = 1
-	rt, err := newRuntime(prog, cfg, nil, placement{})
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -266,11 +266,11 @@ func newStepper(t *testing.T, src string, cfg Config, serve bool) *stepper {
 		t.Fatal(err)
 	}
 	cfg.Workers = 2
-	rt, err := newRuntime(prog, cfg, nil, placement{})
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.workerList = []int{2, 2}
+	rt.ranks.workers = []int{2, 2}
 	st := &stepper{w: newWorker(rt, 1), stop: rt.close}
 	if serve {
 		home := newWorker(rt, 2)

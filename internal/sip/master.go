@@ -283,12 +283,12 @@ func (r *pardoRun) chunkSize(workers int) int {
 // steal the other jobs' traffic).  ok == false with a nil error means the
 // caller must look again at whom it is waiting for (see await).  A
 // verdict naming a rank fails the world before it is returned.
-func (m *master) recvAny(tag int, what string, suspects func() []int, wake func() bool) (mpi.Message, bool, error) {
+func (m *master) recvAny(tag int, what string, suspects func() []int) (mpi.Message, bool, error) {
 	lo, hi := m.rt.tag(tag), m.rt.tag(tag)
 	if tag == mpi.AnyTag {
 		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
 	}
-	msg, ok, err := m.rt.await(m.comm, mpi.AnySource, lo, hi, waitFor{what: what}, suspects, wake)
+	msg, ok, err := m.rt.await(m.comm, mpi.AnySource, lo, hi, waitFor{what: what}, suspects)
 	if err != nil {
 		var rf *mpi.RankFailure // declared here: errors.As moves it to the heap
 		if errors.As(err, &rf) {
@@ -296,14 +296,6 @@ func (m *master) recvAny(tag int, what string, suspects func() []int, wake func(
 		}
 	}
 	return msg, ok, err
-}
-
-// interrupted reports a Config.Cancel or Config.Stop that fired and is
-// not folded in yet: it wakes the main loop's receive once, and goes
-// quiet when noteCancel / noteStop have recorded it, so the master can
-// keep receiving the fast-forwarding workers.
-func (m *master) interrupted() bool {
-	return (!m.cancelled && fired(m.rt.cfg.Cancel)) || (!m.stopNoted && fired(m.rt.cfg.Stop))
 }
 
 // relayErr rebuilds a failure reported over the done path.  When the
@@ -316,7 +308,7 @@ func (m *master) relayErr(done doneMsg) error {
 	if done.failRank >= 0 {
 		rf := &mpi.RankFailure{Rank: done.failRank, Reason: done.failReason}
 		return fmt.Errorf("sip: master: %w (%s; reported by rank %d)",
-			rf, NewRanks(m.rt.cfg).Role(rf.Rank), done.origin)
+			rf, m.rt.ranks.Role(rf.Rank), done.origin)
 	}
 	if text, echo := strings.CutSuffix(done.err, mpi.ErrAborted.Error()); echo {
 		return fmt.Errorf("%s%w", text, mpi.ErrAborted)
@@ -421,20 +413,12 @@ func (m *master) run() (res *Result, err error) {
 		if m.pendingWorkers() == 0 {
 			break
 		}
-		msg, ok, err := m.recvAny(mpi.AnyTag, "worker traffic", func() []int {
-			var waiting []int
-			for _, wr := range rt.workerList {
-				if !m.doneRanks[wr] && !rt.world.IsEvicted(wr) {
-					waiting = append(waiting, wr)
-				}
-			}
-			return waiting
-		}, m.interrupted)
+		msg, ok, err := m.recvAny(mpi.AnyTag, "worker traffic", m.owedWorkers)
 		if err != nil {
 			return res, err
 		}
 		if !ok {
-			continue // membership changed or the job was interrupted: fold it in
+			continue // membership changed: fold it in
 		}
 		switch msg.Tag - rt.tagBase {
 		case tagChunkReq:
@@ -487,7 +471,7 @@ func (m *master) run() (res *Result, err error) {
 			// A drained run stays in m.runs until the next sync round seals
 			// the phase: a worker may still die holding iterations that need
 			// re-queuing here.
-			iters := r.take(r.chunkSize(rt.workers), req.origin, redispCtr)
+			iters := r.take(r.chunkSize(len(rt.ranks.workers)), req.origin, redispCtr)
 			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{iters: iters})
 			chunkCtr.Inc()
 			iterCtr.Add(int64(len(iters)))
@@ -508,7 +492,7 @@ func (m *master) run() (res *Result, err error) {
 			m.recordGather(res.Arrays, g)
 		case tagDone:
 			done := msg.Data.(doneMsg)
-			if rt.isServerRank(done.origin) {
+			if rt.ranks.isServer(done.origin) {
 				if trk != nil {
 					trk.Instant(obs.CatChunk, "server_failed", obs.AInt("rank", done.origin))
 				}
@@ -543,14 +527,13 @@ func (m *master) run() (res *Result, err error) {
 	}
 	// All workers finished: stop service loops, then servers.  Servers
 	// this run brought stop for good; a pool's shared servers retire the
-	// job's blocks and keep running for the other tenants.
-	for _, wr := range rt.workerList {
+	// job's blocks and keep running for the other tenants.  A send to an
+	// evicted rank is dropped.
+	for _, wr := range rt.ranks.workers {
 		m.comm.Send(wr, rt.tag(tagService), shutdownMsg{job: rt.job})
 	}
-	for _, sr := range rt.serverList {
-		if !rt.world.IsEvicted(sr) {
-			m.comm.Send(sr, tagServer, shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job})
-		}
+	for _, sr := range rt.ranks.servers {
+		m.comm.Send(sr, tagServer, shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job})
 	}
 	if rt.cfg.GatherArrays {
 		gathered := map[int]bool{}
@@ -608,28 +591,17 @@ func (m *master) recordServedGather(dst map[string][]ArrayBlock, g gatherMsg) {
 	}
 }
 
-// evictedServers counts I/O-server ranks evicted from the world.
-func (m *master) evictedServers() int {
-	n := 0
-	for _, sr := range m.rt.serverList {
-		if m.rt.world.IsEvicted(sr) {
-			n++
-		}
-	}
-	return n
-}
-
 // pendingWorkers counts workers the master still owes a completion:
 // alive and not yet done.
-func (m *master) pendingWorkers() int {
-	n := 0
-	for _, wr := range m.rt.workerList {
-		if !m.doneRanks[wr] && !m.rt.world.IsEvicted(wr) {
-			n++
-		}
-	}
-	return n
-}
+func (m *master) pendingWorkers() int { return m.rt.ranks.countWorkers(m.rt.world, m.owes) }
+
+// owedWorkers lists the workers pendingWorkers counts, in worker-index
+// order: the suspects of a silent main loop and the parked workers of a
+// complete sync round.
+func (m *master) owedWorkers() []int { return m.rt.ranks.liveWorkers(m.rt.world, m.owes, nil) }
+
+// owes reports whether worker wr has not reported done.
+func (m *master) owes(wr int) bool { return !m.doneRanks[wr] }
 
 // noteEvictions folds newly evicted ranks into the scheduler state.
 // For workers: their unacknowledged iterations go back on the
@@ -650,15 +622,12 @@ func (m *master) noteEvictions(trk *obs.Track) {
 		return
 	}
 	m.evictStamp = stamp
-	evicted := m.rt.world.Evicted()
-	for _, ranks := range [...][]int{m.rt.workerList, m.rt.serverList} {
-		for _, rank := range ranks {
-			reason, dead := evicted[rank]
-			if !dead || m.evictSeen[rank] {
-				continue
-			}
+	dead := m.rt.ranks.evicted(m.rt.world, nil)
+	reasons := m.rt.world.Evicted() // after dead: it holds every rank dead does
+	for _, rank := range dead {
+		if !m.evictSeen[rank] {
 			m.evictSeen[rank] = true
-			m.noteEviction(trk, rank, reason)
+			m.noteEviction(trk, rank, reasons[rank])
 		}
 	}
 }
@@ -668,7 +637,7 @@ func (m *master) noteEviction(trk *obs.Track, rank int, reason string) {
 	m.rt.metrics.Counter(metricFaultRankEvicted).Inc()
 	m.rt.metrics.Counter(fmt.Sprintf("%s.rank%d", metricFaultRankEvicted, rank)).Inc()
 	m.rt.flightRecord("evicted", rank, reason)
-	if m.rt.isServerRank(rank) {
+	if m.rt.ranks.isServer(rank) {
 		if trk != nil {
 			trk.Instant(obs.CatChunk, "server_evicted", obs.AInt("rank", rank))
 		}
@@ -725,19 +694,15 @@ func (m *master) handleSync(req syncMsg) {
 func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) error {
 	rt := m.rt
 	for round, s := range m.syncs {
-		var parked []int
-		complete := true
-		for _, wr := range rt.workerList {
-			if rt.world.IsEvicted(wr) || m.doneRanks[wr] {
-				continue
-			}
-			if _, reported := s.reports[wr]; !reported {
-				complete = false
-				break
-			}
-			parked = append(parked, wr)
+		unreported := func(wr int) bool {
+			_, reported := s.reports[wr]
+			return !reported && m.owes(wr)
 		}
-		if !complete || len(parked) == 0 {
+		if rt.ranks.countWorkers(rt.world, unreported) > 0 {
+			continue
+		}
+		parked := m.owedWorkers()
+		if len(parked) == 0 {
 			continue
 		}
 		if m.resumeRequeued(round, s, parked, redispCtr) {
@@ -784,7 +749,7 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 			// Every report's partition, as a collective sums every report: a
 			// worker that reported and then died had its blocks at the save.
 			var all []ArrayBlock
-			for _, wr := range rt.workerList {
+			for _, wr := range rt.ranks.workers {
 				all = append(all, s.reports[wr].blocks...)
 			}
 			ckptErr = writeIntegrityFile(m.ckptPath(s.id), ckptFileMagic, wire.Encode(ckptData{arr: s.id, blocks: all}))
@@ -856,17 +821,9 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 // is asked again after every message and every wake: a server evicted
 // meanwhile stops being owed — its blocks live on the surviving replicas.
 func (m *master) collectFromServers(tag int, what string, owes func(sr int) bool, got func(mpi.Message)) error {
-	awaiting := func() []int {
-		var waiting []int
-		for _, sr := range m.rt.serverList {
-			if owes(sr) && !m.rt.world.IsEvicted(sr) {
-				waiting = append(waiting, sr)
-			}
-		}
-		return waiting
-	}
+	awaiting := func() []int { return m.rt.ranks.liveServers(m.rt.world, owes, nil) }
 	for len(awaiting()) > 0 {
-		msg, ok, err := m.recvAny(tag, what, awaiting, nil)
+		msg, ok, err := m.recvAny(tag, what, awaiting)
 		if err != nil {
 			return err
 		}
@@ -882,7 +839,7 @@ func (m *master) collectFromServers(tag int, what string, owes func(sr int) bool
 // competing traffic, so the master simply asks each live server to
 // flush and waits for the acks.
 func (m *master) flushServers() error {
-	for _, sr := range m.rt.serverList {
+	for _, sr := range m.rt.ranks.servers {
 		m.comm.Send(sr, tagServer, flushMsg{job: m.rt.job}) // dropped when sr is evicted, and its ack not awaited
 	}
 	acked := map[int]bool{}
@@ -902,22 +859,17 @@ func (m *master) flushServers() error {
 // abandoned round are discarded by their round stamp.
 func (m *master) rereplicateServers() error {
 	rt := m.rt
-	if m.evictedServers() == m.replHealed {
+	if rt.ranks.evictedServers(rt.world) == m.replHealed {
 		return nil
 	}
 	roundCtr := rt.metrics.Counter(metricReplRounds)
 	pushCtr := rt.metrics.Counter(metricReplPushed)
 restart:
 	for {
-		healedTo := m.evictedServers()
+		healedTo := rt.ranks.evictedServers(rt.world)
 		m.replRound++
 		round := m.replRound
-		var live []int
-		for _, sr := range rt.serverList {
-			if !rt.world.IsEvicted(sr) {
-				live = append(live, sr)
-			}
-		}
+		live := rt.ranks.liveServers(rt.world, nil, nil)
 		if len(live) == 0 {
 			// Every server is gone; reads will fail with a cause instead.
 			m.replHealed = healedTo
@@ -930,22 +882,16 @@ restart:
 		scanned := map[int]bool{}
 		pushes, acks := 0, 0
 		for len(scanned) < len(live) || acks < pushes {
-			if m.evictedServers() != healedTo {
+			if rt.ranks.evictedServers(rt.world) != healedTo {
 				continue restart // a pass participant died: rescan
 			}
 			// Any eviction restarts the pass, so within one wait live is live.
 			msg, ok, err := m.recvAny(tagRepl, "re-replication ack", func() []int {
-				var unscanned []int
-				for _, sr := range live {
-					if !scanned[sr] {
-						unscanned = append(unscanned, sr)
-					}
+				if unscanned := rt.ranks.liveServers(rt.world, func(sr int) bool { return !scanned[sr] }, nil); len(unscanned) > 0 {
+					return unscanned
 				}
-				if len(unscanned) == 0 {
-					return live // scans are in; a push destination owes the ack
-				}
-				return unscanned
-			}, nil)
+				return live // scans are in; a push destination owes the ack
+			})
 			if err != nil {
 				return err
 			}
@@ -967,7 +913,7 @@ restart:
 		}
 		pushCtr.Add(int64(pushes))
 		m.replHealed = healedTo
-		if m.evictedServers() == healedTo {
+		if rt.ranks.evictedServers(rt.world) == healedTo {
 			return nil
 		}
 		// A server died while the pass ran: heal again against the new set.
@@ -1001,7 +947,7 @@ func (m *master) readCkptFile(arr int) (map[int][]ArrayBlock, error) {
 	}
 	homed := map[int][]ArrayBlock{}
 	for _, ab := range data.blocks {
-		home := m.rt.homeWorker(arr, ab.Ord)
+		home := m.rt.ranks.home(arr, ab.Ord)
 		homed[home] = append(homed[home], ab)
 	}
 	return homed, nil

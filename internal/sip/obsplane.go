@@ -151,7 +151,7 @@ func (m *master) handleObsReport(r obsReportMsg) {
 	agg.SetClockOffset(r.origin, m.rt.world.ClockOffsetUs(r.origin))
 	agg.Report(obs.RankReport{
 		Rank:        r.origin,
-		Role:        NewRanks(m.rt.cfg).Role(r.origin),
+		Role:        m.rt.ranks.Role(r.origin),
 		Seq:         r.seq,
 		Final:       r.final,
 		WallStartUs: r.wallUs,
@@ -194,7 +194,7 @@ func (m *master) collectFinalObs() {
 // records flights.  reason is "evicted" or "failed"; diagnosis carries
 // the recorded reason text.
 func (rt *runtime) flightRecord(reason string, deadRank int, diagnosis string) {
-	path, err := rt.cfg.ObsAgg.FlightRecord(reason, deadRank, NewRanks(rt.cfg).Role(deadRank), diagnosis)
+	path, err := rt.cfg.ObsAgg.FlightRecord(reason, deadRank, rt.ranks.Role(deadRank), diagnosis)
 	if path == "" && err == nil {
 		return
 	}

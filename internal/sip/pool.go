@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,15 +47,12 @@ type Pool struct {
 	// registration supplies the layout) and owns the scratch directory.
 	base *runtime
 
-	serverList []int
-	spareList  []int
-
 	bg     sync.WaitGroup // the shared servers' launch and the supervisor
 	srvErr error          // the shared servers' triaged error, set when bg is done
 
 	mu      sync.Mutex
 	nextJob int
-	workers []int // live worker ranks; grows on Join, shrinks on Kill
+	ranks   Ranks // live workers (Join adds one, Kill removes one), servers, latent spares
 	closed  bool
 }
 
@@ -109,17 +107,15 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Output == nil {
 		cfg.Output = os.Stdout
 	}
-	n := 1 + cfg.Workers + cfg.Servers + cfg.Spares
+	ranks := newRanks(cfg.Workers, cfg.Servers, cfg.Spares)
 	p := &Pool{
-		cfg:        cfg,
-		world:      mpi.NewWorld(n),
-		nextJob:    1,
-		workers:    contiguousRanks(1, cfg.Workers),
-		serverList: contiguousRanks(1+cfg.Workers, cfg.Servers),
-		spareList:  contiguousRanks(1+cfg.Workers+cfg.Servers, cfg.Spares),
+		cfg:     cfg,
+		world:   mpi.NewWorld(ranks.Size()),
+		nextJob: 1,
+		ranks:   ranks,
 	}
-	if len(p.spareList) > 0 {
-		p.world.SetLatent(p.spareList...)
+	if len(ranks.spares) > 0 {
+		p.world.SetLatent(ranks.spares...)
 	}
 	base, err := newRuntime(nil, Config{
 		Workers:    cfg.Workers,
@@ -130,7 +126,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		Output:     cfg.Output,
 		Tracer:     cfg.Tracer,
 		Metrics:    cfg.Metrics,
-	}, p.world, placement{})
+	}, p.world, placement{ranks: ranks})
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +134,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p.bg.Add(2)
 	go func() {
 		defer p.bg.Done()
-		_, p.srvErr = base.launch(p.serverList)
+		_, p.srvErr = base.launch(ranks.servers)
 	}()
 	go p.supervise()
 	return p, nil
@@ -176,32 +172,20 @@ func (p *Pool) supervise() {
 func (p *Pool) Workers() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.liveLocked()
+	return p.ranks.liveWorkers(p.world, nil, nil)
 }
 
-func (p *Pool) liveLocked() []int {
-	live := make([]int, 0, len(p.workers))
-	for _, r := range p.workers {
-		if !p.world.IsEvicted(r) {
-			live = append(live, r)
-		}
-	}
-	return live
+// Ranks returns the pool's membership now: the workers it has not killed,
+// in join order, its I/O servers and its still-latent spares.
+func (p *Pool) Ranks() Ranks {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ranks
 }
-
-// Servers returns the I/O-server ranks (a copy).
-func (p *Pool) Servers() []int { return append([]int(nil), p.serverList...) }
 
 // Evicted returns evicted ranks with their eviction reasons (for
 // health endpoints).
 func (p *Pool) Evicted() map[int]string { return p.world.Evicted() }
-
-// Spares returns the still-latent spare ranks (a copy).
-func (p *Pool) Spares() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.spareList...)
-}
 
 // Kill evicts a live worker rank, as fault injection or administrative
 // drain.  Jobs running over the rank recover (replaying its chunks);
@@ -212,12 +196,7 @@ func (p *Pool) Kill(rank int, reason string) error {
 	if p.closed {
 		return fmt.Errorf("sip: pool is closed")
 	}
-	idx := -1
-	for i, r := range p.workers {
-		if r == rank {
-			idx = i
-		}
-	}
+	idx := p.ranks.workerIndex(rank)
 	if idx < 0 {
 		return fmt.Errorf("sip: rank %d is not a live pool worker", rank)
 	}
@@ -225,7 +204,8 @@ func (p *Pool) Kill(rank int, reason string) error {
 		return fmt.Errorf("sip: rank %d is not evictable (pool not recovering?)", rank)
 	}
 	p.world.Evict(rank, reason)
-	p.workers = append(p.workers[:idx], p.workers[idx+1:]...)
+	// A new list: running jobs and the base runtime share the old one.
+	p.ranks.workers = slices.Delete(slices.Clone(p.ranks.workers), idx, idx+1)
 	return nil
 }
 
@@ -238,15 +218,15 @@ func (p *Pool) Join() (int, error) {
 	if p.closed {
 		return 0, fmt.Errorf("sip: pool is closed")
 	}
-	if len(p.spareList) == 0 {
+	if len(p.ranks.spares) == 0 {
 		return 0, fmt.Errorf("sip: no spare ranks left to join")
 	}
-	rank := p.spareList[0]
+	rank := p.ranks.spares[0]
 	if !p.world.Join(rank) {
 		return 0, fmt.Errorf("sip: rank %d failed to join", rank)
 	}
-	p.spareList = p.spareList[1:]
-	p.workers = append(p.workers, rank)
+	p.ranks.spares = p.ranks.spares[1:]
+	p.ranks.workers = append(slices.Clip(p.ranks.workers), rank) // a new list, as in Kill
 	return rank, nil
 }
 
@@ -282,20 +262,19 @@ func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err erro
 	}
 	job := p.nextJob
 	p.nextJob++
-	snapshot := p.liveLocked()
+	ranks := p.ranks.live(p.world)
 	p.mu.Unlock()
-	if len(snapshot) == 0 {
+	if len(ranks.workers) == 0 {
 		return nil, fmt.Errorf("sip: pool has no live workers")
 	}
 
-	cfg.Workers, cfg.Servers = len(snapshot), p.cfg.Servers
+	cfg.Workers, cfg.Servers = len(ranks.workers), len(ranks.servers)
 	cfg.ScratchDir, cfg.Tracer = p.base.scratch, p.cfg.Tracer
 	cfg.Recover, cfg.Replicas = p.cfg.Recover, p.cfg.Replicas
 	if cfg.Output == nil {
 		cfg.Output = p.cfg.Output
 	}
-	rt, err := newRuntime(prog, cfg, p.world,
-		placement{job: job, workers: snapshot, servers: p.serverList, gate: p.cfg.Gate})
+	rt, err := newRuntime(prog, cfg, p.world, placement{job: job, ranks: ranks, gate: p.cfg.Gate})
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +291,7 @@ func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err erro
 		lc.Start(job)
 		defer lc.Finish(job)
 	}
-	return rt.launch(append([]int{0}, snapshot...))
+	return rt.launch(append([]int{0}, ranks.workers...))
 }
 
 // poolOwned names the first field of a job's Config that the pool owns
@@ -346,14 +325,14 @@ func poolOwned(c *Config) string {
 func (p *Pool) registerJob(rt *runtime) error {
 	comm := p.world.Comm(0)
 	pending := map[int]bool{}
-	for _, srv := range rt.serverList {
+	for _, srv := range rt.ranks.servers {
 		reg := &srvJob{
 			job:      rt.job,
 			prog:     rt.prog,
 			layout:   rt.layout,
 			preset:   rt.cfg.Preset,
 			replicas: rt.cfg.Replicas,
-			servers:  append([]int(nil), rt.serverList...),
+			servers:  rt.ranks.servers,
 		}
 		comm.Send(srv, tagServer, srvRegMsg{j: reg}) // dropped when srv is evicted
 		pending[srv] = true
@@ -396,10 +375,8 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 
 	comm := p.world.Comm(0)
-	for _, srv := range p.serverList {
-		if !p.world.IsEvicted(srv) {
-			comm.Send(srv, tagServer, shutdownMsg{})
-		}
+	for _, srv := range p.ranks.servers {
+		comm.Send(srv, tagServer, shutdownMsg{}) // dropped when srv is evicted
 	}
 	comm.Send(0, tagJob, shutdownMsg{}) // wakes the supervisor out of its receive
 	p.bg.Wait()

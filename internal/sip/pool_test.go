@@ -249,7 +249,7 @@ func TestRunJobRejectsPoolOwnedFields(t *testing.T) {
 		cfg.Super = map[string]SuperFunc{"unused": func(*ExecCtx, []*block.Block, []*float64) error { return nil }}
 		cfg.Integrals, cfg.Output, cfg.Metrics, cfg.GatherArrays = DefaultIntegrals, &out, reg, true
 		cfg.Cancel, cfg.Stop = make(chan struct{}), make(chan struct{})
-		cfg.CkptInterval, cfg.CkptKeep, cfg.CkptName, cfg.Resume = 1, 1, "tenant", true
+		cfg.CkptInterval, cfg.CkptName, cfg.Resume = 1, "tenant", true
 		cfg.OnSnapshot = func(SnapshotInfo) { snaps++ }
 		cfg.OnResume = func(ResumeInfo) {}
 		v := reflect.ValueOf(cfg)

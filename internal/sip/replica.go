@@ -23,7 +23,7 @@ import "fmt"
 //     was the top k of the same order, the new primary after <= k-1
 //     deaths is always a rank that already holds the block.
 //
-// Under Replicas == 1 server ranks are critical (criticalRanks), so the
+// Under Replicas == 1 server ranks are critical (Ranks.critical), so the
 // dead filter never removes one and a read can never fail over to a
 // server that did not hold the block.
 
@@ -81,8 +81,8 @@ func rendezvousReplicas(out []int, job, arr, ord, k int, servers []int, dead fun
 // shorter than Replicas when fewer servers remain live; empty means
 // every replica died.
 func (rt *runtime) replicaServers(out []int, arr, ord int) []int {
-	if rt.servers == 0 {
+	if len(rt.ranks.servers) == 0 {
 		panic(fmt.Sprintf("sip: array %s is served but no I/O servers configured", rt.prog.Arrays[arr].Name))
 	}
-	return rendezvousReplicas(out, rt.job, arr, ord, rt.cfg.Replicas, rt.serverList, rt.world.IsEvicted)
+	return rendezvousReplicas(out, rt.job, arr, ord, rt.cfg.Replicas, rt.ranks.servers, rt.world.IsEvicted)
 }

@@ -10,8 +10,8 @@ import (
 // state, not on any program.
 func replicaRuntime(t *testing.T, workers, servers, replicas int, recover bool) *runtime {
 	t.Helper()
-	rt, err := newRuntime(nil, Config{Workers: workers, Servers: servers, Replicas: replicas,
-		Recover: recover, ScratchDir: t.TempDir()}, nil, placement{})
+	cfg := Config{Workers: workers, Servers: servers, Replicas: replicas, Recover: recover, ScratchDir: t.TempDir()}
+	rt, err := newRuntime(nil, cfg, nil, batch(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,21 +198,21 @@ func TestPlacementProperties(t *testing.T) {
 func TestSingleReplicaServersNeverFailOver(t *testing.T) {
 	rt := replicaRuntime(t, 2, 3, 1, true)
 	critical := map[int]bool{}
-	for _, r := range rt.criticalRanks() {
+	for _, r := range rt.ranks.critical(rt.cfg.Replicas) {
 		critical[r] = true
 	}
-	for _, sr := range rt.serverList {
+	for _, sr := range rt.ranks.servers {
 		if !critical[sr] {
-			t.Errorf("server rank %d is not in criticalRanks with Replicas == 1", sr)
+			t.Errorf("server rank %d is not critical with Replicas == 1", sr)
 		}
 		if rt.world.Evictable(sr) {
 			t.Errorf("world reports server rank %d evictable with Replicas == 1", sr)
 		}
 	}
-	if !rt.world.Evictable(rt.workerList[0]) {
+	if !rt.world.Evictable(rt.ranks.workers[0]) {
 		t.Fatal("workers are not evictable under Recover; the checks above are vacuous")
 	}
-	victim := rt.serverList[1]
+	victim := rt.ranks.servers[1]
 	func() {
 		defer func() { recover() }() // evicting a critical rank fails the world
 		rt.world.Evict(victim, "test eviction")
@@ -232,10 +232,10 @@ func TestSingleReplicaServersNeverFailOver(t *testing.T) {
 // set; the sets shrink to the live servers.
 func TestReplicaServersSkipEvicted(t *testing.T) {
 	rt := replicaRuntime(t, 2, 3, 2, true)
-	victim := 1 + rt.workers + 1 // middle server rank
+	victim := rt.ranks.servers[1] // the middle server
 	rt.world.Evict(victim, "test eviction")
 	if !rt.world.IsEvicted(victim) {
-		t.Fatal("test server rank was not evictable; criticalRanks is wrong for Replicas > 1")
+		t.Fatal("test server rank was not evictable; Ranks.critical is wrong for Replicas > 1")
 	}
 	for arr := 0; arr < 4; arr++ {
 		for ord := 0; ord < 64; ord++ {

@@ -101,7 +101,7 @@ func newIOServer(rt *runtime, rank int) *ioServer {
 	if rt.prog != nil {
 		// A run that brings its own servers registers itself with them.
 		s.jobs[rt.job] = &srvJob{job: rt.job, prog: rt.prog, layout: rt.layout,
-			preset: rt.cfg.Preset, replicas: rt.cfg.Replicas, servers: rt.serverList}
+			preset: rt.cfg.Preset, replicas: rt.cfg.Replicas, servers: rt.ranks.servers}
 	}
 	return s
 }

@@ -32,8 +32,8 @@ func testIOServer(t *testing.T, capacity int) *ioServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(prog, Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(2),
-		ScratchDir: t.TempDir()}, nil, placement{})
+	cfg := Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(2), ScratchDir: t.TempDir()}
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,9 @@
 //   - Each I/O server holds a write-back LRU cache of served-array
 //     blocks, lazily persisting dirty blocks to scratch files.
 //
-// Rank layout: rank 0 is the master, ranks 1..W are workers, and ranks
-// W+1..W+S are I/O servers.
+// Rank layout: rank 0 is the master; a batch run's workers are ranks
+// 1..W and its I/O servers W+1..W+S, and a pool job's are the pool's live
+// members (Ranks).
 package sip
 
 import (
@@ -283,10 +284,6 @@ type Config struct {
 	// snapshot survives the whole run dying, an eviction one rank.  0
 	// disables checkpointing.
 	CkptInterval int
-	// CkptKeep is the snapshot retention depth (default 2): older epochs
-	// are garbage-collected after each successful snapshot, and a
-	// corrupted latest epoch falls back to the one before it on resume.
-	CkptKeep int
 	// CkptName names the snapshot directory <scratch>/ckpt/<CkptName>.
 	// A restarted run resumes only from snapshots written under the same
 	// name (default "job"; sial serve uses the stable per-job id).
@@ -360,13 +357,8 @@ func (c *Config) fill() error {
 	if c.CkptInterval < 0 {
 		return fmt.Errorf("sip: CkptInterval = %d, need >= 0", c.CkptInterval)
 	}
-	if c.CkptInterval > 0 {
-		if c.CkptKeep <= 0 {
-			c.CkptKeep = 2
-		}
-		if c.CkptName == "" {
-			c.CkptName = "job"
-		}
+	if c.CkptInterval > 0 && c.CkptName == "" {
+		c.CkptName = "job"
 	}
 	if c.Resume && c.CkptInterval == 0 {
 		return fmt.Errorf("sip: Resume requires CkptInterval > 0")
@@ -398,29 +390,32 @@ type Result struct {
 // placement locates one run inside a world.  The job id strides every
 // tag the run's master and workers use by job*jobTagStride and namespaces
 // every block key, file name and effect id, isolating concurrent jobs end
-// to end.  The zero value is the batch layout: job 0 owning the world,
-// workers on ranks 1..W, I/O servers on W+1..W+S, unconstrained dispatch.
-// A pool hands the launcher a positive job id together with the live
-// membership it snapshotted at admission (so jobs admitted after a rank
-// join include the newcomer while running jobs keep their group) and its
-// fairness gate.
+// to end.  A batch run (batch) is job 0 owning the world, laid out
+// contiguously, with unconstrained dispatch.  A pool hands the launcher a
+// positive job id together with the live membership it snapshotted at
+// admission (so jobs admitted after a rank join include the newcomer while
+// running jobs keep their group) and its fairness gate.
 type placement struct {
-	job     int
-	workers []int // world ranks in worker-index order; nil = 1..W
-	servers []int // world ranks of the I/O servers; nil = W+1..W+S
-	gate    ChunkGate
+	job   int
+	ranks Ranks
+	gate  ChunkGate
+}
+
+// batch is the placement of a run that owns its world: job 0, its ranks
+// laid out from cfg's counts.
+func batch(cfg Config) placement {
+	return placement{ranks: newRanks(cfg.Workers, cfg.Servers, 0)}
 }
 
 // runtime is the state shared (read-only after construction) by all
 // ranks of one SIP run.
 type runtime struct {
-	cfg     Config
-	prog    *bytecode.Program
-	layout  *bytecode.Layout
-	supers  []SuperFunc // by string id: what an execute naming it runs (superTable)
-	world   *mpi.World
-	workers int
-	servers int
+	cfg    Config
+	prog   *bytecode.Program
+	layout *bytecode.Layout
+	supers []SuperFunc // by string id: what an execute naming it runs (superTable)
+	world  *mpi.World
+	ranks  Ranks // who plays which role; the one source of roles and liveness
 
 	// job namespaces this run's block keys, and tagBase (job*jobTagStride)
 	// its message tags, inside the world.
@@ -431,11 +426,6 @@ type runtime struct {
 	// rather than the owner of its own: it neither sets the world up
 	// (newRuntime) nor brings it down (failRun).
 	pooled bool
-
-	// workerList and serverList map worker/server indexes to world
-	// ranks (see placement).
-	workerList []int
-	serverList []int
 
 	gate ChunkGate // nil = unconstrained guided self-scheduling
 
@@ -469,7 +459,7 @@ func fired(ch <-chan struct{}) bool {
 // ErrAborted (errors.Is classifies the abort), the latter last.
 func (rt *runtime) abortError(who string) error {
 	if f := rt.world.Failure(); f != nil {
-		return fmt.Errorf("sip: %s: aborted: %w (%s): %w", who, f, NewRanks(rt.cfg).Role(f.Rank), mpi.ErrAborted)
+		return fmt.Errorf("sip: %s: aborted: %w (%s): %w", who, f, rt.ranks.Role(f.Rank), mpi.ErrAborted)
 	}
 	return fmt.Errorf("sip: %s: aborted after peer failure: %w", who, mpi.ErrAborted)
 }
@@ -477,28 +467,25 @@ func (rt *runtime) abortError(who string) error {
 // newRuntime is the one bootstrap behind Run, RunRank, NewPool and
 // Pool.RunJob: it fills and validates the config, resolves the layout
 // (a pool's shared-server runtime has no program of its own), settles
-// the scratch directory and the rank lists, and — for the run that owns
-// the world, job 0 — marks the evictable ranks and installs the message
-// observer.  A nil world means a fresh in-process one sized for cfg.
+// the scratch directory, and — for the run that owns the world, job 0 —
+// marks the evictable ranks and installs the message observer.  A nil
+// world means a fresh in-process one sized for the placement's ranks.
 func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placement) (*runtime, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	rt := &runtime{
-		cfg:        cfg,
-		prog:       prog,
-		world:      world,
-		workers:    cfg.Workers,
-		servers:    cfg.Servers,
-		job:        at.job,
-		tagBase:    at.job * jobTagStride,
-		pooled:     at.job != 0,
-		workerList: at.workers,
-		serverList: at.servers,
-		gate:       at.gate,
-		scratch:    cfg.ScratchDir,
-		tracer:     cfg.Tracer,
-		metrics:    cfg.Metrics,
+		cfg:     cfg,
+		prog:    prog,
+		world:   world,
+		ranks:   at.ranks,
+		job:     at.job,
+		tagBase: at.job * jobTagStride,
+		pooled:  at.job != 0,
+		gate:    at.gate,
+		scratch: cfg.ScratchDir,
+		tracer:  cfg.Tracer,
+		metrics: cfg.Metrics,
 	}
 	if prog != nil {
 		layout, err := prog.Resolve(cfg.Params, cfg.Seg)
@@ -513,12 +500,6 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 			}
 		}
 	}
-	if rt.workerList == nil {
-		rt.workerList = contiguousRanks(1, rt.workers)
-	}
-	if rt.serverList == nil {
-		rt.serverList = contiguousRanks(1+rt.workers, rt.servers)
-	}
 	if rt.scratch == "" {
 		dir, err := os.MkdirTemp("", "sip-scratch-")
 		if err != nil {
@@ -527,11 +508,11 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 		rt.scratch, rt.ownScratch = dir, true
 	}
 	if rt.world == nil {
-		rt.world = mpi.NewWorld(1 + rt.workers + rt.servers)
+		rt.world = mpi.NewWorld(rt.ranks.Size())
 	}
 	if !rt.pooled {
 		if cfg.Recover {
-			rt.world.SetRecover(rt.criticalRanks()...)
+			rt.world.SetRecover(rt.ranks.critical(cfg.Replicas)...)
 		}
 		if cfg.Metrics != nil {
 			rt.world.SetObserver(newMPIStats(cfg.Metrics, rt.world.Size()))
@@ -545,14 +526,6 @@ func (rt *runtime) close() {
 	if rt.ownScratch {
 		os.RemoveAll(rt.scratch)
 	}
-}
-
-func contiguousRanks(first, n int) []int {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = first + i
-	}
-	return ranks
 }
 
 // launch plays the given world ranks of this run in the calling process
@@ -577,7 +550,7 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 		switch {
 		case rank == 0:
 			m = newMaster(rt)
-		case rt.workerIndexOf(rank) >= 0:
+		case rt.ranks.workerIndex(rank) >= 0:
 			w := newWorker(rt, rank)
 			workers = append(workers, w)
 			wg.Add(2)
@@ -652,27 +625,6 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 	return res, nil
 }
 
-// workerIndexOf returns the 0-based worker index of a world rank, or -1.
-func (rt *runtime) workerIndexOf(rank int) int {
-	for i, r := range rt.workerList {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
-
-// isServerRank reports whether a world rank is one of this job's I/O
-// servers.
-func (rt *runtime) isServerRank(rank int) bool {
-	for _, r := range rt.serverList {
-		if r == rank {
-			return true
-		}
-	}
-	return false
-}
-
 // DefaultIntegrals is the built-in synthetic two-electron integral
 // generator: a deterministic, smooth, symmetric function of the global
 // element indices with 1/(1+distance) decay, standing in for the real
@@ -714,30 +666,11 @@ func HashPlacement(arr, ord, workers int) int {
 	return (arr*2654435761 + ord) % workers
 }
 
-// criticalRanks returns the ranks whose death recovery cannot survive:
-// the master (sole scheduler) and — with Replicas == 1 — the I/O
-// servers (then the sole holders of served-array state).  From two
-// replicas up every served block lives on several servers, so server
-// ranks become evictable like workers.
-func (rt *runtime) criticalRanks() []int {
-	ranks := []int{0}
-	if rt.cfg.Replicas == 1 {
-		ranks = append(ranks, rt.serverList...)
-	}
-	return ranks
-}
-
-// homeWorker returns the world rank of the worker that owns block ord of
-// array arr.
-func (rt *runtime) homeWorker(arr, ord int) int {
-	return rt.workerList[HashPlacement(arr, ord, rt.workers)]
-}
-
 // Run compiles nothing: it executes an already compiled program under the
 // given configuration, every rank hosted in-process on a fresh world, and
 // returns the result.
 func Run(prog *bytecode.Program, cfg Config) (*Result, error) {
-	rt, err := newRuntime(prog, cfg, nil, placement{})
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 	if err != nil {
 		return nil, err
 	}

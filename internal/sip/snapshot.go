@@ -350,13 +350,7 @@ func (m *master) captureBlocks(dir string) ([]ckptBlockEntry, int64, error) {
 	var out []ckptBlockEntry
 	var total int64
 	seen := map[[2]int]bool{}
-	var live []int
-	for _, sr := range rt.serverList {
-		if !rt.world.IsEvicted(sr) {
-			live = append(live, sr)
-		}
-	}
-	err := rt.eachSpillFile(live, func(path string, arr, ord int) error {
+	err := rt.eachSpillFile(rt.ranks.liveServers(rt.world, nil, nil), func(path string, arr, ord int) error {
 		k := [2]int{arr, ord}
 		if arr < 0 || arr >= len(rt.prog.Arrays) || ord < 0 || seen[k] {
 			return nil // not a block of this program, or a replica already supplied it
@@ -426,10 +420,15 @@ func (m *master) writeSnapshot(base *workerState, sums []float64, overlays []ckp
 	return nil
 }
 
+// ckptKeep is the snapshot retention depth: older epochs are
+// garbage-collected after each successful snapshot, and a corrupted latest
+// epoch falls back to the one before it on resume.
+const ckptKeep = 2
+
 // gcSnapshots removes manifests and epoch directories older than the
-// retention window (Config.CkptKeep).
+// retention window (ckptKeep).
 func (m *master) gcSnapshots() {
-	cut := m.snap.epoch - m.rt.cfg.CkptKeep
+	cut := m.snap.epoch - ckptKeep
 	entries, err := os.ReadDir(m.snap.dir)
 	if err != nil {
 		return
@@ -564,7 +563,7 @@ func (m *master) rehydrate(man *ckptManifest) error {
 // the old run.
 func (m *master) cleanStaleBlocks() {
 	// Best effort: an unreadable directory is its server's to report.
-	_ = m.rt.eachSpillFile(m.rt.serverList, func(path string, _, _ int) error {
+	_ = m.rt.eachSpillFile(m.rt.ranks.servers, func(path string, _, _ int) error {
 		os.Remove(path)
 		return nil
 	})

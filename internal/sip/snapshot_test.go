@@ -190,13 +190,13 @@ func TestResumeCorruptManifestFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotGCRetention: only CkptKeep epochs survive on disk.
+// TestSnapshotGCRetention: only ckptKeep epochs survive on disk.
 func TestSnapshotGCRetention(t *testing.T) {
 	scratch := runStopped(t, 4)
 	dir := filepath.Join(scratch, "ckpt", "job")
 	manifests, _ := filepath.Glob(filepath.Join(dir, "manifest_*.ckpt"))
 	if len(manifests) == 0 || len(manifests) > 2 {
-		t.Errorf("found %d manifests, want 1..2 (CkptKeep default)", len(manifests))
+		t.Errorf("found %d manifests, want 1..2 (ckptKeep)", len(manifests))
 	}
 	epochDirs, _ := filepath.Glob(filepath.Join(dir, "epoch*"))
 	if len(epochDirs) == 0 || len(epochDirs) > 2 {
@@ -247,7 +247,7 @@ func TestCkptIntervalValidation(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatalf("CkptInterval without Recover: %v", err)
 	}
-	if cfg.CkptKeep != 2 || cfg.CkptName != "job" {
-		t.Errorf("defaults: keep=%d name=%q, want 2/job", cfg.CkptKeep, cfg.CkptName)
+	if ckptKeep != 2 || cfg.CkptName != "job" {
+		t.Errorf("defaults: keep=%d name=%q, want 2/job", ckptKeep, cfg.CkptName)
 	}
 }

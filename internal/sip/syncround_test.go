@@ -36,8 +36,8 @@ endsial
 	}
 	for _, kind := range []int{syncSave, syncLoad} {
 		t.Run(map[int]string{syncSave: "save", syncLoad: "load"}[kind], func(t *testing.T) {
-			rt, err := newRuntime(prog, Config{Workers: 3, Recover: true,
-				Seg: bytecode.DefaultSegConfig(2), ScratchDir: t.TempDir()}, nil, placement{})
+			cfg := Config{Workers: 3, Recover: true, Seg: bytecode.DefaultSegConfig(2), ScratchDir: t.TempDir()}
+			rt, err := newRuntime(prog, cfg, nil, batch(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ endsial
 			for ord := 0; ord < rt.layout.Shapes[arr].NumBlocks(); ord++ {
 				ab := ArrayBlock{Ord: ord, Data: []float64{float64(ord)}}
 				all = append(all, ab)
-				parts[rt.homeWorker(arr, ord)] = append(parts[rt.homeWorker(arr, ord)], ab)
+				parts[rt.ranks.home(arr, ord)] = append(parts[rt.ranks.home(arr, ord)], ab)
 			}
 			ords := func(blocks []ArrayBlock) string {
 				var o []int

@@ -98,7 +98,7 @@ func (w *worker) run() (err error) {
 		w.comm.Send(0, w.rt.tag(tagDone), d)
 		w.rt.failRun(err)
 	}()
-	homed := func(k blockKey) bool { return w.rt.homeWorker(k.arr, k.ord) == w.rank }
+	homed := func(k blockKey) bool { return w.rt.ranks.home(k.arr, k.ord) == w.rank }
 	put := func(k blockKey, b *block.Block) error { w.dist.put(k, b, false); return nil }
 	if err := presetBlocks(w.rt.cfg.Preset, w.rt.prog, w.rt.layout, w.rt.job, bytecode.ArrayDistributed, homed, put); err != nil {
 		return err
@@ -166,7 +166,7 @@ func (w *worker) shutdown() error {
 // do without it: an evicted debtor fails the wait, naming it.
 func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
 	for {
-		m, ok, err := w.rt.await(w.comm, src, tag, tag, what, nil, nil)
+		m, ok, err := w.rt.await(w.comm, src, tag, tag, what, nil)
 		if ok || err != nil {
 			return m, err
 		}
@@ -302,7 +302,7 @@ func (w *worker) startFetch(arrID int, loc *refLoc, ahead bool) error {
 		}
 		home = replicas[0]
 	} else {
-		home = w.rt.homeWorker(arrID, loc.key.ord)
+		home = w.rt.ranks.home(arrID, loc.key.ord)
 	}
 	if home == w.rank {
 		if !ahead {
@@ -383,7 +383,7 @@ func (w *worker) store(arrID int, loc *refLoc, val *block.Block, acc bool, seq u
 			w.owedPrepAcks[srv]++
 		}
 	} else {
-		home := w.rt.homeWorker(arrID, loc.key.ord)
+		home := w.rt.ranks.home(arrID, loc.key.ord)
 		switch {
 		case home == w.rank:
 			w.applyLocalPut(loc.key, val.Clone(), acc, seq)
@@ -423,7 +423,7 @@ func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
 			slices.Sort(ranks) // a verdict blames the lowest
 			return ranks
 		}
-		m, ok, err := w.rt.await(w.comm, mpi.AnySource, w.rt.tag(tag), w.rt.tag(tag), waitFor{what: what}, debtors, nil)
+		m, ok, err := w.rt.await(w.comm, mpi.AnySource, w.rt.tag(tag), w.rt.tag(tag), waitFor{what: what}, debtors)
 		if err != nil {
 			return err
 		}

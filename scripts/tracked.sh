@@ -13,8 +13,11 @@
 # os.Rename sites anywhere in internal/ (one atomic write is the aim:
 # internal/atomicfile); the fields of sip.Config
 # and sip.PoolConfig, and the settable values that describe one run
-# (sip.Config plus a sip.JobSpec, where one exists); and the cond.Wait()
-# sites of the mpi mailbox.
+# (sip.Config plus a sip.JobSpec, where one exists); the cond.Wait()
+# sites of the mpi mailbox; and the places in non-test internal/sip that
+# answer a membership question without the one membership value,
+# internal/sip/ranks.go: calls of the count-based NewRanks, a launcher's
+# constructor, and walks over the old rank-list fields.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -37,3 +40,7 @@ echo "Config fields:                $(fields Config internal/sip/sip.go)"
 echo "PoolConfig fields:            $(fields PoolConfig internal/sip/pool.go)"
 echo "run-description fields (Config + JobSpec): $(($(fields Config internal/sip/sip.go) + $(fields JobSpec internal/sip/pool.go)))"
 echo "mailbox wait loops:           $(grep -c 'cond\.Wait()' internal/mpi/mpi.go || true)"
+echo "count-based role sites:       $(nontest internal/sip | grep -v '^func NewRanks(' | grep -c 'NewRanks(' || true)"
+walks=$(find internal/sip -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'ranks.go' -print0 | sort -z | xargs -0 cat |
+	grep -cE 'range (m\.)?(rt|p)\.(workerList|serverList|workers|spareList)\b' || true)
+echo "rank-list walks outside the membership file: $walks"
