@@ -6,21 +6,21 @@
 //
 //	sial compile  prog.sial [-o prog.siox]
 //	sial disasm   prog.sial|prog.siox
-//	sial dryrun   prog.sial [-workers N] [-servers N] [-seg S] [-mem BYTES] [-param k=v ...]
+//	sial dryrun   prog.sial [-json] [-workers N] [-servers N] [-seg S] [-mem BYTES] [-param k=v ...]
 //	sial run      prog.sial [-workers N] [-servers N] [-seg S] [-prefetch W] [-param k=v ...]
 //	              [-profile] [-metrics] [-trace] [-trace-json out.json] [-trace-ranks all|N,M]
 //	              [-transport inproc|tcp] [-rank N -peers host:port,...] [-launch]
 //	              [-recv-timeout D] [-hb-interval D] [-hb-timeout D] [-fault-spec SPEC]
 //	              [-recover] [-replicas K]
 //	              [-scratch DIR] [-ckpt-interval N] [-ckpt-name S] [-resume]
-//	              [-obs-addr host:port] [-trace-local] [-flight-dir DIR]
+//	              [-obs-addr host:port] [-flight-dir DIR]
 //
 // Compiled byte code uses the .siox suffix (serialized with the SIABC1
 // container format).  -trace-json writes a Chrome trace-event file
 // loadable in Perfetto (see docs/OBSERVABILITY.md).  Under -launch the
 // file is the merged cluster trace: every rank ships its spans to the
 // master, which aligns the per-rank clocks and correlates send/receive
-// pairs with flow arrows (-trace-local restores one file per rank).
+// pairs with flow arrows.
 // -obs-addr serves the live cluster view over HTTP (/metrics in
 // Prometheus text format, /healthz membership, /trace merged trace) and
 // -flight-dir dumps a post-mortem flight-recorder bundle when a rank
@@ -47,6 +47,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -91,7 +92,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		err = doServe(argv[1:], stdout)
 	case "submit":
 		err = doSubmit(argv[1:], stdout)
-	case "compile", "disasm", "dryrun", "check", "run":
+	case "compile", "disasm", "dryrun", "run":
 		if len(argv) < 2 {
 			usage(stderr)
 			return 2
@@ -105,8 +106,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 			err = doDisasm(file, stdout)
 		case "dryrun":
 			err = doDryRun(file, args, stdout)
-		case "check":
-			err = doCheck(file, args, stdout)
 		case "run":
 			err = doRun(file, args, stdout)
 		}
@@ -129,8 +128,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   sial compile prog.sial [-o out.siox]
   sial disasm  prog.sial|prog.siox
-  sial dryrun  prog.sial [flags]
-  sial check   prog.sial [-json] [-workers N -servers N -seg S -mem BYTES -param k=v]
+  sial dryrun  prog.sial [-json] [flags]
   sial run     prog.sial [flags]
   sial serve   [-addr host:port] [-workers N -servers N -spares N] [-recover -replicas K]
                [-max-concurrent N -mem BYTES -queue-cap N -burst N]
@@ -141,7 +139,7 @@ run flags:        -metrics -trace -trace-json out.json -trace-ranks all|N,M
 run transports:   -transport inproc|tcp -rank N -peers host:port,... -launch
 run faults:       -recv-timeout D -hb-interval D -hb-timeout D -fault-spec SPEC -recover -replicas K
 run checkpoints:  -scratch DIR -ckpt-interval N -ckpt-name S -resume (see docs/FAULTS.md)
-run obs plane:    -obs-addr host:port -trace-local -flight-dir DIR (see docs/OBSERVABILITY.md)`)
+run obs plane:    -obs-addr host:port -flight-dir DIR (see docs/OBSERVABILITY.md)`)
 }
 
 // load reads a program from SIAL source or compiled byte code.
@@ -208,6 +206,7 @@ func doDisasm(file string, stdout io.Writer) error {
 type runFlags struct {
 	cfg       core.Config
 	mem       int64
+	asJSON    bool // dryrun: emit the report as JSON
 	prof      bool
 	metrics   bool
 	reg       *obs.Registry
@@ -215,11 +214,10 @@ type runFlags struct {
 	traceJSON string
 
 	// run-only observability plane (see docs/OBSERVABILITY.md).
-	obsShip    bool            // ship telemetry to the master's aggregator
-	obsAddr    string          // rank-0 live HTTP endpoint (/metrics /healthz /trace)
-	traceLocal bool            // with -launch: per-rank trace files, no streaming
-	flightDir  string          // flight-recorder bundle directory
-	agg        *obs.Aggregator // rank-0 (or single-process) merge sink
+	obsShip   bool            // ship telemetry to the master's aggregator
+	obsAddr   string          // rank-0 live HTTP endpoint (/metrics /healthz /trace)
+	flightDir string          // flight-recorder bundle directory
+	agg       *obs.Aggregator // rank-0 (or single-process) merge sink
 
 	// run-only transport selection (see docs/TRANSPORT.md).
 	transport string   // "inproc" or "tcp"
@@ -256,11 +254,15 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	var faultSpec *string
 	var recoverRun *bool
 	var replicas *int
-	var obsShip, traceLocal *bool
+	var obsShip *bool
 	var obsAddr, flightDir *string
 	var scratch, ckptName *string
 	var ckptInterval *int
 	var resume *bool
+	var asJSON *bool
+	if name == "dryrun" {
+		asJSON = fs.Bool("json", false, "emit the dry-run report as JSON (what sial serve charges jobs against at admission)")
+	}
 	if name == "run" {
 		transportName = fs.String("transport", "inproc", "message transport: inproc (single process) or tcp (one process per rank)")
 		rank = fs.Int("rank", -1, "this process's world rank (with -transport tcp)")
@@ -274,7 +276,6 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		replicas = fs.Int("replicas", 1, "I/O servers holding each served-array block; with -recover and >= 2, server deaths are survivable too (see docs/FAULTS.md)")
 		obsShip = fs.Bool("obs-ship", false, "ship telemetry to the master's aggregator over the obs plane (tcp ranks; -launch sets this itself)")
 		obsAddr = fs.String("obs-addr", "", "serve live observability HTTP on this address: /metrics /healthz /trace (rank 0)")
-		traceLocal = fs.Bool("trace-local", false, "with -launch -trace-json: one trace file per rank instead of one merged trace")
 		flightDir = fs.String("flight-dir", "", "write flight-recorder bundles (post-mortem metrics and spans) to this directory when a rank dies")
 		scratch = fs.String("scratch", "", "served-array scratch and checkpoint directory (default: a private temp dir; checkpointing needs a durable one)")
 		ckptInterval = fs.Int("ckpt-interval", 0, "snapshot the run every N completed pardo chunks and at every sync point (0 disables, see docs/FAULTS.md)")
@@ -286,6 +287,9 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 	}
 	rf := &runFlags{mem: *mem, prof: *prof, metrics: *metrics, traceJSON: *traceJSON,
 		transport: "inproc", rank: -1}
+	if asJSON != nil {
+		rf.asJSON = *asJSON
+	}
 	if name == "run" {
 		rf.transport, rf.rank, rf.launch = *transportName, *rank, *launch
 		if *peers != "" {
@@ -296,7 +300,7 @@ func parseRunFlags(name string, args []string) (*runFlags, error) {
 		rf.hbInterval, rf.hbTimeout = *hbInterval, *hbTimeout
 		rf.recover = *recoverRun
 		rf.obsShip, rf.obsAddr = *obsShip, *obsAddr
-		rf.traceLocal, rf.flightDir = *traceLocal, *flightDir
+		rf.flightDir = *flightDir
 		var err error
 		if rf.faultSpec, err = transport.ParseFaultSpec(*faultSpec); err != nil {
 			return nil, err
@@ -382,13 +386,7 @@ func (rf *runFlags) validateTransport() error {
 		if rf.obsShip {
 			return fmt.Errorf("-launch manages -obs-ship itself; drop it")
 		}
-		if rf.traceLocal && rf.traceJSON == "" {
-			return fmt.Errorf("-trace-local needs -trace-json to name the per-rank files")
-		}
 		return nil
-	}
-	if rf.traceLocal {
-		return fmt.Errorf("-trace-local selects per-rank trace files under -launch; it needs -launch and -trace-json")
 	}
 	if rf.transport == "inproc" {
 		if rf.rank >= 0 || len(rf.peers) > 0 {
@@ -458,7 +456,15 @@ func doDryRun(file string, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, report)
+	if rf.asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(report); err != nil {
+			return err
+		}
+	} else {
+		fmt.Fprint(stdout, report)
+	}
 	if !report.Feasible {
 		return fmt.Errorf("computation infeasible within the memory budget")
 	}
@@ -668,13 +674,13 @@ func doLaunch(file string, args []string, rf *runFlags, stdout io.Writer) error 
 	for _, f := range []struct {
 		name     string
 		hasValue bool
-	}{{"trace-json", true}, {"trace-local", false}, {"obs-addr", true}, {"flight-dir", true}, {"obs-ship", false}} {
+	}{{"trace-json", true}, {"obs-addr", true}, {"flight-dir", true}, {"obs-ship", false}} {
 		base = stripFlag(base, f.name, f.hasValue)
 	}
 	// Streaming mode (the default with -trace-json): every rank ships
 	// telemetry to rank 0, which writes the single merged trace.  The
 	// plane also runs for -obs-addr and -flight-dir alone.
-	stream := rf.traceJSON != "" && !rf.traceLocal
+	stream := rf.traceJSON != ""
 	obsPlane := stream || rf.obsAddr != "" || rf.flightDir != ""
 	peers := strings.Join(addrs, ",")
 
@@ -697,9 +703,6 @@ func doLaunch(file string, args []string, rf *runFlags, stdout io.Writer) error 
 			if rf.flightDir != "" {
 				childArgs = append(childArgs, "-flight-dir", rf.flightDir)
 			}
-		}
-		if rf.traceLocal {
-			childArgs = append(childArgs, "-trace-json", rankTraceFile(rf.traceJSON, rank))
 		}
 		cmd := exec.Command(exe, childArgs...)
 		// SIAL_CHILD_MAIN lets a test binary standing in for the real
@@ -802,16 +805,6 @@ func doLaunch(file string, args []string, rf *runFlags, stdout io.Writer) error 
 		return fmt.Errorf("launch: %s: %v", ranks.Role(rank), err)
 	}
 	return nil
-}
-
-// rankTraceFile derives the per-rank trace file name used by
-// -trace-local: "out.json" becomes "out.rank3.json" (a name without an
-// extension just gets the ".rank3" suffix).
-func rankTraceFile(file string, rank int) string {
-	if i := strings.LastIndex(file, "."); i > 0 {
-		return fmt.Sprintf("%s.rank%d%s", file[:i], rank, file[i:])
-	}
-	return fmt.Sprintf("%s.rank%d", file, rank)
 }
 
 // reservePorts picks n free loopback ports by binding and immediately

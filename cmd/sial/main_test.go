@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sip"
 )
 
 // TestMain doubles as the launch-child entry point: doLaunch spawns
@@ -122,6 +124,45 @@ func TestCLIDryRun(t *testing.T) {
 	}
 	if !strings.Contains(out, "INFEASIBLE") && !strings.Contains(errOut, "infeasible") {
 		t.Fatalf("missing infeasibility report:\n%s\n%s", out, errOut)
+	}
+}
+
+// TestCLIDryRunJSON: `sial dryrun -json` emits the report `sial serve`
+// charges jobs against at admission, with the same defaults and exit
+// codes as the human report.
+func TestCLIDryRunJSON(t *testing.T) {
+	path := writeProgram(t, testProgram)
+	code, out, errOut := runCLI(t, "dryrun", path, "-json", "-workers", "2", "-seg", "2")
+	if code != 0 {
+		t.Fatalf("dryrun exit %d: %s", code, errOut)
+	}
+	var report sip.DryRunReport
+	if err := json.Unmarshal([]byte(out), &report); err != nil {
+		t.Fatalf("dryrun -json emitted invalid JSON: %v\n%s", err, out)
+	}
+	if report.Workers != 2 || report.PerWorkerBytes <= 0 || !report.Feasible {
+		t.Fatalf("implausible report: %+v", report)
+	}
+	// The raw JSON uses the stable snake_case keys clients script against.
+	for _, key := range []string{`"per_worker_bytes"`, `"feasible"`, `"min_workers"`} {
+		if !strings.Contains(out, key) {
+			t.Errorf("JSON missing %s:\n%s", key, out)
+		}
+	}
+
+	// An infeasible budget still emits the JSON report, then exits 1.
+	code, out, _ = runCLI(t, "dryrun", path, "-json", "-workers", "2", "-seg", "2", "-mem", "1")
+	if code != 1 {
+		t.Fatalf("infeasible dryrun exit %d, want 1", code)
+	}
+	if err := json.Unmarshal([]byte(out), &report); err != nil || report.Feasible {
+		t.Fatalf("infeasible report bad (err=%v): %+v", err, report)
+	}
+
+	// Without -json the human report is unchanged.
+	code, out, _ = runCLI(t, "dryrun", path, "-workers", "2", "-seg", "2")
+	if code != 0 || !strings.Contains(out, "dry run") {
+		t.Fatalf("plain dryrun (%d):\n%s", code, out)
 	}
 }
 
@@ -344,8 +385,6 @@ func TestCLITransportFlagValidation(t *testing.T) {
 		{"peers without tcp", []string{"-peers", "localhost:1"}, "require -transport tcp"},
 		{"launch with rank", []string{"-launch", "-rank", "0"}, "drop -rank"},
 		{"launch with obs-ship", []string{"-launch", "-obs-ship"}, "manages -obs-ship itself"},
-		{"trace-local without launch", []string{"-trace-local"}, "needs -launch"},
-		{"trace-local without trace-json", []string{"-launch", "-trace-local"}, "needs -trace-json"},
 		{"obs-ship without tcp", []string{"-obs-ship"}, "requires -transport tcp"},
 		{"peers count mismatch", []string{"-workers", "1", "-servers", "1",
 			"-transport", "tcp", "-rank", "0", "-peers", "a:1,b:2"}, "lists 2 addresses"},
@@ -510,26 +549,6 @@ func TestCLILaunchMergedTrace(t *testing.T) {
 	// -metrics on an aggregated run also prints the cluster wait report.
 	if !strings.Contains(out, "% wait") {
 		t.Errorf("output lacks the wait report:\n%s", out)
-	}
-}
-
-// TestCLILaunchTraceLocal: the -trace-local escape hatch makes each
-// child write its own per-rank trace file instead of streaming.
-func TestCLILaunchTraceLocal(t *testing.T) {
-	example := filepath.Join("..", "..", "examples", "sial", "mp2_energy.sial")
-	traceFile := filepath.Join(t.TempDir(), "trace.json")
-	code, _, errOut := runCLI(t, "run", example,
-		"-workers", "1", "-servers", "1", "-seg", "2",
-		"-param", "no=2", "-param", "nv=2",
-		"-launch", "-trace-json", traceFile, "-trace-local")
-	if code != 0 {
-		t.Fatalf("launch exit %d: %s", code, errOut)
-	}
-	for rank := 0; rank < 3; rank++ {
-		f := rankTraceFile(traceFile, rank)
-		if _, err := os.Stat(f); err != nil {
-			t.Errorf("rank %d local trace missing: %v", rank, err)
-		}
 	}
 }
 

@@ -1,9 +1,8 @@
 package main
 
-// The `sial serve` / `sial submit` / `sial check` verbs: a persistent
-// multi-tenant SIP pool behind an HTTP/JSON front door, its submission
-// client, and the machine-readable dry-run check feeding its admission
-// control.  See docs/SERVE.md.
+// The `sial serve` / `sial submit` verbs: a persistent multi-tenant SIP
+// pool behind an HTTP/JSON front door, and its submission client.  See
+// docs/SERVE.md.
 
 import (
 	"bytes"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/chem"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sip"
@@ -292,49 +290,6 @@ func doSubmit(args []string, stdout io.Writer) error {
 		for _, n := range names {
 			fmt.Fprintf(stdout, "  %s = %.12g\n", n, st.Scalars[n])
 		}
-	}
-	return nil
-}
-
-// doCheck runs the dry-run feasibility analysis and, with -json, emits
-// the report as machine-readable JSON — the same estimate `sial serve`
-// charges jobs against at admission.
-func doCheck(file string, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "emit the dry-run report as JSON")
-	workers := fs.Int("workers", 4, "number of SIP workers")
-	servers := fs.Int("servers", 1, "number of I/O servers")
-	seg := fs.Int("seg", 4, "segment size")
-	mem := fs.Int64("mem", 0, "per-worker memory budget in bytes (0 = unlimited)")
-	var params paramList
-	fs.Var(&params, "param", "parameter assignment k=v (repeatable)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	prog, err := load(file)
-	if err != nil {
-		return err
-	}
-	report, err := core.DryRun(prog, core.Config{
-		Workers: *workers,
-		Servers: *servers,
-		Seg:     core.DefaultSegConfig(*seg),
-		Params:  params.vals,
-	}, *mem)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprint(stdout, report)
-	}
-	if !report.Feasible {
-		return fmt.Errorf("computation infeasible within the memory budget")
 	}
 	return nil
 }

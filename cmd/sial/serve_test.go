@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/serve"
-	"repro/internal/sip"
 )
 
 // submitProgram is the workload CLI serve tests submit: pure synthetic
@@ -38,42 +37,6 @@ endpardo
 collective e
 endsial
 `
-
-func TestCLICheckJSON(t *testing.T) {
-	path := writeProgram(t, testProgram)
-	code, out, errOut := runCLI(t, "check", path, "-json", "-workers", "2", "-seg", "2")
-	if code != 0 {
-		t.Fatalf("check exit %d: %s", code, errOut)
-	}
-	var report sip.DryRunReport
-	if err := json.Unmarshal([]byte(out), &report); err != nil {
-		t.Fatalf("check -json emitted invalid JSON: %v\n%s", err, out)
-	}
-	if report.Workers != 2 || report.PerWorkerBytes <= 0 || !report.Feasible {
-		t.Fatalf("implausible report: %+v", report)
-	}
-	// The raw JSON uses the stable snake_case keys clients script against.
-	for _, key := range []string{`"per_worker_bytes"`, `"feasible"`, `"min_workers"`} {
-		if !strings.Contains(out, key) {
-			t.Errorf("JSON missing %s:\n%s", key, out)
-		}
-	}
-
-	// An infeasible budget still emits the JSON report, then exits 1.
-	code, out, _ = runCLI(t, "check", path, "-json", "-workers", "2", "-seg", "2", "-mem", "1")
-	if code != 1 {
-		t.Fatalf("infeasible check exit %d, want 1", code)
-	}
-	if err := json.Unmarshal([]byte(out), &report); err != nil || report.Feasible {
-		t.Fatalf("infeasible report bad (err=%v): %+v", err, report)
-	}
-
-	// Without -json the human report is unchanged.
-	code, out, _ = runCLI(t, "check", path, "-workers", "2", "-seg", "2")
-	if code != 0 || !strings.Contains(out, "dry run") {
-		t.Fatalf("plain check (%d):\n%s", code, out)
-	}
-}
 
 // startServeChild spawns `sial serve` as a child process (the test
 // binary rerouted through realMain) and returns its base address.

@@ -201,7 +201,7 @@ func TestFairGateAcquireAllocs(t *testing.T) {
 // TestServeQuotaRejection: a job whose dry-run per-worker footprint
 // exceeds the memory budget is rejected at submission, and a job that
 // fits is admitted — quota-based admission control over the same
-// analysis `sial check` prints.
+// analysis `sial dryrun -json` prints.
 func TestServeQuotaRejection(t *testing.T) {
 	s := newTestService(t, Config{MemBudget: 1 << 10}) // 1 KiB: nothing real fits
 	st, err := s.Submit(SubmitRequest{Source: drill, Params: map[string]int{"n": 12}})

@@ -2,6 +2,7 @@ package sip
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 )
@@ -96,4 +97,61 @@ func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspe
 		reason += fmt.Sprintf(" (still waiting on ranks %v)", waiting)
 	}
 	return mpi.Message{}, false, &mpi.RankFailure{Rank: waiting[0], Reason: reason}
+}
+
+// collect is the one wait for a known set of ranks to reply: it receives
+// on this job's tag until debts, the replies still owed by rank, is
+// empty, and hands each counted reply to got (nil: nothing to fold).  Its
+// callers are a worker's put and prepare acks before a sync report, the
+// master's server flush, shutdown gather and resume rehydration, and a
+// pool job's registration with the shared servers.
+//
+// A debtor evicted before paying is written off: a dead home's blocks
+// died with it, a dead server's live on its replicas, and an evicted
+// server never answers.  A reply from a rank that owes nothing — a stale
+// ack delivered before the firewall went up, or a second reply from a
+// paid rank — is not counted.  Silence is await's to rule on, with the
+// debtors as suspects in rank order, so a verdict names the lowest.
+// Until a verdict collect allocates nothing beyond the caller's map.
+func (rt *runtime) collect(c *mpi.Comm, tag int, what string, debts map[int]int, got func(mpi.Message)) error {
+	debtors := func() []int {
+		ranks := make([]int, 0, len(debts))
+		for r := range debts {
+			ranks = append(ranks, r)
+		}
+		slices.Sort(ranks)
+		return ranks
+	}
+	for {
+		for r := range debts {
+			if rt.world.IsEvicted(r) {
+				delete(debts, r)
+			}
+		}
+		if len(debts) == 0 {
+			return nil
+		}
+		m, ok, err := rt.await(c, mpi.AnySource, rt.tag(tag), rt.tag(tag), waitFor{what: what}, debtors)
+		if err != nil {
+			return err
+		}
+		if !ok || debts[m.Source] == 0 {
+			continue
+		}
+		if debts[m.Source]--; debts[m.Source] == 0 {
+			delete(debts, m.Source)
+		}
+		if got != nil {
+			got(m)
+		}
+	}
+}
+
+// oneEach is a collect ledger in which each of ranks owes one reply.
+func oneEach(ranks []int) map[int]int {
+	debts := make(map[int]int, len(ranks))
+	for _, r := range ranks {
+		debts[r] = 1
+	}
+	return debts
 }

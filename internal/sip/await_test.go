@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -224,4 +225,112 @@ endsial
 	case <-time.After(20 * time.Second):
 		t.Fatal("the job is still waiting for a block of the killed rank")
 	}
+}
+
+// TestCollect is the ledger rule of every wait for a known set of ranks to
+// reply, in one table.  Rank 0 collects one reply each from ranks 2 and 3
+// and two from rank 4; rank 1 owes nothing.  Each row queues its replies
+// before the wait, in order, and may evict or answer late from a timer.
+// An owner of the world waits RecvTimeout per attempt, a tenant forever.
+func TestCollect(t *testing.T) {
+	const (
+		tag     = 7
+		timeout = 2 * time.Millisecond
+	)
+	rows := []struct {
+		name     string
+		tenant   bool
+		critical []int // besides rank 0, every rank is evictable
+		queued   []int // replies delivered before the wait, by source
+		evict    int   // a rank evicted before the wait (0: none)
+		late     []int // replies delivered after 10 timeouts
+		lateKill int   // a rank evicted after 10 timeouts (0: none)
+		want     string
+	}{
+		{name: "every debt paid", queued: []int{2, 4, 3, 4}, want: "got [2 4 3 4]"},
+		{name: "debtor evicted before paying", queued: []int{4, 2, 4}, evict: 3, want: "got [4 2 4], evicted [3]"},
+		{name: "tenant's debtor evicted while waited on", tenant: true, queued: []int{4, 2, 4}, lateKill: 3,
+			want: "got [4 2 4], evicted [3]"},
+		{name: "reply from a rank owing nothing", queued: []int{1, 2, 3, 4, 4}, want: "got [2 3 4 4]"},
+		{name: "second reply from a paid rank", queued: []int{2, 2, 3, 4, 4}, want: "got [2 3 4 4]"},
+		{name: "silent evictable debtors evicted", queued: []int{4, 4}, want: "got [4 4], evicted [2 3]"},
+		{name: "silent critical debtors blamed, lowest first", critical: []int{2, 3, 4}, queued: []int{4, 4},
+			want: "got [4 4], failure of rank 2"},
+		{name: "tenant waits out a slow debtor", tenant: true, critical: []int{2, 3, 4}, queued: []int{4, 2, 4},
+			late: []int{3}, want: "got [4 2 4 3]"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			world := mpi.NewWorld(5)
+			world.SetRecover(append([]int{0}, row.critical...)...)
+			rt := &runtime{world: world, cfg: Config{RecvTimeout: timeout}}
+			if row.tenant {
+				rt.cfg.RecvTimeout = 0
+			}
+			for _, r := range row.queued {
+				world.Comm(r).Send(0, tag, r)
+			}
+			if row.evict != 0 {
+				world.Evict(row.evict, "killed before the wait")
+			}
+			if row.late != nil || row.lateKill != 0 {
+				time.AfterFunc(10*timeout, func() {
+					for _, r := range row.late {
+						world.Comm(r).Send(0, tag, r)
+					}
+					if row.lateKill != 0 {
+						world.Evict(row.lateKill, "killed during the wait")
+					}
+				})
+			}
+
+			debts := map[int]int{2: 1, 3: 1, 4: 2}
+			var got []int
+			err := rt.collect(world.Comm(0), tag, "test reply", debts, func(m mpi.Message) { got = append(got, m.Data.(int)) })
+
+			res := fmt.Sprintf("got %v", got)
+			if ev := world.Evicted(); len(ev) > 0 {
+				var ranks []int
+				for r := range ev {
+					ranks = append(ranks, r)
+				}
+				slices.Sort(ranks)
+				res += fmt.Sprintf(", evicted %v", ranks)
+			}
+			var rf *mpi.RankFailure
+			if errors.As(err, &rf) {
+				res += fmt.Sprintf(", failure of rank %d", rf.Rank)
+			} else if err != nil {
+				res += fmt.Sprintf(", error %v", err)
+			}
+			if res != row.want {
+				t.Fatalf("collect: %s, want %s", res, row.want)
+			}
+			if err == nil && len(debts) != 0 {
+				t.Errorf("collect returned with debts %v outstanding", debts)
+			}
+		})
+	}
+
+	// Without a deadline (a tenant, or a run without RecvTimeout; a
+	// deadline's timer is the mailbox's) the ledger is all that a
+	// collection of queued replies touches.
+	t.Run("allocs", func(t *testing.T) {
+		world := mpi.NewWorld(5)
+		world.SetRecover(0)
+		rt := &runtime{world: world}
+		comms := []*mpi.Comm{world.Comm(0), world.Comm(1), world.Comm(2), world.Comm(3), world.Comm(4)}
+		debts := map[int]int{}
+		if n := testing.AllocsPerRun(100, func() {
+			for r := 1; r < 5; r++ {
+				debts[r] = 1
+				comms[r].Send(0, tag, nil)
+			}
+			if err := rt.collect(comms[0], tag, "test reply", debts, nil); err != nil || len(debts) != 0 {
+				t.Fatal(err, debts)
+			}
+		}); n != 0 {
+			t.Errorf("a collection of queued replies allocates %v times, want 0", n)
+		}
+	})
 }

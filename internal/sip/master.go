@@ -289,13 +289,24 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (mpi.Messa
 		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
 	}
 	msg, ok, err := m.rt.await(m.comm, mpi.AnySource, lo, hi, waitFor{what: what}, suspects)
+	return msg, ok, m.blame(err)
+}
+
+// collect is runtime.collect on the master's comm (see recvAny).
+func (m *master) collect(tag int, what string, debts map[int]int, got func(mpi.Message)) error {
+	return m.blame(m.rt.collect(m.comm, tag, what, debts, got))
+}
+
+// blame fails the world on a silence verdict naming a rank, so every rank
+// of the run learns of it, and returns err.
+func (m *master) blame(err error) error {
 	if err != nil {
 		var rf *mpi.RankFailure // declared here: errors.As moves it to the heap
 		if errors.As(err, &rf) {
 			m.rt.world.Fail(rf.Rank, rf.Reason)
 		}
 	}
-	return msg, ok, err
+	return err
 }
 
 // relayErr rebuilds a failure reported over the done path.  When the
@@ -536,13 +547,8 @@ func (m *master) run() (res *Result, err error) {
 		m.comm.Send(sr, tagServer, shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job})
 	}
 	if rt.cfg.GatherArrays {
-		gathered := map[int]bool{}
-		err := m.collectFromServers(tagGather, "server gather", func(sr int) bool { return !gathered[sr] },
-			func(msg mpi.Message) {
-				g := msg.Data.(gatherMsg)
-				gathered[g.origin] = true
-				m.recordServedGather(res.Served, g)
-			})
+		err := m.collect(tagGather, "server gather", oneEach(rt.ranks.servers),
+			func(msg mpi.Message) { m.recordServedGather(res.Served, msg.Data.(gatherMsg)) })
 		if err != nil {
 			return res, err
 		}
@@ -816,35 +822,15 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 	return false
 }
 
-// collectFromServers receives on tag until no live server of this job
-// owes the master anything more; got folds each message in.  Who is owed
-// is asked again after every message and every wake: a server evicted
-// meanwhile stops being owed — its blocks live on the surviving replicas.
-func (m *master) collectFromServers(tag int, what string, owes func(sr int) bool, got func(mpi.Message)) error {
-	awaiting := func() []int { return m.rt.ranks.liveServers(m.rt.world, owes, nil) }
-	for len(awaiting()) > 0 {
-		msg, ok, err := m.recvAny(tag, what, awaiting)
-		if err != nil {
-			return err
-		}
-		if ok {
-			got(msg)
-		}
-	}
-	return nil
-}
-
 // flushServers performs the server_barrier flush on the workers'
 // behalf: with every live worker parked at the sync round there is no
 // competing traffic, so the master simply asks each live server to
 // flush and waits for the acks.
 func (m *master) flushServers() error {
 	for _, sr := range m.rt.ranks.servers {
-		m.comm.Send(sr, tagServer, flushMsg{job: m.rt.job}) // dropped when sr is evicted, and its ack not awaited
+		m.comm.Send(sr, tagServer, flushMsg{job: m.rt.job}) // dropped when sr is evicted, and its ack written off
 	}
-	acked := map[int]bool{}
-	return m.collectFromServers(tagFlushAck, "flush ack", func(sr int) bool { return !acked[sr] },
-		func(msg mpi.Message) { acked[msg.Source] = true })
+	return m.collect(tagAck, "flush ack", oneEach(m.rt.ranks.servers), nil)
 }
 
 // rereplicateServers runs the anti-entropy pass at a server barrier

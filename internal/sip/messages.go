@@ -15,10 +15,10 @@ type getMsg struct {
 
 // putMsg delivers a block to its home (distributed arrays) or its server
 // (served arrays).  acc selects atomic accumulate.  needAck requests a
-// tagPutAck / tagPrepAck so the origin can drain outstanding writes at
-// barriers.  seq, when non-zero, is a deterministic effect id (hash of
-// job, pardo, generation, iteration, and per-iteration effect ordinal)
-// the destination uses to deduplicate replayed iterations: a second put
+// tagAck so the origin can collect outstanding writes at barriers.  seq,
+// when non-zero, is a deterministic effect id (hash of job, pardo,
+// generation, iteration, and per-iteration effect ordinal) the
+// destination uses to deduplicate replayed iterations: a second put
 // with a seen seq is acknowledged but not applied, so accumulates land
 // at-most-once.  The id is origin-independent — a
 // survivor replaying a dead worker's iteration regenerates the same
@@ -34,7 +34,7 @@ type putMsg struct {
 
 // flushMsg asks an I/O server to write one job's dirty cached blocks to
 // disk (server_barrier; master -> server).  The server acks rank 0 on
-// the job's tagFlushAck.
+// the job's tagAck.
 type flushMsg struct {
 	job int
 }
@@ -69,9 +69,10 @@ type chunkReply struct {
 }
 
 // doneMsg tells the master a worker reached halt (or failed, when err
-// is non-empty).  Worker rank 1 attaches its final scalar values, which
-// collectives make identical across workers, so the master can report
-// them without sharing memory with any worker.  When the failure was
+// is non-empty).  Every worker attaches its final scalar values, which
+// collectives make identical across workers, and the master keeps the
+// lowest-ranked survivor's, so it can report them without sharing memory
+// with any worker.  When the failure was
 // attributed to a specific rank (liveness timeout, receive deadline),
 // failRank/failReason carry the diagnosis structurally so the master
 // can rebuild the RankFailure; failRank is -1 otherwise (0 is a valid
@@ -84,9 +85,9 @@ type doneMsg struct {
 	failReason string
 }
 
-// ackMsg is the payload of tagPutAck / tagPrepAck / tagFlushAck
-// acknowledgements.  (A named type rather than struct{}{} so it can be
-// registered with the wire codec.)
+// ackMsg is the payload of a tagAck acknowledgement: a put, prepare,
+// flush or pool registration applied.  (A named type rather than
+// struct{}{} so it can be registered with the wire codec.)
 type ackMsg struct{}
 
 // ckptData is the payload of a blocks_to_list file (ckptFileMagic +

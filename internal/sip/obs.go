@@ -74,10 +74,8 @@ var tagNames = [...]string{
 	tagChunkReq: "chunk_req",
 	tagChunkRep: "chunk_rep",
 	tagService:  "service",
-	tagPutAck:   "put_ack",
+	tagAck:      "ack",
 	tagServer:   "server",
-	tagPrepAck:  "prep_ack",
-	tagFlushAck: "flush_ack",
 	tagDone:     "done",
 	tagGather:   "gather",
 	tagSync:     "sync",

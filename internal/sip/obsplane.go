@@ -99,7 +99,11 @@ func (m obsReportMsg) WireSizeHint() int {
 // closing world the send is abandoned silently (the master is gone or
 // going; telemetry must never turn a clean teardown into a crash).
 func (s *obsShipper) ship(final bool) {
-	defer func() { recover() }()
+	defer func() {
+		if r := recover(); r != nil && r != mpi.ErrAborted {
+			panic(r)
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rt := s.rt
@@ -169,7 +173,11 @@ func (m *master) collectFinalObs() {
 	if !rt.cfg.ObsShip || rt.cfg.ObsAgg == nil {
 		return
 	}
-	defer func() { recover() }()
+	defer func() {
+		if r := recover(); r != nil && r != mpi.ErrAborted {
+			panic(r)
+		}
+	}()
 	deadline := time.Now().Add(finalObsTimeout)
 	owed := func() bool {
 		finals := rt.cfg.ObsAgg.FinalCount()

@@ -108,3 +108,35 @@ func TestDistributedObsPlane(t *testing.T) {
 		t.Errorf("merged trace has no flow event pair")
 	}
 }
+
+// TestObsPlaneRecoversOnlyAborts: on an aborted world the master's final
+// telemetry drain returns and a rank's last shipment does not panic; a
+// panic that is not an abort — here a report of the wrong type on tagObs —
+// still reaches the caller.
+func TestObsPlaneRecoversOnlyAborts(t *testing.T) {
+	newRT := func(t *testing.T) *runtime {
+		cfg := Config{Workers: 2, ObsShip: true, ObsAgg: obs.NewAggregator(0, "master", nil, nil), ScratchDir: t.TempDir()}
+		rt, err := newRuntime(nil, cfg, nil, batch(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.close)
+		return rt
+	}
+	t.Run("aborted", func(t *testing.T) {
+		rt := newRT(t)
+		rt.world.Abort()
+		(&obsShipper{rt: rt, rank: 1}).ship(true)
+		newMaster(rt).collectFinalObs()
+	})
+	t.Run("bug", func(t *testing.T) {
+		rt := newRT(t)
+		rt.world.Comm(1).Send(0, tagObs, ackMsg{})
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("collectFinalObs swallowed a panic that is not an abort")
+			}
+		}()
+		newMaster(rt).collectFinalObs()
+	})
+}

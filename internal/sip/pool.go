@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/mpi"
@@ -320,45 +319,24 @@ func poolOwned(c *Config) string {
 }
 
 // registerJob announces the job's layout to every live shared server and
-// waits for their readiness acks, so the first prepare a worker sends
-// can be sized and placed.
+// collects their readiness acks, so the first prepare a worker sends can
+// be sized and placed.  It waits as long as installing the presets takes:
+// a tenant never rules on silence (see await), and an evicted server is
+// written off.
 func (p *Pool) registerJob(rt *runtime) error {
 	comm := p.world.Comm(0)
-	pending := map[int]bool{}
+	reg := &srvJob{
+		job:      rt.job,
+		prog:     rt.prog,
+		layout:   rt.layout,
+		preset:   rt.cfg.Preset,
+		replicas: rt.cfg.Replicas,
+		servers:  rt.ranks.servers,
+	}
 	for _, srv := range rt.ranks.servers {
-		reg := &srvJob{
-			job:      rt.job,
-			prog:     rt.prog,
-			layout:   rt.layout,
-			preset:   rt.cfg.Preset,
-			replicas: rt.cfg.Replicas,
-			servers:  rt.ranks.servers,
-		}
 		comm.Send(srv, tagServer, srvRegMsg{j: reg}) // dropped when srv is evicted
-		pending[srv] = true
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		stamp := p.world.EvictStamp()
-		for srv := range pending {
-			if p.world.IsEvicted(srv) {
-				delete(pending, srv) // an evicted server never acks
-			}
-		}
-		left := time.Until(deadline)
-		if len(pending) == 0 || left <= 0 {
-			break
-		}
-		m, ok := comm.RecvRangeUntil(mpi.AnySource, rt.tag(tagJob), rt.tag(tagJob), left,
-			func() bool { return p.world.EvictStamp() != stamp })
-		if ok {
-			delete(pending, m.Source)
-		}
-	}
-	if len(pending) > 0 {
-		return fmt.Errorf("sip: job %d: servers did not acknowledge registration", rt.job)
-	}
-	return nil
+	return rt.collect(comm, tagAck, "registration ack", oneEach(rt.ranks.servers), nil)
 }
 
 // Close shuts the shared servers down, stops the supervisor, and
@@ -378,7 +356,7 @@ func (p *Pool) Close() error {
 	for _, srv := range p.ranks.servers {
 		comm.Send(srv, tagServer, shutdownMsg{}) // dropped when srv is evicted
 	}
-	comm.Send(0, tagJob, shutdownMsg{}) // wakes the supervisor out of its receive
+	comm.Send(0, tagDone, shutdownMsg{}) // wakes the supervisor out of its receive
 	p.bg.Wait()
 	p.base.close()
 	if errors.Is(p.srvErr, mpi.ErrAborted) {

@@ -71,6 +71,41 @@ func TestPoolSingleJob(t *testing.T) {
 	}
 }
 
+// TestPoolSlowRegistration: a job's registration waits as long as the
+// shared servers take to install its presets, with no deadline of its own.
+// A served preset that takes 2 s registers, and the job matches its serial
+// energy.
+func TestPoolSlowRegistration(t *testing.T) {
+	const install = 2 * time.Second
+	want := serialE(t, 12)
+	p, err := NewPool(PoolConfig{Workers: 2, Servers: 1, Output: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var once sync.Once
+	slow := func(segment.Coord, []int, []int) *block.Block {
+		once.Do(func() { time.Sleep(install) })
+		return nil // S starts at zero, as in the serial run
+	}
+	start := time.Now()
+	res, err := p.RunJob(poolProg(t), Config{
+		Params: map[string]int{"n": 12},
+		Seg:    bytecode.DefaultSegConfig(3),
+		Preset: map[string]PresetFunc{"S": slow},
+		Output: &bytes.Buffer{},
+	})
+	if err != nil {
+		t.Fatalf("after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if got := res.Scalars["e"]; !closeE(got, want) {
+		t.Errorf("pool e = %.15g, want %.15g", got, want)
+	}
+	if d := time.Since(start); d < install {
+		t.Errorf("the job ran in %v, before its %v preset installed", d, install)
+	}
+}
+
 // TestPoolConcurrentJobsIsolated: jobs of three different problem sizes
 // run overlapped on the same pool; every job's answer must match its own
 // serial reference.  Wrong-namespace traffic (one tenant reading

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/atomicfile"
@@ -48,11 +47,9 @@ type ioServer struct {
 
 	// jobs holds the registration of every job whose blocks this server
 	// can size and place: its own run's (a batch server, at construction)
-	// and a pool's tenants.  jobMu guards the map against the serve agent
-	// reading it while the loop mutates; all other server state stays
-	// single-goroutine.
-	jobMu sync.RWMutex
-	jobs  map[int]*srvJob
+	// and a pool's tenants.  Like all server state it is touched only by
+	// the server's own goroutine.
+	jobs map[int]*srvJob
 
 	trk *obs.Track // cache/disk span track; nil when tracing is off
 }
@@ -71,8 +68,8 @@ type srvJob struct {
 }
 
 // srvRegMsg registers a pool tenant with the shared server loop.  It is
-// sent by the serve agent on the server's own rank — same process, so
-// the pointer payload crosses no codec (serve pools are in-process).
+// sent from rank 0 of the pool's in-process world, so the pointer payload
+// crosses no codec.
 type srvRegMsg struct{ j *srvJob }
 
 type srvEntry struct {
@@ -114,13 +111,6 @@ func (s *ioServer) blockPath(k blockKey) string {
 	return filepath.Join(s.dir, fmt.Sprintf(blockFileFormat, k.job, k.arr, k.ord))
 }
 
-// jobOf returns a job's registration, or nil for unknown jobs.
-func (s *ioServer) jobOf(job int) *srvJob {
-	s.jobMu.RLock()
-	defer s.jobMu.RUnlock()
-	return s.jobs[job]
-}
-
 // ledger returns (allocating on first use) the dedup ledger of a job.
 func (s *ioServer) ledger(job int) *effectLedger {
 	l := s.ledgers[job]
@@ -137,7 +127,7 @@ func (s *ioServer) retireSeen(job int) {
 }
 
 func (s *ioServer) blockDims(k blockKey) ([]int, error) {
-	j := s.jobOf(k.job)
+	j := s.jobs[k.job]
 	if j == nil {
 		return nil, fmt.Errorf("sip: server %d: block %v belongs to an unregistered job", s.rank, k)
 	}
@@ -148,7 +138,7 @@ func (s *ioServer) blockDims(k blockKey) ([]int, error) {
 // replicasOf returns the live replica set of a block, placed by its
 // job's registration; empty for unknown jobs.
 func (s *ioServer) replicasOf(k blockKey) []int {
-	j := s.jobOf(k.job)
+	j := s.jobs[k.job]
 	if j == nil {
 		return nil
 	}
@@ -200,7 +190,7 @@ func (s *ioServer) run() (err error) {
 	if err := s.scanDisk(); err != nil {
 		return err
 	}
-	if j := s.jobOf(s.rt.job); j != nil {
+	if j := s.jobs[s.rt.job]; j != nil {
 		if err := s.installPresets(j); err != nil {
 			return err
 		}
@@ -238,7 +228,7 @@ func (s *ioServer) run() (err error) {
 				return err
 			}
 			if msg.needAck {
-				s.comm.Send(msg.origin, jobTag(msg.key.job, tagPrepAck), ackMsg{})
+				s.comm.Send(msg.origin, jobTag(msg.key.job, tagAck), ackMsg{})
 			}
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "serve_put",
@@ -255,7 +245,7 @@ func (s *ioServer) run() (err error) {
 			// The previous flush's sync round has sealed: nothing can replay
 			// the effects that predate it.
 			s.retireSeen(msg.job)
-			s.comm.Send(0, jobTag(msg.job, tagFlushAck), ackMsg{})
+			s.comm.Send(0, jobTag(msg.job, tagAck), ackMsg{})
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "flush", obs.AInt("job", msg.job))
 			}
@@ -310,17 +300,15 @@ func (s *ioServer) run() (err error) {
 				s.trk.End(start, obs.CatServerCache, "job_retired", obs.AInt("job", msg.job))
 			}
 		case srvRegMsg:
-			// A pool tenant registering (sent by this rank's serve
-			// agent).  Presets install before the readiness ack, so the
-			// job's workers can fetch them the moment the pool releases
-			// the job to its master.
-			s.jobMu.Lock()
+			// A pool tenant registering (Pool.registerJob).  Presets
+			// install before the readiness ack, so the job's workers can
+			// fetch them the moment the pool releases the job to its
+			// master.
 			s.jobs[msg.j.job] = msg.j
-			s.jobMu.Unlock()
 			if err := s.installPresets(msg.j); err != nil {
 				return err
 			}
-			s.comm.Send(0, jobTag(msg.j.job, tagJob), ackMsg{})
+			s.comm.Send(0, jobTag(msg.j.job, tagAck), ackMsg{})
 		}
 	}
 }
@@ -342,9 +330,7 @@ func (s *ioServer) dropJob(job int) {
 		}
 	}
 	delete(s.ledgers, job)
-	s.jobMu.Lock()
 	delete(s.jobs, job)
-	s.jobMu.Unlock()
 }
 
 // installPresets loads a newly registered job's served-array presets
@@ -557,7 +543,7 @@ func (s *ioServer) scanDisk() error {
 		name := de.Name()
 		var job, arr, ord int
 		if n, _ := fmt.Sscanf(name, blockFileFormat, &job, &arr, &ord); n == 3 && filepath.Ext(name) == ".blk" {
-			if j := s.jobOf(job); j != nil && arr >= 0 && arr < len(j.prog.Arrays) && ord >= 0 {
+			if j := s.jobs[job]; j != nil && arr >= 0 && arr < len(j.prog.Arrays) && ord >= 0 {
 				s.onDisk[blockKey{job: job, arr: arr, ord: ord}] = true
 			}
 			continue

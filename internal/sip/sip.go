@@ -46,17 +46,14 @@ const (
 	tagChunkReq  = 1  // worker -> master: request a pardo chunk
 	tagChunkRep  = 2  // master -> worker: iteration chunk
 	tagService   = 3  // worker -> worker service loop: get/put/shutdown
-	tagPutAck    = 4  // home -> origin: put applied
+	tagAck       = 4  // home/server -> origin: put, prepare, flush or registration applied
 	tagServer    = 5  // worker -> server: request/prepare/flush/shutdown
-	tagPrepAck   = 6  // server -> worker: prepare applied
-	tagFlushAck  = 7  // server -> worker: all dirty blocks written
-	tagDone      = 8  // worker -> master: reached halt
+	tagDone      = 8  // worker -> master: reached halt; pool -> its supervisor: stop
 	tagGather    = 10 // worker/server -> master: final array gather
 	tagSync      = 11 // worker -> master: sync-point report
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
 	tagRepl      = 13 // server -> master: re-replication control traffic
 	tagObs       = 14 // worker/server -> master: telemetry reports
-	tagJob       = 15 // server -> pool: job registered; pool -> its supervisor: stop
 	tagReplyBase = 1 << 16
 )
 

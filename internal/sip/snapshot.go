@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/bytecode"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -522,8 +521,7 @@ func (m *master) readManifest(epoch int) (*ckptManifest, error) {
 // rehydrate pushes a manifest's served-array blocks to the current
 // live server set as ordinary replace-puts (seq 0 always applies), so
 // placement — and the server count itself — is free to differ from the
-// snapshotting run.  Acks return on this job's tagPrepAck at rank 0,
-// which nothing else uses.
+// snapshotting run.  Acks return on this job's tagAck at rank 0.
 func (m *master) rehydrate(man *ckptManifest) error {
 	rt := m.rt
 	dir := m.epochDir(man.epoch)
@@ -549,8 +547,7 @@ func (m *master) rehydrate(man *ckptManifest) error {
 		}
 	}
 	// An evicted server's blocks heal at the next anti-entropy pass.
-	return m.collectFromServers(tagPrepAck, "rehydration ack", func(sr int) bool { return owed[sr] > 0 },
-		func(msg mpi.Message) { owed[msg.Source]-- })
+	return m.collect(tagAck, "rehydration ack", owed, nil)
 }
 
 // cleanStaleBlocks removes this job's served-block spill files left in

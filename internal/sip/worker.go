@@ -3,7 +3,6 @@ package sip
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -28,34 +27,31 @@ type worker struct {
 
 	// Sync and recovery state.  syncRound numbers this worker's
 	// master-mediated sync points (all workers pass the same ones in the
-	// same order).  owedPutAcks and owedPrepAcks count outstanding
-	// put/prepare acks per destination, so acks owed by an evicted home or
-	// server can be forgotten and a silent one named.  seen is the
-	// put-dedup ledger, shared with the service loop (seenMu) and rotated
-	// at each sync release.  replicas is scratch for replica sets, so
-	// placing a served block allocates nothing.
-	syncRound    int
-	owedPutAcks  map[int]int
-	owedPrepAcks map[int]int
-	seenMu       sync.Mutex
-	seen         effectLedger
-	replicas     []int
-	dropCtr      *obs.Counter
-	retireCtr    *obs.Counter
-	failoverCtr  *obs.Counter
-	waitHist     *obs.Histogram // the shared wait-time histogram
+	// same order).  debts counts the put and prepare acks each home or
+	// server still owes this worker, collected before a sync report.  seen
+	// is the put-dedup ledger, shared with the service loop (seenMu) and
+	// rotated at each sync release.  replicas is scratch for replica sets,
+	// so placing a served block allocates nothing.
+	syncRound   int
+	debts       map[int]int
+	seenMu      sync.Mutex
+	seen        effectLedger
+	replicas    []int
+	dropCtr     *obs.Counter
+	retireCtr   *obs.Counter
+	failoverCtr *obs.Counter
+	waitHist    *obs.Histogram // the shared wait-time histogram
 }
 
 func newWorker(rt *runtime, rank int) *worker {
 	w := &worker{
-		comm:         rt.world.Comm(rank),
-		dist:         newStore(),
-		owedPutAcks:  map[int]int{},
-		owedPrepAcks: map[int]int{},
-		dropCtr:      rt.metrics.Counter(metricDedupDroppedEffects),
-		retireCtr:    rt.metrics.Counter(metricDedupRetired),
-		failoverCtr:  rt.metrics.Counter(metricReplFailovers),
-		waitHist:     rt.metrics.Histogram(metricWorkerWait),
+		comm:        rt.world.Comm(rank),
+		dist:        newStore(),
+		debts:       map[int]int{},
+		dropCtr:     rt.metrics.Counter(metricDedupDroppedEffects),
+		retireCtr:   rt.metrics.Counter(metricDedupRetired),
+		failoverCtr: rt.metrics.Counter(metricReplFailovers),
+		waitHist:    rt.metrics.Histogram(metricWorkerWait),
 	}
 	w.init(rt, rank, w)
 	w.cache = newBlockCache(rt.cfg.CacheBlocks, w.pool)
@@ -380,7 +376,7 @@ func (w *worker) store(arrID int, loc *refLoc, val *block.Block, acc bool, seq u
 		}
 		w.comm.Multicast(replicas, tagServer, msg, cloned)
 		for _, srv := range replicas {
-			w.owedPrepAcks[srv]++
+			w.debts[srv]++
 		}
 	} else {
 		home := w.rt.ranks.home(arrID, loc.key.ord)
@@ -393,48 +389,11 @@ func (w *worker) store(arrID int, loc *refLoc, val *block.Block, acc bool, seq u
 			// recovery) — drop the put rather than wait on a dead rank.
 		default:
 			w.comm.Multicast([]int{home}, w.rt.tag(tagService), msg, cloned)
-			w.owedPutAcks[home]++
+			w.debts[home]++
 		}
 	}
 	w.cache.invalidate(loc.key)
 	return nil
-}
-
-// drainAcks waits until every put (tagPutAck) or prepare (tagPrepAck)
-// ack in owed, the per-destination count of outstanding ones, has
-// arrived.  Acks owed by evicted ranks are written off: they will never
-// arrive — a dead home's blocks died with it, a dead server's live on
-// its surviving replicas.
-func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
-	for {
-		for dst := range owed {
-			if w.rt.world.IsEvicted(dst) {
-				delete(owed, dst)
-			}
-		}
-		if len(owed) == 0 {
-			return nil
-		}
-		debtors := func() []int {
-			ranks := make([]int, 0, len(owed))
-			for dst := range owed {
-				ranks = append(ranks, dst)
-			}
-			slices.Sort(ranks) // a verdict blames the lowest
-			return ranks
-		}
-		m, ok, err := w.rt.await(w.comm, mpi.AnySource, w.rt.tag(tag), w.rt.tag(tag), waitFor{what: what}, debtors)
-		if err != nil {
-			return err
-		}
-		// A stale ack from a destination whose debt was already written
-		// off (delivered before the firewall went up) is ignored.
-		if ok && owed[m.Source] > 0 {
-			if owed[m.Source]--; owed[m.Source] == 0 {
-				delete(owed, m.Source)
-			}
-		}
-	}
 }
 
 // sync reports this worker's arrival at a sync point to the master and
@@ -449,10 +408,7 @@ func (w *worker) drainAcks(tag int, what string, owed map[int]int) error {
 // this worker homes, and a resume state sets the round numbering to the
 // snapshot's.
 func (w *worker) sync(kind, id int, val float64, st *workerState) (syncReply, error) {
-	if err := w.drainAcks(tagPutAck, "put ack", w.owedPutAcks); err != nil {
-		return syncReply{}, err
-	}
-	if err := w.drainAcks(tagPrepAck, "prepare ack", w.owedPrepAcks); err != nil {
+	if err := w.rt.collect(w.comm, tagAck, "put/prepare ack", w.debts, nil); err != nil {
 		return syncReply{}, err
 	}
 	round := w.syncRound
@@ -548,7 +504,7 @@ func (w *worker) serviceLoop() {
 			}
 			w.applyLocalPut(msg.key, msg.b, msg.acc, msg.seq)
 			if msg.needAck {
-				w.comm.Send(msg.origin, w.rt.tag(tagPutAck), ackMsg{})
+				w.comm.Send(msg.origin, w.rt.tag(tagAck), ackMsg{})
 			}
 			if trk != nil {
 				trk.End(start, obs.CatPut, "serve_put",

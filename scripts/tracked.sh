@@ -17,7 +17,9 @@
 # sites of the mpi mailbox; and the places in non-test internal/sip that
 # answer a membership question without the one membership value,
 # internal/sip/ranks.go: calls of the count-based NewRanks, a launcher's
-# constructor, and walks over the old rank-list fields.
+# constructor, and walks over the old rank-list fields; the distinct tags
+# non-test internal/sip sends an ackMsg on (one is the aim: tagAck) and its
+# timed receives outside internal/sip/await.go.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -44,3 +46,7 @@ echo "count-based role sites:       $(nontest internal/sip | grep -v '^func NewR
 walks=$(find internal/sip -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'ranks.go' -print0 | sort -z | xargs -0 cat |
 	grep -cE 'range (m\.)?(rt|p)\.(workerList|serverList|workers|spareList)\b' || true)
 echo "rank-list walks outside the membership file: $walks"
+echo "ack tags:                     $(nontest internal/sip | grep -oE 'tag[A-Za-z]+\), ackMsg\{\}' | sort -u | wc -l)"
+timed=$(find internal/sip -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'await.go' -print0 | sort -z | xargs -0 cat |
+	grep -c 'RecvRangeUntil(' || true)
+echo "timed receives outside await: $timed"
