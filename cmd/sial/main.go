@@ -15,7 +15,7 @@
 //	              [-scratch DIR] [-ckpt-interval N] [-ckpt-name S] [-resume]
 //	              [-obs-addr host:port] [-flight-dir DIR]
 //
-// Compiled byte code uses the .siox suffix (serialized with the SIABC1
+// Compiled byte code uses the .siox suffix (serialized with the SIABC2
 // container format).  -trace-json writes a Chrome trace-event file
 // loadable in Perfetto (see docs/OBSERVABILITY.md).  Under -launch the
 // file is the merged cluster trace: every rank ships its spans to the

@@ -106,7 +106,7 @@ func (o Op) Super() bool {
 	return true
 }
 
-// Comparison codes for OpCmp and where clauses.
+// Comparison codes for OpCmp.
 const (
 	CmpLT = iota
 	CmpLE
@@ -249,60 +249,14 @@ type ScalarInfo struct {
 	Init float64
 }
 
-// WhereOp mirrors a where-clause expression tree so the master can
-// evaluate clauses while enumerating pardo iterations.
-type WhereOp int
-
-const (
-	WhereLit WhereOp = iota
-	WhereIndex
-	WhereParam
-	WhereAdd
-	WhereSub
-	WhereMul
-	WhereDiv
-)
-
-// WhereExpr is a small expression over pardo indices and constants.
-type WhereExpr struct {
-	Op   WhereOp
-	Val  float64 // WhereLit
-	ID   int     // index/param id
-	L, R *WhereExpr
-}
-
-// Eval evaluates the expression given current index values (by index id)
-// and resolved parameter values (by param id).
-func (e *WhereExpr) Eval(idxVal func(int) int, paramVal func(int) int) float64 {
-	switch e.Op {
-	case WhereLit:
-		return e.Val
-	case WhereIndex:
-		return float64(idxVal(e.ID))
-	case WhereParam:
-		return float64(paramVal(e.ID))
-	case WhereAdd:
-		return e.L.Eval(idxVal, paramVal) + e.R.Eval(idxVal, paramVal)
-	case WhereSub:
-		return e.L.Eval(idxVal, paramVal) - e.R.Eval(idxVal, paramVal)
-	case WhereMul:
-		return e.L.Eval(idxVal, paramVal) * e.R.Eval(idxVal, paramVal)
-	case WhereDiv:
-		return e.L.Eval(idxVal, paramVal) / e.R.Eval(idxVal, paramVal)
-	}
-	panic("bytecode: bad where expression")
-}
-
-// WhereCond is one where clause: L <Cmp> R.
-type WhereCond struct {
-	Cmp  int
-	L, R *WhereExpr
-}
-
-// PardoInfo describes one pardo loop: its index ids and where clauses.
+// PardoInfo describes one pardo loop: its index ids and its where
+// clauses as scalar code.  Where is postfix code over literals, this
+// pardo's indices and parameters: each clause is its left side, its
+// right side and one OpCmp, and an iteration passes when every OpCmp
+// holds (PardoInfo.Passes; Validate enforces the shape).
 type PardoInfo struct {
 	Indices []int
-	Where   []WhereCond
+	Where   []Instr
 }
 
 // ProcInfo records a procedure's entry point in the code array.
@@ -460,83 +414,20 @@ func (p *Program) Disassemble() string {
 		for d, id := range pd.Indices {
 			names[d] = p.Indices[id].Name
 		}
-		fmt.Fprintf(&b, "  pardo %d: (%s), %d where clause(s)\n", i, strings.Join(names, ","), len(pd.Where))
+		fmt.Fprintf(&b, "  pardo %d: (%s)", i, strings.Join(names, ","))
+		sep := " where: "
+		for k := range pd.Where {
+			b.WriteString(sep + strings.TrimSpace(pd.Where[k].Op.String()+" "+p.operands(&pd.Where[k])))
+			sep = ", "
+		}
+		b.WriteByte('\n')
 	}
 	for _, pr := range p.Procs {
 		fmt.Fprintf(&b, "  proc %s @ %d\n", pr.Name, pr.Entry)
 	}
 	b.WriteString("code:\n")
-	for pc, in := range p.Code {
-		fmt.Fprintf(&b, "  %4d: %-18s", pc, in.Op)
-		switch in.Op {
-		case OpPushLit:
-			fmt.Fprintf(&b, "%g", in.F)
-		case OpPushScalar, OpCollective:
-			fmt.Fprintf(&b, "%s", p.Scalars[in.A].Name)
-		case OpStoreScalar:
-			fmt.Fprintf(&b, "%s mode=%d", p.Scalars[in.A].Name, in.B)
-		case OpPushIndex:
-			fmt.Fprintf(&b, "%s", p.Indices[in.A].Name)
-		case OpPushParam:
-			fmt.Fprintf(&b, "%s", p.Params[in.A].Name)
-		case OpCmp:
-			fmt.Fprintf(&b, "%s", cmpNames[in.A])
-		case OpJump, OpJumpIfFalse:
-			fmt.Fprintf(&b, "-> %d", in.A)
-		case OpDoStart:
-			fmt.Fprintf(&b, "%s exit=%d", p.Indices[in.A].Name, in.C)
-		case OpDoEnd:
-			fmt.Fprintf(&b, "%s start=%d", p.Indices[in.A].Name, in.B)
-		case OpDoInStart:
-			fmt.Fprintf(&b, "%s in %s exit=%d", p.Indices[in.A].Name, p.Indices[in.B].Name, in.C)
-		case OpDoInEnd:
-			fmt.Fprintf(&b, "%s start=%d", p.Indices[in.A].Name, in.B)
-		case OpPardoStart:
-			fmt.Fprintf(&b, "#%d exit=%d", in.A, in.C)
-		case OpPardoEnd:
-			fmt.Fprintf(&b, "#%d start=%d", in.A, in.B)
-		case OpCall:
-			fmt.Fprintf(&b, "%s", p.Procs[in.A].Name)
-		case OpBlockFill, OpGet, OpRequest, OpComputeIntegrals:
-			fmt.Fprintf(&b, "%s", p.refString(in.R[0]))
-		case OpBlockCopy, OpBlockScale:
-			fmt.Fprintf(&b, "%s <- %s mode=%d", p.refString(in.R[0]), p.refString(in.R[1]), in.A)
-		case OpBlockSum, OpContract:
-			op := "*"
-			if in.Op == OpBlockSum {
-				op = "+"
-				if in.A == 1 {
-					op = "-"
-				}
-			}
-			fmt.Fprintf(&b, "%s <- %s %s %s", p.refString(in.R[0]), p.refString(in.R[1]), op, p.refString(in.R[2]))
-		case OpPut, OpPrepare:
-			mode := "="
-			if in.A == 1 {
-				mode = "+="
-			}
-			fmt.Fprintf(&b, "%s %s %s", p.refString(in.R[0]), mode, p.refString(in.R[1]))
-		case OpDot:
-			fmt.Fprintf(&b, "%s , %s", p.refString(in.R[1]), p.refString(in.R[2]))
-		case OpExecute:
-			fmt.Fprintf(&b, "%s", p.Strings[in.A])
-		case OpBarrier:
-			if in.A == 1 {
-				fmt.Fprintf(&b, "server")
-			} else {
-				fmt.Fprintf(&b, "sip")
-			}
-		case OpPrint:
-			if in.A >= 0 {
-				fmt.Fprintf(&b, "%q ", p.Strings[in.A])
-			}
-			if in.B >= 0 {
-				fmt.Fprintf(&b, "%s", p.Scalars[in.B].Name)
-			}
-		case OpBlocksToList, OpListToBlocks:
-			fmt.Fprintf(&b, "%s", p.Arrays[in.A].Name)
-		}
-		b.WriteByte('\n')
+	for pc := range p.Code {
+		fmt.Fprintf(&b, "  %4d: %-18s%s\n", pc, p.Code[pc].Op, p.operands(&p.Code[pc]))
 	}
 	return b.String()
 }
@@ -546,4 +437,76 @@ func (p *Program) valString(v Val) string {
 		return p.Params[v.Param].Name
 	}
 	return fmt.Sprint(v.Lit)
+}
+
+// operands renders the operands of one instruction for the disassembler.
+func (p *Program) operands(in *Instr) string {
+	switch in.Op {
+	case OpPushLit:
+		return fmt.Sprint(in.F)
+	case OpPushScalar, OpCollective:
+		return p.Scalars[in.A].Name
+	case OpStoreScalar:
+		return fmt.Sprintf("%s mode=%d", p.Scalars[in.A].Name, in.B)
+	case OpPushIndex:
+		return p.Indices[in.A].Name
+	case OpPushParam:
+		return p.Params[in.A].Name
+	case OpCmp:
+		return cmpNames[in.A]
+	case OpJump, OpJumpIfFalse:
+		return fmt.Sprintf("-> %d", in.A)
+	case OpDoStart:
+		return fmt.Sprintf("%s exit=%d", p.Indices[in.A].Name, in.C)
+	case OpDoEnd:
+		return fmt.Sprintf("%s start=%d", p.Indices[in.A].Name, in.B)
+	case OpDoInStart:
+		return fmt.Sprintf("%s in %s exit=%d", p.Indices[in.A].Name, p.Indices[in.B].Name, in.C)
+	case OpDoInEnd:
+		return fmt.Sprintf("%s start=%d", p.Indices[in.A].Name, in.B)
+	case OpPardoStart:
+		return fmt.Sprintf("#%d exit=%d", in.A, in.C)
+	case OpPardoEnd:
+		return fmt.Sprintf("#%d start=%d", in.A, in.B)
+	case OpCall:
+		return p.Procs[in.A].Name
+	case OpBlockFill, OpGet, OpRequest, OpComputeIntegrals:
+		return p.refString(in.R[0])
+	case OpBlockCopy, OpBlockScale:
+		return fmt.Sprintf("%s <- %s mode=%d", p.refString(in.R[0]), p.refString(in.R[1]), in.A)
+	case OpBlockSum, OpContract:
+		op := "*"
+		if in.Op == OpBlockSum {
+			op = "+"
+			if in.A == 1 {
+				op = "-"
+			}
+		}
+		return fmt.Sprintf("%s <- %s %s %s", p.refString(in.R[0]), p.refString(in.R[1]), op, p.refString(in.R[2]))
+	case OpPut, OpPrepare:
+		mode := "="
+		if in.A == 1 {
+			mode = "+="
+		}
+		return fmt.Sprintf("%s %s %s", p.refString(in.R[0]), mode, p.refString(in.R[1]))
+	case OpDot:
+		return fmt.Sprintf("%s , %s", p.refString(in.R[1]), p.refString(in.R[2]))
+	case OpExecute:
+		return p.Strings[in.A]
+	case OpBarrier:
+		if in.A == 1 {
+			return "server"
+		}
+		return "sip"
+	case OpPrint:
+		if in.A >= 0 {
+			return fmt.Sprintf("%q ", p.Strings[in.A])
+		}
+		if in.B >= 0 {
+			return p.Scalars[in.B].Name
+		}
+	case OpBlocksToList, OpListToBlocks:
+		return p.Arrays[in.A].Name
+	}
+	return ""
 }

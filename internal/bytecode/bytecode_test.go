@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,11 +28,11 @@ func tinyProgram() *Program {
 		Strings: []string{"hello"},
 		Pardos: []PardoInfo{{
 			Indices: []int{0},
-			Where: []WhereCond{{
-				Cmp: CmpLE,
-				L:   &WhereExpr{Op: WhereIndex, ID: 0},
-				R:   &WhereExpr{Op: WhereParam, ID: 0},
-			}},
+			Where: []Instr{
+				{Op: OpPushIndex, A: 0},
+				{Op: OpPushParam, A: 0},
+				{Op: OpCmp, A: CmpLE},
+			},
 		}},
 		Procs: []ProcInfo{{Name: "p", Entry: 3}},
 		Code: []Instr{
@@ -127,8 +128,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if q.Name != p.Name || len(q.Code) != len(p.Code) || len(q.Indices) != 3 {
 		t.Fatalf("round trip mismatch: %+v", q)
 	}
-	if q.Pardos[0].Where[0].L.Op != WhereIndex {
-		t.Fatal("where clause lost in round trip")
+	if !reflect.DeepEqual(q.Pardos[0].Where, p.Pardos[0].Where) {
+		t.Fatalf("where code %v, want %v after round trip", q.Pardos[0].Where, p.Pardos[0].Where)
 	}
 	data, err := p.Marshal()
 	if err != nil {
@@ -139,6 +140,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte("garbage")); err == nil {
 		t.Fatal("bad magic should error")
+	}
+	// A stream of the previous format is refused by its header, whatever
+	// gob would make of its body.
+	old := append([]byte("SIABC1\n"), data[len("SIABC2\n"):]...)
+	if _, err := Unmarshal(old); err == nil || !strings.Contains(err.Error(), `"SIABC1"`) {
+		t.Fatalf("SIABC1 stream: err %v, want one naming the version", err)
 	}
 }
 
@@ -170,7 +177,7 @@ func TestLookups(t *testing.T) {
 	}
 }
 
-func TestEvalCmpAndWhereExpr(t *testing.T) {
+func TestEvalCmpAndPasses(t *testing.T) {
 	cases := []struct {
 		code int
 		l, r float64
@@ -185,15 +192,18 @@ func TestEvalCmpAndWhereExpr(t *testing.T) {
 			t.Errorf("EvalCmp(%d, %g, %g) = %v", tc.code, tc.l, tc.r, got)
 		}
 	}
-	// (I + 2) * 3 with I = 4 -> 18.
-	e := &WhereExpr{Op: WhereMul,
-		L: &WhereExpr{Op: WhereAdd,
-			L: &WhereExpr{Op: WhereIndex, ID: 7},
-			R: &WhereExpr{Op: WhereLit, Val: 2}},
-		R: &WhereExpr{Op: WhereLit, Val: 3}}
-	got := e.Eval(func(id int) int { return 4 }, func(id int) int { return 0 })
-	if got != 18 {
-		t.Fatalf("where eval = %g, want 18", got)
+	// where (I + 2) * 3 == 18 passes only at I = 4; index 7 is the
+	// pardo's second index, so I is read from vals[1].
+	pd := PardoInfo{Indices: []int{3, 7}, Where: []Instr{
+		{Op: OpPushIndex, A: 7}, {Op: OpPushLit, F: 2}, {Op: OpAdd},
+		{Op: OpPushLit, F: 3}, {Op: OpMul},
+		{Op: OpPushLit, F: 18}, {Op: OpCmp, A: CmpEQ},
+	}}
+	stack := make([]float64, 0, len(pd.Where))
+	for i := 1; i <= 6; i++ {
+		if got := pd.Passes([]int{9, i}, nil, stack); got != (i == 4) {
+			t.Errorf("I = %d: passes = %v", i, got)
+		}
 	}
 }
 

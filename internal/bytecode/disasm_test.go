@@ -5,6 +5,8 @@ package bytecode_test
 // package would be an import cycle).
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -105,8 +107,30 @@ endsial
 		"block_fill", "block_scale", "block_sum", "dot", "get", "put",
 		"request", "prepare", "compute_integrals", "execute", "barrier",
 		"collective", "jump_if_false", "call", "print",
-		"blocks_to_list", "list_to_blocks", "where clause",
+		"blocks_to_list", "list_to_blocks", "pardo 0: (I,J) where: push_index I, push_index J, cmp <=",
 		"proc helper", "server", "sip", "\"value:\"",
+	} {
+		if !strings.Contains(dis, want) {
+			t.Fatalf("disassembly missing %q:\n%s", want, dis)
+		}
+	}
+}
+
+// TestDisassembleWhereCode shows each pardo's where code, the code the
+// master runs, beside the source clause it came from.
+func TestDisassembleWhereCode(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "sial", "fock_build.sial"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.CompileSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dis := prog.Disassemble()
+	for _, want := range []string{
+		"pardo 0: (L,S)\n",
+		"pardo 1: (M,N) where: push_index M, push_index N, cmp <=\n",
 	} {
 		if !strings.Contains(dis, want) {
 			t.Fatalf("disassembly missing %q:\n%s", want, dis)

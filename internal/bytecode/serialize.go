@@ -5,10 +5,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"strings"
 )
 
-// magic identifies serialized SIA byte-code streams.
-const magic = "SIABC1\n"
+// magic identifies serialized SIA byte-code streams and their format
+// version: SIABC2 holds where clauses as scalar code (PardoInfo.Where).
+const magic = "SIABC2\n"
 
 // Write serializes the program to w in the SIA byte-code container
 // format: a magic header followed by a gob-encoded Program.
@@ -29,6 +31,10 @@ func Read(r io.Reader) (*Program, error) {
 		return nil, fmt.Errorf("bytecode: read header: %w", err)
 	}
 	if string(hdr) != magic {
+		if strings.HasPrefix(string(hdr), "SIABC") {
+			return nil, fmt.Errorf("bytecode: format %q, but this build reads only %q: recompile the source",
+				strings.TrimSpace(string(hdr)), strings.TrimSpace(magic))
+		}
 		return nil, fmt.Errorf("bytecode: bad magic %q", hdr)
 	}
 	var p Program

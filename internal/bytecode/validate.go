@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/segment"
 )
@@ -67,19 +68,8 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("bytecode: pardo %d references index %d out of range", pi, id)
 			}
 		}
-		for wi, w := range pd.Where {
-			if w.L == nil || w.R == nil {
-				return fmt.Errorf("bytecode: pardo %d where %d has nil operand", pi, wi)
-			}
-			if err := p.checkWhere(w.L); err != nil {
-				return fmt.Errorf("bytecode: pardo %d where %d: %w", pi, wi, err)
-			}
-			if err := p.checkWhere(w.R); err != nil {
-				return fmt.Errorf("bytecode: pardo %d where %d: %w", pi, wi, err)
-			}
-			if w.Cmp < CmpLT || w.Cmp > CmpNE {
-				return fmt.Errorf("bytecode: pardo %d where %d: bad comparison %d", pi, wi, w.Cmp)
-			}
+		if err := p.validateWhere(&pd); err != nil {
+			return fmt.Errorf("bytecode: pardo %d: %w", pi, err)
 		}
 	}
 	if len(p.Code) == 0 {
@@ -91,8 +81,8 @@ func (p *Program) Validate() error {
 		}
 	}
 	for pc := range p.Code {
-		if err := p.validateInstr(pc); err != nil {
-			return err
+		if err := p.checkInstr(&p.Code[pc]); err != nil {
+			return fmt.Errorf("bytecode: pc %d (%s): %w", pc, p.Code[pc].Op, err)
 		}
 	}
 	return nil
@@ -105,55 +95,108 @@ func (p *Program) checkVal(v Val) error {
 	return nil
 }
 
-func (p *Program) checkWhere(e *WhereExpr) error {
-	switch e.Op {
-	case WhereLit:
-		return nil
-	case WhereIndex:
-		if e.ID < 0 || e.ID >= len(p.Indices) {
-			return fmt.Errorf("where index %d out of range", e.ID)
+// validateWhere checks a pardo's where code (PardoInfo.Where): only pushes
+// of literals, this pardo's indices and parameters, the four arithmetic
+// ops and OpCmp, each with the operand checks code gets, under a stack
+// discipline where no op underflows and the stack is empty after each
+// OpCmp and at the end.  Passes relies on every rule.
+func (p *Program) validateWhere(pd *PardoInfo) error {
+	depth := 0
+	for k := range pd.Where {
+		in := &pd.Where[k]
+		switch in.Op {
+		case OpPushLit, OpPushIndex, OpPushParam:
+			depth++
+		case OpAdd, OpSub, OpMul, OpDiv, OpCmp:
+			if depth < 2 {
+				return fmt.Errorf("where code %d: %s underflows the stack", k, in.Op)
+			}
+			depth--
+			if in.Op == OpCmp {
+				depth--
+				if depth != 0 {
+					return fmt.Errorf("where code %d: cmp leaves %d value(s) on the stack", k, depth)
+				}
+			}
+		default:
+			return fmt.Errorf("where code %d: %s not allowed in where code", k, in.Op)
 		}
-		return nil
-	case WhereParam:
-		if e.ID < 0 || e.ID >= len(p.Params) {
-			return fmt.Errorf("where parameter %d out of range", e.ID)
+		if err := p.checkInstr(in); err != nil {
+			return fmt.Errorf("where code %d: %w", k, err)
 		}
-		return nil
-	case WhereAdd, WhereSub, WhereMul, WhereDiv:
-		if e.L == nil || e.R == nil {
-			return fmt.Errorf("where operator with nil operand")
+		if in.Op == OpPushIndex && !slices.Contains(pd.Indices, in.A) {
+			return fmt.Errorf("where code %d: index %s is not an index of this pardo", k, p.Indices[in.A].Name)
 		}
-		if err := p.checkWhere(e.L); err != nil {
-			return err
-		}
-		return p.checkWhere(e.R)
 	}
-	return fmt.Errorf("bad where op %d", e.Op)
+	if depth != 0 {
+		return fmt.Errorf("where code leaves %d value(s) on the stack", depth)
+	}
+	return nil
 }
 
-func (p *Program) checkRef(pc int, r Ref) error {
+// Passes reports whether the iteration with vals[i] the value of
+// Indices[i] satisfies every where clause, given the resolved parameter
+// values.  stack is the caller's scratch: with a capacity of len(Where)
+// it never grows, and Passes allocates nothing.  The program must have
+// passed Validate.
+func (pd *PardoInfo) Passes(vals, params []int, stack []float64) bool {
+	stack = stack[:0]
+	for k := range pd.Where {
+		in := &pd.Where[k]
+		switch in.Op {
+		case OpPushLit:
+			stack = append(stack, in.F)
+		case OpPushIndex:
+			stack = append(stack, float64(vals[slices.Index(pd.Indices, in.A)]))
+		case OpPushParam:
+			stack = append(stack, float64(params[in.A]))
+		default:
+			n := len(stack) - 2
+			l, r := stack[n], stack[n+1]
+			switch in.Op {
+			case OpCmp:
+				if !EvalCmp(in.A, l, r) {
+					return false
+				}
+				stack = stack[:0]
+				continue
+			case OpAdd:
+				l += r
+			case OpSub:
+				l -= r
+			case OpMul:
+				l *= r
+			case OpDiv:
+				l /= r
+			}
+			stack = append(stack[:n], l)
+		}
+	}
+	return true
+}
+
+func (p *Program) checkRef(r Ref) error {
 	if r.Arr < 0 || r.Arr >= len(p.Arrays) {
-		return fmt.Errorf("bytecode: pc %d: array %d out of range", pc, r.Arr)
+		return fmt.Errorf("array %d out of range", r.Arr)
 	}
 	arr := p.Arrays[r.Arr]
 	if len(r.Idx) != len(arr.Dims) {
-		return fmt.Errorf("bytecode: pc %d: ref to %s has %d indices, want %d", pc, arr.Name, len(r.Idx), len(arr.Dims))
+		return fmt.Errorf("ref to %s has %d indices, want %d", arr.Name, len(r.Idx), len(arr.Dims))
 	}
 	for _, id := range r.Idx {
 		if id < 0 || id >= len(p.Indices) {
-			return fmt.Errorf("bytecode: pc %d: ref index %d out of range", pc, id)
+			return fmt.Errorf("ref index %d out of range", id)
 		}
 	}
 	return nil
 }
 
-// checkRefs checks the block references of instruction pc, the slots
-// its opcode uses (Instr.refSlots).
-func (p *Program) checkRefs(pc int) error {
-	in := &p.Code[pc]
+// checkRefs checks the block references of in, the slots its opcode
+// uses (Instr.refSlots).
+func (p *Program) checkRefs(in *Instr) error {
 	for i := range in.R {
 		if in.refSlots()&(1<<i) != 0 {
-			if err := p.checkRef(pc, in.R[i]); err != nil {
+			if err := p.checkRef(in.R[i]); err != nil {
 				return err
 			}
 		}
@@ -161,18 +204,19 @@ func (p *Program) checkRefs(pc int) error {
 	return nil
 }
 
-func (p *Program) checkTarget(pc, target int) error {
+func (p *Program) checkTarget(target int) error {
 	if target < 0 || target > len(p.Code) {
-		return fmt.Errorf("bytecode: pc %d: jump target %d out of range", pc, target)
+		return fmt.Errorf("jump target %d out of range", target)
 	}
 	return nil
 }
 
-func (p *Program) validateInstr(pc int) error {
-	in := &p.Code[pc]
+// checkInstr checks the operands of one instruction against the tables
+// and the code array.
+func (p *Program) checkInstr(in *Instr) error {
 	inScalars := func(id int) error {
 		if id < 0 || id >= len(p.Scalars) {
-			return fmt.Errorf("bytecode: pc %d (%s): scalar %d out of range", pc, in.Op, id)
+			return fmt.Errorf("scalar %d out of range", id)
 		}
 		return nil
 	}
@@ -186,65 +230,65 @@ func (p *Program) validateInstr(pc int) error {
 			return err
 		}
 		if in.B < AssignSet || in.B > AssignMul {
-			return fmt.Errorf("bytecode: pc %d: bad assign mode %d", pc, in.B)
+			return fmt.Errorf("bad assign mode %d", in.B)
 		}
 		return nil
 	case OpPushIndex:
 		if in.A < 0 || in.A >= len(p.Indices) {
-			return fmt.Errorf("bytecode: pc %d: index %d out of range", pc, in.A)
+			return fmt.Errorf("index %d out of range", in.A)
 		}
 		return nil
 	case OpPushParam:
 		if in.A < 0 || in.A >= len(p.Params) {
-			return fmt.Errorf("bytecode: pc %d: param %d out of range", pc, in.A)
+			return fmt.Errorf("param %d out of range", in.A)
 		}
 		return nil
 	case OpCmp:
 		if in.A < CmpLT || in.A > CmpNE {
-			return fmt.Errorf("bytecode: pc %d: bad comparison %d", pc, in.A)
+			return fmt.Errorf("bad comparison %d", in.A)
 		}
 		return nil
 	case OpJump, OpJumpIfFalse:
-		return p.checkTarget(pc, in.A)
+		return p.checkTarget(in.A)
 	case OpDoStart, OpDoInStart:
 		if in.A < 0 || in.A >= len(p.Indices) {
-			return fmt.Errorf("bytecode: pc %d: loop index %d out of range", pc, in.A)
+			return fmt.Errorf("loop index %d out of range", in.A)
 		}
 		if in.Op == OpDoInStart && (in.B < 0 || in.B >= len(p.Indices)) {
-			return fmt.Errorf("bytecode: pc %d: super index %d out of range", pc, in.B)
+			return fmt.Errorf("super index %d out of range", in.B)
 		}
-		return p.checkTarget(pc, in.C)
+		return p.checkTarget(in.C)
 	case OpDoEnd, OpDoInEnd:
 		if in.A < 0 || in.A >= len(p.Indices) {
-			return fmt.Errorf("bytecode: pc %d: loop index %d out of range", pc, in.A)
+			return fmt.Errorf("loop index %d out of range", in.A)
 		}
-		return p.checkTarget(pc, in.B)
+		return p.checkTarget(in.B)
 	case OpPardoStart:
 		if in.A < 0 || in.A >= len(p.Pardos) {
-			return fmt.Errorf("bytecode: pc %d: pardo %d out of range", pc, in.A)
+			return fmt.Errorf("pardo %d out of range", in.A)
 		}
-		return p.checkTarget(pc, in.C)
+		return p.checkTarget(in.C)
 	case OpPardoEnd:
 		if in.A < 0 || in.A >= len(p.Pardos) {
-			return fmt.Errorf("bytecode: pc %d: pardo %d out of range", pc, in.A)
+			return fmt.Errorf("pardo %d out of range", in.A)
 		}
-		return p.checkTarget(pc, in.B)
+		return p.checkTarget(in.B)
 	case OpCall:
 		if in.A < 0 || in.A >= len(p.Procs) {
-			return fmt.Errorf("bytecode: pc %d: proc %d out of range", pc, in.A)
+			return fmt.Errorf("proc %d out of range", in.A)
 		}
 		return nil
 	case OpBlockFill, OpGet, OpRequest, OpComputeIntegrals,
 		OpBlockCopy, OpBlockScale, OpPut, OpPrepare, OpBlockSum, OpContract, OpDot:
-		return p.checkRefs(pc)
+		return p.checkRefs(in)
 	case OpExecute:
 		if in.A < 0 || in.A >= len(p.Strings) {
-			return fmt.Errorf("bytecode: pc %d: string %d out of range", pc, in.A)
+			return fmt.Errorf("string %d out of range", in.A)
 		}
 		if in.B < 0 || in.B > 3 {
-			return fmt.Errorf("bytecode: pc %d: execute block count %d", pc, in.B)
+			return fmt.Errorf("execute block count %d", in.B)
 		}
-		if err := p.checkRefs(pc); err != nil {
+		if err := p.checkRefs(in); err != nil {
 			return err
 		}
 		for _, id := range in.Aux {
@@ -255,17 +299,17 @@ func (p *Program) validateInstr(pc int) error {
 		return nil
 	case OpPrint:
 		if in.A >= len(p.Strings) {
-			return fmt.Errorf("bytecode: pc %d: string %d out of range", pc, in.A)
+			return fmt.Errorf("string %d out of range", in.A)
 		}
 		if in.B >= len(p.Scalars) {
-			return fmt.Errorf("bytecode: pc %d: scalar %d out of range", pc, in.B)
+			return fmt.Errorf("scalar %d out of range", in.B)
 		}
 		return nil
 	case OpBlocksToList, OpListToBlocks:
 		if in.A < 0 || in.A >= len(p.Arrays) {
-			return fmt.Errorf("bytecode: pc %d: array %d out of range", pc, in.A)
+			return fmt.Errorf("array %d out of range", in.A)
 		}
 		return nil
 	}
-	return fmt.Errorf("bytecode: pc %d: unknown opcode %d", pc, uint8(in.Op))
+	return fmt.Errorf("unknown opcode %d", uint8(in.Op))
 }

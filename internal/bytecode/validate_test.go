@@ -28,8 +28,22 @@ func TestValidateRejects(t *testing.T) {
 		{"array simple index", func(p *Program) { p.Arrays[0].Dims = []int{2} }, "simple index"},
 		{"pardo no indices", func(p *Program) { p.Pardos[0].Indices = nil }, "no indices"},
 		{"pardo bad index", func(p *Program) { p.Pardos[0].Indices = []int{9} }, "out of range"},
-		{"where nil", func(p *Program) { p.Pardos[0].Where[0].L = nil }, "nil operand"},
-		{"where bad cmp", func(p *Program) { p.Pardos[0].Where[0].Cmp = 42 }, "bad comparison"},
+		{"where underflow", func(p *Program) {
+			p.Pardos[0].Where = []Instr{{Op: OpPushIndex, A: 0}, {Op: OpAdd}}
+		}, "add underflows"},
+		{"where cmp underflow", func(p *Program) { p.Pardos[0].Where[1] = Instr{Op: OpNop} }, "nop not allowed"},
+		{"where leftover value", func(p *Program) {
+			p.Pardos[0].Where = append(p.Pardos[0].Where, Instr{Op: OpPushLit, F: 1})
+		}, "leaves 1 value(s)"},
+		{"where leftover under cmp", func(p *Program) {
+			p.Pardos[0].Where = append([]Instr{{Op: OpPushLit, F: 1}}, p.Pardos[0].Where...)
+		}, "cmp leaves 1 value(s)"},
+		{"where push_scalar", func(p *Program) { p.Pardos[0].Where[1] = Instr{Op: OpPushScalar, A: 0} }, "push_scalar not allowed"},
+		{"where non-pardo index", func(p *Program) { p.Pardos[0].Where[0].A = 2 }, "index c is not an index of this pardo"},
+		{"where index out of range", func(p *Program) { p.Pardos[0].Where[0].A = 99 }, "index 99 out of range"},
+		{"where bad param", func(p *Program) { p.Pardos[0].Where[1].A = 9 }, "param 9 out of range"},
+		{"where bad cmp", func(p *Program) { p.Pardos[0].Where[2].A = 42 }, "bad comparison"},
+		{"where jump", func(p *Program) { p.Pardos[0].Where[2] = Instr{Op: OpJump, A: 0} }, "jump not allowed"},
 		{"empty code", func(p *Program) { p.Code = nil }, "empty code"},
 		{"proc bad entry", func(p *Program) { p.Procs[0].Entry = 99 }, "out of range"},
 		{"bad jump", func(p *Program) {
@@ -71,14 +85,21 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestReadRejectsCorrupt(t *testing.T) {
-	p := tinyProgram()
-	p.Code[0] = Instr{Op: OpJump, A: 1 << 20}
-	data, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "invalid program") {
-		t.Fatalf("corrupt program accepted: %v", err)
+	for _, mutate := range []func(*Program){
+		func(p *Program) { p.Code[0] = Instr{Op: OpJump, A: 1 << 20} },
+		// Where code reading an index the pardo does not bind: the master
+		// has no value for it.
+		func(p *Program) { p.Pardos[0].Where[0].A = 1 },
+	} {
+		p := tinyProgram()
+		mutate(p)
+		data, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "invalid program") {
+			t.Fatalf("corrupt program accepted: %v", err)
+		}
 	}
 }
 

@@ -209,13 +209,9 @@ func (cc *compiler) stmt(s sial.Stmt) error {
 		cc.prog.Code[start].C = len(cc.prog.Code)
 		return nil
 	case *sial.If:
-		if err := cc.scalarExpr(s.Cond.L, line); err != nil {
+		if err := cc.cond(s.Cond, line); err != nil {
 			return err
 		}
-		if err := cc.scalarExpr(s.Cond.R, line); err != nil {
-			return err
-		}
-		cc.emit(bytecode.Instr{Op: bytecode.OpCmp, A: cmpCode(s.Cond.Op), Line: line})
 		jf := cc.emit(bytecode.Instr{Op: bytecode.OpJumpIfFalse, Line: line})
 		if err := cc.stmts(s.Then); err != nil {
 			return err
@@ -324,17 +320,16 @@ func (cc *compiler) pardo(s *sial.Pardo) error {
 	for _, name := range s.Idx {
 		info.Indices = append(info.Indices, cc.checked.IndexByName[name].ID)
 	}
+	// The where clauses compile as scalar code into the pardo's own
+	// slice, for the master to run; the code array stays as it was.
+	code := cc.prog.Code
+	cc.prog.Code = nil
 	for _, w := range s.Where {
-		l, err := cc.whereExpr(w.L)
-		if err != nil {
+		if err := cc.cond(w, line); err != nil {
 			return err
 		}
-		r, err := cc.whereExpr(w.R)
-		if err != nil {
-			return err
-		}
-		info.Where = append(info.Where, bytecode.WhereCond{Cmp: cmpCode(w.Op), L: l, R: r})
 	}
+	info.Where, cc.prog.Code = cc.prog.Code, code
 	pid := len(cc.prog.Pardos)
 	cc.prog.Pardos = append(cc.prog.Pardos, info)
 	start := cc.emit(bytecode.Instr{Op: bytecode.OpPardoStart, A: pid, Line: line})
@@ -347,47 +342,6 @@ func (cc *compiler) pardo(s *sial.Pardo) error {
 	cc.emit(bytecode.Instr{Op: bytecode.OpPardoEnd, A: pid, B: start, Line: line})
 	cc.prog.Code[start].C = len(cc.prog.Code)
 	return nil
-}
-
-// whereExpr compiles a where-clause operand to the master-evaluable
-// expression tree.
-func (cc *compiler) whereExpr(e sial.ScalarExpr) (*bytecode.WhereExpr, error) {
-	switch e := e.(type) {
-	case *sial.NumLit:
-		return &bytecode.WhereExpr{Op: bytecode.WhereLit, Val: e.Val}, nil
-	case *sial.ScalarRef:
-		if ix := cc.checked.IndexByName[e.Name]; ix != nil {
-			return &bytecode.WhereExpr{Op: bytecode.WhereIndex, ID: ix.ID}, nil
-		}
-		if cc.checked.ParamByName[e.Name] != nil {
-			return &bytecode.WhereExpr{Op: bytecode.WhereParam, ID: cc.paramID(e.Name)}, nil
-		}
-		return nil, fmt.Errorf("compiler: where clause operand %q is not an index or parameter", e.Name)
-	case *sial.BinExpr:
-		l, err := cc.whereExpr(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.whereExpr(e.R)
-		if err != nil {
-			return nil, err
-		}
-		var op bytecode.WhereOp
-		switch e.Op {
-		case sial.TokPlus:
-			op = bytecode.WhereAdd
-		case sial.TokMinus:
-			op = bytecode.WhereSub
-		case sial.TokStar:
-			op = bytecode.WhereMul
-		case sial.TokSlash:
-			op = bytecode.WhereDiv
-		default:
-			return nil, fmt.Errorf("compiler: bad where operator")
-		}
-		return &bytecode.WhereExpr{Op: op, L: l, R: r}, nil
-	}
-	return nil, fmt.Errorf("compiler: unsupported where expression %T", e)
 }
 
 // refUsesSub reports whether the reference addresses a subblock: a
@@ -485,6 +439,18 @@ func permutation(dst, src []string) ([]int, error) {
 		perm[d] = found
 	}
 	return perm, nil
+}
+
+// cond emits a comparison: its two sides, then one OpCmp.
+func (cc *compiler) cond(c *sial.Cond, line int) error {
+	if err := cc.scalarExpr(c.L, line); err != nil {
+		return err
+	}
+	if err := cc.scalarExpr(c.R, line); err != nil {
+		return err
+	}
+	cc.emit(bytecode.Instr{Op: bytecode.OpCmp, A: cmpCode(c.Op), Line: line})
+	return nil
 }
 
 func (cc *compiler) scalarExpr(e sial.ScalarExpr, line int) error {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,15 +183,67 @@ aoindex J = 1, n
 pardo I, J where I <= J where I + 1 < n
 endpardo
 endsial`)
+	// Each clause is its two sides and one cmp, in the pardo's own code.
+	want := []bytecode.Instr{
+		{Op: bytecode.OpPushIndex, A: 0}, {Op: bytecode.OpPushIndex, A: 1}, {Op: bytecode.OpCmp, A: bytecode.CmpLE},
+		{Op: bytecode.OpPushIndex, A: 0}, {Op: bytecode.OpPushLit, F: 1}, {Op: bytecode.OpAdd},
+		{Op: bytecode.OpPushParam, A: 0}, {Op: bytecode.OpCmp, A: bytecode.CmpLT},
+	}
 	w := p.Pardos[0].Where
-	if len(w) != 2 {
-		t.Fatalf("where count = %d", len(w))
+	if len(w) != len(want) {
+		t.Fatalf("where code %v, want %v", w, want)
 	}
-	if w[0].Cmp != bytecode.CmpLE || w[0].L.Op != bytecode.WhereIndex || w[0].R.Op != bytecode.WhereIndex {
-		t.Fatalf("where[0] = %+v", w[0])
+	for k := range want {
+		if w[k].Op != want[k].Op || w[k].A != want[k].A || w[k].F != want[k].F {
+			t.Fatalf("where code %d = %+v, want %+v", k, w[k], want[k])
+		}
 	}
-	if w[1].L.Op != bytecode.WhereAdd || w[1].R.Op != bytecode.WhereParam {
-		t.Fatalf("where[1] = %+v", w[1])
+	for _, in := range p.Code {
+		if !in.Op.Super() {
+			t.Fatalf("scalar op %s in the code array: where code belongs to the pardo", in.Op)
+		}
+	}
+}
+
+// TestCompileWhereForms compiles each form a where clause may take and
+// checks the iterations its code passes against the same filter in Go.
+func TestCompileWhereForms(t *testing.T) {
+	const n = 6
+	cases := []struct {
+		where string
+		keep  func(i, j float64) bool
+	}{
+		{"I <= 3", func(i, j float64) bool { return i <= 3 }},
+		{"I < J", func(i, j float64) bool { return i < j }},
+		{"J >= n - 1", func(i, j float64) bool { return j >= n-1 }},
+		{"I + J > 7", func(i, j float64) bool { return i+j > 7 }},
+		{"J - I == 2", func(i, j float64) bool { return j-i == 2 }},
+		{"I * J != 6", func(i, j float64) bool { return i*j != 6 }},
+		{"I / J < 0.5", func(i, j float64) bool { return i/j < 0.5 }}, // float division, as in if
+		{"(I + 1) * 2 <= J * n / 3", func(i, j float64) bool { return (i+1)*2 <= j*n/3 }},
+		{"I <= J where I + J > 6", func(i, j float64) bool { return i <= j && i+j > 6 }},
+	}
+	for _, tc := range cases {
+		p := compile(t, fmt.Sprintf(`
+sial wh
+param n = %d
+aoindex I = 1, n
+aoindex J = 1, n
+pardo I, J where %s
+endpardo
+endsial`, n, tc.where))
+		if err := p.Validate(); err != nil {
+			t.Fatalf("where %s: %v", tc.where, err)
+		}
+		pd := &p.Pardos[0]
+		stack := make([]float64, 0, len(pd.Where))
+		for i := 1; i <= n; i++ {
+			for j := 1; j <= n; j++ {
+				if got, want := pd.Passes([]int{i, j}, []int{n}, stack), tc.keep(float64(i), float64(j)); got != want {
+					t.Errorf("where %s at I=%d J=%d: passes %v, want %v", tc.where, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 

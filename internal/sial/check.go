@@ -2,6 +2,7 @@ package sial
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/segment"
 )
@@ -307,7 +308,7 @@ func (c *Checked) checkStmt(s Stmt, ctx *checkCtx) error {
 			inner.bound[name] = true
 		}
 		for _, w := range s.Where {
-			if err := c.checkCondOverIndices(w, inner); err != nil {
+			if err := c.checkCondOverIndices(w, s.Idx); err != nil {
 				return err
 			}
 		}
@@ -754,9 +755,9 @@ func (c *Checked) checkCond(cond *Cond, ctx *checkCtx) error {
 }
 
 // checkCondOverIndices validates a pardo where clause: operands may only
-// be index variables and integer literals so the master can evaluate the
-// clause when enumerating the iteration space.
-func (c *Checked) checkCondOverIndices(cond *Cond, ctx *checkCtx) error {
+// be the pardo's own indices (idx), parameters and literals, so the
+// master can evaluate the clause when enumerating the iteration space.
+func (c *Checked) checkCondOverIndices(cond *Cond, idx []string) error {
 	var checkSide func(e ScalarExpr) error
 	checkSide = func(e ScalarExpr) error {
 		switch e := e.(type) {
@@ -770,7 +771,7 @@ func (c *Checked) checkCondOverIndices(cond *Cond, ctx *checkCtx) error {
 				}
 				return errf(e.Pos, "where clause: %q must be an index variable, parameter, or literal", e.Name)
 			}
-			if !ctx.bound[e.Name] {
+			if !slices.Contains(idx, e.Name) {
 				return errf(e.Pos, "where clause: index %q is not a pardo index here", e.Name)
 			}
 			return nil

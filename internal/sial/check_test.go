@@ -110,6 +110,7 @@ func TestCheckErrors(t *testing.T) {
 		{"unknown scalar", "sial x\ne = 1\nendsial", "undeclared scalar"},
 		{"where non-index", "sial x\naoindex I = 1, 4\nscalar s\npardo I where s < 2\nendpardo\nendsial", "must be an index variable"},
 		{"where unbound index", "sial x\naoindex I = 1, 4\naoindex J = 1, 4\npardo I where J < 2\nendpardo\nendsial", "not a pardo index"},
+		{"where enclosing do index", whereEnclosingDoIndex, `index "I" is not a pardo index`},
 		{"put shape mismatch", "sial x\naoindex I = 1, 4\naoindex J = 1, 4\ndistributed D(I,J)\ntemp A(I,J)\npardo I, J\nput D(I,J) = A(J,I)\nendpardo\nendsial", "same index variables"},
 		{"compute on distributed", "sial x\naoindex I = 1, 4\ndistributed D(I,I)\ndo I\ncompute_integrals D(I,I)\nenddo\nendsial", "must be temp or local"},
 		{"blocks_to_list temp", "sial x\naoindex I = 1, 4\ntemp A(I,I)\nblocks_to_list A\nendsial", "must be distributed"},
@@ -217,3 +218,19 @@ enddo
 enddo
 endsial`, "does not appear in source")
 }
+
+// whereEnclosingDoIndex names, in a where clause, an index bound by an
+// enclosing do loop rather than by the pardo: the master enumerating the
+// pardo's iterations knows no value for it.
+const whereEnclosingDoIndex = `sial x
+param n = 4
+aoindex I = 1, n
+aoindex M = 1, n
+scalar s
+do I
+pardo M where M <= I
+s += 1.0
+endpardo
+enddo
+collective s
+endsial`

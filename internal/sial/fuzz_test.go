@@ -19,6 +19,7 @@ func FuzzFrontEnd(f *testing.F) {
 		"sial x\nparam n = 4\naoindex I = 1, n\nendsial",
 		paperExample,
 		"sial x\npardo I where I <= J\nendpardo\nendsial",
+		whereEnclosingDoIndex,
 		"sial x\nscalar s\ns = 1 + 2 * (3 - 4) / 5\nendsial",
 		"sial x\naoindex i = 1, 8\nsubindex ii of i\nendsial",
 		"sial x\n# comment only\nendsial",

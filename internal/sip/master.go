@@ -97,6 +97,7 @@ type pardoRun struct {
 	vals    []int // odometer (current candidate), empty when exhausted
 	los     []int
 	his     []int
+	stack   []float64 // where-code scratch, capacity len(info.Where)
 	started bool
 	done    bool
 
@@ -141,6 +142,7 @@ func newPardoRun(rt *runtime, pid int) *pardoRun {
 	r.vals = make([]int, len(info.Indices))
 	r.los = make([]int, len(info.Indices))
 	r.his = make([]int, len(info.Indices))
+	r.stack = make([]float64, 0, len(info.Where))
 	r.totalEst = 1
 	for i, id := range info.Indices {
 		lo, hi := rt.layout.IndexRange(id)
@@ -155,28 +157,9 @@ func newPardoRun(rt *runtime, pid int) *pardoRun {
 }
 
 // passes reports whether the current odometer values satisfy all where
-// clauses.
+// clauses, running the pardo's where code on the run's own stack.
 func (r *pardoRun) passes() bool {
-	if len(r.info.Where) == 0 {
-		return true
-	}
-	idxVal := func(id int) int {
-		for i, iid := range r.info.Indices {
-			if iid == id {
-				return r.vals[i]
-			}
-		}
-		return 0
-	}
-	paramVal := func(id int) int { return r.rt.layout.ParamVal(id) }
-	for _, wc := range r.info.Where {
-		l := wc.L.Eval(idxVal, paramVal)
-		rr := wc.R.Eval(idxVal, paramVal)
-		if !bytecode.EvalCmp(wc.Cmp, l, rr) {
-			return false
-		}
-	}
-	return true
+	return r.info.Passes(r.vals, r.rt.layout.ParamVals, r.stack)
 }
 
 // advance moves the odometer to the next raw position; reports false at

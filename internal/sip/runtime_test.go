@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/compiler"
 	"repro/internal/segment"
 )
 
@@ -259,6 +260,47 @@ endsial
 	// Segments 1..4: pairs (1,2),(2,3),(3,4) -> 3 iterations.
 	if res.Scalars["count"] != 3 {
 		t.Fatalf("count = %g, want 3", res.Scalars["count"])
+	}
+}
+
+// TestWherePassesAllocatesNothing: the master tests each candidate
+// iteration of a pardo by running its where code on a stack the pardoRun
+// owns, so a test allocates nothing.
+func TestWherePassesAllocatesNothing(t *testing.T) {
+	prog, err := compiler.CompileSource(`
+sial wherealloc
+param n = 8
+aoindex M = 1, n
+aoindex N = 1, n
+scalar count
+pardo M, N where M <= N where (M + 1) * 2 < N + n / 2
+  count += 1
+endpardo
+endsial
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, Seg: bytecode.DefaultSegConfig(2)}
+	rt, err := newRuntime(prog, cfg, nil, batch(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.close()
+	r := newPardoRun(rt, 0)
+	passed := 0
+	if n := testing.AllocsPerRun(160, func() {
+		if r.passes() {
+			passed++
+		}
+		r.advance()
+	}); n != 0 {
+		t.Errorf("passes allocates %.1f times per candidate, want 0", n)
+	}
+	// 161 calls walk the 16 candidates ten times and one more: 6 pass
+	// per walk ((1,1) (1,2) (1,3) (1,4) (2,3) (2,4)), and (1,1) again.
+	if passed != 61 {
+		t.Errorf("%d candidates passed, want 61", passed)
 	}
 }
 

@@ -19,7 +19,10 @@
 # internal/sip/ranks.go: calls of the count-based NewRanks, a launcher's
 # constructor, and walks over the old rank-list fields; the distinct tags
 # non-test internal/sip sends an ackMsg on (one is the aim: tagAck) and its
-# timed receives outside internal/sip/await.go.
+# timed receives outside internal/sip/await.go; the lines of non-test
+# internal/ that name a where-clause tree type or op (0 is the aim: a
+# where clause is scalar code) and the non-test lines of internal/bytecode,
+# internal/compiler and internal/sip together.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -50,3 +53,7 @@ echo "ack tags:                     $(nontest internal/sip | grep -oE 'tag[A-Za-
 timed=$(find internal/sip -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'await.go' -print0 | sort -z | xargs -0 cat |
 	grep -c 'RecvRangeUntil(' || true)
 echo "timed receives outside await: $timed"
+where=$(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat |
+	grep -cE '\bWhere(Expr|Cond|Op|Lit|Index|Param|Add|Sub|Mul|Div)\b' || true)
+echo "where-tree references:        $where"
+echo "bytecode + compiler + sip non-test lines: $(( $(nontest internal/bytecode | wc -l) + $(nontest internal/compiler | wc -l) + $(nontest internal/sip | wc -l) ))"
