@@ -7,6 +7,12 @@
 // scaling, accumulation, slicing, and insertion.  Exactly as in the SIP,
 // no operation in this package communicates; the runtime composes these
 // kernels with data movement.
+//
+// Blocks are recycled through one process-wide allocator, Get and Put.
+// Only a block its holder owns alone may be Put: one it got from Get or
+// New, or received in a message as a copy made for it, and has never
+// sent, stored or lent.  The holder must not touch it afterwards.  A
+// FromData block, whose storage is its caller's, never is.
 package block
 
 import (
@@ -42,9 +48,8 @@ func scratch(buf *[maxRank]int, n int) []int {
 	return make([]int, n)
 }
 
-// New allocates a zeroed block with the given dimensions.  It panics on a
-// non-positive dimension.
-func New(dims ...int) *Block {
+// numElems returns the product of dims, panicking on a non-positive one.
+func numElems(dims []int) int {
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {
@@ -54,22 +59,21 @@ func New(dims ...int) *Block {
 		}
 		n *= d
 	}
+	return n
+}
+
+// New allocates a zeroed block with the given dimensions.  It panics on a
+// non-positive dimension.
+func New(dims ...int) *Block {
 	b := withDims(dims)
-	b.data = make([]float64, n)
+	b.data = make([]float64, numElems(dims))
 	return b
 }
 
 // FromData wraps an existing slice as a block.  The slice length must
 // equal the product of dims; the block takes ownership of the slice.
 func FromData(data []float64, dims ...int) *Block {
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			panic(fmt.Sprintf("block: non-positive dimension in %v", dims))
-		}
-		n *= d
-	}
-	if len(data) != n {
+	if n := numElems(dims); len(data) != n {
 		panic(fmt.Sprintf("block: data length %d does not match dims %v (%d)", len(data), dims, n))
 	}
 	b := withDims(dims)
@@ -121,17 +125,7 @@ func (b *Block) Clone() *Block {
 }
 
 // SameShape reports whether b and o have identical dimensions.
-func (b *Block) SameShape(o *Block) bool {
-	if len(b.dims) != len(o.dims) {
-		return false
-	}
-	for i, d := range b.dims {
-		if d != o.dims[i] {
-			return false
-		}
-	}
-	return true
-}
+func (b *Block) SameShape(o *Block) bool { return slices.Equal(b.dims, o.dims) }
 
 // Fill sets every element to v (SIAL: scalar assignment to a block).
 func (b *Block) Fill(v float64) { linalg.Fill(v, b.data) }

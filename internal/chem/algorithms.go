@@ -309,8 +309,8 @@ func CCSDEnergyReference(norb, nocc, iters int, tInit func(idx []int) float64) f
 	return e
 }
 
-// presetFromElem builds a sip.PresetFunc filling blocks from an element
-// function over global indices.
+// presetFromElem builds a sip.PresetFunc filling blocks from the
+// allocator (block.Get) with an element function over global indices.
 func presetFromElem(f func(idx []int) float64) sip.PresetFunc {
 	return func(coord segment.Coord, lo, hi []int) *block.Block {
 		return fillBlock(lo, hi, f)

@@ -39,14 +39,15 @@ func Hcore(p, q int) float64 {
 	return -0.5 / (1.0 + math.Abs(float64(p-q)))
 }
 
-// fillBlock fills a block whose element bounds are [lo, hi] per
-// dimension using f over global indices.
+// fillBlock fills a block from the allocator whose element bounds are
+// [lo, hi] per dimension using f over global indices.
 func fillBlock(lo, hi []int, f func(idx []int) float64) *block.Block {
-	dims := make([]int, len(lo))
+	var dimBuf [8]int
+	dims := dimBuf[:0]
 	for d := range lo {
-		dims[d] = hi[d] - lo[d] + 1
+		dims = append(dims, hi[d]-lo[d]+1)
 	}
-	b := block.New(dims...)
+	b := block.Get(dims...)
 	data := b.Data()
 	idx := make([]int, len(dims))
 	for off := range data {
@@ -66,14 +67,15 @@ func fillBlock(lo, hi []int, f func(idx []int) float64) *block.Block {
 // so the (r,s) pair factors and pair sums are tabulated once, the
 // coupling once per distinct difference of pair sums, and an element
 // costs one multiply and one divide.  The tables live on the stack when
-// the block is at most 16×16 in its last two dimensions, so that the
-// result block is then the only heap allocation.
+// the block is at most 16×16 in its last two dimensions, and the block
+// comes from the allocator, so that a call then allocates nothing once
+// the runtime has given an earlier block of the shape back.
 func eriBlock(lo, hi []int, off [4]int) *block.Block {
 	var dims [4]int
 	for d := range dims {
 		dims[d] = hi[d] - lo[d] + 1
 	}
-	b := block.New(dims[:]...)
+	b := block.Get(dims[:]...)
 	data := b.Data()
 
 	var hrsBuf [256]float64
@@ -118,6 +120,7 @@ func eriBlock(lo, hi []int, off [4]int) *block.Block {
 // AOIntegrals returns a sip.IntegralFunc computing AO-basis ERI blocks
 // for any 4-index array (used by the CCSD-term and Fock-build
 // programs, where compute_integrals arrays are indexed by AO indices).
+// Its blocks come from block.Get (see sip.IntegralFunc).
 func AOIntegrals() sip.IntegralFunc {
 	return func(arr string, lo, hi []int) *block.Block {
 		if len(lo) != 4 {
@@ -132,7 +135,8 @@ func AOIntegrals() sip.IntegralFunc {
 
 // MOIntegrals returns a sip.IntegralFunc for the MP2 program's MO-basis
 // integrals: array "v" holds (ia|jb) and array "w" holds (ib|ja), with
-// occupied indices 1..no and virtual indices offset by no.
+// occupied indices 1..no and virtual indices offset by no.  Its blocks
+// come from block.Get (see sip.IntegralFunc).
 func MOIntegrals(no int) sip.IntegralFunc {
 	return func(arr string, lo, hi []int) *block.Block {
 		switch arr {

@@ -159,7 +159,7 @@ func TestServeDeadlineTimeout(t *testing.T) {
 // terminal job reports ErrJobTerminal.
 func TestServeCancel(t *testing.T) {
 	s := newTestService(t, Config{MaxConcurrent: 1})
-	s.RegisterPack("slow", slowPack(100 * time.Millisecond))
+	s.RegisterPack("slow", slowPack(100*time.Millisecond))
 
 	run, err := s.Submit(SubmitRequest{Name: "running", Pack: "slow", Params: map[string]int{"n": 24}})
 	if err != nil {
@@ -214,7 +214,7 @@ func TestServeCancel(t *testing.T) {
 func TestServeDrainRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{MaxConcurrent: 1, JournalDir: dir, Warn: t.Logf})
-	s.RegisterPack("slow", slowPack(100 * time.Millisecond))
+	s.RegisterPack("slow", slowPack(100*time.Millisecond))
 
 	running, err := s.Submit(SubmitRequest{
 		Name: "interrupted", Pack: "slow",
@@ -284,7 +284,7 @@ func TestServeDrainRestart(t *testing.T) {
 
 	// "Restart": a fresh service on the same journal.
 	s2 := newTestService(t, Config{JournalDir: dir, Warn: t.Logf})
-	s2.RegisterPack("slow", slowPack(10 * time.Millisecond)) // faster this life
+	s2.RegisterPack("slow", slowPack(10*time.Millisecond)) // faster this life
 	n, err := s2.Resume()
 	if err != nil {
 		t.Fatalf("Resume: %v", err)

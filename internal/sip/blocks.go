@@ -148,14 +148,14 @@ func (e *cacheEntry) pending() bool {
 // blocks with LRU replacement (paper §V-A: a block "may be available ...
 // because it is still available in the block cache from a recent use").
 // It is used only by the worker's interpreter goroutine and owns its
-// blocks: no instruction keeps a cached block by pointer, so a dropped
-// entry's block goes back to the worker's pool.
+// blocks (a reply is a copy made for the requester): no instruction keeps
+// a cached block by pointer, so a dropped entry's block goes back to the
+// block allocator.
 type blockCache struct {
 	capacity int
 	entries  map[blockKey]*cacheEntry
 	lru      cacheEntry  // ring sentinel: lru.next is the most recent entry
 	free     *cacheEntry // recycled entries
-	pool     *blockPool
 	// stale holds entries dropped while in flight.  Their replies are
 	// still received (the posted receive and its tag are consumed) and
 	// recycled unread: data requested before a barrier is never served
@@ -166,8 +166,8 @@ type blockCache struct {
 	hits, misses, evictions int64
 }
 
-func newBlockCache(capacity int, pool *blockPool) *blockCache {
-	c := &blockCache{capacity: max(capacity, 1), entries: map[blockKey]*cacheEntry{}, pool: pool}
+func newBlockCache(capacity int) *blockCache {
+	c := &blockCache{capacity: max(capacity, 1), entries: map[blockKey]*cacheEntry{}}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
@@ -254,11 +254,11 @@ func (c *blockCache) drop(e *cacheEntry) {
 	}
 }
 
-// recycle returns a dropped entry's block to the pool and the entry to
-// the free list.
+// recycle gives a dropped entry's block back to the block allocator and
+// the entry to the free list.
 func (c *blockCache) recycle(e *cacheEntry) {
 	if e.b != nil {
-		c.pool.put(e.b)
+		block.Put(e.b)
 	}
 	*e = cacheEntry{next: c.free}
 	c.free = e

@@ -115,7 +115,7 @@ type interp struct {
 	temps   map[bytecode.LocalKey]*block.Block
 	locals  map[bytecode.LocalKey]*block.Block
 	statics map[bytecode.LocalKey]*block.Block
-	pool    *blockPool
+	pool    block.Tally // this rank's gets from the block allocator
 
 	// Look-ahead: one cursor per get/request instruction (by pc, made at
 	// the first look-ahead), the loop-entry counter behind frame.seq, and
@@ -170,7 +170,6 @@ func (c *interp) init(rt *runtime, rank int, m mover) {
 		temps:    map[bytecode.LocalKey]*block.Block{},
 		locals:   map[bytecode.LocalKey]*block.Block{},
 		statics:  map[bytecode.LocalKey]*block.Block{},
-		pool:     newBlockPool(),
 		aheadCap: min(rt.cfg.PrefetchWindow, rt.cfg.CacheBlocks/2),
 		pardoGen: make([]int, len(rt.prog.Pardos)),
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
@@ -381,7 +380,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		if err := c.locate(in.R[0], loc); err != nil {
 			return err
 		}
-		b := c.pool.get(loc.extent())
+		b := c.pool.Get(loc.extent()...)
 		b.Fill(v)
 		if err := c.storePooled(in.R[0], loc, b, in.B); err != nil {
 			return err
@@ -399,13 +398,13 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		switch {
 		case in.A == bytecode.CopyPermute && !block.IdentityPerm(in.Aux):
 			var dims [maxRank]int
-			val := c.pool.get(src.PermutedDims(dims[:0], in.Aux))
+			val := c.pool.Get(src.PermutedDims(dims[:0], in.Aux)...)
 			src.PermuteInto(val, in.Aux)
 			err = c.storePooled(in.R[0], loc, val, in.B)
 		case loc.region || in.B != bytecode.AssignSet:
 			err = c.storeDst(in.R[0], loc, src, in.B)
 		default:
-			val := c.pool.get(src.Dims())
+			val := c.pool.Get(src.Dims()...)
 			val.CopyFrom(src)
 			err = c.storePooled(in.R[0], loc, val, in.B)
 		}
@@ -418,7 +417,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		val := c.pool.get(src.Dims())
+		val := c.pool.Get(src.Dims()...)
 		val.CopyFrom(src)
 		val.Scale(v)
 		loc := &c.ops.dst
@@ -437,7 +436,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		val := c.pool.get(a.Dims())
+		val := c.pool.Get(a.Dims()...)
 		val.CopyFrom(a)
 		if in.A == 0 {
 			val.AddScaled(1, b)
@@ -464,7 +463,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		if err := c.locate(in.R[0], loc); err != nil {
 			return err
 		}
-		val := c.pool.get(loc.extent())
+		val := c.pool.Get(loc.extent()...)
 		flops, err := block.ContractInto(val, block.Spec{A: in.R[1].Idx, B: in.R[2].Idx, C: in.R[0].Idx}, a, b)
 		if err != nil {
 			return err
@@ -601,12 +600,11 @@ func (c *interp) setIteration(pid int, vals []int) {
 	}
 }
 
-// clearTemps recycles all per-iteration temp blocks into the block pool
-// (paper §V-B: worker memory is managed as stacks of preallocated
-// blocks, so steady-state iterations allocate nothing).
+// clearTemps gives all per-iteration temp blocks back to the block
+// allocator, so steady-state iterations allocate nothing (paper §V-B).
 func (c *interp) clearTemps() {
 	for _, b := range c.temps {
-		c.pool.put(b)
+		block.Put(b)
 	}
 	clear(c.temps)
 }
@@ -922,12 +920,13 @@ func (c *interp) readBlock(ref bytecode.Ref) (*block.Block, error) {
 	return b, nil
 }
 
-// storePooled is storeDst for a value drawn from the block pool, which
-// gets it back unless the destination kept it (a whole-block assignment).
+// storePooled is storeDst for a value drawn from the block allocator,
+// which gets it back unless the destination kept it (a whole-block
+// assignment).
 func (c *interp) storePooled(ref bytecode.Ref, loc *refLoc, val *block.Block, mode int) error {
 	err := c.storeDst(ref, loc, val, mode)
 	if err != nil || loc.region || mode != bytecode.AssignSet {
-		c.pool.put(val)
+		block.Put(val)
 	}
 	return err
 }
@@ -951,13 +950,13 @@ func (c *interp) storeDst(ref bytecode.Ref, loc *refLoc, val *block.Block, mode 
 			return fmt.Errorf("assignment to %s%v: got dims %v", c.rt.prog.Arrays[ref.Arr].Name, loc.at(), val.Dims())
 		}
 		if cur != nil && cur != val && ref.Kind() == bytecode.ArrayTemp {
-			c.pool.put(cur)
+			block.Put(cur)
 		}
 		m[loc.local()] = val
 		return nil
 	}
 	if cur == nil {
-		cur = c.pool.get(loc.blockDims())
+		cur = c.pool.Get(loc.blockDims()...)
 		cur.Fill(0) // an absent block reads as zeros
 		m[loc.local()] = cur
 	}
@@ -1088,7 +1087,9 @@ func (c *interp) doPut(dst, src bytecode.Ref, acc bool) error {
 
 // doComputeIntegrals fills a block from Config.Integrals.  Its element
 // bounds follow from the coordinate and dims locate has just checked
-// against the shape, with no second range check per dimension.
+// against the shape, with no second range check per dimension.  The
+// block it replaces goes back to the allocator, from which a generator
+// draws the next one.
 func (c *interp) doComputeIntegrals(ref bytecode.Ref) error {
 	loc := &c.ops.dst
 	if err := c.locate(ref, loc); err != nil {
@@ -1101,7 +1102,11 @@ func (c *interp) doComputeIntegrals(ref bytecode.Ref) error {
 	if b == nil || !slices.Equal(b.Dims(), loc.blockDims()) {
 		return fmt.Errorf("compute_integrals %s%v: generator returned wrong dims", name, loc.at())
 	}
-	c.localMap(ref.Kind())[loc.local()] = b
+	m := c.localMap(ref.Kind())
+	if old := m[loc.local()]; old != nil && old != b {
+		block.Put(old)
+	}
+	m[loc.local()] = b
 	return nil
 }
 
@@ -1131,7 +1136,7 @@ func (c *interp) doExecute(in *bytecode.Instr) error {
 	}
 	for i, b := range blocks {
 		if c.localMap(in.R[i].Kind()) == nil {
-			c.pool.put(b) // the copy execArg made
+			block.Put(b) // the copy execArg made
 		}
 	}
 	clear(blocks) // the scratch must not keep a dropped block alive
@@ -1156,7 +1161,8 @@ func (c *interp) execArg(ref bytecode.Ref, name string, at *argLoc) (*block.Bloc
 	if m := c.localMap(ref.Kind()); m != nil {
 		b := m[loc.local()]
 		if b == nil {
-			b = block.New(loc.blockDims()...)
+			b = c.pool.Get(loc.blockDims()...)
+			b.Fill(0) // an absent block reads as zeros
 			m[loc.local()] = b
 		}
 		return b, nil
@@ -1165,7 +1171,7 @@ func (c *interp) execArg(ref bytecode.Ref, name string, at *argLoc) (*block.Bloc
 	if err != nil {
 		return nil, err
 	}
-	cp := c.pool.get(b.Dims())
+	cp := c.pool.Get(b.Dims()...)
 	cp.CopyFrom(b)
 	return cp, nil
 }

@@ -211,9 +211,12 @@ endsial
 `
 
 // TestPoolJobAllocs: what the interpreter derives from a program is
-// derived with the program, and its scratch is recycled, so lowering adds
-// nothing to what a pool job allocates.  The bound is what this job
-// allocated before block references were lowered.
+// derived with the program, and its scratch and blocks are recycled, so
+// neither lowering nor the job's temps and integral blocks add to what a
+// pool job allocates.  The bound is what this job allocates once its
+// blocks come from the process-wide allocator (164; 191 when each worker
+// had a pool of its own), plus the one allocation of slack the bound had
+// before.
 func TestPoolJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates, and drops what sync.Pool recycles")
@@ -228,12 +231,13 @@ func TestPoolJobAllocs(t *testing.T) {
 	}
 	defer p.Close()
 	cfg := Config{Seg: bytecode.DefaultSegConfig(2), Output: &bytes.Buffer{}}
-	const bound = 192
+	const bound = 165
 	n := testing.AllocsPerRun(50, func() {
 		if _, err := p.RunJob(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("a pool job allocates %.1f times", n)
 	if n > bound {
 		t.Errorf("a pool job allocates %.1f times, want <= %d", n, bound)
 	}

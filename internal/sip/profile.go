@@ -71,7 +71,8 @@ type Profile struct {
 	CacheMisses    int64
 	CacheEvictions int64
 
-	// Block-pool statistics (paper §V-B: preallocated block stacks).
+	// The workers' gets from the block allocator (block.Get, paper
+	// §V-B): blocks newly allocated, and blocks given back and reused.
 	PoolAllocs int64
 	PoolReuses int64
 
@@ -188,8 +189,8 @@ func mergeProfiles(workers []*worker, servers []*ioServer) *Profile {
 		out.CacheHits += w.cache.hits
 		out.CacheMisses += w.cache.misses
 		out.CacheEvictions += w.cache.evictions
-		out.PoolAllocs += w.pool.allocs
-		out.PoolReuses += w.pool.reuses
+		out.PoolAllocs += w.pool.Fresh
+		out.PoolReuses += w.pool.Reused
 	}
 	return out
 }

@@ -11,7 +11,7 @@ import (
 // fakeWorker builds a worker carrying only the state mergeProfiles
 // reads.
 func fakeWorker(prog *bytecode.Program, p *Profile) *worker {
-	return &worker{interp: interp{rt: &runtime{prog: prog}, prof: p, pool: &blockPool{}}, cache: &blockCache{}}
+	return &worker{interp: interp{rt: &runtime{prog: prog}, prof: p}, cache: &blockCache{}}
 }
 
 func TestMergeProfiles(t *testing.T) {

@@ -85,7 +85,7 @@ type ChunkGate interface {
 // PresetFunc initializes one block of an array at startup.  coord is the
 // block coordinate; lo and hi are the inclusive element bounds per
 // dimension.  Returning nil leaves the block unallocated (implicitly
-// zero).
+// zero).  The block becomes the runtime's, like an IntegralFunc's.
 type PresetFunc func(coord segment.Coord, lo, hi []int) *block.Block
 
 // presetBlocks calls put with each block presets give the arrays of kind
@@ -124,7 +124,10 @@ func presetBlocks(presets map[string]PresetFunc, prog *bytecode.Program, layout 
 // IntegralFunc computes an integral block on demand for
 // compute_integrals.  arr is the SIAL array name; lo and hi are the
 // inclusive element bounds of the block.  lo and hi are the worker's
-// scratch, valid only during the call.
+// scratch, valid only during the call.  The block becomes the runtime's,
+// which gives it back through block.Put when its temp dies, so the
+// function keeps no reference to it, and draws it from block.Get to
+// allocate nothing in steady state.
 type IntegralFunc func(arr string, lo, hi []int) *block.Block
 
 // ExecCtx gives user super instructions access to their execution
@@ -627,12 +630,12 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 // element indices with 1/(1+distance) decay, standing in for the real
 // integrals the paper computes on demand (§V-B).
 func DefaultIntegrals(arr string, lo, hi []int) *block.Block {
-	dims := make([]int, len(lo))
+	var dimBuf, idxBuf [8]int
+	dims, idx := dimBuf[:len(lo)], idxBuf[:len(lo)]
 	for d := range lo {
 		dims[d] = hi[d] - lo[d] + 1
 	}
-	b := block.New(dims...)
-	idx := make([]int, len(dims))
+	b := block.Get(dims...)
 	data := b.Data()
 	for off := range data {
 		// Decode off into a multi-index (row-major).

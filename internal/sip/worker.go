@@ -54,7 +54,7 @@ func newWorker(rt *runtime, rank int) *worker {
 		waitHist:    rt.metrics.Histogram(metricWorkerWait),
 	}
 	w.init(rt, rank, w)
-	w.cache = newBlockCache(rt.cfg.CacheBlocks, w.pool)
+	w.cache = newBlockCache(rt.cfg.CacheBlocks)
 	return w
 }
 
@@ -303,7 +303,7 @@ func (w *worker) startFetch(arrID int, loc *refLoc, ahead bool) error {
 	if home == w.rank {
 		if !ahead {
 			// Locally homed: copy out of the store under its lock.
-			b := w.pool.get(loc.blockDims())
+			b := w.pool.Get(loc.blockDims()...)
 			w.dist.copyInto(loc.key, b)
 			w.cache.insert(loc.key, b, nil, false)
 		}

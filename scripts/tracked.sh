@@ -21,8 +21,10 @@
 # non-test internal/sip sends an ackMsg on (one is the aim: tagAck) and its
 # timed receives outside internal/sip/await.go; the lines of non-test
 # internal/ that name a where-clause tree type or op (0 is the aim: a
-# where clause is scalar code) and the non-test lines of internal/bytecode,
-# internal/compiler and internal/sip together.
+# where clause is scalar code), the non-test lines of internal/bytecode,
+# internal/compiler and internal/sip together, and the block.New sites of
+# non-test internal/sip and internal/chem (every other block comes from
+# the one allocator, block.Get).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -57,3 +59,4 @@ where=$(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat |
 	grep -cE '\bWhere(Expr|Cond|Op|Lit|Index|Param|Add|Sub|Mul|Div)\b' || true)
 echo "where-tree references:        $where"
 echo "bytecode + compiler + sip non-test lines: $(( $(nontest internal/bytecode | wc -l) + $(nontest internal/compiler | wc -l) + $(nontest internal/sip | wc -l) ))"
+echo "block.New sites in non-test internal/sip + internal/chem: $( (nontest internal/sip; nontest internal/chem) | grep -c 'block\.New(' || true)"
