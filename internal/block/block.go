@@ -8,11 +8,14 @@
 // no operation in this package communicates; the runtime composes these
 // kernels with data movement.
 //
-// Blocks are recycled through one process-wide allocator, Get and Put.
-// Only a block its holder owns alone may be Put: one it got from Get or
-// New, or received in a message as a copy made for it, and has never
-// sent, stored or lent.  The holder must not touch it afterwards.  A
-// FromData block, whose storage is its caller's, never is.
+// Blocks are recycled through one process-wide allocator, Get and Put,
+// which Clone and DecodeWire draw from too.  Only a block its holder owns
+// alone may be Put: one it got from Get, New, Clone or DecodeWire, or
+// received in a message as a copy made for it, and has never stored or
+// lent, nor sent unless the send encoded it and handed over no pointer
+// (mpi.Comm.Multicast tells its caller which happened).  The holder must
+// not touch it afterwards.  A FromData block, whose storage is its
+// caller's, never is.
 package block
 
 import (
@@ -116,10 +119,9 @@ func (b *Block) At(idx ...int) float64 { return b.data[b.offset(idx)] }
 // Set stores v at the 0-based multi-index.
 func (b *Block) Set(v float64, idx ...int) { b.data[b.offset(idx)] = v }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, drawn from the allocator.
 func (b *Block) Clone() *Block {
-	c := withDims(b.dims)
-	c.data = make([]float64, len(b.data))
+	c := Get(b.dims...)
 	copy(c.data, b.data)
 	return c
 }

@@ -2,6 +2,7 @@ package block
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -26,30 +27,33 @@ func (b *Block) WireSizeHint() int {
 
 // DecodeWire reads a block previously written by EncodeWire.  It
 // returns nil (latching an error on d) when the payload is malformed.
+// The block comes from the allocator, and only once its dims and element
+// count are checked against each other and against the bytes the frame
+// holds: a hostile frame never makes the allocator build a large block.
 func DecodeWire(d *wire.Decoder) *Block {
-	// The dims are read into the header, so a decoded block costs the
-	// two allocations New's does.
-	b := &Block{}
-	b.dims = d.AppendInts(b.shape[:0])
-	b.data = d.Float64s()
-	if d.Err() != nil {
-		return nil
-	}
+	var buf [maxRank]int
+	dims := d.AppendInts(buf[:0])
 	n := 1
-	for _, v := range b.dims {
+	for _, v := range dims {
 		// Reject non-positive and product-overflowing dims: a wrapped
-		// product could collide with len(data) and admit a block whose
-		// Size() lies about its storage.
+		// product could collide with the element count and admit a block
+		// whose Size() lies about its storage.
 		if v <= 0 || n > math.MaxInt/v {
-			d.Fail("block: bad dimensions %v", b.dims)
+			d.Fail("block: bad dimensions %v", slices.Clone(dims))
 			return nil
 		}
 		n *= v
 	}
-	if len(b.data) != n {
-		d.Fail("block: %d data elements for dims %v (want %d)", len(b.data), b.dims, n)
+	count := d.Float64sLen()
+	if d.Err() != nil {
 		return nil
 	}
+	if count != n {
+		d.Fail("block: %d data elements for dims %v (want %d)", count, slices.Clone(dims), n)
+		return nil
+	}
+	b := Get(dims...)
+	d.Float64sInto(b.data)
 	return b
 }
 

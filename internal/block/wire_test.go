@@ -3,6 +3,7 @@ package block
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/wire"
@@ -83,21 +84,55 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestWireDecodeAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
-	// A decoded block costs what New does: the header, which holds the
-	// dims, and the data.
-	buf := wire.Encode(New(4, 4, 4, 4))
-	var d wire.Decoder
-	n := testing.AllocsPerRun(10, func() {
-		d.Reset(buf)
-		d.Byte() // the wire type id
-		if DecodeWire(&d) == nil {
-			t.Fatal(d.Err())
+	skipUnderRace(t)
+	drain()
+	decoder := func(b *Block) func() *Block {
+		buf := wire.Encode(b)
+		var d wire.Decoder
+		return func() *Block {
+			d.Reset(buf)
+			d.Byte() // the wire type id
+			out := DecodeWire(&d)
+			if out == nil {
+				t.Fatal(d.Err())
+			}
+			return out
 		}
-	})
-	if n != 2 {
-		t.Errorf("DecodeWire: %v allocations, want 2", n)
+	}
+	// A shape nothing gave back costs what New does: the header, which
+	// holds the dims, and the data.
+	fresh := decoder(New(4, 4, 4, 5))
+	if n := testing.AllocsPerRun(10, func() { fresh() }); n != 2 {
+		t.Errorf("DecodeWire of a fresh shape: %v allocations, want 2", n)
+	}
+	// A shape whose block was Put decodes into that block.
+	recycled := decoder(New(4, 4, 4, 4))
+	if n := testing.AllocsPerRun(10, func() { Put(recycled()) }); n != 0 {
+		t.Errorf("DecodeWire of a recycled shape: %v allocations, want 0", n)
+	}
+}
+
+// TestWireDecodeHostileDims: a frame whose dims claim a huge block but
+// whose payload holds two elements fails before the allocator is asked
+// for a block, whether its element count claims the huge block too or
+// matches the payload.
+func TestWireDecodeHostileDims(t *testing.T) {
+	for _, count := range []uint64{1 << 40, 2} {
+		e := wire.NewEncoder(0)
+		e.Byte(WireID)
+		e.Ints([]int{1 << 20, 1 << 20})
+		e.Uvarint(count)
+		e.Float64(1)
+		e.Float64(2) // 16 bytes of payload
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := wire.Decode(e.Bytes())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count %d: a 2^40-element block decoded from 16 bytes", count)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("count %d: decoding the frame allocated %d bytes", count, n)
+		}
 	}
 }

@@ -174,7 +174,12 @@ func MP2GA(c *ga.Cluster, no, nv int) (float64, error) {
 // CCSDTermSIP runs the paper's §IV-D contraction on the SIP with T
 // preset from the given element function and returns the gathered R.
 func CCSDTermSIP(norb, nocc, workers, seg int, tInit func(idx []int) float64) (*sip.Result, error) {
-	cfg := sip.Config{
+	return sip.RunSource(CCSDTermProgram(), ccsdTermConfig(norb, nocc, workers, seg, tInit))
+}
+
+// ccsdTermConfig is the run of CCSDTermSIP.
+func ccsdTermConfig(norb, nocc, workers, seg int, tInit func(idx []int) float64) sip.Config {
+	return sip.Config{
 		Workers:      workers,
 		Params:       map[string]int{"norb": norb, "nocc": nocc},
 		Seg:          bytecode.DefaultSegConfig(seg),
@@ -184,7 +189,6 @@ func CCSDTermSIP(norb, nocc, workers, seg int, tInit func(idx []int) float64) (*
 			"T": presetFromElem(tInit),
 		},
 	}
-	return sip.RunSource(CCSDTermProgram(), cfg)
 }
 
 // CCSDTermReference evaluates equation (2) of the paper with serial

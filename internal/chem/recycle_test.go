@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"net"
 	"sync"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
+	"repro/internal/mpi"
+	"repro/internal/mpi/transport"
 	"repro/internal/segment"
 	"repro/internal/sip"
 )
@@ -120,6 +123,52 @@ func closeTo(got, want, rel float64) bool {
 	return math.Abs(got-want) <= rel*math.Max(math.Abs(want), 1)
 }
 
+// ccsdTermOverTCP runs the CCSD term as the ranks of a launched run do:
+// one sip.RunRank per rank, each over its own loopback TCP world.  It
+// returns the master's result.
+func ccsdTermOverTCP(t *testing.T, cfg sip.Config) *sip.Result {
+	t.Helper()
+	prog, err := compiler.CompileSource(CCSDTermProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 1 + cfg.Workers
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for r := range lns {
+		if lns[r], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addrs[r] = lns[r].Addr().String()
+	}
+	results := make([]*sip.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range n {
+		tr, err := transport.NewTCP(transport.TCPConfig{Rank: r, Addrs: addrs, Listener: lns[r]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewDistributedWorld(n, []int{r}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[r], errs[r] = sip.RunRank(prog, cfg, w, r)
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return results[0]
+}
+
 // TestRecycledGarbageNeverLeaks: with the block allocator full of NaN
 // blocks of every shape a program uses, each program still matches its
 // serial reference, so no instruction reads a recycled block it has not
@@ -145,6 +194,20 @@ func TestRecycledGarbageNeverLeaks(t *testing.T) {
 		}
 		got, set := gathered(t, res, CCSDTermProgram(), params, 4, "R")
 		for i, want := range CCSDTermReference(8, 4, tInitTest) {
+			if !set[i] || !closeTo(got[i], want, 1e-11) {
+				t.Fatalf("R[%d] = %g (gathered %v), want %g", i, got[i], set[i], want)
+			}
+		}
+	})
+	t.Run("ccsd-term-seg4-tcp", func(t *testing.T) {
+		// Every get and put crosses a loopback TCP connection: the homes
+		// answer from recycled blocks and the requesters decode into them.
+		const norb, nocc = 8, 4
+		params := map[string]int{"norb": norb, "nocc": nocc}
+		poisonBlockPool(t, CCSDTermProgram(), params, 4)
+		res := ccsdTermOverTCP(t, ccsdTermConfig(norb, nocc, 3, 4, tInitTest))
+		got, set := gathered(t, res, CCSDTermProgram(), params, 4, "R")
+		for i, want := range CCSDTermReference(norb, nocc, tInitTest) {
 			if !set[i] || !closeTo(got[i], want, 1e-11) {
 				t.Fatalf("R[%d] = %g (gathered %v), want %g", i, got[i], set[i], want)
 			}

@@ -40,7 +40,8 @@ var receivers = []receiver{
 		return c.TryRecv(src, tag)
 	}},
 	{name: "Request.Test", try: true, recv: func(c *Comm, src, tag, _, _ int, _ time.Duration, _ func() bool) (Message, bool) {
-		return c.Irecv(src, tag).Test()
+		r := c.Irecv(src, tag)
+		return r.Test()
 	}},
 	{name: "Request.Wait", recv: func(c *Comm, src, tag, _, _ int, _ time.Duration, _ func() bool) (Message, bool) {
 		r := c.Irecv(src, tag)

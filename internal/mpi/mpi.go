@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,7 +148,8 @@ func (c *Comm) Size() int { return c.world.n }
 // sender must not mutate data after sending; the TCP transport
 // serializes data before Send returns, so the sender may reuse it.
 // Code that must run on either transport follows the stricter
-// in-process contract.
+// in-process contract, or sends with Multicast, which tells it which
+// happened.
 func (c *Comm) Send(dst, tag int, data any) {
 	if dst < 0 || dst >= c.world.n {
 		panic(fmt.Sprintf("mpi: send to rank %d out of range [0,%d)", dst, c.world.n))
@@ -183,44 +185,52 @@ func (c *Comm) Send(dst, tag int, data any) {
 // Unlike Send, the CALLER retains ownership of data: every receiver
 // that would share memory with the sender — local mailboxes, and
 // remote ranks behind a pointer-sharing transport — gets clone()
-// instead, while serializing transports encode data once before
-// Multicast returns and hand the shared bytes to every destination.
-// So a replica fan-out over TCP costs one encode and zero clones; the
-// same call over the in-process paths costs one clone per receiver.
+// instead, while serializing transports encode data before Multicast
+// returns, once however many remote ranks share the bytes.  So a
+// replica fan-out over TCP costs one encode and zero clones (and, to
+// one rank, no allocation); the same call over the in-process paths
+// costs one clone per receiver.
 //
-// clone may be nil when the payload is immutable: every receiver then
-// shares data itself.  Evicted, departed, and latent ranks are skipped
-// exactly as in Send, and a transport failure aborts the world
-// attributed to the failing destination.
+// clone runs once per sharing receiver, so it also tells the caller
+// what became of data: sending to one rank, a caller may hand data
+// itself over from clone, and still owns it if clone never ran.  clone
+// may be nil when the payload is immutable: every receiver then shares
+// data itself.  Evicted, departed, and latent ranks are skipped exactly
+// as in Send, and a transport failure aborts the world attributed to
+// the failing destination.
 func (c *Comm) Multicast(dsts []int, tag int, data any, clone func() any) {
 	w := c.world
-	each := func() any {
-		if clone == nil {
-			return data
-		}
-		return clone()
-	}
 	var mc transport.Multicaster
 	if w.tr != nil {
 		mc = transport.MulticasterFor(w.tr)
 	}
-	var remote []int
+	lone := -1       // the first live remote rank
+	var remote []int // the others, in dsts order
 	for _, dst := range dsts {
 		if dst < 0 || dst >= w.n {
 			panic(fmt.Sprintf("mpi: multicast to rank %d out of range [0,%d)", dst, w.n))
 		}
-		if mc != nil && w.boxes[dst] == nil {
-			if w.IsEvicted(dst) || w.Departed(dst) || w.IsLatent(dst) {
-				continue
+		switch {
+		case mc == nil || w.boxes[dst] != nil:
+			if clone != nil {
+				c.Send(dst, tag, clone())
+			} else {
+				c.Send(dst, tag, data)
 			}
+		case w.IsEvicted(dst) || w.Departed(dst) || w.IsLatent(dst): // gone, as in Send
+		case lone < 0:
+			lone = dst
+		default:
 			remote = append(remote, dst)
-			continue
 		}
-		c.Send(dst, tag, each())
 	}
-	if len(remote) == 0 {
+	if remote == nil {
+		if lone >= 0 {
+			c.Send(lone, tag, data) // encoded before Send returns
+		}
 		return
 	}
+	remote = slices.Insert(remote, 0, lone)
 	if err := mc.SendMulti(c.rank, remote, tag, data); err != nil {
 		if !w.closed.Load() {
 			rank := remote[0]
@@ -288,11 +298,11 @@ func (c *Comm) TryRecv(src, tag int) (Message, bool) {
 }
 
 // Irecv posts a non-blocking receive and returns a request handle.
-func (c *Comm) Irecv(src, tag int) *Request {
-	return &Request{comm: c, src: src, tag: tag}
+func (c *Comm) Irecv(src, tag int) Request {
+	return Request{comm: c, src: src, tag: tag}
 }
 
-// Request is a pending non-blocking receive.
+// Request is a pending non-blocking receive, a value its holder keeps.
 type Request struct {
 	comm *Comm
 	src  int

@@ -693,27 +693,29 @@ func writeFrame(conn net.Conn, payload []byte) error {
 }
 
 // readFrame reads one length-prefixed frame.  With a non-nil scratch,
-// the payload is read into (and aliases) the scratch buffer, which
-// grows to the largest frame seen; callers reuse it across frames and
-// must consume the payload before the next call.
+// the length prefix and then the payload are read into (and the payload
+// aliases) the scratch buffer, which grows to the largest frame seen;
+// callers reuse it across frames and must consume the payload before the
+// next call, which then allocates nothing.
 func readFrame(conn net.Conn, maxFrame int, scratch *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	if cap(*scratch) < 4 {
+		*scratch = make([]byte, 4)
+	}
+	hdr := (*scratch)[:4]
+	if _, err := io.ReadFull(conn, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if int64(n) > int64(maxFrame) {
 		return nil, fmt.Errorf("frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	var payload []byte
-	if scratch != nil {
-		if cap(*scratch) < int(n) {
-			*scratch = make([]byte, n)
-		}
-		payload = (*scratch)[:n]
-	} else {
-		payload = make([]byte, n)
+	if cap(*scratch) < int(n) {
+		*scratch = make([]byte, n)
 	}
+	payload := (*scratch)[:n]
 	if _, err := io.ReadFull(conn, payload); err != nil {
 		return nil, err
 	}

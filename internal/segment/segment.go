@@ -363,6 +363,20 @@ func (s Shape) BlockDims(c Coord) []int {
 	return dims
 }
 
+// OrdinalDims writes the element dimensions of the block with ordinal
+// ord into dims, which has Rank() elements: BlockDims(CoordOf(ord))
+// without allocating either.
+func (s Shape) OrdinalDims(ord int, dims []int) {
+	if ord < 0 || ord >= s.NumBlocks() {
+		panic(fmt.Sprintf("segment: ordinal %d out of range [0,%d)", ord, s.NumBlocks()))
+	}
+	for i := len(s.Dims) - 1; i >= 0; i-- {
+		n := s.Dims[i].NumSegments()
+		dims[i] = s.Dims[i].SegLen(ord%n + 1)
+		ord /= n
+	}
+}
+
 // BlockElems returns the number of elements in the block at coordinate c.
 func (s Shape) BlockElems(c Coord) int {
 	n := 1

@@ -222,6 +222,27 @@ func TestShapeLocate(t *testing.T) {
 	}
 }
 
+// TestShapeOrdinalDims: the dims of a block by its ordinal agree with
+// BlockDims(CoordOf(ord)) on every block of a ragged shape, and cost no
+// allocation.
+func TestShapeOrdinalDims(t *testing.T) {
+	s := MustShape(
+		ix("a", AO, 1, 10, 4), // segs of len 4,4,2
+		ix("b", MO, 3, 9, 3),  // 3,3,1 from a non-unit Lo
+		ix("c", Simple, 1, 2, 1),
+	)
+	var dims [3]int
+	for ord := range s.NumBlocks() {
+		s.OrdinalDims(ord, dims[:])
+		if want := s.BlockDims(s.CoordOf(ord)); !Coord(dims[:]).Equal(want) {
+			t.Fatalf("OrdinalDims(%d) = %v, want %v", ord, dims, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.OrdinalDims(s.NumBlocks()-1, dims[:]) }); n != 0 {
+		t.Errorf("OrdinalDims allocates %v times per call, want 0", n)
+	}
+}
+
 func TestShapeCheckCoord(t *testing.T) {
 	s := MustShape(ix("a", AO, 1, 10, 4))
 	if err := s.CheckCoord(Coord{1, 2}); err == nil {

@@ -47,13 +47,15 @@ func (s *store) copyInto(k blockKey, dst *block.Block) {
 	}
 }
 
-// put replaces or accumulates a block.  The store takes ownership of b.
+// put replaces or accumulates a block.  The store takes ownership of b;
+// a b added to the block already there goes back to the allocator.
 func (s *store) put(k blockKey, b *block.Block, acc bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if acc {
 		if cur, ok := s.blocks[k]; ok {
 			cur.AddScaled(1, b)
+			block.Put(b)
 			return
 		}
 	}
@@ -116,13 +118,15 @@ func (l *effectLedger) rotate() (retired int) {
 }
 
 // cacheEntry is one slot of a worker's remote-block cache: a block, or
-// the request of a fetch still in flight, which the interpreter completes
-// when it touches the entry.  ahead marks a block look-ahead requested
-// that the program has not asked for yet.
+// (while b is nil) the request of a fetch still in flight, which the
+// interpreter completes when it touches the entry.  The request lives in
+// the entry, which the cache recycles, so a fetch allocates neither.
+// ahead marks a block look-ahead requested that the program has not
+// asked for yet.
 type cacheEntry struct {
 	key        blockKey
 	b          *block.Block
-	req        *mpi.Request
+	req        mpi.Request
 	ahead      bool
 	prev, next *cacheEntry // LRU ring; next alone chains the free list
 }
@@ -130,18 +134,17 @@ type cacheEntry struct {
 // complete installs the reply of the entry's fetch.
 func (e *cacheEntry) complete(m mpi.Message) {
 	e.b = m.Data.(*block.Block)
-	e.req = nil
 }
 
 // pending reports whether the fetch is still in flight, after receiving
 // the reply if it has arrived.
 func (e *cacheEntry) pending() bool {
-	if e.req != nil {
+	if e.b == nil {
 		if m, done := e.req.Test(); done {
 			e.complete(m)
 		}
 	}
-	return e.req != nil
+	return e.b == nil
 }
 
 // blockCache is the worker-side cache of fetched distributed and served
@@ -195,10 +198,10 @@ func (c *blockCache) pushFront(e *cacheEntry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// insert caches a block that is ready (b) or in flight (req).  When room
-// finds nothing to evict the cache overflows; look-ahead asks room first
-// and never causes that.
-func (c *blockCache) insert(k blockKey, b *block.Block, req *mpi.Request, ahead bool) {
+// insert caches a block that is ready (b) or in flight (b nil, req).
+// When room finds nothing to evict the cache overflows; look-ahead asks
+// room first and never causes that.
+func (c *blockCache) insert(k blockKey, b *block.Block, req mpi.Request, ahead bool) {
 	c.room()
 	e := c.free
 	if e == nil {

@@ -305,7 +305,7 @@ func (w *worker) startFetch(arrID int, loc *refLoc, ahead bool) error {
 			// Locally homed: copy out of the store under its lock.
 			b := w.pool.Get(loc.blockDims()...)
 			w.dist.copyInto(loc.key, b)
-			w.cache.insert(loc.key, b, nil, false)
+			w.cache.insert(loc.key, b, mpi.Request{}, false)
 		}
 		return nil
 	}
@@ -478,6 +478,7 @@ func (w *worker) serviceLoop() {
 		}
 	}()
 	trk := w.rt.tracer.Track(w.rank, 1, fmt.Sprintf("worker %d", w.rank), "service")
+	var dims [maxRank]int // a reply's dims
 	for {
 		m := w.comm.Recv(mpi.AnySource, w.rt.tag(tagService))
 		switch msg := m.Data.(type) {
@@ -486,10 +487,11 @@ func (w *worker) serviceLoop() {
 			if trk != nil {
 				start = time.Now()
 			}
-			dims := w.rt.layout.Shapes[msg.key.arr].BlockDims(w.rt.layout.Shapes[msg.key.arr].CoordOf(msg.key.ord))
-			b := block.New(dims...)
+			shape := &w.rt.layout.Shapes[msg.key.arr]
+			shape.OrdinalDims(msg.key.ord, dims[:])
+			b := block.Get(dims[:shape.Rank()]...)
 			w.dist.copyInto(msg.key, b)
-			w.comm.Send(msg.origin, msg.replyTag, b)
+			sendBlock(w.comm, msg.origin, msg.replyTag, b)
 			if trk != nil {
 				// Flow-out endpoint matched by the requester's wait_block
 				// flow-in (same responder/origin/replyTag triple).
@@ -513,6 +515,17 @@ func (w *worker) serviceLoop() {
 		case shutdownMsg:
 			return
 		}
+	}
+}
+
+// sendBlock sends b, a block the caller owns alone, to dst: a receiver
+// that would share memory takes b itself, and when a serializing
+// transport has encoded it instead, b goes back to the allocator.
+func sendBlock(comm *mpi.Comm, dst, tag int, b *block.Block) {
+	kept := true
+	comm.Multicast([]int{dst}, tag, b, func() any { kept = false; return b })
+	if kept {
+		block.Put(b)
 	}
 }
 

@@ -263,22 +263,42 @@ func (d *Decoder) IntSlices() [][]int {
 
 // Float64s reads a length-prefixed []float64.  A zero length yields nil.
 func (d *Decoder) Float64s() []float64 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
+	if n := d.Float64sLen(); n > 0 {
+		v := make([]float64, n)
+		d.Float64sInto(v)
+		return v
 	}
+	return nil
+}
+
+// Float64sLen reads the length prefix of a []float64, failing (and
+// returning 0) when that many elements do not fit in the rest of the
+// buffer, so a caller can size storage for them before reading them
+// with Float64sInto.
+func (d *Decoder) Float64sLen() int {
+	n := d.Uvarint()
 	// Divide rather than multiply: 8*n wraps for n >= 2^61, letting a
 	// hostile length through to make() and OOM-panicking the rank.
-	if n > uint64(d.Remaining())/8 {
+	if d.err == nil && n > uint64(d.Remaining())/8 {
 		d.fail("float slice length %d exceeds remaining %d bytes", n, d.Remaining())
-		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off+8*i:]))
+	if d.err != nil {
+		return 0
 	}
-	d.off += 8 * int(n)
-	return v
+	return int(n)
+}
+
+// Float64sInto reads len(dst) float64s, the elements that follow a
+// Float64sLen, into dst.
+func (d *Decoder) Float64sInto(dst []float64) {
+	if d.err != nil || len(dst) > d.Remaining()/8 {
+		d.fail("truncated float slice of %d elements at offset %d", len(dst), d.off)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off+8*i:]))
+	}
+	d.off += 8 * len(dst)
 }
 
 // Any reads one registered value (id + body).

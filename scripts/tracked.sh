@@ -24,7 +24,9 @@
 # where clause is scalar code), the non-test lines of internal/bytecode,
 # internal/compiler and internal/sip together, and the block.New sites of
 # non-test internal/sip and internal/chem (every other block comes from
-# the one allocator, block.Get).
+# the one allocator, block.Get; the two left are the I/O server's, a block
+# absent from its cache in ioServer.fetch and one read back from its spill
+# file in decodeBlockFile).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
