@@ -205,6 +205,16 @@ func (t *Track) record(ev Event) {
 	t.mu.Unlock()
 }
 
+// Start returns the start of a span the caller records later (End,
+// FlowOut, FlowIn): now, or on a nil track, which records nothing, the
+// zero time without reading the clock.
+func (t *Track) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // Complete records a span with an explicit start time and duration
 // (use when the caller already timed the work, e.g. for profiling).
 func (t *Track) Complete(start time.Time, d time.Duration, cat, name string, args ...Arg) {

@@ -1,12 +1,17 @@
 package sip
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/bytecode"
+	"repro/internal/compiler"
+	"repro/internal/segment"
 )
 
 // emptyBlockPool empties the process-wide block allocator (a sync.Pool
@@ -95,5 +100,132 @@ func TestPoolReuseInProgram(t *testing.T) {
 	if res.Profile.PoolReuses < res.Profile.PoolAllocs {
 		t.Fatalf("reuses (%d) should exceed allocs (%d) over many iterations",
 			res.Profile.PoolReuses, res.Profile.PoolAllocs)
+	}
+}
+
+// storeRecycle fills two distributed arrays of 16 blocks each: D from
+// its preset, E from puts, half of them received from the other worker.
+const storeRecycle = `
+sial store_recycle
+param n = 128
+aoindex I = 1, n
+aoindex J = 1, n
+distributed D(I,J)
+distributed E(I,J)
+temp t(I,J)
+pardo I, J
+  get D(I,J)
+  t(I,J) = 2.0 * D(I,J)
+  put E(I,J) = t(I,J)
+endpardo
+sip_barrier
+endsial
+`
+
+// TestStoreBlocksRecycledAtShutdown: a worker's service loop gives its
+// stored blocks back to the allocator when it ends, so the second of two
+// back-to-back runs takes its presets and the blocks of the puts it
+// receives from recycled blocks.  The collector is off between the runs:
+// it would empty the allocator's free lists.
+func TestStoreBlocksRecycledAtShutdown(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	emptyBlockPool()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var tally block.Tally
+	cfg := Config{Workers: 2, Seg: bytecode.DefaultSegConfig(32), Output: &bytes.Buffer{},
+		Preset: map[string]PresetFunc{"D": func(_ segment.Coord, lo, hi []int) *block.Block {
+			b := tally.Get(hi[0]-lo[0]+1, hi[1]-lo[1]+1)
+			b.Fill(1)
+			return b
+		}}}
+	run := func() (bytes uint64, fresh int64) {
+		tally = block.Tally{}
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		if _, err := RunSource(storeRecycle, cfg); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, tally.Fresh
+	}
+	first, _ := run()
+	second, fresh := run()
+	const arrays = 2 * 16 * 32 * 32 * 8 // D and E: 16 blocks of 32x32 each
+	t.Logf("first run %d B, second %d B; %d preset blocks allocated in the second", first, second, fresh)
+	if fresh != 0 {
+		t.Errorf("the second run allocated %d of its 16 preset blocks", fresh)
+	}
+	if first < second+arrays*9/10 {
+		t.Errorf("the second run allocated %d B, the first %d B: want at least %d B less (D and E recycled)",
+			second, first, arrays*9/10)
+	}
+}
+
+// servedLoop prepares into each of a served array's 4 blocks reps
+// times, accumulating or replacing, and reads the block back after each
+// prepare: the server answers in order, so at most one prepared block is
+// in flight and the prepares cannot outrun the server.
+const servedLoop = `
+sial served_loop
+param n = 2048
+param reps = 1
+aoindex I = 1, n
+index r = 1, reps
+served S(I)
+temp t(I)
+temp u(I)
+pardo I
+  do r
+    t(I) = 1.0
+    prepare S(I) %s t(I)
+    request S(I)
+    u(I) = S(I)
+  enddo r
+endpardo
+server_barrier
+endsial
+`
+
+// TestServedPreparesRecycleBlocks: the I/O server gives back the block
+// an accumulate adds in and the block a replace overwrites, so a served
+// prepare loop allocates no block per prepare: the worker's clone of
+// the prepared block (512 elements, 4 KB) and the server's reply to the
+// read come back from the allocator every time.  What a turn still
+// allocates is its messages and its share of the dedup ledger's growth.
+// The collector is off while it counts: it would empty the allocator's
+// free lists.
+func TestServedPreparesRecycleBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, op := range []string{"+=", "="} {
+		t.Run(op, func(t *testing.T) {
+			prog, err := compiler.CompileSource(fmt.Sprintf(servedLoop, op))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(reps int) (mallocs, bytes float64) {
+				cfg := Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(512),
+					Params: map[string]int{"reps": reps}}
+				var before, after goruntime.MemStats
+				goruntime.ReadMemStats(&before)
+				if _, err := Run(prog, cfg); err != nil {
+					t.Fatal(err)
+				}
+				goruntime.ReadMemStats(&after)
+				return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			run(50) // warm up
+			const extra = 4 * 400
+			n0, b0 := run(50)
+			n1, b1 := run(450)
+			t.Logf("%.2f allocations and %.0f B per served prepare %s", (n1-n0)/extra, (b1-b0)/extra, op)
+			if perPrepare := (b1 - b0) / extra; perPrepare > 1024 {
+				t.Errorf("%.0f B allocated per served prepare %s, want <= 1024 (is a block allocated per prepare?)", perPrepare, op)
+			}
+		})
 	}
 }

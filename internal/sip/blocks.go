@@ -71,13 +71,16 @@ func (s *store) each(fn func(k blockKey, b *block.Block)) {
 	}
 }
 
-// delete removes all blocks of the given array (used by checkpoint
-// restore).
-func (s *store) deleteArray(arr int) {
+// drop removes the blocks whose keys match and gives them back to the
+// allocator: an array's before a checkpoint restore, and all of them when
+// the worker's service loop ends.  That loop is the store's last user:
+// the interpreter's reads copy out, and end before the master's shutdown.
+func (s *store) drop(match func(blockKey) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range s.blocks {
-		if k.arr == arr {
+	for k, b := range s.blocks {
+		if match(k) {
+			block.Put(b)
 			delete(s.blocks, k)
 		}
 	}

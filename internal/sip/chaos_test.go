@@ -3,7 +3,6 @@ package sip
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -246,7 +245,8 @@ func TestChaosRecoverWorkerDeath(t *testing.T) {
 }
 
 // ledgerTap observes an in-process world's sends: it counts how often
-// each iteration is handed out — by chunk reply or by replay order —
+// each candidate ordinal is handed out — in a chunk reply's span or a
+// replay order's spans —
 // and keeps every worker's unacknowledged hand-outs (a sync release
 // seals the phase and acknowledges them).  The first worker the master
 // mails a second chunk within one phase becomes the victim and is
@@ -255,36 +255,39 @@ func TestChaosRecoverWorkerDeath(t *testing.T) {
 type ledgerTap struct {
 	mu      sync.Mutex
 	world   *mpi.World
-	handed  map[string]int         // iteration -> times handed out
-	unacked map[int]map[string]int // worker -> iteration -> unacknowledged hand-outs
-	chunks  map[int]int            // worker -> unacknowledged chunks
-	victim  int                    // 0 until chosen
+	handed  map[int]int         // ordinal -> times handed out
+	unacked map[int]map[int]int // worker -> ordinal -> unacknowledged hand-outs
+	chunks  map[int]int         // worker -> unacknowledged chunks
+	victim  int                 // 0 until chosen
 }
 
 func (o *ledgerTap) OnSend(src, dst, tag int, data any, depth int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var iters [][]int
+	var spans []span
 	switch m := data.(type) {
 	case chunkReply:
-		iters = m.iters
+		if m.n > 0 {
+			spans = []span{m.span}
+		}
 	case syncReply:
 		if !m.resume && dst != o.victim {
 			delete(o.unacked, dst) // released: everything it held is acknowledged
 			delete(o.chunks, dst)
 		}
-		iters = m.iters // replay orders only; releases carry none
+		spans = m.spans // replay orders only; releases carry none
 	}
-	if len(iters) == 0 {
+	if len(spans) == 0 {
 		return
 	}
 	if o.unacked[dst] == nil {
-		o.unacked[dst] = map[string]int{}
+		o.unacked[dst] = map[int]int{}
 	}
-	for _, it := range iters {
-		key := fmt.Sprint(it)
-		o.handed[key]++
-		o.unacked[dst][key]++
+	for _, s := range spans {
+		for ord := s.lo; ord < s.hi; ord++ { // the drill has no where clause
+			o.handed[ord]++
+			o.unacked[dst][ord]++
+		}
 	}
 	if o.chunks[dst]++; o.chunks[dst] == 2 && o.victim == 0 {
 		o.victim = dst
@@ -314,8 +317,8 @@ func TestLedgerRedispatchesUnacknowledgedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.close()
-	tap := &ledgerTap{world: rt.world, handed: map[string]int{},
-		unacked: map[int]map[string]int{}, chunks: map[int]int{}}
+	tap := &ledgerTap{world: rt.world, handed: map[int]int{},
+		unacked: map[int]map[int]int{}, chunks: map[int]int{}}
 	rt.world.SetObserver(tap)
 	res, err := rt.launch(contiguousRanks(0, rt.world.Size()))
 	if err != nil {
@@ -337,7 +340,7 @@ func TestLedgerRedispatchesUnacknowledgedChunks(t *testing.T) {
 	}
 	for key, n := range tap.handed {
 		if want := 2 + lost[key]; n != want {
-			t.Errorf("iteration %s handed out %d times, want %d (%d died with worker %d)",
+			t.Errorf("iteration %d handed out %d times, want %d (%d died with worker %d)",
 				key, n, want, lost[key], tap.victim)
 		}
 	}

@@ -32,10 +32,10 @@ type mover interface {
 	// val is a collective's contribution, st the state to snapshot or
 	// nil) and waits for the release or an order to replay iterations.
 	sync(kind, id int, val float64, st *workerState) (syncReply, error)
-	// nextChunk asks for the next iterations of execution gen of pardo
-	// pid; delta is the scalars' change since pardo entry, nil without
-	// checkpointing.  An empty chunk ends the pardo.
-	nextChunk(pid, gen int, delta []float64) ([][]int, error)
+	// nextChunk asks for the next chunk of execution gen of pardo pid;
+	// delta is the scalars' change since pardo entry, nil without
+	// checkpointing.  A chunk with no iterations ends the pardo.
+	nextChunk(pid, gen int, delta []float64) (span, error)
 }
 
 // fetchOp says what the core wants of a block it fetches.
@@ -68,10 +68,14 @@ type frame struct {
 	startPC int // pc of the loop-start instruction
 	seq     int // do/doIn: which entry of a loop this is (look-ahead cursors belong to one)
 
-	// pardo state
+	// pardo state: the span being walked and, in a replay, the spans
+	// after it; at is the next candidate, ran how many of span's
+	// candidates passed so far.
 	pid     int
-	chunk   [][]int
-	pos     int
+	span    span
+	rest    []span
+	at      cursor
+	ran     int
 	exitPC  int
 	replay  bool // re-executing a dead worker's iterations
 	effectN int  // per-iteration put/prepare ordinal for dedup seqs
@@ -312,53 +316,15 @@ func (c *interp) exec(in *bytecode.Instr) error {
 			c.frames = c.frames[:len(c.frames)-1]
 		}
 	case bytecode.OpPardoStart:
-		c.pardoPCs[in.A] = c.pc // all workers pass here; replay re-enters at pc+1
-		gen := c.pardoGen[in.A]
-		c.pardoGen[in.A]++
-		f := frame{kind: framePardo, pid: in.A, cur: gen, startPC: c.pc, exitPC: in.C, started: start}
-		if c.rt.cfg.CkptInterval > 0 {
-			f.entryScalars = append([]float64(nil), c.scalars...)
-		}
-		chunk, err := c.m.nextChunk(in.A, gen, c.sinceEntry(f.entryScalars))
-		if err != nil {
+		var err error
+		if next, err = c.pardoStart(in.A, start); err != nil {
 			return err
 		}
-		if len(chunk) == 0 {
-			c.prof.pardoDone(in.A, clockNow()-f.started, 0)
-			next = in.C
-			break
-		}
-		f.chunk = chunk
-		c.frames = append(c.frames, f)
-		c.setIteration(in.A, chunk[0])
 	case bytecode.OpPardoEnd:
-		f := &c.frames[len(c.frames)-1]
 		c.clearTemps()
-		f.pos++
-		f.iters++
-		f.effectN = 0
-		if f.pos >= len(f.chunk) {
-			if f.replay {
-				f.chunk = nil // replay runs exactly the ordered iterations
-			} else {
-				chunk, err := c.m.nextChunk(f.pid, f.cur, c.sinceEntry(f.entryScalars))
-				if err != nil {
-					return err
-				}
-				f.chunk = chunk
-			}
-			f.pos = 0
-		}
-		if len(f.chunk) > 0 {
-			c.setIteration(f.pid, f.chunk[f.pos])
-			next = f.startPC + 1
-		} else {
-			for _, id := range c.rt.prog.Pardos[f.pid].Indices {
-				c.unbind(id)
-			}
-			c.prof.pardoDone(f.pid, clockNow()-f.started, f.iters)
-			next = f.exitPC
-			c.frames = c.frames[:len(c.frames)-1]
+		var err error
+		if next, err = c.pardoNext(); err != nil {
+			return err
 		}
 	case bytecode.OpCall:
 		c.frames = append(c.frames, frame{kind: frameCall, retPC: c.pc + 1,
@@ -593,10 +559,82 @@ func (c *interp) pushLoop(kind, idx, lo, hi int) {
 	c.bind(idx, lo)
 }
 
-// setIteration binds the pardo indices to one iteration's values.
-func (c *interp) setIteration(pid int, vals []int) {
-	for i, id := range c.rt.prog.Pardos[pid].Indices {
-		c.bind(id, vals[i])
+// pardoEntry returns the frame of execution gen of pardo pid, which
+// starts at startPC, with no span yet.
+func (c *interp) pardoEntry(pid, gen, startPC int, started time.Duration) frame {
+	return frame{kind: framePardo, pid: pid, cur: gen, startPC: startPC,
+		exitPC: c.rt.prog.Code[startPC].C, started: started, at: newCursor(&c.rt.spaces[pid])}
+}
+
+// pardoStart enters the next execution of pardo pid at its first
+// iteration (pardoNext).  It is not part of exec, whose stack frame every
+// instruction's call chain stands on.
+func (c *interp) pardoStart(pid int, start time.Duration) (int, error) {
+	c.pardoPCs[pid] = c.pc // all workers pass here; replay re-enters at pc+1
+	c.frames = append(c.frames, c.pardoEntry(pid, c.pardoGen[pid], c.pc, start))
+	c.pardoGen[pid]++
+	if c.rt.cfg.CkptInterval > 0 {
+		c.frames[len(c.frames)-1].entryScalars = append([]float64(nil), c.scalars...)
+	}
+	return c.pardoNext()
+}
+
+// pardoNext moves the innermost pardo frame to its next iteration, asking
+// the mover for a chunk when its spans are used up, and returns the pc of
+// the body; or it leaves the pardo and returns its exit.
+func (c *interp) pardoNext() (int, error) {
+	f := &c.frames[len(c.frames)-1]
+	for {
+		if more, err := c.advance(f); more || err != nil {
+			return f.startPC + 1, err
+		}
+		if f.replay {
+			break // a replay runs exactly the ordered spans
+		}
+		chunk, err := c.m.nextChunk(f.pid, f.cur, c.sinceEntry(f.entryScalars))
+		if err != nil {
+			return 0, err
+		}
+		if chunk.n == 0 {
+			break
+		}
+		f.span, f.ran = chunk, 0
+		f.at.seek(chunk.lo)
+	}
+	for _, id := range c.rt.prog.Pardos[f.pid].Indices {
+		c.unbind(id)
+	}
+	c.prof.pardoDone(f.pid, clockNow()-f.started, f.iters)
+	exit := f.exitPC
+	c.frames = c.frames[:len(c.frames)-1]
+	return exit, nil
+}
+
+// advance binds f's pardo indices to the next candidate of its spans
+// that passes the where clauses, and reports false when they are used
+// up.  A span whose count of passing candidates is not the n the master
+// counted is an error: the two walked different spaces.
+func (c *interp) advance(f *frame) (bool, error) {
+	for {
+		for ; f.at.pos < f.span.hi; f.at.step() {
+			if f.at.passes() {
+				for i, id := range c.rt.prog.Pardos[f.pid].Indices {
+					c.bind(id, f.at.vals[i])
+				}
+				f.ran, f.iters, f.effectN = f.ran+1, f.iters+1, 0
+				f.at.step()
+				return true, nil
+			}
+		}
+		if f.ran != f.span.n {
+			return false, fmt.Errorf("sip: pardo %d: span [%d,%d) holds %d iterations, the master counted %d",
+				f.pid, f.span.lo, f.span.hi, f.ran, f.span.n)
+		}
+		if len(f.rest) == 0 {
+			return false, nil
+		}
+		f.span, f.rest, f.ran = f.rest[0], f.rest[1:], 0
+		f.at.seek(f.span.lo)
 	}
 }
 
@@ -661,7 +699,7 @@ func (c *interp) syncPoint(kind, id int, capture bool) (syncReply, error) {
 			}
 			return rep, nil
 		}
-		if err := c.replay(rep.pardo, rep.gen, rep.iters); err != nil {
+		if err := c.replay(rep.pardo, rep.gen, rep.spans); err != nil {
 			return rep, err
 		}
 	}
@@ -672,14 +710,17 @@ func (c *interp) syncPoint(kind, id int, capture bool) (syncReply, error) {
 // dispatch, and its put/prepare effects carry the same deterministic
 // seqs, so any the dead worker already delivered are dropped at the
 // destination.  The pc returns to the sync point.
-func (c *interp) replay(pid, gen int, iters [][]int) error {
-	startPC := c.pardoPCs[pid]
-	c.frames = append(c.frames, frame{kind: framePardo, pid: pid, cur: gen, startPC: startPC,
-		exitPC: c.rt.prog.Code[startPC].C, replay: true, chunk: iters, started: clockNow()})
-	c.setIteration(pid, iters[0])
-	at := c.pc
-	c.pc = startPC + 1
-	err := c.dispatch(len(c.frames))
+func (c *interp) replay(pid, gen int, spans []span) error {
+	c.frames = append(c.frames, c.pardoEntry(pid, gen, c.pardoPCs[pid], clockNow()))
+	f := &c.frames[len(c.frames)-1]
+	f.replay, f.span, f.rest = true, spans[0], spans[1:]
+	f.at.seek(f.span.lo)
+	at, exit := c.pc, f.exitPC
+	next, err := c.pardoNext()
+	if err == nil && next != exit {
+		c.pc = next
+		err = c.dispatch(len(c.frames))
+	}
 	c.pc = at
 	return err
 }
@@ -744,8 +785,8 @@ func (c *interp) effectSeq() uint64 {
 		return 0
 	}
 	h := mix64(mix64(mix64(0, uint64(c.rt.job)), uint64(f.pid)), uint64(f.cur))
-	for _, x := range f.chunk[f.pos] {
-		h = mix64(h, uint64(x))
+	for _, id := range c.rt.prog.Pardos[f.pid].Indices {
+		h = mix64(h, uint64(c.idxVal[id]))
 	}
 	h = mix64(h, uint64(f.effectN))
 	f.effectN++

@@ -113,7 +113,7 @@ func (m *memMover) sync(kind, id int, val float64, st *workerState) (syncReply, 
 	return syncReply{}, nil
 }
 
-func (m *memMover) nextChunk(pid, gen int, _ []float64) ([][]int, error) {
+func (m *memMover) nextChunk(pid, gen int, _ []float64) (span, error) {
 	r := m.runs[[2]int{pid, gen}]
 	if r == nil {
 		r = newPardoRun(m.rt, pid)

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/mpi"
@@ -48,10 +48,10 @@ type master struct {
 	injB     []float64
 	injArmed []bool
 	// resumeBase is the worker state installed on the round-0 release of
-	// a resumed run; resumeSkip holds per-(pardo,gen) iterations already
-	// completed before the snapshot, filtered out of re-dispatch.
+	// a resumed run; resumeSkip holds per-(pardo,gen) spans already
+	// completed before the snapshot, stepped over by re-dispatch.
 	resumeBase *workerState
-	resumeSkip map[[2]int][][]int
+	resumeSkip map[[2]int][]span
 	resumed    bool
 	// stopNoted records that Config.Stop fired and the final snapshot
 	// path is (or has been) taken.
@@ -89,156 +89,144 @@ func newMaster(rt *runtime) *master {
 	return m
 }
 
-// pardoRun enumerates the iteration space of one pardo execution lazily
-// and tracks guided-scheduling state.
-type pardoRun struct {
-	rt      *runtime
-	info    bytecode.PardoInfo
-	vals    []int // odometer (current candidate), empty when exhausted
-	los     []int
-	his     []int
-	stack   []float64 // where-code scratch, capacity len(info.Where)
-	started bool
-	done    bool
+// span is a chunk of a pardo's iteration space: the candidates whose
+// row-major ordinals lie in [lo, hi), of which n pass the where clauses.
+// A chunk, a replay order, the chunk ledger and a snapshot's overlay are
+// spans, so they grow with the number of chunks, not of iterations.
+type span struct{ lo, hi, n int }
 
-	totalEst int64 // product of ranges (upper bound; where clauses shrink it)
-	issued   int64
+// space is the iteration space of one pardo: the ranges of its indices,
+// walked in row-major order, the last index fastest.
+type space struct {
+	info    *bytecode.PardoInfo
+	params  []int
+	los, ns []int // first value and number of values, per index
+	total   int   // candidates
+}
+
+// newSpaces lays out the iteration space of every pardo of rt's program.
+func newSpaces(rt *runtime) []space {
+	spaces := make([]space, len(rt.prog.Pardos))
+	for pid := range spaces {
+		s := &spaces[pid]
+		s.info, s.params, s.total = &rt.prog.Pardos[pid], rt.layout.ParamVals, 1
+		s.los, s.ns = make([]int, len(s.info.Indices)), make([]int, len(s.info.Indices))
+		for i, id := range s.info.Indices {
+			lo, hi := rt.layout.IndexRange(id)
+			s.los[i], s.ns[i] = lo, max(hi-lo+1, 0)
+			s.total *= s.ns[i]
+		}
+	}
+	return spaces
+}
+
+// cursor walks a space: vals holds the candidate with ordinal pos, and
+// stack is the where code's scratch.  The master's pardoRun and a
+// worker's pardo frame each own one, so a walk allocates nothing.
+type cursor struct {
+	sp    *space
+	pos   int
+	vals  []int
+	stack []float64
+}
+
+func newCursor(sp *space) cursor {
+	return cursor{sp: sp, vals: slices.Clone(sp.los), stack: make([]float64, 0, len(sp.info.Where))}
+}
+
+// seek moves the cursor to the candidate with ordinal ord < total.
+func (c *cursor) seek(ord int) {
+	c.pos = ord
+	for i := len(c.vals) - 1; i >= 0; i-- {
+		c.vals[i] = c.sp.los[i] + ord%c.sp.ns[i]
+		ord /= c.sp.ns[i]
+	}
+}
+
+// step moves the cursor to the next candidate.
+func (c *cursor) step() {
+	c.pos++
+	for i := len(c.vals) - 1; i >= 0; i-- {
+		if c.vals[i]++; c.vals[i] < c.sp.los[i]+c.sp.ns[i] {
+			return
+		}
+		c.vals[i] = c.sp.los[i]
+	}
+}
+
+// passes reports whether the candidate satisfies every where clause.
+func (c *cursor) passes() bool { return c.sp.info.Passes(c.vals, c.sp.params, c.stack) }
+
+// pardoRun hands out the iteration space of one pardo execution in
+// guided chunks and keeps the ledger of what it handed out.
+type pardoRun struct {
+	cursor     // the next candidate
+	issued int // iterations handed out fresh
 
 	// Chunk ledger: the chunks handed to each worker and not yet
-	// acknowledged by its next sync report — one slice header per
-	// hand-out, flattened only when an eviction or a snapshot needs the
-	// iterations — plus iterations reclaimed from dead workers.
-	assigned map[int][][][]int
-	requeue  [][]int
+	// acknowledged by its next sync report, plus chunks reclaimed from
+	// dead workers.
+	assigned map[int][]span
+	requeue  []span
 
 	// Checkpoint watermarks (Config.CkptInterval > 0).  completed[wr]
 	// holds the chunks wr has certainly finished — a worker requests
 	// chunk N+1 only after executing all of chunk N, so the assignment
 	// ledger at request time is the completed set.  completedDelta[wr] is
 	// the in-pardo scalar contribution covering exactly those iterations.
-	// skip marks iterations a resumed run must not re-dispatch (already
-	// completed before the snapshot); skipIters is the same list in
-	// manifest form, carried forward into further snapshots.
-	completed      map[int][][][]int
+	// skip holds, by ordinal, the spans a resumed run must not
+	// re-dispatch (completed before the snapshot), carried forward into
+	// further snapshots; ahead is its part the walk has not passed.
+	completed      map[int][]span
 	completedDelta map[int][]float64
-	skip           map[string]bool
-	skipIters      [][]int
-}
-
-// installSkip seeds a resumed run with the iterations completed before
-// the snapshot: next() filters them out, and further snapshots of this
-// run carry them forward in their overlays.
-func (r *pardoRun) installSkip(iters [][]int) {
-	r.skip = map[string]bool{}
-	for _, it := range iters {
-		r.skip[fmt.Sprint(it)] = true
-	}
-	r.skipIters = iters
+	skip, ahead    []span
 }
 
 func newPardoRun(rt *runtime, pid int) *pardoRun {
-	info := rt.prog.Pardos[pid]
-	r := &pardoRun{rt: rt, info: info}
-	r.vals = make([]int, len(info.Indices))
-	r.los = make([]int, len(info.Indices))
-	r.his = make([]int, len(info.Indices))
-	r.stack = make([]float64, 0, len(info.Where))
-	r.totalEst = 1
-	for i, id := range info.Indices {
-		lo, hi := rt.layout.IndexRange(id)
-		r.los[i], r.his[i] = lo, hi
-		r.vals[i] = lo
-		if hi < lo {
-			r.done = true
-		}
-		r.totalEst *= int64(hi - lo + 1)
-	}
-	return r
+	return &pardoRun{cursor: newCursor(&rt.spaces[pid]), assigned: map[int][]span{}}
 }
 
-// passes reports whether the current odometer values satisfy all where
-// clauses, running the pardo's where code on the run's own stack.
-func (r *pardoRun) passes() bool {
-	return r.info.Passes(r.vals, r.rt.layout.ParamVals, r.stack)
-}
-
-// advance moves the odometer to the next raw position; reports false at
-// the end of the space.
-func (r *pardoRun) advance() bool {
-	for i := len(r.vals) - 1; i >= 0; i-- {
-		r.vals[i]++
-		if r.vals[i] <= r.his[i] {
-			return true
-		}
-		r.vals[i] = r.los[i]
-	}
-	return false
-}
-
-// next returns up to n iterations that satisfy the where clauses.  The
-// iterations are carved out of shared backing arrays of up to
-// chunkArena of them, not allocated one by one.
-func (r *pardoRun) next(n int) [][]int {
-	var out [][]int
-	var flat []int
-	k := len(r.vals)
-	for !r.done && len(out) < n {
-		if r.started {
-			if !r.advance() {
-				r.done = true
+// next returns the span of up to n fresh iterations: from the walk's
+// position through the n-th candidate that passes the where clauses, or
+// to the end of the space.  A span holds no skipped candidate: it ends
+// where a skip span begins, or starts where one ends.  The span of an
+// exhausted space has n == 0.
+func (r *pardoRun) next(n int) span {
+	s := span{lo: r.pos}
+	for r.pos < r.sp.total && s.n < n {
+		if len(r.ahead) > 0 && r.pos >= r.ahead[0].lo {
+			if s.n > 0 {
 				break
 			}
-		} else {
-			r.started = true
+			r.seek(max(r.pos, r.ahead[0].hi))
+			r.ahead, s.lo = r.ahead[1:], r.pos
+			continue
 		}
 		if r.passes() {
-			if r.skip != nil && r.skip[fmt.Sprint(r.vals)] {
-				continue // completed before the snapshot this run resumed from
-			}
-			if len(flat)+k > cap(flat) {
-				flat = make([]int, 0, min(n, chunkArena)*k)
-			}
-			flat = append(flat, r.vals...)
-			out = append(out, flat[len(flat)-k:len(flat):len(flat)])
+			s.n++
 		}
+		r.step()
 	}
-	r.issued += int64(len(out))
-	return out
+	s.hi = r.pos
+	r.issued += s.n
+	return s
 }
 
-// chunkArena bounds the iterations one backing array of next holds: a
-// chunk that where clauses thin out does not reserve room for all n.
-const chunkArena = 256
-
-// take returns up to n iterations for worker wr, serving iterations
-// reclaimed from dead workers before fresh ones.  Every hand-out stays
-// in the ledger until wr acknowledges it at its next sync point.
-func (r *pardoRun) take(n, wr int, redispatched *obs.Counter) [][]int {
-	var out [][]int
+// take returns the next chunk for worker wr of about n iterations: a
+// chunk reclaimed from a dead worker before fresh ones.  Every hand-out
+// stays in the ledger until wr acknowledges it at its next sync point.
+func (r *pardoRun) take(n, wr int, redispatched *obs.Counter) span {
+	var s span
 	if len(r.requeue) > 0 {
-		if len(r.requeue) <= n {
-			out, r.requeue = r.requeue, nil
-		} else {
-			out = r.requeue[:n:n]
-			r.requeue = r.requeue[n:]
-		}
+		s, r.requeue = r.requeue[0], r.requeue[1:]
 		redispatched.Inc()
 	} else {
-		out = r.next(n)
+		s = r.next(n)
 	}
-	r.assign(wr, out)
-	return out
-}
-
-// assign records one chunk in the ledger against worker wr.
-func (r *pardoRun) assign(wr int, chunk [][]int) {
-	if len(chunk) == 0 {
-		return
+	if s.n > 0 {
+		r.assigned[wr] = append(r.assigned[wr], s)
 	}
-	if r.assigned == nil {
-		r.assigned = map[int][][][]int{}
-	}
-	r.assigned[wr] = append(r.assigned[wr], chunk)
+	return s
 }
 
 // chunkSize implements guided self-scheduling: chunks shrink as the
@@ -246,18 +234,7 @@ func (r *pardoRun) assign(wr int, chunk [][]int) {
 // proceeds.  This is similar to ... guided scheduling in OpenMP",
 // paper §V-B).
 func (r *pardoRun) chunkSize(workers int) int {
-	remaining := r.totalEst - r.issued
-	if remaining < 1 {
-		remaining = 1
-	}
-	size := remaining / int64(2*workers)
-	if size < 1 {
-		size = 1
-	}
-	if size > 4096 {
-		size = 4096
-	}
-	return int(size)
+	return min(max((r.sp.total-r.issued)/(2*workers), 1), 4096)
 }
 
 // recvAny is the master's receive on one of this job's tags, or with
@@ -364,7 +341,8 @@ func (m *master) abandon(trk *obs.Track, event string) {
 		}
 	}
 	for _, r := range m.runs {
-		r.requeue, r.assigned = nil, nil
+		r.requeue = nil
+		clear(r.assigned)
 	}
 }
 
@@ -416,10 +394,7 @@ func (m *master) run() (res *Result, err error) {
 		}
 		switch msg.Tag - rt.tagBase {
 		case tagChunkReq:
-			var start time.Time
-			if trk != nil {
-				start = time.Now()
-			}
+			start := trk.Start()
 			req := msg.Data.(chunkMsg)
 			if rt.world.IsEvicted(req.origin) {
 				// A zombie's request racing its own eviction (the frame was
@@ -448,7 +423,8 @@ func (m *master) run() (res *Result, err error) {
 			if !ok {
 				r = newPardoRun(rt, req.pardo)
 				if sk, ok := m.resumeSkip[key]; ok {
-					r.installSkip(sk)
+					slices.SortFunc(sk, func(a, b span) int { return a.lo - b.lo })
+					r.skip, r.ahead = sk, sk
 					delete(m.resumeSkip, key)
 				}
 				m.runs[key] = r
@@ -465,17 +441,17 @@ func (m *master) run() (res *Result, err error) {
 			// A drained run stays in m.runs until the next sync round seals
 			// the phase: a worker may still die holding iterations that need
 			// re-queuing here.
-			iters := r.take(r.chunkSize(len(rt.ranks.workers)), req.origin, redispCtr)
-			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{iters: iters})
+			chunk := r.take(r.chunkSize(len(rt.ranks.workers)), req.origin, redispCtr)
+			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{chunk})
 			chunkCtr.Inc()
-			iterCtr.Add(int64(len(iters)))
+			iterCtr.Add(int64(chunk.n))
 			if trk != nil {
 				// Flow-out endpoint: the worker's matching wait_block span
 				// records the flow-in half under the same (0, origin,
 				// tagChunkRep) id, so the merged trace draws the arrow.
 				trk.FlowOut(start, msgFlowID(0, req.origin, rt.tag(tagChunkRep)),
 					obs.CatChunk, "dispatch_chunk",
-					obs.AInt("pardo", req.pardo), obs.AInt("iters", len(iters)))
+					obs.AInt("pardo", req.pardo), obs.AInt("iters", chunk.n))
 			}
 		case tagObs:
 			m.handleObsReport(msg.Data.(obsReportMsg))
@@ -638,15 +614,13 @@ func (m *master) noteEviction(trk *obs.Track, rank int, reason string) {
 	if m.doneRanks[rank] {
 		return // finished before dying: nothing in flight
 	}
-	// Reclaim every iteration the worker had not acknowledged.  The dead
+	// Reclaim every chunk the worker had not acknowledged.  The dead
 	// worker's checkpoint watermark is dropped with it: its completed
 	// iterations go back on the queue, so counting them in a later
 	// snapshot's overlay would double-execute nothing but skip their (now
 	// re-queued) scalar contributions.
 	for _, r := range m.runs {
-		for _, chunk := range r.assigned[rank] {
-			r.requeue = append(r.requeue, chunk...)
-		}
+		r.requeue = append(r.requeue, r.assigned[rank]...)
 		delete(r.assigned, rank)
 		delete(r.completed, rank)
 		delete(r.completedDelta, rank)
@@ -770,7 +744,7 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 	return nil
 }
 
-// resumeRequeued hands re-queued iterations of one pardo run to the
+// resumeRequeued hands the re-queued chunks of one pardo run to the
 // parked survivors and reports whether any were dispatched.  Each
 // ordered worker replays its share and re-reports the round, so the
 // round stays open until every queue is dry.
@@ -779,27 +753,18 @@ func (m *master) resumeRequeued(round int, s *syncState, parked []int, redispCtr
 		if len(r.requeue) == 0 {
 			continue
 		}
-		n := len(r.requeue)
-		per := (n + len(parked) - 1) / len(parked)
-		i := 0
-		for _, wr := range parked {
-			if i >= n {
-				break
-			}
-			hi := i + per
-			if hi > n {
-				hi = n
-			}
-			iters := r.requeue[i:hi:hi]
-			i = hi
-			r.assign(wr, iters)
+		per := (len(r.requeue) + len(parked) - 1) / len(parked)
+		for _, wr := range parked[:(len(r.requeue)+per-1)/per] {
+			k := min(per, len(r.requeue))
+			share := r.requeue[:k:k]
+			r.requeue = r.requeue[k:]
+			r.assigned[wr] = append(r.assigned[wr], share...)
 			delete(s.reports, wr)
 			m.comm.Send(wr, m.rt.tag(tagSyncRep), syncReply{
-				round: round, resume: true, pardo: key[0], gen: key[1], iters: iters,
+				round: round, resume: true, pardo: key[0], gen: key[1], spans: share,
 			})
 			redispCtr.Inc()
 		}
-		r.requeue = nil
 		return true // one run at a time; the re-reports trigger the next
 	}
 	return false

@@ -61,11 +61,11 @@ type chunkMsg struct {
 	delta []float64
 }
 
-// chunkReply carries the assigned iterations; each iteration is one
-// value per pardo index.  An empty list means the pardo is exhausted for
-// this worker.
+// chunkReply carries the assigned chunk, a span of the pardo's
+// iteration space.  A span with no iterations (n == 0) means the pardo
+// is exhausted for this worker.
 type chunkReply struct {
-	iters [][]int
+	span
 }
 
 // doneMsg tells the master a worker reached halt (or failed, when err
@@ -201,14 +201,14 @@ type obsReportMsg struct {
 // restored blocks this worker homes, and for syncSave / syncLoad err the
 // master's failure to write or read the file) or orders it to replay
 // re-dispatched iterations of a dead worker first (resume == true:
-// iters lists the iterations of pardo/gen to execute, after which the
+// spans lists the chunks of pardo/gen to execute, after which the
 // worker re-reports the same round).
 type syncReply struct {
 	round  int
 	resume bool
 	pardo  int
 	gen    int
-	iters  [][]int
+	spans  []span
 	vals   []float64
 	blocks []ArrayBlock
 	err    string

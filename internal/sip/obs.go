@@ -156,11 +156,7 @@ func msgBytes(data any) int64 {
 	case chunkMsg:
 		return envelope + 24 + 8*int64(len(v.delta))
 	case chunkReply:
-		n := int64(envelope)
-		for _, it := range v.iters {
-			n += 8 * int64(len(it))
-		}
-		return n
+		return envelope + 24
 	case gatherMsg:
 		n := int64(envelope)
 		for _, blocks := range v.arrays {
@@ -189,12 +185,8 @@ func msgBytes(data any) int64 {
 		}
 		return n
 	case syncReply:
-		n := int64(envelope+32) + 8*int64(len(v.vals)) + workerStateBytes(v.state) +
-			arrayBlocksBytes(v.blocks) + int64(len(v.err))
-		for _, it := range v.iters {
-			n += 8 * int64(len(it))
-		}
-		return n
+		return int64(envelope+32) + 24*int64(len(v.spans)) + 8*int64(len(v.vals)) +
+			workerStateBytes(v.state) + arrayBlocksBytes(v.blocks) + int64(len(v.err))
 	default:
 		return envelope
 	}

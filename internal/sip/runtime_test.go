@@ -293,7 +293,7 @@ endsial
 		if r.passes() {
 			passed++
 		}
-		r.advance()
+		r.step()
 	}); n != 0 {
 		t.Errorf("passes allocates %.1f times per candidate, want 0", n)
 	}

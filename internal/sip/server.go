@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/block"
@@ -199,10 +198,7 @@ func (s *ioServer) run() (err error) {
 		m := s.comm.Recv(mpi.AnySource, tagServer)
 		switch msg := m.Data.(type) {
 		case getMsg:
-			var start time.Time
-			if s.trk != nil {
-				start = time.Now()
-			}
+			start := s.trk.Start()
 			b, err := s.fetch(msg.key)
 			if err != nil {
 				return err
@@ -220,10 +216,7 @@ func (s *ioServer) run() (err error) {
 					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
 			}
 		case putMsg:
-			var start time.Time
-			if s.trk != nil {
-				start = time.Now()
-			}
+			start := s.trk.Start()
 			if err := s.applyPut(msg); err != nil {
 				return err
 			}
@@ -235,10 +228,7 @@ func (s *ioServer) run() (err error) {
 					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
 			}
 		case flushMsg:
-			var start time.Time
-			if s.trk != nil {
-				start = time.Now()
-			}
+			start := s.trk.Start()
 			if err := s.flush(msg.job); err != nil {
 				return err
 			}
@@ -250,10 +240,7 @@ func (s *ioServer) run() (err error) {
 				s.trk.End(start, obs.CatServerCache, "flush", obs.AInt("job", msg.job))
 			}
 		case rereplicateMsg:
-			var start time.Time
-			if s.trk != nil {
-				start = time.Now()
-			}
+			start := s.trk.Start()
 			pushed, err := s.rereplicate(msg.round, msg.job)
 			if err != nil {
 				return err
@@ -271,10 +258,7 @@ func (s *ioServer) run() (err error) {
 			}
 			s.comm.Send(0, jobTag(msg.key.job, tagRepl), replAckMsg{origin: s.rank, round: msg.round})
 		case shutdownMsg:
-			var start time.Time
-			if s.trk != nil {
-				start = time.Now()
-			}
+			start := s.trk.Start()
 			// A job is over: make its blocks durable, report them if asked.
 			if err := s.flush(msg.job); err != nil {
 				return err
@@ -371,7 +355,9 @@ func (s *ioServer) fetch(k blockKey) (*block.Block, error) {
 	return b, nil
 }
 
-// apply stores or accumulates an incoming block.
+// apply stores or accumulates an incoming block, which the server owns
+// alone: what it adds or replaces goes back to the allocator (every reply
+// and re-replication push is a clone, or encoded before it returns).
 func (s *ioServer) apply(k blockKey, b *block.Block, acc bool) error {
 	if acc {
 		cur, err := s.fetch(k)
@@ -379,10 +365,12 @@ func (s *ioServer) apply(k blockKey, b *block.Block, acc bool) error {
 			return err
 		}
 		cur.AddScaled(1, b)
+		block.Put(b)
 		s.entries[k].dirty = true
 		return nil
 	}
 	if e, ok := s.entries[k]; ok {
+		block.Put(e.b)
 		e.b = b
 		e.dirty = true
 		s.lru.MoveToFront(e.elem)
@@ -411,6 +399,7 @@ func (s *ioServer) insert(k blockKey, b *block.Block, dirty bool) error {
 		}
 		s.lru.Remove(back)
 		delete(s.entries, victim.key)
+		block.Put(victim.b)
 	}
 	return nil
 }
@@ -583,10 +572,7 @@ func decodeBlockFile(buf []byte, dims []int) (*block.Block, error) {
 // writeDisk persists one block atomically, so a server killed mid-write
 // leaves either the old block or the new one, never a torn file.
 func (s *ioServer) writeDisk(k blockKey, b *block.Block) error {
-	var start time.Time
-	if s.trk != nil {
-		start = time.Now()
-	}
+	start := s.trk.Start()
 	buf := encodeBlockFile(b)
 	if err := atomicfile.Write(s.blockPath(k), buf); err != nil {
 		return fmt.Errorf("sip: server %d: write block %v: %w", s.rank, k, err)
@@ -602,10 +588,7 @@ func (s *ioServer) writeDisk(k blockKey, b *block.Block) error {
 
 // readDisk loads one block previously written by writeDisk.
 func (s *ioServer) readDisk(k blockKey) (*block.Block, error) {
-	var start time.Time
-	if s.trk != nil {
-		start = time.Now()
-	}
+	start := s.trk.Start()
 	buf, err := os.ReadFile(s.blockPath(k))
 	if err != nil {
 		return nil, fmt.Errorf("sip: server %d: read block %v: %w", s.rank, k, err)

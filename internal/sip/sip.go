@@ -413,6 +413,7 @@ type runtime struct {
 	cfg    Config
 	prog   *bytecode.Program
 	layout *bytecode.Layout
+	spaces []space     // by pardo id: its iteration space
 	supers []SuperFunc // by string id: what an execute naming it runs (superTable)
 	world  *mpi.World
 	ranks  Ranks // who plays which role; the one source of roles and liveness
@@ -493,6 +494,7 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 			return nil, err
 		}
 		rt.layout = layout
+		rt.spaces = newSpaces(rt)
 		rt.supers = superTable(prog.Strings, cfg.Super)
 		for name := range cfg.Preset {
 			if prog.ArrayID(name) < 0 {

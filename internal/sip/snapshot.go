@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -106,14 +107,14 @@ func (st *workerState) clone() *workerState {
 	return c
 }
 
-// ckptOverlay records the iterations of one pardo execution that were
-// completed before a mid-pardo snapshot.  On resume the master skips
+// ckptOverlay records the chunks of one pardo execution that were
+// completed before a mid-pardo snapshot.  On resume the master steps over
 // them during dispatch; their scalar contributions travel in the
 // manifest's sums.
 type ckptOverlay struct {
 	pardo int
 	gen   int
-	iters [][]int
+	spans []span
 }
 
 // ckptBlockEntry is one captured served-array block file.
@@ -143,7 +144,10 @@ type ckptManifest struct {
 }
 
 const (
-	manifestMagic = "SMF1" // snapshot manifest file
+	// manifestMagic names the manifest format: SMF2 carries overlays as
+	// spans.  An SMF1 manifest (overlays as iteration tuples) is refused
+	// by its magic and skipped like a corrupt epoch, never decoded.
+	manifestMagic = "SMF2"
 	ckptFileMagic = "SCK1" // blocks_to_list checkpoint file
 )
 
@@ -166,7 +170,7 @@ func readIntegrityFile(path, magic string) ([]byte, error) {
 		return nil, err
 	}
 	if len(buf) < len(magic)+4 || string(buf[:len(magic)]) != magic {
-		return nil, fmt.Errorf("sip: %s: bad magic", path)
+		return nil, fmt.Errorf("sip: %s: bad magic %q, want %q", path, buf[:min(len(buf), len(magic))], magic)
 	}
 	payload := buf[len(magic) : len(buf)-4]
 	h := crc32.NewIEEE()
@@ -465,9 +469,7 @@ func (m *master) loadSnapshot() *ckptManifest {
 		} else if n, _ := fmt.Sscanf(de.Name(), "epoch%d", &e); n != 1 || !de.IsDir() {
 			continue
 		}
-		if e > maxSeen {
-			maxSeen = e
-		}
+		maxSeen = max(maxSeen, e)
 	}
 	m.snap.epoch = maxSeen
 	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
@@ -594,10 +596,10 @@ func (m *master) resumeSetup(trk *obs.Track) error {
 	}
 	m.resumeBase = man.base
 	if len(man.overlays) > 0 {
-		m.resumeSkip = map[[2]int][][]int{}
+		m.resumeSkip = map[[2]int][]span{}
 		for _, ov := range man.overlays {
 			key := [2]int{ov.pardo, ov.gen}
-			m.resumeSkip[key] = append(m.resumeSkip[key], ov.iters...)
+			m.resumeSkip[key] = append(m.resumeSkip[key], ov.spans...)
 		}
 	}
 	for i := range m.injS {
@@ -714,10 +716,12 @@ func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
 	}
 	if len(r.assigned[req.origin]) > 0 {
 		if r.completed == nil {
-			r.completed = map[int][][][]int{}
+			r.completed = map[int][]span{}
 			r.completedDelta = map[int][]float64{}
 		}
-		r.completed[req.origin] = append([][][]int(nil), r.assigned[req.origin]...)
+		// The ledger only appends until a sync report drops it, so its
+		// prefix is the completed set as it stands.
+		r.completed[req.origin] = slices.Clip(r.assigned[req.origin])
 		if req.delta != nil {
 			r.completedDelta[req.origin] = append([]float64(nil), req.delta...)
 		}
@@ -745,14 +749,11 @@ func (m *master) maybeChunkSnapshot(trk *obs.Track) {
 	sums := append([]float64(nil), m.snap.baseSums...)
 	var overlays []ckptOverlay
 	for key, r := range m.runs {
-		ov := ckptOverlay{pardo: key[0], gen: key[1]}
-		ov.iters = append(ov.iters, r.skipIters...)
+		ov := ckptOverlay{pardo: key[0], gen: key[1], spans: slices.Clone(r.skip)}
 		for _, chunks := range r.completed {
-			for _, chunk := range chunks {
-				ov.iters = append(ov.iters, chunk...)
-			}
+			ov.spans = append(ov.spans, chunks...)
 		}
-		if len(ov.iters) == 0 {
+		if len(ov.spans) == 0 {
 			continue
 		}
 		overlays = append(overlays, ov)

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,6 +188,49 @@ func TestResumeCorruptManifestFallsBack(t *testing.T) {
 	}
 	if counters[metricResumeFallbacks] == 0 {
 		t.Errorf("%s = 0, want >= 1 (newest epoch was corrupt)", metricResumeFallbacks)
+	}
+}
+
+// TestResumeRefusesOldManifest: a manifest of the SMF1 format, whose
+// overlays were iteration tuples, is refused by its magic and skipped
+// like a corrupt epoch, never decoded as spans — even with a valid
+// checksum and a payload the current codec would accept.
+func TestResumeRefusesOldManifest(t *testing.T) {
+	ref, _ := runSnapRef(t)
+	scratch := runStopped(t, 3)
+	dir := filepath.Join(scratch, "ckpt", "job")
+	epochs, err := filepath.Glob(filepath.Join(dir, "manifest_*.ckpt"))
+	if err != nil || len(epochs) == 0 {
+		t.Fatalf("no manifests in %s (%v)", dir, err)
+	}
+	for _, path := range epochs {
+		payload, err := readIntegrityFile(path, manifestMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeIntegrityFile(path, "SMF1", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := readIntegrityFile(epochs[0], manifestMagic); err == nil || !strings.Contains(err.Error(), `"SMF1"`) {
+		t.Errorf("reading an SMF1 manifest: %v, want a refusal naming SMF1", err)
+	}
+	cfg := snapConfig(scratch, 2, 1)
+	cfg.CkptInterval = 1
+	cfg.Resume = true
+	cfg.Metrics = obs.NewRegistry()
+	cfg.OnResume = func(ri ResumeInfo) { t.Errorf("resumed from epoch %d of an SMF1 manifest", ri.Epoch) }
+	res, err := RunSource(snapProgram, cfg)
+	if err != nil {
+		t.Fatalf("run over SMF1 manifests: %v", err)
+	}
+	if got := res.Scalars["e"]; math.Abs(got-ref) > 1e-11 {
+		t.Errorf("energy = %g, want %g", got, ref)
+	}
+	counters := cfg.Metrics.Snapshot().Counters
+	if counters[metricResumeFallbacks] == 0 || counters[metricResumeCold] != 1 {
+		t.Errorf("%s = %d, %s = %d, want >= 1 and 1: every epoch is refused",
+			metricResumeFallbacks, counters[metricResumeFallbacks], metricResumeCold, counters[metricResumeCold])
 	}
 }
 

@@ -135,11 +135,7 @@ func encodeArrayBlocks(e *wire.Encoder, blocks []ArrayBlock) {
 
 func decodeArrayBlocks(d *wire.Decoder) []ArrayBlock {
 	n := d.Uvarint()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.Fail("sip: %d gathered blocks exceed remaining %d bytes", n, d.Remaining())
+	if !checkCount(d, n, "gathered blocks") || n == 0 {
 		return nil
 	}
 	blocks := make([]ArrayBlock, n)
@@ -178,6 +174,35 @@ func encodeSnapshot(e *wire.Encoder, s *obs.Snapshot) {
 			e.Int(int(b))
 		}
 	}
+}
+
+// encodeSpan/decodeSpan carry one chunk; encodeSpans/decodeSpans a
+// replay order or a snapshot overlay.
+func encodeSpan(e *wire.Encoder, s span) {
+	e.Int(s.lo)
+	e.Int(s.hi)
+	e.Int(s.n)
+}
+
+func decodeSpan(d *wire.Decoder) span { return span{lo: d.Int(), hi: d.Int(), n: d.Int()} }
+
+func encodeSpans(e *wire.Encoder, spans []span) {
+	e.Uvarint(uint64(len(spans)))
+	for _, s := range spans {
+		encodeSpan(e, s)
+	}
+}
+
+func decodeSpans(d *wire.Decoder) []span {
+	n := d.Uvarint()
+	if !checkCount(d, n, "spans") || n == 0 {
+		return nil
+	}
+	spans := make([]span, n)
+	for i := range spans {
+		spans[i] = decodeSpan(d)
+	}
+	return spans
 }
 
 // checkCount guards a decoded element count against the remaining
@@ -365,8 +390,8 @@ func init() {
 			return chunkMsg{pardo: d.Int(), gen: d.Int(), origin: d.Int(), delta: d.Float64s()}
 		})
 	wire.Register(wireIDChunkReply,
-		func(e *wire.Encoder, m chunkReply) { e.IntSlices(m.iters) },
-		func(d *wire.Decoder) chunkReply { return chunkReply{iters: d.IntSlices()} })
+		func(e *wire.Encoder, m chunkReply) { encodeSpan(e, m.span) },
+		func(d *wire.Decoder) chunkReply { return chunkReply{decodeSpan(d)} })
 	wire.Register(wireIDDoneMsg,
 		func(e *wire.Encoder, m doneMsg) {
 			e.Int(m.origin)
@@ -399,11 +424,7 @@ func init() {
 		func(d *wire.Decoder) gatherMsg {
 			m := gatherMsg{origin: d.Int()}
 			n := d.Uvarint()
-			if d.Err() != nil {
-				return m
-			}
-			if n > uint64(d.Remaining()) {
-				d.Fail("sip: %d gathered arrays exceed remaining %d bytes", n, d.Remaining())
+			if !checkCount(d, n, "gathered arrays") {
 				return m
 			}
 			if n > 0 {
@@ -438,7 +459,7 @@ func init() {
 			e.Bool(m.resume)
 			e.Int(m.pardo)
 			e.Int(m.gen)
-			e.IntSlices(m.iters)
+			encodeSpans(e, m.spans)
 			e.Float64s(m.vals)
 			encodeArrayBlocks(e, m.blocks)
 			e.String(m.err)
@@ -446,7 +467,7 @@ func init() {
 		},
 		func(d *wire.Decoder) syncReply {
 			return syncReply{round: d.Int(), resume: d.Bool(), pardo: d.Int(),
-				gen: d.Int(), iters: d.IntSlices(), vals: d.Float64s(),
+				gen: d.Int(), spans: decodeSpans(d), vals: d.Float64s(),
 				blocks: decodeArrayBlocks(d), err: d.String(),
 				state: decodeWorkerState(d)}
 		})
@@ -501,7 +522,7 @@ func init() {
 			for _, ov := range m.overlays {
 				e.Int(ov.pardo)
 				e.Int(ov.gen)
-				e.IntSlices(ov.iters)
+				encodeSpans(e, ov.spans)
 			}
 			e.Uvarint(uint64(len(m.blocks)))
 			for _, b := range m.blocks {
@@ -522,7 +543,7 @@ func init() {
 			}
 			for i := uint64(0); i < n; i++ {
 				m.overlays = append(m.overlays, ckptOverlay{
-					pardo: d.Int(), gen: d.Int(), iters: d.IntSlices()})
+					pardo: d.Int(), gen: d.Int(), spans: decodeSpans(d)})
 			}
 			n = d.Uvarint()
 			if !checkCount(d, n, "manifest blocks") {
@@ -546,7 +567,7 @@ func init() {
 	wire.Sample(flushMsg{job: 2})
 	wire.Sample(shutdownMsg{gather: true, job: 2})
 	wire.Sample(chunkMsg{pardo: 1, gen: 2, origin: 3, delta: []float64{0.25}})
-	wire.Sample(chunkReply{iters: [][]int{{1, 2}, {3}}})
+	wire.Sample(chunkReply{span{lo: 4, hi: 9, n: 3}})
 	wire.Sample(doneMsg{origin: 1, err: "boom", scalars: []float64{1, 2}, failRank: -1})
 	wire.Sample(ckptData{arr: 2, blocks: abs})
 	wire.Sample(gatherMsg{origin: 1, arrays: map[int][]ArrayBlock{0: abs}})
@@ -557,11 +578,11 @@ func init() {
 	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, id: 0, vals: []float64{1.5}, state: st})
 	wire.Sample(syncMsg{origin: 2, kind: 1, id: -1}) // the stateless form: most reports carry no snapshot base
 	wire.Sample(syncMsg{origin: 3, round: 4, kind: syncSave, id: 2, blocks: abs})
-	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, iters: [][]int{{0}}, vals: []float64{2}, state: st})
+	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, spans: []span{{0, 2, 1}, {7, 8, 1}}, vals: []float64{2}, state: st})
 	wire.Sample(syncReply{round: 4, blocks: abs, err: "sip: ckpt_j0_D.ckpt: checksum mismatch"})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,
 		sums:     []float64{2, 4},
-		overlays: []ckptOverlay{{pardo: 0, gen: 1, iters: [][]int{{0, 1}, {0, 2}}}},
+		overlays: []ckptOverlay{{pardo: 0, gen: 1, spans: []span{{0, 5, 4}, {9, 12, 3}}}},
 		blocks:   []ckptBlockEntry{{arr: 1, ord: 2, rel: "a1_b2.blk", crc: 0xcafe, bytes: 32}}})
 	wire.Sample(rereplicateMsg{round: 1, job: 2})
 	wire.Sample(rereplicateAck{origin: 5, round: 1, pushed: 3})

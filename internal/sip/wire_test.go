@@ -30,7 +30,7 @@ func TestMessageWireRoundTrips(t *testing.T) {
 		shutdownMsg{gather: true},
 		shutdownMsg{},
 		chunkMsg{pardo: 2, gen: 5, origin: 1},
-		chunkReply{iters: [][]int{{1, 2, 3}, {4, 5, 6}}},
+		chunkReply{span{lo: 3, hi: 4100, n: 4096}},
 		chunkReply{},
 		doneMsg{origin: 1, scalars: []float64{1.5, -2}, failRank: -1},
 		doneMsg{origin: 2, err: "worker exploded", failRank: -1},
@@ -39,6 +39,7 @@ func TestMessageWireRoundTrips(t *testing.T) {
 		syncMsg{origin: 3, round: 5, kind: syncSave, id: 7,
 			blocks: []ArrayBlock{{Ord: 0, Data: []float64{1, 2}}, {Ord: 9, Data: []float64{3}}}},
 		syncReply{round: 5, blocks: []ArrayBlock{{Ord: 9, Data: []float64{3}}}, err: "disk full"},
+		syncReply{round: 6, resume: true, pardo: 1, gen: 2, spans: []span{{0, 4, 3}, {9, 10, 1}}},
 		ckptData{arr: 7, blocks: []ArrayBlock{{Ord: 1, Data: []float64{4}}}},
 		ackMsg{},
 		rereplicateMsg{round: 3},

@@ -172,28 +172,25 @@ func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
 	}
 }
 
-// nextChunk asks the master for the next iterations of a pardo
-// execution ("Initially, the set of iterations ... is divided into
-// 'chunks' and doled out to the workers.  When a worker completes its
-// chunk, it requests another chunk from the master", paper §V-B).
-func (w *worker) nextChunk(pid, gen int, delta []float64) ([][]int, error) {
-	var start time.Time
-	if w.trk != nil {
-		start = time.Now()
-	}
+// nextChunk asks the master for the next chunk of a pardo execution
+// ("Initially, the set of iterations ... is divided into 'chunks' and
+// doled out to the workers.  When a worker completes its chunk, it
+// requests another chunk from the master", paper §V-B).
+func (w *worker) nextChunk(pid, gen int, delta []float64) (span, error) {
+	start := w.trk.Start()
 	w.comm.Send(0, w.rt.tag(tagChunkReq), chunkMsg{pardo: pid, gen: gen, origin: w.rank, delta: delta})
 	m, err := w.recvFrom(0, w.rt.tag(tagChunkRep), waitFor{what: "chunk reply from the master"})
 	if err != nil {
-		return nil, err
+		return span{}, err
 	}
 	rep := m.Data.(chunkReply)
 	if w.trk != nil {
 		// Flow-in half of the master's dispatch_chunk flow-out.
 		w.trk.FlowIn(start, msgFlowID(0, w.rank, w.rt.tag(tagChunkRep)),
 			obs.CatChunk, "fetch_chunk",
-			obs.AInt("pardo", pid), obs.AInt("iters", len(rep.iters)))
+			obs.AInt("pardo", pid), obs.AInt("iters", rep.n))
 	}
-	return rep.iters, nil
+	return rep.span, nil
 }
 
 // fetch serves the core's blocks of distributed and served arrays from
@@ -449,7 +446,7 @@ func (w *worker) sync(kind, id int, val float64, st *workerState) (syncReply, er
 	case syncBarrier, syncServerBarrier:
 		w.cache.invalidateAll()
 	case syncLoad:
-		w.dist.deleteArray(id)
+		w.dist.drop(func(k blockKey) bool { return k.arr == id })
 		w.cache.invalidateAll()
 		shape := w.rt.layout.Shapes[id]
 		for _, ab := range rep.blocks {
@@ -483,10 +480,7 @@ func (w *worker) serviceLoop() {
 		m := w.comm.Recv(mpi.AnySource, w.rt.tag(tagService))
 		switch msg := m.Data.(type) {
 		case getMsg:
-			var start time.Time
-			if trk != nil {
-				start = time.Now()
-			}
+			start := trk.Start()
 			shape := &w.rt.layout.Shapes[msg.key.arr]
 			shape.OrdinalDims(msg.key.ord, dims[:])
 			b := block.Get(dims[:shape.Rank()]...)
@@ -500,10 +494,7 @@ func (w *worker) serviceLoop() {
 					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
 			}
 		case putMsg:
-			var start time.Time
-			if trk != nil {
-				start = time.Now()
-			}
+			start := trk.Start()
 			w.applyLocalPut(msg.key, msg.b, msg.acc, msg.seq)
 			if msg.needAck {
 				w.comm.Send(msg.origin, w.rt.tag(tagAck), ackMsg{})
@@ -513,6 +504,7 @@ func (w *worker) serviceLoop() {
 					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
 			}
 		case shutdownMsg:
+			w.dist.drop(func(blockKey) bool { return true })
 			return
 		}
 	}

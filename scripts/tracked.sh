@@ -26,7 +26,10 @@
 # non-test internal/sip and internal/chem (every other block comes from
 # the one allocator, block.Get; the two left are the I/O server's, a block
 # absent from its cache in ioServer.fetch and one read back from its spill
-# file in decodeBlockFile).
+# file in decodeBlockFile), and the lines of non-test internal/sip that name
+# a [][]int (0 is the aim: a pardo chunk, the chunk ledger, a replay order
+# and a snapshot overlay are spans of the iteration space, not lists of
+# iteration tuples).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -62,3 +65,4 @@ where=$(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat |
 echo "where-tree references:        $where"
 echo "bytecode + compiler + sip non-test lines: $(( $(nontest internal/bytecode | wc -l) + $(nontest internal/compiler | wc -l) + $(nontest internal/sip | wc -l) ))"
 echo "block.New sites in non-test internal/sip + internal/chem: $( (nontest internal/sip; nontest internal/chem) | grep -c 'block\.New(' || true)"
+echo "[][]int sites in non-test internal/sip: $(nontest internal/sip | grep -c '\[\]\[\]int' || true)"
