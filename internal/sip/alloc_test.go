@@ -2,6 +2,7 @@ package sip
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
 	"math"
 	goruntime "runtime"
@@ -161,6 +162,46 @@ func TestStoreBlocksRecycledAtShutdown(t *testing.T) {
 		t.Errorf("the second run allocated %d B, the first %d B: want at least %d B less (D and E recycled)",
 			second, first, arrays*9/10)
 	}
+}
+
+// TestDroppedBlocksRecycled: a put that replaces a stored block gives the
+// old one back to the allocator, and so does an I/O server forgetting a
+// retired pool tenant's cached blocks, so a loop of either draws
+// recycled blocks.  The collector is off: it would empty the allocator's
+// free lists.
+func TestDroppedBlocksRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	emptyBlockPool()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rounds = 100
+	t.Run("replacing put", func(t *testing.T) {
+		var tally block.Tally
+		st := newStore()
+		for range rounds {
+			st.put(blockKey{arr: 1}, tally.Get(3, 5, 7), false)
+		}
+		if tally.Reused < rounds/2 {
+			t.Errorf("%d replacing puts drew %d recycled blocks and %d fresh ones", rounds, tally.Reused, tally.Fresh)
+		}
+	})
+	t.Run("retired tenant", func(t *testing.T) {
+		var tally block.Tally
+		s := &ioServer{capacity: 8, entries: map[blockKey]*srvEntry{}, lru: list.New(),
+			onDisk: map[blockKey]bool{}, ledgers: map[int]*effectLedger{}, jobs: map[int]*srvJob{}}
+		for job := 1; job <= rounds; job++ {
+			for ord := range 4 {
+				if err := s.insert(blockKey{job: job, arr: 1, ord: ord}, tally.Get(3, 7, 5), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.dropJob(job)
+		}
+		if tally.Reused < 4*rounds/2 {
+			t.Errorf("%d tenants' blocks drew %d recycled blocks and %d fresh ones", rounds, tally.Reused, tally.Fresh)
+		}
+	})
 }
 
 // servedLoop prepares into each of a served array's 4 blocks reps

@@ -48,27 +48,35 @@ func (s *store) copyInto(k blockKey, dst *block.Block) {
 }
 
 // put replaces or accumulates a block.  The store takes ownership of b;
-// a b added to the block already there goes back to the allocator.
+// a b added to the block already there, and the block b replaces, go back
+// to the allocator.  The store owns its blocks alone: a get's reply, a
+// gather and a save copy out of them.
 func (s *store) put(k blockKey, b *block.Block, acc bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if acc {
-		if cur, ok := s.blocks[k]; ok {
-			cur.AddScaled(1, b)
-			block.Put(b)
-			return
-		}
+	cur, ok := s.blocks[k]
+	switch {
+	case ok && acc:
+		cur.AddScaled(1, b)
+		block.Put(b)
+		return
+	case ok:
+		block.Put(cur)
 	}
 	s.blocks[k] = b
 }
 
-// each calls fn for every stored block while holding the lock.
-func (s *store) each(fn func(k blockKey, b *block.Block)) {
+// copyOut copies out the blocks whose keys match, by array.
+func (s *store) copyOut(match func(blockKey) bool) map[int][]ArrayBlock {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	out := map[int][]ArrayBlock{}
 	for k, b := range s.blocks {
-		fn(k, b)
+		if match(k) {
+			out[k.arr] = append(out[k.arr], ArrayBlock{Ord: k.ord, Data: append([]float64(nil), b.Data()...)})
+		}
 	}
+	return out
 }
 
 // drop removes the blocks whose keys match and gives them back to the

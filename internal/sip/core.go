@@ -138,11 +138,6 @@ type interp struct {
 	pardoGen []int
 
 	prof *Profile
-	// clock is when the last super instruction ended, which is when the
-	// next instruction starts: reading the clock once per super
-	// instruction times them all, the ops between two of them included
-	// in the second (exec).
-	clock time.Duration
 
 	// Scratch the interpreter lends to what it calls, so a steady-state
 	// pardo iteration allocates only what the program itself creates:
@@ -192,7 +187,6 @@ func (c *interp) init(rt *runtime, rank int, m mover) {
 // than depth: the replayed pardo's frame is gone.
 func (c *interp) dispatch(depth int) error {
 	code := c.rt.prog.Code
-	c.clock = clockNow()
 	for len(c.frames) >= depth {
 		in := &code[c.pc]
 		if in.Op == bytecode.OpHalt {
@@ -211,16 +205,19 @@ func (c *interp) dispatch(depth int) error {
 
 // exec dispatches one instruction.  On return the pc has been advanced.
 // Every instruction is counted at its pc, but only a super instruction
-// reads the clock (paper §VI-B: the profile times super instructions):
-// it is charged the time since the previous one ended, which includes the
-// scalar and branch ops between them.
+// is timed (paper §VI-B: the profile times super instructions), from its
+// dispatch to its end, and only when its pc's sample is due or a tracer
+// records its span (Profile).
 func (c *interp) exec(in *bytecode.Instr) error {
 	if c.text != nil {
-		t := clockNow()
 		c.trace(in)
-		c.clock += clockNow() - t // the trace line is not the instructions' time
 	}
-	start := c.clock
+	st := &c.prof.pcs[c.pc]
+	timed := in.Op.Super() && (c.trk != nil || st.due())
+	var start time.Duration
+	if timed {
+		start = clockNow()
+	}
 	next := c.pc + 1
 	switch in.Op {
 	case bytecode.OpNop:
@@ -317,7 +314,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		}
 	case bytecode.OpPardoStart:
 		var err error
-		if next, err = c.pardoStart(in.A, start); err != nil {
+		if next, err = c.pardoStart(in.A); err != nil {
 			return err
 		}
 	case bytecode.OpPardoEnd:
@@ -328,7 +325,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		}
 	case bytecode.OpCall:
 		c.frames = append(c.frames, frame{kind: frameCall, retPC: c.pc + 1,
-			procID: in.A, started: start})
+			procID: in.A, started: clockNow()})
 		next = c.rt.prog.Procs[in.A].Entry
 	case bytecode.OpReturn:
 		f := c.frames[len(c.frames)-1]
@@ -434,7 +431,7 @@ func (c *interp) exec(in *bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		c.prof.addFlops(flops)
+		c.prof.Flops += flops
 		if err := c.storePooled(in.R[0], loc, val, in.B); err != nil {
 			return err
 		}
@@ -508,16 +505,14 @@ func (c *interp) exec(in *bytecode.Instr) error {
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
 	}
-	var d time.Duration
-	if in.Op.Super() {
-		c.clock = clockNow()
-		d = c.clock - start
+	if timed {
+		d := clockNow() - start
+		st.timed, st.time = st.timed+1, st.time+d
 		if c.trk != nil {
 			c.trk.Complete(clockEpoch.Add(start), d, obs.CatInterp, in.Op.String(), obs.AInt("line", in.Line))
-			c.clock = clockNow() // recording the span is not the next instruction's time
 		}
 	}
-	c.prof.record(c.pc, d)
+	st.count++
 	c.pc = next
 	return nil
 }
@@ -560,18 +555,18 @@ func (c *interp) pushLoop(kind, idx, lo, hi int) {
 }
 
 // pardoEntry returns the frame of execution gen of pardo pid, which
-// starts at startPC, with no span yet.
-func (c *interp) pardoEntry(pid, gen, startPC int, started time.Duration) frame {
+// starts at startPC, with no span yet, entered now.
+func (c *interp) pardoEntry(pid, gen, startPC int) frame {
 	return frame{kind: framePardo, pid: pid, cur: gen, startPC: startPC,
-		exitPC: c.rt.prog.Code[startPC].C, started: started, at: newCursor(&c.rt.spaces[pid])}
+		exitPC: c.rt.prog.Code[startPC].C, started: clockNow(), at: newCursor(&c.rt.spaces[pid])}
 }
 
 // pardoStart enters the next execution of pardo pid at its first
 // iteration (pardoNext).  It is not part of exec, whose stack frame every
 // instruction's call chain stands on.
-func (c *interp) pardoStart(pid int, start time.Duration) (int, error) {
+func (c *interp) pardoStart(pid int) (int, error) {
 	c.pardoPCs[pid] = c.pc // all workers pass here; replay re-enters at pc+1
-	c.frames = append(c.frames, c.pardoEntry(pid, c.pardoGen[pid], c.pc, start))
+	c.frames = append(c.frames, c.pardoEntry(pid, c.pardoGen[pid], c.pc))
 	c.pardoGen[pid]++
 	if c.rt.cfg.CkptInterval > 0 {
 		c.frames[len(c.frames)-1].entryScalars = append([]float64(nil), c.scalars...)
@@ -711,7 +706,7 @@ func (c *interp) syncPoint(kind, id int, capture bool) (syncReply, error) {
 // seqs, so any the dead worker already delivered are dropped at the
 // destination.  The pc returns to the sync point.
 func (c *interp) replay(pid, gen int, spans []span) error {
-	c.frames = append(c.frames, c.pardoEntry(pid, gen, c.pardoPCs[pid], clockNow()))
+	c.frames = append(c.frames, c.pardoEntry(pid, gen, c.pardoPCs[pid]))
 	f := &c.frames[len(c.frames)-1]
 	f.replay, f.span, f.rest = true, spans[0], spans[1:]
 	f.at.seek(f.span.lo)

@@ -34,7 +34,8 @@ func mp2Core(tb testing.TB, no, nv int) (*bytecode.Program, sip.Config) {
 
 // TestCoreMatchesRun: MP2 through the interpreter core alone, over an
 // in-memory mover, gives sip.Run's energy at one worker bit for bit, in
-// as many instructions.
+// as many instructions.  The count is pinned too: the profile samples
+// its clock, never its counts.
 func TestCoreMatchesRun(t *testing.T) {
 	prog, cfg := mp2Core(t, 4, 8)
 	res, err := sip.Run(prog, cfg)
@@ -59,6 +60,10 @@ func TestCoreMatchesRun(t *testing.T) {
 	}
 	if instrs != want {
 		t.Errorf("core executed %d instructions, sip.Run %d", instrs, want)
+	}
+	const mp2Instrs = 1154 // MP2 at no=4 nv=8, seg 2
+	if want != mp2Instrs {
+		t.Errorf("sip.Run executed %d instructions, want %d", want, mp2Instrs)
 	}
 }
 

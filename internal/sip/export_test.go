@@ -52,9 +52,7 @@ func (c *CoreRuntime) Close() { c.rt.close() }
 // number of instructions it executed.
 func (c *CoreRuntime) Run() (map[string]float64, int64, error) {
 	var in interp
-	in.init(c.rt, 1, &memMover{rt: c.rt, blocks: map[blockKey]*block.Block{}, runs: map[[2]int]*pardoRun{}})
-	defer operandPool.Put(in.ops)
-	if err := in.dispatch(0); err != nil {
+	if err := c.run(&in); err != nil {
 		return nil, 0, err
 	}
 	scalars := map[string]float64{}
@@ -63,9 +61,16 @@ func (c *CoreRuntime) Run() (map[string]float64, int64, error) {
 	}
 	var n int64
 	for _, st := range in.prof.pcs {
-		n += st.Count
+		n += st.count
 	}
 	return scalars, n, nil
+}
+
+// run interprets the program once on in.
+func (c *CoreRuntime) run(in *interp) error {
+	in.init(c.rt, 1, &memMover{rt: c.rt, blocks: map[blockKey]*block.Block{}, runs: map[[2]int]*pardoRun{}})
+	defer operandPool.Put(in.ops)
+	return in.dispatch(0)
 }
 
 // memMover is the mover of a lone worker that holds every block of the

@@ -9,9 +9,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
+	"repro/internal/obs"
 )
 
 // TestProfileTimesOnlySuperInstructions pins the profile's timing rule:
@@ -121,6 +124,94 @@ endsial
 	if pureScalarLines == 0 {
 		t.Fatal("no line of only scalar and branch ops executed")
 	}
+}
+
+// sampledSrc runs each of its super instructions 40 times, past one
+// sampling period (sampleEvery), with a user super instruction among
+// them.
+const sampledSrc = `
+sial sampled
+param n = 40
+aoindex I = 1, n
+temp a(I,I)
+scalar s
+do I
+  a(I,I) = 1.0
+  s += dot(a(I,I), a(I,I))
+  execute spin a(I,I)
+enddo I
+endsial
+`
+
+// corePCs runs src on the interpreter core, one worker over memMover, and
+// returns the program and its per-pc record.
+func corePCs(t *testing.T, src string, cfg Config) (*bytecode.Program, []pcStat) {
+	t.Helper()
+	prog, err := compiler.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seg, cfg.Output = bytecode.DefaultSegConfig(1), io.Discard
+	core, err := NewCoreRuntime(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer core.Close()
+	var in interp
+	if err := core.run(&in); err != nil {
+		t.Fatal(err)
+	}
+	return prog, in.prof.pcs
+}
+
+// spinFor is a super instruction that busy-waits d and changes nothing.
+func spinFor(d time.Duration) SuperFunc {
+	return func(*ExecCtx, []*block.Block, []*float64) error {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+		return nil
+	}
+}
+
+// TestSampledProfileFlags pins which executions the sampled profile
+// times, by its counts and flags alone: every super pc is timed on its
+// first execution and then at least once per sampling period, a user
+// super instruction that runs 10 µs is timed on every execution, no
+// scalar or branch op is ever timed, and with a tracer attached every
+// super instruction is timed.
+func TestSampledProfileFlags(t *testing.T) {
+	cfg := Config{Super: map[string]SuperFunc{"spin": spinFor(10 * time.Microsecond)}}
+	check := func(name string, cfg Config, traced bool) {
+		prog, pcs := corePCs(t, sampledSrc, cfg)
+		spun := false
+		for pc, st := range pcs {
+			in := prog.Code[pc]
+			switch {
+			case st.count == 0:
+			case !in.Op.Super():
+				if st.timed != 0 || st.time != 0 {
+					t.Errorf("%s: pc %d (%s): timed %d of %d, want none", name, pc, in.Op, st.timed, st.count)
+				}
+			case traced || in.Op == bytecode.OpExecute:
+				if st.timed != st.count {
+					t.Errorf("%s: pc %d (%s): timed %d of %d, want all", name, pc, in.Op, st.timed, st.count)
+				}
+				spun = spun || in.Op == bytecode.OpExecute && st.count == 40
+			default:
+				if st.timed < (st.count+sampleEvery-1)/sampleEvery || st.timed > st.count {
+					t.Errorf("%s: pc %d (%s): timed %d of %d, want its first and every %dth at least",
+						name, pc, in.Op, st.timed, st.count, sampleEvery)
+				}
+			}
+		}
+		if !spun {
+			t.Errorf("%s: the execute of spin did not run 40 times", name)
+		}
+	}
+	check("untraced", cfg, false)
+	traced := cfg
+	traced.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 16})
+	check("traced", traced, true)
 }
 
 // TestLocateResetsRegion: the worker resolves every reference into one of

@@ -24,12 +24,12 @@ func TestMergeProfiles(t *testing.T) {
 	p1 := &Profile{
 		Pardos: []PardoStat{{Elapsed: 10 * time.Millisecond, Wait: 1 * time.Millisecond, Iterations: 6}},
 		Procs:  []ProcStat{{Count: 1, Time: 2 * time.Millisecond}},
-		pcs:    []OpStat{{Count: 3, Time: 30 * time.Millisecond}, {}},
+		pcs:    []pcStat{{count: 3, timed: 3, time: 30 * time.Millisecond}, {}},
 	}
 	p2 := &Profile{
 		Pardos: []PardoStat{{Elapsed: 4 * time.Millisecond, Wait: 2 * time.Millisecond, Iterations: 4}},
 		Procs:  []ProcStat{{Count: 2, Time: 3 * time.Millisecond}},
-		pcs:    []OpStat{{Count: 2, Time: 20 * time.Millisecond}, {Count: 1, Time: 1 * time.Millisecond}},
+		pcs:    []pcStat{{count: 2, timed: 2, time: 20 * time.Millisecond}, {count: 1, timed: 1, time: 1 * time.Millisecond}},
 	}
 	srv := &ioServer{rank: 6, hits: 10, misses: 2, diskReads: 2, diskWrites: 5}
 	out := mergeProfiles([]*worker{fakeWorker(prog, p1), fakeWorker(prog, p2)}, []*ioServer{srv})
@@ -66,6 +66,49 @@ func TestMergeProfiles(t *testing.T) {
 	}
 	if s := out.Servers[0]; s.Rank != 6 || s.CacheHits != 10 || s.DiskReads != 2 || s.DiskWrites != 5 {
 		t.Errorf("server stat = %+v", s)
+	}
+}
+
+// TestMergeProfilesScalesSampledTimes pins the estimate of a sampled
+// pc: the time of its timed runs, scaled by executions ÷ timed ones.
+func TestMergeProfilesScalesSampledTimes(t *testing.T) {
+	prog := &bytecode.Program{Code: []bytecode.Instr{
+		{Op: bytecode.OpBlockCopy, Line: 7},
+		{Op: bytecode.OpPushLit, Line: 7},
+	}}
+	p := &Profile{pcs: []pcStat{{count: 64, timed: 2, time: 2 * time.Millisecond}, {count: 64}}}
+	out := mergeProfiles([]*worker{fakeWorker(prog, p)}, nil)
+	if st := out.Ops[bytecode.OpBlockCopy]; st == nil || st.Count != 64 || st.Time != 64*time.Millisecond {
+		t.Errorf("block_copy = %+v, want count 64 time 64ms", st)
+	}
+	if st := out.Ops[bytecode.OpPushLit]; st == nil || st.Count != 64 || st.Time != 0 {
+		t.Errorf("push_lit = %+v, want count 64 time 0", st)
+	}
+	if ls := out.Lines[7]; ls == nil || ls.Count != 128 || ls.Time != 64*time.Millisecond {
+		t.Errorf("line 7 = %+v, want count 128 time 64ms", ls)
+	}
+}
+
+// TestSampleDue pins when a pc's next execution is timed: its first,
+// every 32nd, and every one while its timed runs average 4 µs or more.
+func TestSampleDue(t *testing.T) {
+	for _, c := range []struct {
+		st   pcStat
+		want bool
+	}{
+		{pcStat{}, true}, // the first execution
+		{pcStat{count: 1, timed: 1, time: time.Microsecond}, false},
+		{pcStat{count: 31, timed: 1, time: time.Microsecond}, false},
+		{pcStat{count: 32, timed: 1, time: time.Microsecond}, true},
+		{pcStat{count: 33, timed: 2, time: 2 * time.Microsecond}, false},
+		{pcStat{count: 64, timed: 3, time: 3 * time.Microsecond}, true},
+		{pcStat{count: 1, timed: 1, time: slowOp}, true}, // mean 4 µs
+		{pcStat{count: 5, timed: 5, time: 5*slowOp - 1}, false},
+		{pcStat{count: 40, timed: 2, time: 3 * slowOp}, true}, // a slow pc back on every run
+	} {
+		if got := c.st.due(); got != c.want {
+			t.Errorf("%+v: due = %v, want %v", c.st, got, c.want)
+		}
 	}
 }
 

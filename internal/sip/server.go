@@ -299,12 +299,14 @@ func (s *ioServer) run() (err error) {
 
 // dropJob forgets a retired tenant — cache entries, disk blocks, dedup
 // ledger, registration — so the pool's footprint tracks its live
-// tenants.
+// tenants.  The cached blocks go back to the allocator: as in apply, no
+// reply or re-replication push holds one past its send.
 func (s *ioServer) dropJob(job int) {
 	for k, e := range s.entries {
 		if k.job == job {
 			s.lru.Remove(e.elem)
 			delete(s.entries, k)
+			block.Put(e.b)
 		}
 	}
 	for k := range s.onDisk {

@@ -52,6 +52,17 @@ func (m replPutMsg) WireSizeHint() int {
 	return n
 }
 
+// A gather or a blocks_to_list file encodes into one buffer of its hint.
+func (m gatherMsg) WireSizeHint() int {
+	n := 32
+	for _, blocks := range m.arrays {
+		n += 16 + int(arrayBlocksBytes(blocks))
+	}
+	return n
+}
+
+func (m ckptData) WireSizeHint() int { return 32 + int(arrayBlocksBytes(m.blocks)) }
+
 // encodeWorkerState/decodeWorkerState carry a snapshot resume base,
 // both inside sync messages and inside the on-disk manifest (which
 // reuses the wire codec so the fuzz corpus and hostile-length guards

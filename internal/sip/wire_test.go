@@ -54,6 +54,32 @@ func TestMessageWireRoundTrips(t *testing.T) {
 	}
 }
 
+// TestWireSizeHintsBound: every fuzz-corpus sample of a message that
+// reports a size hint encodes into no more than the hint, so the
+// transport's pooled encoder never regrows for it.
+func TestWireSizeHintsBound(t *testing.T) {
+	hinted := map[string]bool{}
+	for _, buf := range wire.Corpus() {
+		v, err := wire.Decode(buf)
+		if err != nil {
+			t.Fatalf("corpus sample: %v", err)
+		}
+		h, ok := v.(wire.SizeHinter)
+		if !ok {
+			continue
+		}
+		hinted[reflect.TypeOf(v).String()] = true
+		if n := h.WireSizeHint(); len(buf) > n {
+			t.Errorf("%T encodes to %d bytes, hint %d", v, len(buf), n)
+		}
+	}
+	for _, name := range []string{"sip.putMsg", "sip.replPutMsg", "sip.gatherMsg", "sip.ckptData", "sip.obsReportMsg"} {
+		if !hinted[name] {
+			t.Errorf("no corpus sample of %s reports a size hint", name)
+		}
+	}
+}
+
 func TestPutMsgWireRoundTrip(t *testing.T) {
 	b := block.New(2, 2)
 	copy(b.Data(), []float64{1, 2, 3, 4})

@@ -143,10 +143,7 @@ func (w *worker) shutdown() error {
 		return err
 	}
 	if w.rt.cfg.GatherArrays {
-		arrays := map[int][]ArrayBlock{}
-		w.dist.each(func(k blockKey, b *block.Block) {
-			arrays[k.arr] = append(arrays[k.arr], ArrayBlock{Ord: k.ord, Data: append([]float64(nil), b.Data()...)})
-		})
+		arrays := w.dist.copyOut(func(blockKey) bool { return true })
 		w.comm.Send(0, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
 	}
 	// Collectives make scalars identical across workers.  Every worker
@@ -414,11 +411,7 @@ func (w *worker) sync(kind, id int, val float64, st *workerState) (syncReply, er
 	case syncCollective:
 		report.vals = []float64{val}
 	case syncSave:
-		w.dist.each(func(k blockKey, b *block.Block) {
-			if k.arr == id {
-				report.blocks = append(report.blocks, ArrayBlock{Ord: k.ord, Data: append([]float64(nil), b.Data()...)})
-			}
-		})
+		report.blocks = w.dist.copyOut(func(k blockKey) bool { return k.arr == id })[id]
 	}
 	if st != nil {
 		st.syncRound = round + 1

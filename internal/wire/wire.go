@@ -112,9 +112,10 @@ func (e *Encoder) Any(v any) {
 	ent.enc(e, v)
 }
 
-// Encode wire-encodes one registered value.
+// Encode wire-encodes one registered value, into a buffer sized from its
+// SizeHint.
 func Encode(v any) []byte {
-	e := NewEncoder(64)
+	e := NewEncoder(SizeHint(v, 64))
 	e.Any(v)
 	return e.Bytes()
 }
