@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/sip"
 )
@@ -220,5 +223,62 @@ func TestServePackSharedConcurrently(t *testing.T) {
 	}
 	if n := compiles.Load(); n != 1 {
 		t.Errorf("%d concurrent submissions of one pack compiled %d times, want 1", len(sizes), n)
+	}
+}
+
+// stopEarly runs 8 + 64 = 72 pardo iterations at seg 1; its execute fails
+// on worker 0 in the first one and takes a millisecond elsewhere.
+const stopEarly = `
+sial stop_early
+param n = 8
+aoindex I = 1, n
+aoindex J = 1, n
+temp a(I)
+temp b(I,J)
+pardo I
+  execute fail_first a(I)
+endpardo
+pardo I, J
+  b(I,J) = 1.0
+endpardo
+endsial
+`
+
+// TestServeFailedJobStopsEarly: a job whose super instruction fails on
+// one worker is given up at once — it ends failed with that error and
+// fewer iterations dispatched than the program holds — and releases its
+// slot and memory charge, so the next job of another pack is correct.
+func TestServeFailedJobStopsEarly(t *testing.T) {
+	s := newTestService(t, Config{JobMetrics: true, Pool: sip.PoolConfig{Workers: 3}})
+	failFirst := func(ctx *sip.ExecCtx, _ []*block.Block, _ []*float64) error {
+		if ctx.Worker == 0 {
+			return errors.New("worker 0 fails on purpose")
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	}
+	s.RegisterPack("fail", Pack{Source: stopEarly, Env: func(map[string]int) Env {
+		return Env{Super: map[string]sip.SuperFunc{"fail_first": failFirst}}
+	}})
+	s.RegisterPack("two", Pack{Source: drill})
+	st, err := s.Submit(SubmitRequest{Pack: "fail", Seg: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, _ := s.Wait(st.ID)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "worker 0 fails on purpose") {
+		t.Errorf("job %d: state %q (%s), want failed with worker 0's error", st.ID, fin.State, fin.Error)
+	}
+	if n := fin.Metrics["sip.master.iters"]; n >= 72 {
+		t.Errorf("sip.master.iters = %d, want below the program's 72", n)
+	}
+	s.mu.Lock()
+	running, memUse := s.running, s.memUse
+	s.mu.Unlock()
+	if running != 0 || memUse != 0 {
+		t.Errorf("after the failed job: %d running, %d bytes charged, want 0 and 0", running, memUse)
+	}
+	if e := runPack(t, s, "two", 4).Scalars["e"]; !closeE(e, serialE(t, 4)) {
+		t.Errorf("job after the failed one: e = %v, want %v", e, serialE(t, 4))
 	}
 }

@@ -1,6 +1,7 @@
 package sip
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -37,19 +38,15 @@ func (f waitFor) String() string {
 // still returned).
 //
 // Silence is awaitAttempts receives of Config.RecvTimeout each without a
-// message (0 never times out), and the verdict on it is one rule:
-//
-//   - A run that owns its world has no other death signal for a rank that
-//     stopped answering.  It evicts the first evictable rank of suspects
-//     (the ranks owing the message; nil means src) and returns "woke";
-//     failing that it returns an *mpi.RankFailure naming the first
-//     suspect, or a plain timeout when nobody is suspected.
-//   - A tenant of a shared world (a pool job) never rules on silence: its
-//     Config.RecvTimeout is 0, Pool.runJob sets none.  Pool ranks die by
-//     explicit eviction (Pool.Kill, liveness), which wakes this wait; one
-//     that is quiet is slow — serving another tenant, parked by the
-//     fairness gate — and evicting or blaming it would take a live rank
-//     from every job in the pool.
+// message (0 never times out).  Silence is the last death signal for a
+// rank that stopped answering, and the verdict on it is one rule: evict
+// the first evictable rank of suspects (the ranks owing the message; nil
+// means src) and return "woke"; failing that, return a verdict naming the
+// first suspect, which fails the world (rule), or a plain timeout when
+// nobody is suspected.  A pool job never reaches a verdict: it has no
+// RecvTimeout, because a quiet pool rank is slow — serving another job,
+// parked by the fairness gate — and pool ranks die by explicit eviction
+// (Pool.Kill, liveness), which wakes this wait.
 //
 // With no deadline the wait is a plain blocking receive; none of the
 // closures escape, so a wait allocates nothing.
@@ -96,7 +93,31 @@ func (rt *runtime) await(c *mpi.Comm, src, tagLo, tagHi int, what waitFor, suspe
 	if len(waiting) > 1 {
 		reason += fmt.Sprintf(" (still waiting on ranks %v)", waiting)
 	}
-	return mpi.Message{}, false, &mpi.RankFailure{Rank: waiting[0], Reason: reason}
+	return mpi.Message{}, false, verdict{&mpi.RankFailure{Rank: waiting[0], Reason: reason}}
+}
+
+// verdict is await's ruling that a rank owing a message is dead: the
+// RankFailure naming it.  It is the one failure that fails the world
+// (rule).  Every other failure — a rank's own error, a RankFailure a caller
+// built from an eviction — is reported to the job's master, which winds
+// the job down through its normal shutdown.
+type verdict struct{ *mpi.RankFailure }
+
+func (v verdict) Unwrap() error { return v.RankFailure }
+
+// rule fails the world when err carries a verdict, so every rank of the
+// run unwinds now instead of waiting on the dead one, and returns err.  The
+// master calls it as a verdict comes back to it, a worker after its done
+// report, which then travels ahead of the poison frame on every
+// connection.
+func (rt *runtime) rule(err error) error {
+	if err != nil {
+		var v verdict // declared here: errors.As moves it to the heap
+		if errors.As(err, &v) {
+			rt.world.Fail(v.Rank, v.Reason)
+		}
+	}
+	return err
 }
 
 // collect is the one wait for a known set of ranks to reply: it receives

@@ -20,7 +20,7 @@ import (
 // Results report the worker's local view (scalars and profile), and
 // server Results are empty.  A failure anywhere surfaces as an error on
 // at least the failing rank and the master.
-func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (res *Result, err error) {
+func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (*Result, error) {
 	at := batch(cfg)
 	if world.Size() != at.ranks.Size() {
 		return nil, fmt.Errorf("sip: world has %d ranks, config needs %d (1 master + %d workers + %d servers)",
@@ -34,32 +34,7 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (re
 		return nil, err
 	}
 	defer rt.close()
-
-	// A dead peer aborts the world; surface that as an error rather
-	// than a panic so the process exits cleanly with a diagnosis.
-	// When the abort was attributed (liveness timeout, receive deadline,
-	// lost connection), name the failed rank and its SIP role.
-	defer func() {
-		if rank != 0 {
-			// The master's own loop records evictions as it folds them
-			// into the ledger; other ranks record them here so every
-			// process's -metrics snapshot shows the degraded membership.
-			observeEvictions(cfg.Metrics, cfg.Tracer, world)
-		}
-		if r := recover(); r != nil {
-			if r != mpi.ErrAborted {
-				panic(r)
-			}
-			err = rt.abortError(fmt.Sprintf("rank %d", rank))
-		}
-		if err != nil {
-			observeFailure(cfg.Metrics, cfg.Tracer, world)
-			if f := world.Failure(); f != nil && rank == 0 {
-				rt.flightRecord("failed", f.Rank, f.Reason)
-			}
-		}
-	}()
-
+	rt.setPolicy()
 	if rank == 0 && cfg.ObsShip {
 		// Refine the handshake clock-offset estimates with a few
 		// ping-pong rounds while the run warms up; the aggregator
@@ -71,41 +46,6 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (re
 	// the master and with the plane off).
 	defer startObsShipper(rt, rank).finish()
 	return rt.launch([]int{rank})
-}
-
-// observeFailure feeds a rank failure into the metrics registry and
-// tracer (a fault.rank_failure counter plus an instant span naming the
-// failed rank), so detection events appear alongside the run's other
-// observability output.
-func observeFailure(reg *obs.Registry, tracer *obs.Tracer, world *mpi.World) {
-	f := world.Failure()
-	if f == nil {
-		return
-	}
-	if reg != nil {
-		reg.Counter(metricFaultRankFailure).Inc()
-		reg.Counter(fmt.Sprintf("%s.rank%d", metricFaultRankFailure, f.Rank)).Inc()
-	}
-	if trk := tracer.Track(f.Rank, 2, fmt.Sprintf("rank %d", f.Rank), "fault"); trk != nil {
-		trk.Instant(obs.CatFault, "rank_failure",
-			obs.AInt("rank", f.Rank), obs.A("reason", f.Reason))
-	}
-}
-
-// observeEvictions feeds the world's evicted-rank set into the metrics
-// registry and tracer (fault.rank_evicted counters plus an instant span
-// per rank), mirroring observeFailure for degraded-but-successful runs.
-func observeEvictions(reg *obs.Registry, tracer *obs.Tracer, world *mpi.World) {
-	for rank, reason := range world.Evicted() {
-		if reg != nil {
-			reg.Counter(metricFaultRankEvicted).Inc()
-			reg.Counter(fmt.Sprintf("%s.rank%d", metricFaultRankEvicted, rank)).Inc()
-		}
-		if trk := tracer.Track(rank, 2, fmt.Sprintf("rank %d", rank), "fault"); trk != nil {
-			trk.Instant(obs.CatFault, "rank_evicted",
-				obs.AInt("rank", rank), obs.A("reason", reason))
-		}
-	}
 }
 
 // FaultEvents adapts a metrics registry to the fault-injection

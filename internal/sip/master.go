@@ -1,6 +1,7 @@
 package sip
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -29,13 +30,15 @@ type master struct {
 	// scan (0, a world that never changed membership, needs none).
 	evictStamp uint64
 
-	// workerErr is the running diagnosis relayed over the done path (see
-	// recordRelay); it is the run's error unless a cancel outranks it.
-	workerErr error
+	// ownErr is the master's own failure and workerErr the running
+	// diagnosis relayed over the done path (see recordRelay); outcome
+	// picks the run's error from them.
+	ownErr, workerErr error
 
-	// cancelled records that Config.Cancel fired: pardo dispatch is
-	// starved from here on and the run ends in ErrJobCanceled.
-	cancelled bool
+	// abandoned records that the job was given up (abandon): pardo
+	// dispatch is starved from here on.  canceled records that Cancel or
+	// Stop gave it up, not a failure.
+	abandoned, canceled bool
 
 	// Snapshot / resume state (Config.CkptInterval > 0; snapshot.go).
 	snap snapState
@@ -242,31 +245,19 @@ func (r *pardoRun) chunkSize(workers int) int {
 // mailbox because each window is disjoint (a plain AnyTag receive would
 // steal the other jobs' traffic).  ok == false with a nil error means the
 // caller must look again at whom it is waiting for (see await).  A
-// verdict naming a rank fails the world before it is returned.
+// verdict fails the world before it is returned.
 func (m *master) recvAny(tag int, what string, suspects func() []int) (mpi.Message, bool, error) {
 	lo, hi := m.rt.tag(tag), m.rt.tag(tag)
 	if tag == mpi.AnyTag {
 		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
 	}
 	msg, ok, err := m.rt.await(m.comm, mpi.AnySource, lo, hi, waitFor{what: what}, suspects)
-	return msg, ok, m.blame(err)
+	return msg, ok, m.rt.rule(err)
 }
 
 // collect is runtime.collect on the master's comm (see recvAny).
 func (m *master) collect(tag int, what string, debts map[int]int, got func(mpi.Message)) error {
-	return m.blame(m.rt.collect(m.comm, tag, what, debts, got))
-}
-
-// blame fails the world on a silence verdict naming a rank, so every rank
-// of the run learns of it, and returns err.
-func (m *master) blame(err error) error {
-	if err != nil {
-		var rf *mpi.RankFailure // declared here: errors.As moves it to the heap
-		if errors.As(err, &rf) {
-			m.rt.world.Fail(rf.Rank, rf.Reason)
-		}
-	}
-	return err
+	return m.rt.rule(m.rt.collect(m.comm, tag, what, debts, got))
 }
 
 // relayErr rebuilds a failure reported over the done path.  When the
@@ -301,40 +292,43 @@ func relayWeight(err error) int {
 	return 1
 }
 
-// recordRelay folds one relayed failure into the running diagnosis.  The
-// weightier error wins and the first among equals: with several ranks
-// racing to report, a bystander's generic "aborted after peer failure"
-// can reach the master before the failed rank's own report.
-func (m *master) recordRelay(done doneMsg) {
+// recordRelay folds one failure reported over the done path into the
+// running diagnosis and gives the job up.  The weightier error wins and
+// the first among equals: with several ranks racing to report, a
+// bystander's generic "aborted after peer failure" can reach the master
+// before the failed rank's own report.
+func (m *master) recordRelay(trk *obs.Track, done doneMsg) {
 	if done.err == "" {
 		return
 	}
 	if relay := m.relayErr(done); m.workerErr == nil || relayWeight(relay) > relayWeight(m.workerErr) {
 		m.workerErr = relay
 	}
+	m.abandon(trk, "job_failed", false)
 }
 
 // noteCancel folds a fired Config.Cancel into the scheduler state, and
 // keeps an abandoned job's ledger empty: iterations an eviction reclaimed
 // after the job was given up must not be replayed either.
 func (m *master) noteCancel(trk *obs.Track) {
-	if m.cancelled || fired(m.rt.cfg.Cancel) {
-		m.abandon(trk, "job_canceled")
+	if m.abandoned || fired(m.rt.cfg.Cancel) {
+		m.abandon(trk, "job_canceled", true)
 	}
 }
 
-// abandon gives the job up, on a fired Config.Cancel or after the final
-// snapshot of a Config.Stop: from here on every chunk request is answered
-// empty, and the iterations the ledger holds — handed out, or reclaimed
-// from dead workers — are dropped rather than replayed.  Sync rounds,
-// checkpoints, gathers, and the shutdown protocol all proceed normally, so
-// the job's tag window and server-side namespace are retired exactly as on
-// a normal completion; only the answers are garbage, and the run reports
-// ErrJobCanceled instead of a result.  event names the first call's trace
-// instant.
-func (m *master) abandon(trk *obs.Track, event string) {
-	if !m.cancelled {
-		m.cancelled = true
+// abandon gives the job up — on a fired Config.Cancel, after the final
+// snapshot of a Config.Stop, or on a failure of the master or a worker:
+// from here on every chunk request is answered empty, and the iterations
+// the ledger holds — handed out, or reclaimed from dead workers — are
+// dropped rather than replayed.  Sync rounds, gathers, and the shutdown
+// protocol all proceed normally, so the job's tag window and server-side
+// namespace are retired exactly as on a normal completion; only the
+// answers are garbage, and the run reports outcome's error instead of a
+// result.  The first call names the trace instant (event) and says
+// whether Cancel or Stop gave the job up (cancel).
+func (m *master) abandon(trk *obs.Track, event string, cancel bool) {
+	if !m.abandoned {
+		m.abandoned, m.canceled = true, cancel
 		m.snap.stopPending = false
 		if trk != nil {
 			trk.Instant(obs.CatChunk, event, obs.AInt("job", m.rt.job))
@@ -346,6 +340,17 @@ func (m *master) abandon(trk *obs.Track, event string) {
 	}
 }
 
+// outcome is the error the run ends with: the master's own failure, else
+// ErrJobCanceled when Cancel or Stop gave the job up — a worker that
+// failed mid-fast-forward failed because the job was abandoned, not the
+// other way around — else the weightiest relayed failure.
+func (m *master) outcome() error {
+	if m.ownErr == nil && m.canceled {
+		return fmt.Errorf("sip: job %d: %w", m.rt.job, ErrJobCanceled)
+	}
+	return cmp.Or(m.ownErr, m.workerErr)
+}
+
 // run services messages until every worker reports done, then shuts down
 // service loops and I/O servers and returns the gathered result.
 func (m *master) run() (res *Result, err error) {
@@ -353,10 +358,11 @@ func (m *master) run() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == mpi.ErrAborted {
-				// What a rank relayed before the abort, when that explains
-				// it (a worker's done report travels ahead of the poison
-				// frame it sends), else the abort.
-				err = m.workerErr
+				// The master's own failure, or what a rank relayed before
+				// the abort when that explains it (a worker's done report
+				// travels ahead of the poison frame it sends), else the
+				// abort.
+				err = cmp.Or(m.ownErr, m.workerErr)
 				if err == nil || (rt.world.Failure() != nil && relayWeight(err) == 0) {
 					err = rt.abortError("master")
 				}
@@ -371,7 +377,11 @@ func (m *master) run() (res *Result, err error) {
 	redispCtr := rt.metrics.Counter(metricMasterRedispatched)
 	res = &Result{Arrays: map[string][]ArrayBlock{}, Served: map[string][]ArrayBlock{}}
 	if err := m.resumeSetup(trk); err != nil {
-		return res, err
+		// The master's own failure winds the job down as a worker's does:
+		// the workers parked in the start-up round are released into an
+		// abandoned job.
+		m.ownErr = err
+		m.abandon(trk, "job_failed", false)
 	}
 	var scalarVals []float64
 	scalarOrigin := -1
@@ -404,11 +414,11 @@ func (m *master) run() (res *Result, err error) {
 				// unreplayed, which silently corrupts the collective.
 				break
 			}
-			if m.cancelled {
+			if m.abandoned {
 				// The job is being abandoned: starve the pardo so every
 				// worker fast-forwards to the next sync point and, from
-				// there, the shutdown protocol.  No gate charge — a
-				// canceled job must not brake its live peers.
+				// there, the shutdown protocol.  No gate charge — an
+				// abandoned job must not brake its live peers.
 				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
 				break
 			}
@@ -433,7 +443,7 @@ func (m *master) run() (res *Result, err error) {
 			// handing out more work, and possibly take a mid-pardo snapshot
 			// at the -ckpt-interval watermark.
 			m.notePardoProgress(req, r, trk)
-			if m.cancelled {
+			if m.abandoned {
 				// A stop-triggered snapshot just self-canceled the job.
 				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
 				break
@@ -469,13 +479,13 @@ func (m *master) run() (res *Result, err error) {
 				// A server reporting failure over the done path.  When its
 				// blocks are replicated elsewhere the master evicts it and
 				// the run continues degraded; otherwise record the fatal
-				// diagnosis (the world abort it triggers unblocks the loop
-				// if workers can no longer finish).
+				// diagnosis (the world abort the server triggers unblocks
+				// the loop if workers can no longer finish).
 				if rt.world.Evictable(done.origin) {
 					rt.world.Evict(done.origin, done.err)
 					break
 				}
-				m.recordRelay(done)
+				m.recordRelay(trk, done)
 				break
 			}
 			if rt.world.IsEvicted(done.origin) {
@@ -489,7 +499,7 @@ func (m *master) run() (res *Result, err error) {
 				scalarVals = done.scalars
 				scalarOrigin = done.origin
 			}
-			m.recordRelay(done)
+			m.recordRelay(trk, done)
 			if trk != nil {
 				trk.Instant(obs.CatChunk, "worker_done", obs.AInt("rank", msg.Source))
 			}
@@ -522,14 +532,9 @@ func (m *master) run() (res *Result, err error) {
 	// run (and end-of-run metric fold) completed, so the merged trace and
 	// metrics cover the whole run.
 	m.collectFinalObs()
-	if m.cancelled {
-		// The cancel outranks any secondary worker diagnosis: a worker
-		// that timed out mid-fast-forward failed *because* the job was
-		// abandoned, not the other way around.
-		m.workerErr = fmt.Errorf("sip: job %d: %w", rt.job, ErrJobCanceled)
-	}
-	m.cleanupSnapshots(m.workerErr)
-	return res, m.workerErr
+	err = m.outcome()
+	m.cleanupSnapshots(err)
+	return res, err
 }
 
 func (m *master) recordGather(dst map[string][]ArrayBlock, g gatherMsg) {

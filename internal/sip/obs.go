@@ -2,6 +2,7 @@ package sip
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/block"
 	"repro/internal/mpi"
@@ -232,5 +233,19 @@ func foldRunMetrics(reg *obs.Registry, p *Profile, workers bool) {
 		add(metricServerCacheMiss, tot.CacheMisses)
 		add(metricServerDiskReads, tot.DiskReads)
 		add(metricServerDiskWrites, tot.DiskWrites)
+	}
+}
+
+// observeFault feeds one fault of the world into the metrics registry and
+// tracer: kind (metricFaultRankFailure, metricFaultRankEvicted) counted
+// whole and per rank, and an instant span naming the rank and reason, so
+// detection events appear alongside the run's other observability output.
+func observeFault(reg *obs.Registry, tracer *obs.Tracer, kind string, rank int, reason string) {
+	if reg != nil {
+		reg.Counter(kind).Inc()
+		reg.Counter(fmt.Sprintf("%s.rank%d", kind, rank)).Inc()
+	}
+	if trk := tracer.Track(rank, 2, fmt.Sprintf("rank %d", rank), "fault"); trk != nil {
+		trk.Instant(obs.CatFault, strings.TrimPrefix(kind, "fault."), obs.AInt("rank", rank), obs.A("reason", reason))
 	}
 }

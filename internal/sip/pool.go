@@ -89,11 +89,12 @@ type PoolConfig struct {
 	Tracer *obs.Tracer
 }
 
-// ErrJobCanceled is returned by RunJob (wrapped) when the job's
-// Config.Cancel channel fired: the master abandoned the remaining
-// work, fast-forwarded the program through its normal shutdown, and
-// released every pool resource the job held.  Partial results are
-// discarded.
+// ErrJobCanceled is returned (wrapped) by a run whose Config.Cancel or
+// Config.Stop channel gave it up before any failure did: the master
+// abandoned the remaining work, the program fast-forwarded through its
+// normal shutdown, and every pool resource the job held was released.
+// Partial results are discarded.  A run a failure gave up returns that
+// failure instead, through the same shutdown.
 var ErrJobCanceled = errors.New("sip: job canceled")
 
 // NewPool builds the world, starts the shared I/O servers and the
@@ -107,15 +108,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		cfg.Output = os.Stdout
 	}
 	ranks := newRanks(cfg.Workers, cfg.Servers, cfg.Spares)
-	p := &Pool{
-		cfg:     cfg,
-		world:   mpi.NewWorld(ranks.Size()),
-		nextJob: 1,
-		ranks:   ranks,
-	}
-	if len(ranks.spares) > 0 {
-		p.world.SetLatent(ranks.spares...)
-	}
 	base, err := newRuntime(nil, Config{
 		Workers:    cfg.Workers,
 		Servers:    cfg.Servers,
@@ -125,11 +117,14 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		Output:     cfg.Output,
 		Tracer:     cfg.Tracer,
 		Metrics:    cfg.Metrics,
-	}, p.world, placement{ranks: ranks})
+	}, nil, placement{ranks: ranks})
 	if err != nil {
 		return nil, err
 	}
-	p.base = base
+	p := &Pool{cfg: cfg, world: base.world, base: base, nextJob: 1, ranks: ranks}
+	if len(ranks.spares) > 0 {
+		p.world.SetLatent(ranks.spares...)
+	}
 	p.bg.Add(2)
 	go func() {
 		defer p.bg.Done()

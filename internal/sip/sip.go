@@ -25,6 +25,7 @@
 package sip
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -225,10 +226,12 @@ type Config struct {
 	// RecvTimeout-long receives in silence the waiting rank rules on it
 	// (runtime.await, docs/FAULTS.md): a run that can survive losing the
 	// silent peer evicts it, any other fails the world naming it instead of
-	// hanging.  A pool job, a tenant of a world it does not own, never has one
-	// set.  0 (the default) never times out, right for in-process runs where
-	// no rank can silently vanish; a set value must exceed the longest
-	// legitimate quiet stretch (e.g. a server flushing a large cache to disk).
+	// hanging.  That verdict is the only failure that fails the world; every
+	// other one winds the job down as Cancel does.  A pool job never has one
+	// set, so it never reaches a verdict.  0 (the default) never times out,
+	// right for in-process runs where no rank can silently vanish; a set
+	// value must exceed the longest legitimate quiet stretch (e.g. a server
+	// flushing a large cache to disk).
 	RecvTimeout time.Duration
 	// Recover decides what a diagnosed rank death does, and nothing else:
 	// off (the default) it fails the whole run fast; on, a dead worker is
@@ -275,7 +278,10 @@ type Config struct {
 	// run's tag window, block namespaces, and server-side state exactly
 	// as on completion.  The run then reports ErrJobCanceled; any partial
 	// results are discarded.  This is the mechanism behind `sial serve`
-	// job deadlines and POST /jobs/{id}/cancel.
+	// job deadlines and POST /jobs/{id}/cancel, and the path every failure
+	// but a silence verdict (RecvTimeout) takes too: a worker's error, or
+	// the master's own, gives the job up the same way, and the run reports
+	// that error.
 	Cancel <-chan struct{}
 	// CkptInterval enables automatic consistent job snapshots
 	// (snapshot.go): the master captures a restartable checkpoint at
@@ -423,11 +429,6 @@ type runtime struct {
 	job     int
 	tagBase int
 
-	// pooled marks a run that is a tenant of a shared pool world (job > 0)
-	// rather than the owner of its own: it neither sets the world up
-	// (newRuntime) nor brings it down (failRun).
-	pooled bool
-
 	gate ChunkGate // nil = unconstrained guided self-scheduling
 
 	scratch    string
@@ -467,10 +468,11 @@ func (rt *runtime) abortError(who string) error {
 
 // newRuntime is the one bootstrap behind Run, RunRank, NewPool and
 // Pool.RunJob: it fills and validates the config, resolves the layout
-// (a pool's shared-server runtime has no program of its own), settles
-// the scratch directory, and — for the run that owns the world, job 0 —
-// marks the evictable ranks and installs the message observer.  A nil
-// world means a fresh in-process one sized for the placement's ranks.
+// (a pool's shared-server runtime has no program of its own) and settles
+// the scratch directory.  A nil world means a fresh in-process one sized
+// for the placement's ranks, which takes this runtime's policy
+// (setPolicy): Run's and NewPool's.  A world handed in keeps the policy
+// its creator set.
 func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placement) (*runtime, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -482,7 +484,6 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 		ranks:   at.ranks,
 		job:     at.job,
 		tagBase: at.job * jobTagStride,
-		pooled:  at.job != 0,
 		gate:    at.gate,
 		scratch: cfg.ScratchDir,
 		tracer:  cfg.Tracer,
@@ -511,16 +512,23 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 	}
 	if rt.world == nil {
 		rt.world = mpi.NewWorld(rt.ranks.Size())
-	}
-	if !rt.pooled {
-		if cfg.Recover {
-			rt.world.SetRecover(rt.ranks.critical(cfg.Replicas)...)
-		}
-		if cfg.Metrics != nil {
-			rt.world.SetObserver(newMPIStats(cfg.Metrics, rt.world.Size()))
-		}
+		rt.setPolicy()
 	}
 	return rt, nil
+}
+
+// setPolicy sets the policy of a world before any rank communicates: the
+// ranks a recovering run may evict, and the observer counting every
+// message.  It is set by the code that creates the world (newRuntime, for
+// Run and NewPool) or is handed it (RunRank); a pool job runs under its
+// pool's.
+func (rt *runtime) setPolicy() {
+	if rt.cfg.Recover {
+		rt.world.SetRecover(rt.ranks.critical(rt.cfg.Replicas)...)
+	}
+	if rt.cfg.Metrics != nil {
+		rt.world.SetObserver(newMPIStats(rt.cfg.Metrics, rt.world.Size()))
+	}
 }
 
 // close releases what newRuntime acquired.
@@ -540,7 +548,10 @@ func (rt *runtime) close() {
 // of evicted ranks are not failures of the run (the world deliberately
 // completed degraded without them, and the eviction is already part of
 // the master's diagnosis); the secondary "aborted after peer failure"
-// errors an abort fans out to bystanders are only the fallback.
+// errors an abort fans out to bystanders are only the fallback.  Every
+// entry point then reports a degraded or failed run the same way: the
+// evictions and the world's failure are counted and traced, and a master
+// that saw the world fail writes a flight record.
 func (rt *runtime) launch(hosted []int) (*Result, error) {
 	started := time.Now()
 	var m *master
@@ -581,31 +592,40 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 	}
 	wg.Wait()
 
-	var aborted error
-	judge := func(rank int, err error) error {
+	var err, aborted error
+	judge := func(rank int, e error) {
 		switch {
-		case err == nil, rt.world.IsEvicted(rank):
-		case errors.Is(err, mpi.ErrAborted):
+		case err != nil, e == nil, rt.world.IsEvicted(rank):
+		case errors.Is(e, mpi.ErrAborted):
 			if aborted == nil {
-				aborted = err
+				aborted = e
 			}
 		default:
-			return err
+			err = e
 		}
-		return nil
 	}
 	for i, rank := range hosted {
-		if err := judge(rank, errs[i]); err != nil {
-			return nil, err
-		}
+		judge(rank, errs[i])
 	}
 	// The master is judged last: its error is at best a relay of a
 	// worker's or server's own.
-	if err := judge(0, masterErr); err != nil {
-		return nil, err
+	judge(0, masterErr)
+	if m == nil {
+		// The master counts evictions as it folds them into its ledger; a
+		// process hosting none counts them here, so every process's
+		// metrics show the degraded membership.
+		for rank, reason := range rt.world.Evicted() {
+			observeFault(rt.metrics, rt.tracer, metricFaultRankEvicted, rank, reason)
+		}
 	}
-	if aborted != nil {
-		return nil, aborted
+	if err = cmp.Or(err, aborted); err != nil {
+		if f := rt.world.Failure(); f != nil {
+			observeFault(rt.metrics, rt.tracer, metricFaultRankFailure, f.Rank, f.Reason)
+			if m != nil {
+				rt.flightRecord("failed", f.Rank, f.Reason)
+			}
+		}
+		return nil, err
 	}
 
 	if m == nil && len(workers) > 0 {

@@ -645,7 +645,7 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 		m.snap.startupDone = true
 		return nil
 	}
-	if m.cancelled || s.kind == syncCkpt || s.kind == syncSave || s.kind == syncLoad {
+	if m.abandoned || s.kind == syncCkpt || s.kind == syncSave || s.kind == syncLoad {
 		m.snap.baseValid = false
 		return nil
 	}
@@ -738,7 +738,7 @@ func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
 // exactly the overlay iterations and replays the rest without external
 // effects.
 func (m *master) maybeChunkSnapshot(trk *obs.Track) {
-	if !m.snap.baseValid || m.cancelled {
+	if !m.snap.baseValid || m.abandoned {
 		return
 	}
 	for key := range m.runs {
@@ -784,7 +784,7 @@ func (m *master) noteStop(trk *obs.Track) {
 	}
 	m.stopNoted = true
 	if m.rt.cfg.CkptInterval <= 0 {
-		m.abandon(trk, "job_stopped")
+		m.abandon(trk, "job_stopped", true)
 		return
 	}
 	m.snap.stopPending = true
@@ -795,16 +795,16 @@ func (m *master) noteStop(trk *obs.Track) {
 // run is abandoned exactly as a fired Config.Cancel would abandon it.
 func (m *master) finishStop(trk *obs.Track) {
 	if m.snap.stopPending {
-		m.abandon(trk, "job_stopped")
+		m.abandon(trk, "job_stopped", true)
 	}
 }
 
 // cleanupSnapshots removes the checkpoint directory after a clean,
 // un-stopped completion: the job's result is final, so its snapshots
-// are dead weight.  Stopped (drain-requeued) and failed runs keep
-// theirs for the restart.
-func (m *master) cleanupSnapshots(workerErr error) {
-	if m.rt.cfg.CkptInterval > 0 && workerErr == nil && !m.cancelled && !m.stopNoted {
+// are dead weight.  Stopped (drain-requeued), canceled and failed runs
+// keep theirs for the restart.
+func (m *master) cleanupSnapshots(err error) {
+	if m.rt.cfg.CkptInterval > 0 && err == nil && !m.stopNoted {
 		os.RemoveAll(m.snap.dir)
 	}
 }

@@ -59,9 +59,8 @@ func newWorker(rt *runtime, rank int) *worker {
 }
 
 // run executes the program to completion.  On any failure it still
-// reports done to the master — which keeps the shutdown protocol
-// deadlock-free — and then lets failRun decide how the rest of the run
-// unwinds.
+// reports done to the master, carrying the error: the master gives the
+// job up, and the live workers fast-forward through the normal shutdown.
 func (w *worker) run() (err error) {
 	defer operandPool.Put(w.ops)
 	defer func() {
@@ -82,17 +81,14 @@ func (w *worker) run() (err error) {
 		}
 		// The done report carries a diagnosed rank failure structurally
 		// (failRank) so the master can rebuild the RankFailure even when
-		// the relay wins the race against its own detection.  It is sent
-		// before failRun aborts anything: on every connection the report
-		// then travels ahead of the poison frame, so the master learns
-		// *this* error rather than a bare abort.
+		// the relay wins the race against its own detection.
 		d := doneMsg{origin: w.rank, err: err.Error(), failRank: -1}
 		var rf *mpi.RankFailure
 		if errors.As(err, &rf) {
 			d.failRank, d.failReason = rf.Rank, rf.Reason
 		}
 		w.comm.Send(0, w.rt.tag(tagDone), d)
-		w.rt.failRun(err)
+		w.rt.rule(err) // after the report, so the master learns this error first
 	}()
 	homed := func(k blockKey) bool { return w.rt.ranks.home(k.arr, k.ord) == w.rank }
 	put := func(k blockKey, b *block.Block) error { w.dist.put(k, b, false); return nil }
@@ -109,28 +105,6 @@ func (w *worker) run() (err error) {
 		return err
 	}
 	return w.shutdown()
-}
-
-// failRun is the one place a worker's failure decides how the run
-// unwinds.  Peers may be parked in a sync round this worker will never
-// reach.  A pool job leaves them to the done report: the master writes
-// the failed worker off, the survivors drain the program, and the world
-// every tenant shares stays up — a blamed rank (typically one already
-// evicted by Pool.Kill, whose distributed blocks died with it) is the
-// pool's business, not this job's.  A batch run owns its world and
-// aborts it, so every rank unwinds now: with the diagnosis when the
-// failure names a silent peer (a receive deadline), without one when
-// the worker failed for a reason of its own.
-func (rt *runtime) failRun(err error) {
-	if rt.pooled || errors.Is(err, mpi.ErrAborted) {
-		return // the pool drains the job; an aborted world needs no second abort
-	}
-	var rf *mpi.RankFailure
-	if errors.As(err, &rf) {
-		rt.world.Fail(rf.Rank, rf.Reason)
-	} else {
-		rt.world.Poison()
-	}
 }
 
 // shutdown runs the end-of-program protocol.  Service loops stay alive

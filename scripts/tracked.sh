@@ -8,7 +8,11 @@
 # (the core knows no messages: 0 is the aim); the number of lines in non-test
 # internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
 # special case, a Replicas fork — the last two over lines that are not
-# comment-only) or read rt.cfg.RecvTimeout; the lines that name a
+# comment-only) or read rt.cfg.RecvTimeout; the world-abort sites of
+# non-test internal/sip, its world.Fail and world.Poison calls (two is the
+# aim: await's verdict on a silent rank, ruled in runtime.rule, and an I/O
+# server's own death — every other failure is reported to the job's
+# master and winds the job down); the lines that name a
 # collection protocol beside the sync round (tagCkpt, ckptMsg) and the
 # os.Rename sites anywhere in internal/ (one atomic write is the aim:
 # internal/atomicfile); the fields of sip.Config
@@ -45,6 +49,7 @@ code() { nontest "$1" | grep -v '^\s*//'; }
 echo "job-0 special-case sites:     $(code internal/sip | grep -cE 'job != 0|job == 0|job > 0' || true)"
 echo "Replicas fork sites:          $(code internal/sip | grep -cE 'Replicas > 1|Replicas <= 1' || true)"
 echo "cfg.RecvTimeout read sites:   $(code internal/sip | grep -c 'rt\.cfg\.RecvTimeout' || true)"
+echo "world-abort sites:            $(code internal/sip | grep -cE 'world\.(Fail|Poison)\(' || true)"
 echo "collectives outside sync:     $(nontest internal/sip | grep -c 'tagCkpt\|ckptMsg' || true)"
 echo "atomic-write sites:           $(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -c 'os\.Rename(' || true)"
 fields() { sed -n "/^type $1 struct {/,/^}/p" "$2" | grep -cE '^\s+[A-Z][A-Za-z]*\s+\S' || true; }
