@@ -282,3 +282,20 @@ func TestServeFailedJobStopsEarly(t *testing.T) {
 		t.Errorf("job after the failed one: e = %v, want %v", e, serialE(t, 4))
 	}
 }
+
+// TestServeUnknownPresetRejected: a pack whose environment presets an
+// array its program lacks is refused at submission, naming the array, as
+// a run of it would refuse it at start-up; no job is queued.
+func TestServeUnknownPresetRejected(t *testing.T) {
+	s := newTestService(t, Config{})
+	s.RegisterPack("typo", Pack{Source: drill, Env: func(map[string]int) Env {
+		return Env{Preset: map[string]sip.PresetFunc{"Q": nil}}
+	}})
+	st, err := s.Submit(SubmitRequest{Pack: "typo"})
+	if err == nil || !strings.Contains(err.Error(), `unknown array "Q"`) {
+		t.Fatalf("Submit = job %d (%s), %v; want a rejection naming array \"Q\"", st.ID, st.State, err)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d job(s) listed after the rejection, want none", len(jobs))
+	}
+}

@@ -124,8 +124,8 @@ func (rt *runtime) rule(err error) error {
 // on this job's tag until debts, the replies still owed by rank, is
 // empty, and hands each counted reply to got (nil: nothing to fold).  Its
 // callers are a worker's put and prepare acks before a sync report, the
-// master's server flush, shutdown gather and resume rehydration, and a
-// pool job's registration with the shared servers.
+// master's server flush, resume rehydration and the shutdown answer of
+// every live home, and a pool job's registration with the shared servers.
 //
 // A debtor evicted before paying is written off: a dead home's blocks
 // died with it, a dead server's live on its replicas, and an evicted

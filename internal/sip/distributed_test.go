@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
@@ -174,6 +175,80 @@ func TestRunRankMatchesRun(t *testing.T) {
 				t.Errorf("worker 1 output %q lacks print", outs[1].String())
 			}
 		})
+	}
+}
+
+// TestRunRankLateServerShutsDown: an idle I/O server whose transport
+// comes up a second after the master and the worker started still gets
+// its shutdown.  The master returns only once every home has answered, so
+// its world never closes over a shutdown still waiting to be dialled.
+func TestRunRankLateServerShutsDown(t *testing.T) {
+	prog, err := compiler.CompileSource(`
+sial idle_server
+param n = 4
+aoindex I = 1, n
+scalar e
+pardo I
+  e += 1.0
+endpardo
+collective e
+endsial
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3 // 1 master + 1 worker + 1 server
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	lns[2].Close() // the server listens only once it starts
+	lns[2] = nil
+	type result struct {
+		rank int
+		res  *Result
+		err  error
+	}
+	done := make(chan result, n)
+	start := func(rank int) {
+		go func() {
+			tr, err := transport.NewTCP(transport.TCPConfig{Rank: rank, Addrs: addrs, Listener: lns[rank]})
+			if err != nil {
+				done <- result{rank, nil, err}
+				return
+			}
+			world, err := mpi.NewDistributedWorld(n, []int{rank}, tr)
+			if err != nil {
+				done <- result{rank, nil, err}
+				return
+			}
+			defer world.Close()
+			cfg := Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(2), Output: &bytes.Buffer{}}
+			res, err := RunRank(prog, cfg, world, rank)
+			done <- result{rank, res, err}
+		}()
+	}
+	start(0)
+	start(1)
+	time.Sleep(time.Second)
+	start(2)
+	timeout := time.After(20 * time.Second)
+	for pending := n; pending > 0; pending-- {
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Errorf("rank %d: %v", r.rank, r.err)
+			} else if r.rank == 0 && r.res.Scalars["e"] != 2 {
+				t.Errorf("master e = %v, want 2 (one per segment of I)", r.res.Scalars["e"])
+			}
+		case <-timeout:
+			t.Fatalf("%d rank(s) still running 20 s after the master started", pending)
+		}
 	}
 }
 

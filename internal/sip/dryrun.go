@@ -44,12 +44,13 @@ type DryRunReport struct {
 
 // DryRun inspects a program "in dry-run mode": it sizes every array from
 // the resolved layout and data distribution without executing anything.
+// It refuses what a run refuses at start-up (newRuntime, resolve).
 // memoryBudget is the per-worker memory in bytes; 0 means unlimited.
 func DryRun(prog *bytecode.Program, cfg Config, memoryBudget int64) (*DryRunReport, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+	layout, err := resolve(prog, &cfg)
 	if err != nil {
 		return nil, err
 	}

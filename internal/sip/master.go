@@ -25,7 +25,8 @@ type master struct {
 
 	syncs     map[int]*syncState // sync round -> progress
 	evictSeen map[int]bool       // evictions already folded into the ledger
-	doneRanks map[int]bool       // workers that reported done
+	doneRanks map[int]bool       // workers past the end round, ranks that reported a failure
+	scalars   []float64          // the end round's scalars, from its lowest-ranked report
 	// evictStamp is the world's EvictStamp as of the last noteEvictions
 	// scan (0, a world that never changed membership, needs none).
 	evictStamp uint64
@@ -298,9 +299,6 @@ func relayWeight(err error) int {
 // bystander's generic "aborted after peer failure" can reach the master
 // before the failed rank's own report.
 func (m *master) recordRelay(trk *obs.Track, done doneMsg) {
-	if done.err == "" {
-		return
-	}
 	if relay := m.relayErr(done); m.workerErr == nil || relayWeight(relay) > relayWeight(m.workerErr) {
 		m.workerErr = relay
 	}
@@ -351,8 +349,9 @@ func (m *master) outcome() error {
 	return cmp.Or(m.ownErr, m.workerErr)
 }
 
-// run services messages until every worker reports done, then shuts down
-// service loops and I/O servers and returns the gathered result.
+// run services messages until every worker has passed the end round or
+// failed, then shuts down every home — each worker's service loop and each
+// I/O server — and returns once every live home has answered.
 func (m *master) run() (res *Result, err error) {
 	rt := m.rt
 	defer func() {
@@ -383,8 +382,6 @@ func (m *master) run() (res *Result, err error) {
 		m.ownErr = err
 		m.abandon(trk, "job_failed", false)
 	}
-	var scalarVals []float64
-	scalarOrigin := -1
 	for m.pendingWorkers() > 0 {
 		m.noteEvictions(trk)
 		m.noteCancel(trk)
@@ -467,65 +464,45 @@ func (m *master) run() (res *Result, err error) {
 			m.handleObsReport(msg.Data.(obsReportMsg))
 		case tagSync:
 			m.handleSync(msg.Data.(syncMsg))
-		case tagGather:
-			g := msg.Data.(gatherMsg)
-			m.recordGather(res.Arrays, g)
 		case tagDone:
+			// A failure report.  A server whose blocks live on elsewhere is
+			// evicted, and the run goes on degraded.  A report racing its
+			// rank's eviction is dropped: marking a zombie worker done would
+			// cancel the re-queue of its in-flight iterations.
 			done := msg.Data.(doneMsg)
-			if rt.ranks.isServer(done.origin) {
-				if trk != nil {
-					trk.Instant(obs.CatChunk, "server_failed", obs.AInt("rank", done.origin))
-				}
-				// A server reporting failure over the done path.  When its
-				// blocks are replicated elsewhere the master evicts it and
-				// the run continues degraded; otherwise record the fatal
-				// diagnosis (the world abort the server triggers unblocks
-				// the loop if workers can no longer finish).
-				if rt.world.Evictable(done.origin) {
-					rt.world.Evict(done.origin, done.err)
-					break
-				}
-				m.recordRelay(trk, done)
-				break
-			}
-			if rt.world.IsEvicted(done.origin) {
-				// A zombie's teardown racing its own eviction: marking it
-				// done would cancel the re-queue of its in-flight
-				// iterations.
-				break
-			}
-			m.doneRanks[done.origin] = true
-			if done.scalars != nil && (scalarOrigin < 0 || done.origin < scalarOrigin) {
-				scalarVals = done.scalars
-				scalarOrigin = done.origin
-			}
-			m.recordRelay(trk, done)
 			if trk != nil {
-				trk.Instant(obs.CatChunk, "worker_done", obs.AInt("rank", msg.Source))
+				trk.Instant(obs.CatChunk, "rank_failed", obs.AInt("rank", done.origin))
+			}
+			switch {
+			case rt.ranks.isServer(done.origin) && rt.world.Evictable(done.origin):
+				rt.world.Evict(done.origin, done.err)
+			case !rt.world.IsEvicted(done.origin):
+				m.doneRanks[done.origin] = true
+				m.recordRelay(trk, done)
 			}
 		}
 	}
-	// All workers finished: stop service loops, then servers.  Servers
-	// this run brought stop for good; a pool's shared servers retire the
-	// job's blocks and keep running for the other tenants.  A send to an
-	// evicted rank is dropped.
+	// Shut every home down and collect one answer from each live one, with
+	// its blocks when gathering, so no shutdown is still queued when the
+	// world closes.  A pool's shared servers retire the job and keep serving
+	// other tenants.  A send to an evicted rank is dropped, its answer
+	// written off.
+	shut, homes := shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job}, oneEach(rt.ranks.workers)
 	for _, wr := range rt.ranks.workers {
-		m.comm.Send(wr, rt.tag(tagService), shutdownMsg{job: rt.job})
+		m.comm.Send(wr, rt.tag(tagService), shut)
 	}
 	for _, sr := range rt.ranks.servers {
-		m.comm.Send(sr, tagServer, shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job})
+		m.comm.Send(sr, tagServer, shut)
+		homes[sr] = 1
 	}
-	if rt.cfg.GatherArrays {
-		err := m.collect(tagGather, "server gather", oneEach(rt.ranks.servers),
-			func(msg mpi.Message) { m.recordServedGather(res.Served, msg.Data.(gatherMsg)) })
-		if err != nil {
-			return res, err
-		}
+	answer := func(msg mpi.Message) { m.recordGather(res, msg.Data.(gatherMsg)) }
+	if err := m.collect(tagGather, "shutdown answer", homes, answer); err != nil {
+		return res, err
 	}
 	res.Scalars = map[string]float64{}
 	for i, s := range rt.prog.Scalars {
-		if i < len(scalarVals) {
-			res.Scalars[s.Name] = scalarVals[i]
+		if i < len(m.scalars) {
+			res.Scalars[s.Name] = m.scalars[i]
 		}
 	}
 	// Drain the final telemetry reports each live rank ships after its
@@ -537,25 +514,22 @@ func (m *master) run() (res *Result, err error) {
 	return res, err
 }
 
-func (m *master) recordGather(dst map[string][]ArrayBlock, g gatherMsg) {
-	for arr, blocks := range g.arrays {
-		name := m.rt.prog.Arrays[arr].Name
-		dst[name] = append(dst[name], blocks...)
-	}
-}
-
-// recordServedGather folds one I/O server's shutdown gather.  Every
-// live replica reports a copy of each block, so only the current
-// primary's copy is kept: after an eviction the promoted backups may not
-// have been healed yet, but the primary is always a prior holder with the
-// authoritative copy.
-func (m *master) recordServedGather(dst map[string][]ArrayBlock, g gatherMsg) {
+// recordGather folds one home's answer to shutdown into res.  Every live
+// replica of a served block reports a copy, so only the current primary's
+// is kept: after an eviction the promoted backups may not have been healed
+// yet, but the primary is always a prior holder with the authoritative
+// copy.
+func (m *master) recordGather(res *Result, g gatherMsg) {
 	var reps []int
 	for arr, blocks := range g.arrays {
 		name := m.rt.prog.Arrays[arr].Name
+		if !m.rt.ranks.isServer(g.origin) {
+			res.Arrays[name] = append(res.Arrays[name], blocks...)
+			continue
+		}
 		for _, ab := range blocks {
 			if reps = m.rt.replicaServers(reps, arr, ab.Ord); len(reps) > 0 && reps[0] == g.origin {
-				dst[name] = append(dst[name], ab)
+				res.Served[name] = append(res.Served[name], ab)
 			}
 		}
 	}
@@ -657,8 +631,9 @@ func (m *master) handleSync(req syncMsg) {
 // survivors are first ordered to replay them (and re-report); once the
 // queues are dry the master performs the round's coordination — server
 // flush for server_barrier, element-wise sum for collectives, the file
-// written for blocks_to_list or read for list_to_blocks — releases
-// everyone, and seals the phase's pardo runs.
+// written for blocks_to_list or read for list_to_blocks, the scalars kept
+// and every reporter marked done at the end round — releases everyone,
+// and seals the phase's pardo runs.
 func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) error {
 	rt := m.rt
 	for round, s := range m.syncs {
@@ -675,6 +650,16 @@ func (m *master) completeSyncRounds(redispCtr *obs.Counter, trk *obs.Track) erro
 		}
 		if m.resumeRequeued(round, s, parked, redispCtr) {
 			continue // survivors are replaying; they will re-report
+		}
+		if s.kind == syncEnd {
+			// Every reporter is done; collectives made their scalars
+			// identical, and the lowest-ranked reporter's are the run's.
+			lowest := -1
+			for wr, r := range s.reports {
+				if m.doneRanks[wr] = true; lowest < 0 || wr < lowest {
+					m.scalars, lowest = r.vals, wr
+				}
+			}
 		}
 		var vals []float64
 		if s.kind == syncCollective {

@@ -39,11 +39,12 @@ type flushMsg struct {
 	job int
 }
 
-// shutdownMsg terminates a service loop or I/O server.  gather asks the
-// recipient to send its array contents to the master first.  job names
-// the job that is ending: a server stops for good when that is the run
-// it belongs to; a pool's shared server flushes (and optionally gathers)
-// the tenant's blocks, drops its registration, and keeps serving.
+// shutdownMsg ends one job on a home, a rank that holds the job's blocks:
+// a worker's service loop, or an I/O server.  The home answers the master
+// with one gatherMsg, carrying its blocks of the job when gather is set.
+// job names the job that is ending: a server stops for good when that is
+// the run it belongs to; a pool's shared server drops the tenant's blocks
+// and registration, and keeps serving.
 type shutdownMsg struct {
 	gather bool
 	job    int
@@ -68,19 +69,15 @@ type chunkReply struct {
 	span
 }
 
-// doneMsg tells the master a worker reached halt (or failed, when err
-// is non-empty).  Every worker attaches its final scalar values, which
-// collectives make identical across workers, and the master keeps the
-// lowest-ranked survivor's, so it can report them without sharing memory
-// with any worker.  When the failure was
+// doneMsg reports a worker's or I/O server's failure to the master (a
+// worker's completion is its end-round report).  When the failure was
 // attributed to a specific rank (liveness timeout, receive deadline),
-// failRank/failReason carry the diagnosis structurally so the master
-// can rebuild the RankFailure; failRank is -1 otherwise (0 is a valid
-// failed rank — the master itself).
+// failRank/failReason carry the diagnosis structurally so the master can
+// rebuild the RankFailure; failRank is -1 otherwise (0 is a valid failed
+// rank — the master itself).
 type doneMsg struct {
 	origin     int
 	err        string
-	scalars    []float64
 	failRank   int
 	failReason string
 }
@@ -97,7 +94,8 @@ type ckptData struct {
 	blocks []ArrayBlock
 }
 
-// gatherMsg carries a rank's array contents to the master at shutdown.
+// gatherMsg is a home's answer to its shutdownMsg: the home's blocks of
+// the job by array, when the master asked for them, else none.
 type gatherMsg struct {
 	origin int
 	arrays map[int][]ArrayBlock // array id -> blocks
@@ -113,6 +111,7 @@ const (
 	syncCkpt // the plain round before a save and after a load: no unsynchronised put or get races either
 	syncSave // blocks_to_list: blocks is the reporter's partition of arr, the master writes the file
 	syncLoad // list_to_blocks: the master reads arr's file and releases each worker with the blocks it homes
+	syncEnd  // the program's end: vals is the reporter's scalars, the master marks every reporter done
 )
 
 // syncMsg reports that a worker reached sync point round (a worker's
@@ -130,7 +129,7 @@ type syncMsg struct {
 	// exactly once per scalar), or the array a syncSave round saves and a
 	// syncLoad round loads; -1 otherwise.
 	id   int
-	vals []float64 // collective contributions (nil otherwise)
+	vals []float64 // collective contributions, the end round's scalars (nil otherwise)
 	// state is the worker's interpreter state at the sync point, attached
 	// when checkpointing is on and no pardo frame is active: sync points
 	// are the snapshot consistency points (snapshot.go).

@@ -165,7 +165,7 @@ func msgBytes(data any) int64 {
 		}
 		return n
 	case doneMsg:
-		return envelope + 16 + 8*int64(len(v.scalars)) + int64(len(v.err))
+		return envelope + 16 + int64(len(v.err))
 	case syncMsg:
 		return envelope + 32 + 8*int64(len(v.vals)) + workerStateBytes(v.state) + arrayBlocksBytes(v.blocks) // origin, round, kind, id
 	case replPutMsg:

@@ -135,9 +135,10 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 }
 
 // supervise owns rank 0's job-0 tag window for the pool's lifetime: the
-// un-strided tags no tenant master listens on.  Today that is tagDone
-// error reports from dying shared servers (and any stray job-0
-// telemetry); each is logged so a degraded pool is visible.
+// un-strided tags no tenant master listens on.  It logs the failure
+// reports of dying shared servers, so a degraded pool is visible, and
+// ignores the rest: stray job-0 telemetry, and the servers' answers to
+// Close's shutdowns (Close waits for the server goroutines instead).
 func (p *Pool) supervise() {
 	defer p.bg.Done()
 	defer func() {
@@ -150,9 +151,7 @@ func (p *Pool) supervise() {
 		m := comm.RecvRange(mpi.AnySource, 0, jobTagStride-1)
 		switch msg := m.Data.(type) {
 		case doneMsg:
-			if msg.err != "" {
-				fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
-			}
+			fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
 		case obsReportMsg:
 			// In-process pools share registries; stray reports are folded
 			// nowhere but must not clog the window.
@@ -334,10 +333,10 @@ func (p *Pool) registerJob(rt *runtime) error {
 	return rt.collect(comm, tagAck, "registration ack", oneEach(rt.ranks.servers), nil)
 }
 
-// Close shuts the shared servers down, stops the supervisor, and
-// releases the scratch directory if the pool owns it.  Jobs must have
-// completed (each retired its blocks from the servers as it ended);
-// Close does not wait for them.
+// Close shuts the shared servers down, waits for them and the supervisor
+// to stop, and releases the scratch directory if the pool owns it.  Jobs
+// must have completed (each had the servers retire its blocks, and heard
+// them answer, as it ended); Close does not wait for them.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {

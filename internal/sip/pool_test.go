@@ -388,3 +388,55 @@ func closeE(got, want float64) bool {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
+
+// retireDirty leaves every block of its served array dirty on the shared
+// server when it ends: the prepares after its server_barrier are flushed
+// by nothing but a retirement.
+const retireDirty = `
+sial retire_dirty
+param n = 6
+aoindex I = 1, n
+aoindex J = 1, n
+served S(I,J)
+temp v(I,J)
+pardo I, J
+  compute_integrals v(I,J)
+  prepare S(I,J) = v(I,J)
+endpardo
+server_barrier
+pardo I, J
+  compute_integrals v(I,J)
+  prepare S(I,J) += v(I,J)
+endpardo
+endsial
+`
+
+// TestPoolRetiredTenantWritesNothing: a tenant's retirement drops its
+// dirty served blocks unwritten (the files would be deleted with it), so
+// the shared server writes only what the job's server_barrier flushed.
+func TestPoolRetiredTenantWritesNothing(t *testing.T) {
+	prog, err := compiler.CompileSource(retireDirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Params: map[string]int{"n": 6}, Seg: bytecode.DefaultSegConfig(3), Output: &bytes.Buffer{}}
+	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := int64(layout.Shapes[prog.ArrayID("S")].NumBlocks()) // by the barrier
+	reg := obs.NewRegistry()
+	p, err := NewPool(PoolConfig{Workers: 2, Servers: 1, Metrics: reg, Output: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunJob(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters[metricServerDiskWrites]; got != flushed {
+		t.Errorf("shared server wrote %d blocks, want the %d its barrier flushed (the retirement writes none)", got, flushed)
+	}
+}

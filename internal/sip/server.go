@@ -21,7 +21,7 @@ import (
 // Blocks arriving from prepare are cached and lazily written to disk;
 // requested blocks are answered from the cache when possible.
 // Replacement is LRU; dirty blocks are written out on eviction, at
-// server barriers, and at shutdown.
+// server barriers, and when the server's own run shuts down.
 type ioServer struct {
 	rt   *runtime
 	comm *mpi.Comm
@@ -258,30 +258,29 @@ func (s *ioServer) run() (err error) {
 			}
 			s.comm.Send(0, jobTag(msg.key.job, tagRepl), replAckMsg{origin: s.rank, round: msg.round})
 		case shutdownMsg:
-			start := s.trk.Start()
-			// A job is over: make its blocks durable, report them if asked.
-			if err := s.flush(msg.job); err != nil {
+			// A job is over.  The server's own run keeps its blocks on disk
+			// for a restarted run to adopt; a pool tenant's are dropped
+			// unwritten.  Either way the master gets one answer.
+			start, own, g := s.trk.Start(), msg.job == s.rt.job, gatherMsg{origin: s.rank}
+			var err error
+			if msg.gather {
+				g.arrays, err = s.gatherJob(msg.job)
+			}
+			if err == nil && own {
+				err = s.flush(msg.job)
+			}
+			if err != nil {
 				return err
 			}
-			if msg.gather {
-				arrays, err := s.gatherJob(msg.job)
-				if err != nil {
-					return err
-				}
-				s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
+			if !own {
+				s.dropJob(msg.job)
 			}
-			if msg.job == s.rt.job {
-				// The run this server belongs to: stop, leaving the block
-				// files for a restarted run to adopt.
-				if s.trk != nil {
-					s.trk.End(start, obs.CatServerCache, "shutdown")
-				}
-				return nil
-			}
-			// A pool tenant left; keep serving the others.
-			s.dropJob(msg.job)
+			s.comm.Send(0, jobTag(msg.job, tagGather), g)
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "job_retired", obs.AInt("job", msg.job))
+			}
+			if own {
+				return nil
 			}
 		case srvRegMsg:
 			// A pool tenant registering (Pool.registerJob).  Presets
@@ -299,8 +298,9 @@ func (s *ioServer) run() (err error) {
 
 // dropJob forgets a retired tenant — cache entries, disk blocks, dedup
 // ledger, registration — so the pool's footprint tracks its live
-// tenants.  The cached blocks go back to the allocator: as in apply, no
-// reply or re-replication push holds one past its send.
+// tenants.  The cached blocks go back to the allocator, dirty or not, and
+// none is written: as in apply, no reply or re-replication push holds one
+// past its send.
 func (s *ioServer) dropJob(job int) {
 	for k, e := range s.entries {
 		if k.job == job {
@@ -472,8 +472,8 @@ func (s *ioServer) rereplicate(round, job int) (int, error) {
 	return pushed, nil
 }
 
-// flush writes one job's dirty cached blocks to disk (server_barrier
-// and the job's shutdown).  It keeps flushing past individual failures
+// flush writes one job's dirty cached blocks to disk (server_barrier, the
+// server's own run's shutdown).  It keeps flushing past single failures
 // and returns the joined errors, each attributed to its block key, so
 // one bad block does not hide the fate of the rest.
 func (s *ioServer) flush(job int) error {

@@ -49,8 +49,8 @@ const (
 	tagService   = 3  // worker -> worker service loop: get/put/shutdown
 	tagAck       = 4  // home/server -> origin: put, prepare, flush or registration applied
 	tagServer    = 5  // worker -> server: request/prepare/flush/shutdown
-	tagDone      = 8  // worker -> master: reached halt; pool -> its supervisor: stop
-	tagGather    = 10 // worker/server -> master: final array gather
+	tagDone      = 8  // worker/server -> master: failure report; pool -> its supervisor: stop
+	tagGather    = 10 // home (service loop, server) -> master: answer to shutdown, with its blocks when gathering
 	tagSync      = 11 // worker -> master: sync-point report
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
 	tagRepl      = 13 // server -> master: re-replication control traffic
@@ -120,6 +120,17 @@ func presetBlocks(presets map[string]PresetFunc, prog *bytecode.Program, layout 
 		}
 	}
 	return nil
+}
+
+// resolve lays prog out under a filled cfg and refuses a preset for an
+// array prog lacks: a run and its dry run refuse the same.
+func resolve(prog *bytecode.Program, cfg *Config) (*bytecode.Layout, error) {
+	for name := range cfg.Preset {
+		if prog.ArrayID(name) < 0 {
+			return nil, fmt.Errorf("sip: preset for unknown array %q", name)
+		}
+	}
+	return prog.Resolve(cfg.Params, cfg.Seg)
 }
 
 // IntegralFunc computes an integral block on demand for
@@ -490,18 +501,13 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World, at placeme
 		metrics: cfg.Metrics,
 	}
 	if prog != nil {
-		layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+		layout, err := resolve(prog, &cfg)
 		if err != nil {
 			return nil, err
 		}
 		rt.layout = layout
 		rt.spaces = newSpaces(rt)
 		rt.supers = superTable(prog.Strings, cfg.Super)
-		for name := range cfg.Preset {
-			if prog.ArrayID(name) < 0 {
-				return nil, fmt.Errorf("sip: preset for unknown array %q", name)
-			}
-		}
 	}
 	if rt.scratch == "" {
 		dir, err := os.MkdirTemp("", "sip-scratch-")

@@ -407,13 +407,11 @@ func init() {
 		func(e *wire.Encoder, m doneMsg) {
 			e.Int(m.origin)
 			e.String(m.err)
-			e.Float64s(m.scalars)
 			e.Int(m.failRank)
 			e.String(m.failReason)
 		},
 		func(d *wire.Decoder) doneMsg {
-			return doneMsg{origin: d.Int(), err: d.String(), scalars: d.Float64s(),
-				failRank: d.Int(), failReason: d.String()}
+			return doneMsg{origin: d.Int(), err: d.String(), failRank: d.Int(), failReason: d.String()}
 		})
 	wire.Register(wireIDCkptData,
 		func(e *wire.Encoder, m ckptData) {
@@ -579,7 +577,7 @@ func init() {
 	wire.Sample(shutdownMsg{gather: true, job: 2})
 	wire.Sample(chunkMsg{pardo: 1, gen: 2, origin: 3, delta: []float64{0.25}})
 	wire.Sample(chunkReply{span{lo: 4, hi: 9, n: 3}})
-	wire.Sample(doneMsg{origin: 1, err: "boom", scalars: []float64{1, 2}, failRank: -1})
+	wire.Sample(doneMsg{origin: 1, err: "boom", failRank: -1})
 	wire.Sample(ckptData{arr: 2, blocks: abs})
 	wire.Sample(gatherMsg{origin: 1, arrays: map[int][]ArrayBlock{0: abs}})
 	wire.Sample(ackMsg{})

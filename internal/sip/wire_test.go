@@ -32,10 +32,11 @@ func TestMessageWireRoundTrips(t *testing.T) {
 		chunkMsg{pardo: 2, gen: 5, origin: 1},
 		chunkReply{span{lo: 3, hi: 4100, n: 4096}},
 		chunkReply{},
-		doneMsg{origin: 1, scalars: []float64{1.5, -2}, failRank: -1},
+		doneMsg{origin: 1, failRank: -1},
 		doneMsg{origin: 2, err: "worker exploded", failRank: -1},
 		doneMsg{origin: 2, err: "aborted", failRank: 0, failReason: "no heartbeat"},
 		doneMsg{origin: 1, err: "aborted", failRank: 3, failReason: "no traffic for 1s"},
+		syncMsg{origin: 1, round: 9, kind: syncEnd, id: -1, vals: []float64{1.5, -2}},
 		syncMsg{origin: 3, round: 5, kind: syncSave, id: 7,
 			blocks: []ArrayBlock{{Ord: 0, Data: []float64{1, 2}}, {Ord: 9, Data: []float64{3}}}},
 		syncReply{round: 5, blocks: []ArrayBlock{{Ord: 9, Data: []float64{3}}}, err: "disk full"},

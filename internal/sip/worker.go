@@ -16,7 +16,7 @@ import (
 // movement and sync it asks for, which it implements as the core's mover
 // over messages — the block cache and its fetches, put/prepare with their
 // acks, the service loop answering other workers, chunk requests and sync
-// rounds with the master, presets, gather and done.
+// rounds with the master, presets, and the answer to shutdown.
 type worker struct {
 	interp
 	comm *mpi.Comm
@@ -58,9 +58,10 @@ func newWorker(rt *runtime, rank int) *worker {
 	return w
 }
 
-// run executes the program to completion.  On any failure it still
-// reports done to the master, carrying the error: the master gives the
-// job up, and the live workers fast-forward through the normal shutdown.
+// run executes the program to completion, which its report of the end
+// round tells the master.  A failure is reported in a done report instead,
+// carrying the error: the master gives the job up, and the live workers
+// fast-forward through the normal shutdown.
 func (w *worker) run() (err error) {
 	defer operandPool.Put(w.ops)
 	defer func() {
@@ -104,29 +105,12 @@ func (w *worker) run() (err error) {
 	if err := w.dispatch(0); err != nil {
 		return err
 	}
-	return w.shutdown()
-}
-
-// shutdown runs the end-of-program protocol.  Service loops stay alive
-// until the master has heard from every worker, so late get/put requests
-// from stragglers are still answered; the master shuts them down.
-func (w *worker) shutdown() error {
-	// The final sync round: any iterations a freshly dead worker still
-	// held are replayed here before anyone reports done.
-	if _, err := w.syncPoint(syncBarrier, -1, false); err != nil {
-		return err
-	}
-	if w.rt.cfg.GatherArrays {
-		arrays := w.dist.copyOut(func(blockKey) bool { return true })
-		w.comm.Send(0, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
-	}
-	// Collectives make scalars identical across workers.  Every worker
-	// reports them (the first one may be dead) and the master keeps the
-	// lowest-ranked survivor's values, so it never shares memory with a
-	// worker.
-	w.comm.Send(0, w.rt.tag(tagDone), doneMsg{origin: w.rank, failRank: -1,
-		scalars: append([]float64(nil), w.scalars...)})
-	return nil
+	// The end round: its report carries this worker's scalars, and any
+	// iterations a freshly dead worker still held are replayed in it.  The
+	// service loop stays up until the master shuts it down, so late
+	// get/put requests from stragglers are still answered.
+	_, err = w.syncPoint(syncEnd, -1, false)
+	return err
 }
 
 // recvFrom waits for the message src owes this worker on tag.  It cannot
@@ -384,6 +368,10 @@ func (w *worker) sync(kind, id int, val float64, st *workerState) (syncReply, er
 	switch kind {
 	case syncCollective:
 		report.vals = []float64{val}
+	case syncEnd:
+		// Collectives make scalars identical across workers; the master
+		// keeps the lowest-ranked reporter's copy, sharing no memory with it.
+		report.vals = append([]float64(nil), w.scalars...)
 	case syncSave:
 		report.blocks = w.dist.copyOut(func(k blockKey) bool { return k.arr == id })[id]
 	}
@@ -471,6 +459,13 @@ func (w *worker) serviceLoop() {
 					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
 			}
 		case shutdownMsg:
+			// Every worker's end report followed its put acks, so the
+			// partition is complete: answer with it when asked, then drop it.
+			var arrays map[int][]ArrayBlock
+			if msg.gather {
+				arrays = w.dist.copyOut(func(blockKey) bool { return true })
+			}
+			w.comm.Send(m.Source, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
 			w.dist.drop(func(blockKey) bool { return true })
 			return
 		}

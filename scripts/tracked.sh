@@ -3,7 +3,11 @@
 # one per line, so every CI log carries them and a PR can quote its
 # before/after row: non-test lines of internal/sip and internal/mpi (wc -l,
 # comments and blanks included), the lines of the worker's data-movement
-# and sync layer, internal/sip/worker.go, and of the interpreter core,
+# and sync layer, internal/sip/worker.go, and its Send(0, sites, the
+# messages a worker sends its master (3 is the aim: a failure report, a
+# chunk request and a sync report, whose end round is the completion;
+# each home answers the master's shutdown to the sender, not to rank 0),
+# and the lines of the interpreter core,
 # internal/sip/core*.go, with the number of its imports of internal/mpi
 # (the core knows no messages: 0 is the aim); the number of lines in non-test
 # internal/sip that branch on a mode (cfg.Recover, .pooled, a job-0
@@ -40,6 +44,7 @@ nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sor
 echo "internal/sip non-test lines:  $(nontest internal/sip | wc -l)"
 echo "internal/mpi non-test lines:  $(nontest internal/mpi | wc -l)"
 echo "internal/sip/worker.go lines: $(wc -l < internal/sip/worker.go)"
+echo "worker sends to the master:   $(grep -c 'Send(0,' internal/sip/worker.go || true)"
 core=$(find internal/sip -maxdepth 1 -name 'core*.go' ! -name '*_test.go' | sort)
 echo "interpreter core lines:       $(cat $core | wc -l)"
 echo "core imports of internal/mpi: $(cat $core | grep -c '"repro/internal/mpi"' || true)"
