@@ -19,7 +19,8 @@ import (
 // Only the master's Result carries scalars and gathered arrays; worker
 // Results report the worker's local view (scalars and profile), and
 // server Results are empty.  A failure anywhere surfaces as an error on
-// at least the failing rank and the master.
+// at least the failing rank and the master.  With Config.ObsShip a rank's
+// telemetry ends in its home's answer to shutdown, as its blocks do.
 func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (*Result, error) {
 	at := batch(cfg)
 	if world.Size() != at.ranks.Size() {
@@ -35,16 +36,19 @@ func RunRank(prog *bytecode.Program, cfg Config, world *mpi.World, rank int) (*R
 	}
 	defer rt.close()
 	rt.setPolicy()
-	if rank == 0 && cfg.ObsShip {
+	switch {
+	case cfg.ObsShip && rank == 0:
 		// Refine the handshake clock-offset estimates with a few
 		// ping-pong rounds while the run warms up; the aggregator
 		// reads the final estimates as reports arrive.
 		go world.SyncClocks(4, 25*time.Millisecond)
+	case cfg.ObsShip:
+		// The rank's last report travels in its home's answer to shutdown;
+		// the deferred halt stops the ticker of a rank that never answers.
+		rt.ship = &obsShipper{rt: rt, rank: rank, stop: make(chan struct{}), done: make(chan struct{})}
+		go rt.ship.loop()
 	}
-	// The shipper's deferred finish runs after launch folded the
-	// end-of-run metrics, so the final report carries them (a no-op on
-	// the master and with the plane off).
-	defer startObsShipper(rt, rank).finish()
+	defer rt.ship.halt()
 	return rt.launch([]int{rank})
 }
 

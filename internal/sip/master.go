@@ -461,7 +461,7 @@ func (m *master) run() (res *Result, err error) {
 					obs.AInt("pardo", req.pardo), obs.AInt("iters", chunk.n))
 			}
 		case tagObs:
-			m.handleObsReport(msg.Data.(obsReportMsg))
+			m.handleObsReport(msg.Data.(obsReportMsg), false)
 		case tagSync:
 			m.handleSync(msg.Data.(syncMsg))
 		case tagDone:
@@ -483,10 +483,10 @@ func (m *master) run() (res *Result, err error) {
 		}
 	}
 	// Shut every home down and collect one answer from each live one, with
-	// its blocks when gathering, so no shutdown is still queued when the
-	// world closes.  A pool's shared servers retire the job and keep serving
-	// other tenants.  A send to an evicted rank is dropped, its answer
-	// written off.
+	// its blocks when gathering and its rank's final telemetry when it
+	// ships, so no shutdown is still queued when the world closes.  A
+	// pool's shared servers retire the job and keep serving other tenants.
+	// A send to an evicted rank is dropped, its answer written off.
 	shut, homes := shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job}, oneEach(rt.ranks.workers)
 	for _, wr := range rt.ranks.workers {
 		m.comm.Send(wr, rt.tag(tagService), shut)
@@ -505,21 +505,26 @@ func (m *master) run() (res *Result, err error) {
 			res.Scalars[s.Name] = m.scalars[i]
 		}
 	}
-	// Drain the final telemetry reports each live rank ships after its
-	// run (and end-of-run metric fold) completed, so the merged trace and
-	// metrics cover the whole run.
-	m.collectFinalObs()
 	err = m.outcome()
 	m.cleanupSnapshots(err)
 	return res, err
 }
 
-// recordGather folds one home's answer to shutdown into res.  Every live
-// replica of a served block reports a copy, so only the current primary's
-// is kept: after an eviction the promoted backups may not have been healed
+// recordGather folds one home's answer to shutdown into res, and its
+// rank's final telemetry report into the aggregator.  Every live replica
+// of a served block reports a copy, so only the current primary's is
+// kept: after an eviction the promoted backups may not have been healed
 // yet, but the primary is always a prior holder with the authoritative
 // copy.
 func (m *master) recordGather(res *Result, g gatherMsg) {
+	if g.obs != nil {
+		// A periodic report shipped before the answer is queued ahead of it
+		// (a sender's messages arrive in order): fold it first.
+		for r, ok := m.comm.TryRecv(g.origin, tagObs); ok; r, ok = m.comm.TryRecv(g.origin, tagObs) {
+			m.handleObsReport(r.Data.(obsReportMsg), false)
+		}
+		m.handleObsReport(*g.obs, true)
+	}
 	var reps []int
 	for arr, blocks := range g.arrays {
 		name := m.rt.prog.Arrays[arr].Name

@@ -41,7 +41,8 @@ type flushMsg struct {
 
 // shutdownMsg ends one job on a home, a rank that holds the job's blocks:
 // a worker's service loop, or an I/O server.  The home answers the master
-// with one gatherMsg, carrying its blocks of the job when gather is set.
+// with one gatherMsg, carrying its blocks of the job when gather is set
+// and its rank's last telemetry report when the rank ships (ObsShip).
 // job names the job that is ending: a server stops for good when that is
 // the run it belongs to; a pool's shared server drops the tenant's blocks
 // and registration, and keeps serving.
@@ -95,10 +96,12 @@ type ckptData struct {
 }
 
 // gatherMsg is a home's answer to its shutdownMsg: the home's blocks of
-// the job by array, when the master asked for them, else none.
+// the job by array, when the master asked for them, and the rank's final
+// telemetry, when it ships, built after it folded its counters.
 type gatherMsg struct {
 	origin int
 	arrays map[int][]ArrayBlock // array id -> blocks
+	obs    *obsReportMsg        // nil when the rank does not ship
 }
 
 // Sync-point kinds carried by syncMsg.  Each kind maps to one program
@@ -179,17 +182,15 @@ type replAckMsg struct {
 	round  int
 }
 
-// obsReportMsg ships one rank's telemetry to the master on tagObs
-// (Config.ObsShip): the rank's cumulative metric snapshot plus the
-// trace ring segments recorded since its previous report.  seq numbers
-// a rank's reports so the aggregator can drop duplicates; final marks
-// the post-run report carrying the folded end-of-run metrics.  wallUs
-// is the rank tracer's wall-clock start in unix µs (0 when tracing is
-// off), the anchor for cross-rank clock alignment.
+// obsReportMsg is one rank's telemetry (Config.ObsShip) on tagObs, or
+// the last one in its answer to shutdown: the rank's cumulative metric
+// snapshot plus the trace ring segments recorded since its previous
+// report.  seq numbers a rank's reports so the aggregator can drop
+// duplicates.  wallUs is the rank tracer's wall-clock start in unix µs (0
+// when tracing is off), the anchor for cross-rank clock alignment.
 type obsReportMsg struct {
 	origin int
 	seq    int
-	final  bool
 	wallUs int64
 	snap   *obs.Snapshot
 	tracks []obs.TrackSegment

@@ -163,6 +163,9 @@ func msgBytes(data any) int64 {
 		for _, blocks := range v.arrays {
 			n += arrayBlocksBytes(blocks)
 		}
+		if v.obs != nil {
+			n += msgBytes(*v.obs) // an attached report, as if shipped alone
+		}
 		return n
 	case doneMsg:
 		return envelope + 16 + int64(len(v.err))
@@ -212,28 +215,28 @@ func workerStateBytes(st *workerState) int64 {
 		int64(len(st.idxBound)) + 32*int64(len(st.frames))
 }
 
-// foldRunMetrics publishes the plain per-rank counters mergeProfiles
-// summed into p — the hot paths count in ints, not atomics — under their
-// metric names, so the snapshot is one coherent report.  A launch that
-// hosted no worker (no server) publishes no worker (server) counter.
-func foldRunMetrics(reg *obs.Registry, p *Profile, workers bool) {
-	add := func(name string, v int64) { reg.Counter(name).Add(v) }
-	if workers {
-		add(metricWorkerFetches, p.fetches)
-		add(metricWorkerPrefetches, p.prefetches)
-		add(metricWorkerCacheHits, p.CacheHits)
-		add(metricWorkerCacheMiss, p.CacheMisses)
-		add(metricWorkerCacheEvict, p.CacheEvictions)
-		add(metricPoolAllocs, p.PoolAllocs)
-		add(metricPoolReuses, p.PoolReuses)
-	}
-	if len(p.Servers) > 0 {
-		tot := p.serverTotals()
-		add(metricServerCacheHits, tot.CacheHits)
-		add(metricServerCacheMiss, tot.CacheMisses)
-		add(metricServerDiskReads, tot.DiskReads)
-		add(metricServerDiskWrites, tot.DiskWrites)
-	}
+// foldMetrics publishes a worker's plain counters — the hot paths count
+// in ints, not atomics — under their metric names as its interpreter
+// returns, failed or not, so that its home's answer to shutdown carries them.
+func (w *worker) foldMetrics() {
+	reg := w.rt.metrics
+	reg.Counter(metricWorkerFetches).Add(w.prof.fetches)
+	reg.Counter(metricWorkerPrefetches).Add(w.prof.prefetches)
+	reg.Counter(metricWorkerCacheHits).Add(w.cache.hits)
+	reg.Counter(metricWorkerCacheMiss).Add(w.cache.misses)
+	reg.Counter(metricWorkerCacheEvict).Add(w.cache.evictions)
+	reg.Counter(metricPoolAllocs).Add(w.pool.Fresh)
+	reg.Counter(metricPoolReuses).Add(w.pool.Reused)
+}
+
+// foldMetrics publishes an I/O server's cache and disk counters, as a
+// worker's do, just before the server answers its own run's shutdown.
+func (s *ioServer) foldMetrics() {
+	reg := s.rt.metrics
+	reg.Counter(metricServerCacheHits).Add(s.hits)
+	reg.Counter(metricServerCacheMiss).Add(s.misses)
+	reg.Counter(metricServerDiskReads).Add(s.diskReads)
+	reg.Counter(metricServerDiskWrites).Add(s.diskWrites)
 }
 
 // observeFault feeds one fault of the world into the metrics registry and

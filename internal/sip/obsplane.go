@@ -2,10 +2,11 @@ package sip
 
 // The observability plane (Config.ObsShip): non-master ranks of a
 // distributed run periodically ship their metric snapshots and trace
-// ring segments to the master on tagObs, where an obs.Aggregator merges
-// them into one cluster view — a clock-aligned Chrome trace, Prometheus
-// exposition with per-rank labels, and flight-recorder bundles on rank
-// death.  See docs/OBSERVABILITY.md, "The aggregation plane".
+// ring segments to the master on tagObs, and carry the last report in
+// their answer to shutdown.  The master's obs.Aggregator merges them into
+// one cluster view — a clock-aligned Chrome trace, Prometheus exposition
+// with per-rank labels, and flight-recorder bundles on rank death.  See
+// docs/OBSERVABILITY.md, "The aggregation plane".
 
 import (
 	"fmt"
@@ -28,42 +29,20 @@ func msgFlowID(src, dst, tag int) uint64 {
 	return h
 }
 
-// finalObsTimeout bounds how long the master waits after the run for
-// stragglers' final telemetry reports: dead or wedged ranks must not
-// hold the result hostage.
-const finalObsTimeout = 5 * time.Second
-
 // obsShipper drives one non-master rank's side of the plane: a ticker
-// goroutine ships incremental reports, and finish() ships the final
-// cumulative snapshot after the rank's run (and metric folding) ends.
+// goroutine (loop) ships incremental reports until the rank's home takes
+// the last one for its answer to shutdown (final).
 type obsShipper struct {
-	rt   *runtime
-	rank int
-
-	mu          sync.Mutex // serializes ticker vs. final shipments
+	rt          *runtime
+	rank        int
 	seq         int
 	lastDropped int64
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	stop, done  chan struct{}
+	halted      sync.Once
 }
 
 // obsShipInterval is the period between telemetry shipments.
 const obsShipInterval = 500 * time.Millisecond
-
-// startObsShipper starts the shipping loop for a non-master rank.
-// Returns nil (a valid no-op shipper) when the plane is off or the
-// rank is the master.
-func startObsShipper(rt *runtime, rank int) *obsShipper {
-	if !rt.cfg.ObsShip || rank == 0 {
-		return nil
-	}
-	s := &obsShipper{rt: rt, rank: rank,
-		stop: make(chan struct{}), done: make(chan struct{})}
-	go s.loop()
-	return s
-}
 
 func (s *obsShipper) loop() {
 	defer close(s.done)
@@ -74,7 +53,7 @@ func (s *obsShipper) loop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.ship(false)
+			s.ship()
 		}
 	}
 }
@@ -95,27 +74,33 @@ func (m obsReportMsg) WireSizeHint() int {
 	return n
 }
 
-// ship sends one report to the master.  Best-effort: on an aborted or
-// closing world the send is abandoned silently (the master is gone or
-// going; telemetry must never turn a clean teardown into a crash).
-func (s *obsShipper) ship(final bool) {
+// ship sends one periodic report when the rank has something to say.
+// Best-effort: on an aborted or closing world the send is abandoned
+// (telemetry must never turn a clean teardown into a crash).
+func (s *obsShipper) ship() {
 	defer func() {
 		if r := recover(); r != nil && r != mpi.ErrAborted {
 			panic(r)
 		}
 	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if msg := s.report(); msg.snap != nil || len(msg.tracks) > 0 {
+		s.rt.world.Comm(s.rank).Send(0, tagObs, msg)
+	}
+}
+
+// report builds the rank's next report: its cumulative metric snapshot
+// and the trace segments recorded since the previous one.  The ticker
+// builds them until halt returns, the home's answer after.
+func (s *obsShipper) report() obsReportMsg {
 	rt := s.rt
 	// Fold ring-buffer overwrites into the per-rank drop counter so
-	// truncated traces are visible in shipped snapshots (the
-	// obs.trace.dropped satellite).
+	// truncated traces are visible in shipped snapshots.
 	if d := int64(rt.tracer.DroppedTotal()); d > s.lastDropped {
 		rt.metrics.Counter(obs.MetricTraceDropped).Add(d - s.lastDropped)
 		s.lastDropped = d
 	}
 	s.seq++
-	msg := obsReportMsg{origin: s.rank, seq: s.seq, final: final}
+	msg := obsReportMsg{origin: s.rank, seq: s.seq}
 	if rt.metrics != nil {
 		msg.snap = rt.metrics.Snapshot()
 	}
@@ -123,79 +108,46 @@ func (s *obsShipper) ship(final bool) {
 		msg.wallUs = rt.tracer.WallStart().UnixMicro()
 		msg.tracks = rt.tracer.Segments(true)
 	}
-	if !final && msg.snap == nil && len(msg.tracks) == 0 {
-		s.seq-- // nothing to say; don't burn a sequence number
-		return
-	}
-	rt.world.Comm(s.rank).Send(0, tagObs, msg)
+	return msg
 }
 
-// finish stops the periodic loop and ships the final report.  Call
-// after the rank's run returned and its end-of-run metrics were folded.
-// Nil-safe.
-func (s *obsShipper) finish() {
+// final stops the ticker and returns the rank's last report, for its
+// home's answer to shutdown; nil when the rank does not ship.
+func (s *obsShipper) final() *obsReportMsg {
 	if s == nil {
-		return
+		return nil
 	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-	s.ship(true)
+	s.halt()
+	msg := s.report()
+	return &msg
+}
+
+// halt stops the ticker and waits for its goroutine to exit.  Nil-safe
+// and idempotent: RunRank defers it for a rank that never answers.
+func (s *obsShipper) halt() {
+	if s != nil {
+		s.halted.Do(func() { close(s.stop) })
+		<-s.done
+	}
 }
 
 // ---------------------------------------------------------------------
 // Master side
 
-// handleObsReport folds one tagObs delivery into the aggregator,
-// refreshing the clock-offset estimate for the reporting rank.
-func (m *master) handleObsReport(r obsReportMsg) {
-	agg := m.rt.cfg.ObsAgg
-	if agg == nil {
-		return
-	}
-	agg.SetClockOffset(r.origin, m.rt.world.ClockOffsetUs(r.origin))
-	agg.Report(obs.RankReport{
+// handleObsReport folds one report into the aggregator (a nil ObsAgg
+// drops it), refreshing the clock-offset estimate for the reporting rank.
+// A report is final when it travels in the rank's answer to shutdown.
+func (m *master) handleObsReport(r obsReportMsg, final bool) {
+	m.rt.cfg.ObsAgg.SetClockOffset(r.origin, m.rt.world.ClockOffsetUs(r.origin))
+	m.rt.cfg.ObsAgg.Report(obs.RankReport{
 		Rank:        r.origin,
 		Role:        m.rt.ranks.Role(r.origin),
 		Seq:         r.seq,
-		Final:       r.final,
+		Final:       final,
 		WallStartUs: r.wallUs,
 		Snap:        r.snap,
 		Tracks:      r.tracks,
 	})
-}
-
-// collectFinalObs drains the remaining telemetry after the run: every
-// live non-master rank owes one final report (sent after its run and
-// metric fold completed).  Bounded by finalObsTimeout so dead ranks
-// cannot hang the result, and tolerant of an aborted world.
-func (m *master) collectFinalObs() {
-	rt := m.rt
-	if !rt.cfg.ObsShip || rt.cfg.ObsAgg == nil {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil && r != mpi.ErrAborted {
-			panic(r)
-		}
-	}()
-	deadline := time.Now().Add(finalObsTimeout)
-	owed := func() bool {
-		finals := rt.cfg.ObsAgg.FinalCount()
-		live := 0
-		for r := 1; r < rt.world.Size(); r++ {
-			if !rt.world.IsEvicted(r) {
-				live++
-			}
-		}
-		return finals < live
-	}
-	for owed() && time.Now().Before(deadline) {
-		msg, ok := m.comm.RecvRangeUntil(mpi.AnySource, tagObs, tagObs, 100*time.Millisecond, nil)
-		if !ok {
-			continue
-		}
-		m.handleObsReport(msg.Data.(obsReportMsg))
-	}
 }
 
 // flightRecord writes a flight-recorder bundle for deadRank, when ObsAgg

@@ -3,9 +3,11 @@ package sip
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -27,7 +29,7 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 	ev0.Args[1] = obs.Arg{Key: "iters", Val: "8"}
 	ev1.Name, ev1.Cat, ev1.TS = "worker_done", obs.CatChunk, 99
 	want := obsReportMsg{
-		origin: 2, seq: 4, final: true, wallUs: 1722222222000000,
+		origin: 2, seq: 4, wallUs: 1722222222000000,
 		snap: snap,
 		tracks: []obs.TrackSegment{{
 			Rank: 2, Tid: 1, Proc: "worker 2", Name: "service",
@@ -35,14 +37,24 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 		}},
 	}
 	got := sipRoundTrip(t, want).(obsReportMsg)
-	if got.origin != want.origin || got.seq != want.seq || got.final != want.final || got.wallUs != want.wallUs {
-		t.Fatalf("header mismatch: %#v", got)
+	// The final report travels in a home's answer to shutdown.
+	g := sipRoundTrip(t, gatherMsg{origin: 2, obs: &want}).(gatherMsg)
+	if g.obs == nil {
+		t.Fatal("gather answer lost its report")
 	}
-	if !reflect.DeepEqual(got.snap, want.snap) {
-		t.Fatalf("snapshot mismatch:\n got %#v\nwant %#v", got.snap, want.snap)
+	for _, got := range []obsReportMsg{got, *g.obs} {
+		if got.origin != want.origin || got.seq != want.seq || got.wallUs != want.wallUs {
+			t.Fatalf("header mismatch: %#v", got)
+		}
+		if !reflect.DeepEqual(got.snap, want.snap) {
+			t.Fatalf("snapshot mismatch:\n got %#v\nwant %#v", got.snap, want.snap)
+		}
+		if !reflect.DeepEqual(got.tracks, want.tracks) {
+			t.Fatalf("tracks mismatch:\n got %#v\nwant %#v", got.tracks, want.tracks)
+		}
 	}
-	if !reflect.DeepEqual(got.tracks, want.tracks) {
-		t.Fatalf("tracks mismatch:\n got %#v\nwant %#v", got.tracks, want.tracks)
+	if g := sipRoundTrip(t, gatherMsg{origin: 1}).(gatherMsg); g.obs != nil {
+		t.Fatalf("gather answer grew a report: %#v", g.obs)
 	}
 
 	// A minimal report (tracing off) survives too.
@@ -56,7 +68,10 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 // observability plane on and checks the master's aggregator ends up
 // with a final report from every non-master rank, a merged snapshot
 // whose counters include worker and server work, and merged trace
-// segments from every rank.
+// segments from every rank.  The run takes milliseconds and the ticker
+// fires every obsShipInterval, so the folded counters and the server's
+// job_retired span reach the aggregator only in the final report: they
+// pin that a rank folds and ends its spans before its home answers.
 func TestDistributedObsPlane(t *testing.T) {
 	var out bytes.Buffer
 	base := distConfig(&out)
@@ -69,7 +84,7 @@ func TestDistributedObsPlane(t *testing.T) {
 		regs[r] = obs.NewRegistry()
 	}
 	agg := obs.NewAggregator(0, "master", tracers[0], regs[0])
-	_, errs := runRanksOver(t, distProgram, mk, func(rank int) Config {
+	results, errs := runRanksOver(t, distProgram, mk, func(rank int) Config {
 		cfg := distConfig(&out)
 		cfg.ObsShip = true
 		cfg.Tracer = tracers[rank]
@@ -94,6 +109,17 @@ func TestDistributedObsPlane(t *testing.T) {
 	if snap.Counters["sip.master.chunks"] == 0 {
 		t.Errorf("merged snapshot missing master chunks: %v", snap.Counters)
 	}
+	var fetches int64
+	for rank := 1; rank <= base.Workers; rank++ {
+		fetches += results[rank].Profile.Fetches()
+	}
+	if got := snap.Counters["sip.worker.fetches"]; got != fetches {
+		t.Errorf("merged sip.worker.fetches = %d, the workers' profiles fetched %d", got, fetches)
+	}
+	writes := results[n-1].Profile.serverTotals().DiskWrites
+	if got := snap.Counters["sip.server.disk.writes"]; writes == 0 || got != writes {
+		t.Errorf("merged sip.server.disk.writes = %d, the server's profile wrote %d", got, writes)
+	}
 	var trace bytes.Buffer
 	if err := agg.WriteMergedChrome(&trace); err != nil {
 		t.Fatal(err)
@@ -107,15 +133,55 @@ func TestDistributedObsPlane(t *testing.T) {
 	if !strings.Contains(trace.String(), `"ph":"s"`) || !strings.Contains(trace.String(), `"ph":"f"`) {
 		t.Errorf("merged trace has no flow event pair")
 	}
+	if !strings.Contains(trace.String(), `"name":"job_retired"`) {
+		t.Errorf("merged trace has no job_retired span of the server")
+	}
 }
 
-// TestObsPlaneRecoversOnlyAborts: on an aborted world the master's final
-// telemetry drain returns and a rank's last shipment does not panic; a
-// panic that is not an abort — here a report of the wrong type on tagObs —
-// still reaches the caller.
+// TestObsPlaneMasterOnlyOwesNothing: with the plane on at the master
+// alone, no rank ships, so no answer carries a report and the master
+// waits for none: every rank returns as soon as the run is over.
+func TestObsPlaneMasterOnlyOwesNothing(t *testing.T) {
+	var serialOut bytes.Buffer
+	serial, err := RunSource(distProgram, distConfig(&serialOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	base := distConfig(&out)
+	n := 1 + base.Workers + base.Servers
+	agg := obs.NewAggregator(0, "master", nil, obs.NewRegistry())
+	start := time.Now()
+	results, errs := runRanksOver(t, distProgram, routerWorldMaker(t, n), func(rank int) Config {
+		cfg := distConfig(&out)
+		if rank == 0 {
+			cfg.ObsShip, cfg.ObsAgg = true, agg
+		}
+		return cfg
+	})
+	elapsed := time.Since(start)
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("ranks returned after %v: the master waited for reports no rank owed", elapsed)
+	}
+	if got, want := results[0].Scalars["e"], serial.Scalars["e"]; want == 0 || math.Abs(got-want) > 1e-10 {
+		t.Errorf("distributed e = %g, serial e = %g", got, want)
+	}
+	if got := agg.FinalCount(); got != 0 {
+		t.Errorf("final reports: got %d from ranks that do not ship", got)
+	}
+}
+
+// TestObsPlaneRecoversOnlyAborts: on an aborted world a rank's shipment
+// does not panic; a panic that is not an abort — here a shipper for a
+// rank outside the world — still reaches the caller.
 func TestObsPlaneRecoversOnlyAborts(t *testing.T) {
 	newRT := func(t *testing.T) *runtime {
-		cfg := Config{Workers: 2, ObsShip: true, ObsAgg: obs.NewAggregator(0, "master", nil, nil), ScratchDir: t.TempDir()}
+		cfg := Config{Workers: 2, ObsShip: true, Metrics: obs.NewRegistry(), ScratchDir: t.TempDir()}
 		rt, err := newRuntime(nil, cfg, nil, batch(cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -126,17 +192,15 @@ func TestObsPlaneRecoversOnlyAborts(t *testing.T) {
 	t.Run("aborted", func(t *testing.T) {
 		rt := newRT(t)
 		rt.world.Abort()
-		(&obsShipper{rt: rt, rank: 1}).ship(true)
-		newMaster(rt).collectFinalObs()
+		(&obsShipper{rt: rt, rank: 1}).ship()
 	})
 	t.Run("bug", func(t *testing.T) {
 		rt := newRT(t)
-		rt.world.Comm(1).Send(0, tagObs, ackMsg{})
 		defer func() {
 			if r := recover(); r == nil {
-				t.Fatal("collectFinalObs swallowed a panic that is not an abort")
+				t.Fatal("ship swallowed a panic that is not an abort")
 			}
 		}()
-		newMaster(rt).collectFinalObs()
+		(&obsShipper{rt: rt, rank: rt.world.Size()}).ship()
 	})
 }

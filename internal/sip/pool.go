@@ -137,8 +137,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // supervise owns rank 0's job-0 tag window for the pool's lifetime: the
 // un-strided tags no tenant master listens on.  It logs the failure
 // reports of dying shared servers, so a degraded pool is visible, and
-// ignores the rest: stray job-0 telemetry, and the servers' answers to
-// Close's shutdowns (Close waits for the server goroutines instead).
+// ignores the servers' answers to Close's shutdowns (Close waits for the
+// server goroutines instead).  A pool ships no telemetry: only RunRank
+// starts a shipper, and RunJob refuses ObsShip.
 func (p *Pool) supervise() {
 	defer p.bg.Done()
 	defer func() {
@@ -152,9 +153,6 @@ func (p *Pool) supervise() {
 		switch msg := m.Data.(type) {
 		case doneMsg:
 			fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
-		case obsReportMsg:
-			// In-process pools share registries; stray reports are folded
-			// nowhere but must not clog the window.
 		case shutdownMsg:
 			return // Close
 		}

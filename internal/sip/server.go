@@ -260,7 +260,8 @@ func (s *ioServer) run() (err error) {
 		case shutdownMsg:
 			// A job is over.  The server's own run keeps its blocks on disk
 			// for a restarted run to adopt; a pool tenant's are dropped
-			// unwritten.  Either way the master gets one answer.
+			// unwritten.  Either way the master gets one answer, which for
+			// the server's own run carries its counters and final telemetry.
 			start, own, g := s.trk.Start(), msg.job == s.rt.job, gatherMsg{origin: s.rank}
 			var err error
 			if msg.gather {
@@ -272,13 +273,16 @@ func (s *ioServer) run() (err error) {
 			if err != nil {
 				return err
 			}
-			if !own {
+			if own {
+				s.foldMetrics()
+			} else {
 				s.dropJob(msg.job)
 			}
-			s.comm.Send(0, jobTag(msg.job, tagGather), g)
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "job_retired", obs.AInt("job", msg.job))
 			}
+			g.obs = s.rt.ship.final() // nil but on a RunRank server, whose one job is its own
+			s.comm.Send(0, jobTag(msg.job, tagGather), g)
 			if own {
 				return nil
 			}

@@ -268,12 +268,12 @@ type Config struct {
 	// not exceed Servers.
 	Replicas int
 	// ObsShip enables the observability plane for distributed runs
-	// (RunRank): every non-master rank periodically — and once more
-	// after its run ends, folding in the final metrics — ships its
-	// metric snapshot and new trace ring segments to the master on
-	// tagObs, where ObsAgg merges them into one cluster view.  No-op
-	// for the in-process Run, whose ranks already share one registry
-	// and tracer.
+	// (RunRank): every non-master rank periodically ships its metric
+	// snapshot and new trace ring segments to the master on tagObs, where
+	// ObsAgg merges them into one cluster view, and its home's answer to
+	// shutdown carries the last report, with the rank's counters folded.
+	// No-op for the in-process Run, whose ranks share one registry and
+	// tracer.
 	ObsShip bool
 	// ObsAgg is the master-side sink of shipped telemetry (rank 0
 	// only).  Required when ObsShip is set on the master.  With a flight
@@ -447,6 +447,7 @@ type runtime struct {
 
 	tracer  *obs.Tracer   // nil when span tracing is disabled
 	metrics *obs.Registry // nil when metrics are disabled
+	ship    *obsShipper   // a RunRank rank's telemetry shipper; nil when it does not ship
 
 	outMu sync.Mutex
 }
@@ -557,7 +558,9 @@ func (rt *runtime) close() {
 // errors an abort fans out to bystanders are only the fallback.  Every
 // entry point then reports a degraded or failed run the same way: the
 // evictions and the world's failure are counted and traced, and a master
-// that saw the world fail writes a flight record.
+// that saw the world fail writes a flight record.  Each rank folds its own
+// counters as its part ends (foldMetrics), failed or not; launch merges
+// the profiles into Result.Profile and takes the snapshot.
 func (rt *runtime) launch(hosted []int) (*Result, error) {
 	started := time.Now()
 	var m *master
@@ -572,6 +575,7 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 		case rt.ranks.workerIndex(rank) >= 0:
 			w := newWorker(rt, rank)
 			workers = append(workers, w)
+			w.ran.Add(1)
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
@@ -645,7 +649,6 @@ func (rt *runtime) launch(hosted []int) (*Result, error) {
 	if len(workers)+len(servers) > 0 || rt.metrics != nil {
 		res.Profile = mergeProfiles(workers, servers)
 		if rt.metrics != nil {
-			foldRunMetrics(rt.metrics, res.Profile, len(workers) > 0)
 			res.Profile.Metrics = rt.metrics.Snapshot()
 		}
 	}

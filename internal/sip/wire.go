@@ -58,6 +58,9 @@ func (m gatherMsg) WireSizeHint() int {
 	for _, blocks := range m.arrays {
 		n += 16 + int(arrayBlocksBytes(blocks))
 	}
+	if m.obs != nil {
+		n += m.obs.WireSizeHint()
+	}
 	return n
 }
 
@@ -339,20 +342,23 @@ func decodeSegments(d *wire.Decoder) []obs.TrackSegment {
 	return segs
 }
 
+// encodeObsReport/decodeObsReport carry a telemetry report, shipped on
+// its own or attached to a gatherMsg.
+func encodeObsReport(e *wire.Encoder, m obsReportMsg) {
+	e.Int(m.origin)
+	e.Int(m.seq)
+	e.Int(int(m.wallUs))
+	encodeSnapshot(e, m.snap)
+	encodeSegments(e, m.tracks)
+}
+
+func decodeObsReport(d *wire.Decoder) obsReportMsg {
+	return obsReportMsg{origin: d.Int(), seq: d.Int(),
+		wallUs: int64(d.Int()), snap: decodeSnapshot(d), tracks: decodeSegments(d)}
+}
+
 func init() {
-	wire.Register(wireIDObsReport,
-		func(e *wire.Encoder, m obsReportMsg) {
-			e.Int(m.origin)
-			e.Int(m.seq)
-			e.Bool(m.final)
-			e.Int(int(m.wallUs))
-			encodeSnapshot(e, m.snap)
-			encodeSegments(e, m.tracks)
-		},
-		func(d *wire.Decoder) obsReportMsg {
-			return obsReportMsg{origin: d.Int(), seq: d.Int(), final: d.Bool(),
-				wallUs: int64(d.Int()), snap: decodeSnapshot(d), tracks: decodeSegments(d)}
-		})
+	wire.Register(wireIDObsReport, encodeObsReport, decodeObsReport)
 	wire.Register(wireIDGetMsg,
 		func(e *wire.Encoder, m getMsg) {
 			encodeKey(e, m.key)
@@ -429,6 +435,10 @@ func init() {
 				e.Int(arr)
 				encodeArrayBlocks(e, blocks)
 			}
+			e.Bool(m.obs != nil)
+			if m.obs != nil {
+				encodeObsReport(e, *m.obs)
+			}
 		},
 		func(d *wire.Decoder) gatherMsg {
 			m := gatherMsg{origin: d.Int()}
@@ -442,6 +452,10 @@ func init() {
 					arr := d.Int()
 					m.arrays[arr] = decodeArrayBlocks(d)
 				}
+			}
+			if d.Bool() {
+				r := decodeObsReport(d)
+				m.obs = &r
 			}
 			return m
 		})
@@ -580,6 +594,7 @@ func init() {
 	wire.Sample(doneMsg{origin: 1, err: "boom", failRank: -1})
 	wire.Sample(ckptData{arr: 2, blocks: abs})
 	wire.Sample(gatherMsg{origin: 1, arrays: map[int][]ArrayBlock{0: abs}})
+	wire.Sample(gatherMsg{origin: 2, obs: &obsReportMsg{origin: 2, seq: 3}})
 	wire.Sample(ackMsg{})
 	st := &workerState{resumePC: 7, syncRound: 2, scalars: []float64{1, 2},
 		idxVal: []int{0, 3}, idxBound: []bool{true, false}, pardoGen: []int{1},
@@ -599,7 +614,7 @@ func init() {
 	wire.Sample(replAckMsg{origin: 5, round: 1})
 	ev := obs.Event{Name: "serve_get", Cat: "get", TS: 10, Dur: 5, Flow: 1, FlowDir: 's', NArg: 1}
 	ev.Args[0] = obs.Arg{Key: "block", Val: "b:0:1"}
-	wire.Sample(obsReportMsg{origin: 2, seq: 1, final: true, wallUs: 123,
+	wire.Sample(obsReportMsg{origin: 2, seq: 1, wallUs: 123,
 		snap: &obs.Snapshot{
 			Counters: map[string]int64{"net.frames_out.peer1": 4},
 			Gauges:   map[string]obs.GaugeValue{"mailbox.depth": {Value: 1, Max: 3}},

@@ -41,6 +41,7 @@ type worker struct {
 	retireCtr   *obs.Counter
 	failoverCtr *obs.Counter
 	waitHist    *obs.Histogram // the shared wait-time histogram
+	ran         sync.WaitGroup // held by run until it folded the counters (launch adds it)
 }
 
 func newWorker(rt *runtime, rank int) *worker {
@@ -63,6 +64,8 @@ func newWorker(rt *runtime, rank int) *worker {
 // carrying the error: the master gives the job up, and the live workers
 // fast-forward through the normal shutdown.
 func (w *worker) run() (err error) {
+	defer w.ran.Done()
+	defer w.foldMetrics()
 	defer operandPool.Put(w.ops)
 	defer func() {
 		if r := recover(); r != nil {
@@ -461,11 +464,15 @@ func (w *worker) serviceLoop() {
 		case shutdownMsg:
 			// Every worker's end report followed its put acks, so the
 			// partition is complete: answer with it when asked, then drop it.
-			var arrays map[int][]ArrayBlock
+			// The answer waits for the interpreter to fold its counters, which
+			// cannot block: the master shuts a home down only once its worker
+			// is done (past the end round, or reported failed) or evicted.
+			w.ran.Wait()
+			g := gatherMsg{origin: w.rank, obs: w.rt.ship.final()}
 			if msg.gather {
-				arrays = w.dist.copyOut(func(blockKey) bool { return true })
+				g.arrays = w.dist.copyOut(func(blockKey) bool { return true })
 			}
-			w.comm.Send(m.Source, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
+			w.comm.Send(m.Source, w.rt.tag(tagGather), g)
 			w.dist.drop(func(blockKey) bool { return true })
 			return
 		}

@@ -27,7 +27,8 @@
 # internal/sip/ranks.go: calls of the count-based NewRanks, a launcher's
 # constructor, and walks over the old rank-list fields; the distinct tags
 # non-test internal/sip sends an ackMsg on (one is the aim: tagAck) and its
-# timed receives outside internal/sip/await.go; the lines of non-test
+# timed receives outside internal/sip/await.go (0 is the aim: every
+# bounded receive of a run is await's); the lines of non-test
 # internal/ that name a where-clause tree type or op (0 is the aim: a
 # where clause is scalar code), the non-test lines of internal/bytecode,
 # internal/compiler and internal/sip together, and the block.New sites of
