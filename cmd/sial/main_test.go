@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/sip"
 )
 
@@ -78,8 +79,8 @@ func TestCLIRunWithParamAndProfile(t *testing.T) {
 	if !strings.Contains(out, "s = 16") {
 		t.Fatalf("param override ignored:\n%s", out)
 	}
-	if !strings.Contains(out, "SIP profile") {
-		t.Fatalf("profile missing:\n%s", out)
+	if !strings.Contains(out, "SIP profile (kernel "+linalg.Kernel()+")") {
+		t.Fatalf("profile missing or not naming kernel %q:\n%s", linalg.Kernel(), out)
 	}
 }
 

@@ -33,24 +33,29 @@ func gemmRule(m, n, k int, alpha float64, a, b []float64, beta float64, c []floa
 	}
 }
 
-// TestGemmBitIdentical holds both micro-kernels to the rule under ==,
+// TestGemmBitIdentical holds every micro-kernel to the rule under ==,
 // over the shapes the runtime produces and the ones that stress the
-// driver: partial tiles in both directions, the Fock GEMV (n=1), the
-// triples outer product (k=1), and k past one k-block.
+// driver: partial tiles in both directions (one short of and one past
+// the kernel's own tile), the Fock GEMV (n=1), the triples outer product
+// (k=1), and k past one k-block.
 func TestGemmBitIdentical(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {4, 8, 16}, {5, 9, 17}, {2, 3, 300},
 		{196, 1, 196}, {1, 196, 196}, {196, 196, 1}, {16, 16, 16},
-		{mr - 1, nr - 1, 5}, {mr + 1, nr + 1, kc + 3}, {37, 29, 2*kc + 1},
-		{mc + 5, 20, 9}, {6, nc + 9, 3},
+		{37, 29, 2*kc + 1}, {mc + 5, 20, 9}, {6, nc + 9, 3},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
 	perKernel(t, func(t *testing.T) {
+		mr, nr := kernels[0].mr, kernels[0].nr
+		tile := [][3]int{
+			{mr - 1, nr - 1, 5}, {mr, nr, 7}, {mr + 1, nr + 1, kc + 3},
+			{mr - 1, nr + 1, 2}, {mr + 1, nr - 1, kc}, {2*mr + 1, 3*nr - 1, 11},
+		}
 		rng := rand.New(rand.NewSource(11))
-		for _, sh := range shapes {
+		for _, sh := range append(tile, shapes...) {
 			m, n, k := sh[0], sh[1], sh[2]
 			a, b := randSlice(rng, m*k), randSlice(rng, k*n)
 			c0 := randSlice(rng, m*n)
@@ -77,28 +82,55 @@ func TestGemmBitIdentical(t *testing.T) {
 	})
 }
 
-// TestKernelsAgreeOnPanels feeds the two micro-kernels the same packed
-// panels directly, so the assembly is compared with the portable kernel
-// even where the driver would never send a shape.
+// TestKernelsAgreeOnPanels feeds each assembly micro-kernel and the
+// portable one, at the assembly kernel's tile, the same packed panels
+// directly, so the assembly is compared even where the driver would
+// never send a shape.
 func TestKernelsAgreeOnPanels(t *testing.T) {
-	if kernelAsm == nil {
+	if len(kernels) == 1 {
 		t.Skip("no assembly micro-kernel on this host")
 	}
-	rng := rand.New(rand.NewSource(3))
-	for _, k := range []int{1, 2, 3, 17, kc} {
-		for _, ldc := range []int{nr, nr + 3, 200} {
-			a, b := randSlice(rng, k*mr), randSlice(rng, k*nr)
-			c0 := randSlice(rng, 3*ldc+nr)
-			got := append([]float64(nil), c0...)
-			want := append([]float64(nil), c0...)
-			kernelAsm(k, a, b, got, ldc)
-			kernelGo(k, a, b, want, ldc)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d ldc=%d: c[%d] = %v, want %v", k, ldc, i, got[i], want[i])
+	for _, kern := range kernels[:len(kernels)-1] {
+		t.Run(kern.name, func(t *testing.T) {
+			mr, nr := kern.mr, kern.nr
+			rng := rand.New(rand.NewSource(3))
+			for _, k := range []int{1, 2, 3, 17, kc} {
+				for _, ldc := range []int{nr, nr + 3, 200} {
+					a, b := randSlice(rng, k*mr), randSlice(rng, k*nr)
+					c0 := randSlice(rng, (mr-1)*ldc+nr)
+					got := append([]float64(nil), c0...)
+					want := append([]float64(nil), c0...)
+					kern.fn(k, a, b, got, ldc)
+					kernelGo(mr, nr, k, a, b, want, ldc)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("k=%d ldc=%d: c[%d] = %v, want %v", k, ldc, i, got[i], want[i])
+						}
+					}
 				}
 			}
+		})
+	}
+}
+
+// TestPickNarrowShapes: a C narrower than the preferred kernel's tile
+// goes to the next kernel with a narrower tile, and never to one of the
+// same width further down the list.
+func TestPickNarrowShapes(t *testing.T) {
+	host := kernels
+	defer func() { kernels = host }()
+	kernels = []kernel{{name: "wide", nr: 16}, {name: "narrow", nr: 8}, {name: "same", nr: 8}}
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{{1, "narrow"}, {7, "narrow"}, {8, "narrow"}, {15, "narrow"}, {16, "wide"}, {17, "wide"}, {196, "wide"}} {
+		if got := pick(tc.n).name; got != tc.want {
+			t.Errorf("n=%d: picked %s, want %s", tc.n, got, tc.want)
 		}
+	}
+	kernels = kernels[1:]
+	if got := pick(1).name; got != "narrow" {
+		t.Errorf("n=1 with no narrower kernel: picked %s, want narrow", got)
 	}
 }
 
@@ -107,7 +139,7 @@ func TestKernelsAgreeOnPanels(t *testing.T) {
 // says — and a finite column next to it is untouched.
 func TestGemmZeroTimesInfIsNaN(t *testing.T) {
 	perKernel(t, func(t *testing.T) {
-		for _, n := range []int{2, nr + 2} {
+		for _, n := range []int{2, kernels[0].nr + 2} {
 			a := []float64{0, 1}
 			b := make([]float64, 2*n)
 			for j := range b {
@@ -158,7 +190,8 @@ func TestGemmConcurrent(t *testing.T) {
 
 // BenchmarkGemm reports GFLOP/s per micro-kernel at the shapes the
 // seg=14 and seg=4 contractions, the Fock GEMV and the triples outer
-// product reduce to.
+// product reduce to.  "host" is what Gemm runs on this host, the kernel
+// pick chooses per shape; each kernel's name runs that kernel alone.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range [][3]int{{196, 196, 196}, {16, 16, 16}, {196, 1, 196}, {196, 196, 1}} {
 		m, n, k := sh[0], sh[1], sh[2]
@@ -169,13 +202,15 @@ func BenchmarkGemm(b *testing.B) {
 		for i := range y {
 			y[i] = 1 + float64(i%5)
 		}
-		eachKernel(func(name string) {
+		run := func(name string) {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", name, m, n, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					Gemm(m, n, k, 1, x, y, 0, z)
 				}
 				b.ReportMetric(2*float64(m)*float64(n)*float64(k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 			})
-		})
+		}
+		run("host")
+		eachKernel(run)
 	}
 }

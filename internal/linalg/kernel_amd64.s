@@ -75,6 +75,81 @@ store:
 	VZEROUPPER
 	RET
 
+// func kernelAVX512(kc int, a, b, c []float64, ldc int)
+//
+// The 4×16 tile of C lives in Z0..Z7 (row r in Z(2r), Z(2r+1)).  Each
+// step loads one 16-wide row of the B panel as two ZMM registers,
+// broadcasts the four A values of that k, and does a separate VMULPD and
+// VADDPD per accumulator, as kernelAVX2 does.  Only Z0..Z15 are used, so
+// the VZEROUPPER at the end leaves no upper state dirty.
+TEXT ·kernelAVX512(SB), NOSPLIT, $0-88
+	MOVQ kc+0(FP), CX
+	MOVQ a_base+8(FP), SI
+	MOVQ b_base+32(FP), DI
+	MOVQ c_base+56(FP), DX
+	MOVQ ldc+80(FP), R8
+	SHLQ $3, R8
+	LEAQ (DX)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD (R9), Z2
+	VMOVUPD 64(R9), Z3
+	VMOVUPD (R10), Z4
+	VMOVUPD 64(R10), Z5
+	VMOVUPD (R11), Z6
+	VMOVUPD 64(R11), Z7
+
+	TESTQ CX, CX
+	JLE   store512
+
+loop512:
+	VMOVUPD (DI), Z8
+	VMOVUPD 64(DI), Z9
+
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z0, Z0
+	VADDPD       Z13, Z1, Z1
+
+	VBROADCASTSD 8(SI), Z11
+	VMULPD       Z8, Z11, Z14
+	VMULPD       Z9, Z11, Z15
+	VADDPD       Z14, Z2, Z2
+	VADDPD       Z15, Z3, Z3
+
+	VBROADCASTSD 16(SI), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z4, Z4
+	VADDPD       Z13, Z5, Z5
+
+	VBROADCASTSD 24(SI), Z11
+	VMULPD       Z8, Z11, Z14
+	VMULPD       Z9, Z11, Z15
+	VADDPD       Z14, Z6, Z6
+	VADDPD       Z15, Z7, Z7
+
+	ADDQ $32, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  loop512
+
+store512:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (R9)
+	VMOVUPD Z3, 64(R9)
+	VMOVUPD Z4, (R10)
+	VMOVUPD Z5, 64(R10)
+	VMOVUPD Z6, (R11)
+	VMOVUPD Z7, 64(R11)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

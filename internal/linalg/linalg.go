@@ -8,11 +8,15 @@
 // helpers the block operations need.  Only float64 is supported,
 // matching the paper's double-precision tensors.
 //
-// Bit-identity rule.  Gemm has two micro-kernels — AVX2 assembly on
-// amd64 CPUs that have it, portable Go everywhere else — chosen once at
-// start-up from what the CPU reports; no option selects one.  Both
-// compute every element of C by the same sequence of IEEE 754
-// operations as the plain loop
+// Bit-identity rule.  Gemm has three micro-kernels — AVX-512 assembly
+// with a 4×16 tile and AVX2 assembly with a 4×8 tile on amd64 CPUs that
+// have them, portable Go (4×8) everywhere — chosen once at start-up from
+// what the CPU and OS report; no option selects one.  In cost order,
+// fastest first: the AVX-512 kernel ran 196×196×196 at about 1.5× the
+// AVX2 one, which ran it at about 8× the portable one.  A C narrower
+// than the AVX-512 tile goes to the AVX2 kernel, since the wider tile
+// would multiply zero padding.  All compute every element of C by the
+// same sequence of IEEE 754 operations as the plain loop
 //
 //	c = beta*c;  for l = 0..k-1 { c += (alpha*a[i,l]) * b[l,j] }
 //
@@ -21,8 +25,11 @@
 // machines (or a restart on a different one) compare equal under ==.
 // That is why the assembly uses a separate multiply and add and not a
 // fused multiply-add: FMA rounds once per term and would give different
-// answers than hosts without it, and the 4×8 tile is bound by its loads,
-// not its arithmetic, so FMA measured within 3 % of the split form.
+// answers than hosts without it.  Both assembly kernels issue two vector
+// instructions per multiply-add; 8-lane vectors halve the instructions
+// per term, and an 8×16 tile, with twice the arithmetic per B load,
+// measured no faster than 4×16, so the arithmetic and not the loads
+// bounds them.
 package linalg
 
 import (

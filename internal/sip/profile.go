@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bytecode"
+	"repro/internal/linalg"
 	"repro/internal/obs"
 )
 
@@ -223,10 +224,11 @@ func (p *Profile) serverTotals() (tot ServerStat) {
 }
 
 // String renders the profile as the per-run report SIAL programmers tune
-// from.
+// from.  Its header names the GEMM micro-kernel of the process that
+// renders it, since a contraction's time depends on it.
 func (p *Profile) String() string {
 	var b strings.Builder
-	b.WriteString("SIP profile\n")
+	fmt.Fprintf(&b, "SIP profile (kernel %s)\n", linalg.Kernel())
 	type row struct {
 		op bytecode.Op
 		st *OpStat
