@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/mpi/transport"
@@ -33,32 +32,6 @@ type clockSample struct {
 	ok       bool
 }
 
-// clockState accumulates per-peer offset estimates; the lowest-RTT
-// sample wins, since symmetric network delay is the estimator's only
-// error term beyond clock granularity.
-type clockState struct {
-	mu      sync.Mutex
-	samples map[int]clockSample
-}
-
-func (c *clockState) note(rank int, s clockSample) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.samples == nil {
-		c.samples = map[int]clockSample{}
-	}
-	if old, ok := c.samples[rank]; !ok || !old.ok || s.rttUs < old.rttUs {
-		c.samples[rank] = s
-	}
-}
-
-func (c *clockState) get(rank int) (clockSample, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.samples[rank]
-	return s, ok && s.ok
-}
-
 // handleClock intercepts clock frames in deliver.  Pings are answered
 // immediately on the reader goroutine (keeping the echo path short is
 // what makes the RTT-halving estimate tight); pongs complete a sample.
@@ -74,7 +47,13 @@ func (w *World) handleClock(src, dst int, data any) bool {
 		if rtt < 0 {
 			return true // clock stepped mid-flight; discard
 		}
-		w.clock.note(src, clockSample{offsetUs: m.TPeer - (m.T0+t1)/2, rttUs: rtt, ok: true})
+		// The lowest-RTT sample wins, since symmetric network delay is the
+		// estimator's only error term beyond clock granularity.
+		w.memberMu.Lock()
+		if s := &w.ranks[src].clock; !s.ok || rtt < s.rttUs {
+			*s = clockSample{offsetUs: m.TPeer - (m.T0+t1)/2, rttUs: rtt, ok: true}
+		}
+		w.memberMu.Unlock()
 		return true
 	}
 	return false
@@ -99,11 +78,10 @@ func (w *World) SyncClocks(rounds int, spacing time.Duration) {
 		if w.closed.Load() || w.aborted.Load() {
 			return
 		}
-		for r, box := range w.boxes {
-			if box != nil || w.Departed(r) || w.IsEvicted(r) {
-				continue
+		for r := range w.ranks {
+			if m := &w.ranks[r]; m.box == nil && m.state.Load() < departed { // latent or active
+				w.tr.Send(src, r, clockTag, clockPing{T0: time.Now().UnixMicro()})
 			}
-			w.tr.Send(src, r, clockTag, clockPing{T0: time.Now().UnixMicro()})
 		}
 		time.Sleep(spacing)
 	}
@@ -112,9 +90,16 @@ func (w *World) SyncClocks(rounds int, spacing time.Duration) {
 // ClockOffsetUs returns the best estimate of rank's wall-clock offset
 // relative to this endpoint (rank clock − local clock, µs): the
 // lowest-RTT ping-pong sample when SyncClocks ran, else the transport
-// handshake sample, else 0 (shared clock or no estimate).
+// handshake sample, else 0 (shared clock, no estimate, or a rank outside
+// the world).
 func (w *World) ClockOffsetUs(rank int) int64 {
-	if s, ok := w.clock.get(rank); ok {
+	if !w.known(rank) {
+		return 0
+	}
+	w.memberMu.Lock()
+	s := w.ranks[rank].clock
+	w.memberMu.Unlock()
+	if s.ok {
 		return s.offsetUs
 	}
 	if w.tr != nil {

@@ -27,15 +27,15 @@ func NewDistributedWorld(n int, local []int, tr transport.Transport) (*World, er
 	if tr == nil {
 		return nil, fmt.Errorf("mpi: distributed world needs a transport")
 	}
-	w := &World{n: n, boxes: make([]*mailbox, n), tr: tr}
+	w := &World{n: n, ranks: make([]member, n), tr: tr}
 	for _, r := range local {
-		if r < 0 || r >= n {
+		if !w.known(r) {
 			return nil, fmt.Errorf("mpi: local rank %d out of range [0,%d)", r, n)
 		}
-		if w.boxes[r] != nil {
+		if w.ranks[r].box != nil {
 			return nil, fmt.Errorf("mpi: local rank %d listed twice", r)
 		}
-		w.boxes[r] = newMailbox()
+		w.ranks[r].box = newMailbox()
 		w.local = append(w.local, r)
 	}
 	if err := tr.Start(w.deliver, w.peerDown); err != nil {
@@ -46,45 +46,60 @@ func NewDistributedWorld(n int, local []int, tr transport.Transport) (*World, er
 
 // deliver is the transport's receive handler: it routes one inbound
 // message to the destination rank's mailbox.  Poison frames abort the
-// world (recording the failure diagnosis they carry, if any) and
-// heartbeat frames refresh liveness state; neither is enqueued.
+// world (recording the failure diagnosis they carry) and heartbeat frames
+// refresh liveness state; neither is enqueued.  A frame from or naming a
+// rank outside the world is dropped (a poison frame still aborts): the
+// member table is indexed by rank.
 func (w *World) deliver(src, dst, tag int, data any) {
-	if w.IsEvicted(src) {
+	if !w.known(src) || w.ranks[src].state.Load() == evicted {
 		// Eviction is final: even if the rank was evicted falsely and is
 		// still limping along, none of its frames — heartbeats and
 		// poison included — may reach the survivors, or a zombie's
 		// error-path teardown would abort the run it was evicted from.
 		return
 	}
-	if n, ok := data.(evictNotice); ok {
-		for _, r := range w.local {
-			if r == n.Rank {
-				// The peers evicted one of *our* ranks: we are the zombie.
-				// Abort locally — without broadcasting poison, which could
-				// outrace the evict notice to a survivor — so this process
-				// terminates instead of wedging behind the firewall.
-				w.recordFailure(n.Rank, "evicted by peers: "+n.Reason)
-				w.Abort()
-				return
-			}
+	switch n := data.(type) {
+	case evictNotice:
+		if !w.known(n.Rank) {
+			return
+		}
+		if w.ranks[n.Rank].box != nil {
+			// The peers evicted one of *our* ranks: we are the zombie.
+			// Abort locally — without broadcasting poison, which could
+			// outrace the evict notice to a survivor — so this process
+			// terminates instead of wedging behind the firewall.
+			w.recordFailure(n.Rank, "evicted by peers: "+n.Reason)
+			w.Abort()
+			return
 		}
 		w.Evict(n.Rank, n.Reason)
 		return
-	}
-	if n, ok := data.(joinNotice); ok {
+	case joinNotice:
 		// A peer activated a latent rank (World.Join): converge on the
 		// grown membership.
-		w.applyJoin(n.Rank)
+		if w.known(n.Rank) {
+			w.applyJoin(n.Rank)
+		}
+		return
+	case byeNotice:
+		// The sender's ranks shut down cleanly, so the disconnect that
+		// follows is teardown, not a failure.
+		for _, r := range n.Ranks {
+			if w.known(r) {
+				w.ranks[r].advance(departed)
+			}
+		}
 		return
 	}
-	if b, ok := data.(byeNotice); ok {
-		w.markDeparted(b.Ranks)
-		return
-	}
-	if l := w.live.Load(); l != nil {
-		l.note(src)
+	if w.live.Load() != nil {
+		now := time.Now().UnixNano()
+		w.ranks[src].heard.Store(now)
 		if hb, ok := data.(heartbeatMsg); ok {
-			l.note(hb.Ranks...)
+			for _, r := range hb.Ranks {
+				if w.known(r) {
+					w.ranks[r].heard.Store(now)
+				}
+			}
 		}
 	}
 	if _, ok := data.(heartbeatMsg); ok {
@@ -95,19 +110,16 @@ func (w *World) deliver(src, dst, tag int, data any) {
 	}
 	if p, ok := data.(poisonMsg); ok {
 		if !w.closed.Load() {
-			if p.Rank >= 0 {
-				w.recordFailure(p.Rank, p.Reason)
-			}
+			w.recordFailure(p.Rank, p.Reason)
 			w.Abort()
 		}
 		return
 	}
-	box := w.boxes[dst]
-	if dst < 0 || dst >= w.n || box == nil {
+	if !w.known(dst) || w.ranks[dst].box == nil {
 		// Misrouted frame; drop rather than crash the reader.
 		return
 	}
-	box.put(Message{Source: src, Tag: tag, Data: data})
+	w.ranks[dst].box.put(Message{Source: src, Tag: tag, Data: data})
 }
 
 // peerDown is the transport's failure callback: a lost peer outside
@@ -117,20 +129,20 @@ func (w *World) peerDown(peer int, err error) {
 	if w.closed.Load() {
 		return
 	}
-	if peer >= 0 {
-		if w.Departed(peer) {
-			// The peer said goodbye before the disconnect: clean shutdown.
-			return
-		}
-		reason := fmt.Sprintf("connection lost: %v", err)
-		if w.Evictable(peer) {
-			w.Evict(peer, reason)
-			return
-		}
-		w.Fail(peer, reason)
-	} else {
+	if !w.known(peer) {
 		w.Abort()
+		return
 	}
+	if w.ranks[peer].state.Load() == departed {
+		// The peer said goodbye before the disconnect: clean shutdown.
+		return
+	}
+	reason := fmt.Sprintf("connection lost: %v", err)
+	if w.Evictable(peer) {
+		w.Evict(peer, reason)
+		return
+	}
+	w.Fail(peer, reason)
 }
 
 // ---------------------------------------------------------------------
@@ -170,32 +182,12 @@ type Liveness struct {
 	OnDown func(rank int, reason string)
 }
 
-// liveness is the running state behind StartLiveness.
+// liveness is the running state behind StartLiveness; the time each
+// rank was last heard is in its member record.
 type liveness struct {
 	lv       Liveness
 	stop     chan struct{}
 	stopOnce sync.Once
-
-	mu    sync.Mutex
-	heard map[int]time.Time
-}
-
-func (l *liveness) note(ranks ...int) {
-	now := time.Now()
-	l.mu.Lock()
-	for _, r := range ranks {
-		l.heard[r] = now
-	}
-	l.mu.Unlock()
-}
-
-func (l *liveness) lastHeard(rank int, fallback time.Time) time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if t, ok := l.heard[rank]; ok {
-		return t
-	}
-	return fallback
 }
 
 // StartLiveness begins heartbeat-based failure detection on a
@@ -212,7 +204,7 @@ func (w *World) StartLiveness(lv Liveness) error {
 	if lv.Timeout <= 0 {
 		lv.Timeout = 8 * lv.Interval
 	}
-	l := &liveness{lv: lv, stop: make(chan struct{}), heard: map[int]time.Time{}}
+	l := &liveness{lv: lv, stop: make(chan struct{})}
 	if !w.live.CompareAndSwap(nil, l) {
 		return fmt.Errorf("mpi: liveness already started")
 	}
@@ -225,13 +217,13 @@ func (w *World) StartLiveness(lv Liveness) error {
 // from are measured against the monitor's start (startup grace of one
 // Timeout).
 func (w *World) monitor(l *liveness) {
-	start := time.Now()
+	start := time.Now().UnixNano()
 	ticker := time.NewTicker(l.lv.Interval)
 	defer ticker.Stop()
 	src := w.local[0]
 	var remotes []int
-	for r, box := range w.boxes {
-		if box == nil {
+	for r := range w.ranks {
+		if w.ranks[r].box == nil {
 			remotes = append(remotes, r)
 		}
 	}
@@ -248,10 +240,9 @@ func (w *World) monitor(l *liveness) {
 		}
 		targets = targets[:0]
 		for _, r := range remotes {
-			if w.Departed(r) || w.IsLatent(r) {
-				continue
+			if s := w.ranks[r].state.Load(); s == active || s == evicted {
+				targets = append(targets, r)
 			}
-			targets = append(targets, r)
 		}
 		// Best-effort: failures surface through peerDown/silence.  Over a
 		// multicast-capable transport the round's heartbeat is encoded
@@ -264,18 +255,13 @@ func (w *World) monitor(l *liveness) {
 				w.tr.Send(src, r, heartbeatTag, hb)
 			}
 		}
-		now := time.Now()
+		now := time.Now().UnixNano()
 		for _, r := range remotes {
-			if w.IsEvicted(r) {
-				continue // already dead; keep watching the others
+			m := &w.ranks[r]
+			if m.state.Load() != active {
+				continue // evicted, departed or not yet joined: silence is expected
 			}
-			if w.Departed(r) {
-				continue // cleanly shut down; silence is expected
-			}
-			if w.IsLatent(r) {
-				continue // not yet joined; silence is expected
-			}
-			if silent := now.Sub(l.lastHeard(r, start)); silent > l.lv.Timeout {
+			if silent := time.Duration(now - max(m.heard.Load(), start)); silent > l.lv.Timeout {
 				reason := fmt.Sprintf("no traffic for %v (liveness timeout %v)",
 					silent.Round(time.Millisecond), l.lv.Timeout)
 				if l.lv.OnDown != nil {
@@ -292,13 +278,12 @@ func (w *World) monitor(l *liveness) {
 	}
 }
 
-// poisonMsg aborts the receiving process's world (World.Poison,
-// World.Fail).  It is intercepted in deliver before reaching any
-// mailbox.  A frame with Rank >= 0 also carries the sender's failure
-// diagnosis, which the receiver records (first diagnosis wins) before
-// aborting.
+// poisonMsg aborts the receiving process's world (World.Fail).  It is
+// intercepted in deliver before reaching any mailbox, and carries the
+// sender's failure diagnosis, which the receiver records (first
+// diagnosis wins) before aborting.
 type poisonMsg struct {
-	Rank   int // failed rank, or -1 when the abort has no attributed cause
+	Rank   int // the failed rank
 	Reason string
 }
 
@@ -406,7 +391,7 @@ func init() {
 
 	// Fuzz seed corpus: one encoded example per type registered above.
 	wire.Sample(poisonMsg{Rank: 1, Reason: "test"})
-	wire.Sample(poisonMsg{Rank: -1}) // World.Poison: no attributed cause
+	wire.Sample(poisonMsg{Rank: -1}) // no attributed cause: still a well-formed frame
 	wire.Sample(evictNotice{Rank: 3, Reason: "liveness"})
 	wire.Sample(byeNotice{Ranks: []int{4, 5}})
 	wire.Sample(joinNotice{Rank: 6})

@@ -89,10 +89,11 @@ func TestDistributedSendRecv(t *testing.T) {
 	})
 }
 
-// TestPoisonWakesBlockedRecv pins the abort contract: World.Poison must
-// wake a remote rank blocked in Recv (or waiting on a request) promptly
-// on every transport, instead of leaving it deadlocked on a message that will
-// never arrive — and, unlike Fail, without blaming any rank.
+// TestPoisonWakesBlockedRecv pins the abort contract: the poison frame
+// World.Fail broadcasts must wake a remote rank blocked in Recv (or
+// waiting on a request) promptly on every transport, instead of leaving
+// it deadlocked on a message that will never arrive — and every world
+// records the diagnosis it carries.
 func TestPoisonWakesBlockedRecv(t *testing.T) {
 	transportCases(t, 2, func(t *testing.T, worlds []*World) {
 		recvDone := make(chan error, 1)
@@ -117,7 +118,7 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 		})
 		time.Sleep(10 * time.Millisecond) // let both receivers block
 
-		worlds[0].Poison()
+		worlds[0].Fail(0, "boom")
 
 		for name, ch := range map[string]chan error{"Recv": recvDone, "Wait": waitDone} {
 			select {
@@ -126,12 +127,12 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 					t.Errorf("%s returned %v, want ErrAborted panic", name, err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%s still blocked after Poison", name)
+				t.Fatalf("%s still blocked after Fail", name)
 			}
 		}
 		for rank, w := range worlds {
-			if f := w.Failure(); f != nil {
-				t.Errorf("rank %d: unattributed poison recorded failure %v", rank, f)
+			if f := w.Failure(); f == nil || f.Rank != 0 || f.Reason != "boom" {
+				t.Errorf("rank %d: failure = %+v, want rank 0 %q", rank, f, "boom")
 			}
 		}
 	})

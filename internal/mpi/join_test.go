@@ -17,8 +17,8 @@ func TestLatentSendsDropped(t *testing.T) {
 	if w.Aborted() {
 		t.Fatal("send to latent rank aborted the world")
 	}
-	if got := w.Latent(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Latent() = %v, want [2]", got)
+	if !w.IsLatent(2) || w.IsLatent(0) || w.IsLatent(1) {
+		t.Fatalf("IsLatent = %v %v %v, want only rank 2", w.IsLatent(0), w.IsLatent(1), w.IsLatent(2))
 	}
 }
 

@@ -62,41 +62,64 @@ type Observer interface {
 // subset of the ranks and reaches the rest through a Transport.
 type World struct {
 	n       int
-	boxes   []*mailbox // nil entries are remote ranks
-	local   []int      // locally hosted ranks, in rank order
+	ranks   []member // one record per rank, indexed by rank
+	local   []int    // locally hosted ranks, in rank order
 	obs     Observer
 	tr      transport.Transport
 	closed  atomic.Bool
 	aborted atomic.Bool
-
-	failMu  sync.Mutex
-	failure *RankFailure
 	live    atomic.Pointer[liveness]
-	clock   clockState
 
-	// Recovery state (SetRecover).  evicted maps a dead rank to the
-	// reason it was evicted; evictGen counts evictions so waiters can
-	// detect membership changes without holding evictMu.
-	recovering atomic.Bool
-	evictMu    sync.Mutex
-	critical   map[int]bool
-	evicted    map[int]string
-	evictGen   atomic.Uint64
+	// evictGen counts membership changes (evictions and joins) so waiters
+	// can detect them without a lock.
+	evictGen atomic.Uint64
 
-	// departed tracks remote ranks that announced a clean shutdown
-	// (byeNotice from World.Close), so their subsequent disconnect is
-	// teardown, not failure.  Independent of recovery mode.
-	departMu sync.Mutex
-	departed map[int]bool
-
-	// latent tracks provisioned-but-inactive ranks (SetLatent): spare
-	// slots a long-running pool can activate later with Join — the
-	// inverse of Evict, sharing its convergence machinery (membership
-	// stamp bump, joinNotice fan-out, mailbox wakeups).  Sends to a
-	// latent rank are dropped and liveness ignores it until it joins.
-	latentMu sync.Mutex
-	latent   map[int]bool
+	// memberMu guards the failure diagnosis and every member's reason and
+	// clock sample.
+	memberMu sync.Mutex
+	failure  *RankFailure
 }
+
+// Rank states, in the one order a rank moves through them: a latent rank
+// (SetLatent) becomes active when it joins, and an active one ends
+// departed (its world announced a clean shutdown) or evicted.  A rank
+// only ever moves to a later state, so eviction is final.  Ranks start
+// active, the zero value.
+const (
+	latent int32 = iota - 1
+	active
+	departed
+	evicted
+)
+
+// member is one rank's record in its world.
+type member struct {
+	box       *mailbox     // nil for a remote rank
+	state     atomic.Int32 // latent, active, departed or evicted
+	evictable atomic.Bool  // SetRecover: this rank's death can be survived
+	heard     atomic.Int64 // unix ns the rank was last heard, while liveness runs
+
+	// Under World.memberMu.
+	reason string      // why the rank was evicted
+	clock  clockSample // the lowest-RTT ping-pong sample
+}
+
+// advance moves the rank to a later state and reports whether it did.
+func (m *member) advance(to int32) bool {
+	for {
+		cur := m.state.Load()
+		if cur >= to {
+			return false
+		}
+		if m.state.CompareAndSwap(cur, to) {
+			return true
+		}
+	}
+}
+
+// known reports whether rank names a rank of the world: a frame naming
+// any other is dropped before it reaches the table.
+func (w *World) known(rank int) bool { return rank >= 0 && rank < w.n }
 
 // SetObserver installs a message observer.  It must be called before
 // any rank starts communicating.
@@ -107,9 +130,9 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mpi: world size %d < 1", n))
 	}
-	w := &World{n: n, boxes: make([]*mailbox, n)}
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+	w := &World{n: n, ranks: make([]member, n)}
+	for i := range w.ranks {
+		w.ranks[i].box = newMailbox()
 		w.local = append(w.local, i)
 	}
 	return w
@@ -155,7 +178,8 @@ func (c *Comm) Send(dst, tag int, data any) {
 		panic(fmt.Sprintf("mpi: send to rank %d out of range [0,%d)", dst, c.world.n))
 	}
 	w := c.world
-	if w.IsEvicted(dst) || w.Departed(dst) || w.IsLatent(dst) {
+	m := &w.ranks[dst]
+	if m.state.Load() != active {
 		// The rank is gone (evicted, or cleanly shut down after finishing
 		// its part of the protocol) or not yet active (latent); nothing is
 		// listening.  Dropping the send here keeps every protocol layer
@@ -164,7 +188,7 @@ func (c *Comm) Send(dst, tag int, data any) {
 		return
 	}
 	depth := -1 // remote sends have no mailbox-depth view
-	if box := w.boxes[dst]; box != nil {
+	if box := m.box; box != nil {
 		depth = box.put(Message{Source: c.rank, Tag: tag, Data: data})
 	} else if err := w.tr.Send(c.rank, dst, tag, data); err != nil {
 		// The connection is gone: abort locally instead of hanging on
@@ -211,13 +235,13 @@ func (c *Comm) Multicast(dsts []int, tag int, data any, clone func() any) {
 			panic(fmt.Sprintf("mpi: multicast to rank %d out of range [0,%d)", dst, w.n))
 		}
 		switch {
-		case mc == nil || w.boxes[dst] != nil:
+		case mc == nil || w.ranks[dst].box != nil:
 			if clone != nil {
 				c.Send(dst, tag, clone())
 			} else {
 				c.Send(dst, tag, data)
 			}
-		case w.IsEvicted(dst) || w.Departed(dst) || w.IsLatent(dst): // gone, as in Send
+		case w.ranks[dst].state.Load() != active: // gone, as in Send
 		case lone < 0:
 			lone = dst
 		default:
@@ -251,7 +275,7 @@ func (c *Comm) Multicast(dsts []int, tag int, data any, clone func() any) {
 
 // box returns this rank's mailbox, which must be hosted locally.
 func (c *Comm) box() *mailbox {
-	b := c.world.boxes[c.rank]
+	b := c.world.ranks[c.rank].box
 	if b == nil {
 		panic(fmt.Sprintf("mpi: rank %d is not hosted by this world", c.rank))
 	}
@@ -439,8 +463,8 @@ func (w *World) broadcast(msg any) {
 	if w.tr == nil {
 		return
 	}
-	for r, box := range w.boxes {
-		if box == nil {
+	for r := range w.ranks {
+		if w.ranks[r].box == nil {
 			w.tr.Send(w.local[0], r, controlTag, msg)
 		}
 	}
@@ -448,17 +472,15 @@ func (w *World) broadcast(msg any) {
 
 // Abort aborts this endpoint of the world: every locally hosted mailbox
 // wakes its blocked receivers with ErrAborted (after draining
-// already-delivered matches).  Remote endpoints are not told — use
-// Poison or Fail for that.  It is idempotent and safe to call from any
-// goroutine; transports call it when a peer connection dies.
+// already-delivered matches).  Remote endpoints are not told — use Fail
+// for that.  It is idempotent and safe to call from any goroutine;
+// transports call it when a peer connection dies.
 func (w *World) Abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	for _, box := range w.boxes {
-		if box != nil {
-			box.abort()
-		}
+	for _, r := range w.local {
+		w.ranks[r].box.abort()
 	}
 }
 
@@ -479,22 +501,10 @@ func (f *RankFailure) Error() string {
 	return fmt.Sprintf("mpi: rank %d failed: %s", f.Rank, f.Reason)
 }
 
-// Poison aborts every endpoint of the world without attributing a
-// cause: remote ranks get a poison frame that aborts their worlds, then
-// this world aborts.  It is how a rank that failed for a reason of its
-// own (not a peer's death) stops ranks blocked on messages it will
-// never send.  Safe from any goroutine and idempotent.
-func (w *World) Poison() {
-	if !w.aborted.Load() && !w.closed.Load() {
-		w.broadcast(poisonMsg{Rank: -1})
-	}
-	w.Abort()
-}
-
-// Fail is Poison with a diagnosis: it records rank as failed (the first
-// recorded failure wins) and the poison frame carries the reason, so
-// every remote world learns it before aborting.  Safe from any
-// goroutine and idempotent.
+// Fail aborts every endpoint of the world with a diagnosis: it records
+// rank as failed (the first recorded failure wins), remote worlds get a
+// poison frame carrying the reason, so each learns it before aborting,
+// and then this world aborts.  Safe from any goroutine and idempotent.
 func (w *World) Fail(rank int, reason string) {
 	if w.recordFailure(rank, reason) && !w.closed.Load() {
 		w.broadcast(poisonMsg{Rank: rank, Reason: reason})
@@ -505,8 +515,8 @@ func (w *World) Fail(rank int, reason string) {
 // recordFailure stores the first failure diagnosis and reports whether
 // this call was the one that stored it.
 func (w *World) recordFailure(rank int, reason string) bool {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
+	w.memberMu.Lock()
+	defer w.memberMu.Unlock()
 	if w.failure != nil {
 		return false
 	}
@@ -517,8 +527,8 @@ func (w *World) recordFailure(rank int, reason string) bool {
 // Failure returns the recorded rank failure, or nil if the world never
 // diagnosed one (including worlds aborted without an attributed cause).
 func (w *World) Failure() *RankFailure {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
+	w.memberMu.Lock()
+	defer w.memberMu.Unlock()
 	return w.failure
 }
 
@@ -526,32 +536,16 @@ func (w *World) Failure() *RankFailure {
 // detected failures of non-critical ranks feed Evict instead of Fail,
 // so the survivors keep running over the live members.  critical lists
 // ranks whose death remains fatal (for the SIP: the master and the I/O
-// servers).  Call it before ranks start communicating.
+// servers).  Call it once, before ranks start communicating.
 func (w *World) SetRecover(critical ...int) {
-	w.evictMu.Lock()
-	if w.critical == nil {
-		w.critical = map[int]bool{}
+	for r := range w.ranks {
+		w.ranks[r].evictable.Store(!slices.Contains(critical, r))
 	}
-	if w.evicted == nil {
-		w.evicted = map[int]string{}
-	}
-	for _, r := range critical {
-		w.critical[r] = true
-	}
-	w.evictMu.Unlock()
-	w.recovering.Store(true)
 }
 
 // Evictable reports whether rank's death can be survived: recovery is
 // on and the rank is not critical.
-func (w *World) Evictable(rank int) bool {
-	if !w.recovering.Load() {
-		return false
-	}
-	w.evictMu.Lock()
-	defer w.evictMu.Unlock()
-	return !w.critical[rank]
-}
+func (w *World) Evictable(rank int) bool { return w.ranks[rank].evictable.Load() }
 
 // Evict marks rank as permanently dead without poisoning the
 // survivors: sends to it become no-ops, inbound frames from it are
@@ -566,13 +560,16 @@ func (w *World) Evict(rank int, reason string) {
 		w.Fail(rank, reason)
 		return
 	}
-	w.evictMu.Lock()
-	if _, dup := w.evicted[rank]; dup {
-		w.evictMu.Unlock()
+	m := &w.ranks[rank]
+	w.memberMu.Lock()
+	first := m.advance(evicted)
+	if first {
+		m.reason = reason
+	}
+	w.memberMu.Unlock()
+	if !first {
 		return
 	}
-	w.evicted[rank] = reason
-	w.evictMu.Unlock()
 	w.evictGen.Add(1)
 	// Tell the remote worlds (best-effort: the dead rank's connection
 	// may be the casualty) so every survivor converges on one view.
@@ -588,39 +585,30 @@ func (w *World) Evict(rank int, reason string) {
 	// with ErrAborted and unwind rather than wait forever behind the
 	// firewall (the in-process analogue of the zombie self-abort in
 	// deliver).
-	for r, box := range w.boxes {
-		if box == nil {
-			continue
-		}
+	for _, r := range w.local {
 		if r == rank {
-			box.abort()
+			w.ranks[r].box.abort()
 		} else {
-			box.wake()
+			w.ranks[r].box.wake()
 		}
 	}
 }
 
 // IsEvicted reports whether rank has been evicted.
-func (w *World) IsEvicted(rank int) bool {
-	if !w.recovering.Load() {
-		return false
-	}
-	w.evictMu.Lock()
-	defer w.evictMu.Unlock()
-	_, ok := w.evicted[rank]
-	return ok
-}
+func (w *World) IsEvicted(rank int) bool { return w.ranks[rank].state.Load() == evicted }
 
 // Evicted returns a copy of the evicted ranks and their reasons.
 func (w *World) Evicted() map[int]string {
-	w.evictMu.Lock()
-	defer w.evictMu.Unlock()
-	if len(w.evicted) == 0 {
-		return nil
-	}
-	out := make(map[int]string, len(w.evicted))
-	for r, reason := range w.evicted {
-		out[r] = reason
+	w.memberMu.Lock()
+	defer w.memberMu.Unlock()
+	var out map[int]string
+	for r := range w.ranks {
+		if w.ranks[r].state.Load() == evicted {
+			if out == nil {
+				out = map[int]string{}
+			}
+			out[r] = w.ranks[r].reason
+		}
 	}
 	return out
 }
@@ -635,42 +623,20 @@ func (w *World) EvictStamp() uint64 { return w.evictGen.Load() }
 // rank are dropped, liveness does not monitor it, and it is expected to
 // stay silent.  Call before ranks start communicating.
 func (w *World) SetLatent(ranks ...int) {
-	w.latentMu.Lock()
-	if w.latent == nil {
-		w.latent = map[int]bool{}
-	}
 	for _, r := range ranks {
-		w.latent[r] = true
+		w.ranks[r].state.CompareAndSwap(active, latent)
 	}
-	w.latentMu.Unlock()
 }
 
 // IsLatent reports whether rank is provisioned but not yet joined.
-func (w *World) IsLatent(rank int) bool {
-	w.latentMu.Lock()
-	defer w.latentMu.Unlock()
-	return w.latent[rank]
-}
-
-// Latent returns the latent ranks in ascending order.
-func (w *World) Latent() []int {
-	w.latentMu.Lock()
-	defer w.latentMu.Unlock()
-	out := make([]int, 0, len(w.latent))
-	for r := 0; r < w.n; r++ {
-		if w.latent[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (w *World) IsLatent(rank int) bool { return w.ranks[rank].state.Load() == latent }
 
 // Join activates a latent rank — the inverse of Evict, reusing its
 // membership-convergence machinery: the membership stamp bumps, remote
 // worlds get a joinNotice so every endpoint converges on the new
 // membership, and blocked RecvRangeUntil waiters wake to observe it.  It
-// reports whether the rank was latent (the first join wins; joining an
-// active or unknown rank is a no-op).  Safe from any goroutine.
+// reports whether the rank was latent (the first join wins; joining a
+// rank in any other state is a no-op).  Safe from any goroutine.
 func (w *World) Join(rank int) bool {
 	if !w.applyJoin(rank) {
 		return false
@@ -684,49 +650,23 @@ func (w *World) Join(rank int) bool {
 	return true
 }
 
-// applyJoin performs the local half of a join: clear the latent mark,
-// reset the rank's liveness clock (it was legitimately silent until
-// now), bump the membership stamp, and wake blocked receivers so
-// membership-aware waits recheck their cancel condition.
+// applyJoin performs the local half of a join: make the rank active,
+// reset its liveness clock (it was legitimately silent until now), bump
+// the membership stamp, and wake blocked receivers so membership-aware
+// waits recheck their cancel condition.
 func (w *World) applyJoin(rank int) bool {
-	w.latentMu.Lock()
-	if !w.latent[rank] {
-		w.latentMu.Unlock()
+	m := &w.ranks[rank]
+	if !m.state.CompareAndSwap(latent, active) {
 		return false
 	}
-	delete(w.latent, rank)
-	w.latentMu.Unlock()
-	if l := w.live.Load(); l != nil {
-		l.note(rank)
+	if w.live.Load() != nil {
+		m.heard.Store(time.Now().UnixNano())
 	}
 	w.evictGen.Add(1)
-	for _, box := range w.boxes {
-		if box != nil {
-			box.wake()
-		}
+	for _, r := range w.local {
+		w.ranks[r].box.wake()
 	}
 	return true
-}
-
-// markDeparted records remote ranks that announced a clean shutdown,
-// so the transport-level disconnect that follows is recognized as
-// teardown rather than a rank failure.
-func (w *World) markDeparted(ranks []int) {
-	w.departMu.Lock()
-	if w.departed == nil {
-		w.departed = map[int]bool{}
-	}
-	for _, r := range ranks {
-		w.departed[r] = true
-	}
-	w.departMu.Unlock()
-}
-
-// Departed reports whether rank announced a clean shutdown.
-func (w *World) Departed(rank int) bool {
-	w.departMu.Lock()
-	defer w.departMu.Unlock()
-	return w.departed[rank]
 }
 
 // Close tears the world down, closing its transport (if any).  Peer

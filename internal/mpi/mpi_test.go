@@ -139,9 +139,9 @@ func TestManySendersOneReceiver(t *testing.T) {
 	}
 }
 
-// TestPoisonReleasesBlockedMembers: on an in-process world Poison is
-// the whole abort — every rank blocked in a receive panics ErrAborted,
-// no failure is recorded, and later receives abort immediately.
+// TestPoisonReleasesBlockedMembers: on an in-process world Fail is the
+// whole abort — every rank blocked in a receive panics ErrAborted, the
+// first diagnosis is recorded, and later receives abort immediately.
 func TestPoisonReleasesBlockedMembers(t *testing.T) {
 	w := NewWorld(3)
 	aborted := make(chan bool, 2)
@@ -152,8 +152,8 @@ func TestPoisonReleasesBlockedMembers(t *testing.T) {
 		}()
 	}
 	time.Sleep(10 * time.Millisecond)
-	w.Poison()
-	w.Poison() // idempotent
+	w.Fail(0, "boom")
+	w.Fail(0, "again") // idempotent: the first diagnosis wins
 	for i := 0; i < 2; i++ {
 		select {
 		case ok := <-aborted:
@@ -164,8 +164,8 @@ func TestPoisonReleasesBlockedMembers(t *testing.T) {
 			t.Fatal("poison did not release a blocked rank")
 		}
 	}
-	if f := w.Failure(); f != nil {
-		t.Errorf("unattributed poison recorded failure %v", f)
+	if f := w.Failure(); f == nil || f.Rank != 0 || f.Reason != "boom" {
+		t.Errorf("failure = %+v, want rank 0 %q", f, "boom")
 	}
 	defer func() {
 		if recover() != ErrAborted {

@@ -640,3 +640,61 @@ func TestServeResumeFromSnapshot(t *testing.T) {
 		t.Errorf("done job still has a snapshot dir (%v)", err)
 	}
 }
+
+// napSrc is one pure pardo with a nap per iteration: every completed
+// chunk is snapshotted (CkptInterval 1) while the job is still running.
+const napSrc = `
+sial nap_drill
+param n = 12
+aoindex I = 1, n
+aoindex J = 1, n
+temp v(I,J)
+scalar e
+pardo I, J
+  compute_integrals v(I,J)
+  execute nap v(I,J)
+  e += dot(v(I,J), v(I,J))
+endpardo
+collective e
+endsial
+`
+
+// TestServeCanceledJobReclaimsSnapshots: a job canceled after its first
+// snapshot never resumes, so the service removes its snapshot directory
+// (the runtime removes it only when a run completes).
+func TestServeCanceledJobReclaimsSnapshots(t *testing.T) {
+	scratch := t.TempDir()
+	cfg := Config{MaxConcurrent: 1, JournalDir: t.TempDir(), CkptInterval: 1, Warn: t.Logf}
+	cfg.Pool.ScratchDir = scratch
+	s := newTestService(t, cfg)
+	s.RegisterPack("nap", Pack{Source: napSrc, Env: resumePack(20 * time.Millisecond).Env})
+
+	st, err := s.Submit(SubmitRequest{Name: "canceled", Pack: "nap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cur, _ := s.Job(st.ID)
+		if cur.CkptEpoch > 0 {
+			break
+		}
+		if cur.State != StateRunning && cur.State != StateQueued || time.Now().After(deadline) {
+			t.Fatalf("job %q with no snapshot (%s)", cur.State, cur.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	dir := sip.SnapshotDir(scratch, fmt.Sprintf("job%d", st.ID))
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("snapshotted job has no snapshot dir: %v", err)
+	}
+	if _, err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if fin, _ := s.Wait(st.ID); fin.State != StateCanceled {
+		t.Fatalf("job after cancel: %q (%s)", fin.State, fin.Error)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("canceled job still has a snapshot dir (%v)", err)
+	}
+}

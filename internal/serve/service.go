@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -781,8 +780,7 @@ func (s *Service) finishLocked(j *job, state, errMsg string) {
 		// Terminal jobs never resume; reclaim their snapshots.  (The
 		// runtime already removes them on clean completion — this covers
 		// canceled, timed-out, and terminally failed jobs.)
-		dir := filepath.Join(s.cfg.Pool.ScratchDir, "ckpt", fmt.Sprintf("job%d", j.status.ID))
-		if err := os.RemoveAll(dir); err != nil {
+		if err := os.RemoveAll(sip.SnapshotDir(s.cfg.Pool.ScratchDir, j.cfg.CkptName)); err != nil {
 			s.cfg.Warn("serve: removing snapshots for job %d: %v", j.status.ID, err)
 		}
 	}

@@ -269,13 +269,17 @@ func (m *master) epochDir(epoch int) string {
 	return filepath.Join(m.snap.dir, fmt.Sprintf("epoch%d", epoch))
 }
 
+// SnapshotDir is the directory in which a run with scratch directory
+// scratch keeps its snapshots under the checkpoint name (Config.CkptName).
+func SnapshotDir(scratch, name string) string { return filepath.Join(scratch, "ckpt", name) }
+
 // initSnap wires the checkpoint state from the config (newMaster).
 func (m *master) initSnap() {
 	cfg := &m.rt.cfg
 	if cfg.CkptInterval <= 0 {
 		return
 	}
-	m.snap.dir = filepath.Join(m.rt.scratch, "ckpt", cfg.CkptName)
+	m.snap.dir = SnapshotDir(m.rt.scratch, cfg.CkptName)
 	m.snap.fingerprint = ckptFingerprint(m.rt)
 	m.snap.baseValid = true
 	m.snap.pure = map[int]bool{}
@@ -439,13 +443,9 @@ func (m *master) gcSnapshots() {
 	for _, de := range entries {
 		var e int
 		name := de.Name()
-		if n, _ := fmt.Sscanf(name, "manifest_%d.ckpt", &e); n == 1 && !de.IsDir() {
-			if e <= cut {
-				os.Remove(filepath.Join(m.snap.dir, name))
-			}
-			continue
-		}
-		if n, _ := fmt.Sscanf(name, "epoch%d", &e); n == 1 && de.IsDir() && e <= cut {
+		if n, _ := fmt.Sscanf(name, "manifest_%d.ckpt", &e); n == 1 && !de.IsDir() && e <= cut {
+			os.Remove(filepath.Join(m.snap.dir, name))
+		} else if n, _ := fmt.Sscanf(name, "epoch%d", &e); n == 1 && de.IsDir() && e <= cut {
 			os.RemoveAll(filepath.Join(m.snap.dir, name))
 		}
 	}

@@ -38,7 +38,12 @@
 # file in decodeBlockFile), and the lines of non-test internal/sip that name
 # a [][]int (0 is the aim: a pardo chunk, the chunk ledger, a replay order
 # and a snapshot overlay are spans of the iteration space, not lists of
-# iteration tuples).
+# iteration tuples); and, in non-test internal/mpi, the sync.Mutex fields
+# (3 at most is the aim: the world's memberMu, the failure diagnosis's
+# lock if it is not folded into memberMu, and the mailbox's) and the
+# per-rank map fields (0 is the aim: membership, liveness and the clock
+# sample live in one record per rank; the map Evicted returns is built
+# per call and is not a field).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -77,3 +82,5 @@ echo "where-tree references:        $where"
 echo "bytecode + compiler + sip non-test lines: $(( $(nontest internal/bytecode | wc -l) + $(nontest internal/compiler | wc -l) + $(nontest internal/sip | wc -l) ))"
 echo "block.New sites in non-test internal/sip + internal/chem: $( (nontest internal/sip; nontest internal/chem) | grep -c 'block\.New(' || true)"
 echo "[][]int sites in non-test internal/sip: $(nontest internal/sip | grep -c '\[\]\[\]int' || true)"
+echo "sync.Mutex fields in internal/mpi: $(nontest internal/mpi | grep -cE '^\s+\w+\s+sync\.Mutex\b' || true)"
+echo "per-rank maps in internal/mpi:     $(nontest internal/mpi | grep -cE '^\s+\w+\s+map\[int\]' || true)"
