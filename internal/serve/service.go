@@ -29,6 +29,18 @@ const (
 	StateRequeued = "requeued"
 )
 
+const (
+	// maxRetries is how often a job whose failure was a membership
+	// casualty (a rank died mid-run and took the job's distributed blocks
+	// with it) is re-run.  A retry snapshots the pool's reshaped live
+	// membership, so a job caught in an eviction re-executes cleanly on
+	// the survivors.
+	maxRetries = 2
+	// journalCompactBytes triggers compaction when the journal tail grows
+	// past it.
+	journalCompactBytes = 1 << 20
+)
+
 // Sentinel errors for the control-plane endpoints.
 var (
 	// ErrDraining rejects submissions while the service drains for
@@ -95,21 +107,12 @@ type Config struct {
 	// JobMetrics, when true, gives every job a private obs.Registry
 	// whose counters are reported in the job's status.
 	JobMetrics bool
-	// MaxRetries re-runs a job whose failure was a membership casualty
-	// (a rank died mid-run and took the job's distributed blocks with
-	// it).  The retry snapshots the pool's reshaped live membership, so
-	// a job caught in an eviction re-executes cleanly on the survivors.
-	// Default 2; negative disables retries.
-	MaxRetries int
 	// JournalDir enables the write-ahead job journal: every lifecycle
 	// event is fsync'd there before it is acknowledged, and a restart
 	// on the same directory replays history and resubmits every job
 	// that had not reached a terminal state.  Empty disables
 	// durability.
 	JournalDir string
-	// JournalCompactBytes triggers compaction when the journal tail
-	// grows past it (default 1 MiB).
-	JournalCompactBytes int64
 	// HistoryLimit caps terminal jobs kept in memory: beyond it the
 	// oldest are evicted down to an id→state stub, with the full record
 	// still in the journal.  Default 1000; negative means unlimited.
@@ -173,7 +176,7 @@ type JobStatus struct {
 	Finished       time.Time `json:"finished,omitzero"`
 	Error          string    `json:"error,omitempty"`
 	// Retries counts re-executions after membership-casualty failures
-	// (a pool rank died mid-run; see Config.MaxRetries).
+	// (a pool rank died mid-run; see maxRetries).
 	Retries int                `json:"retries,omitempty"`
 	Scalars map[string]float64 `json:"scalars,omitempty"`
 	// Metrics holds the job's private counter snapshot (Config.JobMetrics).
@@ -294,12 +297,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.DefaultSeg <= 0 {
 		cfg.DefaultSeg = 4
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.JournalCompactBytes <= 0 {
-		cfg.JournalCompactBytes = 1 << 20
 	}
 	if cfg.HistoryLimit == 0 {
 		cfg.HistoryLimit = 1000
@@ -713,10 +710,10 @@ func (s *Service) runJob(j *job) {
 	res, err := s.pool.RunJob(j.prog, j.cfg)
 	// A rank death mid-run is a pool event, not a program error: the
 	// job's distributed blocks died with the rank.  Re-execute on the
-	// pool's reshaped live membership (Config.MaxRetries); deterministic
+	// pool's reshaped live membership (maxRetries); deterministic
 	// program failures carry no rank diagnosis and never retry.  A job
 	// whose cancel has fired is never retried — it is being abandoned.
-	for attempt := 0; err != nil && rankCasualty(err) && !j.cancelRequested() && attempt < s.cfg.MaxRetries; attempt++ {
+	for attempt := 0; err != nil && rankCasualty(err) && !j.cancelRequested() && attempt < maxRetries; attempt++ {
 		s.mu.Lock()
 		j.status.Retries++
 		s.mu.Unlock()
@@ -821,7 +818,7 @@ func (s *Service) journalLocked(ev journalEvent) {
 		s.cfg.Warn("serve: journal append failed: %v", err)
 		return
 	}
-	if s.journal.Size() > s.cfg.JournalCompactBytes {
+	if s.journal.Size() > journalCompactBytes {
 		if err := s.journal.Compact(); err != nil {
 			s.cfg.Warn("serve: journal compaction failed: %v", err)
 		}

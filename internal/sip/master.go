@@ -68,7 +68,7 @@ type master struct {
 
 // syncState tracks one master-mediated sync round: the report of every
 // worker that has reached it (and is parked awaiting release, or died
-// after reporting), by origin, with what it carried — a collective's
+// after reporting), by sender, with what it carried — a collective's
 // contribution, a blocks_to_list partition, the captured interpreter state
 // (nil when checkpointing is off or a pardo frame was active; the snapshot
 // base is taken from the lowest live rank).  A report implies every
@@ -261,17 +261,17 @@ func (m *master) collect(tag int, what string, debts map[int]int, got func(mpi.M
 	return m.rt.rule(m.rt.collect(m.comm, tag, what, debts, got))
 }
 
-// relayErr rebuilds a failure reported over the done path.  When the
-// reporter attributed it to a specific rank, the returned error wraps a
-// reconstructed RankFailure so errors.As works on the master's result
-// even if the relay beat the master's own detection; a bystander's echo
-// of an abort it did not cause gets its ErrAborted back (worker.run
-// always wraps it last), so errors.Is classifies it as one.
-func (m *master) relayErr(done doneMsg) error {
+// relayErr rebuilds a failure rank from reported over the done path.
+// When the reporter attributed it to a specific rank, the returned error
+// wraps a reconstructed RankFailure so errors.As works on the master's
+// result even if the relay beat the master's own detection; a
+// bystander's echo of an abort it did not cause gets its ErrAborted back
+// (worker.run always wraps it last), so errors.Is classifies it as one.
+func (m *master) relayErr(from int, done doneMsg) error {
 	if done.failRank >= 0 {
 		rf := &mpi.RankFailure{Rank: done.failRank, Reason: done.failReason}
 		return fmt.Errorf("sip: master: %w (%s; reported by rank %d)",
-			rf, m.rt.ranks.Role(rf.Rank), done.origin)
+			rf, m.rt.ranks.Role(rf.Rank), from)
 	}
 	if text, echo := strings.CutSuffix(done.err, mpi.ErrAborted.Error()); echo {
 		return fmt.Errorf("%s%w", text, mpi.ErrAborted)
@@ -298,8 +298,8 @@ func relayWeight(err error) int {
 // the first among equals: with several ranks racing to report, a
 // bystander's generic "aborted after peer failure" can reach the master
 // before the failed rank's own report.
-func (m *master) recordRelay(trk *obs.Track, done doneMsg) {
-	if relay := m.relayErr(done); m.workerErr == nil || relayWeight(relay) > relayWeight(m.workerErr) {
+func (m *master) recordRelay(trk *obs.Track, from int, done doneMsg) {
+	if relay := m.relayErr(from, done); m.workerErr == nil || relayWeight(relay) > relayWeight(m.workerErr) {
 		m.workerErr = relay
 	}
 	m.abandon(trk, "job_failed", false)
@@ -399,11 +399,12 @@ func (m *master) run() (res *Result, err error) {
 		if !ok {
 			continue // membership changed: fold it in
 		}
+		from := msg.Source
 		switch msg.Tag - rt.tagBase {
 		case tagChunkReq:
 			start := trk.Start()
 			req := msg.Data.(chunkMsg)
-			if rt.world.IsEvicted(req.origin) {
+			if rt.world.IsEvicted(from) {
 				// A zombie's request racing its own eviction (the frame was
 				// mailed before the rank died).  Serving it would assign
 				// fresh iterations to the dead rank AFTER noteEvictions
@@ -416,7 +417,7 @@ func (m *master) run() (res *Result, err error) {
 				// worker fast-forwards to the next sync point and, from
 				// there, the shutdown protocol.  No gate charge — an
 				// abandoned job must not brake its live peers.
-				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
+				m.comm.Send(from, rt.tag(tagChunkRep), chunkReply{})
 				break
 			}
 			// Fairness between concurrent jobs (sial serve): the gate may
@@ -439,31 +440,31 @@ func (m *master) run() (res *Result, err error) {
 			// Fold the requester's progress into the chunk ledger before
 			// handing out more work, and possibly take a mid-pardo snapshot
 			// at the -ckpt-interval watermark.
-			m.notePardoProgress(req, r, trk)
+			m.notePardoProgress(from, req, r, trk)
 			if m.abandoned {
 				// A stop-triggered snapshot just self-canceled the job.
-				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
+				m.comm.Send(from, rt.tag(tagChunkRep), chunkReply{})
 				break
 			}
 			// A drained run stays in m.runs until the next sync round seals
 			// the phase: a worker may still die holding iterations that need
 			// re-queuing here.
-			chunk := r.take(r.chunkSize(len(rt.ranks.workers)), req.origin, redispCtr)
-			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{chunk})
+			chunk := r.take(r.chunkSize(len(rt.ranks.workers)), from, redispCtr)
+			m.comm.Send(from, rt.tag(tagChunkRep), chunkReply{chunk})
 			chunkCtr.Inc()
 			iterCtr.Add(int64(chunk.n))
 			if trk != nil {
 				// Flow-out endpoint: the worker's matching wait_block span
-				// records the flow-in half under the same (0, origin,
+				// records the flow-in half under the same (0, requester,
 				// tagChunkRep) id, so the merged trace draws the arrow.
-				trk.FlowOut(start, msgFlowID(0, req.origin, rt.tag(tagChunkRep)),
+				trk.FlowOut(start, msgFlowID(0, from, rt.tag(tagChunkRep)),
 					obs.CatChunk, "dispatch_chunk",
 					obs.AInt("pardo", req.pardo), obs.AInt("iters", chunk.n))
 			}
 		case tagObs:
-			m.handleObsReport(msg.Data.(obsReportMsg), false)
+			m.handleObsReport(from, msg.Data.(obsReportMsg), false)
 		case tagSync:
-			m.handleSync(msg.Data.(syncMsg))
+			m.handleSync(from, msg.Data.(syncMsg))
 		case tagDone:
 			// A failure report.  A server whose blocks live on elsewhere is
 			// evicted, and the run goes on degraded.  A report racing its
@@ -471,14 +472,14 @@ func (m *master) run() (res *Result, err error) {
 			// cancel the re-queue of its in-flight iterations.
 			done := msg.Data.(doneMsg)
 			if trk != nil {
-				trk.Instant(obs.CatChunk, "rank_failed", obs.AInt("rank", done.origin))
+				trk.Instant(obs.CatChunk, "rank_failed", obs.AInt("rank", from))
 			}
 			switch {
-			case rt.ranks.isServer(done.origin) && rt.world.Evictable(done.origin):
-				rt.world.Evict(done.origin, done.err)
-			case !rt.world.IsEvicted(done.origin):
-				m.doneRanks[done.origin] = true
-				m.recordRelay(trk, done)
+			case rt.ranks.isServer(from) && rt.world.Evictable(from):
+				rt.world.Evict(from, done.err)
+			case !rt.world.IsEvicted(from):
+				m.doneRanks[from] = true
+				m.recordRelay(trk, from, done)
 			}
 		}
 	}
@@ -495,7 +496,7 @@ func (m *master) run() (res *Result, err error) {
 		m.comm.Send(sr, tagServer, shut)
 		homes[sr] = 1
 	}
-	answer := func(msg mpi.Message) { m.recordGather(res, msg.Data.(gatherMsg)) }
+	answer := func(msg mpi.Message) { m.recordGather(res, msg.Source, msg.Data.(gatherMsg)) }
 	if err := m.collect(tagGather, "shutdown answer", homes, answer); err != nil {
 		return res, err
 	}
@@ -510,30 +511,30 @@ func (m *master) run() (res *Result, err error) {
 	return res, err
 }
 
-// recordGather folds one home's answer to shutdown into res, and its
+// recordGather folds home from's answer to shutdown into res, and its
 // rank's final telemetry report into the aggregator.  Every live replica
 // of a served block reports a copy, so only the current primary's is
 // kept: after an eviction the promoted backups may not have been healed
 // yet, but the primary is always a prior holder with the authoritative
 // copy.
-func (m *master) recordGather(res *Result, g gatherMsg) {
+func (m *master) recordGather(res *Result, from int, g gatherMsg) {
 	if g.obs != nil {
 		// A periodic report shipped before the answer is queued ahead of it
 		// (a sender's messages arrive in order): fold it first.
-		for r, ok := m.comm.TryRecv(g.origin, tagObs); ok; r, ok = m.comm.TryRecv(g.origin, tagObs) {
-			m.handleObsReport(r.Data.(obsReportMsg), false)
+		for r, ok := m.comm.TryRecv(from, tagObs); ok; r, ok = m.comm.TryRecv(from, tagObs) {
+			m.handleObsReport(from, r.Data.(obsReportMsg), false)
 		}
-		m.handleObsReport(*g.obs, true)
+		m.handleObsReport(from, *g.obs, true)
 	}
 	var reps []int
 	for arr, blocks := range g.arrays {
 		name := m.rt.prog.Arrays[arr].Name
-		if !m.rt.ranks.isServer(g.origin) {
+		if !m.rt.ranks.isServer(from) {
 			res.Arrays[name] = append(res.Arrays[name], blocks...)
 			continue
 		}
 		for _, ab := range blocks {
-			if reps = m.rt.replicaServers(reps, arr, ab.Ord); len(reps) > 0 && reps[0] == g.origin {
+			if reps = m.rt.replicaServers(reps, arr, ab.Ord); len(reps) > 0 && reps[0] == from {
 				res.Served[name] = append(res.Served[name], ab)
 			}
 		}
@@ -611,12 +612,12 @@ func (m *master) noteEviction(trk *obs.Track, rank int, reason string) {
 	}
 }
 
-// handleSync records a worker's arrival at a sync point.  The report
+// handleSync records worker from's arrival at a sync point.  The report
 // doubles as the completion ack for everything the ledger holds against
 // that worker: by protocol it is sent only after all of the worker's
 // put/prepare traffic has been acknowledged.
-func (m *master) handleSync(req syncMsg) {
-	if m.rt.world.IsEvicted(req.origin) {
+func (m *master) handleSync(from int, req syncMsg) {
+	if m.rt.world.IsEvicted(from) {
 		return
 	}
 	s := m.syncs[req.round]
@@ -625,9 +626,9 @@ func (m *master) handleSync(req syncMsg) {
 		m.syncs[req.round] = s
 	}
 	s.kind, s.id = req.kind, req.id
-	s.reports[req.origin] = req
+	s.reports[from] = req
 	for _, r := range m.runs {
-		delete(r.assigned, req.origin)
+		delete(r.assigned, from)
 	}
 }
 
@@ -832,7 +833,7 @@ restart:
 				if a.round != round {
 					break // straggler from an abandoned pass
 				}
-				scanned[a.origin] = true
+				scanned[msg.Source] = true
 				pushes += a.pushed
 			case replAckMsg:
 				if a.round == round {

@@ -5,31 +5,32 @@ import (
 	"repro/internal/obs"
 )
 
+// The payloads below name no sender: a receiver takes the sender's rank
+// from the envelope, mpi.Message.Source, which delivery has already
+// checked against the world's size.
+
 // getMsg asks a block's home for a copy of it.  The reply carries a
 // *block.Block on the requester's unique replyTag.
 type getMsg struct {
 	key      blockKey
 	replyTag int
-	origin   int
 }
 
 // putMsg delivers a block to its home (distributed arrays) or its server
-// (served arrays).  acc selects atomic accumulate.  needAck requests a
-// tagAck so the origin can collect outstanding writes at barriers.  seq,
-// when non-zero, is a deterministic effect id (hash of job, pardo,
-// generation, iteration, and per-iteration effect ordinal) the
-// destination uses to deduplicate replayed iterations: a second put
-// with a seen seq is acknowledged but not applied, so accumulates land
-// at-most-once.  The id is origin-independent — a
+// (served arrays).  acc selects atomic accumulate.  The home acks every
+// put to its sender on tagAck, so the sender can collect outstanding
+// writes at barriers.  seq, when non-zero, is a deterministic effect id
+// (hash of job, pardo, generation, iteration, and per-iteration effect
+// ordinal) the destination uses to deduplicate replayed iterations: a
+// second put with a seen seq is acknowledged but not applied, so
+// accumulates land at-most-once.  The id is sender-independent — a
 // survivor replaying a dead worker's iteration regenerates the same
 // seq the dead worker may already have delivered.
 type putMsg struct {
-	key     blockKey
-	b       *block.Block
-	acc     bool
-	origin  int
-	needAck bool
-	seq     uint64
+	key blockKey
+	b   *block.Block
+	acc bool
+	seq uint64
 }
 
 // flushMsg asks an I/O server to write one job's dirty cached blocks to
@@ -54,9 +55,8 @@ type shutdownMsg struct {
 // chunkMsg asks the master for the next chunk of pardo iterations.
 // gen distinguishes repeated executions of the same pardo.
 type chunkMsg struct {
-	pardo  int
-	gen    int
-	origin int
+	pardo int
+	gen   int
 	// delta is the requester's cumulative in-pardo scalar contributions
 	// (scalars now minus scalars at pardo entry), the mid-pardo
 	// checkpoint's scalar watermark.  Empty when checkpointing is off.
@@ -77,7 +77,6 @@ type chunkReply struct {
 // rebuild the RankFailure; failRank is -1 otherwise (0 is a valid failed
 // rank — the master itself).
 type doneMsg struct {
-	origin     int
 	err        string
 	failRank   int
 	failReason string
@@ -99,7 +98,6 @@ type ckptData struct {
 // the job by array, when the master asked for them, and the rank's final
 // telemetry, when it ships, built after it folded its counters.
 type gatherMsg struct {
-	origin int
 	arrays map[int][]ArrayBlock // array id -> blocks
 	obs    *obsReportMsg        // nil when the rank does not ship
 }
@@ -124,9 +122,8 @@ const (
 // before the sync point has been acknowledged — the report is the
 // completion ack for all chunks the worker executed this phase.
 type syncMsg struct {
-	origin int
-	round  int
-	kind   int
+	round int
+	kind  int
 	// id is what the round is about: the scalar a collective reduces
 	// (the checkpointing master uses it to consume resume corrections
 	// exactly once per scalar), or the array a syncSave round saves and a
@@ -159,7 +156,6 @@ type rereplicateMsg struct {
 // pushed is the number of replPutMsg pushes it issued, which the master
 // adds to the replAckMsg count it waits for.
 type rereplicateAck struct {
-	origin int
 	round  int
 	pushed int
 }
@@ -169,17 +165,15 @@ type rereplicateAck struct {
 // and acks the master — not the pushing server, whose main loop may
 // itself be mid-scan pushing the other way.
 type replPutMsg struct {
-	key    blockKey
-	b      *block.Block
-	round  int
-	origin int
+	key   blockKey
+	b     *block.Block
+	round int
 }
 
 // replAckMsg acknowledges one applied replPutMsg to the master
 // (server -> master on tagRepl).
 type replAckMsg struct {
-	origin int
-	round  int
+	round int
 }
 
 // obsReportMsg is one rank's telemetry (Config.ObsShip) on tagObs, or
@@ -189,7 +183,6 @@ type replAckMsg struct {
 // duplicates.  wallUs is the rank tracer's wall-clock start in unix µs (0
 // when tracing is off), the anchor for cross-rank clock alignment.
 type obsReportMsg struct {
-	origin int
 	seq    int
 	wallUs int64
 	snap   *obs.Snapshot

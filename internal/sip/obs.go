@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/block"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Metric names exposed by the SIP (documented in docs/OBSERVABILITY.md).
@@ -100,9 +100,15 @@ func tagIndex(tag int) int {
 }
 
 // mpiStats implements mpi.Observer: per-tag message count/byte counters
-// and per-rank mailbox depth gauges.  Counters are resolved once at
-// construction so the per-send cost is two atomic adds and a gauge set.
+// and per-rank mailbox depth gauges.  A message counts its codec's size
+// hint (wire.SizeHint, the estimate the TCP transport sizes its encoders
+// by), or envelope when its type reports none; the exact framed bytes
+// are the transport's net.bytes_* counters.  Counters are resolved once
+// at construction so the per-send cost is two atomic adds and a gauge set.
 var _ mpi.Observer = (*mpiStats)(nil)
+
+// envelope is the size counted for a message that reports no size hint.
+const envelope = 16
 
 type mpiStats struct {
 	msgs   [replyTagSlot + 1]*obs.Counter
@@ -130,89 +136,12 @@ func newMPIStats(reg *obs.Registry, ranks int) *mpiStats {
 func (s *mpiStats) OnSend(src, dst, tag int, data any, depth int) {
 	i := tagIndex(tag)
 	s.msgs[i].Inc()
-	s.bytes[i].Add(msgBytes(data))
+	s.bytes[i].Add(int64(wire.SizeHint(data, envelope)))
 	// Remote sends report depth -1: the sender has no view of a remote
 	// mailbox's backlog.
 	if depth >= 0 && dst >= 0 && dst < len(s.qdepth) {
 		s.qdepth[dst].Set(int64(depth))
 	}
-}
-
-// msgBytes estimates the wire size a message would have under a real
-// MPI transport: a fixed envelope plus the float64 payload of any
-// blocks carried.
-func msgBytes(data any) int64 {
-	const envelope = 24
-	switch v := data.(type) {
-	case *block.Block:
-		return envelope + 8*int64(v.Size())
-	case putMsg:
-		n := int64(envelope + 40) // key, flags, origin, seq
-		if v.b != nil {
-			n += 8 * int64(v.b.Size())
-		}
-		return n
-	case getMsg:
-		return envelope + 24
-	case chunkMsg:
-		return envelope + 24 + 8*int64(len(v.delta))
-	case chunkReply:
-		return envelope + 24
-	case gatherMsg:
-		n := int64(envelope)
-		for _, blocks := range v.arrays {
-			n += arrayBlocksBytes(blocks)
-		}
-		if v.obs != nil {
-			n += msgBytes(*v.obs) // an attached report, as if shipped alone
-		}
-		return n
-	case doneMsg:
-		return envelope + 16 + int64(len(v.err))
-	case syncMsg:
-		return envelope + 32 + 8*int64(len(v.vals)) + workerStateBytes(v.state) + arrayBlocksBytes(v.blocks) // origin, round, kind, id
-	case replPutMsg:
-		n := int64(envelope + 32) // key, round, origin
-		if v.b != nil {
-			n += 8 * int64(v.b.Size())
-		}
-		return n
-	case rereplicateMsg, rereplicateAck, replAckMsg:
-		return envelope + 24
-	case obsReportMsg:
-		n := int64(envelope + 32)
-		if v.snap != nil {
-			n += 32 * int64(len(v.snap.Counters)+len(v.snap.Gauges)+len(v.snap.Hists))
-		}
-		for _, seg := range v.tracks {
-			n += 32 + 48*int64(len(seg.Events))
-		}
-		return n
-	case syncReply:
-		return int64(envelope+32) + 24*int64(len(v.spans)) + 8*int64(len(v.vals)) +
-			workerStateBytes(v.state) + arrayBlocksBytes(v.blocks) + int64(len(v.err))
-	default:
-		return envelope
-	}
-}
-
-// arrayBlocksBytes estimates the wire size of gathered or checkpointed
-// blocks: an ordinal and a length around each float64 payload.
-func arrayBlocksBytes(blocks []ArrayBlock) int64 {
-	var n int64
-	for _, ab := range blocks {
-		n += 16 + 8*int64(len(ab.Data))
-	}
-	return n
-}
-
-// workerStateBytes estimates the wire size of an attached resume state.
-func workerStateBytes(st *workerState) int64 {
-	if st == nil {
-		return 0
-	}
-	return 16 + 8*int64(len(st.scalars)+len(st.idxVal)+len(st.pardoGen)) +
-		int64(len(st.idxBound)) + 32*int64(len(st.frames))
 }
 
 // foldMetrics publishes a worker's plain counters — the hot paths count

@@ -100,7 +100,7 @@ func (s *obsShipper) report() obsReportMsg {
 		s.lastDropped = d
 	}
 	s.seq++
-	msg := obsReportMsg{origin: s.rank, seq: s.seq}
+	msg := obsReportMsg{seq: s.seq}
 	if rt.metrics != nil {
 		msg.snap = rt.metrics.Snapshot()
 	}
@@ -134,14 +134,14 @@ func (s *obsShipper) halt() {
 // ---------------------------------------------------------------------
 // Master side
 
-// handleObsReport folds one report into the aggregator (a nil ObsAgg
-// drops it), refreshing the clock-offset estimate for the reporting rank.
+// handleObsReport folds rank from's report into the aggregator (a nil
+// ObsAgg drops it), refreshing the clock-offset estimate for that rank.
 // A report is final when it travels in the rank's answer to shutdown.
-func (m *master) handleObsReport(r obsReportMsg, final bool) {
-	m.rt.cfg.ObsAgg.SetClockOffset(r.origin, m.rt.world.ClockOffsetUs(r.origin))
+func (m *master) handleObsReport(from int, r obsReportMsg, final bool) {
+	m.rt.cfg.ObsAgg.SetClockOffset(from, m.rt.world.ClockOffsetUs(from))
 	m.rt.cfg.ObsAgg.Report(obs.RankReport{
-		Rank:        r.origin,
-		Role:        m.rt.ranks.Role(r.origin),
+		Rank:        from,
+		Role:        m.rt.ranks.Role(from),
 		Seq:         r.seq,
 		Final:       final,
 		WallStartUs: r.wallUs,

@@ -29,7 +29,7 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 	ev0.Args[1] = obs.Arg{Key: "iters", Val: "8"}
 	ev1.Name, ev1.Cat, ev1.TS = "worker_done", obs.CatChunk, 99
 	want := obsReportMsg{
-		origin: 2, seq: 4, wallUs: 1722222222000000,
+		seq: 4, wallUs: 1722222222000000,
 		snap: snap,
 		tracks: []obs.TrackSegment{{
 			Rank: 2, Tid: 1, Proc: "worker 2", Name: "service",
@@ -38,12 +38,12 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 	}
 	got := sipRoundTrip(t, want).(obsReportMsg)
 	// The final report travels in a home's answer to shutdown.
-	g := sipRoundTrip(t, gatherMsg{origin: 2, obs: &want}).(gatherMsg)
+	g := sipRoundTrip(t, gatherMsg{obs: &want}).(gatherMsg)
 	if g.obs == nil {
 		t.Fatal("gather answer lost its report")
 	}
 	for _, got := range []obsReportMsg{got, *g.obs} {
-		if got.origin != want.origin || got.seq != want.seq || got.wallUs != want.wallUs {
+		if got.seq != want.seq || got.wallUs != want.wallUs {
 			t.Fatalf("header mismatch: %#v", got)
 		}
 		if !reflect.DeepEqual(got.snap, want.snap) {
@@ -53,13 +53,13 @@ func TestObsReportMsgWireRoundTrip(t *testing.T) {
 			t.Fatalf("tracks mismatch:\n got %#v\nwant %#v", got.tracks, want.tracks)
 		}
 	}
-	if g := sipRoundTrip(t, gatherMsg{origin: 1}).(gatherMsg); g.obs != nil {
+	if g := sipRoundTrip(t, gatherMsg{}).(gatherMsg); g.obs != nil {
 		t.Fatalf("gather answer grew a report: %#v", g.obs)
 	}
 
 	// A minimal report (tracing off) survives too.
-	empty := sipRoundTrip(t, obsReportMsg{origin: 3, seq: 1}).(obsReportMsg)
-	if empty.origin != 3 || empty.snap != nil || empty.tracks != nil {
+	empty := sipRoundTrip(t, obsReportMsg{seq: 1}).(obsReportMsg)
+	if empty.seq != 1 || empty.snap != nil || empty.tracks != nil {
 		t.Fatalf("empty report round trip: %#v", empty)
 	}
 }

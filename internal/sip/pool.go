@@ -152,7 +152,7 @@ func (p *Pool) supervise() {
 		m := comm.RecvRange(mpi.AnySource, 0, jobTagStride-1)
 		switch msg := m.Data.(type) {
 		case doneMsg:
-			fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
+			fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", m.Source, msg.err)
 		case shutdownMsg:
 			return // Close
 		}

@@ -173,7 +173,7 @@ func (s *ioServer) run() (err error) {
 		}
 		if err != nil && !errors.Is(err, mpi.ErrAborted) {
 			// Best-effort: the master may already be gone.
-			s.comm.Send(0, tagDone, doneMsg{origin: s.rank, err: err.Error(), failRank: -1})
+			s.comm.Send(0, tagDone, doneMsg{err: err.Error(), failRank: -1})
 			if s.rt.world.Evictable(s.rank) {
 				// Replicated served arrays survive this server's death:
 				// leave the world degraded instead of aborting it.
@@ -207,25 +207,23 @@ func (s *ioServer) run() (err error) {
 			// requester: clone for in-process delivery, but let a
 			// serializing transport encode the cached bytes directly —
 			// the served-read hot path then makes zero copies.
-			s.comm.Multicast([]int{msg.origin}, msg.replyTag, b, func() any { return b.Clone() })
+			s.comm.Multicast([]int{m.Source}, msg.replyTag, b, func() any { return b.Clone() })
 			if s.trk != nil {
 				// Flow-out endpoint matched by the requester's wait_block
-				// flow-in (same responder/origin/replyTag triple).
-				s.trk.FlowOut(start, msgFlowID(s.rank, msg.origin, msg.replyTag),
+				// flow-in (same responder/requester/replyTag triple).
+				s.trk.FlowOut(start, msgFlowID(s.rank, m.Source, msg.replyTag),
 					obs.CatServerCache, "serve_get",
-					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
+					obs.A("block", msg.key.String()), obs.AInt("origin", m.Source))
 			}
 		case putMsg:
 			start := s.trk.Start()
 			if err := s.applyPut(msg); err != nil {
 				return err
 			}
-			if msg.needAck {
-				s.comm.Send(msg.origin, jobTag(msg.key.job, tagAck), ackMsg{})
-			}
+			s.comm.Send(m.Source, jobTag(msg.key.job, tagAck), ackMsg{})
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "serve_put",
-					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
+					obs.A("block", msg.key.String()), obs.AInt("origin", m.Source))
 			}
 		case flushMsg:
 			start := s.trk.Start()
@@ -245,7 +243,7 @@ func (s *ioServer) run() (err error) {
 			if err != nil {
 				return err
 			}
-			s.comm.Send(0, jobTag(msg.job, tagRepl), rereplicateAck{origin: s.rank, round: msg.round, pushed: pushed})
+			s.comm.Send(0, jobTag(msg.job, tagRepl), rereplicateAck{round: msg.round, pushed: pushed})
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "rereplicate", obs.AInt("pushed", pushed))
 			}
@@ -256,13 +254,13 @@ func (s *ioServer) run() (err error) {
 			if err := s.apply(msg.key, msg.b, false); err != nil {
 				return err
 			}
-			s.comm.Send(0, jobTag(msg.key.job, tagRepl), replAckMsg{origin: s.rank, round: msg.round})
+			s.comm.Send(0, jobTag(msg.key.job, tagRepl), replAckMsg{round: msg.round})
 		case shutdownMsg:
 			// A job is over.  The server's own run keeps its blocks on disk
 			// for a restarted run to adopt; a pool tenant's are dropped
 			// unwritten.  Either way the master gets one answer, which for
 			// the server's own run carries its counters and final telemetry.
-			start, own, g := s.trk.Start(), msg.job == s.rt.job, gatherMsg{origin: s.rank}
+			start, own, g := s.trk.Start(), msg.job == s.rt.job, gatherMsg{}
 			var err error
 			if msg.gather {
 				g.arrays, err = s.gatherJob(msg.job)
@@ -465,7 +463,7 @@ func (s *ioServer) rereplicate(round, job int) (int, error) {
 		if len(dsts) == 0 {
 			continue
 		}
-		msg := replPutMsg{key: k, b: b, round: round, origin: s.rank}
+		msg := replPutMsg{key: k, b: b, round: round}
 		s.comm.Multicast(dsts, tagServer, msg, func() any {
 			m := msg
 			m.b = b.Clone()

@@ -47,7 +47,7 @@ const (
 	tagChunkReq  = 1  // worker -> master: request a pardo chunk
 	tagChunkRep  = 2  // master -> worker: iteration chunk
 	tagService   = 3  // worker -> worker service loop: get/put/shutdown
-	tagAck       = 4  // home/server -> origin: put, prepare, flush or registration applied
+	tagAck       = 4  // home/server -> sender: put, prepare, flush or registration applied
 	tagServer    = 5  // worker -> server: request/prepare/flush/shutdown
 	tagDone      = 8  // worker/server -> master: failure report; pool -> its supervisor: stop
 	tagGather    = 10 // home (service loop, server) -> master: answer to shutdown, with its blocks when gathering

@@ -544,7 +544,7 @@ func (m *master) rehydrate(man *ckptManifest) error {
 		}
 		key := blockKey{job: rt.job, arr: be.arr, ord: be.ord}
 		for _, sr := range rt.replicaServers(nil, be.arr, be.ord) {
-			m.comm.Send(sr, tagServer, putMsg{key: key, b: b.Clone(), origin: 0, needAck: true})
+			m.comm.Send(sr, tagServer, putMsg{key: key, b: b.Clone()})
 			owed[sr]++
 		}
 	}
@@ -703,27 +703,27 @@ func (m *master) maybeSyncSnapshot(s *syncState, parked []int, vals []float64, t
 	return nil
 }
 
-// notePardoProgress folds one chunk request into the completion ledger:
-// everything previously assigned to the requester is now complete (a
-// worker processes its chunks sequentially and requests the next only
-// after the last finished), and the request's delta carries the
-// requester's cumulative in-pardo scalar contributions.  Every
+// notePardoProgress folds worker from's chunk request into the
+// completion ledger: everything previously assigned to the requester is
+// now complete (a worker processes its chunks sequentially and requests
+// the next only after the last finished), and the request's delta
+// carries the requester's cumulative in-pardo scalar contributions.  Every
 // CkptInterval completed chunks — or immediately when a drain is
 // pending — a mid-pardo snapshot is attempted.
-func (m *master) notePardoProgress(req chunkMsg, r *pardoRun, trk *obs.Track) {
+func (m *master) notePardoProgress(from int, req chunkMsg, r *pardoRun, trk *obs.Track) {
 	if m.rt.cfg.CkptInterval <= 0 {
 		return
 	}
-	if len(r.assigned[req.origin]) > 0 {
+	if len(r.assigned[from]) > 0 {
 		if r.completed == nil {
 			r.completed = map[int][]span{}
 			r.completedDelta = map[int][]float64{}
 		}
 		// The ledger only appends until a sync report drops it, so its
 		// prefix is the completed set as it stands.
-		r.completed[req.origin] = slices.Clip(r.assigned[req.origin])
+		r.completed[from] = slices.Clip(r.assigned[from])
 		if req.delta != nil {
-			r.completedDelta[req.origin] = append([]float64(nil), req.delta...)
+			r.completedDelta[from] = append([]float64(nil), req.delta...)
 		}
 		m.snap.chunksSince++
 	}

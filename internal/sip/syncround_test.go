@@ -77,11 +77,11 @@ endsial
 			// report and returns the releases it left in the mailboxes.
 			report := func(wr int) map[int]syncReply {
 				t.Helper()
-				msg := syncMsg{origin: wr, round: 4, kind: kind, id: arr}
+				msg := syncMsg{round: 4, kind: kind, id: arr}
 				if kind == syncSave {
 					msg.blocks = parts[wr]
 				}
-				m.handleSync(msg)
+				m.handleSync(wr, msg)
 				m.noteEvictions(nil)
 				if err := m.completeSyncRounds(nil, nil); err != nil {
 					t.Fatal(err)

@@ -33,9 +33,10 @@ const (
 	wireIDCkptManifest
 )
 
-// WireSizeHint implements wire.SizeHinter for the block-bearing
-// messages: the transport sizes its pooled encoder from the hint, so a
-// block put/prepare encodes without buffer regrowth.
+// WireSizeHint implements wire.SizeHinter for the messages whose size
+// varies: the transport sizes its pooled encoder from the hint, so a
+// block put/prepare encodes without buffer regrowth, and the mpi.bytes.*
+// metrics count it (mpiStats.OnSend).
 func (m putMsg) WireSizeHint() int {
 	n := 48
 	if m.b != nil {
@@ -56,7 +57,7 @@ func (m replPutMsg) WireSizeHint() int {
 func (m gatherMsg) WireSizeHint() int {
 	n := 32
 	for _, blocks := range m.arrays {
-		n += 16 + int(arrayBlocksBytes(blocks))
+		n += 16 + arrayBlocksBytes(blocks)
 	}
 	if m.obs != nil {
 		n += m.obs.WireSizeHint()
@@ -64,7 +65,37 @@ func (m gatherMsg) WireSizeHint() int {
 	return n
 }
 
-func (m ckptData) WireSizeHint() int { return 32 + int(arrayBlocksBytes(m.blocks)) }
+func (m ckptData) WireSizeHint() int { return 32 + arrayBlocksBytes(m.blocks) }
+func (m chunkMsg) WireSizeHint() int { return 24 + 8*len(m.delta) }
+func (m doneMsg) WireSizeHint() int  { return 32 + len(m.err) + len(m.failReason) }
+
+func (m syncMsg) WireSizeHint() int {
+	return 32 + 8*len(m.vals) + workerStateBytes(m.state) + arrayBlocksBytes(m.blocks)
+}
+
+func (m syncReply) WireSizeHint() int {
+	return 48 + 32*len(m.spans) + 8*len(m.vals) + arrayBlocksBytes(m.blocks) +
+		len(m.err) + workerStateBytes(m.state)
+}
+
+// arrayBlocksBytes estimates the wire size of gathered or checkpointed
+// blocks: an ordinal and a length around each float64 payload.
+func arrayBlocksBytes(blocks []ArrayBlock) int {
+	n := 0
+	for _, ab := range blocks {
+		n += 16 + 8*len(ab.Data)
+	}
+	return n
+}
+
+// workerStateBytes estimates the wire size of an attached resume state.
+func workerStateBytes(st *workerState) int {
+	if st == nil {
+		return 0
+	}
+	return 16 + 8*(len(st.scalars)+len(st.idxVal)+len(st.pardoGen)) +
+		len(st.idxBound) + 32*len(st.frames)
+}
 
 // encodeWorkerState/decodeWorkerState carry a snapshot resume base,
 // both inside sync messages and inside the on-disk manifest (which
@@ -345,7 +376,6 @@ func decodeSegments(d *wire.Decoder) []obs.TrackSegment {
 // encodeObsReport/decodeObsReport carry a telemetry report, shipped on
 // its own or attached to a gatherMsg.
 func encodeObsReport(e *wire.Encoder, m obsReportMsg) {
-	e.Int(m.origin)
 	e.Int(m.seq)
 	e.Int(int(m.wallUs))
 	encodeSnapshot(e, m.snap)
@@ -353,8 +383,8 @@ func encodeObsReport(e *wire.Encoder, m obsReportMsg) {
 }
 
 func decodeObsReport(d *wire.Decoder) obsReportMsg {
-	return obsReportMsg{origin: d.Int(), seq: d.Int(),
-		wallUs: int64(d.Int()), snap: decodeSnapshot(d), tracks: decodeSegments(d)}
+	return obsReportMsg{seq: d.Int(), wallUs: int64(d.Int()),
+		snap: decodeSnapshot(d), tracks: decodeSegments(d)}
 }
 
 func init() {
@@ -363,17 +393,14 @@ func init() {
 		func(e *wire.Encoder, m getMsg) {
 			encodeKey(e, m.key)
 			e.Int(m.replyTag)
-			e.Int(m.origin)
 		},
 		func(d *wire.Decoder) getMsg {
-			return getMsg{key: decodeKey(d), replyTag: d.Int(), origin: d.Int()}
+			return getMsg{key: decodeKey(d), replyTag: d.Int()}
 		})
 	wire.Register(wireIDPutMsg,
 		func(e *wire.Encoder, m putMsg) {
 			encodeKey(e, m.key)
 			e.Bool(m.acc)
-			e.Int(m.origin)
-			e.Bool(m.needAck)
 			e.Uvarint(m.seq)
 			e.Bool(m.b != nil)
 			if m.b != nil {
@@ -381,7 +408,7 @@ func init() {
 			}
 		},
 		func(d *wire.Decoder) putMsg {
-			m := putMsg{key: decodeKey(d), acc: d.Bool(), origin: d.Int(), needAck: d.Bool(), seq: d.Uvarint()}
+			m := putMsg{key: decodeKey(d), acc: d.Bool(), seq: d.Uvarint()}
 			if d.Bool() {
 				m.b = block.DecodeWire(d)
 			}
@@ -400,24 +427,22 @@ func init() {
 		func(e *wire.Encoder, m chunkMsg) {
 			e.Int(m.pardo)
 			e.Int(m.gen)
-			e.Int(m.origin)
 			e.Float64s(m.delta)
 		},
 		func(d *wire.Decoder) chunkMsg {
-			return chunkMsg{pardo: d.Int(), gen: d.Int(), origin: d.Int(), delta: d.Float64s()}
+			return chunkMsg{pardo: d.Int(), gen: d.Int(), delta: d.Float64s()}
 		})
 	wire.Register(wireIDChunkReply,
 		func(e *wire.Encoder, m chunkReply) { encodeSpan(e, m.span) },
 		func(d *wire.Decoder) chunkReply { return chunkReply{decodeSpan(d)} })
 	wire.Register(wireIDDoneMsg,
 		func(e *wire.Encoder, m doneMsg) {
-			e.Int(m.origin)
 			e.String(m.err)
 			e.Int(m.failRank)
 			e.String(m.failReason)
 		},
 		func(d *wire.Decoder) doneMsg {
-			return doneMsg{origin: d.Int(), err: d.String(), failRank: d.Int(), failReason: d.String()}
+			return doneMsg{err: d.String(), failRank: d.Int(), failReason: d.String()}
 		})
 	wire.Register(wireIDCkptData,
 		func(e *wire.Encoder, m ckptData) {
@@ -429,7 +454,6 @@ func init() {
 		})
 	wire.Register(wireIDGatherMsg,
 		func(e *wire.Encoder, m gatherMsg) {
-			e.Int(m.origin)
 			e.Uvarint(uint64(len(m.arrays)))
 			for arr, blocks := range m.arrays {
 				e.Int(arr)
@@ -441,7 +465,7 @@ func init() {
 			}
 		},
 		func(d *wire.Decoder) gatherMsg {
-			m := gatherMsg{origin: d.Int()}
+			var m gatherMsg
 			n := d.Uvarint()
 			if !checkCount(d, n, "gathered arrays") {
 				return m
@@ -464,7 +488,6 @@ func init() {
 		func(d *wire.Decoder) ackMsg { return ackMsg{} })
 	wire.Register(wireIDSyncMsg,
 		func(e *wire.Encoder, m syncMsg) {
-			e.Int(m.origin)
 			e.Int(m.round)
 			e.Int(m.kind)
 			e.Int(m.id)
@@ -473,7 +496,7 @@ func init() {
 			encodeArrayBlocks(e, m.blocks)
 		},
 		func(d *wire.Decoder) syncMsg {
-			return syncMsg{origin: d.Int(), round: d.Int(), kind: d.Int(), id: d.Int(),
+			return syncMsg{round: d.Int(), kind: d.Int(), id: d.Int(),
 				vals: d.Float64s(), state: decodeWorkerState(d), blocks: decodeArrayBlocks(d)}
 		})
 	wire.Register(wireIDSyncReply,
@@ -502,38 +525,31 @@ func init() {
 		func(d *wire.Decoder) rereplicateMsg { return rereplicateMsg{round: d.Int(), job: d.Int()} })
 	wire.Register(wireIDRereplicateAck,
 		func(e *wire.Encoder, m rereplicateAck) {
-			e.Int(m.origin)
 			e.Int(m.round)
 			e.Int(m.pushed)
 		},
 		func(d *wire.Decoder) rereplicateAck {
-			return rereplicateAck{origin: d.Int(), round: d.Int(), pushed: d.Int()}
+			return rereplicateAck{round: d.Int(), pushed: d.Int()}
 		})
 	wire.Register(wireIDReplPutMsg,
 		func(e *wire.Encoder, m replPutMsg) {
 			encodeKey(e, m.key)
 			e.Int(m.round)
-			e.Int(m.origin)
 			e.Bool(m.b != nil)
 			if m.b != nil {
 				m.b.EncodeWire(e)
 			}
 		},
 		func(d *wire.Decoder) replPutMsg {
-			m := replPutMsg{key: decodeKey(d), round: d.Int(), origin: d.Int()}
+			m := replPutMsg{key: decodeKey(d), round: d.Int()}
 			if d.Bool() {
 				m.b = block.DecodeWire(d)
 			}
 			return m
 		})
 	wire.Register(wireIDReplAckMsg,
-		func(e *wire.Encoder, m replAckMsg) {
-			e.Int(m.origin)
-			e.Int(m.round)
-		},
-		func(d *wire.Decoder) replAckMsg {
-			return replAckMsg{origin: d.Int(), round: d.Int()}
-		})
+		func(e *wire.Encoder, m replAckMsg) { e.Int(m.round) },
+		func(d *wire.Decoder) replAckMsg { return replAckMsg{round: d.Int()} })
 	wire.Register(wireIDCkptManifest,
 		func(e *wire.Encoder, m ckptManifest) {
 			e.Int(m.epoch)
@@ -585,23 +601,23 @@ func init() {
 	k := blockKey{job: 1, arr: 2, ord: 3}
 	b := block.FromData([]float64{1, 2, 3, 4}, 2, 2)
 	abs := []ArrayBlock{{Ord: 1, Data: []float64{0.5, -0.5}}}
-	wire.Sample(getMsg{key: k, replyTag: 70, origin: 4})
-	wire.Sample(putMsg{key: k, acc: true, origin: 2, needAck: true, seq: 9, b: b})
+	wire.Sample(getMsg{key: k, replyTag: 70})
+	wire.Sample(putMsg{key: k, acc: true, seq: 9, b: b})
 	wire.Sample(flushMsg{job: 2})
 	wire.Sample(shutdownMsg{gather: true, job: 2})
-	wire.Sample(chunkMsg{pardo: 1, gen: 2, origin: 3, delta: []float64{0.25}})
+	wire.Sample(chunkMsg{pardo: 1, gen: 2, delta: []float64{0.25}})
 	wire.Sample(chunkReply{span{lo: 4, hi: 9, n: 3}})
-	wire.Sample(doneMsg{origin: 1, err: "boom", failRank: -1})
+	wire.Sample(doneMsg{err: "boom", failRank: -1})
 	wire.Sample(ckptData{arr: 2, blocks: abs})
-	wire.Sample(gatherMsg{origin: 1, arrays: map[int][]ArrayBlock{0: abs}})
-	wire.Sample(gatherMsg{origin: 2, obs: &obsReportMsg{origin: 2, seq: 3}})
+	wire.Sample(gatherMsg{arrays: map[int][]ArrayBlock{0: abs}})
+	wire.Sample(gatherMsg{obs: &obsReportMsg{seq: 3}})
 	wire.Sample(ackMsg{})
 	st := &workerState{resumePC: 7, syncRound: 2, scalars: []float64{1, 2},
 		idxVal: []int{0, 3}, idxBound: []bool{true, false}, pardoGen: []int{1},
 		frames: []frameState{{kind: 1, idx: 0, cur: 2, hi: 4, startPC: 5, exitPC: 9, retPC: -1, procID: -1}}}
-	wire.Sample(syncMsg{origin: 1, round: 2, kind: 3, id: 0, vals: []float64{1.5}, state: st})
-	wire.Sample(syncMsg{origin: 2, kind: 1, id: -1}) // the stateless form: most reports carry no snapshot base
-	wire.Sample(syncMsg{origin: 3, round: 4, kind: syncSave, id: 2, blocks: abs})
+	wire.Sample(syncMsg{round: 2, kind: 3, id: 0, vals: []float64{1.5}, state: st})
+	wire.Sample(syncMsg{kind: 1, id: -1}) // the stateless form: most reports carry no snapshot base
+	wire.Sample(syncMsg{round: 4, kind: syncSave, id: 2, blocks: abs})
 	wire.Sample(syncReply{round: 2, resume: true, pardo: 1, gen: 1, spans: []span{{0, 2, 1}, {7, 8, 1}}, vals: []float64{2}, state: st})
 	wire.Sample(syncReply{round: 4, blocks: abs, err: "sip: ckpt_j0_D.ckpt: checksum mismatch"})
 	wire.Sample(ckptManifest{epoch: 3, name: "job7", fingerprint: 0xdeadbeef, base: st,
@@ -609,12 +625,12 @@ func init() {
 		overlays: []ckptOverlay{{pardo: 0, gen: 1, spans: []span{{0, 5, 4}, {9, 12, 3}}}},
 		blocks:   []ckptBlockEntry{{arr: 1, ord: 2, rel: "a1_b2.blk", crc: 0xcafe, bytes: 32}}})
 	wire.Sample(rereplicateMsg{round: 1, job: 2})
-	wire.Sample(rereplicateAck{origin: 5, round: 1, pushed: 3})
-	wire.Sample(replPutMsg{key: k, round: 1, origin: 5, b: b})
-	wire.Sample(replAckMsg{origin: 5, round: 1})
+	wire.Sample(rereplicateAck{round: 1, pushed: 3})
+	wire.Sample(replPutMsg{key: k, round: 1, b: b})
+	wire.Sample(replAckMsg{round: 1})
 	ev := obs.Event{Name: "serve_get", Cat: "get", TS: 10, Dur: 5, Flow: 1, FlowDir: 's', NArg: 1}
 	ev.Args[0] = obs.Arg{Key: "block", Val: "b:0:1"}
-	wire.Sample(obsReportMsg{origin: 2, seq: 1, wallUs: 123,
+	wire.Sample(obsReportMsg{seq: 1, wallUs: 123,
 		snap: &obs.Snapshot{
 			Counters: map[string]int64{"net.frames_out.peer1": 4},
 			Gauges:   map[string]obs.GaugeValue{"mailbox.depth": {Value: 1, Max: 3}},

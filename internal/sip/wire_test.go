@@ -25,27 +25,27 @@ func TestMessageWireRoundTrips(t *testing.T) {
 		b.Data()[i] = float64(i) + 0.5
 	}
 	msgs := []any{
-		getMsg{key: blockKey{arr: 3, ord: 17}, replyTag: 1 << 16, origin: 2},
+		getMsg{key: blockKey{arr: 3, ord: 17}, replyTag: 1 << 16},
 		flushMsg{job: 4},
 		shutdownMsg{gather: true},
 		shutdownMsg{},
-		chunkMsg{pardo: 2, gen: 5, origin: 1},
+		chunkMsg{pardo: 2, gen: 5},
 		chunkReply{span{lo: 3, hi: 4100, n: 4096}},
 		chunkReply{},
-		doneMsg{origin: 1, failRank: -1},
-		doneMsg{origin: 2, err: "worker exploded", failRank: -1},
-		doneMsg{origin: 2, err: "aborted", failRank: 0, failReason: "no heartbeat"},
-		doneMsg{origin: 1, err: "aborted", failRank: 3, failReason: "no traffic for 1s"},
-		syncMsg{origin: 1, round: 9, kind: syncEnd, id: -1, vals: []float64{1.5, -2}},
-		syncMsg{origin: 3, round: 5, kind: syncSave, id: 7,
+		doneMsg{failRank: -1},
+		doneMsg{err: "worker exploded", failRank: -1},
+		doneMsg{err: "aborted", failRank: 0, failReason: "no heartbeat"},
+		doneMsg{err: "aborted", failRank: 3, failReason: "no traffic for 1s"},
+		syncMsg{round: 9, kind: syncEnd, id: -1, vals: []float64{1.5, -2}},
+		syncMsg{round: 5, kind: syncSave, id: 7,
 			blocks: []ArrayBlock{{Ord: 0, Data: []float64{1, 2}}, {Ord: 9, Data: []float64{3}}}},
 		syncReply{round: 5, blocks: []ArrayBlock{{Ord: 9, Data: []float64{3}}}, err: "disk full"},
 		syncReply{round: 6, resume: true, pardo: 1, gen: 2, spans: []span{{0, 4, 3}, {9, 10, 1}}},
 		ckptData{arr: 7, blocks: []ArrayBlock{{Ord: 1, Data: []float64{4}}}},
 		ackMsg{},
 		rereplicateMsg{round: 3},
-		rereplicateAck{origin: 4, round: 3, pushed: 17},
-		replAckMsg{origin: 5, round: 3},
+		rereplicateAck{round: 3, pushed: 17},
+		replAckMsg{round: 3},
 	}
 	for _, want := range msgs {
 		got := sipRoundTrip(t, want)
@@ -74,7 +74,8 @@ func TestWireSizeHintsBound(t *testing.T) {
 			t.Errorf("%T encodes to %d bytes, hint %d", v, len(buf), n)
 		}
 	}
-	for _, name := range []string{"sip.putMsg", "sip.replPutMsg", "sip.gatherMsg", "sip.ckptData", "sip.obsReportMsg"} {
+	for _, name := range []string{"sip.putMsg", "sip.replPutMsg", "sip.gatherMsg", "sip.ckptData", "sip.obsReportMsg",
+		"sip.chunkMsg", "sip.doneMsg", "sip.syncMsg", "sip.syncReply"} {
 		if !hinted[name] {
 			t.Errorf("no corpus sample of %s reports a size hint", name)
 		}
@@ -84,9 +85,9 @@ func TestWireSizeHintsBound(t *testing.T) {
 func TestPutMsgWireRoundTrip(t *testing.T) {
 	b := block.New(2, 2)
 	copy(b.Data(), []float64{1, 2, 3, 4})
-	want := putMsg{key: blockKey{arr: 1, ord: 2}, b: b, acc: true, origin: 5, needAck: true}
+	want := putMsg{key: blockKey{arr: 1, ord: 2}, b: b, acc: true, seq: 9}
 	got := sipRoundTrip(t, want).(putMsg)
-	if got.key != want.key || got.acc != want.acc || got.origin != want.origin || got.needAck != want.needAck {
+	if got.key != want.key || got.acc != want.acc || got.seq != want.seq {
 		t.Fatalf("header mismatch: %#v", got)
 	}
 	if !reflect.DeepEqual(got.b.Dims(), b.Dims()) || !reflect.DeepEqual(got.b.Data(), b.Data()) {
@@ -102,9 +103,9 @@ func TestPutMsgWireRoundTrip(t *testing.T) {
 func TestReplPutMsgWireRoundTrip(t *testing.T) {
 	b := block.New(2, 2)
 	copy(b.Data(), []float64{1, 2, 3, 4})
-	want := replPutMsg{key: blockKey{arr: 2, ord: 7}, b: b, round: 4, origin: 5}
+	want := replPutMsg{key: blockKey{arr: 2, ord: 7}, b: b, round: 4}
 	got := sipRoundTrip(t, want).(replPutMsg)
-	if got.key != want.key || got.round != want.round || got.origin != want.origin {
+	if got.key != want.key || got.round != want.round {
 		t.Fatalf("header mismatch: %#v", got)
 	}
 	if !reflect.DeepEqual(got.b.Dims(), b.Dims()) || !reflect.DeepEqual(got.b.Data(), b.Data()) {
@@ -117,7 +118,7 @@ func TestReplPutMsgWireRoundTrip(t *testing.T) {
 }
 
 func TestGatherMsgWireRoundTrip(t *testing.T) {
-	want := gatherMsg{origin: 3, arrays: map[int][]ArrayBlock{
+	want := gatherMsg{arrays: map[int][]ArrayBlock{
 		2: {{Ord: 0, Data: []float64{1, 2, 3}}},
 		5: {{Ord: 1, Data: []float64{4}}, {Ord: 2, Data: []float64{5, 6}}},
 	}}
@@ -125,8 +126,8 @@ func TestGatherMsgWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("gather round trip:\n got %#v\nwant %#v", got, want)
 	}
-	empty := sipRoundTrip(t, gatherMsg{origin: 9}).(gatherMsg)
-	if empty.origin != 9 || empty.arrays != nil {
+	empty := sipRoundTrip(t, gatherMsg{}).(gatherMsg)
+	if empty.arrays != nil || empty.obs != nil {
 		t.Fatalf("empty gather round trip: %#v", empty)
 	}
 }

@@ -86,7 +86,7 @@ func (w *worker) run() (err error) {
 		// The done report carries a diagnosed rank failure structurally
 		// (failRank) so the master can rebuild the RankFailure even when
 		// the relay wins the race against its own detection.
-		d := doneMsg{origin: w.rank, err: err.Error(), failRank: -1}
+		d := doneMsg{err: err.Error(), failRank: -1}
 		var rf *mpi.RankFailure
 		if errors.As(err, &rf) {
 			d.failRank, d.failReason = rf.Rank, rf.Reason
@@ -124,7 +124,8 @@ func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
 		if ok || err != nil {
 			return m, err
 		}
-		if reason, dead := w.rt.world.Evicted()[src]; dead {
+		if w.rt.world.IsEvicted(src) {
+			reason := w.rt.world.Evicted()[src]
 			return m, &mpi.RankFailure{Rank: src, Reason: fmt.Sprintf("evicted (%s) owing worker %d a %s", reason, w.rank, what)}
 		}
 	}
@@ -136,7 +137,7 @@ func (w *worker) recvFrom(src, tag int, what waitFor) (mpi.Message, error) {
 // requests another chunk from the master", paper §V-B).
 func (w *worker) nextChunk(pid, gen int, delta []float64) (span, error) {
 	start := w.trk.Start()
-	w.comm.Send(0, w.rt.tag(tagChunkReq), chunkMsg{pardo: pid, gen: gen, origin: w.rank, delta: delta})
+	w.comm.Send(0, w.rt.tag(tagChunkReq), chunkMsg{pardo: pid, gen: gen, delta: delta})
 	m, err := w.recvFrom(0, w.rt.tag(tagChunkRep), waitFor{what: "chunk reply from the master"})
 	if err != nil {
 		return span{}, err
@@ -234,7 +235,7 @@ func (w *worker) awaitBlock(e *cacheEntry) error {
 		}
 		replyTag := w.replyTag()
 		e.req = w.comm.Irecv(replicas[0], replyTag)
-		w.comm.Send(replicas[0], tagServer, getMsg{key: e.key, replyTag: replyTag, origin: w.rank})
+		w.comm.Send(replicas[0], tagServer, getMsg{key: e.key, replyTag: replyTag})
 	}
 }
 
@@ -273,7 +274,7 @@ func (w *worker) startFetch(arrID int, loc *refLoc, ahead bool) error {
 	if arr.Kind == bytecode.ArrayServed {
 		msgTag = tagServer
 	}
-	w.comm.Send(home, msgTag, getMsg{key: loc.key, replyTag: replyTag, origin: w.rank})
+	w.comm.Send(home, msgTag, getMsg{key: loc.key, replyTag: replyTag})
 	w.prof.fetches++
 	if ahead {
 		w.prof.prefetches++
@@ -315,7 +316,7 @@ func (w *worker) store(arrID int, loc *refLoc, val *block.Block, acc bool, seq u
 	// serializing transport encodes it once before returning — at most
 	// one payload copy end-to-end over TCP, and zero clones for the
 	// whole replica fan-out.
-	msg := putMsg{key: loc.key, b: val, acc: acc, origin: w.rank, needAck: true, seq: seq}
+	msg := putMsg{key: loc.key, b: val, acc: acc, seq: seq}
 	cloned := func() any {
 		m := msg
 		m.b = val.Clone()
@@ -367,7 +368,7 @@ func (w *worker) sync(kind, id int, val float64, st *workerState) (syncReply, er
 		return syncReply{}, err
 	}
 	round := w.syncRound
-	report := syncMsg{origin: w.rank, round: round, kind: kind, id: id, state: st}
+	report := syncMsg{round: round, kind: kind, id: id, state: st}
 	switch kind {
 	case syncCollective:
 		report.vals = []float64{val}
@@ -443,23 +444,21 @@ func (w *worker) serviceLoop() {
 			shape.OrdinalDims(msg.key.ord, dims[:])
 			b := block.Get(dims[:shape.Rank()]...)
 			w.dist.copyInto(msg.key, b)
-			sendBlock(w.comm, msg.origin, msg.replyTag, b)
+			sendBlock(w.comm, m.Source, msg.replyTag, b)
 			if trk != nil {
 				// Flow-out endpoint matched by the requester's wait_block
-				// flow-in (same responder/origin/replyTag triple).
-				trk.FlowOut(start, msgFlowID(w.rank, msg.origin, msg.replyTag),
+				// flow-in (same responder/requester/replyTag triple).
+				trk.FlowOut(start, msgFlowID(w.rank, m.Source, msg.replyTag),
 					obs.CatGet, "serve_get",
-					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
+					obs.A("block", msg.key.String()), obs.AInt("origin", m.Source))
 			}
 		case putMsg:
 			start := trk.Start()
 			w.applyLocalPut(msg.key, msg.b, msg.acc, msg.seq)
-			if msg.needAck {
-				w.comm.Send(msg.origin, w.rt.tag(tagAck), ackMsg{})
-			}
+			w.comm.Send(m.Source, w.rt.tag(tagAck), ackMsg{})
 			if trk != nil {
 				trk.End(start, obs.CatPut, "serve_put",
-					obs.A("block", msg.key.String()), obs.AInt("origin", msg.origin))
+					obs.A("block", msg.key.String()), obs.AInt("origin", m.Source))
 			}
 		case shutdownMsg:
 			// Every worker's end report followed its put acks, so the
@@ -468,7 +467,7 @@ func (w *worker) serviceLoop() {
 			// cannot block: the master shuts a home down only once its worker
 			// is done (past the end round, or reported failed) or evicted.
 			w.ran.Wait()
-			g := gatherMsg{origin: w.rank, obs: w.rt.ship.final()}
+			g := gatherMsg{obs: w.rt.ship.final()}
 			if msg.gather {
 				g.arrays = w.dist.copyOut(func(blockKey) bool { return true })
 			}

@@ -5,6 +5,7 @@
 package wire_test
 
 import (
+	"fmt"
 	"testing"
 
 	_ "repro/internal/block"
@@ -26,6 +27,90 @@ func TestCorpusCoversRegistry(t *testing.T) {
 	for _, id := range wire.RegisteredIDs() {
 		if !have[id] {
 			t.Errorf("no corpus sample for wire id %d", id)
+		}
+	}
+}
+
+// wireIDs is the ledger of every wire id ever shipped.  Snapshot
+// manifests and blocks_to_list files embed ids, and every rank of a run
+// must agree on them, so an id keeps its type for good: a live id maps to
+// the Go type its codec decodes (the %T of its corpus sample), and a
+// retired id is never registered again.
+var wireIDs = map[byte]string{
+	wire.IDString:  "string",
+	wire.IDFloat64: "float64",
+	wire.IDInt:     "int",
+	wire.IDBool:    "bool",
+	8:              "*block.Block",
+	18:             "mpi.poisonMsg",
+	19:             "mpi.heartbeatMsg",
+	20:             "mpi.evictNotice",
+	21:             "mpi.byeNotice",
+	22:             "mpi.clockPing",
+	23:             "mpi.clockPong",
+	24:             "mpi.joinNotice",
+	32:             "sip.getMsg",
+	33:             "sip.putMsg",
+	34:             "sip.flushMsg",
+	35:             "sip.shutdownMsg",
+	36:             "sip.chunkMsg",
+	37:             "sip.chunkReply",
+	38:             "sip.doneMsg",
+	40:             "sip.ckptData",
+	41:             "sip.gatherMsg",
+	42:             "sip.ackMsg",
+	43:             "sip.syncMsg",
+	44:             "sip.syncReply",
+	45:             "sip.rereplicateMsg",
+	46:             "sip.rereplicateAck",
+	47:             "sip.replPutMsg",
+	48:             "sip.replAckMsg",
+	49:             "sip.obsReportMsg",
+	51:             "sip.ckptManifest",
+}
+
+// retiredWireIDs are the ids whose types are gone, each with the change
+// that retired it.  None may be reused.
+var retiredWireIDs = map[byte]string{
+	16: "mpi groupContrib: mpi.Group deleted, barriers are master-mediated sync rounds",
+	17: "mpi groupResult: mpi.Group deleted, barriers are master-mediated sync rounds",
+	39: "sip ckptMsg: blocks_to_list and list_to_blocks became sync-round kinds",
+	50: "sip jobStartMsg: never sent, deleted",
+}
+
+// TestWireIDLedger fails when a registered id is missing from the
+// ledger, decodes to another type than the ledger says, or was retired,
+// and when a live ledger id is no longer registered (retire it instead).
+func TestWireIDLedger(t *testing.T) {
+	decoded := map[byte]string{}
+	for _, seed := range wire.Corpus() {
+		v, err := wire.Decode(seed)
+		if err != nil {
+			t.Fatalf("corpus sample of id %d: %v", seed[0], err)
+		}
+		decoded[seed[0]] = fmt.Sprintf("%T", v)
+	}
+	registered := map[byte]bool{}
+	for _, id := range wire.RegisteredIDs() {
+		registered[id] = true
+		if why, ok := retiredWireIDs[id]; ok {
+			t.Errorf("wire id %d is registered (%s) but was retired (%s)", id, decoded[id], why)
+			continue
+		}
+		want, ok := wireIDs[id]
+		switch {
+		case !ok:
+			t.Errorf("wire id %d (%s) is not in the ledger", id, decoded[id])
+		case decoded[id] != want:
+			t.Errorf("wire id %d decodes to %s, the ledger says %s", id, decoded[id], want)
+		}
+	}
+	for id, typ := range wireIDs {
+		if !registered[id] {
+			t.Errorf("ledger id %d (%s) is no longer registered: list it as retired", id, typ)
+		}
+		if _, ok := retiredWireIDs[id]; ok {
+			t.Errorf("wire id %d is both live and retired", id)
 		}
 	}
 }

@@ -38,12 +38,17 @@
 # file in decodeBlockFile), and the lines of non-test internal/sip that name
 # a [][]int (0 is the aim: a pardo chunk, the chunk ledger, a replay order
 # and a snapshot overlay are spans of the iteration space, not lists of
-# iteration tuples); and, in non-test internal/mpi, the sync.Mutex fields
+# iteration tuples); in non-test internal/mpi, the sync.Mutex fields
 # (3 at most is the aim: the world's memberMu, the failure diagnosis's
 # lock if it is not folded into memberMu, and the mailbox's) and the
 # per-rank map fields (0 is the aim: membership, liveness and the clock
 # sample live in one record per rank; the map Evicted returns is built
-# per call and is not a field).
+# per call and is not a field); the sender fields of the SIP message
+# payloads, the origin field lines of internal/sip/messages.go (0 is the
+# aim: a receiver reads the sender from the envelope, mpi.Message.Source,
+# which delivery has bounded by the world's size); and the fields of
+# serve.Config (fewer is the aim: a value no caller sets is a constant,
+# not a knob).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 cat; }
@@ -84,3 +89,5 @@ echo "block.New sites in non-test internal/sip + internal/chem: $( (nontest inte
 echo "[][]int sites in non-test internal/sip: $(nontest internal/sip | grep -c '\[\]\[\]int' || true)"
 echo "sync.Mutex fields in internal/mpi: $(nontest internal/mpi | grep -cE '^\s+\w+\s+sync\.Mutex\b' || true)"
 echo "per-rank maps in internal/mpi:     $(nontest internal/mpi | grep -cE '^\s+\w+\s+map\[int\]' || true)"
+echo "sender fields in sip message payloads: $(grep -cE '^\s+origin\s+int' internal/sip/messages.go || true)"
+echo "serve.Config fields:          $(fields Config internal/serve/service.go)"
